@@ -155,11 +155,77 @@ void Solver::check_rhs(std::size_t b_size, index_t nrhs,
   }
 }
 
-ThreadPool* Solver::solve_pool() const {
+ThreadPool* Solver::worker_pool() const {
   if (options_.threads <= 1) return nullptr;
   if (options_.shared_pool != nullptr) return options_.shared_pool;
-  if (!solve_pool_) solve_pool_ = std::make_unique<ThreadPool>(options_.threads);
-  return solve_pool_.get();
+  if (!worker_pool_) {
+    worker_pool_ = std::make_unique<ThreadPool>(options_.threads);
+  }
+  return worker_pool_.get();
+}
+
+PivotPolicy Solver::pivot_policy() const {
+  PivotPolicy pivot;
+  pivot.boost = options_.static_pivoting;
+  pivot.threshold = options_.pivot_threshold;
+  return pivot;
+}
+
+GovernedOptions Solver::governed_options() {
+  GovernedOptions gopts;
+  gopts.kind = options_.factor_kind;
+  gopts.pivot = pivot_policy();
+  gopts.pool = worker_pool();
+  if (options_.abft) {
+    AbftOptions& abft = gopts.abft.emplace();
+    abft.tolerance = options_.abft_tolerance;
+    if (options_.inject_sdc.has_value() &&
+        options_.inject_sdc->site != SdcSite::kStoredFactor) {
+      abft.inject = &*options_.inject_sdc;
+    }
+  }
+  gopts.spill_path = spill_path();
+  gopts.cancel = arm_cancel_scope();
+  return gopts;
+}
+
+void Solver::reset_factor_state() {
+  factor_.reset();
+  ooc_factor_.reset();
+  solve_schedule_.reset();
+  reservation_.reset();
+  budget_.reset();
+  factor_checksums_ = FactorChecksums{};
+  report_.abft_checks = 0;
+  report_.abft_detections = 0;
+  report_.fronts_recomputed = 0;
+  report_.corruption_detected = false;
+  report_.verify_residual = 0.0;
+}
+
+Status Solver::finish_run(const Status& status, const FactorStats& stats) {
+  // Fresh cancellation scope: a cancel()/deadline never poisons later calls.
+  cancel_source_ = CancelSource();
+  report_.factor_seconds = stats.seconds;
+  report_.peak_update_bytes = stats.peak_update_bytes;
+  report_.pivot_perturbations = stats.pivot_perturbations;
+  report_.abft_checks = stats.abft_checks;
+  report_.abft_detections = stats.abft_detections;
+  report_.fronts_recomputed = stats.fronts_recomputed;
+  report_.corruption_detected = stats.abft_detections > 0;
+  // Only the governance and corruption codes degrade to a returned Status;
+  // a pivot breakdown (non-SPD input, or boost could not rescue the pivot)
+  // throws as it always has.
+  if (status.code == StatusCode::kBreakdown) throw StatusError(status);
+  return status;
+}
+
+void Solver::inject_stored_flip() {
+  if (options_.inject_sdc.has_value() &&
+      options_.inject_sdc->site == SdcSite::kStoredFactor &&
+      factor_.has_value()) {
+    inject_factor_bitflip(*sym_, *factor_, *options_.inject_sdc);
+  }
 }
 
 void Solver::build_solve_schedule() {
@@ -338,17 +404,7 @@ Status Solver::factorize() {
   PARFACT_CHECK_MSG(sym_.has_value(), "factorize() before analyze()");
   // Reset factor state up front so a failed run leaves no stale factor and
   // releases the previous run's reservation before re-admission.
-  factor_.reset();
-  ooc_factor_.reset();
-  solve_schedule_.reset();
-  reservation_.reset();
-  factor_checksums_ = FactorChecksums{};
-  report_.abft_checks = 0;
-  report_.abft_detections = 0;
-  report_.fronts_recomputed = 0;
-  report_.corruption_detected = false;
-  report_.verify_residual = 0.0;
-
+  reset_factor_state();
   if (options_.inject_sdc.has_value() &&
       options_.inject_sdc->site != SdcSite::kStoredFactor &&
       !options_.abft) {
@@ -358,69 +414,24 @@ Status Solver::factorize() {
         "without the checksum-carrying engine the flip would be a silent "
         "wrong answer");
   }
-  if (options_.abft) {
-    Status status = factorize_abft();
-    if (status.failed()) return status;
-    if (options_.inject_sdc.has_value() &&
-        options_.inject_sdc->site == SdcSite::kStoredFactor &&
-        factor_.has_value()) {
-      inject_factor_bitflip(*sym_, *factor_, *options_.inject_sdc);
-    }
-    return status;
-  }
   budget_ = std::make_unique<ResourceBudget>(options_.memory_budget_bytes);
-
-  GovernedOptions gopts;
-  gopts.kind = options_.factor_kind;
-  gopts.pivot.boost = options_.static_pivoting;
-  gopts.pivot.threshold = options_.pivot_threshold;
-  gopts.two_phase =
-      options_.factor_engine == SolverOptions::FactorEngine::kTwoPhase;
-  gopts.spill_path = spill_path();
-  gopts.cancel = arm_cancel_scope();
-
-  std::unique_ptr<ThreadPool> pool;
-  if (options_.threads > 1) {
-    if (options_.shared_pool != nullptr) {
-      gopts.pool = options_.shared_pool;
-    } else {
-      pool = std::make_unique<ThreadPool>(options_.threads);
-      gopts.pool = pool.get();
-    }
-  }
   GovernedFactorizeResult result =
-      multifrontal_factorize_governed(*sym_, *budget_, gopts);
-  // Fresh cancellation scope: a cancel()/deadline never poisons later calls.
-  cancel_source_ = CancelSource();
-
+      multifrontal_factorize_governed(*sym_, *budget_, governed_options());
   report_.admission = result.admission;
   report_.peak_bytes = budget_->peak_bytes();
   report_.bytes_spilled = result.bytes_spilled;
-  report_.factor_seconds = result.stats.seconds;
-  report_.peak_update_bytes = result.stats.peak_update_bytes;
-  report_.pivot_perturbations = result.stats.pivot_perturbations;
-
-  if (result.status.failed()) {
-    // Preserve the historical contract: a pivot breakdown (non-SPD input,
-    // or boost could not rescue the pivot) throws as before. Only the
-    // governance codes degrade to a returned Status.
-    if (result.status.code == StatusCode::kBreakdown) {
-      throw StatusError(result.status);
-    }
-    return result.status;
-  }
+  const Status status = finish_run(result.status, result.stats);
+  if (status.failed()) return status;
   if (result.factor.has_value()) {
     factor_.emplace(std::move(*result.factor));
+    factor_checksums_ = std::move(result.checksums);
     build_solve_schedule();  // streamed OOC sweeps don't use the schedule
-    if (options_.inject_sdc.has_value() &&
-        options_.inject_sdc->site == SdcSite::kStoredFactor) {
-      inject_factor_bitflip(*sym_, *factor_, *options_.inject_sdc);
-    }
+    inject_stored_flip();
   } else {
     ooc_factor_.emplace(std::move(*result.ooc));
   }
   reservation_ = std::move(result.reservation);
-  return result.status;
+  return status;
 }
 
 Status Solver::refactorize(std::span<const real_t> new_values) {
@@ -441,66 +452,33 @@ Status Solver::refactorize(std::span<const real_t> new_values) {
     sym_->a.values[q] = original_lower_.values[value_map_[q]];
   }
 
-  // Fast path: the previous run left an in-core factor and no feature that
-  // needs its own engine (ABFT checksums, admission ladder, fault
-  // injection) is active — re-run the numeric phase into the existing
-  // allocation. Anything else falls through to the full factorize(), which
-  // composes with governance/ABFT/OOC unchanged (analyze is never re-run).
-  if (options_.abft || options_.memory_budget_bytes > 0 ||
-      options_.inject_sdc.has_value() || !factor_.has_value()) {
-    return factorize();
-  }
+  // In place whenever the in-core factor was admitted under the current
+  // budget, whatever the options; anything else — no factor, a spilled
+  // one, a budget changed since — re-enters the admission ladder.
+  const bool admitted =
+      factor_.has_value() && budget_ != nullptr &&
+      budget_->limit_bytes() == options_.memory_budget_bytes &&
+      (reservation_.held() || !budget_->limited());
+  if (!admitted) return factorize();
 
   factor_checksums_ = FactorChecksums{};
-  report_.abft_checks = 0;
-  report_.abft_detections = 0;
-  report_.fronts_recomputed = 0;
-  report_.corruption_detected = false;
   report_.verify_residual = 0.0;
   FactorStats stats;
-  PivotPolicy pivot;
-  pivot.boost = options_.static_pivoting;
-  pivot.threshold = options_.pivot_threshold;
-  const CancelToken cancel = arm_cancel_scope();
-  try {
-    if (options_.threads > 1) {
-      std::unique_ptr<ThreadPool> owned;
-      ThreadPool* pool = options_.shared_pool;
-      if (pool == nullptr) {
-        owned = std::make_unique<ThreadPool>(options_.threads);
-        pool = owned.get();
-      }
-      if (options_.factor_engine == SolverOptions::FactorEngine::kTwoPhase) {
-        multifrontal_refactor_two_phase(*sym_, *factor_, *pool, &stats,
-                                        options_.factor_kind, kCoopFrontFlops,
-                                        pivot, cancel);
-      } else {
-        multifrontal_refactor_parallel(*sym_, *factor_, *pool, &stats,
-                                       options_.factor_kind, kCoopFrontFlops,
-                                       pivot, cancel);
-      }
-    } else {
-      multifrontal_refactor(*sym_, *factor_, &stats, options_.factor_kind,
-                            pivot, cancel);
-    }
-  } catch (const StatusError& e) {
-    cancel_source_ = CancelSource();
-    // The interrupted panels hold partial results; drop them so a later
-    // refactorize/factorize starts from the no-factor state.
-    factor_.reset();
-    solve_schedule_.reset();
-    if (e.status().code == StatusCode::kBreakdown) throw;
-    return e.status();
-  }
-  cancel_source_ = CancelSource();
-  report_.admission = Admission::kUnlimited;
-  report_.peak_bytes = 0;
+  Status status = multifrontal_refactor_governed(
+      *sym_, *budget_, governed_options(), *factor_, stats, factor_checksums_);
+  // The interrupted panels hold partial results; drop them so a later
+  // refactorize/factorize starts from the no-factor state.
+  if (status.failed()) reset_factor_state();
+  status = finish_run(status, stats);
+  if (status.failed()) return status;
+  // The admitting run's rung and reservation still hold the factor, so the
+  // governance fields are what that run reported; in-core means nothing
+  // was spilled.
+  report_.peak_bytes = budget_->peak_bytes();
   report_.bytes_spilled = 0;
-  report_.factor_seconds = stats.seconds;
-  report_.peak_update_bytes = stats.peak_update_bytes;
-  report_.pivot_perturbations = stats.pivot_perturbations;
   if (solve_schedule_ == nullptr) build_solve_schedule();
-  return Status::success(stats.pivot_perturbations);
+  inject_stored_flip();
+  return status;
 }
 
 Status Solver::spill_factor() {
@@ -570,52 +548,6 @@ std::size_t Solver::factor_bytes() const {
   return 0;
 }
 
-Status Solver::factorize_abft() {
-  if (options_.memory_budget_bytes > 0) {
-    return Status::failure(
-        StatusCode::kInvalidInput,
-        "options.abft is incompatible with memory_budget_bytes: the "
-        "checksum-carrying engine is the serial in-core path and has no "
-        "admission ladder");
-  }
-  FactorStats stats;
-  PivotPolicy pivot;
-  pivot.boost = options_.static_pivoting;
-  pivot.threshold = options_.pivot_threshold;
-  AbftOptions aopts;
-  aopts.tolerance = options_.abft_tolerance;
-  if (options_.inject_sdc.has_value() &&
-      options_.inject_sdc->site != SdcSite::kStoredFactor) {
-    aopts.inject = &*options_.inject_sdc;
-  }
-  Status status;
-  try {
-    factor_.emplace(multifrontal_factor_abft(*sym_, &stats,
-                                             options_.factor_kind, pivot,
-                                             aopts, &factor_checksums_,
-                                             arm_cancel_scope()));
-    status = Status::success(stats.pivot_perturbations);
-  } catch (const StatusError& e) {
-    cancel_source_ = CancelSource();
-    // Historical contract: a pivot breakdown still throws; corruption,
-    // cancellation and deadlines come back as diagnosed Status values.
-    if (e.status().code == StatusCode::kBreakdown) throw;
-    factor_checksums_ = FactorChecksums{};
-    return e.status();
-  }
-  cancel_source_ = CancelSource();
-  report_.factor_seconds = stats.seconds;
-  report_.peak_update_bytes = stats.peak_update_bytes;
-  report_.pivot_perturbations = stats.pivot_perturbations;
-  report_.abft_checks = stats.abft_checks;
-  report_.abft_detections = stats.abft_detections;
-  report_.fronts_recomputed = stats.fronts_recomputed;
-  report_.corruption_detected = stats.abft_detections > 0;
-  report_.admission = Admission::kUnlimited;
-  build_solve_schedule();
-  return status;
-}
-
 Status Solver::factorize_and_solve(std::span<const real_t> b, index_t nrhs,
                                    std::vector<real_t>& x) {
   PARFACT_CHECK_MSG(sym_.has_value(), "factorize_and_solve() before analyze()");
@@ -625,24 +557,29 @@ Status Solver::factorize_and_solve(std::span<const real_t> b, index_t nrhs,
   } catch (const StatusError& e) {
     return e.status();  // Status-returning entry point: no throw on bad input
   }
-  // A governed run (budget/deadline) takes the factorize() ladder — the
-  // fused graph has no admission control — and the serial path has no
-  // fusion to offer either way.
-  if (options_.threads <= 1 || options_.memory_budget_bytes > 0 ||
-      options_.deadline_seconds > 0.0) {
+  // The fused graph is the task-DAG engine plus the first forward sweep:
+  // fuse only when the engine rule picks the task DAG and no injection
+  // needs the serial driver's hooks or a flip between factor and solve.
+  if (options_.inject_sdc.has_value() ||
+      !runs_task_dag(worker_pool(), options_.memory_budget_bytes > 0,
+                     options_.abft)) {
     const Status status = factorize();
     if (status.failed()) return status;
     x = solve_multi(b, nrhs);
     return status;
   }
 
-  FactorStats stats;
-  PivotPolicy pivot;
-  pivot.boost = options_.static_pivoting;
-  pivot.threshold = options_.pivot_threshold;
-  // Stale at-rest checksums from a previous ABFT factorize() must not judge
-  // the new factor.
-  factor_checksums_ = FactorChecksums{};
+  // factorize()'s reset and the ladder's admission. The rule implies an
+  // unlimited budget, so the in-core rung is always admitted (and meters).
+  reset_factor_state();
+  budget_ = std::make_unique<ResourceBudget>();
+  const GovernedOptions gopts = governed_options();
+  AdmissionDecision admitted = admit_factorization(*sym_, *budget_, gopts);
+  PARFACT_DCHECK(admitted.reservation.held());
+  reservation_ = std::move(admitted.reservation);
+  report_.admission = admitted.admission;
+  report_.peak_bytes = budget_->peak_bytes();
+  report_.bytes_spilled = 0;
   build_solve_schedule();
 
   // Permute into the postordered space, run the fused graph (factor tasks +
@@ -652,19 +589,29 @@ Status Solver::factorize_and_solve(std::span<const real_t> b, index_t nrhs,
     const std::size_t off = static_cast<std::size_t>(c) * n;
     for (index_t kk = 0; kk < n; ++kk) pb[off + kk] = b[off + total_perm_[kk]];
   }
-  factor_.emplace(multifrontal_factor_and_solve(
-      *sym_, MatrixView{pb.data(), n, nrhs, n}, *solve_schedule_,
-      solve_workspace_, *solve_pool(), &stats, options_.factor_kind,
-      kCoopFrontFlops, pivot));
+  FactorStats stats;
+  Status status;
+  try {
+    factor_.emplace(multifrontal_factor_and_solve(
+        *sym_, MatrixView{pb.data(), n, nrhs, n}, *solve_schedule_,
+        solve_workspace_, *gopts.pool, &stats, gopts.kind, kCoopFrontFlops,
+        gopts.pivot, gopts.cancel));
+    status = Status::success(stats.pivot_perturbations);
+  } catch (const StatusError& e) {
+    reset_factor_state();
+    status = e.status();
+  }
+  status = finish_run(status, stats);
+  if (status.failed()) return status;
   x.resize(b.size());
   for (index_t c = 0; c < nrhs; ++c) {
     const std::size_t off = static_cast<std::size_t>(c) * n;
     for (index_t kk = 0; kk < n; ++kk) x[off + total_perm_[kk]] = pb[off + kk];
   }
-  report_.factor_seconds = stats.seconds;
-  report_.peak_update_bytes = stats.peak_update_bytes;
-  report_.pivot_perturbations = stats.pivot_perturbations;
-  return Status::success(stats.pivot_perturbations);
+  if (options_.verify != SolverOptions::Verify::kOff) {
+    verify_and_repair(b, nrhs, x);
+  }
+  return status;
 }
 
 Status Solver::factorize_distributed(int n_ranks,
@@ -674,9 +621,12 @@ Status Solver::factorize_distributed(int n_ranks,
                     "factorize_distributed() before analyze()");
   PARFACT_CHECK(n_ranks >= 1);
   WallTimer timer;
-  PivotPolicy pivot;
-  pivot.boost = options_.static_pivoting;
-  pivot.threshold = options_.pivot_threshold;
+  // The distributed factor is not admitted by the ladder and carries no
+  // at-rest checksums: drop the previous factor state, so a later
+  // refactorize re-enters through factorize() and verify_and_repair falls
+  // back to the full recompute.
+  reset_factor_state();
+  const PivotPolicy pivot = pivot_policy();
   const FrontMap map =
       build_front_map(*sym_, n_ranks, MappingStrategy::kSubtree2d);
   // A Solver deadline doubles as the simulator's wall-clock watchdog: a
@@ -700,15 +650,7 @@ Status Solver::factorize_distributed(int n_ranks,
   }
   report_.comm_messages_out_of_order =
       result.run.messages_completed_out_of_order;
-  // The distributed factor carries no at-rest checksums; drop any armed by
-  // a previous ABFT factorize() so verify_and_repair falls back to the full
-  // recompute when asked to heal this factor.
-  factor_checksums_ = FactorChecksums{};
-  if (result.status.failed()) {
-    factor_.reset();
-    solve_schedule_.reset();
-    return result.status;
-  }
+  if (result.status.failed()) return result.status;
   factor_.emplace(std::move(result.factor));
   build_solve_schedule();
   report_.factor_seconds = timer.seconds();
@@ -720,7 +662,7 @@ void Solver::solve_postordered(MatrixView x) const {
   if (factor_.has_value()) {
     PARFACT_CHECK(solve_schedule_ != nullptr);
     solve_in_place(*factor_, x, *solve_schedule_, solve_workspace_,
-                   solve_pool());
+                   worker_pool());
   } else {
     ooc_solve_in_place(*ooc_factor_, x);
   }
@@ -788,9 +730,7 @@ void Solver::verify_and_repair(std::span<const real_t> b, index_t nrhs,
   // whole factor is recomputed from the kept matrix. Either way the
   // repaired factor is bitwise identical to a clean run, and a result is
   // only returned once it verifies.
-  PivotPolicy pivot;
-  pivot.boost = options_.static_pivoting;
-  pivot.threshold = options_.pivot_threshold;
+  const PivotPolicy pivot = pivot_policy();
   for (int attempt = 0; attempt < 2 && factor_.has_value(); ++attempt) {
     bool localized = false;
     if (!factor_checksums_.empty()) {
@@ -857,7 +797,7 @@ std::vector<real_t> Solver::solve_batch(std::span<const real_t> b,
         factor_.has_value()
             ? refine_block(sym_->a, *factor_,
                            ConstMatrixView{prhs.data(), n, nrhs, n}, xv,
-                           *solve_schedule_, solve_workspace_, solve_pool(),
+                           *solve_schedule_, solve_workspace_, worker_pool(),
                            options_.batch_refinement_passes)
             : ooc_refine_block(sym_->a, *ooc_factor_,
                                ConstMatrixView{prhs.data(), n, nrhs, n}, xv,
@@ -909,7 +849,7 @@ std::vector<real_t> Solver::solve_refined(std::span<const real_t> b) const {
   solve_postordered(MatrixView{px.data(), n, 1, n});
   if (factor_.has_value()) {
     (void)iterative_refinement(sym_->a, *factor_, pb, px, *solve_schedule_,
-                               solve_workspace_, solve_pool(),
+                               solve_workspace_, worker_pool(),
                                options_.refinement_steps);
   } else {
     (void)ooc_refine_block(sym_->a, *ooc_factor_,

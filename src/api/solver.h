@@ -48,11 +48,6 @@ struct SolverOptions {
   /// Cholesky for SPD input; LDLᵀ (no pivoting) for symmetric
   /// quasi-definite input such as KKT saddle-point systems.
   FactorKind factor_kind = FactorKind::kCholesky;
-  /// Parallel factorization engine (threads > 1). The task-DAG runtime is
-  /// the default; the static two-phase engine is kept for benchmarking the
-  /// schedules against each other. Both are bitwise identical to serial.
-  enum class FactorEngine { kTaskDag, kTwoPhase };
-  FactorEngine factor_engine = FactorEngine::kTaskDag;
   /// Static pivoting: tiny/non-positive pivots are boosted to
   /// sqrt(eps)·max|A| (sign-preserving for LDLᵀ) instead of aborting the
   /// factorization. The perturbation count is surfaced in the report and
@@ -79,8 +74,10 @@ struct SolverOptions {
   /// allocation; a factorization that does not fit in-core degrades to the
   /// checksummed OOC spill (panels on disk, bitwise-identical factor), and
   /// one that cannot even spill returns kResourceExhausted. A limited
-  /// budget runs the serial engine — its postorder memory profile is
-  /// exactly what admission reserved.
+  /// budget runs the serial driver — its postorder memory profile is
+  /// exactly what admission reserved (with abft, the checks' state is
+  /// reserved too; only an ABFT repair may exceed the reservation while it
+  /// re-runs a subtree).
   std::size_t memory_budget_bytes = 0;
   /// Wall-clock deadline per factorize()/factorize_and_solve() call
   /// (host seconds; 0 = none). A deadline firing mid-factor returns
@@ -90,14 +87,14 @@ struct SolverOptions {
   double deadline_seconds = 0.0;
   /// OOC scratch file for budget-driven spill; empty = a unique /tmp path.
   std::string spill_path;
-  /// ABFT checksum-carrying factorization (DESIGN.md §5f): factorize()
-  /// runs the serial engine with a column-sum identity checked after every
-  /// kernel stage; detected corruption is localized to one front and
-  /// repaired by bounded recompute, bitwise identical to a clean run. Also
-  /// arms the at-rest factor checksums that let post-solve verification
-  /// localize storage corruption. Incompatible with memory_budget_bytes
-  /// (the governed ladder has its own engines) — that combination returns
-  /// kInvalidInput.
+  /// ABFT checksum-carrying factorization (DESIGN.md §5f): every numeric
+  /// run takes the serial driver with a column-sum identity checked after
+  /// every kernel stage; detected corruption is localized to one front and
+  /// repaired by bounded recompute, bitwise identical to a clean run. Works
+  /// on both budget rungs (in-core and spill), whose reservations then
+  /// include the checks' state; a repair transiently holds more while it
+  /// re-runs a subtree. An in-core run also arms the at-rest checksums that
+  /// let post-solve verification localize storage corruption.
   bool abft = false;
   real_t abft_tolerance = 1e-8;  ///< ABFT identity tolerance
   /// Post-solve end-to-end verification of solve()/solve_multi() results:
@@ -242,16 +239,14 @@ class Solver {
 
   /// Numeric-only re-factorization: installs `new_values` (same length and
   /// order as the analyze() input's value array — the pattern must be
-  /// unchanged) and re-runs the numeric phase. When the previous factorize()
-  /// left an in-core factor and no ABFT/budget/injection option is active,
-  /// this skips ordering, symbolic analysis, and all allocation, writing the
-  /// new factor into the existing panels — the serving fast path. The result
-  /// is bitwise identical to analyze()+factorize() on the same values, and
-  /// the perturbation count is reported identically. Otherwise (ABFT,
-  /// memory budget, OOC, injection, or no prior factor) it degrades to the
-  /// full factorize() on the new values, composing with those features
-  /// unchanged. A length mismatch returns kInvalidInput; cancellation,
-  /// deadlines and breakdown behave exactly as in factorize().
+  /// unchanged) and re-runs the numeric phase. Whenever an in-core factor
+  /// admitted under the current memory budget exists, this skips ordering,
+  /// symbolic analysis, admission and allocation, writing into the existing
+  /// panels (the serving fast path) under every option factorize() honours;
+  /// otherwise it is factorize() on the new values. Either way the factor
+  /// and the report equal analyze()+factorize() on the same values. A
+  /// length mismatch returns kInvalidInput; cancellation, deadlines and
+  /// breakdown behave as in factorize(), and a failed run drops the factor.
   Status refactorize(std::span<const real_t> new_values);
 
   /// Moves the in-core factor to the checksummed OOC scratch file (panels
@@ -301,10 +296,10 @@ class Solver {
   /// column-major right-hand sides `b` in one task graph — forward solves
   /// on fully factored subtrees overlap the remaining factorization, so
   /// there is no factor→solve barrier. `x` receives the solutions in the
-  /// caller's original ordering. Results (factor and solutions) are
-  /// bitwise identical to factorize() followed by solve_multi(b, nrhs).
-  /// Requires analyze(). With threads <= 1 this degrades gracefully to the
-  /// serial factorize-then-solve pipeline.
+  /// caller's original ordering. Status, x, factor and report equal
+  /// factorize() followed by solve_multi(b, nrhs) for every option; the
+  /// graph is fused only when the engine rule picks the task DAG and no
+  /// injection is set. Requires analyze().
   Status factorize_and_solve(std::span<const real_t> b, index_t nrhs,
                              std::vector<real_t>& x);
 
@@ -364,9 +359,10 @@ class Solver {
   [[nodiscard]] real_t condition_estimate() const;
 
  private:
-  /// Lazily created solve pool (options.threads > 1); the solve schedule
-  /// is built once per factorize() and reused by every solve.
-  [[nodiscard]] ThreadPool* solve_pool() const;
+  /// Workers for factorization and solves (options.threads > 1), created
+  /// on first use unless shared; the solve schedule is built once per
+  /// factorize() and reused by every solve.
+  [[nodiscard]] ThreadPool* worker_pool() const;
   void build_solve_schedule();
   /// Digest of every option that affects the symbolic result (ordering kind
   /// and knobs, amalgamation, parallel-ND engine choice) — the PatternKey
@@ -380,8 +376,14 @@ class Solver {
   void solve_postordered(MatrixView x) const;
   [[nodiscard]] std::string spill_path() const;
   void check_rhs(std::size_t b_size, index_t nrhs, const char* fn) const;
-  /// ABFT factorize() path (options.abft): checksum-carrying serial engine.
-  Status factorize_abft();
+  [[nodiscard]] PivotPolicy pivot_policy() const;
+  /// Options of a governed numeric run; arms its cancellation scope.
+  [[nodiscard]] GovernedOptions governed_options();
+  /// Drops the factor and all state derived from it.
+  void reset_factor_state();
+  /// Fresh cancel scope, stats into the report; a breakdown throws.
+  Status finish_run(const Status& status, const FactorStats& stats);
+  void inject_stored_flip();  ///< kStoredFactor injection
   /// Permute → triangular sweeps → permute back (solve_multi's core).
   [[nodiscard]] std::vector<real_t> solve_permuted(std::span<const real_t> b,
                                                    index_t nrhs) const;
@@ -410,7 +412,7 @@ class Solver {
   SparseMatrix original_lower_;      ///< kept for residuals/refinement
   std::unique_ptr<SolveSchedule> solve_schedule_;
   mutable SolveWorkspace solve_workspace_;
-  mutable std::unique_ptr<ThreadPool> solve_pool_;
+  mutable std::unique_ptr<ThreadPool> worker_pool_;
   /// Governance state. The budget must outlive the reservation charged
   /// against it (declaration order ⇒ reverse destruction order).
   std::unique_ptr<ResourceBudget> budget_;

@@ -10,11 +10,11 @@
 // Update kernels follow the factorization's sign convention: they *subtract*
 // the product (C := C - op(A) op(B)).
 //
-// The pool-taking overloads split C's row range across the pool's workers
-// and produce bitwise-identical results to their serial counterparts (the
-// engine's summation order per element does not depend on the row
-// partition); they fall back to the serial path for small problems or a
-// one-worker pool.
+// Row splits: the engine's summation order per element does not depend on
+// how C's rows are partitioned, so TRSM and GEMM on disjoint row blocks —
+// and SYRK through syrk_lower_update_slab — reproduce the one-call result
+// bit for bit. The task-DAG factorization (mf/dag_factor.h) splits its
+// large fronts that way.
 #pragma once
 
 #include <span>
@@ -24,8 +24,6 @@
 #include "support/types.h"
 
 namespace parfact {
-
-class ThreadPool;
 
 /// Static-pivoting hook for POTRF / LDLᵀ. When non-null, a pivot whose
 /// magnitude is at or below `threshold` is replaced by `value` (Cholesky) or
@@ -59,10 +57,6 @@ index_t ldlt_lower(MatrixView a, std::span<real_t> d,
 /// This is the panel update below a factorized diagonal block.
 void trsm_right_lower_trans(ConstMatrixView l, MatrixView b);
 
-/// Pool-parallel variant: rows of b are solved independently across the
-/// pool's workers (each row's operation sequence is unchanged).
-void trsm_right_lower_trans(ConstMatrixView l, MatrixView b, ThreadPool* pool);
-
 /// x := l⁻¹ x (forward substitution, multiple right-hand sides).
 void trsm_left_lower(ConstMatrixView l, MatrixView x);
 
@@ -73,10 +67,6 @@ void trsm_left_lower_trans(ConstMatrixView l, MatrixView x);
 /// with c.rows == a.rows.
 void syrk_lower_update(MatrixView c, ConstMatrixView a);
 
-/// Pool-parallel variant: row slabs of c (flop-balanced via a square-root
-/// partition of the triangle) update concurrently.
-void syrk_lower_update(MatrixView c, ConstMatrixView a, ThreadPool* pool);
-
 /// True when syrk_lower_update(c, a) with c of order `n` and a with `k`
 /// columns runs on the packed engine and may therefore be split into row
 /// slabs without changing the result bitwise. When false the update must
@@ -86,24 +76,20 @@ void syrk_lower_update(MatrixView c, ConstMatrixView a, ThreadPool* pool);
 
 /// Flop-balanced ascending row bounds (size slabs+1, bound[0] = 0,
 /// bound[slabs] = n) for splitting a splittable syrk_lower_update into row
-/// slabs: the square-root partition used by the pool variant.
+/// slabs: a square-root partition that balances the slabs' flops.
 [[nodiscard]] std::vector<index_t> syrk_slab_bounds(index_t n, index_t slabs);
 
 /// One row slab [r0, r1) of a splittable syrk_lower_update(c, a): the
 /// rectangle C(r0:r1, 0:r0) plus the diagonal triangle C(r0:r1, r0:r1),
 /// both on the packed engine. Running every slab of syrk_slab_bounds — in
 /// any order or concurrently; the writes are disjoint — produces exactly
-/// the serial call's result bit for bit. Shared by the pool variant above
-/// and the task-DAG factorization's update tasks.
+/// the serial call's result bit for bit. The task-DAG factorization's
+/// Cholesky update tasks are these slabs.
 void syrk_lower_update_slab(MatrixView c, ConstMatrixView a, index_t r0,
                             index_t r1);
 
 /// c := c - a * bᵀ. Dimensions: c is (a.rows x b.rows), a.cols == b.cols.
 void gemm_nt_update(MatrixView c, ConstMatrixView a, ConstMatrixView b);
-
-/// Pool-parallel variant: row slabs of c update concurrently.
-void gemm_nt_update(MatrixView c, ConstMatrixView a, ConstMatrixView b,
-                    ThreadPool* pool);
 
 /// c := c - a * b. Dimensions: c is (a.rows x b.cols), a.cols == b.rows.
 void gemm_nn_update(MatrixView c, ConstMatrixView a, ConstMatrixView b);

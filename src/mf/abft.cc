@@ -2,15 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <sstream>
+#include <utility>
 #include <vector>
 
-#include "dense/kernels.h"
 #include "mf/front_kernel.h"
-#include "mf/update_memory.h"
 #include "support/checksum.h"
 #include "support/error.h"
-#include "support/timer.h"
 
 namespace parfact {
 namespace {
@@ -21,6 +20,26 @@ std::uint64_t mix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
+}
+
+constexpr std::uint64_t kCellSalt = 0x5bf03635ull;
+
+// The supernode an injection strikes: the named one, or one from the seed.
+index_t inject_target(const SymbolicFactor& sym, const SdcInjection& inj) {
+  if (inj.supernode != kNone) return inj.supernode;
+  return static_cast<index_t>(mix64(inj.seed) %
+                              static_cast<std::uint64_t>(sym.n_supernodes));
+}
+
+// Flips the injection's bit in a seeded element of m's lower trapezoid.
+void flip_lower(MatrixView m, const SdcInjection& inj) {
+  const std::uint64_t h1 = mix64(inj.seed ^ kCellSalt);
+  const std::uint64_t h2 = mix64(h1);
+  const index_t j =
+      static_cast<index_t>(h1 % static_cast<std::uint64_t>(m.cols));
+  const index_t i =
+      j + static_cast<index_t>(h2 % static_cast<std::uint64_t>(m.rows - j));
+  m.at(i, j) = flip_bit(m.at(i, j), inj.bit);
 }
 
 struct ColSums {
@@ -57,29 +76,52 @@ struct ColSums {
 #define PARFACT_ABFT_CLONES
 #endif
 
+// Four doubles; lowers to whatever ISA the enclosing clone targets. The
+// helpers below take and return vectors by reference only, so no vector
+// crosses a call boundary of the baseline ABI.
+typedef real_t v4d __attribute__((vector_size(4 * sizeof(real_t))));
+typedef long long v4i __attribute__((vector_size(4 * sizeof(long long))));
+typedef unsigned long long v4u __attribute__((vector_size(sizeof(v4d))));
+
+// out = |v| (clears the sign bits, as std::abs does).
+__attribute__((always_inline)) inline void abs4(const v4d& v, v4d& out) {
+  constexpr unsigned long long kMag = ~0ull >> 1;
+  out = reinterpret_cast<v4d>(reinterpret_cast<const v4u&>(v) &
+                              v4u{kMag, kMag, kMag, kMag});
+}
+
 // Value + magnitude reduction over a contiguous range with eight
-// independent partial accumulators: without reassociation (-ffast-math is
-// off) a naive loop is a single add-latency chain at ~4 cycles per
-// element; independent lanes run at load throughput (and map onto one
-// 512-bit register when the ISA has it). The fixed blocking keeps the
-// summation order deterministic run to run.
+// independent partial accumulators (two vectors; lane l sums the elements
+// i ≡ l mod 8): without reassociation (-ffast-math is off) a naive loop is
+// a single add-latency chain at ~4 cycles per element; independent lanes
+// run at load throughput. The fixed blocking keeps the summation order
+// deterministic run to run.
 PARFACT_ABFT_CLONES
 void sum_abs(const real_t* v, index_t n, real_t& sum_out, real_t& abs_out) {
-  real_t s[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
-  real_t a[8] = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0};
+  v4d s0 = {0.0, 0.0, 0.0, 0.0};
+  v4d s1 = s0;
+  v4d a0 = s0;
+  v4d a1 = s0;
   index_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    for (int l = 0; l < 8; ++l) {
-      s[l] += v[i + l];
-      a[l] += std::abs(v[i + l]);
-    }
+    v4d x0, x1, y0, y1;
+    __builtin_memcpy(&x0, v + i, sizeof x0);
+    __builtin_memcpy(&x1, v + i + 4, sizeof x1);
+    abs4(x0, y0);
+    abs4(x1, y1);
+    s0 += x0;
+    s1 += x1;
+    a0 += y0;
+    a1 += y1;
   }
   for (; i < n; ++i) {
-    s[0] += v[i];
-    a[0] += std::abs(v[i]);
+    s0[0] += v[i];
+    a0[0] += std::abs(v[i]);
   }
-  sum_out = ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
-  abs_out = ((a[0] + a[1]) + (a[2] + a[3])) + ((a[4] + a[5]) + (a[6] + a[7]));
+  sum_out = ((s0[0] + s0[1]) + (s0[2] + s0[3])) +
+            ((s1[0] + s1[1]) + (s1[2] + s1[3]));
+  abs_out = ((a0[0] + a0[1]) + (a0[2] + a0[3])) +
+            ((a1[0] + a1[1]) + (a1[2] + a1[3]));
 }
 
 // dst_s[i] += col[i]; dst_a[i] += |col[i]| — the symmetric-completion row
@@ -108,14 +150,35 @@ void accum_two_weighted(real_t* p2, real_t* s2, real_t* p3, real_t* s3,
   }
 }
 
-// Column sums of the lower part (rows >= col) of an n x n view.
-void lower_colsums(ConstMatrixView m, ColSums& out) {
-  out.reset(m.cols);
-  for (index_t j = 0; j < m.cols; ++j) {
-    const real_t* col = m.data + static_cast<std::size_t>(j) * m.ld;
-    sum_abs(col + j, m.rows - j, out.sum[static_cast<std::size_t>(j)],
-            out.abs[static_cast<std::size_t>(j)]);
-  }
+// Rows [j, j+4) of the four columns starting at `col` (stride ld),
+// transposed: out[i] holds row j+i, one column per lane.
+__attribute__((always_inline)) inline void load_rows(const real_t* col,
+                                                     index_t ld, index_t j,
+                                                     v4d out[4]) {
+  v4d x0, x1, x2, x3;
+  __builtin_memcpy(&x0, col + j, sizeof x0);
+  __builtin_memcpy(&x1, col + ld + j, sizeof x1);
+  __builtin_memcpy(&x2, col + 2 * ld + j, sizeof x2);
+  __builtin_memcpy(&x3, col + 3 * ld + j, sizeof x3);
+  const v4d t0 = __builtin_shuffle(x0, x1, v4i{0, 4, 2, 6});
+  const v4d t1 = __builtin_shuffle(x0, x1, v4i{1, 5, 3, 7});
+  const v4d t2 = __builtin_shuffle(x2, x3, v4i{0, 4, 2, 6});
+  const v4d t3 = __builtin_shuffle(x2, x3, v4i{1, 5, 3, 7});
+  out[0] = __builtin_shuffle(t0, t2, v4i{0, 1, 4, 5});
+  out[1] = __builtin_shuffle(t1, t3, v4i{0, 1, 4, 5});
+  out[2] = __builtin_shuffle(t0, t2, v4i{2, 3, 6, 7});
+  out[3] = __builtin_shuffle(t1, t3, v4i{2, 3, 6, 7});
+}
+
+// out[i] = (v[i][0] + v[i][1]) + (v[i][2] + v[i][3]) for i < 4.
+__attribute__((always_inline)) inline void lane_sums(const v4d v[4],
+                                                     v4d& out) {
+  const v4d h01 = __builtin_shuffle(v[0], v[1], v4i{0, 4, 2, 6}) +
+                  __builtin_shuffle(v[0], v[1], v4i{1, 5, 3, 7});
+  const v4d h23 = __builtin_shuffle(v[2], v[3], v4i{0, 4, 2, 6}) +
+                  __builtin_shuffle(v[2], v[3], v4i{1, 5, 3, 7});
+  out = __builtin_shuffle(h01, h23, v4i{0, 1, 4, 5}) +
+        __builtin_shuffle(h01, h23, v4i{2, 3, 6, 7});
 }
 
 // UPDATE-identity prediction on LOWER column sums. For the trailing update
@@ -127,48 +190,77 @@ void lower_colsums(ConstMatrixView m, ColSums& out) {
 // descending turns the j-dependent truncation into one running p-vector,
 // so the prediction costs O(b·p) — reading L21 and M once — instead of the
 // O(b²) row-scatter a symmetric-sum identity would need over U' itself.
-// Columns are processed in fixed blocks of four (independent suffix chains
-// hide the add latency; the order stays deterministic), and the final
-// suffix values are each column's full sum, returned in `l21cols` for the
-// TRSM weights / LDLᵀ rescale check.
+// Columns go in fixed groups of four, one per vector lane: each 4 x 4 tile
+// is transposed in registers so the four suffix chains advance together
+// and the per-row dot products reduce in the fixed order
+// (t0 + t1) + (t2 + t3). The final suffix values are each column's full
+// sum, returned in `l21cols` for the TRSM weights / LDLᵀ rescale check.
+PARFACT_ABFT_CLONES
 void predict_update_lower(ConstMatrixView l21, ConstMatrixView m,
                           real_t* pred, real_t* scale, ColSums& l21cols) {
   const index_t b = l21.rows;
   const index_t p = l21.cols;
+  const bool m_is_l21 = m.data == l21.data && m.ld == l21.ld;  // Cholesky
   l21cols.reset(p);
   index_t k = 0;
   for (; k + 4 <= p; k += 4) {
-    const real_t* c0 = l21.data + static_cast<std::size_t>(k) * l21.ld;
-    const real_t* c1 = c0 + l21.ld;
-    const real_t* c2 = c1 + l21.ld;
-    const real_t* c3 = c2 + l21.ld;
-    const real_t* m0 = m.data + static_cast<std::size_t>(k) * m.ld;
-    const real_t* m1 = m0 + m.ld;
-    const real_t* m2 = m1 + m.ld;
-    const real_t* m3 = m2 + m.ld;
-    real_t s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    real_t a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-    for (index_t j = b; j-- > 0;) {
-      s0 += c0[j];
-      a0 += std::abs(c0[j]);
-      s1 += c1[j];
-      a1 += std::abs(c1[j]);
-      s2 += c2[j];
-      a2 += std::abs(c2[j]);
-      s3 += c3[j];
-      a3 += std::abs(c3[j]);
-      pred[j] -= (s0 * m0[j] + s1 * m1[j]) + (s2 * m2[j] + s3 * m3[j]);
-      scale[j] += (a0 * std::abs(m0[j]) + a1 * std::abs(m1[j])) +
-                  (a2 * std::abs(m2[j]) + a3 * std::abs(m3[j]));
+    const real_t* c = l21.data + static_cast<std::size_t>(k) * l21.ld;
+    const real_t* mc = m.data + static_cast<std::size_t>(k) * m.ld;
+    const std::size_t ld = static_cast<std::size_t>(l21.ld);
+    const std::size_t mld = static_cast<std::size_t>(m.ld);
+    v4d s = {0.0, 0.0, 0.0, 0.0};
+    v4d a = s;
+    index_t j = b;
+    while (j % 4 != 0) {  // the rows below the last full tile, one by one
+      --j;
+      const v4d r = {c[j], c[ld + j], c[2 * ld + j], c[3 * ld + j]};
+      const v4d mr = m_is_l21 ? r
+                              : v4d{mc[j], mc[mld + j], mc[2 * mld + j],
+                                    mc[3 * mld + j]};
+      v4d ar, amr;
+      abs4(r, ar);
+      abs4(mr, amr);
+      s += r;
+      a += ar;
+      const v4d t = s * mr;
+      const v4d u = a * amr;
+      pred[j] -= (t[0] + t[1]) + (t[2] + t[3]);
+      scale[j] += (u[0] + u[1]) + (u[2] + u[3]);
     }
-    l21cols.sum[static_cast<std::size_t>(k)] = s0;
-    l21cols.abs[static_cast<std::size_t>(k)] = a0;
-    l21cols.sum[static_cast<std::size_t>(k) + 1] = s1;
-    l21cols.abs[static_cast<std::size_t>(k) + 1] = a1;
-    l21cols.sum[static_cast<std::size_t>(k) + 2] = s2;
-    l21cols.abs[static_cast<std::size_t>(k) + 2] = a2;
-    l21cols.sum[static_cast<std::size_t>(k) + 3] = s3;
-    l21cols.abs[static_cast<std::size_t>(k) + 3] = a3;
+    for (; j > 0; j -= 4) {
+      v4d r[4];
+      v4d mr[4];
+      load_rows(c, l21.ld, j - 4, r);
+      if (m_is_l21) {
+        for (int i = 0; i < 4; ++i) mr[i] = r[i];
+      } else {
+        load_rows(mc, m.ld, j - 4, mr);
+      }
+      v4d t[4];
+      v4d u[4];
+      for (int i = 3; i >= 0; --i) {
+        v4d ar, amr;
+        abs4(r[i], ar);
+        abs4(mr[i], amr);
+        s += r[i];
+        a += ar;
+        t[i] = s * mr[i];
+        u[i] = a * amr;
+      }
+      v4d ts, us, dp, ds;
+      lane_sums(t, ts);
+      lane_sums(u, us);
+      __builtin_memcpy(&dp, pred + j - 4, sizeof dp);
+      __builtin_memcpy(&ds, scale + j - 4, sizeof ds);
+      dp -= ts;
+      ds += us;
+      __builtin_memcpy(pred + j - 4, &dp, sizeof dp);
+      __builtin_memcpy(scale + j - 4, &ds, sizeof ds);
+    }
+    for (int l = 0; l < 4; ++l) {
+      l21cols.sum[static_cast<std::size_t>(k + l)] = s[l];
+      l21cols.abs[static_cast<std::size_t>(k + l)] = a[l];
+    }
   }
   for (; k < p; ++k) {
     const real_t* c = l21.data + static_cast<std::size_t>(k) * l21.ld;
@@ -195,68 +287,84 @@ void rect_colsums(ConstMatrixView m, ColSums& out) {
   }
 }
 
-// The ABFT factorization engine. One instance per multifrontal_factor_abft
-// call; mirrors multifrontal_factor's postorder loop but runs the four
-// kernel stages individually with a checksum identity after each, and owns
-// the detect -> localize -> recompute machinery.
-class AbftEngine {
+// The ABFT per-front hooks of the serial driver: a checksum identity after
+// every kernel stage of eliminate_front, fault injection at the stage
+// boundaries, and the localization half of detect -> localize -> recompute
+// (the driver re-runs whatever subtree block_corrupt() names).
+class AbftHooks final : public detail::FrontHooks {
  public:
-  AbftEngine(const SymbolicFactor& sym, FactorKind kind, PivotPolicy pivot,
-             const AbftOptions& options, CholeskyFactor& factor,
-             std::span<real_t> d, FactorChecksums* checksums)
+  AbftHooks(const SymbolicFactor& sym, FactorKind kind,
+            std::span<const real_t> d, const AbftOptions& options,
+            FactorChecksums* checksums)
       : sym_(sym),
         kind_(kind),
-        pivot_(pivot),
         options_(options),
-        factor_(factor),
         d_(d),
         checksums_(checksums),
         children_(detail::build_children(sym)),
-        update_of_(static_cast<std::size_t>(sym.n_supernodes)),
-        panel_dirty_(static_cast<std::size_t>(sym.n_supernodes), 0),
-        perturb_of_(static_cast<std::size_t>(sym.n_supernodes), 0),
-        carried_(static_cast<std::size_t>(sym.n_supernodes)),
-        scratch_(sym.n) {
-    fd_.resize(static_cast<std::size_t>(sym.n_supernodes));
-    for (index_t s = 0; s < sym.n_supernodes; ++s) {
-      fd_[s] = children_[s].empty() ? s : fd_[children_[s].front()];
-    }
+        carried_(static_cast<std::size_t>(sym.n_supernodes)) {
     if (checksums_ != nullptr) {
       checksums_->col_sum.assign(static_cast<std::size_t>(sym.n), 0.0);
       checksums_->col_abs.assign(static_cast<std::size_t>(sym.n), 0.0);
     }
   }
 
-  void run(CancelToken cancel) {
-    for (index_t s = 0; s < sym_.n_supernodes; ++s) {
-      cancel.throw_if_cancelled();
-      run_front(s);
-      mem_.add(update_of_[s].size() * sizeof(real_t));
-      free_children(s);
+  detail::AssemblySums* assembly_sums() override { return &asm_sums_; }
+
+  bool at(detail::FrontStage stage, const Front& f) override {
+    switch (stage) {
+      case detail::FrontStage::kAssembled:
+        maybe_inject(SdcSite::kAssembly, f);
+        return check_assembly(f.s, f.panel);
+      case detail::FrontStage::kDiagonal:
+        maybe_inject(SdcSite::kPotrf, f);
+        return true;
+      case detail::FrontStage::kPanel:
+        maybe_inject(SdcSite::kTrsm, f);
+        return true;
+      case detail::FrontStage::kUpdated:
+        break;
     }
+    maybe_inject(SdcSite::kUpdate, f);
+    const index_t p = sym_.sn_cols(f.s);
+    const index_t b = sym_.sn_below(f.s);
+    ConstMatrixView l21{};
+    if (b > 0) l21 = f.panel.block(p, 0, b, p);
+    if (!check_stages(f.s, f.panel.block(0, 0, p, p), l21, f.m, f.boosted)) {
+      return false;
+    }
+    record_checksums(f.s);
+    // The children's blocks are verified and consumed; any later repair
+    // that revisits their subtrees regenerates the predictions with them.
+    for (const index_t c : children_[f.s]) carried_[c] = ColSums{};
+    return true;
   }
 
-  [[nodiscard]] count_t perturbations() const {
-    count_t total = 0;
-    for (const count_t c : perturb_of_) total += c;
-    return total;
+  void rejected(index_t s, int attempt) override {
+    ++detections_;
+    if (attempt + 1 >= options_.max_front_attempts) fail_sticky(s);
   }
-  [[nodiscard]] std::size_t peak_update_bytes() const { return mem_.peak(); }
-  count_t checks = 0;
-  count_t detections = 0;
-  count_t fronts_recomputed = 0;
+
+  // Re-verifies a live child update block against its carried prediction.
+  bool block_corrupt(index_t c, ConstMatrixView block) override {
+    const ColSums& want = carried_[c];
+    for (index_t j = 0; j < block.cols; ++j) {
+      real_t sum = 0.0;
+      real_t mag = 0.0;
+      sum_abs(block.data + static_cast<std::size_t>(j) * block.ld + j,
+              block.rows - j, sum, mag);
+      const std::size_t uj = static_cast<std::size_t>(j);
+      if (!column_ok(sum, want.sum[uj], want.abs[uj])) return true;
+    }
+    return false;
+  }
+
+  void report(FactorStats& stats) const override {
+    stats.abft_checks = checks_;
+    stats.abft_detections = detections_;
+  }
 
  private:
-  void free_children(index_t s) {
-    for (const index_t c : children_[s]) {
-      mem_.sub(update_of_[c].size() * sizeof(real_t));
-      update_of_[c] = {};
-      // The parent has verified and consumed the block; any later repair
-      // that revisits this subtree regenerates the prediction with it.
-      carried_[c] = ColSums{};
-    }
-  }
-
   [[nodiscard]] bool column_ok(real_t actual, real_t predicted,
                                real_t scale) const {
     return !abft_mismatch(actual, predicted, scale, options_.tolerance);
@@ -264,61 +372,39 @@ class AbftEngine {
 
   // ---- fault injection -----------------------------------------------
 
-  [[nodiscard]] index_t inject_target() const {
-    const SdcInjection& inj = *options_.inject;
-    if (inj.supernode != kNone) return inj.supernode;
-    return static_cast<index_t>(mix64(inj.seed) %
-                                static_cast<std::uint64_t>(sym_.n_supernodes));
-  }
-
   // Flips one element of the site's region if this front is the campaign
   // target. Non-sticky faults strike once; sticky faults re-strike on
   // every (re)computation of the front.
-  void maybe_inject(SdcSite site, index_t s, MatrixView panel,
-                    MatrixView update) {
+  void maybe_inject(SdcSite site, const Front& front) {
     const SdcInjection* inj = options_.inject;
-    if (inj == nullptr || inj->site != site || injection_fired_) return;
-    if (inject_target() != s) return;
-    const index_t p = sym_.sn_cols(s);
-    const index_t b = sym_.sn_below(s);
-    const index_t f = p + b;
-    const std::uint64_t h1 = mix64(inj->seed ^ 0x5bf03635ull);
-    const std::uint64_t h2 = mix64(h1);
-    real_t* cell = nullptr;
+    if (inj == nullptr || inj->site != site || injection_fired_ ||
+        inject_target(sym_, *inj) != front.s) {
+      return;
+    }
+    const index_t p = sym_.sn_cols(front.s);
+    const index_t b = sym_.sn_below(front.s);
     switch (site) {
-      case SdcSite::kAssembly: {
-        const index_t j = static_cast<index_t>(h1 % p);
-        const index_t i =
-            j + static_cast<index_t>(h2 % static_cast<std::uint64_t>(f - j));
-        cell = &panel.at(i, j);
+      case SdcSite::kAssembly:
+        flip_lower(front.panel, *inj);
         break;
-      }
-      case SdcSite::kPotrf: {
-        const index_t j = static_cast<index_t>(h1 % p);
-        const index_t i =
-            j + static_cast<index_t>(h2 % static_cast<std::uint64_t>(p - j));
-        cell = &panel.at(i, j);
+      case SdcSite::kPotrf:
+        flip_lower(front.panel.block(0, 0, p, p), *inj);
         break;
-      }
       case SdcSite::kTrsm: {
         if (b == 0) return;
-        const index_t j = static_cast<index_t>(h1 % p);
-        const index_t i = p + static_cast<index_t>(h2 % b);
-        cell = &panel.at(i, j);
+        const std::uint64_t h1 = mix64(inj->seed ^ kCellSalt);
+        real_t& cell = front.panel.at(p + static_cast<index_t>(mix64(h1) % b),
+                                      static_cast<index_t>(h1 % p));
+        cell = flip_bit(cell, inj->bit);
         break;
       }
-      case SdcSite::kUpdate: {
+      case SdcSite::kUpdate:
         if (b == 0) return;
-        const index_t j = static_cast<index_t>(h1 % b);
-        const index_t i =
-            j + static_cast<index_t>(h2 % static_cast<std::uint64_t>(b - j));
-        cell = &update.at(i, j);
+        flip_lower(front.update, *inj);
         break;
-      }
       case SdcSite::kStoredFactor:
-        return;  // applied outside the engine, after factorize
+        return;  // applied outside the driver, after factorize
     }
-    *cell = flip_bit(*cell, inj->bit);
     if (!inj->sticky) injection_fired_ = true;
   }
 
@@ -344,7 +430,7 @@ class AbftEngine {
   // caller re-verifies the children's blocks and recomputes any corrupt
   // child subtree.
   [[nodiscard]] bool check_assembly(index_t s, ConstMatrixView panel) {
-    ++checks;
+    ++checks_;
     const index_t p = sym_.sn_cols(s);
     const index_t b = sym_.sn_below(s);
     asm_pred_.reset(p);
@@ -367,7 +453,7 @@ class AbftEngine {
     const auto prows = sym_.below_rows(s);
     std::size_t ic = 0;
     for (const index_t c : children_[s]) {
-      ++checks;  // the child block's UPDATE identity, checked at consumption
+      ++checks_;  // the child block's UPDATE identity, checked at consumption
       const auto crows = sym_.below_rows(c);
       const index_t cb = sym_.sn_below(c);
       const std::vector<real_t>& cs = asm_sums_.per_child[ic++];
@@ -444,8 +530,8 @@ class AbftEngine {
     const index_t p = l11.cols;
     const index_t b = sym_.sn_below(s);
     const index_t first = sym_.sn_start[s];
-    if (boosted == 0) ++checks;  // POTRF
-    if (b > 0) ++checks;         // TRSM (UPDATE is counted at consumption)
+    if (boosted == 0) ++checks_;  // POTRF
+    if (b > 0) ++checks_;         // TRSM (UPDATE is counted at consumption)
 
     // Pass 1: UPDATE prediction + L21/M column sums.
     pred_.assign(u0_.sum.begin(), u0_.sum.end());
@@ -529,147 +615,50 @@ class AbftEngine {
     return true;
   }
 
-  // ---- detect -> localize -> recompute --------------------------------
-
-  [[noreturn]] void fail_sticky(index_t s, const char* stage) const {
+  [[noreturn]] void fail_sticky(index_t s) const {
     std::ostringstream os;
-    os << "abft: persistent corruption at " << stage << " of supernode " << s
+    os << "abft: persistent corruption at retry of supernode " << s
        << " after " << options_.max_front_attempts
        << " recompute attempt(s)";
     throw StatusError(
         Status::failure(StatusCode::kDataCorruption, os.str(), s));
   }
 
-  // Re-verifies the in-memory update blocks of s's children against their
-  // carried predictions and recomputes the subtree of any corrupt child.
-  void repair_children(index_t s) {
-    for (const index_t c : children_[s]) {
-      const index_t cb = sym_.sn_below(c);
-      const ConstMatrixView cu{update_of_[c].data(), cb, cb, cb};
-      ColSums actual;
-      lower_colsums(cu, actual);
-      const ColSums& want = carried_[c];
-      bool ok = true;
-      for (index_t j = 0; j < cb && ok; ++j) {
-        const std::size_t uj = static_cast<std::size_t>(j);
-        ok = column_ok(actual.sum[uj], want.sum[uj], want.abs[uj]);
-      }
-      if (!ok) recompute_range(fd_[c], c);
-    }
-  }
-
-  // Re-runs the contiguous postorder subtree [lo, hi]; every interior
-  // block is regenerated, then freed again once its parent has consumed
-  // it, leaving only hi's update block live (as the main loop expects).
-  void recompute_range(index_t lo, index_t hi) {
-    for (index_t t = lo; t <= hi; ++t) {
-      run_front(t);
-      ++fronts_recomputed;
-      if (t < hi) mem_.add(update_of_[t].size() * sizeof(real_t));
-      if (t <= hi) free_children(t);
-    }
-  }
-
-  void run_front(index_t s) {
+  // The stored-factor checksums are the L11 sums refreshed after the
+  // diagonal kernel plus the L21 sums from the TRSM check — the panel is
+  // not re-read.
+  void record_checksums(index_t s) {
+    if (checksums_ == nullptr) return;
     const index_t p = sym_.sn_cols(s);
-    const index_t b = sym_.sn_below(s);
     const index_t first = sym_.sn_start[s];
-    MatrixView panel = factor_.panel(s);
-
-    for (int attempt = 0;; ++attempt) {
-      if (attempt >= options_.max_front_attempts) fail_sticky(s, "retry");
-      if (attempt > 0) ++fronts_recomputed;
-
-      // assemble_front scatters with +=, so a recompute needs a clean
-      // slate; the very first visit can rely on the factor buffer's zero
-      // initialization, like the plain engine does.
-      if (panel_dirty_[static_cast<std::size_t>(s)]) panel.fill(0.0);
-      panel_dirty_[static_cast<std::size_t>(s)] = 1;
-      detail::assemble_front(sym_, s, update_of_, children_, panel,
-                             update_of_[s], scratch_, &asm_sums_);
-      MatrixView update{update_of_[s].data(), b, b, b};
-      maybe_inject(SdcSite::kAssembly, s, panel, update);
-      if (!check_assembly(s, panel)) {
-        ++detections;
-        repair_children(s);
-        continue;
-      }
-
-      const count_t boosted =
-          detail::factor_front_diag(sym_, s, panel, kind_, d_, pivot_);
-      MatrixView l11 = panel.block(0, 0, p, p);
-      maybe_inject(SdcSite::kPotrf, s, panel, update);
-
-      MatrixView l21{};
-      ConstMatrixView m{};
-      if (b > 0) {
-        l21 = panel.block(p, 0, b, p);
-        trsm_right_lower_trans(l11, l21, nullptr);
-        m = l21;
-        if (kind_ == FactorKind::kLdlt) {
-          detail::ldlt_scale_panel(l21, d_, first, mstore_);
-          m = ConstMatrixView{mstore_.data(), b, p, b};
-        }
-        maybe_inject(SdcSite::kTrsm, s, panel, update);
-
-        if (kind_ == FactorKind::kCholesky) {
-          syrk_lower_update(update, l21, nullptr);
-        } else {
-          gemm_nt_update(update, l21, m, nullptr);
-        }
-        maybe_inject(SdcSite::kUpdate, s, panel, update);
-      }
-      if (!check_stages(s, l11, l21, m, boosted)) {
-        // Stage baselines are predictions built from the children's carried
-        // sums, so a mismatch here may equally mean a corrupt child block
-        // (e.g. an assembled-A21 or update-seed flip): re-verify the
-        // children before retrying, recomputing any corrupt subtree.
-        ++detections;
-        repair_children(s);
-        continue;
-      }
-
-      perturb_of_[s] = boosted;
-      if (checksums_ != nullptr) {
-        // The stored-factor checksums are the L11 sums refreshed after the
-        // diagonal kernel plus the L21 sums from the TRSM check — the panel
-        // is not re-read.
-        const ColSums* l21s =
-            b > 0 ? (kind_ == FactorKind::kCholesky ? &msums_ : &l21sums_)
-                  : nullptr;
-        for (index_t j = 0; j < p; ++j) {
-          const std::size_t g = static_cast<std::size_t>(first + j);
-          const std::size_t uj = static_cast<std::size_t>(j);
-          checksums_->col_sum[g] =
-              l11sums_.sum[uj] + (l21s != nullptr ? l21s->sum[uj] : 0.0);
-          checksums_->col_abs[g] =
-              l11sums_.abs[uj] + (l21s != nullptr ? l21s->abs[uj] : 0.0);
-        }
-      }
-      return;
+    const ColSums* l21s =
+        sym_.sn_below(s) > 0
+            ? (kind_ == FactorKind::kCholesky ? &msums_ : &l21sums_)
+            : nullptr;
+    for (index_t j = 0; j < p; ++j) {
+      const std::size_t g = static_cast<std::size_t>(first + j);
+      const std::size_t uj = static_cast<std::size_t>(j);
+      checksums_->col_sum[g] =
+          l11sums_.sum[uj] + (l21s != nullptr ? l21s->sum[uj] : 0.0);
+      checksums_->col_abs[g] =
+          l11sums_.abs[uj] + (l21s != nullptr ? l21s->abs[uj] : 0.0);
     }
   }
 
   const SymbolicFactor& sym_;
   const FactorKind kind_;
-  const PivotPolicy pivot_;
-  const AbftOptions& options_;
-  CholeskyFactor& factor_;
-  std::span<real_t> d_;
-  FactorChecksums* checksums_;
+  const AbftOptions options_;
+  const std::span<const real_t> d_;
+  FactorChecksums* const checksums_;
   const std::vector<std::vector<index_t>> children_;
-  std::vector<std::vector<real_t>> update_of_;
-  std::vector<char> panel_dirty_;  ///< panel written before (retry must zero)
-  std::vector<count_t> perturb_of_;
   std::vector<ColSums> carried_;  ///< predicted update-block sums + scales
-  std::vector<index_t> fd_;       ///< first descendant (subtree start)
-  detail::FrontScratch scratch_;
   detail::AssemblySums asm_sums_;  ///< child split sums from the extend-add
-  detail::UpdateMemory mem_;
   bool injection_fired_ = false;
+  count_t checks_ = 0;
+  count_t detections_ = 0;
 
   // Per-front check scratch, reused across fronts so the O(front^2) checks
-  // never allocate. Only valid within one run_front stage sequence.
+  // never allocate. Only valid within one front's stage sequence.
   ColSums asm_pred_;   ///< predicted lower A11 sums (A + carried)
   ColSums a11_pre_;    ///< actual symmetric A11 sums (POTRF baseline)
   ColSums a21_pre_;    ///< predicted A21 column sums (A + carried)
@@ -683,10 +672,40 @@ class AbftEngine {
   std::vector<real_t> scale2_;
   std::vector<real_t> pred3_;   ///< TRSM-identity prediction
   std::vector<real_t> scale3_;
-  std::vector<real_t> mstore_;  ///< LDLᵀ unscaled panel M
 };
 
+// Sum and magnitude sum of each stored panel column of supernode s,
+// written into `out` at the supernode's postordered columns.
+void panel_checksums(const SymbolicFactor& sym, const CholeskyFactor& factor,
+                     index_t s, FactorChecksums& out) {
+  const ConstMatrixView panel = factor.panel(s);
+  const index_t first = sym.sn_start[s];
+  for (index_t j = 0; j < panel.cols; ++j) {
+    real_t sum = 0.0;
+    real_t abs = 0.0;
+    for (index_t i = j; i < panel.rows; ++i) {
+      const real_t v = panel.at(i, j);
+      sum += v;
+      abs += std::abs(v);
+    }
+    out.col_sum[static_cast<std::size_t>(first + j)] = sum;
+    out.col_abs[static_cast<std::size_t>(first + j)] = abs;
+  }
+}
+
 }  // namespace
+
+namespace detail {
+
+std::unique_ptr<FrontHooks> make_abft_hooks(const SymbolicFactor& sym,
+                                            FactorKind kind,
+                                            std::span<const real_t> d,
+                                            const AbftOptions& options,
+                                            FactorChecksums* checksums) {
+  return std::make_unique<AbftHooks>(sym, kind, d, options, checksums);
+}
+
+}  // namespace detail
 
 CholeskyFactor multifrontal_factor_abft(const SymbolicFactor& sym,
                                         FactorStats* stats, FactorKind kind,
@@ -694,23 +713,49 @@ CholeskyFactor multifrontal_factor_abft(const SymbolicFactor& sym,
                                         const AbftOptions& options,
                                         FactorChecksums* checksums,
                                         CancelToken cancel) {
-  WallTimer timer;
-  pivot = resolve_pivot_policy(pivot, sym.a);
   CholeskyFactor factor(sym);
   std::span<real_t> d;
   if (kind == FactorKind::kLdlt) d = factor.allocate_diag();
-  AbftEngine engine(sym, kind, pivot, options, factor, d, checksums);
-  engine.run(cancel);
-  if (stats != nullptr) {
-    stats->seconds = timer.seconds();
-    stats->flops = sym.total_flops;
-    stats->peak_update_bytes = engine.peak_update_bytes();
-    stats->pivot_perturbations = engine.perturbations();
-    stats->abft_checks = engine.checks;
-    stats->abft_detections = engine.detections;
-    stats->fronts_recomputed = engine.fronts_recomputed;
-  }
+  detail::factor_serial(sym, {.factor = &factor, .zeroed = true}, kind, d,
+                        pivot, stats, std::move(cancel), &options, checksums);
   return factor;
+}
+
+std::size_t abft_state_bytes(const SymbolicFactor& sym, FactorKind kind,
+                             bool checksums) {
+  // Replays the hooks' allocations along the postorder: front s carries a
+  // 2b prediction from its completion until its parent's; asm_sums_ keeps,
+  // per child slot, the largest 4·cb block it was sized for; the per-front
+  // scratch is five ColSums (six for LDLᵀ) and four vectors of width p,
+  // one ColSums and two vectors of height b, at the widest front.
+  const auto children = detail::build_children(sym);
+  std::size_t live = 0;
+  std::size_t reals = 0;
+  std::size_t max_p = 0;
+  std::size_t max_b = 0;
+  std::vector<std::size_t> slot;
+  for (index_t s = 0; s < sym.n_supernodes; ++s) {
+    const auto b = static_cast<std::size_t>(sym.sn_below(s));
+    live += 2 * b;
+    reals = std::max(reals, live);
+    slot.resize(std::max(slot.size(), children[s].size()));
+    for (std::size_t i = 0; i < children[s].size(); ++i) {
+      const auto cb = static_cast<std::size_t>(sym.sn_below(children[s][i]));
+      live -= 2 * cb;
+      slot[i] = std::max(slot[i], 4 * cb);
+    }
+    max_p = std::max(max_p, static_cast<std::size_t>(sym.sn_cols(s)));
+    max_b = std::max(max_b, b);
+  }
+  reals += (kind == FactorKind::kLdlt ? 16 : 14) * max_p + 4 * max_b;
+  for (const std::size_t cap : slot) reals += cap;
+  if (checksums) reals += 2 * static_cast<std::size_t>(sym.n);
+  // The hooks object and its per-supernode tables (vectors at up to twice
+  // their length after growth).
+  return reals * sizeof(real_t) + sizeof(AbftHooks) +
+         static_cast<std::size_t>(sym.n_supernodes) *
+             (sizeof(ColSums) + sizeof(std::vector<index_t>) +
+              2 * (sizeof(std::vector<real_t>) + sizeof(index_t)));
 }
 
 FactorChecksums compute_factor_checksums(const SymbolicFactor& sym,
@@ -719,19 +764,7 @@ FactorChecksums compute_factor_checksums(const SymbolicFactor& sym,
   out.col_sum.assign(static_cast<std::size_t>(sym.n), 0.0);
   out.col_abs.assign(static_cast<std::size_t>(sym.n), 0.0);
   for (index_t s = 0; s < sym.n_supernodes; ++s) {
-    const ConstMatrixView panel = factor.panel(s);
-    const index_t first = sym.sn_start[s];
-    for (index_t j = 0; j < panel.cols; ++j) {
-      real_t sum = 0.0;
-      real_t abs = 0.0;
-      for (index_t i = j; i < panel.rows; ++i) {
-        const real_t v = panel.at(i, j);
-        sum += v;
-        abs += std::abs(v);
-      }
-      out.col_sum[static_cast<std::size_t>(first + j)] = sum;
-      out.col_abs[static_cast<std::size_t>(first + j)] = abs;
-    }
+    panel_checksums(sym, factor, s, out);
   }
   return out;
 }
@@ -766,39 +799,12 @@ count_t recompute_subtree(const SymbolicFactor& sym, index_t root,
                           FactorKind kind, PivotPolicy pivot,
                           CholeskyFactor& factor,
                           FactorChecksums* checksums) {
-  pivot = resolve_pivot_policy(pivot, sym.a);
-  const auto children = detail::build_children(sym);
-  index_t lo = root;
-  while (!children[lo].empty()) lo = children[lo].front();
-
-  std::span<real_t> d = factor.mutable_diag();
-  std::vector<std::vector<real_t>> update_of(
-      static_cast<std::size_t>(sym.n_supernodes));
-  detail::FrontScratch scratch(sym.n);
-  for (index_t t = lo; t <= root; ++t) {
-    MatrixView panel = factor.panel(t);
-    panel.fill(0.0);
-    (void)detail::eliminate_front(sym, t, update_of, children, panel,
-                                  update_of[t], scratch, kind, d, nullptr,
-                                  pivot);
-    for (const index_t c : children[t]) update_of[c] = {};
-  }
-
+  detail::factor_serial(sym, {.factor = &factor}, kind, factor.mutable_diag(),
+                        pivot, nullptr, {}, nullptr, nullptr, root);
+  const index_t lo = first_descendant(sym, root);
   if (checksums != nullptr && !checksums->empty()) {
     for (index_t t = lo; t <= root; ++t) {
-      const ConstMatrixView panel = factor.panel(t);
-      const index_t first = sym.sn_start[t];
-      for (index_t j = 0; j < panel.cols; ++j) {
-        real_t sum = 0.0;
-        real_t abs = 0.0;
-        for (index_t i = j; i < panel.rows; ++i) {
-          const real_t v = panel.at(i, j);
-          sum += v;
-          abs += std::abs(v);
-        }
-        checksums->col_sum[static_cast<std::size_t>(first + j)] = sum;
-        checksums->col_abs[static_cast<std::size_t>(first + j)] = abs;
-      }
+      panel_checksums(sym, factor, t, *checksums);
     }
   }
   return root - lo + 1;
@@ -807,18 +813,8 @@ count_t recompute_subtree(const SymbolicFactor& sym, index_t root,
 index_t inject_factor_bitflip(const SymbolicFactor& sym,
                               CholeskyFactor& factor,
                               const SdcInjection& injection) {
-  index_t s = injection.supernode;
-  if (s == kNone) {
-    s = static_cast<index_t>(mix64(injection.seed) %
-                             static_cast<std::uint64_t>(sym.n_supernodes));
-  }
-  MatrixView panel = factor.panel(s);
-  const std::uint64_t h1 = mix64(injection.seed ^ 0x5bf03635ull);
-  const std::uint64_t h2 = mix64(h1);
-  const index_t j = static_cast<index_t>(h1 % panel.cols);
-  const index_t i =
-      j + static_cast<index_t>(h2 % static_cast<std::uint64_t>(panel.rows - j));
-  panel.at(i, j) = flip_bit(panel.at(i, j), injection.bit);
+  const index_t s = inject_target(sym, injection);
+  flip_lower(factor.panel(s), injection);
   return s;
 }
 

@@ -22,10 +22,14 @@
 // one front* (assembly mismatches are further localized to the corrupt
 // child via its carried prediction), and repaired by recomputing just
 // that front — or, for a corrupted in-memory update block, the
-// contiguous postorder subtree that produces it. The serial
-// kernels are deterministic, so the repaired factor is bitwise identical
-// to a clean run. Corruption that survives `max_front_attempts` (a sticky
-// fault) surfaces as StatusError(kDataCorruption) naming the front.
+// contiguous postorder subtree that produces it. The checks are per-front
+// hooks of the serial driver (front_kernel.h), and a repair re-runs the
+// subtree through that same driver, so ABFT works with either panel
+// destination (repaired panels of a spilled factor are rewritten on disk).
+// The serial kernels are deterministic, so the repaired factor is bitwise
+// identical to a clean run. Corruption that survives
+// `max_front_attempts` (a sticky fault) surfaces as
+// StatusError(kDataCorruption) naming the front.
 //
 // The same column sums, captured per factor column at front completion,
 // double as an at-rest integrity check (`verify_factor`) that the Solver
@@ -82,17 +86,27 @@ struct FactorChecksums {
 };
 
 /// Serial multifrontal factorization with ABFT checks interleaved after
-/// every kernel stage. On a clean run the factor is bitwise identical to
-/// multifrontal_factor (the checks only read). Detected corruption is
-/// repaired by bounded recompute; `stats` reports checks/detections/
-/// recomputed fronts on top of the usual fields. When `checksums` is
-/// non-null it receives the per-column factor sums for at-rest
-/// verification.
+/// every kernel stage: the serial driver with the ABFT hooks attached. On
+/// a clean run the factor is bitwise identical to multifrontal_factor (the
+/// checks only read). Detected corruption is repaired by bounded
+/// recompute; `stats` reports checks/detections/recomputed fronts on top
+/// of the usual fields. When `checksums` is non-null it receives the
+/// per-column factor sums for at-rest verification.
 [[nodiscard]] CholeskyFactor multifrontal_factor_abft(
     const SymbolicFactor& sym, FactorStats* stats = nullptr,
     FactorKind kind = FactorKind::kCholesky, PivotPolicy pivot = {},
     const AbftOptions& options = {}, FactorChecksums* checksums = nullptr,
     CancelToken cancel = {});
+
+/// Upper bound of the bytes the ABFT hooks hold beyond the hookless
+/// working set of a clean run: the at-rest checksums (2n, with
+/// `checksums`), the predictions carried with every live update block (2b
+/// each, peaking along the update stack's postorder), the per-front check
+/// scratch sized by the widest front and its children, and the hooks'
+/// per-supernode tables. A repair holds more for its duration: it re-runs a
+/// child subtree while the parent's other child blocks are live.
+[[nodiscard]] std::size_t abft_state_bytes(const SymbolicFactor& sym,
+                                           FactorKind kind, bool checksums);
 
 /// Recomputes `checksums` from a (trusted) factor — used to arm at-rest
 /// verification for factors produced by non-ABFT engines.
@@ -108,9 +122,10 @@ struct FactorChecksums {
 
 /// Repairs the factor by re-running the contiguous postorder subtree
 /// rooted at `root` ([first_descendant(root), root]) from the original
-/// matrix. Deterministic kernels make the result bitwise identical to the
-/// original clean computation. Refreshes `checksums` for the recomputed
-/// columns when non-null. Returns the number of fronts recomputed.
+/// matrix through the serial driver. Deterministic kernels make the result
+/// bitwise identical to the original clean computation. Refreshes
+/// `checksums` for the recomputed columns when non-null. Returns the number
+/// of fronts recomputed.
 count_t recompute_subtree(const SymbolicFactor& sym, index_t root,
                           FactorKind kind, PivotPolicy pivot,
                           CholeskyFactor& factor,

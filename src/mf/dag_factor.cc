@@ -15,10 +15,10 @@ using rt::TaskKind;
 using rt::tag_t;
 
 /// Minimum flops before a front stage is split into more than one task, and
-/// minimum C rows per slab. Tuned like the pool kernels' thresholds: a slab
-/// should be a few milliseconds of packed-engine work so per-task overhead
-/// (heap ops, atomics) stays negligible. Pure scheduling knobs — slab
-/// boundaries never change numeric results.
+/// minimum C rows per slab: a slab should be a few milliseconds of
+/// packed-engine work so per-task overhead (heap ops, atomics) stays
+/// negligible. Pure scheduling knobs — slab boundaries never change
+/// numeric results.
 constexpr count_t kTaskMinFlops = 4'000'000;
 constexpr index_t kTaskSlabMinRows = 64;
 
@@ -93,7 +93,7 @@ void FactorDag::emit_fused(rt::TaskGraph& graph, index_t s) {
         const count_t boosted = eliminate_front(
             sym_, s, update_of_, children_, factor_.panel(s),
             update_of_[static_cast<std::size_t>(s)], *scratch, kind_, d_,
-            nullptr, pivot_);
+            pivot_);
         release_scratch(std::move(scratch));
         if (boosted > 0)
           perturbations_.fetch_add(boosted, std::memory_order_relaxed);

@@ -4,7 +4,7 @@
 // either a single fused ELIM task (small fronts — the vast majority, where
 // task overhead would swamp the kernel) or an ASSEMBLE → POTRF → TRSM-slab*
 // → [LDLᵀ PREP] → UPDATE-slab* pipeline (large fronts near the root, where
-// the two-phase engine's phase barrier serialized progress). The graph runs
+// tree parallelism has run out). The graph runs
 // under the work-stealing scheduler with critical-path priorities derived
 // from per-task flop costs, so the root chain is never starved.
 //
@@ -31,11 +31,27 @@
 #include "mf/factor.h"
 #include "mf/front_kernel.h"
 #include "mf/multifrontal.h"
-#include "mf/update_memory.h"
 #include "runtime/task_graph.h"
 #include "symbolic/symbolic_factor.h"
 
 namespace parfact::detail {
+
+/// Tracks live update-block bytes and their peak across a run's tasks.
+class UpdateMemory {
+ public:
+  void add(std::size_t bytes) {
+    const std::size_t now = live_.fetch_add(bytes) + bytes;
+    std::size_t peak = peak_.load();
+    while (now > peak && !peak_.compare_exchange_weak(peak, now)) {
+    }
+  }
+  void sub(std::size_t bytes) { live_.fetch_sub(bytes); }
+  [[nodiscard]] std::size_t peak() const { return peak_.load(); }
+
+ private:
+  std::atomic<std::size_t> live_{0};
+  std::atomic<std::size_t> peak_{0};
+};
 
 /// Builder + shared mutable state for one DAG factorization run. Create,
 /// call emit(), optionally append more tasks (phase fusion), run the graph,

@@ -198,31 +198,44 @@ count_t eliminate_front(const SymbolicFactor& sym, index_t s,
                         const std::vector<std::vector<index_t>>& children,
                         MatrixView panel, std::vector<real_t>& update_out,
                         FrontScratch& scratch, FactorKind kind,
-                        std::span<real_t> d, ThreadPool* pool,
-                        const PivotPolicy& pivot) {
-  assemble_front(sym, s, update_of, children, panel, update_out, scratch);
-  const count_t boosted = factor_front_diag(sym, s, panel, kind, d, pivot);
-
+                        std::span<real_t> d, const PivotPolicy& pivot,
+                        FrontHooks* hooks) {
+  assemble_front(sym, s, update_of, children, panel, update_out, scratch,
+                 hooks != nullptr ? hooks->assembly_sums() : nullptr);
   const index_t p = sym.sn_cols(s);
   const index_t b = sym.sn_below(s);
+  FrontHooks::Front front{s, panel, MatrixView{update_out.data(), b, b, b},
+                          ConstMatrixView{}, 0};
+  if (hooks != nullptr && !hooks->at(FrontStage::kAssembled, front)) {
+    return kFrontRejected;
+  }
+  front.boosted = factor_front_diag(sym, s, panel, kind, d, pivot);
+  if (hooks != nullptr) (void)hooks->at(FrontStage::kDiagonal, front);
+
+  std::vector<real_t> m;
   if (b > 0) {
-    MatrixView update{update_out.data(), b, b, b};
     MatrixView l11 = panel.block(0, 0, p, p);
     MatrixView l21 = panel.block(p, 0, b, p);
     // now holds M = A21 L11^-T = L21 D
-    trsm_right_lower_trans(l11, l21, pool);
-    if (kind == FactorKind::kCholesky) {
-      syrk_lower_update(update, l21, pool);
-    } else {
+    trsm_right_lower_trans(l11, l21);
+    front.m = l21;
+    if (kind == FactorKind::kLdlt) {
       // Keep M, rescale the stored panel to L21 = M D^-1, and subtract
       // L21 Mᵀ = L21 D L21ᵀ from the Schur complement.
-      std::vector<real_t> m;
       ldlt_scale_panel(l21, d, sym.sn_start[s], m);
-      gemm_nt_update(update, l21, ConstMatrixView{m.data(), b, p, b}, pool);
+      front.m = ConstMatrixView{m.data(), b, p, b};
+    }
+    if (hooks != nullptr) (void)hooks->at(FrontStage::kPanel, front);
+    if (kind == FactorKind::kCholesky) {
+      syrk_lower_update(front.update, l21);
+    } else {
+      gemm_nt_update(front.update, l21, front.m);
     }
   }
-
-  return boosted;
+  if (hooks != nullptr && !hooks->at(FrontStage::kUpdated, front)) {
+    return kFrontRejected;
+  }
+  return front.boosted;
 }
 
 std::vector<std::vector<index_t>> build_children(const SymbolicFactor& sym) {
@@ -233,6 +246,4 @@ std::vector<std::vector<index_t>> build_children(const SymbolicFactor& sym) {
   }
   return children;
 }
-
-
 }  // namespace parfact::detail

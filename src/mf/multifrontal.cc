@@ -1,16 +1,14 @@
 #include "mf/multifrontal.h"
 
-#include <atomic>
-#include <span>
-#include <mutex>
-#include <vector>
-
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <span>
+#include <utility>
+#include <vector>
 
-#include "dense/kernels.h"
 #include "mf/front_kernel.h"
-#include "mf/update_memory.h"
 #include "sparse/ops.h"
 #include "support/error.h"
 #include "support/timer.h"
@@ -30,7 +28,10 @@ CholeskyFactor multifrontal_factor(const SymbolicFactor& sym,
                                    FactorStats* stats, FactorKind kind,
                                    PivotPolicy pivot, CancelToken cancel) {
   CholeskyFactor factor(sym);
-  multifrontal_refactor(sym, factor, stats, kind, pivot, cancel);
+  std::span<real_t> d;
+  if (kind == FactorKind::kLdlt) d = factor.allocate_diag();
+  detail::factor_serial(sym, {.factor = &factor, .zeroed = true}, kind, d,
+                        pivot, stats, std::move(cancel));
   return factor;
 }
 
@@ -38,188 +39,122 @@ void multifrontal_refactor(const SymbolicFactor& sym, CholeskyFactor& factor,
                            FactorStats* stats, FactorKind kind,
                            PivotPolicy pivot, CancelToken cancel) {
   PARFACT_CHECK(&factor.symbolic() == &sym);
-  WallTimer timer;
-  pivot = resolve_pivot_policy(pivot, sym.a);
-  factor.reset_values();
   std::span<real_t> d;
   if (kind == FactorKind::kLdlt) d = factor.allocate_diag();
-  const auto children = detail::build_children(sym);
-  std::vector<std::vector<real_t>> update_of(
-      static_cast<std::size_t>(sym.n_supernodes));
-  detail::FrontScratch scratch(sym.n);
-  detail::UpdateMemory mem;
-  count_t perturbations = 0;
-
-  for (index_t s = 0; s < sym.n_supernodes; ++s) {
-    cancel.throw_if_cancelled();
-    perturbations += detail::eliminate_front(
-        sym, s, update_of, children, factor.panel(s), update_of[s], scratch,
-        kind, d, nullptr, pivot);
-    mem.add(update_of[s].size() * sizeof(real_t));
-    for (index_t c : children[s]) {
-      mem.sub(update_of[c].size() * sizeof(real_t));
-      update_of[c] = {};
-    }
-  }
-
-  if (stats != nullptr) {
-    stats->seconds = timer.seconds();
-    stats->flops = sym.total_flops;
-    stats->peak_update_bytes = mem.peak();
-    stats->pivot_perturbations = perturbations;
-  }
+  detail::factor_serial(sym, {.factor = &factor}, kind, d, pivot, stats,
+                        std::move(cancel));
 }
 
-CholeskyFactor multifrontal_factor_two_phase(const SymbolicFactor& sym,
-                                             ThreadPool& pool,
-                                             FactorStats* stats,
-                                             FactorKind kind,
-                                             count_t coop_flops,
-                                             PivotPolicy pivot,
-                                             CancelToken cancel) {
-  CholeskyFactor factor(sym);
-  multifrontal_refactor_two_phase(sym, factor, pool, stats, kind, coop_flops,
-                                  pivot, cancel);
-  return factor;
-}
+namespace detail {
+namespace {
 
-void multifrontal_refactor_two_phase(const SymbolicFactor& sym,
-                                     CholeskyFactor& factor, ThreadPool& pool,
-                                     FactorStats* stats, FactorKind kind,
-                                     count_t coop_flops, PivotPolicy pivot,
-                                     CancelToken cancel) {
-  PARFACT_CHECK(&factor.symbolic() == &sym);
-  WallTimer timer;
-  pivot = resolve_pivot_policy(pivot, sym.a);
-  std::atomic<count_t> perturbations{0};
-  factor.reset_values();
-  std::span<real_t> d;
-  if (kind == FactorKind::kLdlt) d = factor.allocate_diag();
-  const auto children = detail::build_children(sym);
-  const index_t ns = sym.n_supernodes;
-  std::vector<std::vector<real_t>> update_of(static_cast<std::size_t>(ns));
-  detail::UpdateMemory mem;
+// State of one factor_serial call. Repairs re-enter run() recursively.
+struct SerialDriver {
+  const SymbolicFactor& sym;
+  const PanelDest dest;
+  const FactorKind kind;
+  const std::span<real_t> d;
+  const PivotPolicy pivot;
+  FrontHooks* const hooks;
+  const CancelToken cancel;
+  const std::vector<std::vector<index_t>> children = build_children(sym);
+  std::vector<std::vector<real_t>> update_of =
+      std::vector<std::vector<real_t>>(sym.n_supernodes);
+  std::vector<count_t> perturb_of = std::vector<count_t>(sym.n_supernodes);
+  FrontScratch scratch{sym.n};
+  std::vector<real_t> spill_buf{};
+  bool panels_zeroed = dest.zeroed;
+  std::size_t live = 0;  ///< live update-block bytes
+  std::size_t peak = 0;  ///< peak of live + the spill buffer
+  count_t fronts_recomputed = 0;
 
-  // Partition the assembly tree, shared-memory analogue of the paper's
-  // subtree-to-subcube mapping: a supernode belongs to phase 1 (one task
-  // per supernode, pure tree parallelism) iff its whole subtree is made of
-  // fronts below the cooperative threshold. Everything else — the top of
-  // the tree, where the few remaining fronts hold most of the flops — is
-  // phase 2: processed in postorder by the calling thread with all workers
-  // cooperating inside each front's dense kernels. With one worker there is
-  // nothing to cooperate with, so the whole tree stays in phase 1.
-  std::vector<char> tasked(static_cast<std::size_t>(ns), 1);
-  if (pool.size() > 1) {
-    for (index_t s = 0; s < ns; ++s) {
-      bool light = sym.sn_flops[s] < coop_flops;
-      if (light) {
-        for (index_t c : children[s]) light = light && tasked[c];
+  // Factors the contiguous postorder range [lo, hi]: the whole forest, or
+  // one subtree [first_descendant(hi), hi].
+  void run(index_t lo, index_t hi) {
+    for (index_t s = lo; s <= hi; ++s) {
+      cancel.throw_if_cancelled();
+      run_front(s);
+      live += update_of[s].size() * sizeof(real_t);
+      peak = std::max(peak, live + spill_buf.size() * sizeof(real_t));
+      for (const index_t c : children[s]) {
+        live -= update_of[c].size() * sizeof(real_t);
+        update_of[c] = {};
       }
-      tasked[s] = light ? 1 : 0;
     }
   }
 
-  // Pool of scratch maps, one handed to each running task.
-  std::mutex scratch_mu;
-  std::vector<std::unique_ptr<detail::FrontScratch>> scratch_pool;
-  auto acquire_scratch = [&]() -> std::unique_ptr<detail::FrontScratch> {
-    std::lock_guard<std::mutex> lock(scratch_mu);
-    if (scratch_pool.empty()) {
-      return std::make_unique<detail::FrontScratch>(sym.n);
-    }
-    auto s = std::move(scratch_pool.back());
-    scratch_pool.pop_back();
-    return s;
-  };
-  auto release_scratch = [&](std::unique_ptr<detail::FrontScratch> s) {
-    std::lock_guard<std::mutex> lock(scratch_mu);
-    scratch_pool.push_back(std::move(s));
-  };
-
-  auto finish_supernode = [&](index_t s) {
-    mem.add(update_of[s].size() * sizeof(real_t));
-    for (index_t c : children[s]) {
-      mem.sub(update_of[c].size() * sizeof(real_t));
-      update_of[c] = {};
-    }
-  };
-
-  // Phase 1 — dependency counting: a supernode becomes ready when all
-  // children are done; leaves are seeded directly. Propagation stops at the
-  // phase boundary.
-  std::vector<std::atomic<index_t>> pending(static_cast<std::size_t>(ns));
-  for (index_t s = 0; s < ns; ++s) {
-    pending[s].store(static_cast<index_t>(children[s].size()));
-  }
-  std::function<void(index_t)> run_supernode = [&](index_t s) {
-    // Per-task poll: a cancelled run stops spawning parents; the exception
-    // is captured by the pool and rethrown from wait() below.
-    cancel.throw_if_cancelled();
-    auto scratch = acquire_scratch();
-    const count_t boosted = detail::eliminate_front(
-        sym, s, update_of, children, factor.panel(s), update_of[s], *scratch,
-        kind, d, nullptr, pivot);
-    if (boosted > 0) {
-      perturbations.fetch_add(boosted, std::memory_order_relaxed);
-    }
-    release_scratch(std::move(scratch));
-    finish_supernode(s);
-    const index_t parent = sym.sn_parent[s];
-    if (parent != kNone && tasked[parent] &&
-        pending[parent].fetch_sub(1) == 1) {
-      pool.submit([&run_supernode, parent] { run_supernode(parent); });
-    }
-  };
-  for (index_t s = 0; s < ns; ++s) {
-    if (tasked[s] && children[s].empty()) {
-      pool.submit([&run_supernode, s] { run_supernode(s); });
+  void run_front(index_t s) {
+    const index_t f = sym.front_order(s);
+    const index_t p = sym.sn_cols(s);
+    for (int attempt = 0;; ++attempt) {
+      // assemble_front scatters with +=: a panel needs a clean slate unless
+      // it is a fresh allocation visited for the first time.
+      MatrixView panel;
+      if (dest.spill != nullptr) {
+        spill_buf.assign(static_cast<std::size_t>(f) * p, 0.0);
+        panel = {spill_buf.data(), f, p, f};
+      } else {
+        panel = dest.factor->panel(s);
+        if (attempt > 0 || !panels_zeroed) panel.fill(0.0);
+      }
+      const count_t boosted =
+          eliminate_front(sym, s, update_of, children, panel, update_of[s],
+                          scratch, kind, d, pivot, hooks);
+      if (boosted != kFrontRejected) {
+        if (dest.spill != nullptr) dest.spill->write_panel(s, panel);
+        perturb_of[s] = boosted;
+        return;
+      }
+      // Only a hook rejects a front. Its stage baselines are predictions
+      // built from the children's blocks, so re-verify those and recompute
+      // any corrupt child subtree before the retry.
+      hooks->rejected(s, attempt);
+      ++fronts_recomputed;
+      for (const index_t c : children[s]) {
+        const index_t cb = sym.sn_below(c);
+        if (hooks->block_corrupt(c, {update_of[c].data(), cb, cb, cb})) {
+          // Regenerates c's live block; every panel of the subtree was
+          // written before, so all of them restart from zero.
+          index_t lo = c;
+          while (!children[lo].empty()) lo = children[lo].front();
+          live -= update_of[c].size() * sizeof(real_t);
+          panels_zeroed = false;
+          fronts_recomputed += c - lo + 1;
+          run(lo, c);
+        }
+      }
     }
   }
-  pool.wait();
+};
 
-  // Phase 2 — cooperative top of the tree: postorder on the calling thread
-  // (children of any remaining supernode are already done), every front's
-  // TRSM/SYRK/GEMM row-split across the pool.
-  detail::FrontScratch scratch(sym.n);
-  for (index_t s = 0; s < ns; ++s) {
-    if (tasked[s]) continue;
-    cancel.throw_if_cancelled();
-    perturbations.fetch_add(
-        detail::eliminate_front(sym, s, update_of, children, factor.panel(s),
-                                update_of[s], scratch, kind, d, &pool, pivot),
-        std::memory_order_relaxed);
-    finish_supernode(s);
-  }
+}  // namespace
 
-  if (stats != nullptr) {
-    stats->seconds = timer.seconds();
-    stats->flops = sym.total_flops;
-    stats->peak_update_bytes = mem.peak();
-    stats->pivot_perturbations =
-        perturbations.load(std::memory_order_relaxed);
+void factor_serial(const SymbolicFactor& sym, PanelDest dest, FactorKind kind,
+                   std::span<real_t> d, PivotPolicy pivot, FactorStats* stats,
+                   CancelToken cancel, const AbftOptions* abft,
+                   FactorChecksums* checksums, index_t root) {
+  PARFACT_CHECK((dest.factor != nullptr) != (dest.spill != nullptr));
+  WallTimer timer;
+  std::unique_ptr<FrontHooks> hooks;
+  if (abft != nullptr) hooks = make_abft_hooks(sym, kind, d, *abft, checksums);
+  SerialDriver driver{sym,         dest,        kind,
+                      d,           resolve_pivot_policy(pivot, sym.a),
+                      hooks.get(), std::move(cancel)};
+  if (root == kNone) {
+    driver.run(0, sym.n_supernodes - 1);
+  } else {
+    driver.run(first_descendant(sym, root), root);
   }
+  if (stats == nullptr) return;
+  *stats = FactorStats{};
+  stats->seconds = timer.seconds();
+  stats->flops = sym.total_flops;
+  stats->peak_update_bytes = driver.peak;
+  for (const count_t c : driver.perturb_of) stats->pivot_perturbations += c;
+  stats->fronts_recomputed = driver.fronts_recomputed;
+  if (hooks != nullptr) hooks->report(*stats);
 }
 
-FactorizeResult multifrontal_factorize(const SymbolicFactor& sym,
-                                       FactorKind kind, PivotPolicy pivot,
-                                       ThreadPool* pool, CancelToken cancel) {
-  FactorizeResult result;
-  try {
-    result.factor.emplace(pool != nullptr && pool->size() > 1
-                              ? multifrontal_factor_parallel(
-                                    sym, *pool, &result.stats, kind,
-                                    kCoopFrontFlops, pivot, cancel)
-                              : multifrontal_factor(sym, &result.stats, kind,
-                                                    pivot, cancel));
-    result.status = Status::success(result.stats.pivot_perturbations);
-  } catch (const StatusError& e) {
-    result.factor.reset();
-    result.status = e.status();
-  } catch (const Error& e) {
-    result.factor.reset();
-    result.status = Status::failure(StatusCode::kInternal, e.what());
-  }
-  return result;
-}
+}  // namespace detail
 
 }  // namespace parfact

@@ -5,10 +5,11 @@
 // then partially factorized: the supernode's columns are eliminated and the
 // trailing Schur complement becomes this front's update block, passed to the
 // parent. The elimination-tree structure makes disjoint subtrees completely
-// independent, which is what every parallel variant exploits.
+// independent, which is what the task-DAG engine exploits.
+// Two drivers implement it: the serial postorder driver, whose per-front
+// hooks carry OOC spill and ABFT (front_kernel.h), and the task DAG
+// (dag_factor.h); the engine rule in governed.h picks between them.
 #pragma once
-
-#include <optional>
 
 #include "mf/factor.h"
 #include "support/resource.h"
@@ -44,10 +45,13 @@ struct PivotPolicy {
                                                const SparseMatrix& a);
 
 /// Serial multifrontal factorization of sym.a (the postordered matrix held
-/// by the symbolic phase). Without pivot boosting, throws parfact::Error
-/// (specifically StatusError with StatusCode::kBreakdown) if a front hits a
-/// non-positive (Cholesky) or zero (LDLᵀ) pivot; with boosting, tiny pivots
-/// are perturbed and counted in stats->pivot_perturbations.
+/// by the symbolic phase): the serial driver with no hooks — the bitwise
+/// oracle for every other engine. Without pivot
+/// boosting, throws parfact::Error (specifically StatusError with
+/// StatusCode::kBreakdown) if a front hits a non-positive (Cholesky) or
+/// zero (LDLᵀ) pivot; with boosting, tiny pivots are perturbed and counted
+/// in stats->pivot_perturbations. The Status-returning front door is
+/// multifrontal_factorize_governed (governed.h).
 ///
 /// Every engine below polls `cancel` at supernode (or DAG-task) granularity
 /// and unwinds with StatusError(kCancelled / kDeadlineExceeded) when it
@@ -58,8 +62,9 @@ struct PivotPolicy {
     CancelToken cancel = {});
 
 /// Re-runs the serial numeric factorization *into an existing allocation*:
-/// `factor` must have been built from this `sym` (checked), is zeroed in
-/// place, and is overwritten with the factor of the current sym.a values.
+/// `factor` must have been built from this `sym` (checked); each panel is
+/// zeroed in place right before its front is assembled and overwritten
+/// with the factor of the current sym.a values.
 /// No ordering, symbolic analysis, or panel allocation happens — this is
 /// the numeric-only fast path behind Solver::refactorize. Bitwise identical
 /// to a cold multifrontal_factor on the same values. On throw (breakdown /
@@ -69,11 +74,12 @@ void multifrontal_refactor(const SymbolicFactor& sym, CholeskyFactor& factor,
                            FactorKind kind = FactorKind::kCholesky,
                            PivotPolicy pivot = {}, CancelToken cancel = {});
 
-/// A front whose factorization flops reach this threshold is executed
-/// cooperatively (all workers split its TRSM/SYRK/GEMM row ranges) instead
-/// of as a single supernode task. ~20 Mflop is a few milliseconds on the
-/// packed kernel engine — large enough that the row-split barrier cost
-/// vanishes, small enough that the top of a 3-D assembly tree is covered.
+/// A front whose factorization flops reach this threshold is emitted by the
+/// task-DAG engine as a pipeline of row-slab tasks that all workers share,
+/// instead of as a single fused elimination task. ~20 Mflop is a few
+/// milliseconds on the packed kernel engine — large enough that per-task
+/// overhead vanishes, small enough that the top of a 3-D assembly tree is
+/// covered.
 inline constexpr count_t kCoopFrontFlops = 20'000'000;
 
 /// Shared-memory parallel multifrontal factorization on the task-DAG
@@ -100,44 +106,5 @@ void multifrontal_refactor_parallel(const SymbolicFactor& sym,
                                     count_t coop_flops = kCoopFrontFlops,
                                     PivotPolicy pivot = {},
                                     CancelToken cancel = {});
-
-/// The pre-runtime static engine, kept as the task-DAG engine's benchmark
-/// baseline (bench_f10): maximal subtrees of "light" fronts (< `coop_flops`
-/// each) run as independent supernode tasks, then a barrier, then the
-/// remaining top-of-tree fronts are processed one at a time with every
-/// worker cooperating on the front's row range. Bitwise identical to
-/// multifrontal_factor as well.
-[[nodiscard]] CholeskyFactor multifrontal_factor_two_phase(
-    const SymbolicFactor& sym, ThreadPool& pool, FactorStats* stats = nullptr,
-    FactorKind kind = FactorKind::kCholesky,
-    count_t coop_flops = kCoopFrontFlops, PivotPolicy pivot = {},
-    CancelToken cancel = {});
-
-/// Two-phase counterpart of multifrontal_refactor (same contract).
-void multifrontal_refactor_two_phase(const SymbolicFactor& sym,
-                                     CholeskyFactor& factor, ThreadPool& pool,
-                                     FactorStats* stats = nullptr,
-                                     FactorKind kind = FactorKind::kCholesky,
-                                     count_t coop_flops = kCoopFrontFlops,
-                                     PivotPolicy pivot = {},
-                                     CancelToken cancel = {});
-
-/// Outcome of a checked factorization: on success (including a perturbed
-/// success) `factor` is engaged and `status` reports the perturbation
-/// count; on failure `factor` is empty and `status` diagnoses why.
-struct FactorizeResult {
-  std::optional<CholeskyFactor> factor;
-  FactorStats stats;
-  Status status;
-};
-
-/// Status-returning driver around multifrontal_factor /
-/// multifrontal_factor_parallel (chosen by `pool`). Static pivoting is ON
-/// by default here — this is the graceful-degradation entry point; callers
-/// wanting the strict throw-on-breakdown contract use the functions above.
-[[nodiscard]] FactorizeResult multifrontal_factorize(
-    const SymbolicFactor& sym, FactorKind kind = FactorKind::kCholesky,
-    PivotPolicy pivot = {.boost = true}, ThreadPool* pool = nullptr,
-    CancelToken cancel = {});
 
 }  // namespace parfact

@@ -1,6 +1,5 @@
 #include "mf/ooc.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -11,7 +10,6 @@
 #include "support/checksum.h"
 #include "support/error.h"
 #include "support/status.h"
-#include "support/timer.h"
 
 // Panel writes are guarded by the shared support/checksum FNV-1a — cheap
 // relative to the fwrite it protects and order-sensitive, so any flipped,
@@ -118,44 +116,11 @@ OocCholeskyFactor multifrontal_factor_ooc(const SymbolicFactor& sym,
                                           FactorStats* stats,
                                           PivotPolicy pivot, FactorKind kind,
                                           CancelToken cancel) {
-  WallTimer timer;
-  pivot = resolve_pivot_policy(pivot, sym.a);
-  count_t perturbations = 0;
   OocCholeskyFactor factor(sym, path);
   std::span<real_t> d;
   if (kind == FactorKind::kLdlt) d = factor.allocate_diag();
-  const auto children = detail::build_children(sym);
-  std::vector<std::vector<real_t>> update_of(
-      static_cast<std::size_t>(sym.n_supernodes));
-  detail::FrontScratch scratch(sym.n);
-  std::vector<real_t> panel_buf;
-
-  std::size_t live = 0;
-  std::size_t peak = 0;
-  for (index_t s = 0; s < sym.n_supernodes; ++s) {
-    cancel.throw_if_cancelled();
-    const index_t f = sym.front_order(s);
-    const index_t p = sym.sn_cols(s);
-    panel_buf.assign(static_cast<std::size_t>(f) * p, 0.0);
-    MatrixView panel{panel_buf.data(), f, p, f};
-    perturbations += detail::eliminate_front(sym, s, update_of, children,
-                                             panel, update_of[s], scratch,
-                                             kind, d, nullptr, pivot);
-    factor.write_panel(s, panel);
-    live += update_of[s].size() * sizeof(real_t);
-    peak = std::max(peak, live + panel_buf.size() * sizeof(real_t));
-    for (index_t c : children[s]) {
-      live -= update_of[c].size() * sizeof(real_t);
-      update_of[c] = {};
-    }
-  }
-
-  if (stats != nullptr) {
-    stats->seconds = timer.seconds();
-    stats->flops = sym.total_flops;
-    stats->peak_update_bytes = peak;
-    stats->pivot_perturbations = perturbations;
-  }
+  detail::factor_serial(sym, {.spill = &factor}, kind, d, pivot, stats,
+                        std::move(cancel));
   return factor;
 }
 

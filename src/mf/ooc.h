@@ -68,7 +68,9 @@ class OocCholeskyFactor {
   std::vector<std::uint64_t> checksum_;  ///< per-supernode FNV-1a of panel
 };
 
-/// Out-of-core serial multifrontal factorization (Cholesky or LDLᵀ).
+/// Out-of-core serial multifrontal factorization (Cholesky or LDLᵀ): the
+/// serial driver with the spill-file panel destination, so the spilled
+/// panels are bitwise identical to multifrontal_factor's.
 /// `stats->peak_update_bytes` reports the resident peak — update stack plus
 /// the one streamed panel buffer — the number that stays small while the
 /// factor itself goes to disk. Polls `cancel` once per supernode.

@@ -31,12 +31,14 @@ namespace parfact {
 /// right-hand sides, overwritten with the solution), overlapping the first
 /// RHS block's forward sweep with the factorization. `schedule` must be
 /// built from `sym`. Throws like multifrontal_factor_parallel on breakdown
-/// (factor and x are then partial). Returns the factor for subsequent
-/// solves against more right-hand sides.
+/// and cancellation (factor and x are then partial); `cancel` is polled per
+/// graph task. Returns the factor for subsequent solves against more
+/// right-hand sides.
 [[nodiscard]] CholeskyFactor multifrontal_factor_and_solve(
     const SymbolicFactor& sym, MatrixView x, const SolveSchedule& schedule,
     SolveWorkspace& workspace, ThreadPool& pool, FactorStats* stats = nullptr,
     FactorKind kind = FactorKind::kCholesky,
-    count_t coop_flops = kCoopFrontFlops, PivotPolicy pivot = {});
+    count_t coop_flops = kCoopFrontFlops, PivotPolicy pivot = {},
+    CancelToken cancel = {});
 
 }  // namespace parfact

@@ -4,7 +4,8 @@
 // problems with exceptions (StatusError, which carries a Status), because
 // unwinding through the multifrontal recursion and the mpsim rank threads is
 // what exceptions are for. The driver-level entry points
-// (multifrontal_factorize, distributed_factor_checked, Solver::factorize)
+// (multifrontal_factorize_governed, distributed_factor_checked,
+// Solver::factorize)
 // catch at the boundary and hand the caller a plain Status value instead, so
 // "the matrix needed 3 pivot perturbations" or "rank 2 exhausted its message
 // retries" is data, not control flow.

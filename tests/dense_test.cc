@@ -8,7 +8,6 @@
 #include "dense/kernels.h"
 #include "dense/matrix_view.h"
 #include "support/prng.h"
-#include "support/thread_pool.h"
 
 namespace parfact {
 namespace {
@@ -279,43 +278,58 @@ TEST(Trsm, EngineSizedRightLowerTransSolves) {
   }
 }
 
-// --- Pool variants: must be bitwise identical to the serial kernels ---------
+// --- Row splits: must be bitwise identical to the one-call kernels --------
 //
 // The engine's per-element summation order depends only on how k is cut
-// into KC blocks, never on how rows are split, so handing a pool to a
-// kernel must not change a single bit of the result.
+// into KC blocks, never on how rows are split, so the task-DAG
+// factorization's slab tasks must not change a single bit of the result.
+// Each test splits rows exactly as FactorDag does (mf/dag_factor.cc): TRSM
+// and the LDLᵀ GEMM on row blocks [t*m/slabs, (t+1)*m/slabs), the Cholesky
+// SYRK as syrk_lower_update_slab over syrk_slab_bounds. The slabs run in
+// reverse order — their writes are disjoint, so order must not matter.
 
-class PoolKernelTest : public ::testing::TestWithParam<int> {};
+class RowSplitKernelTest : public ::testing::TestWithParam<index_t> {};
 
-TEST_P(PoolKernelTest, GemmNtBitwiseEqualsSerial) {
-  ThreadPool pool(GetParam());
+TEST_P(RowSplitKernelTest, GemmNtBitwiseEqualsOneCall) {
+  const index_t slabs = GetParam();
   const index_t m = 300, n = 200, k = 160;
   Dense cs = random_matrix(m, n, 61);
   Dense cp = cs;
   const Dense a = random_matrix(m, k, 62);
   const Dense b = random_matrix(n, k, 63);
   gemm_nt_update(cs.view(), a.cview(), b.cview());
-  gemm_nt_update(cp.view(), a.cview(), b.cview(), &pool);
+  for (index_t t = slabs; t-- > 0;) {
+    const index_t r0 = t * m / slabs;
+    const index_t r1 = (t + 1) * m / slabs;
+    gemm_nt_update(cp.view().block(r0, 0, r1 - r0, n),
+                   a.cview().block(r0, 0, r1 - r0, k), b.cview());
+  }
   for (std::size_t i = 0; i < cs.v.size(); ++i) {
     ASSERT_EQ(cs.v[i], cp.v[i]) << "flat index " << i;
   }
 }
 
-TEST_P(PoolKernelTest, SyrkBitwiseEqualsSerial) {
-  ThreadPool pool(GetParam());
+TEST_P(RowSplitKernelTest, SyrkSlabsBitwiseEqualOneCall) {
+  const index_t slabs = GetParam();
   const index_t n = 280, k = 170;
+  ASSERT_TRUE(syrk_splittable(n, k));
   Dense cs = random_matrix(n, n, 64);
   Dense cp = cs;
   const Dense a = random_matrix(n, k, 65);
   syrk_lower_update(cs.view(), a.cview());
-  syrk_lower_update(cp.view(), a.cview(), &pool);
-  for (std::size_t i = 0; i < cs.v.size(); ++i) {
-    ASSERT_EQ(cs.v[i], cp.v[i]) << "flat index " << i;
+  const std::vector<index_t> bound = syrk_slab_bounds(n, slabs);
+  for (index_t t = slabs; t-- > 0;) {
+    syrk_lower_update_slab(cp.view(), a.cview(), bound[t], bound[t + 1]);
+  }
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t i = j; i < n; ++i) {
+      ASSERT_EQ(cs.at(i, j), cp.at(i, j)) << "(" << i << "," << j << ")";
+    }
   }
 }
 
-TEST_P(PoolKernelTest, TrsmBitwiseEqualsSerial) {
-  ThreadPool pool(GetParam());
+TEST_P(RowSplitKernelTest, TrsmBitwiseEqualsOneCall) {
+  const index_t slabs = GetParam();
   const index_t n = 140, m = 400;
   Dense l = random_matrix(n, n, 66);
   for (index_t j = 0; j < n; ++j) {
@@ -325,13 +339,18 @@ TEST_P(PoolKernelTest, TrsmBitwiseEqualsSerial) {
   Dense bs = random_matrix(m, n, 67);
   Dense bp = bs;
   trsm_right_lower_trans(l.cview(), bs.view());
-  trsm_right_lower_trans(l.cview(), bp.view(), &pool);
+  for (index_t t = slabs; t-- > 0;) {
+    const index_t r0 = t * m / slabs;
+    const index_t r1 = (t + 1) * m / slabs;
+    trsm_right_lower_trans(l.cview(), bp.view().block(r0, 0, r1 - r0, n));
+  }
   for (std::size_t i = 0; i < bs.v.size(); ++i) {
     ASSERT_EQ(bs.v[i], bp.v[i]) << "flat index " << i;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, PoolKernelTest, ::testing::Values(1, 2, 5));
+INSTANTIATE_TEST_SUITE_P(Slabs, RowSplitKernelTest,
+                         ::testing::Values(1, 2, 5, 16));
 
 TEST(Views, BlockIndexing) {
   Dense d = random_matrix(6, 5, 51);

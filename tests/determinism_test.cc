@@ -20,6 +20,7 @@
 #include "support/prng.h"
 #include "support/thread_pool.h"
 #include "symbolic/symbolic_factor.h"
+#include "symbolic/working_set.h"
 
 namespace parfact {
 namespace {
@@ -53,7 +54,7 @@ void expect_bitwise_equal(const SymbolicFactor& sym, const CholeskyFactor& a,
 
 // Serial reference vs the task-DAG engine at several thread counts and two
 // granularities (default, and coop_flops=1000 which splits every nontrivial
-// front into slab tasks), plus the static two-phase engine.
+// front into slab tasks).
 void check_matrix(const SparseMatrix& lower, FactorKind kind,
                   const char* name, PivotPolicy pivot = {}) {
   SCOPED_TRACE(name);
@@ -74,11 +75,6 @@ void check_matrix(const SparseMatrix& lower, FactorKind kind,
                 serial_stats.pivot_perturbations);
       expect_bitwise_equal(sym, serial, dag, "task-DAG vs serial");
     }
-    FactorStats tp_stats;
-    const CholeskyFactor two_phase = multifrontal_factor_two_phase(
-        sym, pool, &tp_stats, kind, count_t{1000}, pivot);
-    EXPECT_EQ(tp_stats.pivot_perturbations, serial_stats.pivot_perturbations);
-    expect_bitwise_equal(sym, serial, two_phase, "two-phase vs serial");
   }
 }
 
@@ -156,6 +152,91 @@ TEST(Determinism, FusedFactorizeAndSolveMatchesTwoStep) {
             0);
   expect_bitwise_equal(fused.factor().symbolic(), fused.factor(),
                        two_step.factor(), "fused vs two-step factor");
+}
+
+// factorize_and_solve honours every option factorize() does: whatever the
+// options, the status, x, factor, SDC counters and spill state equal those
+// of factorize() followed by solve_multi().
+struct FusedCase {
+  SparseMatrix a = grid_laplacian_2d(30, 30, 5);
+  index_t nrhs = 2;
+  std::vector<real_t> b;
+  FusedCase() {
+    Prng rng(23);
+    b.resize(static_cast<std::size_t>(a.rows) * nrhs);
+    for (auto& v : b) v = rng.next_real(-1, 1);
+  }
+
+  void expect_same(Solver& fused, Solver& two_step) const {
+    std::vector<real_t> x_fused;
+    const Status sf = fused.factorize_and_solve(b, nrhs, x_fused);
+    const Status st = two_step.factorize();
+    ASSERT_EQ(sf.code, st.code);
+    ASSERT_TRUE(st.ok()) << st.to_string();
+    const std::vector<real_t> x_two = two_step.solve_multi(b, nrhs);
+    ASSERT_EQ(x_fused.size(), x_two.size());
+    EXPECT_EQ(std::memcmp(x_fused.data(), x_two.data(),
+                          x_fused.size() * sizeof(real_t)),
+              0);
+    EXPECT_EQ(fused.report().abft_checks, two_step.report().abft_checks);
+    EXPECT_EQ(fused.report().corruption_detected,
+              two_step.report().corruption_detected);
+    EXPECT_EQ(fused.report().admission, two_step.report().admission);
+    EXPECT_EQ(fused.report().peak_bytes, two_step.report().peak_bytes);
+    EXPECT_EQ(fused.factor_spilled(), two_step.factor_spilled());
+    if (!two_step.factor_spilled()) {
+      expect_bitwise_equal(two_step.symbolic(), two_step.factor(),
+                           fused.factor(), "fused vs two-step factor");
+    }
+  }
+};
+
+TEST(Determinism, FusedRunsAbftChecks) {
+  const FusedCase c;
+  SolverOptions opts;
+  opts.threads = 4;
+  opts.abft = true;
+  Solver fused(opts);
+  fused.analyze(c.a);
+  Solver two_step(opts);
+  two_step.analyze(c.a);
+  c.expect_same(fused, two_step);
+  EXPECT_GT(fused.report().abft_checks, 0);
+}
+
+TEST(Determinism, FusedAfterSpilledFactorizeLeavesNoSpilledFactor) {
+  const FusedCase c;
+  SolverOptions opts;
+  opts.threads = 4;
+  opts.spill_path = "/tmp/parfact_determinism_fused_spill.bin";
+  Solver fused(opts);
+  fused.analyze(c.a);
+  fused.set_memory_budget_bytes(
+      estimate_working_set(fused.symbolic(), false).peak_incore_bytes - 1);
+  ASSERT_TRUE(fused.factorize().ok());
+  ASSERT_TRUE(fused.factor_spilled());
+  fused.set_memory_budget_bytes(0);  // lift the budget: the DAG may run
+
+  Solver two_step(opts);
+  two_step.analyze(c.a);
+  c.expect_same(fused, two_step);
+  EXPECT_FALSE(fused.factor_spilled());
+}
+
+TEST(Determinism, FusedAppliesStoredFactorInjectionAndVerifies) {
+  const FusedCase c;
+  SolverOptions opts;
+  opts.threads = 4;
+  opts.verify = SolverOptions::Verify::kFull;
+  opts.inject_sdc = SdcInjection{};
+  opts.inject_sdc->site = SdcSite::kStoredFactor;
+  opts.inject_sdc->supernode = 1;
+  Solver fused(opts);
+  fused.analyze(c.a);
+  Solver two_step(opts);
+  two_step.analyze(c.a);
+  c.expect_same(fused, two_step);
+  EXPECT_TRUE(fused.report().corruption_detected);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "dist/dist_factor.h"
 #include "dist/dist_solve.h"
 #include "dist/mapping.h"
+#include "mf/governed.h"
 #include "mf/multifrontal.h"
 #include "mf/ooc.h"
 #include "sparse/gen.h"
@@ -174,24 +175,28 @@ TEST(PivotBoost, IndefiniteMatrixRecoversWithBoost) {
   EXPECT_EQ(stats.pivot_perturbations, 2);
 }
 
-// --- FactorizeResult / checked entry points -------------------------------
+// --- Status-returning front door: the governed ladder, unlimited budget ---
 
-TEST(FactorizeResult, ReportsPerturbedStatus) {
+TEST(GovernedUnlimited, ReportsPerturbedStatus) {
   const SparseMatrix a = test_matrix(3, -1.0);
   const SymbolicFactor sym = analyze(a);
-  const FactorizeResult r = multifrontal_factorize(sym);
+  ResourceBudget budget;
+  const GovernedFactorizeResult r =
+      multifrontal_factorize_governed(sym, budget);
   ASSERT_TRUE(r.factor.has_value());
   EXPECT_TRUE(r.status.ok());
   EXPECT_EQ(r.status.code, StatusCode::kPerturbed);
   EXPECT_EQ(r.status.perturbations, 3);
 }
 
-TEST(FactorizeResult, BreakdownStatusCarriesSupernodeContext) {
+TEST(GovernedUnlimited, BreakdownStatusCarriesSupernodeContext) {
   const SparseMatrix a = test_matrix(1, -1.0);
   const SymbolicFactor sym = analyze(a);
-  PivotPolicy off;  // boost disabled: breakdown must be diagnosed
-  const FactorizeResult r =
-      multifrontal_factorize(sym, FactorKind::kCholesky, off);
+  ResourceBudget budget;
+  GovernedOptions opts;
+  opts.pivot = {};  // boost disabled: breakdown must be diagnosed
+  const GovernedFactorizeResult r =
+      multifrontal_factorize_governed(sym, budget, opts);
   EXPECT_FALSE(r.factor.has_value());
   EXPECT_TRUE(r.status.failed());
   EXPECT_EQ(r.status.code, StatusCode::kBreakdown);
@@ -200,21 +205,24 @@ TEST(FactorizeResult, BreakdownStatusCarriesSupernodeContext) {
   EXPECT_NE(r.status.message.find("columns"), std::string::npos);
 }
 
-TEST(FactorizeResult, PoolSurvivesParallelBreakdown) {
+TEST(GovernedUnlimited, PoolSurvivesParallelBreakdown) {
   // The parallel engine must restore its scratch state on the error path:
   // a factorization that throws must not poison the pool or the next run.
   const SparseMatrix bad = test_matrix(1, -1.0);
   const SymbolicFactor bad_sym = analyze(bad);
   ThreadPool pool(4);
-  PivotPolicy off;
-  const FactorizeResult failed = multifrontal_factorize(
-      bad_sym, FactorKind::kCholesky, off, &pool);
+  GovernedOptions opts;
+  opts.pivot = {};
+  opts.pool = &pool;
+  ResourceBudget budget;
+  const GovernedFactorizeResult failed =
+      multifrontal_factorize_governed(bad_sym, budget, opts);
   EXPECT_TRUE(failed.status.failed());
 
   const SparseMatrix good = grid_laplacian_2d(9, 9, 5);
   const SymbolicFactor good_sym = analyze(good);
-  const FactorizeResult ok = multifrontal_factorize(
-      good_sym, FactorKind::kCholesky, off, &pool);
+  const GovernedFactorizeResult ok =
+      multifrontal_factorize_governed(good_sym, budget, opts);
   ASSERT_TRUE(ok.factor.has_value());
   EXPECT_TRUE(ok.status.ok());
   const CholeskyFactor serial = multifrontal_factor(good_sym);

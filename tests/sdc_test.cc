@@ -17,6 +17,7 @@
 #include "dist/dist_factor.h"
 #include "dist/mapping.h"
 #include "mf/abft.h"
+#include "mf/governed.h"
 #include "mf/multifrontal.h"
 #include "mpsim/machine.h"
 #include "sparse/gen.h"
@@ -25,6 +26,7 @@
 #include "support/error.h"
 #include "support/prng.h"
 #include "support/status.h"
+#include "symbolic/working_set.h"
 
 namespace parfact {
 namespace {
@@ -302,14 +304,115 @@ TEST(SolverSdc, AbftFactorizeMatchesPlainAndSolves) {
   EXPECT_LT(guarded.residual(x, b), 1e-10);
 }
 
-TEST(SolverSdc, AbftRejectsMemoryBudgetCombination) {
+// ABFT is a property of the run on either budget rung: its checks are
+// hooks of the serial driver, whatever the panel destination. The in-core
+// rung reserves the ABFT state on top of the hookless working set.
+TEST(SolverSdc, AbftWithInCoreBudgetMatchesCleanSerial) {
   SolverOptions options;
   options.abft = true;
-  options.memory_budget_bytes = 1 << 20;
   Solver solver(options);
   solver.analyze(test_matrix());
-  const Status status = solver.factorize();
-  EXPECT_EQ(status.code, StatusCode::kInvalidInput);
+  const std::size_t need =
+      estimate_working_set(solver.symbolic(), false).peak_incore_bytes +
+      abft_state_bytes(solver.symbolic(), FactorKind::kCholesky, true);
+  solver.set_memory_budget_bytes(need - 1);
+  ASSERT_TRUE(solver.factorize().ok());
+  EXPECT_EQ(solver.report().admission, Admission::kSpill);
+  solver.set_memory_budget_bytes(need);
+  ASSERT_TRUE(solver.factorize().ok());
+  EXPECT_EQ(solver.report().admission, Admission::kInCore);
+  EXPECT_GT(solver.report().abft_checks, 0);
+  EXPECT_EQ(solver.report().abft_detections, 0);
+  const CholeskyFactor clean = multifrontal_factor(solver.symbolic());
+  expect_factors_bitwise_equal(solver.symbolic(), clean, solver.factor());
+}
+
+TEST(SolverSdc, AbftWithSpillBudgetRepairsUpdateFlipOnDisk) {
+  const SparseMatrix a = test_matrix();
+  Solver probe;  // the analysis is deterministic: pick the target on it
+  probe.analyze(a);
+  const SymbolicFactor& sym = probe.symbolic();
+  // A front with rows below (an update block to flip) and children, so the
+  // repair re-runs a multi-front subtree whose panels are already on disk.
+  index_t target = kNone;
+  for (index_t s = 0; s < sym.n_supernodes && target == kNone; ++s) {
+    if (sym.sn_below(s) > 0 && first_descendant(sym, s) < s) target = s;
+  }
+  ASSERT_NE(target, kNone);
+  const index_t subtree = target - first_descendant(sym, target) + 1;
+
+  SolverOptions options;
+  options.abft = true;
+  options.spill_path = "/tmp/parfact_sdc_abft_spill.bin";
+  options.inject_sdc = SdcInjection{};
+  options.inject_sdc->site = SdcSite::kUpdate;
+  options.inject_sdc->supernode = target;
+  Solver struck(options);
+  struck.analyze(a);
+  struck.set_memory_budget_bytes(
+      estimate_working_set(struck.symbolic(), false).peak_incore_bytes - 1);
+  ASSERT_TRUE(struck.factorize().ok());
+  EXPECT_EQ(struck.report().admission, Admission::kSpill);
+  ASSERT_TRUE(struck.factor_spilled());
+  EXPECT_GE(struck.report().abft_detections, 1);
+  // The corrupt child's subtree plus the parent's retry.
+  EXPECT_GE(struck.report().fronts_recomputed, subtree + 1);
+
+  const CholeskyFactor clean = multifrontal_factor(struck.symbolic());
+  for (index_t s = 0; s < sym.n_supernodes; ++s) {
+    const ConstMatrixView want = clean.panel(s);
+    std::vector<real_t> got(static_cast<std::size_t>(want.rows) * want.cols);
+    struck.ooc_factor().read_panel(
+        s, MatrixView{got.data(), want.rows, want.cols, want.rows});
+    for (index_t j = 0; j < want.cols; ++j) {
+      ASSERT_EQ(std::memcmp(&want.at(0, j),
+                            got.data() + static_cast<std::size_t>(j) *
+                                             want.rows,
+                            static_cast<std::size_t>(want.rows) *
+                                sizeof(real_t)),
+                0)
+          << "supernode " << s << " column " << j;
+    }
+  }
+}
+
+// refactorize() under ABFT runs in place: same panel storage, the at-rest
+// checksums re-armed by the run, so a stored-factor flip after it is
+// localized by the post-solve verifier.
+TEST(SolverSdc, AbftRefactorizeInPlaceArmsChecksums) {
+  const SparseMatrix a = test_matrix();
+  SparseMatrix a2 = a;
+  for (real_t& v : a2.values) v *= 1.5;
+  const std::vector<real_t> b = random_vector(a.rows, 8);
+
+  Solver reference;
+  reference.analyze(a2);
+  ASSERT_TRUE(reference.factorize().ok());
+  const std::vector<real_t> want = reference.solve(b);
+
+  SolverOptions options;
+  options.abft = true;
+  options.verify = SolverOptions::Verify::kSampled;
+  options.inject_sdc = SdcInjection{};
+  options.inject_sdc->site = SdcSite::kStoredFactor;
+  options.inject_sdc->supernode = 1;
+  Solver solver(options);
+  solver.analyze(a);
+  ASSERT_TRUE(solver.factorize().ok());
+  const real_t* storage = solver.factor().panel(0).data;
+
+  ASSERT_TRUE(solver.refactorize(a2.values).ok());
+  EXPECT_EQ(solver.factor().panel(0).data, storage);
+  EXPECT_GT(solver.report().abft_checks, 0);
+  EXPECT_EQ(solver.report().abft_detections, 0);
+
+  const std::vector<real_t> x = solver.solve(b);
+  EXPECT_TRUE(solver.report().corruption_detected);
+  EXPECT_GE(solver.report().fronts_recomputed, 1);
+  EXPECT_LT(solver.report().fronts_recomputed, solver.report().n_supernodes)
+      << "repair should be localized by the re-armed checksums";
+  ASSERT_EQ(x.size(), want.size());
+  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(x[i], want[i]);
 }
 
 TEST(SolverSdc, FactorizationSiteInjectionRequiresAbft) {

@@ -175,7 +175,6 @@ INSTANTIATE_TEST_SUITE_P(SerialAndParallel, CachedAnalyzeTest,
 struct EngineCase {
   const char* name;
   int threads;
-  SolverOptions::FactorEngine engine;
 };
 
 class RefactorizeEngineTest : public ::testing::TestWithParam<EngineCase> {};
@@ -187,7 +186,6 @@ TEST_P(RefactorizeEngineTest, BitwiseIdenticalToColdFactorize) {
 
   SolverOptions opt;
   opt.threads = ec.threads;
-  opt.factor_engine = ec.engine;
 
   Solver solver(opt);
   solver.analyze(a);
@@ -208,9 +206,7 @@ TEST_P(RefactorizeEngineTest, BitwiseIdenticalToColdFactorize) {
 INSTANTIATE_TEST_SUITE_P(
     Engines, RefactorizeEngineTest,
     ::testing::Values(
-        EngineCase{"serial", 1, SolverOptions::FactorEngine::kTaskDag},
-        EngineCase{"taskdag", 4, SolverOptions::FactorEngine::kTaskDag},
-        EngineCase{"twophase", 4, SolverOptions::FactorEngine::kTwoPhase}),
+        EngineCase{"serial", 1}, EngineCase{"taskdag", 4}),
     [](const ::testing::TestParamInfo<EngineCase>& info) {
       return info.param.name;
     });
@@ -285,6 +281,55 @@ TEST(RefactorizeTest, KktPerturbationCountIdentity) {
             cold.report().pivot_perturbations);
   expect_panels_bitwise_equal(cold.symbolic(), cold.factor(),
                               solver.factor());
+}
+
+// refactorize() under every feature combination equals a cold factorize()
+// on the new values: the factor bitwise, the SDC counters, and the
+// governance fields — an in-place run reports the run that admitted its
+// factor. Unlimited, in-core and spill budgets, each with and without ABFT.
+TEST(RefactorizeTest, MatchesColdFactorizeUnderEveryFeature) {
+  const SparseMatrix a = grid_laplacian_2d(30, 30);
+  const SparseMatrix a2 = scaled_values(a, 1.25);
+  Solver probe;
+  probe.analyze(a);
+  const WorkingSetEstimate est =
+      estimate_working_set(probe.symbolic(), /*ldlt=*/false);
+  for (const bool abft : {false, true}) {
+    for (const std::size_t budget : {std::size_t{0}, est.peak_incore_bytes,
+                                     est.peak_incore_bytes - 1}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "abft " << abft << ", budget " << budget);
+      SolverOptions opt;
+      opt.abft = abft;
+      opt.memory_budget_bytes = budget;
+      opt.spill_path = "serving_test_every_feature_a.bin";
+      Solver solver(opt);
+      solver.analyze(a);
+      ASSERT_TRUE(solver.factorize().ok());
+      const Status st = solver.refactorize(a2.values);
+      ASSERT_TRUE(st.ok()) << st.to_string();
+
+      opt.spill_path = "serving_test_every_feature_b.bin";
+      Solver cold(opt);
+      cold.analyze(a2);
+      ASSERT_TRUE(cold.factorize().ok());
+      const SolverReport& r = solver.report();
+      const SolverReport& c = cold.report();
+      EXPECT_EQ(r.admission, c.admission);
+      EXPECT_EQ(r.peak_bytes, c.peak_bytes);
+      EXPECT_GT(r.peak_bytes, 0u);
+      EXPECT_EQ(r.bytes_spilled, c.bytes_spilled);
+      EXPECT_EQ(r.abft_checks, c.abft_checks);
+      EXPECT_EQ(r.pivot_perturbations, c.pivot_perturbations);
+      ASSERT_EQ(solver.factor_spilled(), cold.factor_spilled());
+      if (!cold.factor_spilled()) {
+        expect_panels_bitwise_equal(cold.symbolic(), cold.factor(),
+                                    solver.factor());
+      }
+      const std::vector<real_t> b(static_cast<std::size_t>(a.rows), 1.0);
+      EXPECT_EQ(cold.solve(b), solver.solve(b));
+    }
+  }
 }
 
 TEST(RefactorizeTest, ValueLengthMismatchDiagnosed) {
