@@ -1,9 +1,10 @@
 // Non-owning column-major dense matrix views.
 //
-// Frontal matrices live in large flat buffers (the multifrontal stack and
-// per-rank distributed blocks); every dense kernel operates on views into
-// them. Column-major with leading dimension `ld`, matching the BLAS/LAPACK
-// convention the paper's solver builds on.
+// Frontal matrices live in large flat buffers — factor panels, the serial
+// driver's update-block arena (the multifrontal stack, used from both
+// ends), per-rank distributed blocks — and every dense kernel operates on
+// views into them. Column-major with leading dimension `ld`, matching the
+// BLAS/LAPACK convention the paper's solver builds on.
 #pragma once
 
 #include "support/error.h"

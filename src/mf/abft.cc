@@ -86,7 +86,7 @@ typedef unsigned long long v4u __attribute__((vector_size(sizeof(v4d))));
 // out = |v| (clears the sign bits, as std::abs does).
 __attribute__((always_inline)) inline void abs4(const v4d& v, v4d& out) {
   constexpr unsigned long long kMag = ~0ull >> 1;
-  out = reinterpret_cast<v4d>(reinterpret_cast<const v4u&>(v) &
+  out = reinterpret_cast<v4d>(reinterpret_cast<v4u>(v) &
                               v4u{kMag, kMag, kMag, kMag});
 }
 
@@ -124,14 +124,22 @@ void sum_abs(const real_t* v, index_t n, real_t& sum_out, real_t& abs_out) {
             ((a1[0] + a1[1]) + (a1[2] + a1[3]));
 }
 
-// dst_s[i] += col[i]; dst_a[i] += |col[i]| — the symmetric-completion row
-// scatter (assembly A11 read and the U' pass).
-PARFACT_ABFT_CLONES
-void accum_abs(real_t* dst_s, real_t* dst_a, const real_t* col, index_t n) {
-  for (index_t i = 0; i < n; ++i) {
-    dst_s[i] += col[i];
-    dst_a[i] += std::abs(col[i]);
+// Sum over a contiguous range with eight independent partial accumulators
+// (sum_abs without the magnitudes).
+__attribute__((always_inline)) inline real_t sum8(const real_t* v, index_t n) {
+  v4d s0 = {0.0, 0.0, 0.0, 0.0};
+  v4d s1 = s0;
+  index_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    v4d x0, x1;
+    __builtin_memcpy(&x0, v + i, sizeof x0);
+    __builtin_memcpy(&x1, v + i + 4, sizeof x1);
+    s0 += x0;
+    s1 += x1;
   }
+  for (; i < n; ++i) s0[0] += v[i];
+  return ((s0[0] + s0[1]) + (s0[2] + s0[3])) +
+         ((s1[0] + s1[1]) + (s1[2] + s1[3]));
 }
 
 // One L11 column's contribution to both triangular identities:
@@ -147,6 +155,33 @@ void accum_two_weighted(real_t* p2, real_t* s2, real_t* p3, real_t* s3,
     s2[i] += w1a * av;
     p3[i] += w2 * v;
     s3[i] += w2a * av;
+  }
+}
+
+// Two adjacent L11 columns' contributions, in column order: `c0` from row
+// 0, `c1` (the next column, same base row) from row 1 — each element sees
+// the same additions as two accum_two_weighted calls, with the four
+// prediction streams loaded and stored once. w = {w1, w1a, w2, w2a} of c0,
+// then of c1.
+PARFACT_ABFT_CLONES
+void accum_two_weighted_pair(real_t* __restrict p2, real_t* __restrict s2,
+                             real_t* __restrict p3, real_t* __restrict s3,
+                             const real_t* __restrict c0,
+                             const real_t* __restrict c1, index_t n,
+                             const real_t* w) {
+  if (n == 0) return;
+  const real_t v0 = c0[0];
+  p2[0] += w[0] * v0;
+  s2[0] += w[1] * std::abs(v0);
+  p3[0] += w[2] * v0;
+  s3[0] += w[3] * std::abs(v0);
+  for (index_t i = 1; i < n; ++i) {
+    const real_t a = c0[i];
+    const real_t b = c1[i];
+    p2[i] = (p2[i] + w[0] * a) + w[4] * b;
+    s2[i] = (s2[i] + w[1] * std::abs(a)) + w[5] * std::abs(b);
+    p3[i] = (p3[i] + w[2] * a) + w[6] * b;
+    s3[i] = (s3[i] + w[3] * std::abs(a)) + w[7] * std::abs(b);
   }
 }
 
@@ -170,17 +205,6 @@ __attribute__((always_inline)) inline void load_rows(const real_t* col,
   out[3] = __builtin_shuffle(t1, t3, v4i{2, 3, 6, 7});
 }
 
-// out[i] = (v[i][0] + v[i][1]) + (v[i][2] + v[i][3]) for i < 4.
-__attribute__((always_inline)) inline void lane_sums(const v4d v[4],
-                                                     v4d& out) {
-  const v4d h01 = __builtin_shuffle(v[0], v[1], v4i{0, 4, 2, 6}) +
-                  __builtin_shuffle(v[0], v[1], v4i{1, 5, 3, 7});
-  const v4d h23 = __builtin_shuffle(v[2], v[3], v4i{0, 4, 2, 6}) +
-                  __builtin_shuffle(v[2], v[3], v4i{1, 5, 3, 7});
-  out = __builtin_shuffle(h01, h23, v4i{0, 1, 4, 5}) +
-        __builtin_shuffle(h01, h23, v4i{2, 3, 6, 7});
-}
-
 // UPDATE-identity prediction on LOWER column sums. For the trailing update
 // U' = U0 − L21 Mᵀ, the lower column sum obeys
 //
@@ -191,78 +215,123 @@ __attribute__((always_inline)) inline void lane_sums(const v4d v[4],
 // so the prediction costs O(b·p) — reading L21 and M once — instead of the
 // O(b²) row-scatter a symmetric-sum identity would need over U' itself.
 // Columns go in fixed groups of four, one per vector lane: each 4 x 4 tile
-// is transposed in registers so the four suffix chains advance together
-// and the per-row dot products reduce in the fixed order
-// (t0 + t1) + (t2 + t3). The final suffix values are each column's full
-// sum, returned in `l21cols` for the TRSM weights / LDLᵀ rescale check.
-PARFACT_ABFT_CLONES
-void predict_update_lower(ConstMatrixView l21, ConstMatrixView m,
-                          real_t* pred, real_t* scale, ColSums& l21cols) {
-  const index_t b = l21.rows;
-  const index_t p = l21.cols;
-  const bool m_is_l21 = m.data == l21.data && m.ld == l21.ld;  // Cholesky
-  l21cols.reset(p);
-  index_t k = 0;
-  for (; k + 4 <= p; k += 4) {
-    const real_t* c = l21.data + static_cast<std::size_t>(k) * l21.ld;
-    const real_t* mc = m.data + static_cast<std::size_t>(k) * m.ld;
-    const std::size_t ld = static_cast<std::size_t>(l21.ld);
-    const std::size_t mld = static_cast<std::size_t>(m.ld);
-    v4d s = {0.0, 0.0, 0.0, 0.0};
-    v4d a = s;
-    index_t j = b;
-    while (j % 4 != 0) {  // the rows below the last full tile, one by one
-      --j;
-      const v4d r = {c[j], c[ld + j], c[2 * ld + j], c[3 * ld + j]};
-      const v4d mr = m_is_l21 ? r
-                              : v4d{mc[j], mc[mld + j], mc[2 * mld + j],
-                                    mc[3 * mld + j]};
+// is transposed in registers so the four suffix chains advance together.
+// Each row's products stay in four lanes across all groups and are
+// reduced once, (l0 + l1) + (l2 + l3), after the last group; the rows go
+// in chunks of kWalkRows, so those lane accumulators stay in L1 while
+// every group passes over the chunk. The final suffix values are each
+// column's full sum, returned in `l21cols` for the TRSM weights / LDLᵀ
+// rescale check. `work` is scratch.
+constexpr index_t kWalkRows = 128;
+
+// One four-column group over rows [lo, hi) of a chunk: advances the
+// group's suffix sums `s`, `a` and adds the rows' products to `lanes`
+// (eight per row: value lanes, then magnitude lanes; row j at j - lo).
+template <bool kMIsL21>
+__attribute__((always_inline)) inline void walk_group(
+    const real_t* c, std::size_t ld, const real_t* mc, std::size_t mld,
+    index_t lo, index_t hi, real_t* lanes, v4d& s, v4d& a) {
+  const auto add_row = [&](index_t j, const v4d& t, const v4d& u) {
+    real_t* row = lanes + 8 * static_cast<std::size_t>(j - lo);
+    v4d lt, lu;
+    __builtin_memcpy(&lt, row, sizeof lt);
+    __builtin_memcpy(&lu, row + 4, sizeof lu);
+    lt += t;
+    lu += u;
+    __builtin_memcpy(row, &lt, sizeof lt);
+    __builtin_memcpy(row + 4, &lu, sizeof lu);
+  };
+  index_t j = hi;
+  while (j % 4 != 0) {  // the rows below the last full tile, one by one
+    --j;
+    const v4d r = {c[j], c[ld + j], c[2 * ld + j], c[3 * ld + j]};
+    const v4d mr = kMIsL21 ? r
+                           : v4d{mc[j], mc[mld + j], mc[2 * mld + j],
+                                 mc[3 * mld + j]};
+    v4d ar, amr;
+    abs4(r, ar);
+    abs4(mr, amr);
+    s += r;
+    a += ar;
+    add_row(j, s * mr, a * amr);
+  }
+  for (; j > lo; j -= 4) {
+    v4d r[4];
+    v4d m_rows[4];
+    load_rows(c, static_cast<index_t>(ld), j - 4, r);
+    const v4d* mr = r;
+    if constexpr (!kMIsL21) {
+      load_rows(mc, static_cast<index_t>(mld), j - 4, m_rows);
+      mr = m_rows;
+    }
+    for (int i = 3; i >= 0; --i) {
       v4d ar, amr;
-      abs4(r, ar);
-      abs4(mr, amr);
-      s += r;
+      abs4(r[i], ar);
+      abs4(mr[i], amr);
+      s += r[i];
       a += ar;
-      const v4d t = s * mr;
-      const v4d u = a * amr;
-      pred[j] -= (t[0] + t[1]) + (t[2] + t[3]);
-      scale[j] += (u[0] + u[1]) + (u[2] + u[3]);
-    }
-    for (; j > 0; j -= 4) {
-      v4d r[4];
-      v4d mr[4];
-      load_rows(c, l21.ld, j - 4, r);
-      if (m_is_l21) {
-        for (int i = 0; i < 4; ++i) mr[i] = r[i];
-      } else {
-        load_rows(mc, m.ld, j - 4, mr);
-      }
-      v4d t[4];
-      v4d u[4];
-      for (int i = 3; i >= 0; --i) {
-        v4d ar, amr;
-        abs4(r[i], ar);
-        abs4(mr[i], amr);
-        s += r[i];
-        a += ar;
-        t[i] = s * mr[i];
-        u[i] = a * amr;
-      }
-      v4d ts, us, dp, ds;
-      lane_sums(t, ts);
-      lane_sums(u, us);
-      __builtin_memcpy(&dp, pred + j - 4, sizeof dp);
-      __builtin_memcpy(&ds, scale + j - 4, sizeof ds);
-      dp -= ts;
-      ds += us;
-      __builtin_memcpy(pred + j - 4, &dp, sizeof dp);
-      __builtin_memcpy(scale + j - 4, &ds, sizeof ds);
-    }
-    for (int l = 0; l < 4; ++l) {
-      l21cols.sum[static_cast<std::size_t>(k + l)] = s[l];
-      l21cols.abs[static_cast<std::size_t>(k + l)] = a[l];
+      add_row(j - 4 + i, s * mr[i], a * amr);
     }
   }
-  for (; k < p; ++k) {
+}
+
+template <bool kMIsL21>
+__attribute__((always_inline)) inline void walk_groups(
+    ConstMatrixView l21, ConstMatrixView m, real_t* pred, real_t* scale,
+    real_t* carry, real_t* lanes) {
+  const index_t b = l21.rows;
+  const index_t groups = l21.cols / 4;
+  const std::size_t ld = static_cast<std::size_t>(l21.ld);
+  const std::size_t mld = static_cast<std::size_t>(m.ld);
+  for (index_t hi = b; hi > 0;) {
+    const index_t lo = (hi - 1) / kWalkRows * kWalkRows;
+    const std::size_t rows = static_cast<std::size_t>(hi - lo);
+    std::fill(lanes, lanes + 8 * rows, 0.0);
+    for (index_t g = 0; g < groups; ++g) {
+      real_t* cg = carry + 8 * static_cast<std::size_t>(g);
+      v4d s, a;
+      __builtin_memcpy(&s, cg, sizeof s);
+      __builtin_memcpy(&a, cg + 4, sizeof a);
+      const std::size_t k = 4 * static_cast<std::size_t>(g);
+      walk_group<kMIsL21>(l21.data + k * ld, ld, m.data + k * mld, mld, lo,
+                          hi, lanes, s, a);
+      __builtin_memcpy(cg, &s, sizeof s);
+      __builtin_memcpy(cg + 4, &a, sizeof a);
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      const real_t* l = lanes + 8 * r;
+      pred[lo + static_cast<index_t>(r)] -= (l[0] + l[1]) + (l[2] + l[3]);
+      scale[lo + static_cast<index_t>(r)] += (l[4] + l[5]) + (l[6] + l[7]);
+    }
+    hi = lo;
+  }
+}
+
+PARFACT_ABFT_CLONES
+void predict_update_lower(ConstMatrixView l21, ConstMatrixView m,
+                          real_t* pred, real_t* scale, ColSums& l21cols,
+                          std::vector<real_t>& work) {
+  const index_t b = l21.rows;
+  const index_t p = l21.cols;
+  const index_t groups = p / 4;
+  // work = [per group: suffix carries s, a][per chunk row: eight lanes]
+  work.assign(8 * static_cast<std::size_t>(groups) +
+                  8 * static_cast<std::size_t>(std::min(b, kWalkRows)),
+              0.0);
+  real_t* carry = work.data();
+  real_t* lanes = carry + 8 * static_cast<std::size_t>(groups);
+  if (m.data == l21.data && m.ld == l21.ld) {  // Cholesky: M is L21
+    walk_groups<true>(l21, m, pred, scale, carry, lanes);
+  } else {
+    walk_groups<false>(l21, m, pred, scale, carry, lanes);
+  }
+  l21cols.reset(p);
+  for (index_t k = 0; k < 4 * groups; ++k) {
+    const real_t* cg = carry + 8 * static_cast<std::size_t>(k / 4);
+    l21cols.sum[static_cast<std::size_t>(k)] = cg[k % 4];
+    l21cols.abs[static_cast<std::size_t>(k)] = cg[4 + k % 4];
+  }
+  for (index_t k = 4 * groups; k < p; ++k) {
     const real_t* c = l21.data + static_cast<std::size_t>(k) * l21.ld;
     const real_t* mc = m.data + static_cast<std::size_t>(k) * m.ld;
     real_t s = 0.0, a = 0.0;
@@ -274,6 +343,35 @@ void predict_update_lower(ConstMatrixView l21, ConstMatrixView m,
     }
     l21cols.sum[static_cast<std::size_t>(k)] = s;
     l21cols.abs[static_cast<std::size_t>(k)] = a;
+  }
+}
+
+// The A11 read-back of the assembly check: `low` receives the lower
+// column sums of the p x p block, `sym` the symmetric ones (the strict
+// lower part's row sums in column order, then the lower column sum) — the
+// POTRF baseline. Values only: both identities take their tolerance scales
+// from predicted magnitudes. Columns go in pairs, each row taking column
+// j's value before column j + 1's, so the row sums stream through once per
+// pair.
+PARFACT_ABFT_CLONES
+void a11_sums(ConstMatrixView a11, real_t* low, real_t* sym) {
+  const index_t p = a11.cols;
+  std::fill(sym, sym + p, 0.0);
+  index_t j = 0;
+  for (; j + 2 <= p; j += 2) {
+    const real_t* c0 = a11.data + static_cast<std::size_t>(j) * a11.ld;
+    const real_t* c1 = c0 + a11.ld;
+    low[j] = sum8(c0 + j, p - j);
+    low[j + 1] = sum8(c1 + j + 1, p - j - 1);
+    sym[j] += low[j];
+    sym[j + 1] += c0[j + 1];
+    sym[j + 1] += low[j + 1];
+    for (index_t i = j + 2; i < p; ++i) sym[i] = (sym[i] + c0[i]) + c1[i];
+  }
+  if (j < p) {  // odd p: the last column has only its diagonal
+    const real_t* col = a11.data + static_cast<std::size_t>(j) * a11.ld;
+    low[j] = col[j];
+    sym[j] += low[j];
   }
 }
 
@@ -319,20 +417,23 @@ class AbftHooks final : public detail::FrontHooks {
       case detail::FrontStage::kDiagonal:
         maybe_inject(SdcSite::kPotrf, f);
         return true;
-      case detail::FrontStage::kPanel:
+      case detail::FrontStage::kPanel: {
+        // Every post-kernel identity is checked here, while L11 and L21
+        // are still cache-hot from the panel solve; the trailing update
+        // only runs on a front that passed.
         maybe_inject(SdcSite::kTrsm, f);
-        return true;
+        const index_t p = sym_.sn_cols(f.s);
+        if (sym_.sn_below(f.s) > 0) {
+          predict_update(f);
+        } else {
+          msums_.reset(p);
+        }
+        return check_stages(f.s, f.panel.block(0, 0, p, p), f.boosted);
+      }
       case detail::FrontStage::kUpdated:
         break;
     }
     maybe_inject(SdcSite::kUpdate, f);
-    const index_t p = sym_.sn_cols(f.s);
-    const index_t b = sym_.sn_below(f.s);
-    ConstMatrixView l21{};
-    if (b > 0) l21 = f.panel.block(p, 0, b, p);
-    if (!check_stages(f.s, f.panel.block(0, 0, p, p), l21, f.m, f.boosted)) {
-      return false;
-    }
     record_checksums(f.s);
     // The children's blocks are verified and consumed; any later repair
     // that revisits their subtrees regenerates the predictions with them.
@@ -424,11 +525,13 @@ class AbftHooks final : public detail::FrontHooks {
   // flipped A11 can neither masquerade as a pivot breakdown nor hide
   // behind a static pivot boost (whose fronts skip the POTRF identity).
   //
-  // Fills asm_pred_ (predicted lower A11 sums), a11_pre_ (actual SYMMETRIC
+  // Fills asm_pred_ (predicted lower A11 sums), a11_sym_ (actual SYMMETRIC
   // A11 sums — the POTRF baseline, built from the same read), a21_pre_
-  // (A21 column sums) and u0_ (lower update-seed sums). On mismatch the
-  // caller re-verifies the children's blocks and recomputes any corrupt
-  // child subtree.
+  // (A21 column sums) and u0_ (lower update-seed sums). The magnitudes that
+  // scale the tolerances are predicted, never summed from a read: a child
+  // column's carried magnitude prediction bounds each part of that column.
+  // On mismatch the caller re-verifies the children's blocks and
+  // recomputes any corrupt child subtree.
   [[nodiscard]] bool check_assembly(index_t s, ConstMatrixView panel) {
     ++checks_;
     const index_t p = sym_.sn_cols(s);
@@ -463,61 +566,75 @@ class AbftHooks final : public detail::FrontHooks {
       index_t pi = 0;
       for (index_t cj = 0; cj < cb; ++cj) {
         const std::size_t uc = static_cast<std::size_t>(cj);
-        const real_t* o = cs.data() + uc * 4;
-        if (!column_ok(o[0] + o[2], want.sum[uc], want.abs[uc])) return false;
+        const real_t* o = cs.data() + uc * 2;
+        const real_t mag = want.abs[uc];
+        if (!column_ok(o[0] + o[1], want.sum[uc], mag)) return false;
         const index_t g = crows[cj];
         if (g < bound) {
           // Panel-mapped child column: its panel-landing rows are A11
           // rows, its seed-landing rows are A21 rows of this front.
           const index_t lj = g - first;
           asm_pred_.sum[lj] += o[0];
-          asm_pred_.abs[lj] += o[1];
-          a21_pre_.sum[lj] += o[2];
-          a21_pre_.abs[lj] += o[3];
+          asm_pred_.abs[lj] += mag;
+          a21_pre_.sum[lj] += o[1];
+          a21_pre_.abs[lj] += mag;
         } else {
           while (prows[pi] < g) ++pi;
-          u0_.sum[pi] += o[2];
-          u0_.abs[pi] += o[3];
+          u0_.sum[pi] += o[1];
+          u0_.abs[pi] += mag;
         }
       }
     }
     // Read back the A11 block only: lower sums feed the per-column
     // assembly comparison; the symmetric completion (a second sweep of the
     // L1-hot column) builds the POTRF baseline from the same read.
-    a11_pre_.reset(p);
+    a11_low_.resize(static_cast<std::size_t>(p));
+    a11_sym_.resize(static_cast<std::size_t>(p));
+    a11_sums(panel.block(0, 0, p, p), a11_low_.data(), a11_sym_.data());
     for (index_t j = 0; j < p; ++j) {
-      const real_t* col = panel.data + static_cast<std::size_t>(j) * panel.ld;
-      real_t s11 = 0.0;
-      real_t m11 = 0.0;
-      sum_abs(col + j, p - j, s11, m11);
-      real_t* as = a11_pre_.sum.data();
-      real_t* aa = a11_pre_.abs.data();
-      accum_abs(as + j + 1, aa + j + 1, col + j + 1, p - j - 1);
-      as[j] += s11;
-      aa[j] += m11;
       const std::size_t uj = static_cast<std::size_t>(j);
-      if (!column_ok(s11, asm_pred_.sum[uj], asm_pred_.abs[uj])) return false;
+      if (!column_ok(a11_low_[uj], asm_pred_.sum[uj], asm_pred_.abs[uj])) {
+        return false;
+      }
     }
     return true;
   }
 
-  // Combined post-kernel verification, two streaming passes total:
+  // Pass 1 of the post-kernel verification: walks L21/M once (descending,
+  // predict_update_lower), producing the UPDATE-identity prediction
+  //
+  //   UPDATE identity: lowcols(U') = lowcols(U0) − suffix(L21)·M  (per row)
+  //
+  // plus the L21 column sums as a byproduct — for Cholesky those ARE the M
+  // sums the TRSM identity weights with. The update block itself is never
+  // read here: the prediction is carried to the parent, which compares it
+  // against the block's actual sums during its own extend-add (the block's
+  // one and only read) — see check_assembly.
+  void predict_update(const Front& f) {
+    const index_t p = sym_.sn_cols(f.s);
+    const index_t b = sym_.sn_below(f.s);
+    const ConstMatrixView l21 = f.panel.block(p, 0, b, p);
+    pred_.assign(u0_.sum.begin(), u0_.sum.end());
+    scale_.assign(u0_.abs.begin(), u0_.abs.end());
+    if (kind_ == FactorKind::kCholesky) {
+      predict_update_lower(l21, f.m, pred_.data(), scale_.data(), msums_,
+                           walk_);
+    } else {
+      predict_update_lower(l21, f.m, pred_.data(), scale_.data(), l21sums_,
+                           walk_);
+      rect_colsums(f.m, msums_);
+    }
+  }
+
+  // Pass 2: walks L11 once, serving both triangular identities
   //
   //   POTRF identity:  e'A11 = (e'L11) L11'        (LDLᵀ: weight by D)
   //   TRSM identity:   colsums(M) L11' = colsums(A21),  M = A21 L11⁻ᵀ
-  //   UPDATE identity: lowcols(U') = lowcols(U0) − suffix(L21)·M  (per row)
   //
-  // Pass 1 walks L21/M once (descending, predict_update_lower), producing
-  // the UPDATE-identity prediction plus the L21 column sums as a
-  // byproduct — for Cholesky those ARE the M sums the TRSM identity
-  // weights with. Pass 2 walks L11 once, serving both triangular
-  // identities. The update block itself is never read here: the
-  // UPDATE-identity prediction is carried to the parent, which compares it
-  // against the block's actual sums during its own extend-add (the block's
-  // one and only read) — see check_assembly. Deferring the POTRF
-  // comparison until after TRSM/UPDATE ran costs wasted kernel work on a
-  // corrupt front (rare), but the retry reassembles from scratch so the
-  // healed result is still bitwise identical.
+  // Deferring the POTRF comparison until after the panel solve ran costs
+  // wasted kernel work on a corrupt front (rare), but the retry
+  // reassembles from scratch so the healed result is still bitwise
+  // identical.
   //
   // The POTRF identity is skipped when static pivoting boosted a pivot in
   // this front — the boost deliberately breaks A11 = L11 L11'. The TRSM
@@ -525,27 +642,12 @@ class AbftHooks final : public detail::FrontHooks {
   // the panel was rescaled to L21 = M D⁻¹, and the rescale is verified
   // too: colsums(L21)·d = colsums(M).
   [[nodiscard]] bool check_stages(index_t s, ConstMatrixView l11,
-                                  ConstMatrixView l21, ConstMatrixView m,
                                   count_t boosted) {
     const index_t p = l11.cols;
     const index_t b = sym_.sn_below(s);
     const index_t first = sym_.sn_start[s];
     if (boosted == 0) ++checks_;  // POTRF
     if (b > 0) ++checks_;         // TRSM (UPDATE is counted at consumption)
-
-    // Pass 1: UPDATE prediction + L21/M column sums.
-    pred_.assign(u0_.sum.begin(), u0_.sum.end());
-    scale_.assign(u0_.abs.begin(), u0_.abs.end());
-    if (b > 0) {
-      if (kind_ == FactorKind::kCholesky) {
-        predict_update_lower(l21, m, pred_.data(), scale_.data(), msums_);
-      } else {
-        predict_update_lower(l21, m, pred_.data(), scale_.data(), l21sums_);
-        rect_colsums(m, msums_);
-      }
-    } else {
-      msums_.reset(p);
-    }
 
     // Pass 2: L11 column sums + both triangular predictions.
     l11sums_.reset(p);
@@ -557,30 +659,43 @@ class AbftHooks final : public detail::FrontHooks {
     real_t* s2 = scale2_.data();
     real_t* p3 = pred3_.data();
     real_t* s3 = scale3_.data();
-    for (index_t k = 0; k < p; ++k) {
-      const real_t* col = l11.data + static_cast<std::size_t>(k) * l11.ld;
-      real_t sum = 0.0;
-      real_t mag = 0.0;
-      sum_abs(col + k, p - k, sum, mag);
-      const std::size_t uk = static_cast<std::size_t>(k);
-      l11sums_.sum[uk] = sum;
-      l11sums_.abs[uk] = mag;
-      real_t w1 = sum;
-      real_t w1a = mag;
-      if (kind_ == FactorKind::kLdlt) {
-        const real_t dk = d_[static_cast<std::size_t>(first + k)];
-        w1 *= dk;
-        w1a *= std::abs(dk);
+    // Column pairs share one accumulation sweep (the weights of both are
+    // known once their sums are).
+    for (index_t k = 0; k < p; k += 2) {
+      const index_t cols = std::min<index_t>(2, p - k);
+      real_t w[8];
+      for (index_t q = 0; q < cols; ++q) {
+        const index_t kq = k + q;
+        const real_t* col = l11.data + static_cast<std::size_t>(kq) * l11.ld;
+        const std::size_t uk = static_cast<std::size_t>(kq);
+        sum_abs(col + kq, p - kq, l11sums_.sum[uk], l11sums_.abs[uk]);
+        real_t w1 = l11sums_.sum[uk];
+        real_t w1a = l11sums_.abs[uk];
+        if (kind_ == FactorKind::kLdlt) {
+          const real_t dk = d_[static_cast<std::size_t>(first + kq)];
+          w1 *= dk;
+          w1a *= std::abs(dk);
+        }
+        w[4 * q + 0] = w1;
+        w[4 * q + 1] = w1a;
+        w[4 * q + 2] = msums_.sum[uk];
+        w[4 * q + 3] = msums_.abs[uk];
       }
-      const real_t w2 = msums_.sum[uk];
-      const real_t w2a = msums_.abs[uk];
-      accum_two_weighted(p2 + k, s2 + k, p3 + k, s3 + k, col + k, p - k, w1,
-                         w1a, w2, w2a);
+      const real_t* col = l11.data + static_cast<std::size_t>(k) * l11.ld;
+      if (cols == 2) {
+        accum_two_weighted_pair(p2 + k, s2 + k, p3 + k, s3 + k, col + k,
+                                col + l11.ld + k, p - k, w);
+      } else {
+        accum_two_weighted(p2 + k, s2 + k, p3 + k, s3 + k, col + k, p - k,
+                           w[0], w[1], w[2], w[3]);
+      }
     }
     if (boosted == 0) {
       for (index_t j = 0; j < p; ++j) {
         const std::size_t uj = static_cast<std::size_t>(j);
-        if (!column_ok(a11_pre_.sum[uj], p2[j], a11_pre_.abs[uj] + s2[j])) {
+        // s2 bounds the symmetric |A11| column sum (|L11|·|L11|ᵀ·e, with
+        // |D| for LDLᵀ), so 2·s2 bounds both sides' rounding.
+        if (!column_ok(a11_sym_[uj], p2[j], 2.0 * s2[j])) {
           return false;
         }
       }
@@ -660,7 +775,8 @@ class AbftHooks final : public detail::FrontHooks {
   // Per-front check scratch, reused across fronts so the O(front^2) checks
   // never allocate. Only valid within one front's stage sequence.
   ColSums asm_pred_;   ///< predicted lower A11 sums (A + carried)
-  ColSums a11_pre_;    ///< actual symmetric A11 sums (POTRF baseline)
+  std::vector<real_t> a11_low_;  ///< actual lower A11 sums (assembly check)
+  std::vector<real_t> a11_sym_;  ///< actual symmetric A11 sums (POTRF)
   ColSums a21_pre_;    ///< predicted A21 column sums (A + carried)
   ColSums u0_;         ///< predicted lower update-seed sums (carried)
   ColSums l11sums_;    ///< L11 column sums after the diagonal kernel
@@ -672,6 +788,7 @@ class AbftHooks final : public detail::FrontHooks {
   std::vector<real_t> scale2_;
   std::vector<real_t> pred3_;   ///< TRSM-identity prediction
   std::vector<real_t> scale3_;
+  std::vector<real_t> walk_;    ///< predict_update_lower's scratch
 };
 
 // Sum and magnitude sum of each stored panel column of supernode s,
@@ -725,9 +842,10 @@ std::size_t abft_state_bytes(const SymbolicFactor& sym, FactorKind kind,
                              bool checksums) {
   // Replays the hooks' allocations along the postorder: front s carries a
   // 2b prediction from its completion until its parent's; asm_sums_ keeps,
-  // per child slot, the largest 4·cb block it was sized for; the per-front
-  // scratch is five ColSums (six for LDLᵀ) and four vectors of width p,
-  // one ColSums and two vectors of height b, at the widest front.
+  // per child slot, the largest 2·cb block it was sized for; the per-front
+  // scratch is four ColSums (five for LDLᵀ) and six vectors of width p,
+  // one ColSums and two vectors of height b, at the widest front, plus the
+  // walk's scratch (2p + 8·kWalkRows).
   const auto children = detail::build_children(sym);
   std::size_t live = 0;
   std::size_t reals = 0;
@@ -742,12 +860,13 @@ std::size_t abft_state_bytes(const SymbolicFactor& sym, FactorKind kind,
     for (std::size_t i = 0; i < children[s].size(); ++i) {
       const auto cb = static_cast<std::size_t>(sym.sn_below(children[s][i]));
       live -= 2 * cb;
-      slot[i] = std::max(slot[i], 4 * cb);
+      slot[i] = std::max(slot[i], 2 * cb);
     }
     max_p = std::max(max_p, static_cast<std::size_t>(sym.sn_cols(s)));
     max_b = std::max(max_b, b);
   }
-  reals += (kind == FactorKind::kLdlt ? 16 : 14) * max_p + 4 * max_b;
+  reals += (kind == FactorKind::kLdlt ? 18 : 16) * max_p + 4 * max_b +
+           8 * static_cast<std::size_t>(kWalkRows);
   for (const std::size_t cap : slot) reals += cap;
   if (checksums) reals += 2 * static_cast<std::size_t>(sym.n);
   // The hooks object and its per-supernode tables (vectors at up to twice

@@ -22,6 +22,11 @@ using rt::tag_t;
 constexpr count_t kTaskMinFlops = 4'000'000;
 constexpr index_t kTaskSlabMinRows = 64;
 
+std::size_t block_size(const SymbolicFactor& sym, index_t s) {
+  const auto b = static_cast<std::size_t>(sym.sn_below(s));
+  return b * b;
+}
+
 }  // namespace
 
 FactorDag::FactorDag(const SymbolicFactor& sym, CholeskyFactor& factor,
@@ -35,6 +40,7 @@ FactorDag::FactorDag(const SymbolicFactor& sym, CholeskyFactor& factor,
       fuse_flops_(fuse_flops),
       n_workers_(std::max(1, n_workers)),
       children_(build_children(sym)),
+      blocks_(static_cast<std::size_t>(sym.n_supernodes)),
       update_of_(static_cast<std::size_t>(sym.n_supernodes)),
       m_of_(static_cast<std::size_t>(sym.n_supernodes)),
       m_refs_(static_cast<std::size_t>(sym.n_supernodes)),
@@ -63,14 +69,22 @@ void FactorDag::release_scratch(std::unique_ptr<FrontScratch> scratch) {
   scratch_pool_.push_back(std::move(scratch));
 }
 
+std::span<real_t> FactorDag::allocate_block(index_t s) {
+  const auto su = static_cast<std::size_t>(s);
+  const std::size_t size = block_size(sym_, s);
+  blocks_[su] = std::make_unique_for_overwrite<real_t[]>(size);
+  update_of_[su] = blocks_[su].get();
+  return {update_of_[su], size};
+}
+
 /// Update-stack accounting once supernode s's assembly has consumed its
 /// children: the children's blocks die, s's block is now live.
 void FactorDag::finish_assembly(index_t s) {
-  mem_.add(update_of_[static_cast<std::size_t>(s)].size() * sizeof(real_t));
+  mem_.add(block_size(sym_, s) * sizeof(real_t));
   for (index_t c : children_[static_cast<std::size_t>(s)]) {
-    auto& cu = update_of_[static_cast<std::size_t>(c)];
-    mem_.sub(cu.size() * sizeof(real_t));
-    cu = {};
+    mem_.sub(block_size(sym_, c) * sizeof(real_t));
+    blocks_[static_cast<std::size_t>(c)].reset();
+    update_of_[static_cast<std::size_t>(c)] = nullptr;
   }
 }
 
@@ -90,10 +104,15 @@ void FactorDag::emit_fused(rt::TaskGraph& graph, index_t s) {
       elim,
       [this, s] {
         auto scratch = acquire_scratch();
+        std::unique_ptr<real_t[]> m;
+        std::size_t m_size = 0;
+        if (kind_ == FactorKind::kLdlt) {
+          m_size = static_cast<std::size_t>(sym_.sn_below(s)) * sym_.sn_cols(s);
+          m = std::make_unique_for_overwrite<real_t[]>(m_size);
+        }
         const count_t boosted = eliminate_front(
             sym_, s, update_of_, children_, factor_.panel(s),
-            update_of_[static_cast<std::size_t>(s)], *scratch, kind_, d_,
-            pivot_);
+            allocate_block(s), {m.get(), m_size}, *scratch, kind_, d_, pivot_);
         release_scratch(std::move(scratch));
         if (boosted > 0)
           perturbations_.fetch_add(boosted, std::memory_order_relaxed);
@@ -130,7 +149,7 @@ void FactorDag::emit_split(rt::TaskGraph& graph, index_t s) {
       [this, s] {
         auto scratch = acquire_scratch();
         assemble_front(sym_, s, update_of_, children_, factor_.panel(s),
-                       update_of_[static_cast<std::size_t>(s)], *scratch);
+                       allocate_block(s), *scratch);
         release_scratch(std::move(scratch));
         finish_assembly(s);
       },
@@ -202,7 +221,9 @@ void FactorDag::emit_split(rt::TaskGraph& graph, index_t s) {
         prep_tag,
         [this, s, p, b, first] {
           MatrixView l21 = factor_.panel(s).block(p, 0, b, p);
-          ldlt_scale_panel(l21, d_, first, m_of_[static_cast<std::size_t>(s)]);
+          auto& m = m_of_[static_cast<std::size_t>(s)];
+          m.resize(static_cast<std::size_t>(b) * p);
+          ldlt_scale_panel(l21, d_, first, m);
         },
         static_cast<double>(2 * static_cast<count_t>(b) * p));
     graph.declare_deps(prep_tag, trsm_tags);
@@ -223,8 +244,8 @@ void FactorDag::emit_split(rt::TaskGraph& graph, index_t s) {
       graph.add_task(
           tag,
           [this, s, p, b] {
-            auto& upd = update_of_[static_cast<std::size_t>(s)];
-            MatrixView update{upd.data(), b, b, b};
+            MatrixView update{update_of_[static_cast<std::size_t>(s)], b, b,
+                              b};
             ConstMatrixView l21 = factor_.panel(s).block(p, 0, b, p);
             syrk_lower_update(update, l21);
           },
@@ -243,8 +264,8 @@ void FactorDag::emit_split(rt::TaskGraph& graph, index_t s) {
         graph.add_task(
             tag,
             [this, s, p, b, r0, r1] {
-              auto& upd = update_of_[static_cast<std::size_t>(s)];
-              MatrixView update{upd.data(), b, b, b};
+              MatrixView update{update_of_[static_cast<std::size_t>(s)], b,
+                                b, b};
               ConstMatrixView l21 = factor_.panel(s).block(p, 0, b, p);
               syrk_lower_update_slab(update, l21, r0, r1);
             },
@@ -276,9 +297,9 @@ void FactorDag::emit_split(rt::TaskGraph& graph, index_t s) {
           tag,
           [this, s, p, b, r0, r1, slabs] {
             if (r0 < r1) {
-              auto& upd = update_of_[static_cast<std::size_t>(s)];
               auto& m = m_of_[static_cast<std::size_t>(s)];
-              MatrixView update{upd.data(), b, b, b};
+              MatrixView update{update_of_[static_cast<std::size_t>(s)], b,
+                                b, b};
               ConstMatrixView l21 = factor_.panel(s).block(p, 0, b, p);
               gemm_nt_update(update.block(r0, 0, r1 - r0, b),
                              l21.block(r0, 0, r1 - r0, p),

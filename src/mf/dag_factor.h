@@ -85,6 +85,7 @@ class FactorDag {
   void emit_fused(rt::TaskGraph& graph, index_t s);
   void emit_split(rt::TaskGraph& graph, index_t s);
   [[nodiscard]] index_t slab_count(count_t flops, index_t rows) const;
+  std::span<real_t> allocate_block(index_t s);
   void finish_assembly(index_t s);
   std::unique_ptr<FrontScratch> acquire_scratch();
   void release_scratch(std::unique_ptr<FrontScratch> scratch);
@@ -98,7 +99,11 @@ class FactorDag {
   const int n_workers_;
 
   std::vector<std::vector<index_t>> children_;
-  std::vector<std::vector<real_t>> update_of_;
+  /// One heap block per live update block (the schedule is not LIFO, so
+  /// there is no stack to put them on), allocated uninitialized by the
+  /// front's assembly — which zeroes it — and freed by its parent's.
+  std::vector<std::unique_ptr<real_t[]>> blocks_;
+  std::vector<real_t*> update_of_;  ///< blocks_ as the kernels take them
   /// LDLᵀ split fronts: M = L21 D buffers, freed by the last update slab.
   std::vector<std::vector<real_t>> m_of_;
   std::vector<std::unique_ptr<std::atomic<index_t>>> m_refs_;

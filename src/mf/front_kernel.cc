@@ -14,44 +14,40 @@ namespace {
 
 // Scatters one segment [beg, end) of a child update-block column into
 // `dst` (offset by `row_off` local rows) while accumulating the segment's
-// value and magnitude sums. Four independent lanes hide the FP add latency
-// behind the scatter's indirect loads — a single running sum would
-// serialize the loop at add latency — and the fixed blocking keeps the
-// summation order deterministic. The cell updates are the same additions
-// in the same ascending-row order as the plain extend-add, so the
-// assembled front is bitwise identical to the sum-free path.
-inline void scatter_sum(MatrixView dst, index_t row_off, index_t dj,
-                        ConstMatrixView cu, index_t cj,
-                        std::span<const index_t> crows,
-                        const std::vector<index_t>& local_of, index_t beg,
-                        index_t end, real_t& sum_out, real_t& abs_out) {
+// sum. Four independent lanes hide the FP add latency behind the
+// scatter's indirect loads — a single running sum would serialize the loop
+// at add latency — and the fixed blocking keeps the summation order
+// deterministic. The cell updates are the same additions in the same
+// ascending-row order as the plain extend-add, so the assembled front is
+// bitwise identical to the sum-free path.
+inline real_t scatter_sum(MatrixView dst, index_t row_off, index_t dj,
+                          ConstMatrixView cu, index_t cj,
+                          std::span<const index_t> crows,
+                          const std::vector<index_t>& local_of, index_t beg,
+                          index_t end) {
   real_t s[4] = {0.0, 0.0, 0.0, 0.0};
-  real_t a[4] = {0.0, 0.0, 0.0, 0.0};
   index_t ci = beg;
   for (; ci + 4 <= end; ci += 4) {
     for (int l = 0; l < 4; ++l) {
       const real_t v = cu.at(ci + l, cj);
       dst.at(local_of[crows[ci + l]] - row_off, dj) += v;
       s[l] += v;
-      a[l] += std::abs(v);
     }
   }
   for (; ci < end; ++ci) {
     const real_t v = cu.at(ci, cj);
     dst.at(local_of[crows[ci]] - row_off, dj) += v;
     s[0] += v;
-    a[0] += std::abs(v);
   }
-  sum_out = (s[0] + s[1]) + (s[2] + s[3]);
-  abs_out = (a[0] + a[1]) + (a[2] + a[3]);
+  return (s[0] + s[1]) + (s[2] + s[3]);
 }
 
 }  // namespace
 
 void assemble_front(const SymbolicFactor& sym, index_t s,
-                    const std::vector<std::vector<real_t>>& update_of,
+                    std::span<const real_t* const> update_of,
                     const std::vector<std::vector<index_t>>& children,
-                    MatrixView panel, std::vector<real_t>& update_out,
+                    MatrixView panel, std::span<real_t> update_out,
                     FrontScratch& scratch, AssemblySums* sums) {
   const index_t p = sym.sn_cols(s);
   const index_t b = sym.sn_below(s);
@@ -60,7 +56,8 @@ void assemble_front(const SymbolicFactor& sym, index_t s,
   const auto rows = sym.below_rows(s);
 
   PARFACT_CHECK(panel.rows == sym.front_order(s) && panel.cols == p);
-  update_out.assign(static_cast<std::size_t>(b) * b, 0.0);
+  PARFACT_CHECK(update_out.size() == static_cast<std::size_t>(b) * b);
+  std::fill(update_out.begin(), update_out.end(), 0.0);
   MatrixView update{update_out.data(), b, b, b};
 
   auto& local_of = scratch.local_of;
@@ -96,7 +93,7 @@ void assemble_front(const SymbolicFactor& sym, index_t s,
     for (index_t c : children[s]) {
       const auto crows = sym.below_rows(c);
       const index_t cb = sym.sn_below(c);
-      const ConstMatrixView cu{update_of[c].data(), cb, cb, cb};
+      const ConstMatrixView cu{update_of[c], cb, cb, cb};
       for (index_t cj = 0; cj < cb; ++cj) {
         const index_t gj = crows[cj];
         const index_t lj = local_of[gj];
@@ -128,22 +125,21 @@ void assemble_front(const SymbolicFactor& sym, index_t s,
   for (index_t c : children[s]) {
     const auto crows = sym.below_rows(c);
     const index_t cb = sym.sn_below(c);
-    const ConstMatrixView cu{update_of[c].data(), cb, cb, cb};
+    const ConstMatrixView cu{update_of[c], cb, cb, cb};
     const index_t t0 = static_cast<index_t>(
         std::lower_bound(crows.begin(), crows.end(), block_end) -
         crows.begin());
     std::vector<real_t>& out = sums->per_child[ic++];
-    out.assign(static_cast<std::size_t>(cb) * 4, 0.0);
+    out.assign(static_cast<std::size_t>(cb) * 2, 0.0);
     for (index_t cj = 0; cj < cb; ++cj) {
       const index_t lj = local_of[crows[cj]];
       PARFACT_DCHECK(lj != kNone);
-      real_t* o = out.data() + static_cast<std::size_t>(cj) * 4;
+      real_t* o = out.data() + static_cast<std::size_t>(cj) * 2;
       if (lj < p) {
-        scatter_sum(panel, 0, lj, cu, cj, crows, local_of, cj, t0, o[0], o[1]);
-        scatter_sum(panel, 0, lj, cu, cj, crows, local_of, t0, cb, o[2], o[3]);
+        o[0] = scatter_sum(panel, 0, lj, cu, cj, crows, local_of, cj, t0);
+        o[1] = scatter_sum(panel, 0, lj, cu, cj, crows, local_of, t0, cb);
       } else {
-        scatter_sum(update, p, lj - p, cu, cj, crows, local_of, cj, cb, o[2],
-                    o[3]);
+        o[1] = scatter_sum(update, p, lj - p, cu, cj, crows, local_of, cj, cb);
       }
     }
   }
@@ -178,10 +174,10 @@ count_t factor_front_diag(const SymbolicFactor& sym, index_t s,
 }
 
 void ldlt_scale_panel(MatrixView l21, std::span<const real_t> d,
-                      index_t first, std::vector<real_t>& m) {
+                      index_t first, std::span<real_t> m) {
   const index_t b = l21.rows;
   const index_t p = l21.cols;
-  m.resize(static_cast<std::size_t>(b) * p);
+  PARFACT_CHECK(m.size() >= static_cast<std::size_t>(b) * p);
   for (index_t k = 0; k < p; ++k) {
     const real_t dk = d[static_cast<std::size_t>(first + k)];
     real_t* col = &l21.at(0, k);
@@ -194,12 +190,12 @@ void ldlt_scale_panel(MatrixView l21, std::span<const real_t> d,
 }
 
 count_t eliminate_front(const SymbolicFactor& sym, index_t s,
-                        const std::vector<std::vector<real_t>>& update_of,
+                        std::span<const real_t* const> update_of,
                         const std::vector<std::vector<index_t>>& children,
-                        MatrixView panel, std::vector<real_t>& update_out,
-                        FrontScratch& scratch, FactorKind kind,
-                        std::span<real_t> d, const PivotPolicy& pivot,
-                        FrontHooks* hooks) {
+                        MatrixView panel, std::span<real_t> update_out,
+                        std::span<real_t> m, FrontScratch& scratch,
+                        FactorKind kind, std::span<real_t> d,
+                        const PivotPolicy& pivot, FrontHooks* hooks) {
   assemble_front(sym, s, update_of, children, panel, update_out, scratch,
                  hooks != nullptr ? hooks->assembly_sums() : nullptr);
   const index_t p = sym.sn_cols(s);
@@ -212,12 +208,10 @@ count_t eliminate_front(const SymbolicFactor& sym, index_t s,
   front.boosted = factor_front_diag(sym, s, panel, kind, d, pivot);
   if (hooks != nullptr) (void)hooks->at(FrontStage::kDiagonal, front);
 
-  std::vector<real_t> m;
+  const MatrixView l21 = panel.block(p, 0, b, p);
   if (b > 0) {
-    MatrixView l11 = panel.block(0, 0, p, p);
-    MatrixView l21 = panel.block(p, 0, b, p);
     // now holds M = A21 L11^-T = L21 D
-    trsm_right_lower_trans(l11, l21);
+    trsm_right_lower_trans(panel.block(0, 0, p, p), l21);
     front.m = l21;
     if (kind == FactorKind::kLdlt) {
       // Keep M, rescale the stored panel to L21 = M D^-1, and subtract
@@ -225,7 +219,11 @@ count_t eliminate_front(const SymbolicFactor& sym, index_t s,
       ldlt_scale_panel(l21, d, sym.sn_start[s], m);
       front.m = ConstMatrixView{m.data(), b, p, b};
     }
-    if (hooks != nullptr) (void)hooks->at(FrontStage::kPanel, front);
+  }
+  if (hooks != nullptr && !hooks->at(FrontStage::kPanel, front)) {
+    return kFrontRejected;
+  }
+  if (b > 0) {
     if (kind == FactorKind::kCholesky) {
       syrk_lower_update(front.update, l21);
     } else {

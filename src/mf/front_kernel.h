@@ -30,29 +30,31 @@ struct FrontScratch {
 /// produced on request by assemble_front (the ABFT hooks'
 /// consumption-time verification — the blocks are summed from the very
 /// read the extend-add performs, never re-read). For child i (in fixed
-/// child order) and column cj of its block, entries [4*cj+0..1] hold the
-/// {value, magnitude} sums over the rows that land in the parent's panel
-/// and [4*cj+2..3] the sums over the rows that land in the parent's
-/// update seed; pre+suf is the block column's full lower sum.
+/// child order) and column cj of its block, entry [2*cj+0] holds the sum
+/// over the rows that land in the parent's panel and [2*cj+1] the sum over
+/// the rows that land in the parent's update seed; their total is the
+/// block column's full lower sum.
 struct AssemblySums {
   std::vector<std::vector<real_t>> per_child;
 };
 
-/// Stage 1 — assembly: zeroes `update_out` (resized to b x b), scatters the
-/// original matrix columns of supernode s into `panel`, then extend-adds
-/// the children's update blocks *in fixed child order* (the deterministic-
-/// merge discipline: the summation order per element never depends on the
-/// execution schedule). Children's blocks are read, not freed. The scratch
-/// map is restored on every exit path.
+/// Stage 1 — assembly: zeroes `update_out` (the b x b update block of
+/// supernode s, column-major with ld = b, in storage the caller provides),
+/// scatters the original matrix columns of s into `panel`, then
+/// extend-adds the children's update blocks *in fixed child order* (the
+/// deterministic-merge discipline: the summation order per element never
+/// depends on the execution schedule). `update_of[c]` is child c's block;
+/// children's blocks are read, not freed. The scratch map is restored on
+/// every exit path.
 ///
 /// With `sums` non-null the extend-add also records each child block's
 /// split column sums (see AssemblySums); the scatter performs the same
 /// cell updates in the same order, so the assembled front is bitwise
 /// identical either way.
 void assemble_front(const SymbolicFactor& sym, index_t s,
-                    const std::vector<std::vector<real_t>>& update_of,
+                    std::span<const real_t* const> update_of,
                     const std::vector<std::vector<index_t>>& children,
-                    MatrixView panel, std::vector<real_t>& update_out,
+                    MatrixView panel, std::span<real_t> update_out,
                     FrontScratch& scratch, AssemblySums* sums = nullptr);
 
 /// Stage 2 — diagonal-block factorization: POTRF (Cholesky) or LDLᵀ of the
@@ -66,13 +68,16 @@ count_t factor_front_diag(const SymbolicFactor& sym, index_t s,
                           std::span<real_t> d, const PivotPolicy& pivot);
 
 /// Stage 3b (LDLᵀ only, after the panel TRSM): copies M = L21 D out of the
-/// panel into `m` (b x p column-major) and rescales the stored panel to
-/// L21 = M D⁻¹. `first` is the supernode's first postordered column (the
-/// offset of its pivots in `d`).
+/// panel into the first b x p entries of `m` (column-major) and rescales
+/// the stored panel to L21 = M D⁻¹. `first` is the supernode's first
+/// postordered column (the offset of its pivots in `d`).
 void ldlt_scale_panel(MatrixView l21, std::span<const real_t> d,
-                      index_t first, std::vector<real_t>& m);
+                      index_t first, std::span<real_t> m);
 
-/// Stage boundaries of eliminate_front at which per-front hooks run.
+/// Stage boundaries of eliminate_front at which per-front hooks run:
+/// after assembly, after the diagonal block, after the panel solve (and
+/// LDLᵀ rescale; also for a front with no rows below) and after the
+/// trailing update.
 enum class FrontStage { kAssembled, kDiagonal, kPanel, kUpdated };
 
 /// Per-front hooks: the ABFT checks and fault injection (abft.cc).
@@ -115,18 +120,21 @@ inline constexpr count_t kFrontRejected = -1;
 /// kFrontRejected when a hook detected corruption.
 ///
 /// `panel` (front_order x sn_cols, zeroed) receives the factor panel; the
-/// trailing Schur complement is written into `update_out`. Children's update
-/// blocks are consumed (extend-add) but not freed here. In LDLᵀ mode `d`
-/// receives diag(D) for this supernode's columns and the panel holds the
-/// unit-diagonal L. Breakdown behaviour is factor_front_diag's. `hooks`
-/// (may be null) run after each stage and only read, except for injected
-/// faults, so a clean front is bitwise identical with or without them.
+/// trailing Schur complement is written into `update_out` (b x b, see
+/// assemble_front). Children's update blocks are consumed (extend-add) but
+/// not freed here. In LDLᵀ mode `d` receives diag(D) for this supernode's
+/// columns, the panel holds the unit-diagonal L, and `m` (at least b x p
+/// reals; unused for Cholesky) stages M = L21 D. Breakdown behaviour is
+/// factor_front_diag's. `hooks` (may be null) run after each stage and only
+/// read, except for injected faults, so a clean front is bitwise identical
+/// with or without them. The kernel allocates nothing itself.
 count_t eliminate_front(const SymbolicFactor& sym, index_t s,
-                        const std::vector<std::vector<real_t>>& update_of,
+                        std::span<const real_t* const> update_of,
                         const std::vector<std::vector<index_t>>& children,
-                        MatrixView panel, std::vector<real_t>& update_out,
-                        FrontScratch& scratch, FactorKind kind,
-                        std::span<real_t> d, const PivotPolicy& pivot = {},
+                        MatrixView panel, std::span<real_t> update_out,
+                        std::span<real_t> m, FrontScratch& scratch,
+                        FactorKind kind, std::span<real_t> d,
+                        const PivotPolicy& pivot = {},
                         FrontHooks* hooks = nullptr);
 
 /// Child lists of the assembly tree.
@@ -134,7 +142,8 @@ count_t eliminate_front(const SymbolicFactor& sym, index_t s,
     const SymbolicFactor& sym);
 
 /// Where the serial driver puts finished panels: `factor`, or else the
-/// `spill` file, written from one reused buffer once a front is final.
+/// `spill` file, written from a buffer on the update-block arena once a
+/// front is final.
 struct PanelDest {
   CholeskyFactor* factor = nullptr;
   OocCholeskyFactor* spill = nullptr;
@@ -149,6 +158,11 @@ struct PanelDest {
 /// With `abft` its hooks run on every front, a rejected front's corrupt
 /// child subtrees are re-run through this same loop before the retry, and
 /// `checksums` (may be null) receives the at-rest sums.
+///
+/// Update blocks live in one arena per call, sized by the working-set
+/// estimate (symbolic/working_set.h) and used as a stack from both ends;
+/// `stats->peak_update_bytes` is its high-water mark. Only an ABFT repair
+/// can outgrow it (its overflow blocks come from the heap).
 void factor_serial(const SymbolicFactor& sym, PanelDest dest, FactorKind kind,
                    std::span<real_t> d, PivotPolicy pivot, FactorStats* stats,
                    CancelToken cancel = {}, const AbftOptions* abft = nullptr,

@@ -21,10 +21,10 @@ WorkingSetEstimate estimate_working_set(const SymbolicFactor& sym,
   }
   if (ldlt) est.factor_bytes += static_cast<std::size_t>(sym.n) * real_sz;
 
-  // Replay the serial postorder's update-stack accounting. Both drivers
-  // allocate supernode s's b×b contribution block while the children's
-  // blocks are still live (extend-add reads them), then free the children —
-  // so the peak candidate at s is live-before + own block.
+  // Replay the serial postorder's update stack. The driver pushes supernode
+  // s's b×b contribution block while the children's blocks are still live
+  // (extend-add reads them), then pops the children — so the peak candidate
+  // at s is live-before + own block (+ the streamed panel buffer, OOC).
   std::vector<std::vector<index_t>> children(
       static_cast<std::size_t>(sym.n_supernodes));
   for (index_t s = 0; s < sym.n_supernodes; ++s) {
@@ -40,7 +40,6 @@ WorkingSetEstimate estimate_working_set(const SymbolicFactor& sym,
   };
 
   std::size_t live = 0;
-  std::size_t max_m = 0;
   for (index_t s = 0; s < sym.n_supernodes; ++s) {
     live += update_bytes(s);
     est.peak_update_bytes = std::max(est.peak_update_bytes, live);
@@ -53,13 +52,14 @@ WorkingSetEstimate estimate_working_set(const SymbolicFactor& sym,
       est.largest_front = s;
     }
     if (ldlt) {
-      max_m = std::max(max_m, static_cast<std::size_t>(sym.sn_below(s)) *
-                                  sym.sn_cols(s) * real_sz);
+      est.max_m_bytes =
+          std::max(est.max_m_bytes, static_cast<std::size_t>(sym.sn_below(s)) *
+                                        sym.sn_cols(s) * real_sz);
     }
   }
 
   est.scratch_bytes =
-      static_cast<std::size_t>(sym.n) * sizeof(index_t) + max_m;
+      static_cast<std::size_t>(sym.n) * sizeof(index_t) + est.max_m_bytes;
 
   est.peak_incore_bytes =
       est.factor_bytes + est.peak_update_bytes + est.scratch_bytes;

@@ -2,12 +2,12 @@
 //
 // The admission-control layer (mf/governed.h) must decide *before* any
 // numeric allocation whether a factorization fits a memory budget in-core,
-// fits only with the OOC panel spill, or cannot run at all. Both numeric
-// drivers walk the assembly tree in the same postorder the symbolic phase
-// fixed, so their memory profile is fully determined here: this walk mirrors
-// the drivers' own accounting step for step, and `peak_update_bytes` is
-// byte-exact against the `FactorStats::peak_update_bytes` a real run
-// reports (governance_test asserts this).
+// fits only with the OOC panel spill, or cannot run at all. The serial
+// driver walks the assembly tree in the postorder the symbolic phase fixed,
+// so its memory profile is fully determined here — and the driver sizes
+// its update-block arena from this estimate, so `peak_update_bytes` (and
+// the OOC resident peak) is byte-exact against the arena high-water mark
+// `FactorStats::peak_update_bytes` reports (governance_test asserts this).
 #pragma once
 
 #include <cstddef>
@@ -23,14 +23,18 @@ struct WorkingSetEstimate {
   /// vector when factoring LDLᵀ. Allocated upfront by CholeskyFactor.
   std::size_t factor_bytes = 0;
   /// Peak of the multifrontal update stack in the serial postorder — live
-  /// children's contribution blocks plus the front being eliminated.
-  /// Byte-exact vs FactorStats::peak_update_bytes of the in-core driver.
+  /// children's contribution blocks plus the front being eliminated. The
+  /// in-core serial driver's arena size, hence byte-exact vs its
+  /// FactorStats::peak_update_bytes.
   std::size_t peak_update_bytes = 0;
-  /// Peak of (update stack + streamed panel buffer) in the OOC driver.
-  /// Byte-exact vs FactorStats::peak_update_bytes of the OOC driver.
+  /// Peak of (update stack + streamed panel buffer): the OOC driver's arena
+  /// size, byte-exact vs its FactorStats::peak_update_bytes.
   std::size_t peak_ooc_update_bytes = 0;
-  /// Side allocations both drivers make: the FrontScratch index map and,
-  /// for LDLᵀ, the largest per-front M = L21·D staging buffer.
+  /// Largest per-front LDLᵀ M = L21·D staging buffer (0 for Cholesky): the
+  /// one M buffer the serial driver allocates.
+  std::size_t max_m_bytes = 0;
+  /// Side allocations both drivers make: the FrontScratch index map and
+  /// max_m_bytes.
   std::size_t scratch_bytes = 0;
 
   /// Total admission requirement for an in-core run.

@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include "api/solver.h"
+#include "mf/abft.h"
 #include "mf/governed.h"
 #include "mf/multifrontal.h"
 #include "mf/ooc.h"
@@ -181,6 +182,15 @@ TEST(WorkingSetEstimate, MatchesMeasuredInCorePeakExactly) {
   EXPECT_EQ(est.factor_bytes,
             static_cast<std::size_t>(factor.stored_entries()) *
                 sizeof(real_t));
+  // The same arena discipline under LDLᵀ and with the ABFT hooks on.
+  FactorStats ldlt;
+  (void)multifrontal_factor(sym, &ldlt, FactorKind::kLdlt);
+  EXPECT_EQ(estimate_working_set(sym, true).peak_update_bytes,
+            ldlt.peak_update_bytes);
+  FactorStats abft;
+  (void)multifrontal_factor_abft(sym, &abft);
+  EXPECT_EQ(abft.abft_detections, 0);
+  EXPECT_EQ(est.peak_update_bytes, abft.peak_update_bytes);
 }
 
 TEST(WorkingSetEstimate, MatchesMeasuredOocResidentPeakExactly) {

@@ -1,6 +1,9 @@
 // Tests for the multifrontal factorization, the solve phase, and agreement
 // with the simplicial baseline.
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,6 +15,36 @@
 #include "sparse/ops.h"
 #include "support/prng.h"
 #include "symbolic/symbolic_factor.h"
+
+// Counts the allocations of at least 4 KiB made while counting is on,
+// through the replaced global operator new below.
+namespace alloc_count {
+constexpr std::size_t kLarge = 4096;
+std::atomic<bool> enabled{false};
+std::atomic<long> large{0};
+}  // namespace alloc_count
+
+// Out of line: inlined into a caller, the malloc()/free() inside would read
+// as a mismatched new/delete pair to GCC's -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (size >= alloc_count::kLarge &&
+      alloc_count::enabled.load(std::memory_order_relaxed)) {
+    alloc_count::large.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void* operator new[](std::size_t size) {
+  return ::operator new(size);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace parfact {
 namespace {
@@ -44,6 +77,28 @@ TEST(Multifrontal, SolvesSuiteMatrices) {
     EXPECT_EQ(stats.flops, sym.total_flops);
     EXPECT_GT(stats.peak_update_bytes, 0u) << prob.name;
   }
+}
+
+// The serial driver allocates its update-block storage once per call, so
+// the number of large allocations in an in-place refactorization does not
+// grow with the number of fronts (a heap block per front would).
+TEST(Multifrontal, RefactorLargeAllocationsDoNotGrowWithFronts) {
+  std::vector<long> counts;
+  std::vector<index_t> fronts;
+  for (const index_t k : {11, 16}) {
+    const SymbolicFactor sym = analyze(grid_laplacian_3d(k, k, k));
+    CholeskyFactor factor = multifrontal_factor(sym);
+    alloc_count::large = 0;
+    alloc_count::enabled = true;
+    multifrontal_refactor(sym, factor);
+    alloc_count::enabled = false;
+    counts.push_back(alloc_count::large.load());
+    fronts.push_back(sym.n_supernodes);
+  }
+  ASSERT_LT(fronts[0], fronts[1]);
+  EXPECT_GT(counts[0], 0);  // the arena itself
+  EXPECT_EQ(counts[0], counts[1]) << fronts[0] << " vs " << fronts[1]
+                                  << " fronts";
 }
 
 TEST(Multifrontal, MatchesSimplicialFactor) {

@@ -205,6 +205,38 @@ INSTANTIATE_TEST_SUITE_P(Sites, AbftSiteP,
                          ::testing::Values(SdcSite::kAssembly, SdcSite::kPotrf,
                                            SdcSite::kTrsm, SdcSite::kUpdate));
 
+// A repair re-runs a child subtree while its parent's block is live, which
+// the clean postorder never holds at once: the update-block arena overflows
+// into heap blocks, and the healed factor is still bitwise identical.
+TEST(Abft, UpdateFlipRepairBeyondArenaHealsBitwise) {
+  const SparseMatrix a = test_matrix();
+  const SymbolicFactor sym = analyze(a);
+  const CholeskyFactor reference = multifrontal_factor(sym);
+  // The first supernode with rows below and children of its own: its
+  // block's repair re-runs a subtree of more than one front.
+  index_t target = kNone;
+  for (index_t s = 0; s < sym.n_supernodes && target == kNone; ++s) {
+    if (sym.sn_below(s) == 0) continue;
+    for (index_t t = 0; t < s; ++t) {
+      if (sym.sn_parent[t] == s) target = s;
+    }
+  }
+  ASSERT_NE(target, kNone);
+  SdcInjection inject;
+  inject.site = SdcSite::kUpdate;
+  inject.supernode = target;
+  AbftOptions options;
+  options.inject = &inject;
+  FactorStats stats;
+  const CholeskyFactor healed = multifrontal_factor_abft(
+      sym, &stats, FactorKind::kCholesky, {}, options);
+  EXPECT_EQ(stats.abft_detections, 1);
+  EXPECT_GE(stats.fronts_recomputed, 2);
+  EXPECT_GT(stats.peak_update_bytes,
+            estimate_working_set(sym, false).peak_update_bytes);
+  expect_factors_bitwise_equal(sym, reference, healed);
+}
+
 TEST(Abft, LdltFlipDetectedAndHealed) {
   const SparseMatrix a = test_matrix();
   const SymbolicFactor sym = analyze(a);
