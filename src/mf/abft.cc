@@ -142,27 +142,12 @@ __attribute__((always_inline)) inline real_t sum8(const real_t* v, index_t n) {
          ((s1[0] + s1[1]) + (s1[2] + s1[3]));
 }
 
-// One L11 column's contribution to both triangular identities:
-// p2 += w1*col, s2 += w1a*|col|, p3 += w2*col, s3 += w2a*|col|.
-PARFACT_ABFT_CLONES
-void accum_two_weighted(real_t* p2, real_t* s2, real_t* p3, real_t* s3,
-                        const real_t* col, index_t n, real_t w1, real_t w1a,
-                        real_t w2, real_t w2a) {
-  for (index_t i = 0; i < n; ++i) {
-    const real_t v = col[i];
-    const real_t av = std::abs(v);
-    p2[i] += w1 * v;
-    s2[i] += w1a * av;
-    p3[i] += w2 * v;
-    s3[i] += w2a * av;
-  }
-}
-
-// Two adjacent L11 columns' contributions, in column order: `c0` from row
-// 0, `c1` (the next column, same base row) from row 1 — each element sees
-// the same additions as two accum_two_weighted calls, with the four
-// prediction streams loaded and stored once. w = {w1, w1a, w2, w2a} of c0,
-// then of c1.
+// Two adjacent L11 columns' contributions to both triangular identities,
+// in column order: `c0` from row 0, `c1` (the next column, same base row)
+// from row 1, each adding p2 += w1*col, s2 += w1a*|col|, p3 += w2*col,
+// s3 += w2a*|col| with the four prediction streams loaded and stored once.
+// w = {w1, w1a, w2, w2a} of c0, then of c1. With n == 1 only c0[0] and
+// w[0..3] are read: a lone last column passes itself as c1.
 PARFACT_ABFT_CLONES
 void accum_two_weighted_pair(real_t* __restrict p2, real_t* __restrict s2,
                              real_t* __restrict p3, real_t* __restrict s3,
@@ -681,14 +666,9 @@ class AbftHooks final : public detail::FrontHooks {
         w[4 * q + 2] = msums_.sum[uk];
         w[4 * q + 3] = msums_.abs[uk];
       }
-      const real_t* col = l11.data + static_cast<std::size_t>(k) * l11.ld;
-      if (cols == 2) {
-        accum_two_weighted_pair(p2 + k, s2 + k, p3 + k, s3 + k, col + k,
-                                col + l11.ld + k, p - k, w);
-      } else {
-        accum_two_weighted(p2 + k, s2 + k, p3 + k, s3 + k, col + k, p - k,
-                           w[0], w[1], w[2], w[3]);
-      }
+      const real_t* c0 = l11.data + static_cast<std::size_t>(k) * l11.ld + k;
+      accum_two_weighted_pair(p2 + k, s2 + k, p3 + k, s3 + k, c0,
+                              cols == 2 ? c0 + l11.ld : c0, p - k, w);
     }
     if (boosted == 0) {
       for (index_t j = 0; j < p; ++j) {

@@ -73,7 +73,8 @@ namespace {
 // the live bytes: sized by the working-set estimate's peak, a clean run
 // always fits. A push that does not fit — only an ABFT repair, which
 // re-runs a subtree while its parent's other children are live, gets there
-// — gets a heap block of its own, released on pop.
+// — gets a heap block of its own, released on pop, and is counted so the
+// driver can check that a clean run never overflows.
 class UpdateArena {
  public:
   explicit UpdateArena(std::size_t bytes)
@@ -90,6 +91,7 @@ class UpdateArena {
     used_ += n;
     high_ = std::max(high_, used_);
     if (front_ + back_ + n > cap_) {
+      ++overflow_pushes_;
       return overflow_.emplace_back(std::make_unique_for_overwrite<real_t[]>(n))
           .get();
     }
@@ -122,6 +124,8 @@ class UpdateArena {
   [[nodiscard]] std::size_t high_water_bytes() const {
     return high_ * sizeof(real_t);
   }
+  // Pushes that got a heap block because the arena was full.
+  [[nodiscard]] count_t overflow_pushes() const { return overflow_pushes_; }
 
  private:
   const std::size_t cap_;  ///< reals
@@ -130,6 +134,7 @@ class UpdateArena {
   std::size_t back_ = 0;
   std::size_t used_ = 0;  ///< reals in use, overflow blocks included
   std::size_t high_ = 0;
+  count_t overflow_pushes_ = 0;
   std::vector<std::unique_ptr<real_t[]>> overflow_;
 };
 
@@ -253,6 +258,9 @@ void factor_serial(const SymbolicFactor& sym, PanelDest dest, FactorKind kind,
   } else {
     driver.run(first_descendant(sym, root), root);
   }
+  // The arena holds the estimate's peak, so only a repair may overflow it.
+  PARFACT_CHECK(driver.fronts_recomputed > 0 ||
+                driver.arena.overflow_pushes() == 0);
   if (stats == nullptr) return;
   *stats = FactorStats{};
   stats->seconds = timer.seconds();

@@ -81,12 +81,15 @@ TEST(Multifrontal, SolvesSuiteMatrices) {
 
 // The serial driver allocates its update-block storage once per call, so
 // the number of large allocations in an in-place refactorization does not
-// grow with the number of fronts (a heap block per front would).
+// grow with the number of fronts (a heap block per front would). Per-call
+// tables sized by n or by the number of fronts may each cross the 4 KiB
+// line between the two grids, so the counts may differ by that many.
 TEST(Multifrontal, RefactorLargeAllocationsDoNotGrowWithFronts) {
+  constexpr long kPerCallTables = 8;
   std::vector<long> counts;
   std::vector<index_t> fronts;
-  for (const index_t k : {11, 16}) {
-    const SymbolicFactor sym = analyze(grid_laplacian_3d(k, k, k));
+  for (const index_t k : {40, 150}) {
+    const SymbolicFactor sym = analyze(grid_laplacian_2d(k, k));
     CholeskyFactor factor = multifrontal_factor(sym);
     alloc_count::large = 0;
     alloc_count::enabled = true;
@@ -95,10 +98,11 @@ TEST(Multifrontal, RefactorLargeAllocationsDoNotGrowWithFronts) {
     counts.push_back(alloc_count::large.load());
     fronts.push_back(sym.n_supernodes);
   }
-  ASSERT_LT(fronts[0], fronts[1]);
+  ASSERT_GT(fronts[1] - fronts[0], 10 * kPerCallTables);
   EXPECT_GT(counts[0], 0);  // the arena itself
-  EXPECT_EQ(counts[0], counts[1]) << fronts[0] << " vs " << fronts[1]
-                                  << " fronts";
+  EXPECT_LE(counts[1] - counts[0], kPerCallTables)
+      << counts[0] << " vs " << counts[1] << " large allocations for "
+      << fronts[0] << " vs " << fronts[1] << " fronts";
 }
 
 TEST(Multifrontal, MatchesSimplicialFactor) {
