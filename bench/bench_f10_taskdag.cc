@@ -402,10 +402,8 @@ int main(int argc, char** argv) {
     const SparseMatrix a = smoke ? grid_laplacian_3d(10, 10, 10, 7)
                                  : grid_laplacian_3d(14, 14, 14, 7);
     const SymbolicFactor sym = analyze_nested_dissection(a);
-    constexpr DistConfig look{DistConfig::Schedule::kLookahead,
-                              DistConfig::ExtendAddFormat::kPacked};
-    constexpr DistConfig dagc{DistConfig::Schedule::kTaskDag,
-                              DistConfig::ExtendAddFormat::kPacked};
+    constexpr DistConfig look{DistConfig::Schedule::kLookahead};
+    constexpr DistConfig dagc{DistConfig::Schedule::kTaskDag};
     std::printf("%6s %14s %14s %10s %10s\n", "P", "lookahead [s]",
                 "taskdag [s]", "eff(look)", "eff(dag)");
     for (const int p : {64, 256, 1024}) {

@@ -24,8 +24,7 @@ int main() {
   const mpsim::MachineModel model = bench::calibrated_model();
   const int ps[] = {1, 4, 16, 64, 256, 1024};
   constexpr int kExecutedP = 64;  // executed fan-both column pinned here
-  constexpr DistConfig dag_cfg{DistConfig::Schedule::kTaskDag,
-                               DistConfig::ExtendAddFormat::kPacked};
+  constexpr DistConfig dag_cfg{DistConfig::Schedule::kTaskDag};
   bench::JsonEmitter json("t2_factor_scaling");
 
   for (const auto& prob : bench::suite()) {

@@ -21,8 +21,11 @@ static_assert(kMR * sizeof(real_t) == 64);
 // Compile the micro-kernels for the baseline ISA plus AVX2/FMA and AVX-512
 // where the toolchain supports function multi-versioning; the dynamic
 // linker picks the best clone for the machine at load time. This keeps the
-// default (portable) build within ~peak of a -march=native build.
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
+// default (portable) build within ~peak of a -march=native build. TSan
+// builds keep only the default clone: GCC 12's TSan runtime crashes before
+// main on the ifunc resolvers.
+#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
+    !defined(__SANITIZE_THREAD__)
 #define PARFACT_KERNEL_CLONES \
   __attribute__(( \
       target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))

@@ -1,7 +1,10 @@
-// Tuning knobs of the distributed factorization. Both knobs are pure
-// schedule/wire-format choices: every combination produces the bitwise
-// identical factor (tests/dist_test.cc asserts it), they differ only in
-// virtual time and message volume.
+// Tuning knob of the distributed factorization. The schedule is a pure
+// communication choice: every schedule produces the bitwise identical
+// factor (tests/dist_test.cc asserts it), they differ only in virtual time
+// and message count. Extend-add contributions always travel as packed
+// dense values in canonical order (8 B/entry); the index "header" is
+// implicit — both endpoints derive the same enumeration from the symbolic
+// structure (dist/extend_add.h).
 #pragma once
 
 namespace parfact {
@@ -10,25 +13,19 @@ struct DistConfig {
   /// Block-column schedule of the 2-D block-cyclic front factorization.
   enum class Schedule {
     kBlocking,   ///< fully synchronous right-looking loop (PR 1 behavior)
-    kLookahead,  ///< depth-1 panel lookahead with preposted receives
+    kLookahead,  ///< depth-1 panel lookahead with preposted receives, after
+                 ///< one collective extend-add per front
     kTaskDag,    ///< fan-both: children stream one extend-add message per
                  ///< destination panel, the parent consumes them as they
                  ///< arrive (Comm::wait_any over a preposted pool) and merges
                  ///< each panel in fixed (child, source-rank) order just
                  ///< before its first touch — no collective assembly barrier.
-                 ///< Executed by dist_factor since PR 9; perf/dag_sim replays
-                 ///< the same per-panel floor discipline for large-P studies.
-  };
-  /// Wire format of the child → parent extend-add contributions.
-  enum class ExtendAddFormat {
-    kTriples,  ///< per-entry {row, col, value} triples (16 B/entry)
-    kPacked,   ///< packed dense values in canonical order (8 B/entry); the
-               ///< index "header" is implicit — both endpoints derive the
-               ///< same enumeration from the symbolic structure
+                 ///< Runs the same pipelined panel loop as kLookahead;
+                 ///< perf/dag_sim replays the same per-panel floor
+                 ///< discipline for large-P studies.
   };
 
   Schedule schedule = Schedule::kLookahead;
-  ExtendAddFormat extend_add = ExtendAddFormat::kPacked;
 };
 
 }  // namespace parfact

@@ -25,17 +25,11 @@ constexpr int kTagExtendAdd = 0;
 constexpr int kTagDiag = 1;
 constexpr int kTagPanel = 2;
 /// Fan-both per-panel extend-add streams (kTaskDag). The tag is keyed by
-/// (parent, child index) — see RankProgram::ea_stream_tag — so a source
-/// rank participating in two children of one parent gets two distinct
-/// FIFO channels.
+/// the *child* supernode (tag = kTagStride * child + kTagEaStream): a child
+/// has exactly one parent, so a source rank participating in two children
+/// of one parent gets two distinct FIFO channels.
 constexpr int kTagEaStream = 3;
 constexpr int kTagStride = 8;
-
-struct EntryTriple {
-  index_t row;  // front-local row of the *parent* front
-  index_t col;  // front-local col of the parent front
-  real_t value;
-};
 
 /// The locally owned pieces of one front on one rank.
 class LocalFront {
@@ -130,7 +124,6 @@ class RankProgram {
 
   /// Extend-add wire traffic this rank produced (sender-side count).
   [[nodiscard]] count_t extend_add_bytes() const { return ea_bytes_; }
-  [[nodiscard]] count_t extend_add_entries() const { return ea_entries_; }
 
  private:
   void process_front(index_t s) {
@@ -148,24 +141,27 @@ class RankProgram {
     if (config_.schedule == DistConfig::Schedule::kTaskDag) {
       // Fan-both: prepost the per-panel extend-add pool before touching the
       // matrix entries, merge each panel just before its first touch
-      // (inside factorize_taskdag), then stream this front's own
+      // (inside factorize_pipelined), then stream this front's own
       // contributions per destination panel. The pool is fully drained by
       // the end of the factorization, so the checkpoint boundary below sees
       // no outstanding receives.
       EaStreams ea = build_ea_streams(s, fb);
       assemble_matrix_entries(s, front);
-      factorize_taskdag(s, front, pr, pc, gr, gc, ea);
+      factorize_pipelined(s, front, pr, pc, gr, gc, ea);
       store_panel(s, front);
       send_update_taskdag(s, front, gr, gc);
       comm_.memory_sub(front.bytes());
       return;
     }
 
-    // Lookahead schedule: prepost one receive per (child, source rank)
-    // extend-add message before touching the matrix entries, so the
-    // children's contribution traffic arrives while this rank assembles.
+    // Collective extend-add. The lookahead schedule preposts one receive
+    // per (child, source rank) message before touching the matrix entries,
+    // so the children's contribution traffic arrives while this rank
+    // assembles.
+    const bool lookahead =
+        config_.schedule == DistConfig::Schedule::kLookahead;
     std::vector<mpsim::Request> ea_reqs;
-    if (config_.schedule == DistConfig::Schedule::kLookahead) {
+    if (lookahead) {
       for (index_t c : children_[s]) {
         const int begin = map_.rank_begin[c];
         const int end = begin + map_.rank_count[c];
@@ -177,7 +173,14 @@ class RankProgram {
     }
     assemble_matrix_entries(s, front);
     receive_extend_adds(s, front, ea_reqs);
-    factorize(s, front, pr, pc, gr, gc);
+    if (lookahead) {
+      // Every contribution is merged already: with an empty stream pool
+      // the pipelined loop is the plain depth-1 panel lookahead.
+      EaStreams merged;
+      factorize_pipelined(s, front, pr, pc, gr, gc, merged);
+    } else {
+      factorize_blocking(s, front, pr, pc, gr, gc);
+    }
     store_panel(s, front);
     send_update(s, front, gr, gc);
     comm_.memory_sub(front.bytes());
@@ -227,50 +230,27 @@ class RankProgram {
       const int tag = kTagStride * static_cast<int>(s) + kTagExtendAdd;
       // The receiver replays the sender's canonical enumeration to
       // reconstruct the packed payload's indices (see extend_add.h).
-      ExtendAddPlan plan;
-      if (config_.extend_add == DistConfig::ExtendAddFormat::kPacked) {
-        plan = make_extend_add_plan(sym_, map_, c);
-      }
+      const ExtendAddPlan plan = make_extend_add_plan(sym_, map_, c);
       for (int src = begin; src < end; ++src) {
-        if (config_.extend_add == DistConfig::ExtendAddFormat::kTriples) {
-          const auto triples =
-              posted ? comm_.wait_vec<EntryTriple>(ea_reqs[next_req++])
-                     : comm_.recv_vec<EntryTriple>(src, tag);
-          for (const EntryTriple& t : triples) {
-            front.add_entry(t.row, t.col, t.value);
-          }
-          comm_.advance_bytes(static_cast<count_t>(triples.size()) *
-                              static_cast<count_t>(sizeof(EntryTriple)));
-        } else {
-          const auto values =
-              posted ? comm_.wait_vec<real_t>(ea_reqs[next_req++])
-                     : comm_.recv_vec<real_t>(src, tag);
-          const auto [sgr, sgc] = map_.grid_coords(c, src);
-          std::size_t pos = 0;
-          for_each_contribution(
-              plan, map_, sgr, sgc,
-              [&](index_t, index_t, index_t, index_t, index_t row,
-                  index_t col, int owner) {
-                if (owner != comm_.rank()) return;
-                PARFACT_CHECK_MSG(pos < values.size(),
-                                  "packed extend-add payload too short");
-                front.add_entry(row, col, values[pos++]);
-              });
-          PARFACT_CHECK_MSG(pos == values.size(),
-                            "packed extend-add payload size mismatch");
-          comm_.advance_bytes(static_cast<count_t>(values.size()) *
-                              static_cast<count_t>(sizeof(real_t)));
-        }
+        const auto values = posted
+                                ? comm_.wait_vec<real_t>(ea_reqs[next_req++])
+                                : comm_.recv_vec<real_t>(src, tag);
+        const auto [sgr, sgc] = map_.grid_coords(c, src);
+        std::size_t pos = 0;
+        for_each_contribution(
+            plan, map_, sgr, sgc,
+            [&](index_t, index_t, index_t, index_t, index_t row, index_t col,
+                int owner) {
+              if (owner != comm_.rank()) return;
+              PARFACT_CHECK_MSG(pos < values.size(),
+                                "packed extend-add payload too short");
+              front.add_entry(row, col, values[pos++]);
+            });
+        PARFACT_CHECK_MSG(pos == values.size(),
+                          "packed extend-add payload size mismatch");
+        comm_.advance_bytes(static_cast<count_t>(values.size()) *
+                            static_cast<count_t>(sizeof(real_t)));
       }
-    }
-  }
-
-  void factorize(index_t s, LocalFront& front, int pr, int pc, int gr,
-                 int gc) {
-    if (config_.schedule == DistConfig::Schedule::kBlocking) {
-      factorize_blocking(s, front, pr, pc, gr, gc);
-    } else {
-      factorize_lookahead(s, front, pr, pc, gr, gc);
     }
   }
 
@@ -679,38 +659,6 @@ class RankProgram {
     }
   }
 
-  /// Depth-1 panel-lookahead schedule. While every rank applies panel kb's
-  /// trailing updates, panel kb+1 is already factored and its blocks are in
-  /// flight. The trailing update is split into the *urgent* part (block
-  /// column kb+1 — the one factor_column(kb+1) is about to read) and the
-  /// *lazy* rest; per block, updates still apply in strictly ascending kb
-  /// with identical operands, so the factor is bitwise identical to the
-  /// blocking schedule's.
-  void factorize_lookahead(index_t s, LocalFront& front, int pr, int pc,
-                           int gr, int gc) {
-    const FrontBlocking& fb = front.blocking();
-    if (fb.kp == 0) return;
-    PanelState cur;
-    post_panel_receives(s, fb, pr, pc, gr, gc, 0, cur);
-    factor_column(s, front, pr, pc, gr, gc, 0, cur);
-    for (index_t kb = 0; kb < fb.kp; ++kb) {
-      collect_panels(fb, kb, cur);
-      update_block_columns(s, front, pr, pc, gr, gc, kb, cur, kb + 1,
-                           std::min<index_t>(kb + 2, fb.nB));
-      if (kb + 1 < fb.kp) {
-        PanelState next;
-        post_panel_receives(s, fb, pr, pc, gr, gc, kb + 1, next);
-        factor_column(s, front, pr, pc, gr, gc, kb + 1, next);
-        update_block_columns(s, front, pr, pc, gr, gc, kb, cur, kb + 2,
-                             fb.nB);
-        cur = std::move(next);
-      } else {
-        update_block_columns(s, front, pr, pc, gr, gc, kb, cur, kb + 2,
-                             fb.nB);
-      }
-    }
-  }
-
   /// Per-front fan-both extend-add pool: one preposted irecv per non-empty
   /// (destination panel, child, source rank) stream message. Slots (and
   /// requests) are ordered (panel, child, source) ascending — need order,
@@ -718,18 +666,16 @@ class RankProgram {
   /// requires — and per (source, tag) channel that order is panel-ascending,
   /// matching the sender's panel-ascending send loop, so FIFO tickets line
   /// up with message identity.
+  /// A default-constructed pool is empty: every panel is already merged.
   struct EaStreams {
     struct Slot {
-      index_t panel = 0;          ///< destination parent block column
-      std::size_t child_pos = 0;  ///< index into children_[s] (tag key)
-      int src = -1;               ///< sending child rank
+      index_t panel = 0;    ///< destination parent block column
+      index_t child = 0;    ///< sending child supernode (tag key)
+      int src = -1;         ///< sending child rank
       /// This rank's (row, col) targets in canonical order restricted to
-      /// this slot — the packed payload's implicit index header. Triples
-      /// carry indices on the wire; the list then only pins the expected
-      /// entry count.
+      /// this slot — the packed payload's implicit index header.
       std::vector<std::pair<index_t, index_t>> targets;
-      std::vector<real_t> values;        ///< packed payload, once arrived
-      std::vector<EntryTriple> triples;  ///< triples payload, once arrived
+      std::vector<real_t> values;  ///< packed payload, once arrived
     };
     std::vector<Slot> slots;
     std::vector<mpsim::Request> reqs;  ///< parallel to slots (posting order)
@@ -738,21 +684,6 @@ class RankProgram {
     index_t next_panel = 0;    ///< first panel not yet merged
     std::size_t drained = 0;   ///< every request below this index is done
   };
-
-  /// Tag of the fan-both extend-add stream from child #child_pos of parent
-  /// front `parent`. All panels of one (child, source) stream share the
-  /// channel; the child *index* — not the child supernode — keys it so a
-  /// source rank serving two children of one parent gets two distinct FIFO
-  /// channels, and the n_supernodes multiplier keeps the space disjoint
-  /// from every kTagStride * s tag of the other purposes.
-  [[nodiscard]] int ea_stream_tag(index_t parent,
-                                  std::size_t child_pos) const {
-    return kTagStride *
-               static_cast<int>(parent +
-                                sym_.n_supernodes *
-                                    static_cast<index_t>(child_pos)) +
-           kTagEaStream;
-  }
 
   /// Enumerates every child cell once, bucketing this rank's owned targets
   /// by destination panel, then posts the pool in (panel, child, source)
@@ -800,7 +731,7 @@ class RankProgram {
           if (targets.empty()) continue;
           EaStreams::Slot slot;
           slot.panel = p;
-          slot.child_pos = cp;
+          slot.child = c;
           slot.src = src;
           slot.targets = std::move(targets);
           ea.slots.push_back(std::move(slot));
@@ -810,21 +741,10 @@ class RankProgram {
     ea.panel_begin[static_cast<std::size_t>(fb.nB)] = ea.slots.size();
     ea.reqs.reserve(ea.slots.size());
     for (const EaStreams::Slot& slot : ea.slots) {
-      ea.reqs.push_back(
-          comm_.irecv(slot.src, ea_stream_tag(s, slot.child_pos)));
+      ea.reqs.push_back(comm_.irecv(
+          slot.src, kTagStride * static_cast<int>(slot.child) + kTagEaStream));
     }
     return ea;
-  }
-
-  /// Moves a completed request's payload into its slot (wait on a done
-  /// request returns immediately with the buffered bytes).
-  void extract_slot(EaStreams& ea, std::size_t idx) {
-    EaStreams::Slot& slot = ea.slots[idx];
-    if (config_.extend_add == DistConfig::ExtendAddFormat::kTriples) {
-      slot.triples = comm_.wait_vec<EntryTriple>(ea.reqs[idx]);
-    } else {
-      slot.values = comm_.wait_vec<real_t>(ea.reqs[idx]);
-    }
   }
 
   /// Drains the pool through panel jb — buffering whatever else wait_any's
@@ -834,13 +754,15 @@ class RankProgram {
   /// the blocking schedule's: at most one entry per (child, source) message
   /// (extend_add.h), applied children-ascending then source-ascending.
   void ensure_assembled(index_t jb, LocalFront& front, EaStreams& ea) {
-    if (ea.next_panel > jb) return;
+    if (ea.slots.empty() || ea.next_panel > jb) return;
     const std::size_t end =
         ea.panel_begin[static_cast<std::size_t>(jb) + 1];
     for (;;) {
       while (ea.drained < end && ea.reqs[ea.drained].done()) ++ea.drained;
       if (ea.drained >= end) break;
-      extract_slot(ea, comm_.wait_any(ea.reqs));
+      // Waiting on a done request returns its buffered payload at once.
+      const std::size_t idx = comm_.wait_any(ea.reqs);
+      ea.slots[idx].values = comm_.wait_vec<real_t>(ea.reqs[idx]);
     }
     for (; ea.next_panel <= jb; ++ea.next_panel) {
       const std::size_t p0 =
@@ -849,45 +771,41 @@ class RankProgram {
           ea.panel_begin[static_cast<std::size_t>(ea.next_panel) + 1];
       for (std::size_t i = p0; i < p1; ++i) {
         EaStreams::Slot& slot = ea.slots[i];
-        if (config_.extend_add == DistConfig::ExtendAddFormat::kTriples) {
-          PARFACT_CHECK_MSG(slot.triples.size() == slot.targets.size(),
-                            "fan-both triples stream size mismatch");
-          for (const EntryTriple& t : slot.triples) {
-            front.add_entry(t.row, t.col, t.value);
-          }
-          comm_.advance_bytes(static_cast<count_t>(slot.triples.size()) *
-                              static_cast<count_t>(sizeof(EntryTriple)));
-          slot.triples = {};
-        } else {
-          PARFACT_CHECK_MSG(slot.values.size() == slot.targets.size(),
-                            "fan-both packed stream size mismatch");
-          for (std::size_t k = 0; k < slot.targets.size(); ++k) {
-            front.add_entry(slot.targets[k].first, slot.targets[k].second,
-                            slot.values[k]);
-          }
-          comm_.advance_bytes(static_cast<count_t>(slot.values.size()) *
-                              static_cast<count_t>(sizeof(real_t)));
-          slot.values = {};
+        PARFACT_CHECK_MSG(slot.values.size() == slot.targets.size(),
+                          "fan-both packed stream size mismatch");
+        for (std::size_t k = 0; k < slot.targets.size(); ++k) {
+          front.add_entry(slot.targets[k].first, slot.targets[k].second,
+                          slot.values[k]);
         }
+        comm_.advance_bytes(static_cast<count_t>(slot.values.size()) *
+                            static_cast<count_t>(sizeof(real_t)));
+        slot.values = {};
       }
     }
   }
 
-  /// Fan-both schedule: the depth-1 lookahead pipeline (same panel
-  /// broadcasts, same urgent/lazy trailing-update split, same per-channel
-  /// send orders) with the collective extend-add barrier dissolved into
-  /// per-panel arrival floors. Where blocking/lookahead wait for every
-  /// child contribution before the first panel factors, this schedule
-  /// merges each destination panel just before its first touch: panel 0
-  /// before factor_column(0), panel kb+1 before its urgent update, and
-  /// each lazily-updated column inside the lazy sweep — so factoring
-  /// starts while children are still streaming their later panels. Per
-  /// scalar the addition order is exactly factorize_blocking's (A-scatter,
-  /// then child contributions in fixed (child, source-rank) order, then
-  /// panel updates ascending kb with identical operands), so the factor is
-  /// bitwise identical.
-  void factorize_taskdag(index_t s, LocalFront& front, int pr, int pc,
-                         int gr, int gc, EaStreams& ea) {
+  /// Depth-1 panel-lookahead pipeline shared by kLookahead and kTaskDag.
+  /// While every rank applies panel kb's trailing updates, panel kb+1 is
+  /// already factored and its blocks are in flight. The trailing update is
+  /// split into the *urgent* part (block column kb+1 — the one
+  /// factor_column(kb+1) is about to read) and the *lazy* rest, applied one
+  /// block column at a time in ascending order.
+  ///
+  /// Under kTaskDag the collective extend-add barrier is dissolved into
+  /// per-panel arrival floors: each destination panel of `ea` is merged
+  /// just before its first touch — panel 0 before factor_column(0), panel
+  /// kb+1 before its urgent update, each lazily-updated column inside the
+  /// lazy sweep — so factoring starts while children are still streaming
+  /// their later panels. kLookahead passes an empty pool (its collective
+  /// extend-add has merged everything), which makes every ensure_assembled
+  /// a no-op.
+  ///
+  /// Per scalar the addition order is exactly factorize_blocking's
+  /// (A-scatter, then child contributions in fixed (child, source-rank)
+  /// order, then panel updates ascending kb with identical operands), so
+  /// the factor is bitwise identical.
+  void factorize_pipelined(index_t s, LocalFront& front, int pr, int pc,
+                           int gr, int gc, EaStreams& ea) {
     const FrontBlocking& fb = front.blocking();
     if (fb.kp > 0) {
       ensure_assembled(0, front, ea);
@@ -899,30 +817,24 @@ class RankProgram {
         if (kb + 1 < fb.nB) ensure_assembled(kb + 1, front, ea);
         update_block_columns(s, front, pr, pc, gr, gc, kb, cur, kb + 1,
                              std::min<index_t>(kb + 2, fb.nB));
+        PanelState next;
         if (kb + 1 < fb.kp) {
-          PanelState next;
           post_panel_receives(s, fb, pr, pc, gr, gc, kb + 1, next);
           factor_column(s, front, pr, pc, gr, gc, kb + 1, next);
-          for (index_t jb = kb + 2; jb < fb.nB; ++jb) {
-            ensure_assembled(jb, front, ea);
-            update_block_columns(s, front, pr, pc, gr, gc, kb, cur, jb,
-                                 jb + 1);
-          }
-          cur = std::move(next);
-        } else {
-          for (index_t jb = kb + 2; jb < fb.nB; ++jb) {
-            ensure_assembled(jb, front, ea);
-            update_block_columns(s, front, pr, pc, gr, gc, kb, cur, jb,
-                                 jb + 1);
-          }
         }
+        for (index_t jb = kb + 2; jb < fb.nB; ++jb) {
+          ensure_assembled(jb, front, ea);
+          update_block_columns(s, front, pr, pc, gr, gc, kb, cur, jb,
+                               jb + 1);
+        }
+        cur = std::move(next);
       }
     }
     // Full drain (mostly a no-op — the sweeps above ensured every panel a
     // trailing update touches): the checkpoint boundary after this front
     // requires every posted receive to be complete, including streams into
     // panels no update ever touched.
-    if (!ea.slots.empty()) ensure_assembled(fb.nB - 1, front, ea);
+    ensure_assembled(fb.nB - 1, front, ea);
   }
 
   /// True iff grid row `ri` owns any block (ib, kb) with ib > kb.
@@ -978,9 +890,9 @@ class RankProgram {
   }
 
   /// Pack the owned update-region entries by destination parent rank and
-  /// send one (possibly empty) message to every parent rank. Both formats
-  /// walk the canonical enumeration of extend_add.h; the packed one ships
-  /// the values alone and the receiver replays the enumeration.
+  /// send one (possibly empty) message to every parent rank: the values
+  /// alone, in the canonical enumeration of extend_add.h, which the
+  /// receiver replays to recover the indices.
   void send_update(index_t s, LocalFront& front, int gr, int gc) {
     const index_t parent = sym_.sn_parent[s];
     if (parent == kNone) return;
@@ -1002,44 +914,21 @@ class RankProgram {
       return blk;
     };
 
-    if (config_.extend_add == DistConfig::ExtendAddFormat::kTriples) {
-      std::vector<std::vector<EntryTriple>> outbox(
-          static_cast<std::size_t>(pcount));
-      for_each_contribution(
-          plan, map_, gr, gc,
-          [&](index_t ib, index_t jb, index_t i, index_t j, index_t row,
-              index_t col, int owner) {
-            outbox[static_cast<std::size_t>(owner - pbegin)].push_back(
-                EntryTriple{row, col, block_at(ib, jb).at(i, j)});
-          });
-      for (int d = 0; d < pcount; ++d) {
-        const count_t bytes = static_cast<count_t>(outbox[d].size()) *
-                              static_cast<count_t>(sizeof(EntryTriple));
-        ckpt_.note_contribution(outbox[d].data(),
-                                static_cast<std::size_t>(bytes));
-        comm_.send_vec(pbegin + d, tag, outbox[d]);
-        ea_bytes_ += bytes;
-        ea_entries_ += static_cast<count_t>(outbox[d].size());
-      }
-    } else {
-      std::vector<std::vector<real_t>> outbox(
-          static_cast<std::size_t>(pcount));
-      for_each_contribution(
-          plan, map_, gr, gc,
-          [&](index_t ib, index_t jb, index_t i, index_t j, index_t,
-              index_t, int owner) {
-            outbox[static_cast<std::size_t>(owner - pbegin)].push_back(
-                block_at(ib, jb).at(i, j));
-          });
-      for (int d = 0; d < pcount; ++d) {
-        const count_t bytes = static_cast<count_t>(outbox[d].size()) *
-                              static_cast<count_t>(sizeof(real_t));
-        ckpt_.note_contribution(outbox[d].data(),
-                                static_cast<std::size_t>(bytes));
-        comm_.send_vec(pbegin + d, tag, outbox[d]);
-        ea_bytes_ += bytes;
-        ea_entries_ += static_cast<count_t>(outbox[d].size());
-      }
+    std::vector<std::vector<real_t>> outbox(static_cast<std::size_t>(pcount));
+    for_each_contribution(
+        plan, map_, gr, gc,
+        [&](index_t ib, index_t jb, index_t i, index_t j, index_t, index_t,
+            int owner) {
+          outbox[static_cast<std::size_t>(owner - pbegin)].push_back(
+              block_at(ib, jb).at(i, j));
+        });
+    for (int d = 0; d < pcount; ++d) {
+      const count_t bytes = static_cast<count_t>(outbox[d].size()) *
+                            static_cast<count_t>(sizeof(real_t));
+      ckpt_.note_contribution(outbox[d].data(),
+                              static_cast<std::size_t>(bytes));
+      comm_.send_vec(pbegin + d, tag, outbox[d]);
+      ea_bytes_ += bytes;
     }
   }
 
@@ -1056,11 +945,7 @@ class RankProgram {
     const ExtendAddPlan plan = make_extend_add_plan(sym_, map_, s);
     const int pbegin = map_.rank_begin[parent];
     const int pcount = map_.rank_count[parent];
-    const auto& siblings = children_[parent];
-    const std::size_t child_pos = static_cast<std::size_t>(
-        std::find(siblings.begin(), siblings.end(), s) - siblings.begin());
-    PARFACT_CHECK(child_pos < siblings.size());
-    const int tag = ea_stream_tag(parent, child_pos);
+    const int tag = kTagStride * static_cast<int>(s) + kTagEaStream;
     const index_t pnB = plan.pfb.nB;
 
     index_t cur_ib = kNone, cur_jb = kNone;
@@ -1079,51 +964,23 @@ class RankProgram {
              static_cast<std::size_t>(panel);
     };
 
-    if (config_.extend_add == DistConfig::ExtendAddFormat::kTriples) {
-      std::vector<std::vector<EntryTriple>> outbox(
-          static_cast<std::size_t>(pcount) * static_cast<std::size_t>(pnB));
-      for_each_panel_contribution(
-          plan, map_, gr, gc,
-          [&](index_t ib, index_t jb, index_t i, index_t j, index_t row,
-              index_t col, int owner, index_t panel) {
-            outbox[bucket_of(owner, panel)].push_back(
-                EntryTriple{row, col, block_at(ib, jb).at(i, j)});
-          });
-      for (index_t p = 0; p < pnB; ++p) {
-        for (int d = 0; d < pcount; ++d) {
-          const auto& msg = outbox[bucket_of(pbegin + d, p)];
-          if (msg.empty()) continue;
-          const count_t bytes = static_cast<count_t>(msg.size()) *
-                                static_cast<count_t>(sizeof(EntryTriple));
-          ckpt_.note_contribution(msg.data(),
-                                  static_cast<std::size_t>(bytes));
-          comm_.send_vec(pbegin + d, tag, msg);
-          ea_bytes_ += bytes;
-          ea_entries_ += static_cast<count_t>(msg.size());
-        }
-      }
-    } else {
-      std::vector<std::vector<real_t>> outbox(
-          static_cast<std::size_t>(pcount) * static_cast<std::size_t>(pnB));
-      for_each_panel_contribution(
-          plan, map_, gr, gc,
-          [&](index_t ib, index_t jb, index_t i, index_t j, index_t,
-              index_t, int owner, index_t panel) {
-            outbox[bucket_of(owner, panel)].push_back(
-                block_at(ib, jb).at(i, j));
-          });
-      for (index_t p = 0; p < pnB; ++p) {
-        for (int d = 0; d < pcount; ++d) {
-          const auto& msg = outbox[bucket_of(pbegin + d, p)];
-          if (msg.empty()) continue;
-          const count_t bytes = static_cast<count_t>(msg.size()) *
-                                static_cast<count_t>(sizeof(real_t));
-          ckpt_.note_contribution(msg.data(),
-                                  static_cast<std::size_t>(bytes));
-          comm_.send_vec(pbegin + d, tag, msg);
-          ea_bytes_ += bytes;
-          ea_entries_ += static_cast<count_t>(msg.size());
-        }
+    std::vector<std::vector<real_t>> outbox(static_cast<std::size_t>(pcount) *
+                                            static_cast<std::size_t>(pnB));
+    for_each_panel_contribution(
+        plan, map_, gr, gc,
+        [&](index_t ib, index_t jb, index_t i, index_t j, index_t, index_t,
+            int owner, index_t panel) {
+          outbox[bucket_of(owner, panel)].push_back(block_at(ib, jb).at(i, j));
+        });
+    for (index_t p = 0; p < pnB; ++p) {
+      for (int d = 0; d < pcount; ++d) {
+        const auto& msg = outbox[bucket_of(pbegin + d, p)];
+        if (msg.empty()) continue;
+        const count_t bytes = static_cast<count_t>(msg.size()) *
+                              static_cast<count_t>(sizeof(real_t));
+        ckpt_.note_contribution(msg.data(), static_cast<std::size_t>(bytes));
+        comm_.send_vec(pbegin + d, tag, msg);
+        ea_bytes_ += bytes;
       }
     }
   }
@@ -1140,8 +997,7 @@ class RankProgram {
   DistConfig config_;
   index_t start_supernode_;  ///< first front to execute (resume point)
   std::vector<std::vector<index_t>> children_;
-  count_t ea_bytes_ = 0;    ///< extend-add wire bytes sent by this rank
-  count_t ea_entries_ = 0;  ///< extend-add entries sent by this rank
+  count_t ea_bytes_ = 0;  ///< extend-add wire bytes sent by this rank
 };
 
 }  // namespace
@@ -1160,7 +1016,6 @@ DistFactorResult distributed_factor(const SymbolicFactor& sym,
   if (kind == FactorKind::kLdlt) d = result.factor.allocate_diag();
   std::atomic<count_t> perturbations{0};
   std::atomic<count_t> ea_bytes{0};
-  std::atomic<count_t> ea_entries{0};
   result.run =
       mpsim::run_spmd(map.n_ranks, model, faults, [&](mpsim::Comm& comm) {
         index_t start_supernode = 0;
@@ -1186,13 +1041,10 @@ DistFactorResult distributed_factor(const SymbolicFactor& sym,
                                 std::memory_order_relaxed);
         ea_bytes.fetch_add(program.extend_add_bytes(),
                            std::memory_order_relaxed);
-        ea_entries.fetch_add(program.extend_add_entries(),
-                             std::memory_order_relaxed);
       });
   result.status =
       Status::success(perturbations.load(std::memory_order_relaxed));
   result.extend_add_bytes = ea_bytes.load(std::memory_order_relaxed);
-  result.extend_add_entries = ea_entries.load(std::memory_order_relaxed);
   return result;
 }
 

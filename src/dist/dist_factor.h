@@ -41,11 +41,10 @@ struct DistFactorResult {
   /// Outcome: kOk/kPerturbed (with the total pivot-perturbation count
   /// across all ranks), or the failure that stopped the run.
   Status status;
-  /// Extend-add traffic: wire bytes and entries shipped child → parent,
-  /// summed over all ranks (the ≥ 2x packed-vs-triples reduction of the
-  /// F8 ablation is measured on extend_add_bytes).
+  /// Extend-add traffic: wire bytes shipped child → parent, summed over
+  /// all ranks. Every entry travels as one packed 8-byte value, so the
+  /// entry count is extend_add_bytes / sizeof(real_t).
   count_t extend_add_bytes = 0;
-  count_t extend_add_entries = 0;
 
   DistFactorResult(const SymbolicFactor& sym) : factor(sym) {}
 };
@@ -67,11 +66,11 @@ struct DistFactorResult {
 /// `result.run.recovery_overhead_seconds` quantifying the recovery. A crash
 /// with no spare left ends in a diagnosed kRankFailure.
 ///
-/// `config` selects the block-column schedule (blocking vs. depth-1 panel
-/// lookahead) and the extend-add wire format (triples vs. packed). All
-/// combinations produce the bitwise identical factor and perturbation
-/// count, under faults and crash recovery included; they differ only in
-/// virtual time and wire volume.
+/// `config` selects the block-column schedule (blocking, depth-1 panel
+/// lookahead, or fan-both task DAG). All schedules produce the bitwise
+/// identical factor, perturbation count and extend-add volume, under
+/// faults and crash recovery included; they differ only in virtual time
+/// and message count.
 [[nodiscard]] DistFactorResult distributed_factor(
     const SymbolicFactor& sym, const FrontMap& map,
     const mpsim::MachineModel& model = {},

@@ -702,17 +702,6 @@ DistSolveResult distributed_solve(const SymbolicFactor& sym,
   PARFACT_CHECK(static_cast<count_t>(b.size()) ==
                 static_cast<count_t>(sym.n) * nrhs);
   PARFACT_CHECK(config.rhs_block >= 1);
-  if (config.schedule == DistSolveConfig::Schedule::kTaskDag) {
-    // The fan-both task-DAG schedule is a factorization-phase protocol
-    // (per-panel extend-add streams between fronts); the triangular sweeps
-    // have no analogous DAG yet. Rejecting beats silently running
-    // kPipelined and misreporting what was measured.
-    throw StatusError(Status::failure(
-        StatusCode::kInvalidInput,
-        "distributed_solve does not support "
-        "DistSolveConfig::Schedule::kTaskDag; the fan-both schedule "
-        "covers the factorization phase (use kBlocking or kPipelined)"));
-  }
   if (!faults.crashes.empty() || faults.spare_ranks > 0) {
     // Crash recovery is a factorization-phase protocol (buddy checkpoints
     // are taken at front boundaries); the solve sweeps have no resume

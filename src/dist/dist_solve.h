@@ -47,10 +47,6 @@ struct DistSolveConfig {
   enum class Schedule {
     kBlocking,   ///< full-width messages, blocking receives (baseline)
     kPipelined,  ///< per-RHS-block messages on the request layer
-    kTaskDag,    ///< reserved: the factorization's fan-both schedule has no
-                 ///< solve counterpart yet — distributed_solve rejects it
-                 ///< with a diagnosed kInvalidInput Status (never a hang or
-                 ///< a silent fallback to another schedule)
   };
   Schedule schedule = Schedule::kPipelined;
   /// Right-hand-side columns per pipeline stage. Both schedules compute on

@@ -64,9 +64,10 @@ struct ColSums {
 // a portable baseline binary, but a machine with wider vectors runs the
 // checks at its native width. The loops are element-wise (or fixed-lane)
 // streams, so every clone performs the identical FP operations in the
-// identical order — the dispatch never changes a computed sum.
+// identical order — the dispatch never changes a computed sum. TSan builds
+// keep only the default clone (GCC 12's TSan crashes on ifunc resolvers).
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && \
-    !defined(__clang__)
+    !defined(__clang__) && !defined(__SANITIZE_THREAD__)
 // 256-bit on purpose: 512-bit ops trigger license-based downclocking on
 // several x86 parts, and the cycles saved in the checks would be repaid
 // with interest by the surrounding kernels running at the lower clock.

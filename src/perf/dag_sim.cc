@@ -91,22 +91,16 @@ bool grid_row_owns_below(const FrontBlocking& fb, index_t kb, int ri,
 }  // namespace
 
 PerfResult simulate_factor_time(const SymbolicFactor& sym, const FrontMap& map,
-                                const mpsim::MachineModel& model) {
-  return simulate_factor_time(sym, map, model, DistConfig{});
-}
-
-PerfResult simulate_factor_time(const SymbolicFactor& sym, const FrontMap& map,
                                 const mpsim::MachineModel& model,
                                 const DistConfig& config) {
   const int p = map.n_ranks;
   Clocks clk(p);
   const index_t ns = sym.n_supernodes;
-  const bool lookahead = config.schedule == DistConfig::Schedule::kLookahead;
+  const bool blocking = config.schedule == DistConfig::Schedule::kBlocking;
   const bool taskdag = config.schedule == DistConfig::Schedule::kTaskDag;
-  // Wire + staging bytes per extend-add entry: {row, col, value} triple or
-  // packed dense value (the index header is implicit; see extend_add.h).
-  const double ea_entry_bytes =
-      config.extend_add == DistConfig::ExtendAddFormat::kPacked ? 8.0 : 16.0;
+  // Wire + staging bytes per extend-add entry: one packed dense value (the
+  // index header is implicit; see extend_add.h).
+  constexpr double ea_entry_bytes = sizeof(real_t);
 
   // Per-rank clock stamp at the moment each front finished (its update
   // contributions depart then), plus the update-region byte volume.
@@ -286,37 +280,7 @@ PerfResult simulate_factor_time(const SymbolicFactor& sym, const FrontMap& map,
       }
     };
 
-    if (taskdag) {
-      // Task-DAG replay: same depth-1 panel pipelining as kLookahead inside
-      // the front, but extend-add arrivals are consumed per panel via the
-      // ramp floors instead of one collective assembly barrier — matching
-      // the shared-memory runtime, where ASM(s) → POTRF(kb) edges are
-      // per-front tasks that commute with unrelated panels' updates.
-      if (fb.kp > 0) {
-        std::vector<double> cur_arr(static_cast<std::size_t>(used), 0.0);
-        std::vector<double> next_arr(static_cast<std::size_t>(used), 0.0);
-        stall_panel_column(0);
-        factor_col(0, &cur_arr);
-        for (index_t kb = 0; kb < fb.kp; ++kb) {
-          for (int lr = 0; lr < used; ++lr) {
-            clk.stall_until(r0 + lr, cur_arr[static_cast<std::size_t>(lr)]);
-            cur_arr[static_cast<std::size_t>(lr)] = 0.0;
-          }
-          update_cols(kb, kb + 1, std::min<index_t>(kb + 2, fb.nB));
-          if (kb + 1 < fb.kp) {
-            stall_panel_column(kb + 1);
-            factor_col(kb + 1, &next_arr);
-          }
-          update_cols(kb, kb + 2, fb.nB);
-          std::swap(cur_arr, next_arr);
-        }
-      }
-      // Every extend-add byte must have landed before this front's own
-      // update contributions depart (the trailing blocks fold them in), so
-      // completion — not assembly — is where the tail of the stream gates.
-      const double full = ea_floor(1.0);
-      for (int dst = 0; dst < np; ++dst) clk.stall_until(r0 + dst, full);
-    } else if (!lookahead) {
+    if (blocking) {
       for (index_t kb = 0; kb < fb.kp; ++kb) {
         factor_col(kb, nullptr);
         update_cols(kb, kb + 1, fb.nB);
@@ -325,9 +289,15 @@ PerfResult simulate_factor_time(const SymbolicFactor& sym, const FrontMap& map,
       // Depth-1 lookahead replay: panel kb+1 is factored and its blocks
       // put in flight right after the urgent update, so the transfer
       // overlaps panel kb's lazy updates; consumers only stall on what has
-      // not yet arrived when they reach the next panel.
+      // not yet arrived when they reach the next panel. Under kTaskDag the
+      // extend-add arrivals are consumed per panel via the ramp floors
+      // instead of one collective assembly barrier — matching the
+      // shared-memory runtime, where ASM(s) → POTRF(kb) edges are per-front
+      // tasks that commute with unrelated panels' updates. kLookahead has
+      // an empty ramp (it stalled collectively above), so its floors are 0.
       std::vector<double> cur_arr(static_cast<std::size_t>(used), 0.0);
       std::vector<double> next_arr(static_cast<std::size_t>(used), 0.0);
+      stall_panel_column(0);
       factor_col(0, &cur_arr);
       for (index_t kb = 0; kb < fb.kp; ++kb) {
         for (int lr = 0; lr < used; ++lr) {
@@ -335,11 +305,20 @@ PerfResult simulate_factor_time(const SymbolicFactor& sym, const FrontMap& map,
           cur_arr[static_cast<std::size_t>(lr)] = 0.0;
         }
         update_cols(kb, kb + 1, std::min<index_t>(kb + 2, fb.nB));
-        if (kb + 1 < fb.kp) factor_col(kb + 1, &next_arr);
+        if (kb + 1 < fb.kp) {
+          stall_panel_column(kb + 1);
+          factor_col(kb + 1, &next_arr);
+        }
         update_cols(kb, kb + 2, fb.nB);
         std::swap(cur_arr, next_arr);
       }
     }
+    // Every extend-add byte must have landed before this front's own
+    // update contributions depart (the trailing blocks fold them in), so
+    // under kTaskDag completion — not assembly — is where the tail of the
+    // stream gates. A no-op for the collective schedules (empty ramp).
+    const double full = ea_floor(1.0);
+    for (int dst = 0; dst < np; ++dst) clk.stall_until(r0 + dst, full);
 
     // Bookkeeping: panel bytes persist as factor storage; the rest of the
     // front is freed; update entries go on the virtual stack until the

@@ -38,30 +38,23 @@ struct PerfResult {
   }
 };
 
-/// Replays the distributed factorization schedule of `map` under `config`:
-/// the blocking replay stalls every panel consumer at broadcast time, the
-/// lookahead replay defers panel arrivals to the next iteration's consume
+/// Replays the distributed factorization schedule of `map` under `config`
+/// (default: kLookahead, what distributed_factor runs by default). The
+/// blocking replay stalls every panel consumer at broadcast time; the
+/// pipelined replay defers panel arrivals to the next iteration's consume
 /// point (transfer overlaps the previous panel's lazy updates), mirroring
-/// dist_factor's two schedules; the task-DAG replay additionally dissolves
-/// the collective extend-add barrier into per-panel arrival floors (block
-/// column kb stalls only on the prefix of the contribution stream it needs),
-/// mirroring the shared-memory runtime's ASM → POTRF task edges. Since
-/// PR 9 dist_factor executes the same fan-both discipline for real
-/// (per-panel extend-add streams consumed through Comm::wait_any); this
-/// replay remains the large-P stand-in and is cross-checked against the
-/// executed schedule by tests/perf_test.cc and bench_f11_fanboth. The
-/// extend-add byte volume follows the wire format (16 B/entry triples vs
-/// 8 B/entry packed).
-[[nodiscard]] PerfResult simulate_factor_time(const SymbolicFactor& sym,
-                                              const FrontMap& map,
-                                              const mpsim::MachineModel& model,
-                                              const DistConfig& config);
-
-/// Convenience overload replaying the default DistConfig (lookahead +
-/// packed — what distributed_factor runs by default).
-[[nodiscard]] PerfResult simulate_factor_time(const SymbolicFactor& sym,
-                                              const FrontMap& map,
-                                              const mpsim::MachineModel& model);
+/// dist_factor's two panel loops. kLookahead stalls on one collective
+/// extend-add per front; kTaskDag dissolves that barrier into per-panel
+/// arrival floors (block column kb stalls only on the prefix of the
+/// contribution stream it needs), mirroring the shared-memory runtime's
+/// ASM → POTRF task edges. dist_factor executes the same fan-both
+/// discipline for real (per-panel extend-add streams consumed through
+/// Comm::wait_any); this replay is the large-P stand-in, cross-checked
+/// against every executed schedule by tests/perf_test.cc. Extend-add
+/// entries cost 8 B each (packed values).
+[[nodiscard]] PerfResult simulate_factor_time(
+    const SymbolicFactor& sym, const FrontMap& map,
+    const mpsim::MachineModel& model, const DistConfig& config = {});
 
 /// Replays the forward+backward solve schedule with `nrhs` right-hand sides.
 [[nodiscard]] PerfResult simulate_solve_time(const SymbolicFactor& sym,

@@ -235,25 +235,6 @@ TEST(DistSolve, RejectsCrashPlans) {
   EXPECT_FALSE(r.status.ok());
 }
 
-// The factorization's fan-both schedule has no solve counterpart: asking
-// for it must come back as a diagnosed kInvalidInput naming the schedule,
-// not a hang or a silent fallback to kPipelined.
-TEST(DistSolve, RejectsTaskDagSchedule) {
-  const SparseMatrix a = grid_laplacian_2d(8, 8);
-  const SymbolicFactor sym = analyze(a);
-  const FrontMap map = build_front_map(sym, 4, MappingStrategy::kSubtree2d, 8);
-  const DistFactorResult dist = distributed_factor(sym, map);
-  const std::vector<real_t> b = random_rhs(sym.n, 1, 33);
-  DistSolveConfig config;
-  config.schedule = DistSolveConfig::Schedule::kTaskDag;
-  const DistSolveResult r =
-      distributed_solve_checked(sym, map, dist.factor, b, 1, {}, {}, config);
-  ASSERT_FALSE(r.status.ok());
-  EXPECT_EQ(r.status.code, StatusCode::kInvalidInput);
-  EXPECT_NE(r.status.message.find("kTaskDag"), std::string::npos)
-      << r.status.message;
-}
-
 TEST(DistSolve, SolveIsCheaperThanFactor) {
   // The solve phase moves O(nnz(L)) data vs O(flops) work: virtual time
   // must be far below factorization time on a 3-D problem.

@@ -225,13 +225,12 @@ TEST(DistFactor, NotSpdFailsCleanly) {
   EXPECT_THROW(distributed_factor(sym, map), Error);
 }
 
-// --- Schedule / wire-format ablation: bitwise identity ----------------------
+// --- Schedule ablation: bitwise identity ------------------------------------
 //
-// The depth-1 panel lookahead and the packed extend-add format are pure
-// communication optimizations: every (schedule, format) combination must
-// produce the bitwise identical factor — and perturbation count — as the
-// blocking/triples engine, clean, under message faults, and through a
-// crash recovery.
+// The depth-1 panel lookahead and the fan-both task DAG are pure
+// communication optimizations: every schedule must produce the bitwise
+// identical factor — and perturbation count — as the blocking engine,
+// clean, under message faults, and through a crash recovery.
 
 void expect_factors_bitwise_equal(const SymbolicFactor& sym,
                                   const CholeskyFactor& a,
@@ -248,45 +247,29 @@ void expect_factors_bitwise_equal(const SymbolicFactor& sym,
   }
 }
 
-constexpr DistConfig kBlockingTriples{DistConfig::Schedule::kBlocking,
-                                      DistConfig::ExtendAddFormat::kTriples};
-constexpr DistConfig kBlockingPacked{DistConfig::Schedule::kBlocking,
-                                     DistConfig::ExtendAddFormat::kPacked};
-constexpr DistConfig kLookaheadTriples{DistConfig::Schedule::kLookahead,
-                                       DistConfig::ExtendAddFormat::kTriples};
-constexpr DistConfig kLookaheadPacked{DistConfig::Schedule::kLookahead,
-                                      DistConfig::ExtendAddFormat::kPacked};
-constexpr DistConfig kTaskDagTriples{DistConfig::Schedule::kTaskDag,
-                                     DistConfig::ExtendAddFormat::kTriples};
-constexpr DistConfig kTaskDagPacked{DistConfig::Schedule::kTaskDag,
-                                    DistConfig::ExtendAddFormat::kPacked};
-constexpr DistConfig kAllConfigs[] = {kBlockingTriples, kBlockingPacked,
-                                      kLookaheadTriples, kLookaheadPacked,
-                                      kTaskDagTriples,   kTaskDagPacked};
+constexpr DistConfig kBlocking{DistConfig::Schedule::kBlocking};
+constexpr DistConfig kLookahead{DistConfig::Schedule::kLookahead};
+constexpr DistConfig kTaskDag{DistConfig::Schedule::kTaskDag};
+constexpr DistConfig kAllConfigs[] = {kBlocking, kLookahead, kTaskDag};
 
 class ScheduleIdentityP : public ::testing::TestWithParam<int> {};
 
-TEST_P(ScheduleIdentityP, AllConfigsBitwiseIdenticalAndPackedHalvesBytes) {
+TEST_P(ScheduleIdentityP, AllConfigsBitwiseIdenticalWithEqualVolume) {
   const int p = GetParam();
   const SparseMatrix a = grid_laplacian_2d(13, 12, 5);
   const SymbolicFactor sym = analyze(a);
   const FrontMap map =
       build_front_map(sym, p, MappingStrategy::kSubtree2d, 8, 1e3);
   const DistFactorResult base = distributed_factor(
-      sym, map, {}, FactorKind::kCholesky, {}, {}, {}, kBlockingTriples);
+      sym, map, {}, FactorKind::kCholesky, {}, {}, {}, kBlocking);
   ASSERT_TRUE(base.status.ok());
   for (const DistConfig& config : kAllConfigs) {
     const DistFactorResult r = distributed_factor(
         sym, map, {}, FactorKind::kCholesky, {}, {}, {}, config);
     ASSERT_TRUE(r.status.ok());
     expect_factors_bitwise_equal(sym, base.factor, r.factor);
-    // Same entries cross the wire in every format.
-    EXPECT_EQ(r.extend_add_entries, base.extend_add_entries);
-    if (config.extend_add == DistConfig::ExtendAddFormat::kPacked) {
-      EXPECT_LE(2 * r.extend_add_bytes, base.extend_add_bytes);
-    } else {
-      EXPECT_EQ(r.extend_add_bytes, base.extend_add_bytes);
-    }
+    // Same entries cross the wire under every schedule.
+    EXPECT_EQ(r.extend_add_bytes, base.extend_add_bytes);
   }
 }
 
@@ -297,15 +280,14 @@ TEST_P(ScheduleIdentityP, LookaheadHealsFaultsBitwiseIdentical) {
   const FrontMap map =
       build_front_map(sym, p, MappingStrategy::kSubtree2d, 8, 1e3);
   const DistFactorResult clean = distributed_factor(
-      sym, map, {}, FactorKind::kCholesky, {}, {}, {}, kBlockingTriples);
+      sym, map, {}, FactorKind::kCholesky, {}, {}, {}, kBlocking);
   ASSERT_TRUE(clean.status.ok());
   mpsim::FaultPlan faults;
   faults.seed = 4242 + static_cast<std::uint64_t>(p);
   faults.drop_rate = 0.05;
   faults.delay_rate = 0.05;
   faults.duplicate_rate = 0.02;
-  for (const DistConfig& config :
-       {kBlockingTriples, kLookaheadPacked, kTaskDagTriples, kTaskDagPacked}) {
+  for (const DistConfig& config : kAllConfigs) {
     const DistFactorResult faulty = distributed_factor(
         sym, map, {}, FactorKind::kCholesky, {}, faults, {}, config);
     ASSERT_TRUE(faulty.status.ok()) << faulty.status.to_string();
@@ -316,7 +298,7 @@ TEST_P(ScheduleIdentityP, LookaheadHealsFaultsBitwiseIdentical) {
 // The fan-both streams ride the same fault-path wire format as everything
 // else: a flipped bit in a stream payload must be caught by the wire
 // checksum and healed by the retry loop, leaving the factor bitwise
-// identical — in both wire formats.
+// identical.
 TEST_P(ScheduleIdentityP, TaskDagHealsWireBitFlipsBitwiseIdentical) {
   const int p = GetParam();
   const SparseMatrix a = grid_laplacian_2d(13, 12, 5);
@@ -324,7 +306,7 @@ TEST_P(ScheduleIdentityP, TaskDagHealsWireBitFlipsBitwiseIdentical) {
   const FrontMap map =
       build_front_map(sym, p, MappingStrategy::kSubtree2d, 8, 1e3);
   const DistFactorResult clean = distributed_factor(
-      sym, map, {}, FactorKind::kCholesky, {}, {}, {}, kBlockingTriples);
+      sym, map, {}, FactorKind::kCholesky, {}, {}, {}, kBlocking);
   ASSERT_TRUE(clean.status.ok());
   mpsim::FaultPlan faults;
   faults.seed = 77;
@@ -332,12 +314,10 @@ TEST_P(ScheduleIdentityP, TaskDagHealsWireBitFlipsBitwiseIdentical) {
   for (int r = 0; r < p; ++r) {
     faults.bit_flips.push_back({r, 0.0, /*site=*/0, /*word=*/1, /*bit=*/62});
   }
-  for (const DistConfig& config : {kTaskDagTriples, kTaskDagPacked}) {
-    const DistFactorResult healed = distributed_factor(
-        sym, map, {}, FactorKind::kCholesky, {}, faults, {}, config);
-    ASSERT_TRUE(healed.status.ok()) << healed.status.to_string();
-    expect_factors_bitwise_equal(sym, clean.factor, healed.factor);
-  }
+  const DistFactorResult healed = distributed_factor(
+      sym, map, {}, FactorKind::kCholesky, {}, faults, {}, kTaskDag);
+  ASSERT_TRUE(healed.status.ok()) << healed.status.to_string();
+  expect_factors_bitwise_equal(sym, clean.factor, healed.factor);
 }
 
 // Adversarial arrival order: freeze one child-side rank mid-run so the
@@ -357,10 +337,10 @@ TEST(ScheduleIdentity, TaskDagOutOfOrderArrivalsDeterministic) {
   const FrontMap map =
       build_front_map(sym, p, MappingStrategy::kSubtree2d, 8, 1e3);
   const DistFactorResult clean = distributed_factor(
-      sym, map, {}, FactorKind::kCholesky, {}, {}, {}, kBlockingTriples);
+      sym, map, {}, FactorKind::kCholesky, {}, {}, {}, kBlocking);
   ASSERT_TRUE(clean.status.ok());
   const DistFactorResult probe = distributed_factor(
-      sym, map, {}, FactorKind::kCholesky, {}, {}, {}, kTaskDagPacked);
+      sym, map, {}, FactorKind::kCholesky, {}, {}, {}, kTaskDag);
   ASSERT_TRUE(probe.status.ok());
   count_t pool_waits = 0;
   for (const count_t c : probe.run.wait_any_calls) pool_waits += c;
@@ -371,13 +351,13 @@ TEST(ScheduleIdentity, TaskDagOutOfOrderArrivalsDeterministic) {
   mpsim::FaultPlan faults;
   faults.stalls.push_back({/*rank=*/1, /*at=*/0.0, /*duration=*/0.05});
   const DistFactorResult stalled = distributed_factor(
-      sym, map, {}, FactorKind::kCholesky, {}, faults, {}, kTaskDagPacked);
+      sym, map, {}, FactorKind::kCholesky, {}, faults, {}, kTaskDag);
   ASSERT_TRUE(stalled.status.ok()) << stalled.status.to_string();
   expect_factors_bitwise_equal(sym, clean.factor, stalled.factor);
   EXPECT_GT(stalled.run.messages_completed_out_of_order, 0);
 
   const DistFactorResult again = distributed_factor(
-      sym, map, {}, FactorKind::kCholesky, {}, faults, {}, kTaskDagPacked);
+      sym, map, {}, FactorKind::kCholesky, {}, faults, {}, kTaskDag);
   ASSERT_TRUE(again.status.ok());
   EXPECT_EQ(again.run.makespan, stalled.run.makespan);
   EXPECT_EQ(again.run.messages_completed_out_of_order,
@@ -399,13 +379,13 @@ TEST(ScheduleIdentity, TaskDagRecoversFromCrashBitwiseIdentical) {
   resilience.checkpoint_interval = 4;
 
   const DistFactorResult clean = distributed_factor(
-      sym, map, {}, FactorKind::kCholesky, {}, {}, {}, kBlockingTriples);
+      sym, map, {}, FactorKind::kCholesky, {}, {}, {}, kBlocking);
   ASSERT_TRUE(clean.status.ok());
 
   const int victim = p / 2;
   const DistFactorResult probe =
       distributed_factor(sym, map, {}, FactorKind::kCholesky, {}, {},
-                         resilience, kTaskDagPacked);
+                         resilience, kTaskDag);
   ASSERT_TRUE(probe.status.ok());
   const double at =
       0.5 * probe.run.rank_time[static_cast<std::size_t>(victim)];
@@ -416,10 +396,40 @@ TEST(ScheduleIdentity, TaskDagRecoversFromCrashBitwiseIdentical) {
 
   const DistFactorResult crashed =
       distributed_factor(sym, map, {}, FactorKind::kCholesky, {}, faults,
-                         resilience, kTaskDagPacked);
+                         resilience, kTaskDag);
   ASSERT_TRUE(crashed.status.ok()) << crashed.status.to_string();
   EXPECT_EQ(crashed.run.ranks_recovered, 1);
   expect_factors_bitwise_equal(sym, clean.factor, crashed.factor);
+}
+
+// Fan-both stream channels are keyed by the child supernode, so a front
+// with tens of thousands of children still gets distinct tags that fit an
+// int. An arrow matrix (diagonal plus a full last row) makes a hub front
+// with one leaf child per column; a key that also multiplied in the child's
+// position among its siblings overflowed past ~16,400 children.
+TEST(ScheduleIdentity, TaskDagManyChildrenStreamTagsInRange) {
+  constexpr index_t n = 17000;
+  TripletBuilder b(n, n);
+  for (index_t j = 0; j + 1 < n; ++j) {
+    b.add(j, j, 2.0);
+    b.add(n - 1, j, -1.0);
+  }
+  b.add(n - 1, n - 1, static_cast<real_t>(n));
+  const SymbolicFactor sym = analyze(b.build());
+  const index_t hub = sym.n_supernodes - 1;
+  index_t hub_children = 0;
+  for (index_t s = 0; s < hub; ++s) hub_children += sym.sn_parent[s] == hub;
+  ASSERT_GE(hub_children, 16400);
+  const FrontMap map =
+      build_front_map(sym, 2, MappingStrategy::kSubtree2d, 8, 1e3);
+  const DistFactorResult base = distributed_factor(
+      sym, map, {}, FactorKind::kCholesky, {}, {}, {}, kBlocking);
+  ASSERT_TRUE(base.status.ok());
+  const DistFactorResult dag = distributed_factor(
+      sym, map, {}, FactorKind::kCholesky, {}, {}, {}, kTaskDag);
+  ASSERT_TRUE(dag.status.ok()) << dag.status.to_string();
+  expect_factors_bitwise_equal(sym, base.factor, dag.factor);
+  EXPECT_EQ(dag.extend_add_bytes, base.extend_add_bytes);
 }
 
 TEST(ScheduleIdentity, LdltPerturbationCountsIdenticalAcrossConfigs) {
@@ -432,7 +442,7 @@ TEST(ScheduleIdentity, LdltPerturbationCountsIdenticalAcrossConfigs) {
   PivotPolicy boosted;
   boosted.boost = true;
   const DistFactorResult base = distributed_factor(
-      sym, map, {}, FactorKind::kLdlt, boosted, {}, {}, kBlockingTriples);
+      sym, map, {}, FactorKind::kLdlt, boosted, {}, {}, kBlocking);
   ASSERT_TRUE(base.status.ok());
   EXPECT_EQ(base.status.perturbations, kDecoupled);
   for (const DistConfig& config : kAllConfigs) {
@@ -455,7 +465,7 @@ TEST(ScheduleIdentity, LookaheadRecoversFromCrashBitwiseIdentical) {
   resilience.checkpoint_interval = 4;
 
   const DistFactorResult clean = distributed_factor(
-      sym, map, {}, FactorKind::kCholesky, {}, {}, {}, kBlockingTriples);
+      sym, map, {}, FactorKind::kCholesky, {}, {}, {}, kBlocking);
   ASSERT_TRUE(clean.status.ok());
 
   // Probe the resilient lookahead run for the victim's busy time, then
@@ -463,7 +473,7 @@ TEST(ScheduleIdentity, LookaheadRecoversFromCrashBitwiseIdentical) {
   const int victim = p / 2;
   const DistFactorResult probe =
       distributed_factor(sym, map, {}, FactorKind::kCholesky, {}, {},
-                         resilience, kLookaheadPacked);
+                         resilience, kLookahead);
   ASSERT_TRUE(probe.status.ok());
   const double at =
       0.5 * probe.run.rank_time[static_cast<std::size_t>(victim)];
@@ -474,7 +484,7 @@ TEST(ScheduleIdentity, LookaheadRecoversFromCrashBitwiseIdentical) {
 
   const DistFactorResult crashed =
       distributed_factor(sym, map, {}, FactorKind::kCholesky, {}, faults,
-                         resilience, kLookaheadPacked);
+                         resilience, kLookahead);
   ASSERT_TRUE(crashed.status.ok()) << crashed.status.to_string();
   EXPECT_EQ(crashed.run.ranks_recovered, 1);
   expect_factors_bitwise_equal(sym, clean.factor, crashed.factor);
