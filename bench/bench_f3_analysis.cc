@@ -1,12 +1,20 @@
 // F3 — Analysis phase: ordering quality and cost. Compares nested
 // dissection (the parallel solver's ordering) against minimum degree, RCM
-// and the natural ordering: factor nonzeros, factorization flops, and
-// ordering + symbolic wall time. Minimum degree (exact external degree) is
-// run up to a size cap; larger entries print '-'.
+// and the natural ordering: factor nonzeros, factorization flops, and the
+// wall time of each half of Solver::analyze — the ordering (graph build +
+// ordering call, as analyze makes them) and the symbolic analysis of the
+// matrix permuted by that ordering. Each row also prints the fnv1a digest
+// of the permutation, the record that an ordering change shows up in.
+// Minimum degree (exact external degree) is run up to a size cap; larger
+// entries print '-'.
 #include <cstdio>
+#include <numeric>
 
 #include "api/solver.h"
 #include "bench/common.h"
+#include "graph/ordering.h"
+#include "sparse/ops.h"
+#include "support/checksum.h"
 #include "support/timer.h"
 
 using namespace parfact;
@@ -14,23 +22,47 @@ using namespace parfact;
 namespace {
 
 struct Row {
-  bool ran = false;
   count_t nnz_l = 0;
   count_t flops = 0;
-  double seconds = 0.0;
+  double order_seconds = 0.0;
+  double symbolic_seconds = 0.0;
+  std::uint64_t fingerprint = 0;
 };
+
+std::vector<index_t> order(const SparseMatrix& a,
+                           SolverOptions::Ordering ord) {
+  switch (ord) {
+    case SolverOptions::Ordering::kNestedDissection:
+      return nested_dissection(graph_from_pattern(a), SolverOptions{}.nd);
+    case SolverOptions::Ordering::kMinimumDegree:
+      return minimum_degree(graph_from_pattern(a));
+    case SolverOptions::Ordering::kRcm:
+      return rcm(graph_from_pattern(a));
+    case SolverOptions::Ordering::kNatural:
+      break;
+  }
+  std::vector<index_t> perm(static_cast<std::size_t>(a.rows));
+  std::iota(perm.begin(), perm.end(), 0);
+  return perm;
+}
 
 Row run(const SparseMatrix& a, SolverOptions::Ordering ord) {
   Row row;
   WallTimer t;
+  const std::vector<index_t> perm = order(a, ord);
+  row.order_seconds = t.seconds();
+  row.fingerprint = fnv1a(perm.data(), perm.size() * sizeof(index_t));
+  // Symbolic analysis alone: the natural ordering of the permuted matrix.
+  const SparseMatrix permuted =
+      lower_triangle(permute_symmetric(symmetrize_full(a), perm));
   SolverOptions opts;
-  opts.ordering = ord;
+  opts.ordering = SolverOptions::Ordering::kNatural;
   Solver solver(opts);
-  solver.analyze(a);
-  row.ran = true;
+  t.restart();
+  solver.analyze(permuted);
+  row.symbolic_seconds = t.seconds();
   row.nnz_l = solver.report().nnz_factor;
   row.flops = solver.report().factor_flops;
-  row.seconds = t.seconds();
   return row;
 }
 
@@ -39,9 +71,10 @@ Row run(const SparseMatrix& a, SolverOptions::Ordering ord) {
 int main() {
   bench::heading("F3: ordering quality (fill and flops) and analysis cost");
   constexpr index_t kMinDegCap = 40000;
-  std::printf("%-12s %-8s %12s %10s %9s\n", "matrix", "ordering", "nnz(L)",
-              "GFLOP", "time");
-  for (const auto& prob : bench::suite()) {
+  const auto problems = bench::suite();
+  std::printf("%-12s %-8s %12s %10s %9s %9s  %-16s\n", "matrix", "ordering",
+              "nnz(L)", "GFLOP", "order", "symbolic", "fingerprint");
+  for (const auto& prob : problems) {
     struct {
       const char* name;
       SolverOptions::Ordering ord;
@@ -54,14 +87,16 @@ int main() {
     for (const auto& c : cases) {
       if (c.ord == SolverOptions::Ordering::kMinimumDegree &&
           prob.lower.rows > kMinDegCap) {
-        std::printf("%-12s %-8s %12s %10s %9s\n", prob.name.c_str(), c.name,
-                    "-", "-", "-");
+        std::printf("%-12s %-8s %12s %10s %9s %9s  %-16s\n",
+                    prob.name.c_str(), c.name, "-", "-", "-", "-", "-");
         continue;
       }
       const Row r = run(prob.lower, c.ord);
-      std::printf("%-12s %-8s %12lld %10.2f %8.2fs\n", prob.name.c_str(),
-                  c.name, static_cast<long long>(r.nnz_l),
-                  static_cast<double>(r.flops) / 1e9, r.seconds);
+      std::printf("%-12s %-8s %12lld %10.2f %8.2fs %8.2fs  %016llx\n",
+                  prob.name.c_str(), c.name, static_cast<long long>(r.nnz_l),
+                  static_cast<double>(r.flops) / 1e9, r.order_seconds,
+                  r.symbolic_seconds,
+                  static_cast<unsigned long long>(r.fingerprint));
     }
   }
   std::printf(

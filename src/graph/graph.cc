@@ -39,30 +39,62 @@ void Graph::validate() const {
 
 Graph graph_from_pattern(const SparseMatrix& a) {
   PARFACT_CHECK(a.rows == a.cols);
-  Graph g;
-  g.n = a.rows;
-  // Count both directions of each off-diagonal entry. For full-stored
-  // symmetric input each edge is seen twice, so dedup via sort+unique below.
-  std::vector<std::pair<index_t, index_t>> edges;
-  edges.reserve(static_cast<std::size_t>(a.nnz()) * 2);
-  for (index_t j = 0; j < a.cols; ++j) {
+  const index_t n = a.rows;
+  // Scatter both directions of each off-diagonal entry into per-vertex
+  // buckets. Full-stored input lands every edge twice in each bucket, so
+  // the bucket total (twice the stored entries) is counted in count_t.
+  std::vector<count_t> bucket_ptr(static_cast<std::size_t>(n) + 1, 0);
+  for (index_t j = 0; j < n; ++j) {
     for (index_t p = a.col_ptr[j]; p < a.col_ptr[j + 1]; ++p) {
       const index_t i = a.row_ind[p];
       if (i == j) continue;
-      edges.emplace_back(i, j);
-      edges.emplace_back(j, i);
+      ++bucket_ptr[i + 1];
+      ++bucket_ptr[j + 1];
     }
   }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  for (index_t v = 0; v < n; ++v) bucket_ptr[v + 1] += bucket_ptr[v];
+  std::vector<index_t> bucket(static_cast<std::size_t>(bucket_ptr[n]));
+  std::vector<count_t> next(bucket_ptr.begin(), bucket_ptr.end() - 1);
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t p = a.col_ptr[j]; p < a.col_ptr[j + 1]; ++p) {
+      const index_t i = a.row_ind[p];
+      if (i == j) continue;
+      bucket[next[i]++] = j;
+      bucket[next[j]++] = i;
+    }
+  }
 
-  g.adj_ptr.assign(static_cast<std::size_t>(g.n) + 1, 0);
-  for (const auto& [v, u] : edges) ++g.adj_ptr[v + 1];
-  for (index_t v = 0; v < g.n; ++v) g.adj_ptr[v + 1] += g.adj_ptr[v];
-  g.adj.resize(edges.size());
-  for (std::size_t k = 0; k < edges.size(); ++k) g.adj[k] = edges[k].second;
-  g.vwgt.assign(static_cast<std::size_t>(g.n), 1);
-  g.ewgt.assign(edges.size(), 1);
+  // A vertex's degree is the number of distinct entries in its bucket;
+  // last_writer[u] == v marks u as already seen while scanning v's bucket.
+  Graph g;
+  g.n = n;
+  g.adj_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<index_t> last_writer(static_cast<std::size_t>(n), kNone);
+  for (index_t v = 0; v < n; ++v) {
+    for (count_t p = bucket_ptr[v]; p < bucket_ptr[v + 1]; ++p) {
+      if (last_writer[bucket[p]] == v) continue;
+      last_writer[bucket[p]] = v;
+      ++g.adj_ptr[v + 1];
+    }
+  }
+  for (index_t v = 0; v < n; ++v) g.adj_ptr[v + 1] += g.adj_ptr[v];
+
+  // Fill by transposing the (symmetric) buckets: visiting v in ascending
+  // order and appending v to each distinct neighbor's list leaves every
+  // list sorted.
+  g.adj.resize(static_cast<std::size_t>(g.adj_ptr[n]));
+  std::copy(g.adj_ptr.begin(), g.adj_ptr.end() - 1, next.begin());
+  std::fill(last_writer.begin(), last_writer.end(), kNone);
+  for (index_t v = 0; v < n; ++v) {
+    for (count_t p = bucket_ptr[v]; p < bucket_ptr[v + 1]; ++p) {
+      const index_t u = bucket[p];
+      if (last_writer[u] == v) continue;
+      last_writer[u] = v;
+      g.adj[next[u]++] = v;
+    }
+  }
+  g.vwgt.assign(static_cast<std::size_t>(n), 1);
+  g.ewgt.assign(g.adj.size(), 1);
   return g;
 }
 
@@ -87,27 +119,17 @@ Graph induced_subgraph(const Graph& g, std::span<const index_t> vertices,
   for (index_t i = 0; i < s.n; ++i) s.adj_ptr[i + 1] += s.adj_ptr[i];
   s.adj.resize(static_cast<std::size_t>(s.adj_ptr.back()));
   s.ewgt.resize(s.adj.size());
+  // Local ids are not monotone in global ids, so fill by transpose: visiting
+  // local ids in ascending order and appending i to each neighbor's list
+  // leaves every list sorted. Symmetry makes the transpose the graph itself.
+  std::vector<index_t> next(s.adj_ptr.begin(), s.adj_ptr.end() - 1);
   for (index_t i = 0; i < s.n; ++i) {
     const index_t v = vertices[i];
-    index_t q = s.adj_ptr[i];
     for (index_t p = g.adj_ptr[v]; p < g.adj_ptr[v + 1]; ++p) {
       const index_t lu = local_of[g.adj[p]];
       if (lu == kNone) continue;
-      s.adj[q] = lu;
-      s.ewgt[q] = g.ewgt[p];
-      ++q;
-    }
-    // Local ids are not monotone in global ids, so restore sortedness.
-    // Sort the (neighbor, weight) pairs of this vertex together.
-    std::vector<std::pair<index_t, index_t>> tmp;
-    tmp.reserve(static_cast<std::size_t>(q - s.adj_ptr[i]));
-    for (index_t t = s.adj_ptr[i]; t < q; ++t) {
-      tmp.emplace_back(s.adj[t], s.ewgt[t]);
-    }
-    std::sort(tmp.begin(), tmp.end());
-    for (index_t t = s.adj_ptr[i]; t < q; ++t) {
-      s.adj[t] = tmp[t - s.adj_ptr[i]].first;
-      s.ewgt[t] = tmp[t - s.adj_ptr[i]].second;
+      s.adj[next[lu]] = i;
+      s.ewgt[next[lu]++] = g.ewgt[p];
     }
   }
   for (index_t v : vertices) local_of[v] = kNone;

@@ -1,10 +1,16 @@
 // Graph bisection: greedy growing, Fiduccia–Mattheyses refinement, multilevel
 // scheme (heavy-edge-matching coarsening), and vertex-separator extraction.
 //
-// This is the engine behind nested dissection. It mirrors the standard
-// multilevel partitioner design (METIS-class): coarsen with heavy-edge
-// matching until the graph is small, bisect the coarsest graph greedily,
-// then uncoarsen while refining the cut with FM passes at every level.
+// This is the engine behind nested dissection. It follows the multilevel
+// scheme METIS popularized: coarsen with heavy-edge matching until the graph
+// is small, bisect the coarsest graph greedily, then uncoarsen while
+// refining the cut with FM passes at every level; the best of
+// `PartitionOptions::attempts` (default two) independent runs wins. Each FM
+// pass is seeded with the boundary vertices (interior ones join when a
+// neighbor moves) and ends when its heap empties or it is more than 200
+// moves past its best cut. Unlike METIS it has no graph compression (the
+// three dofs of an elasticity node stay three vertices) and no bounded,
+// boundary-only refinement at the fine levels.
 #pragma once
 
 #include <vector>
@@ -49,9 +55,12 @@ void recompute_bisection_stats(const Graph& g, Bisection* b);
 /// vertex weight; remaining vertices form side 1.
 [[nodiscard]] Bisection greedy_grow_bisection(const Graph& g, Prng& rng);
 
-/// Boundary FM refinement: hill-climbing passes that move boundary vertices
-/// between sides, keeping balance within `opts.balance_tol`, keeping the best
-/// prefix of each pass. Updates b in place.
+/// FM refinement: up to `opts.fm_passes` hill-climbing passes that each
+/// start from the boundary vertices, move the highest-gain vertex that keeps
+/// balance within `opts.balance_tol` (ties: larger vertex id), lock it, and
+/// keep the best prefix of the pass; a pass stops 200 moves past its best.
+/// Gains are exact and updated incrementally per move on an indexed max-heap.
+/// Requires positive edge weights. Updates b in place.
 void fm_refine(const Graph& g, const PartitionOptions& opts, Bisection* b);
 
 /// Heavy-edge matching coarsening step. Returns the coarse graph and fills

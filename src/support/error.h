@@ -1,7 +1,9 @@
 // Error handling: a single exception type plus check macros.
 //
 // Library code validates its preconditions with PARFACT_CHECK (always on) and
-// uses PARFACT_DCHECK for expensive internal invariants (debug builds only).
+// uses PARFACT_DCHECK for expensive internal invariants, which run whenever
+// NDEBUG is undefined — including the default Release flags, which do not
+// define it.
 #pragma once
 
 #include <sstream>

@@ -1,7 +1,9 @@
 // Tests for the graph module: structure, traversal, partitioning, orderings.
 #include <algorithm>
 #include <numeric>
+#include <queue>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -13,6 +15,7 @@
 #include "symbolic/etree.h"
 #include "sparse/gen.h"
 #include "sparse/ops.h"
+#include "support/checksum.h"
 #include "support/prng.h"
 
 namespace parfact {
@@ -306,6 +309,328 @@ TEST_P(OrderingSeedTest, NdValidAcrossSeeds) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, OrderingSeedTest,
                          ::testing::Values(1u, 2u, 3u, 42u, 12345u));
+
+// --- Ordering identity -------------------------------------------------------
+//
+// The partitioner's data structures (indexed gain heap, sort-free builders)
+// are speed choices only: every ND permutation must equal the one that the
+// reference lazy-heap FM and sort-based builders below give. The constants
+// are fnv1a digests of those permutations.
+
+std::uint64_t fingerprint(const std::vector<index_t>& perm) {
+  return fnv1a(perm.data(), perm.size() * sizeof(index_t));
+}
+
+SparseMatrix relabeled(const SparseMatrix& lower, std::uint64_t seed) {
+  Prng rng(seed);
+  std::vector<index_t> perm(static_cast<std::size_t>(lower.rows));
+  std::iota(perm.begin(), perm.end(), 0);
+  for (std::size_t i = perm.size(); i > 1; --i) {
+    std::swap(perm[i - 1], perm[rng.next_below(i)]);
+  }
+  return lower_triangle(permute_symmetric(symmetrize_full(lower), perm));
+}
+
+/// Lower-stored block diagonal of two lower-stored matrices.
+SparseMatrix block_diagonal(const SparseMatrix& a, const SparseMatrix& b) {
+  TripletBuilder t(a.rows + b.rows, a.cols + b.cols);
+  for (index_t j = 0; j < a.cols; ++j) {
+    for (index_t p = a.col_ptr[j]; p < a.col_ptr[j + 1]; ++p) {
+      t.add(a.row_ind[p], j, a.values[p]);
+    }
+  }
+  for (index_t j = 0; j < b.cols; ++j) {
+    for (index_t p = b.col_ptr[j]; p < b.col_ptr[j + 1]; ++p) {
+      t.add(a.rows + b.row_ind[p], a.cols + j, b.values[p]);
+    }
+  }
+  return t.build();
+}
+
+struct FingerprintCase {
+  const char* name;
+  SparseMatrix (*make)();
+  std::uint64_t serial;
+  std::uint64_t parallel;
+};
+
+const FingerprintCase kFingerprintCases[] = {
+    {"grid2d_30x30", [] { return grid_laplacian_2d(30, 30, 5); },
+     0x621de38a21b7c5b9ull, 0x910b44da570a0005ull},
+    {"grid3d_10", [] { return grid_laplacian_3d(10, 10, 10, 7); },
+     0x138f459ea6527e6dull, 0x4f808448b2709f1dull},
+    {"elasticity_5", [] { return elasticity_3d(5, 5, 5); },
+     0xae4b21ed44a669b9ull, 0x291d66cc52f6d121ull},
+    {"grid3d_10_relabeled",
+     [] { return relabeled(grid_laplacian_3d(10, 10, 10, 7), 17); },
+     0x073e39c08bc54691ull, 0xaef3977a68627541ull},
+    {"two_components",
+     [] {
+       return block_diagonal(grid_laplacian_2d(20, 14, 5),
+                             grid_laplacian_3d(7, 7, 7, 7));
+     },
+     0x3bc2d19f4534c800ull, 0x7a5766fa41773d30ull},
+};
+
+TEST(OrderingIdentity, NestedDissectionFingerprints) {
+  ThreadPool p1(1), p4(4);
+  for (const FingerprintCase& c : kFingerprintCases) {
+    SCOPED_TRACE(c.name);
+    const Graph g = graph_from_pattern(c.make());
+    const OrderingOptions opts;
+    EXPECT_EQ(fingerprint(nested_dissection(g, opts)), c.serial);
+    EXPECT_EQ(fingerprint(nested_dissection_parallel(g, opts, p1)),
+              c.parallel);
+    EXPECT_EQ(fingerprint(nested_dissection_parallel(g, opts, p4)),
+              c.parallel);
+  }
+}
+
+// Reference FM: the lazy max-heap of (gain, vertex) with a full gain
+// recompute for every neighbor of a moved vertex. fm_refine must make the
+// same moves.
+count_t reference_move_gain(const Graph& g, const Bisection& b, index_t v) {
+  count_t gain = 0;
+  for (index_t p = g.adj_ptr[v]; p < g.adj_ptr[v + 1]; ++p) {
+    gain += (b.side[g.adj[p]] != b.side[v]) ? g.ewgt[p] : -g.ewgt[p];
+  }
+  return gain;
+}
+
+void reference_fm_refine(const Graph& g, const PartitionOptions& opts,
+                         Bisection* b) {
+  const count_t total = b->side_weight[0] + b->side_weight[1];
+  const auto max_side = static_cast<count_t>(
+      (1.0 + opts.balance_tol) / 2.0 * static_cast<double>(total));
+  std::vector<char> locked(static_cast<std::size_t>(g.n));
+  std::vector<count_t> gain(static_cast<std::size_t>(g.n));
+  for (int pass = 0; pass < opts.fm_passes; ++pass) {
+    std::fill(locked.begin(), locked.end(), 0);
+    std::priority_queue<std::pair<count_t, index_t>> heap;
+    for (index_t v = 0; v < g.n; ++v) {
+      gain[v] = reference_move_gain(g, *b, v);
+      bool boundary = false;
+      for (index_t p = g.adj_ptr[v]; p < g.adj_ptr[v + 1] && !boundary; ++p) {
+        boundary = b->side[g.adj[p]] != b->side[v];
+      }
+      if (boundary) heap.emplace(gain[v], v);
+    }
+    count_t best_improvement = 0;
+    count_t improvement = 0;
+    std::vector<index_t> moved;
+    std::size_t best_prefix = 0;
+    while (!heap.empty()) {
+      const auto [gv, v] = heap.top();
+      heap.pop();
+      if (locked[v] || gv != gain[v]) continue;
+      const int from = b->side[v];
+      const int to = 1 - from;
+      if (b->side_weight[to] + g.vwgt[v] > max_side) continue;
+      locked[v] = 1;
+      b->side[v] = static_cast<signed char>(to);
+      b->side_weight[from] -= g.vwgt[v];
+      b->side_weight[to] += g.vwgt[v];
+      improvement += gv;
+      moved.push_back(v);
+      if (improvement > best_improvement) {
+        best_improvement = improvement;
+        best_prefix = moved.size();
+      }
+      for (index_t p = g.adj_ptr[v]; p < g.adj_ptr[v + 1]; ++p) {
+        const index_t u = g.adj[p];
+        if (locked[u]) continue;
+        gain[u] = reference_move_gain(g, *b, u);
+        heap.emplace(gain[u], u);
+      }
+      if (moved.size() > best_prefix + 200 && improvement < best_improvement) {
+        break;
+      }
+    }
+    for (std::size_t k = moved.size(); k > best_prefix; --k) {
+      const index_t v = moved[k - 1];
+      const int cur = b->side[v];
+      b->side[v] = static_cast<signed char>(1 - cur);
+      b->side_weight[cur] -= g.vwgt[v];
+      b->side_weight[1 - cur] += g.vwgt[v];
+    }
+    b->cut -= best_improvement;
+    if (best_improvement == 0) break;
+  }
+}
+
+TEST(OrderingIdentity, FmRefineMatchesLazyHeapReference) {
+  // Tight tolerances force balance rejections, the one place where a lazy
+  // heap and an indexed one could part ways.
+  std::vector<std::pair<const char*, Graph>> graphs;
+  graphs.emplace_back("grid2d",
+                      graph_from_pattern(grid_laplacian_2d(20, 20, 5)));
+  graphs.emplace_back("grid3d",
+                      graph_from_pattern(grid_laplacian_3d(7, 7, 7, 7)));
+  graphs.emplace_back("elasticity",
+                      graph_from_pattern(elasticity_3d(3, 3, 3)));
+  {
+    Prng rng(99);
+    std::vector<index_t> cmap;
+    graphs.emplace_back(
+        "coarsened",
+        coarsen(graph_from_pattern(grid_laplacian_2d(30, 30, 9)), rng, &cmap));
+  }
+  for (const auto& [name, g] : graphs) {
+    for (const double tol : {0.02, 0.05, 0.2}) {
+      PartitionOptions opts;
+      opts.balance_tol = tol;
+      for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+        SCOPED_TRACE(::testing::Message()
+                     << name << " tol=" << tol << " seed=" << seed);
+        Prng rng(seed);
+        Bisection fast = greedy_grow_bisection(g, rng);
+        Bisection ref = fast;
+        fm_refine(g, opts, &fast);
+        reference_fm_refine(g, opts, &ref);
+        ASSERT_EQ(fast.side, ref.side);
+        ASSERT_EQ(fast.cut, ref.cut);
+        ASSERT_EQ(fast.side_weight[0], ref.side_weight[0]);
+        ASSERT_EQ(fast.side_weight[1], ref.side_weight[1]);
+      }
+    }
+  }
+}
+
+// Reference builders: collect (vertex, neighbor, weight) triples, sort them,
+// and merge duplicates.
+Graph graph_from_sorted_triples(
+    index_t n, std::vector<index_t> vwgt,
+    std::vector<std::tuple<index_t, index_t, index_t>> edges) {
+  std::sort(edges.begin(), edges.end());
+  Graph g;
+  g.n = n;
+  g.vwgt = std::move(vwgt);
+  g.adj_ptr.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (std::size_t k = 0; k < edges.size();) {
+    const index_t v = std::get<0>(edges[k]);
+    const index_t u = std::get<1>(edges[k]);
+    index_t w = 0;
+    for (; k < edges.size() && std::get<0>(edges[k]) == v &&
+           std::get<1>(edges[k]) == u;
+         ++k) {
+      w += std::get<2>(edges[k]);
+    }
+    g.adj.push_back(u);
+    g.ewgt.push_back(w);
+    ++g.adj_ptr[v + 1];
+  }
+  for (index_t v = 0; v < n; ++v) g.adj_ptr[v + 1] += g.adj_ptr[v];
+  return g;
+}
+
+void expect_same_graph(const Graph& a, const Graph& b) {
+  EXPECT_EQ(a.n, b.n);
+  EXPECT_EQ(a.adj_ptr, b.adj_ptr);
+  EXPECT_EQ(a.adj, b.adj);
+  EXPECT_EQ(a.vwgt, b.vwgt);
+  EXPECT_EQ(a.ewgt, b.ewgt);
+}
+
+/// Full-stored copy of `lower` in which every third stored entry of each
+/// column appears twice.
+SparseMatrix full_with_duplicates(const SparseMatrix& lower) {
+  const SparseMatrix full = symmetrize_full(lower);
+  SparseMatrix dup(full.rows, full.cols);
+  for (index_t j = 0; j < full.cols; ++j) {
+    for (index_t p = full.col_ptr[j]; p < full.col_ptr[j + 1]; ++p) {
+      const int copies = (p - full.col_ptr[j]) % 3 == 0 ? 2 : 1;
+      for (int c = 0; c < copies; ++c) {
+        dup.row_ind.push_back(full.row_ind[p]);
+        dup.values.push_back(full.values[p]);
+      }
+    }
+    dup.col_ptr[j + 1] = static_cast<index_t>(dup.row_ind.size());
+  }
+  return dup;
+}
+
+TEST(OrderingIdentity, GraphFromPatternMatchesSortedReference) {
+  const SparseMatrix inputs[] = {
+      grid_laplacian_2d(13, 9, 9), elasticity_3d(2, 3, 2),
+      relabeled(grid_laplacian_3d(6, 5, 4, 27), 5), random_spd(150, 4, 3)};
+  for (const SparseMatrix& lower : inputs) {
+    for (const SparseMatrix& a :
+         {lower, symmetrize_full(lower), full_with_duplicates(lower)}) {
+      std::vector<std::tuple<index_t, index_t, index_t>> edges;
+      for (index_t j = 0; j < a.cols; ++j) {
+        for (index_t p = a.col_ptr[j]; p < a.col_ptr[j + 1]; ++p) {
+          const index_t i = a.row_ind[p];
+          if (i == j) continue;
+          edges.emplace_back(i, j, 1);
+          edges.emplace_back(j, i, 1);
+        }
+      }
+      std::sort(edges.begin(), edges.end());
+      edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+      const Graph g = graph_from_pattern(a);
+      g.validate();
+      std::vector<index_t> unit(static_cast<std::size_t>(a.rows), 1);
+      expect_same_graph(g, graph_from_sorted_triples(a.rows, std::move(unit),
+                                                     std::move(edges)));
+    }
+  }
+}
+
+TEST(OrderingIdentity, CoarsenAndInducedSubgraphMatchSortedReference) {
+  Prng rng(11);
+  Graph g = graph_from_pattern(grid_laplacian_3d(9, 8, 7, 27));
+  for (int level = 0; level < 3; ++level) {
+    std::vector<index_t> cmap;
+    const Graph c = coarsen(g, rng, &cmap);
+    c.validate();
+    index_t n_coarse = 0;
+    for (index_t cv : cmap) n_coarse = std::max(n_coarse, cv + 1);
+    std::vector<index_t> vwgt(static_cast<std::size_t>(n_coarse), 0);
+    std::vector<std::tuple<index_t, index_t, index_t>> edges;
+    for (index_t v = 0; v < g.n; ++v) {
+      vwgt[cmap[v]] += g.vwgt[v];
+      for (index_t p = g.adj_ptr[v]; p < g.adj_ptr[v + 1]; ++p) {
+        if (cmap[g.adj[p]] != cmap[v]) {
+          edges.emplace_back(cmap[v], cmap[g.adj[p]], g.ewgt[p]);
+        }
+      }
+    }
+    expect_same_graph(c, graph_from_sorted_triples(n_coarse, std::move(vwgt),
+                                                   std::move(edges)));
+
+    // Induced subgraph of the weighted coarse graph on a shuffled subset,
+    // so local ids are not monotone in global ids.
+    std::vector<index_t> verts;
+    for (index_t v = 0; v < c.n; ++v) {
+      if (rng.next_below(3) != 0) verts.push_back(v);
+    }
+    for (std::size_t i = verts.size(); i > 1; --i) {
+      std::swap(verts[i - 1], verts[rng.next_below(i)]);
+    }
+    std::vector<index_t> local_of(static_cast<std::size_t>(c.n), kNone);
+    const Graph s = induced_subgraph(c, verts, local_of);
+    s.validate();
+    for (std::size_t i = 0; i < verts.size(); ++i) {
+      local_of[verts[i]] = static_cast<index_t>(i);
+    }
+    std::vector<index_t> svwgt;
+    std::vector<std::tuple<index_t, index_t, index_t>> sedges;
+    for (std::size_t i = 0; i < verts.size(); ++i) {
+      const index_t v = verts[i];
+      svwgt.push_back(c.vwgt[v]);
+      for (index_t p = c.adj_ptr[v]; p < c.adj_ptr[v + 1]; ++p) {
+        if (local_of[c.adj[p]] != kNone) {
+          sedges.emplace_back(static_cast<index_t>(i), local_of[c.adj[p]],
+                              c.ewgt[p]);
+        }
+      }
+    }
+    expect_same_graph(
+        s, graph_from_sorted_triples(static_cast<index_t>(verts.size()),
+                                     std::move(svwgt), std::move(sedges)));
+    g = c;
+  }
+}
 
 }  // namespace
 }  // namespace parfact
