@@ -292,10 +292,13 @@ int main(int argc, char** argv) {
   report_class("refactorize", lat_refac);
   report_class("factorize", lat_cold);
   std::printf(
-      "throughput = %.1f req/s over %.2f s; evictions=%lld, "
+      "throughput = %.1f req/s over %.2f s; evictions=%lld "
+      "(spill bytes written=%s, kept files reused=%lld), "
       "cache hits=%lld/%lld, resident factors=%s of %s\n",
       total_requests / mix_seconds, mix_seconds,
       static_cast<long long>(stats.sessions_evicted),
+      bench::fmt_bytes(static_cast<double>(stats.spill_bytes_written)).c_str(),
+      static_cast<long long>(stats.spills_reused),
       static_cast<long long>(stats.symbolic_cache_hits),
       static_cast<long long>(stats.symbolic_cache_hits +
                              stats.symbolic_cache_misses),
@@ -305,6 +308,9 @@ int main(int argc, char** argv) {
       .field("panel", "service_mix_summary")
       .field("req_per_sec", total_requests / mix_seconds)
       .field("sessions_evicted", static_cast<long long>(stats.sessions_evicted))
+      .field("spill_bytes_written",
+             static_cast<long long>(stats.spill_bytes_written))
+      .field("spills_reused", static_cast<long long>(stats.spills_reused))
       .field("factor_cache_bytes",
              static_cast<long long>(stats.factor_cache_bytes));
 

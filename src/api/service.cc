@@ -215,33 +215,47 @@ void SolverService::finish_factor(Session& session, const Status& status) {
   if (r.has_value()) {
     session.reservation = std::move(*r);
   } else {
-    (void)session.solver->spill_factor();
+    (void)spill(session);
   }
 }
 
+Status SolverService::spill(Session& session) {
+  const std::size_t before = session.solver->spill_bytes_written();
+  const Status status = session.solver->spill_factor();
+  if (status.ok()) {
+    const std::size_t written = session.solver->spill_bytes_written() - before;
+    spill_bytes_written_.fetch_add(written, std::memory_order_relaxed);
+    if (written == 0) spills_reused_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return status;
+}
+
 std::size_t SolverService::evict_lru(const Session* requester) {
-  std::vector<std::shared_ptr<Session>> candidates;
+  // Sort on a snapshot of the recency ticks: other jobs keep bumping
+  // last_touch, and keys that change mid-sort break std::sort's ordering
+  // contract (it may then step outside the range).
+  std::vector<std::pair<std::uint64_t, std::shared_ptr<Session>>> candidates;
   {
     std::lock_guard<std::mutex> lock(registry_mu_);
     candidates.reserve(sessions_.size());
     for (const auto& [sid, s] : sessions_) {
-      if (s.get() != requester) candidates.push_back(s);
+      if (s.get() != requester) {
+        candidates.emplace_back(
+            s->last_touch.load(std::memory_order_relaxed), s);
+      }
     }
   }
   std::sort(candidates.begin(), candidates.end(),
-            [](const std::shared_ptr<Session>& a,
-               const std::shared_ptr<Session>& b) {
-              return a->last_touch.load(std::memory_order_relaxed) <
-                     b->last_touch.load(std::memory_order_relaxed);
-            });
-  for (const std::shared_ptr<Session>& victim : candidates) {
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (const auto& candidate : candidates) {
+    const std::shared_ptr<Session>& victim = candidate.second;
     // try_lock: a session running a job is hot by definition — skip it
     // (and never deadlock with its job thread).
     std::unique_lock<std::mutex> lock(victim->mu, std::try_to_lock);
     if (!lock.owns_lock()) continue;
     if (victim->solver == nullptr || !victim->reservation.held()) continue;
     const std::size_t bytes = victim->reservation.bytes();
-    if (victim->solver->spill_factor().failed()) continue;
+    if (spill(*victim).failed()) continue;
     victim->reservation.reset();
     sessions_evicted_.fetch_add(1, std::memory_order_relaxed);
     return bytes;
@@ -357,6 +371,10 @@ ServiceStats SolverService::stats() const {
   }
   st.sessions_evicted =
       static_cast<count_t>(sessions_evicted_.load(std::memory_order_relaxed));
+  st.spill_bytes_written = static_cast<std::size_t>(
+      spill_bytes_written_.load(std::memory_order_relaxed));
+  st.spills_reused =
+      static_cast<count_t>(spills_reused_.load(std::memory_order_relaxed));
   st.symbolic_cache_hits = cache_.hits();
   st.symbolic_cache_misses = cache_.misses();
   st.refactorizes =

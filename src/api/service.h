@@ -21,11 +21,14 @@
 // needs room, the least-recently-touched idle sessions are evicted — their
 // factors spill to the checksummed OOC scratch path, still solvable by
 // streaming. Touching a spilled session reloads it in-core when room
-// exists (checksum-verified; a corrupted scratch file triggers a
+// exists (digest-verified; a corrupted scratch file triggers a
 // transparent re-factorization from the session's retained matrix), and
-// otherwise streams from disk. A factor too large for the whole cache runs
-// under the remaining headroom through the solver's own governed ladder —
-// OOC spill or a diagnosed kResourceExhausted.
+// otherwise streams from disk. A reloaded session keeps its scratch file,
+// so evicting it again while its factor is unchanged writes nothing
+// (ServiceStats counts the bytes spills write and the reuses). A factor
+// too large for the whole cache runs under the remaining headroom through
+// the solver's own governed ladder — OOC spill or a diagnosed
+// kResourceExhausted.
 #pragma once
 
 #include <atomic>
@@ -59,7 +62,10 @@ struct ServiceOptions {
   std::size_t factor_cache_bytes = 0;
   /// Capacity of the shared pattern-keyed symbolic-analysis cache.
   std::size_t symbolic_cache_entries = 64;
-  /// Directory for per-session OOC scratch files ("" = /tmp).
+  /// Directory for per-session OOC scratch files ("" = /tmp). It holds at
+  /// most one file per open session: a session's evictions and its solver's
+  /// own budget-driven spills share that session's path, and close()
+  /// removes the file.
   std::string spill_dir;
   /// Maximum jobs in flight across all sessions (0 = unbounded). Excess
   /// jobs wait at the fair gate.
@@ -70,6 +76,11 @@ struct ServiceOptions {
 struct ServiceStats {
   count_t sessions_open = 0;
   count_t sessions_evicted = 0;    ///< LRU factor spills (cumulative)
+  /// Scratch-file bytes the service's spills wrote, and the spills that
+  /// wrote none because the session's kept file still held its unchanged
+  /// factor (both cumulative).
+  std::size_t spill_bytes_written = 0;
+  count_t spills_reused = 0;
   count_t symbolic_cache_hits = 0;
   count_t symbolic_cache_misses = 0;
   count_t refactorizes = 0;
@@ -131,6 +142,8 @@ class SolverService {
   /// Spills the least-recently-touched idle session (not `requester`);
   /// returns the bytes freed (0 = no evictable candidate).
   std::size_t evict_lru(const Session* requester);
+  /// Spills the session's resident factor, counting what the spill wrote.
+  Status spill(Session& session);
   /// Brings a spilled session's factor back in-core if the budget allows,
   /// re-factorizing if the scratch file fails its checksums. Best effort:
   /// on failure the session keeps streaming from disk.
@@ -151,6 +164,8 @@ class SolverService {
   std::atomic<std::uint64_t> tick_{0};
   std::atomic<std::uint64_t> seq_{0};
   std::atomic<std::uint64_t> sessions_evicted_{0};
+  std::atomic<std::uint64_t> spill_bytes_written_{0};
+  std::atomic<std::uint64_t> spills_reused_{0};
   std::atomic<std::uint64_t> refactorizes_{0};
   std::atomic<std::uint64_t> jobs_completed_{0};
 

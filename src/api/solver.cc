@@ -192,6 +192,7 @@ GovernedOptions Solver::governed_options() {
 void Solver::reset_factor_state() {
   factor_.reset();
   ooc_factor_.reset();
+  kept_spill_.reset();
   solve_schedule_.reset();
   reservation_.reset();
   budget_.reset();
@@ -295,6 +296,7 @@ void Solver::analyze(const SparseMatrix& lower) {
   original_lower_ = lower;
   factor_.reset();
   ooc_factor_.reset();
+  kept_spill_.reset();
   solve_schedule_.reset();
   reservation_.reset();
   cached_.reset();
@@ -488,15 +490,23 @@ Status Solver::spill_factor() {
     return Status::failure(StatusCode::kInvalidInput,
                            "spill_factor(): no factor to spill");
   }
-  OocCholeskyFactor ooc(*sym_, spill_path());
-  for (index_t s = 0; s < sym_->n_supernodes; ++s) {
-    ooc.write_panel(s, factor_->panel(s));
+  // The file kept from the last reload already holds this factor unless a
+  // refactorize, a verify repair or an injection rewrote panels since:
+  // compare digests, and rewrite the file in place only on a difference.
+  const bool reuse =
+      kept_spill_.has_value() && kept_spill_->matches(*factor_);
+  if (!kept_spill_.has_value()) kept_spill_.emplace(*sym_, spill_path());
+  if (!reuse) {
+    kept_spill_->write_factor(*factor_);
+    spill_bytes_written_ +=
+        static_cast<std::size_t>(kept_spill_->bytes_on_disk());
   }
   if (factor_->is_ldlt()) {
     const std::span<const real_t> d = factor_->diag();
-    std::copy(d.begin(), d.end(), ooc.allocate_diag().begin());
+    std::copy(d.begin(), d.end(), kept_spill_->allocate_diag().begin());
   }
-  ooc_factor_.emplace(std::move(ooc));
+  ooc_factor_ = std::move(kept_spill_);
+  kept_spill_.reset();
   factor_.reset();
   solve_schedule_.reset();
   reservation_.reset();
@@ -514,9 +524,7 @@ Status Solver::unspill_factor() {
   }
   try {
     CholeskyFactor factor(*sym_);
-    for (index_t s = 0; s < sym_->n_supernodes; ++s) {
-      ooc_factor_->read_panel(s, factor.panel(s));
-    }
+    ooc_factor_->read_factor(factor);
     if (ooc_factor_->is_ldlt()) {
       const std::span<const real_t> d = ooc_factor_->diag();
       std::copy(d.begin(), d.end(), factor.allocate_diag().begin());
@@ -528,6 +536,8 @@ Status Solver::unspill_factor() {
     // caller decide (SolverService falls back to refactorize).
     return e.status();
   }
+  // Keep the file: evicting this factor again unchanged then writes nothing.
+  kept_spill_ = std::move(ooc_factor_);
   ooc_factor_.reset();
   build_solve_schedule();
   return Status::success();

@@ -253,12 +253,24 @@ class Solver {
   /// on disk, LDLᵀ diagonal resident), releasing the panel memory and any
   /// budget reservation. Solves keep working, streamed from disk. Used by
   /// SolverService to evict cold sessions; no-op Status if already spilled.
+  /// When the file kept from the last unspill_factor() still holds exactly
+  /// this factor (every panel digests to what was written), it is reused
+  /// and nothing is written; otherwise it is rewritten in place with one
+  /// positioned write.
   Status spill_factor();
 
-  /// Loads a spilled factor back in-core (checksum-verified panel reads;
-  /// a corrupted scratch file returns kDataCorruption and keeps the spilled
-  /// state). No-op Status if already in-core.
+  /// Loads a spilled factor back in-core with one positioned read, every
+  /// panel digest-verified (a corrupted scratch file returns
+  /// kDataCorruption and keeps the spilled state). The file is kept for
+  /// the next spill_factor() until analyze(), a factorization that starts
+  /// over, or destruction removes it. No-op Status if already in-core.
   Status unspill_factor();
+
+  /// Scratch-file bytes spill_factor() has written over this Solver's
+  /// lifetime (a reused file adds 0).
+  [[nodiscard]] std::size_t spill_bytes_written() const {
+    return spill_bytes_written_;
+  }
 
   /// Bytes held by the current factor: in-core panel + diagonal storage, or
   /// scratch-file bytes when spilled; 0 before factorize().
@@ -401,6 +413,10 @@ class Solver {
   mutable std::optional<CholeskyFactor> factor_;
   mutable FactorChecksums factor_checksums_;  ///< at-rest sums (abft runs)
   std::optional<OocCholeskyFactor> ooc_factor_;  ///< spilled alternative
+  /// The scratch file of the last reload, kept while the factor is resident
+  /// so that spilling it unchanged costs one digest pass and no I/O.
+  std::optional<OocCholeskyFactor> kept_spill_;
+  std::size_t spill_bytes_written_ = 0;  ///< cumulative, spill_factor()
   std::vector<index_t> total_perm_;  ///< postordered -> original
   /// Per-nonzero scatter map from the analyze() input's value array into
   /// sym_->a.values — a pure permutation (no arithmetic), which is what

@@ -39,7 +39,7 @@ std::vector<std::byte> encode_checkpoint(const CheckpointImage& image,
   header.next_supernode = image.next_supernode;
   header.perturbations = image.perturbations;
   header.payload_bytes = payload.size();
-  header.payload_checksum = fnv1a(payload.data(), payload.size());
+  header.payload_checksum = bulk_digest(payload.data(), payload.size());
   std::vector<std::byte> blob(sizeof(BlobHeader) + payload.size());
   std::memcpy(blob.data(), &header, sizeof header);
   if (!payload.empty()) {
@@ -58,7 +58,7 @@ CheckpointImage decode_checkpoint(const std::vector<std::byte>& blob) {
     corrupt("payload size disagrees with blob size");
   }
   if (header.payload_checksum !=
-      fnv1a(blob.data() + sizeof header, blob.size() - sizeof header)) {
+      bulk_digest(blob.data() + sizeof header, blob.size() - sizeof header)) {
     corrupt("payload checksum mismatch");
   }
   if (header.next_supernode < 0 || header.perturbations < 0) {

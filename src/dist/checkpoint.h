@@ -36,8 +36,9 @@ struct ResiliencePolicy {
   /// this trade-off).
   index_t checkpoint_interval = 8;
   /// Round-trip every checkpoint blob through a checksummed scratch file
-  /// (the OOC writer's FNV-1a discipline): models spilling buddy state to
-  /// node-local storage and catches torn writes as kDataCorruption.
+  /// (the OOC writer's verify-on-read discipline): models spilling buddy
+  /// state to node-local storage and catches torn writes as
+  /// kDataCorruption.
   bool spill_to_scratch = false;
   /// Directory for scratch spills (empty = the system temp directory).
   std::string scratch_dir;

@@ -33,6 +33,11 @@ class CholeskyFactor {
   /// calls with no allocator traffic.
   void reset_values();
 
+  /// Every panel, concatenated in supernode order: one contiguous array,
+  /// laid out exactly as the OOC scratch file stores it.
+  [[nodiscard]] std::span<const real_t> values() const { return values_; }
+  [[nodiscard]] std::span<real_t> values() { return values_; }
+
   /// Total stored entries (== symbolic().nnz_stored).
   [[nodiscard]] count_t stored_entries() const {
     return static_cast<count_t>(values_.size());

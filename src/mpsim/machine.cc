@@ -391,7 +391,7 @@ void Comm::send(int dest, int tag, const void* data, std::size_t bytes) {
   const FaultPlan& plan = machine_->plan_;
   const std::uint64_t seq = send_seq_[{dest, tag}]++;
   std::vector<std::byte> wire(sizeof(WireHeader) + bytes);
-  const WireHeader header{seq, fnv1a(data, bytes)};
+  const WireHeader header{seq, bulk_digest(data, bytes)};
   std::memcpy(wire.data(), &header, sizeof header);
   if (bytes > 0) std::memcpy(wire.data() + sizeof header, data, bytes);
   // Resolve a pending wire bit flip (BitFlip site 0) for this sender: the
@@ -600,8 +600,9 @@ bool Comm::fetch_message(int source, int tag, bool blocking, bool bounded,
       continue;  // duplicate of an already-accepted copy
     }
     if (plan.wire_checksums &&
-        header.payload_checksum != fnv1a(msg.data.data() + sizeof header,
-                                         msg.data.size() - sizeof header)) {
+        header.payload_checksum !=
+            bulk_digest(msg.data.data() + sizeof header,
+                        msg.data.size() - sizeof header)) {
       // Payload digest mismatch: an injected (or modeled) wire bit flip.
       // Discard without advancing the stream — the sender resolved the
       // corrupt copy as undelivered and will retransmit a clean one.

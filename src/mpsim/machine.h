@@ -154,9 +154,9 @@ struct FaultPlan {
     int bit = 62;            ///< bit within the word (62: exponent MSB)
   };
   std::vector<BitFlip> bit_flips;
-  /// Payload FNV-1a digests on the fault-path wire format (site-0 defense).
-  /// On by default; campaigns switch it off to measure what an undefended
-  /// wire lets through.
+  /// Payload digests (bulk_digest) on the fault-path wire format (site-0
+  /// defense). On by default; campaigns switch it off to measure what an
+  /// undefended wire lets through.
   bool wire_checksums = true;
   /// Standby ranks available to adopt crashed ranks (see Comm::await_failure).
   /// Rank programs must handle Comm::is_spare() when this is nonzero.

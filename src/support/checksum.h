@@ -1,9 +1,13 @@
 // Shared integrity primitives for the corruption-defense layer.
 //
-// Two families live here. `fnv1a` is the byte-stream hash that guards
-// *stored or transmitted* bytes (OOC panels, checkpoint blobs, mpsim wire
-// payloads): any flipped bit changes the digest, so mismatch means the
-// bytes are not what was written. The ABFT helpers guard *computed*
+// Three families live here. `bulk_digest` guards *stored or transmitted*
+// bytes (OOC panels, checkpoint blobs, mpsim wire payloads): a word-wise,
+// four-lane digest whose every step is a bijection, so any single changed
+// 8-byte word — every single-bit flip included — provably changes the
+// digest, at memory-bandwidth speed. `fnv1a` is the byte-serial hash kept
+// for small keyed digests (the symbolic-cache pattern key, configuration
+// hashes, ordering fingerprints), where its chaining seed is what callers
+// want and speed does not matter. The ABFT helpers guard *computed*
 // numbers, where a hash is useless because the bits legitimately change:
 // Huang-Abraham column-sum identities relate kernel outputs to inputs
 // through the same linear algebra the kernel performs, so a corrupted
@@ -24,6 +28,20 @@ namespace parfact {
 
 inline constexpr std::uint64_t kFnv1aOffsetBasis = 14695981039346656037ull;
 inline constexpr std::uint64_t kFnv1aPrime = 1099511628211ull;
+
+/// Digest of a bulk byte range (stored or transmitted payloads). Words are
+/// read little-endian from any alignment, four lanes wide: lane k takes
+/// words k, k+4, k+8, ... through acc = rotl(acc + w·P2, 31)·P1, which is a
+/// bijection in `acc` for a fixed word and in the word for a fixed `acc`.
+/// The lanes merge as mix(mix(mix(mix(v0) ^ v1) ^ v2) ^ v3) with a
+/// bijective `mix`, so the result is injective in each lane; the length,
+/// the last 0–3 words and the 0–7 tail bytes (zero-padded into one word)
+/// then fold in through the same bijective steps. Hence, for a fixed
+/// length, changing any one word changes the digest — a guarantee, not a
+/// probability. Multi-word changes (and dropped, duplicated or swapped
+/// words) are caught with the usual 2⁻⁶⁴ odds. The value depends only on
+/// the bytes, so digests agree across processes on little-endian hosts.
+[[nodiscard]] std::uint64_t bulk_digest(const void* data, std::size_t bytes);
 
 /// FNV-1a over a byte range. `seed` lets callers chain ranges into one
 /// rolling digest (pass the previous digest back in).

@@ -1,6 +1,8 @@
 // Tests for the out-of-core factorization and the Schur complement API.
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -147,6 +149,129 @@ TEST(Ooc, ChecksumDetectsExternalCorruption) {
     EXPECT_EQ(e.status().failed_supernode, 0);
     EXPECT_NE(e.status().message.find("checksum mismatch"),
               std::string::npos);
+  }
+}
+
+// Byte offset of supernode s's panel in the scratch file (panels are
+// stored whole, in supernode order).
+long panel_offset(const SymbolicFactor& sym, index_t s) {
+  long off = 0;
+  for (index_t t = 0; t < s; ++t) {
+    off += static_cast<long>(sym.front_order(t)) * sym.sn_cols(t) *
+           static_cast<long>(sizeof(real_t));
+  }
+  return off;
+}
+
+void flip_file_byte(const std::string& path, long offset) {
+  std::FILE* fp = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(fp, nullptr);
+  ASSERT_EQ(std::fseek(fp, offset, SEEK_SET), 0);
+  const int c = std::fgetc(fp);
+  ASSERT_NE(c, EOF);
+  ASSERT_EQ(std::fseek(fp, offset, SEEK_SET), 0);
+  ASSERT_NE(std::fputc(c ^ 0x04, fp), EOF);
+  std::fclose(fp);
+}
+
+TEST(Ooc, WholeFactorRoundTripAndMatch) {
+  const std::string path = scratch_path("whole");
+  const SparseMatrix a = grid_laplacian_2d(14, 13, 5);
+  const SymbolicFactor sym = analyze(a);
+  CholeskyFactor in_core = multifrontal_factor(sym);
+  OocCholeskyFactor ooc(sym, path);
+  ooc.write_factor(in_core);
+  EXPECT_TRUE(ooc.matches(in_core));
+
+  // The whole-factor write is the per-panel layout: panel reads agree.
+  const index_t last = sym.n_supernodes - 1;
+  const ConstMatrixView ref = in_core.panel(last);
+  std::vector<real_t> buf(static_cast<std::size_t>(ref.rows) * ref.cols);
+  ooc.read_panel(last, MatrixView{buf.data(), ref.rows, ref.cols, ref.rows});
+  EXPECT_EQ(std::memcmp(buf.data(), ref.data, buf.size() * sizeof(real_t)),
+            0);
+
+  CholeskyFactor back(sym);
+  ooc.read_factor(back);
+  ASSERT_EQ(back.values().size(), in_core.values().size());
+  EXPECT_EQ(std::memcmp(back.values().data(), in_core.values().data(),
+                        in_core.values().size_bytes()),
+            0);
+
+  // One changed value anywhere and the file no longer holds this factor.
+  in_core.panel(0).at(0, 0) += 1.0;
+  EXPECT_FALSE(ooc.matches(in_core));
+  ooc.write_factor(in_core);
+  EXPECT_TRUE(ooc.matches(in_core));
+}
+
+TEST(Ooc, MiddlePanelFlipNamesItsSupernode) {
+  const std::string path = scratch_path("middle_flip");
+  const SparseMatrix a = grid_laplacian_2d(16, 15, 5);
+  const SymbolicFactor sym = analyze(a);
+  const OocCholeskyFactor ooc = multifrontal_factor_ooc(sym, path);
+  ASSERT_GE(sym.n_supernodes, 3);
+  const index_t mid = sym.n_supernodes / 2;
+  // The last byte of the panel: its highest exponent bits.
+  flip_file_byte(path, panel_offset(sym, mid + 1) - 1);
+
+  CholeskyFactor out(sym);
+  try {
+    ooc.read_factor(out);
+    FAIL() << "corrupted factor read succeeded";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.status().code, StatusCode::kDataCorruption);
+    EXPECT_EQ(e.status().failed_supernode, mid);
+    EXPECT_NE(e.status().message.find("checksum mismatch"),
+              std::string::npos);
+  }
+  // The panel path localizes it the same way, and its neighbours are
+  // intact.
+  const auto read = [&](index_t s) {
+    std::vector<real_t> buf(static_cast<std::size_t>(sym.front_order(s)) *
+                            sym.sn_cols(s));
+    ooc.read_panel(s, MatrixView{buf.data(), sym.front_order(s),
+                                 sym.sn_cols(s), sym.front_order(s)});
+  };
+  read(mid - 1);
+  read(mid + 1);
+  try {
+    read(mid);
+    FAIL() << "corrupted panel read succeeded";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.status().failed_supernode, mid);
+  }
+}
+
+TEST(Ooc, TruncatedFileRetriesThenReportsCorruption) {
+  const std::string path = scratch_path("truncated");
+  const SparseMatrix a = grid_laplacian_2d(16, 15, 5);
+  const SymbolicFactor sym = analyze(a);
+  const OocCholeskyFactor ooc = multifrontal_factor_ooc(sym, path);
+  ASSERT_GE(sym.n_supernodes, 3);
+  const index_t mid = sym.n_supernodes / 2;
+  // Cut the file inside panel `mid`: every earlier panel is still whole.
+  std::filesystem::resize_file(
+      path, static_cast<std::uintmax_t>(panel_offset(sym, mid) + 8));
+
+  CholeskyFactor out(sym);
+  try {
+    ooc.read_factor(out);
+    FAIL() << "truncated factor read succeeded";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.status().code, StatusCode::kDataCorruption);
+    EXPECT_EQ(e.status().failed_supernode, mid);
+    EXPECT_NE(e.status().message.find("after one re-read retry"),
+              std::string::npos);
+  }
+  const index_t f = sym.front_order(mid);
+  std::vector<real_t> buf(static_cast<std::size_t>(f) * sym.sn_cols(mid));
+  try {
+    ooc.read_panel(mid, MatrixView{buf.data(), f, sym.sn_cols(mid), f});
+    FAIL() << "truncated panel read succeeded";
+  } catch (const StatusError& e) {
+    EXPECT_EQ(e.status().code, StatusCode::kDataCorruption);
+    EXPECT_EQ(e.status().failed_supernode, mid);
   }
 }
 

@@ -6,7 +6,9 @@
 // repo's standing contract: an injected flip is either healed (result
 // bitwise identical to the clean run) or surfaces as a diagnosed Status —
 // never a silent wrong answer.
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -84,6 +86,104 @@ TEST(Checksum, Fnv1aKnownValuesAndChaining) {
   std::memcpy(copy, data, 7);
   copy[5] = static_cast<char>(copy[5] ^ 0x10);
   EXPECT_NE(fnv1a(copy, 7), whole);
+}
+
+// bulk_digest guards stored and transmitted payloads. Its single-change
+// guarantee is by construction (every step a bijection); these tests pin
+// it exhaustively on small buffers, at every length class the four-lane
+// loop and its word/byte tails distinguish, from aligned and unaligned
+// starts.
+constexpr std::size_t kDigestLengths[] = {0,  1,  7,  8,  9,   31,
+                                          32, 33, 64, 65, 4101};
+
+std::vector<unsigned char> digest_pattern(std::size_t bytes) {
+  std::vector<unsigned char> v(bytes);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    v[i] = static_cast<unsigned char>(i * 131 + 7);
+  }
+  return v;
+}
+
+TEST(Checksum, BulkDigestKnownValues) {
+  // Pinned answers: any change to the function shows here.
+  EXPECT_EQ(bulk_digest(nullptr, 0), 0x1f3928d332ecedbcull);
+  EXPECT_EQ(bulk_digest("a", 1), 0x759fe221da82c69aull);
+  EXPECT_EQ(bulk_digest("parfact bulk digest", 19), 0x4b190faebd83e96aull);
+  const std::vector<unsigned char> p = digest_pattern(4101);
+  EXPECT_EQ(bulk_digest(p.data(), 8), 0x4fbdd7c728c9a744ull);
+  EXPECT_EQ(bulk_digest(p.data(), 32), 0x88ca6312c5ab5084ull);
+  EXPECT_EQ(bulk_digest(p.data(), 33), 0x5da4d6af8de9279eull);
+  EXPECT_EQ(bulk_digest(p.data(), 64), 0xa7b746dc38107357ull);
+  EXPECT_EQ(bulk_digest(p.data(), 4101), 0x7d9af32d434f40ceull);
+}
+
+TEST(Checksum, BulkDigestEveryBitFlipChangesIt) {
+  for (const std::size_t offset : {std::size_t{0}, std::size_t{3}}) {
+    for (const std::size_t len : kDigestLengths) {
+      SCOPED_TRACE(::testing::Message()
+                   << "length " << len << ", start offset " << offset);
+      // The same bytes at an unaligned start digest the same.
+      std::vector<unsigned char> buf(len + offset + 1, 0xEE);
+      const std::vector<unsigned char> p = digest_pattern(len);
+      std::copy(p.begin(), p.end(), buf.begin() + offset);
+      unsigned char* data = buf.data() + offset;
+      const std::uint64_t clean = bulk_digest(data, len);
+      ASSERT_EQ(clean, bulk_digest(p.data(), len));
+      for (std::size_t byte = 0; byte < len; ++byte) {
+        for (int bit = 0; bit < 8; ++bit) {
+          data[byte] ^= static_cast<unsigned char>(1u << bit);
+          const std::uint64_t flipped = bulk_digest(data, len);
+          data[byte] ^= static_cast<unsigned char>(1u << bit);
+          ASSERT_NE(flipped, clean) << "byte " << byte << " bit " << bit;
+        }
+      }
+      ASSERT_EQ(bulk_digest(data, len), clean);
+    }
+  }
+}
+
+TEST(Checksum, BulkDigestFoldsInTheLength) {
+  // Zero bytes of every length up to three stripes: the zero-padded tail
+  // word alone cannot tell these apart, the folded-in length must.
+  const std::vector<unsigned char> zeros(96, 0);
+  std::vector<std::uint64_t> seen;
+  for (std::size_t len = 0; len <= zeros.size(); ++len) {
+    const std::uint64_t d = bulk_digest(zeros.data(), len);
+    EXPECT_EQ(std::find(seen.begin(), seen.end(), d), seen.end())
+        << "length " << len;
+    seen.push_back(d);
+  }
+}
+
+TEST(Checksum, BulkDigestCatchesDroppedDuplicatedAndSwappedWords) {
+  // 21 distinct words: five full stripes and a one-word tail, so every
+  // lane and the tail path take part.
+  std::vector<std::uint64_t> words(21);
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    words[i] = 0x9E3779B97F4A7C15ull * (i + 1);
+  }
+  const auto digest = [](const std::vector<std::uint64_t>& w) {
+    return bulk_digest(w.data(), w.size() * sizeof(std::uint64_t));
+  };
+  const std::uint64_t clean = digest(words);
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    std::vector<std::uint64_t> dropped = words;
+    dropped.erase(dropped.begin() + static_cast<std::ptrdiff_t>(i));
+    EXPECT_NE(digest(dropped), clean) << "dropped word " << i;
+    std::vector<std::uint64_t> duplicated = words;
+    duplicated.insert(duplicated.begin() + static_cast<std::ptrdiff_t>(i),
+                      words[i]);
+    EXPECT_NE(digest(duplicated), clean) << "duplicated word " << i;
+    // Swaps with the next word (another lane) and with the word four
+    // further on (the same lane, one round later).
+    for (const std::size_t step : {std::size_t{1}, std::size_t{4}}) {
+      if (i + step >= words.size()) continue;
+      std::vector<std::uint64_t> swapped = words;
+      std::swap(swapped[i], swapped[i + step]);
+      EXPECT_NE(digest(swapped), clean)
+          << "swapped words " << i << " and " << i + step;
+    }
+  }
 }
 
 TEST(Checksum, AbftMismatchPredicate) {

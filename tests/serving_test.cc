@@ -6,7 +6,10 @@
 // job never observes a torn factor — it gets one of the consistent answers
 // or a diagnosed Status.
 #include <atomic>
+#include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -400,6 +403,85 @@ TEST(SpillFactorTest, RoundtripPreservesSolvesBitwise) {
   EXPECT_EQ(solver.solve(b), x_incore);
 }
 
+TEST(SpillFactorTest, UnchangedFactorReusesItsKeptFile) {
+  const SparseMatrix a = grid_laplacian_2d(24, 24);
+  SolverOptions opt;
+  opt.spill_path = "serving_test_kept.bin";
+  Solver solver(opt);
+  solver.analyze(a);
+  ASSERT_TRUE(solver.factorize().ok());
+  const std::size_t bytes = solver.factor_bytes();
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows), 1.0);
+  const std::vector<real_t> x_ref = solver.solve(b);
+
+  EXPECT_EQ(solver.spill_bytes_written(), 0u);
+  ASSERT_TRUE(solver.spill_factor().ok());
+  EXPECT_EQ(solver.spill_bytes_written(), bytes);
+  ASSERT_TRUE(solver.unspill_factor().ok());
+  EXPECT_TRUE(std::filesystem::exists(opt.spill_path));  // kept, resident
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(solver.spill_factor().ok());
+    ASSERT_TRUE(solver.unspill_factor().ok());
+  }
+  EXPECT_EQ(solver.spill_bytes_written(), bytes);
+  EXPECT_EQ(solver.solve(b), x_ref);
+
+  // analyze() drops the kept file.
+  solver.analyze(a);
+  EXPECT_FALSE(std::filesystem::exists(opt.spill_path));
+}
+
+// One fixed spill_path serves both spill_factor() and the governed spill
+// rung: dropping the kept file before a factorization starts over means
+// neither ever deletes the other's file.
+TEST(SpillFactorTest, SharedPathWithGovernedSpillKeepsItsFile) {
+  const SparseMatrix a = grid_laplacian_2d(26, 26);
+  const SparseMatrix a2 = scaled_values(a, 1.5);
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows), 1.0);
+  Solver ref;
+  ref.analyze(a2);
+  ASSERT_TRUE(ref.factorize().ok());
+  const std::vector<real_t> x_ref = ref.solve(b);
+
+  SolverOptions opt;
+  opt.spill_path = "serving_test_shared_path.bin";
+  {
+    Solver solver(opt);
+    solver.analyze(a);
+    ASSERT_TRUE(solver.factorize().ok());
+    ASSERT_TRUE(solver.spill_factor().ok());
+    ASSERT_TRUE(solver.unspill_factor().ok());
+    ASSERT_TRUE(std::filesystem::exists(opt.spill_path));
+
+    // The governed ladder spills to the same path.
+    solver.set_memory_budget_bytes(
+        estimate_working_set(solver.symbolic(), false).peak_incore_bytes - 1);
+    ASSERT_TRUE(solver.refactorize(a2.values).ok());
+    ASSERT_EQ(solver.report().admission, Admission::kSpill);
+    ASSERT_TRUE(solver.factor_spilled());
+    EXPECT_TRUE(std::filesystem::exists(opt.spill_path));
+    EXPECT_EQ(solver.solve(b), x_ref);
+
+    // Reload keeps the governed run's file; evicting again reuses it.
+    const std::size_t written = solver.spill_bytes_written();
+    ASSERT_TRUE(solver.unspill_factor().ok());
+    ASSERT_TRUE(solver.spill_factor().ok());
+    EXPECT_EQ(solver.spill_bytes_written(), written);
+    EXPECT_TRUE(std::filesystem::exists(opt.spill_path));
+    EXPECT_EQ(solver.solve(b), x_ref);
+
+    // Back in-core under no budget, then evicted through spill_factor().
+    solver.set_memory_budget_bytes(0);
+    ASSERT_TRUE(solver.factorize().ok());
+    ASSERT_FALSE(solver.factor_spilled());
+    ASSERT_TRUE(solver.spill_factor().ok());
+    EXPECT_TRUE(std::filesystem::exists(opt.spill_path));
+    EXPECT_EQ(solver.solve(b), x_ref);
+  }
+  // Removed on destruction.
+  EXPECT_FALSE(std::filesystem::exists(opt.spill_path));
+}
+
 // ---------------------------------------------------------------------------
 // SolverService
 
@@ -476,6 +558,250 @@ TEST(SolverServiceTest, LruEvictionSpillsAndReloadsTransparently) {
   SolverReport report;
   ASSERT_TRUE(svc.report(ids[0], report).ok());
   EXPECT_GE(report.sessions_evicted, 1);
+}
+
+// The service's admission estimate of one resident factor of `a`.
+std::size_t factor_estimate(const SparseMatrix& a) {
+  Solver probe;
+  probe.analyze(a);
+  return estimate_working_set(probe.symbolic(), false).factor_bytes;
+}
+
+// Room for one resident factor of `a`'s pattern: with two sessions, every
+// touch of the spilled one evicts the other.
+ServiceOptions room_for_one(const SparseMatrix& a) {
+  ServiceOptions opt;
+  opt.factor_cache_bytes = factor_estimate(a) * 3 / 2;
+  return opt;
+}
+
+std::vector<real_t> reference_solve(const SparseMatrix& a,
+                                    const std::vector<real_t>& b) {
+  Solver ref;
+  ref.analyze(a);
+  EXPECT_TRUE(ref.factorize().ok());
+  return ref.solve(b);
+}
+
+TEST(SolverServiceTest, EvictingUnchangedFactorsWritesNothing) {
+  const SparseMatrix a = grid_laplacian_2d(24, 24);
+  const SparseMatrix a2 = scaled_values(a, 2.0);
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows), 1.0);
+  const std::vector<real_t> want[2] = {reference_solve(a, b),
+                                       reference_solve(a2, b)};
+  Solver probe;
+  probe.analyze(a);
+  ASSERT_TRUE(probe.factorize().ok());
+  const std::size_t bytes = probe.factor_bytes();
+
+  SolverService svc(room_for_one(a));
+  SessionId ids[2];
+  ASSERT_TRUE(svc.open(a, ids[0]).ok());
+  ASSERT_TRUE(svc.open(a2, ids[1]).ok());
+  ASSERT_TRUE(svc.factorize(ids[0]).ok());
+  ASSERT_TRUE(svc.factorize(ids[1]).ok());  // evicts session 0: writes
+  EXPECT_EQ(svc.stats().sessions_evicted, 1);
+  EXPECT_EQ(svc.stats().spill_bytes_written, bytes);
+
+  // Alternating solves: each reload evicts the other session. The first
+  // eviction of session 1 writes; every later eviction finds the file kept
+  // from the last reload unchanged and writes nothing.
+  const int kRounds = 6;
+  for (int r = 0; r < kRounds; ++r) {
+    std::vector<real_t> x;
+    ASSERT_TRUE(svc.solve(ids[r % 2], b, x).ok());
+    EXPECT_EQ(x, want[r % 2]) << "round " << r;
+  }
+  const ServiceStats st = svc.stats();
+  EXPECT_EQ(st.sessions_evicted, 1 + kRounds);
+  EXPECT_EQ(st.spill_bytes_written, 2 * bytes);
+  EXPECT_EQ(st.spills_reused, kRounds - 1);
+}
+
+// A reloaded factor refactorized in place differs from its kept file: the
+// next eviction must rewrite it, and the reload must solve with the new
+// values, bitwise.
+TEST(SolverServiceTest, RefactorizedFactorIsRewrittenOnEviction) {
+  const SparseMatrix a = grid_laplacian_2d(24, 24);
+  const SparseMatrix a2 = scaled_values(a, 3.0);
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows), 1.0);
+  const std::vector<real_t> want_a = reference_solve(a, b);
+  const std::vector<real_t> want_a2 = reference_solve(a2, b);
+
+  SolverService svc(room_for_one(a));
+  SessionId ids[2];
+  for (SessionId& id : ids) {
+    ASSERT_TRUE(svc.open(a, id).ok());
+    ASSERT_TRUE(svc.factorize(id).ok());
+  }
+  std::vector<real_t> x;
+  ASSERT_TRUE(svc.solve(ids[0], b, x).ok());  // reload 0, evict 1
+  EXPECT_EQ(x, want_a);
+  ASSERT_TRUE(svc.refactorize(ids[0], a2.values).ok());  // in place
+  const ServiceStats before = svc.stats();
+  ASSERT_TRUE(svc.solve(ids[1], b, x).ok());  // reload 1, evict 0
+  EXPECT_EQ(x, want_a);
+  const ServiceStats after = svc.stats();
+  EXPECT_EQ(after.sessions_evicted, before.sessions_evicted + 1);
+  EXPECT_GT(after.spill_bytes_written, before.spill_bytes_written);
+  EXPECT_EQ(after.spills_reused, before.spills_reused);
+
+  ASSERT_TRUE(svc.solve(ids[0], b, x).ok());  // reload 0 from the rewrite
+  EXPECT_EQ(x, want_a2);
+}
+
+// A stored-factor flip repaired by post-solve verification rewrites the
+// resident panels; the repaired factor, not the flipped one, must be what
+// the next eviction stores and the next reload brings back.
+TEST(SolverServiceTest, VerifyRepairSurvivesEvictAndReload) {
+  const SparseMatrix a = grid_laplacian_2d(24, 24);
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows), 1.0);
+  const std::vector<real_t> want = reference_solve(a, b);
+
+  ServiceOptions opt = room_for_one(a);
+  opt.solver.verify = SolverOptions::Verify::kSampled;
+  opt.solver.inject_sdc = SdcInjection{};
+  opt.solver.inject_sdc->site = SdcSite::kStoredFactor;
+  opt.solver.inject_sdc->supernode = 1;
+  SolverService svc(opt);
+  SessionId ids[2];
+  for (SessionId& id : ids) {
+    ASSERT_TRUE(svc.open(a, id).ok());
+    ASSERT_TRUE(svc.factorize(id).ok());  // flipped at rest
+  }
+  // Session 0 spilled with its flip; the reload brings the flip back and
+  // the verified solve repairs it in place.
+  std::vector<real_t> x;
+  ASSERT_TRUE(svc.solve(ids[0], b, x).ok());
+  EXPECT_EQ(x, want);
+  SolverReport report;
+  ASSERT_TRUE(svc.report(ids[0], report).ok());
+  ASSERT_TRUE(report.corruption_detected);
+  const count_t repaired = report.fronts_recomputed;
+  ASSERT_GT(repaired, 0);
+
+  ASSERT_TRUE(svc.solve(ids[1], b, x).ok());  // evicts the repaired 0
+  EXPECT_EQ(x, want);
+  ASSERT_TRUE(svc.solve(ids[0], b, x).ok());  // reloads it
+  EXPECT_EQ(x, want);
+  ASSERT_TRUE(svc.report(ids[0], report).ok());
+  EXPECT_EQ(report.fronts_recomputed, repaired)
+      << "the reload brought the flipped factor back";
+}
+
+std::size_t files_in(const std::filesystem::path& dir) {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+// A kept file damaged while its session is resident is reused by the next
+// eviction (the resident factor is unchanged), caught by the reload's
+// digests, and the service falls back to factorize() from the session's
+// matrix.
+TEST(SolverServiceTest, KeptFileCorruptedWhileResidentFallsBackToFactorize) {
+  const SparseMatrix a = grid_laplacian_2d(24, 24);
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows), 1.0);
+  const std::vector<real_t> want = reference_solve(a, b);
+  const std::filesystem::path dir = "serving_test_corrupt_resident";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  ServiceOptions opt = room_for_one(a);
+  opt.spill_dir = dir.string();
+  {
+    SolverService svc(opt);
+    SessionId ids[2];
+    for (SessionId& id : ids) {
+      ASSERT_TRUE(svc.open(a, id).ok());
+      ASSERT_TRUE(svc.factorize(id).ok());
+    }
+    std::vector<real_t> x;
+    ASSERT_TRUE(svc.solve(ids[0], b, x).ok());  // reload 0, evict 1
+    EXPECT_EQ(files_in(dir), 2u);  // at most one file per open session
+
+    // Damage session 0's kept file while session 0 is resident.
+    const std::string suffix = "_" + std::to_string(ids[0]) + ".bin";
+    std::string path;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      const std::string name = entry.path().string();
+      if (name.size() >= suffix.size() &&
+          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+              0) {
+        path = name;
+      }
+    }
+    ASSERT_FALSE(path.empty());
+    {
+      std::FILE* fp = std::fopen(path.c_str(), "r+b");
+      ASSERT_NE(fp, nullptr);
+      const long mid = static_cast<long>(std::filesystem::file_size(path) / 2);
+      ASSERT_EQ(std::fseek(fp, mid, SEEK_SET), 0);
+      const int c = std::fgetc(fp);
+      ASSERT_EQ(std::fseek(fp, mid, SEEK_SET), 0);
+      ASSERT_NE(std::fputc(c ^ 0x10, fp), EOF);
+      std::fclose(fp);
+    }
+
+    const count_t reused = svc.stats().spills_reused;
+    ASSERT_TRUE(svc.solve(ids[1], b, x).ok());  // evicts 0: file reused
+    EXPECT_EQ(svc.stats().spills_reused, reused + 1);
+    ASSERT_TRUE(svc.solve(ids[0], b, x).ok());  // digests fail: refactor
+    EXPECT_EQ(x, want);
+    EXPECT_LE(files_in(dir), 2u);
+    for (const SessionId id : ids) ASSERT_TRUE(svc.close(id).ok());
+    EXPECT_EQ(files_in(dir), 0u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// Clients on disjoint sessions under heavy eviction churn: every reload
+// evicts a session whose recency another client may be bumping at that
+// moment, and every answer must still be the exact one for the session's
+// current values.
+TEST(SolverServiceTest, ConcurrentEvictionChurnStaysExact) {
+  const SparseMatrix a = grid_laplacian_2d(20, 20);
+  const SparseMatrix a2 = scaled_values(a, 1.5);
+  const std::vector<real_t> b(static_cast<std::size_t>(a.rows), 1.0);
+  const std::vector<real_t> want[2] = {reference_solve(a, b),
+                                       reference_solve(a2, b)};
+  const SparseMatrix* values[2] = {&a, &a2};
+
+  ServiceOptions opt;
+  opt.factor_cache_bytes = factor_estimate(a) * 3;  // three of the twelve
+  opt.max_concurrent_jobs = 4;
+  SolverService svc(opt);
+  constexpr int kClients = 4;
+  constexpr int kPerClient = 3;
+  SessionId ids[kClients * kPerClient];
+  for (SessionId& id : ids) {
+    ASSERT_TRUE(svc.open(a, id).ok());
+    ASSERT_TRUE(svc.factorize(id).ok());
+  }
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      int current[kPerClient] = {0, 0, 0};
+      for (int r = 0; r < 60; ++r) {
+        const int k = (r * 7 + c) % kPerClient;
+        const SessionId id = ids[c * kPerClient + k];
+        if (r % 10 == 9) {
+          current[k] ^= 1;
+          if (!svc.refactorize(id, values[current[k]]->values).ok()) ++wrong;
+          continue;
+        }
+        std::vector<real_t> x;
+        if (!svc.solve(id, b, x).ok() || x != want[current[k]]) ++wrong;
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GT(svc.stats().sessions_evicted, 0);
 }
 
 TEST(SolverServiceTest, RefactorizeThroughService) {
