@@ -6,8 +6,10 @@
 //
 // Usage:  ./build/examples/solve_mtx [file.mtx]
 // With no argument a demo matrix is written to /tmp and solved, so the
-// example is self-contained.
+// example is self-contained. A file that cannot be read or parsed prints
+// the diagnostic and exits with status 1.
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -18,7 +20,9 @@
 
 using namespace parfact;
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   std::string path;
   if (argc == 2) {
     path = argv[1];
@@ -75,4 +79,15 @@ int main(int argc, char** argv) {
   std::printf("residual          : %.2e\n", solver.residual(x, b));
   std::printf("max |x - 1|       : %.2e\n", max_err);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }

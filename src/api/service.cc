@@ -166,11 +166,7 @@ void SolverService::prepare_capacity(Session& session) {
   const std::size_t need =
       estimate_working_set(session.solver->symbolic(), session.ldlt)
           .factor_bytes;
-  std::optional<Reservation> r = Reservation::acquire(budget_, need);
-  while (!r.has_value()) {
-    if (evict_lru(&session) == 0) break;
-    r = Reservation::acquire(budget_, need);
-  }
+  std::optional<Reservation> r = reserve_evicting(session, need);
   if (r.has_value()) {
     session.reservation = std::move(*r);
     return;
@@ -206,17 +202,22 @@ void SolverService::finish_factor(Session& session, const Status& status) {
   // The factor landed in-core without a hold (e.g. a fast-path refactorize
   // after an earlier failure): account for it now, evicting colder
   // sessions, and spill it if the budget truly cannot carry it.
-  const std::size_t need = session.solver->factor_bytes();
-  std::optional<Reservation> r = Reservation::acquire(budget_, need);
-  while (!r.has_value()) {
-    if (evict_lru(&session) == 0) break;
-    r = Reservation::acquire(budget_, need);
-  }
+  std::optional<Reservation> r =
+      reserve_evicting(session, session.solver->factor_bytes());
   if (r.has_value()) {
     session.reservation = std::move(*r);
   } else {
     (void)spill(session);
   }
+}
+
+std::optional<Reservation> SolverService::reserve_evicting(
+    const Session& requester, std::size_t need) {
+  std::optional<Reservation> r = Reservation::acquire(budget_, need);
+  while (!r.has_value() && evict_lru(&requester) != 0) {
+    r = Reservation::acquire(budget_, need);
+  }
+  return r;
 }
 
 Status SolverService::spill(Session& session) {
@@ -265,14 +266,9 @@ std::size_t SolverService::evict_lru(const Session* requester) {
 
 void SolverService::try_reload(Session& session) {
   if (!session.solver->factor_spilled()) return;
-  const std::size_t need =
-      estimate_working_set(session.solver->symbolic(), session.ldlt)
-          .factor_bytes;
-  std::optional<Reservation> r = Reservation::acquire(budget_, need);
-  while (!r.has_value()) {
-    if (evict_lru(&session) == 0) break;
-    r = Reservation::acquire(budget_, need);
-  }
+  std::optional<Reservation> r = reserve_evicting(
+      session, estimate_working_set(session.solver->symbolic(), session.ldlt)
+                   .factor_bytes);
   if (!r.has_value()) return;  // no room: keep streaming from disk
   Status status = session.solver->unspill_factor();
   if (status.code == StatusCode::kDataCorruption) {

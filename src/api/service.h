@@ -20,14 +20,14 @@
 // per-solver memory_budget_bytes knob, not this one). When a factorization
 // needs room, the least-recently-touched idle sessions are evicted — their
 // factors spill to the checksummed OOC scratch path, still solvable by
-// streaming. Touching a spilled session reloads it in-core when room
-// exists (digest-verified; a corrupted scratch file triggers a
-// transparent re-factorization from the session's retained matrix), and
-// otherwise streams from disk. A reloaded session keeps its scratch file,
-// so evicting it again while its factor is unchanged writes nothing
-// (ServiceStats counts the bytes spills write and the reuses). A factor
-// too large for the whole cache runs under the remaining headroom through
-// the solver's own governed ladder — OOC spill or a diagnosed
+// streaming, with the same bits. Touching a spilled session reloads it
+// in-core when room exists (digest-verified; a corrupted scratch file
+// triggers a transparent re-factorization from the session's retained
+// matrix), and otherwise streams from disk. A reloaded session keeps its
+// scratch file, so evicting it again while its factor is unchanged writes
+// nothing (ServiceStats counts the bytes spills write and the reuses). A
+// factor too large for the whole cache runs under the remaining headroom
+// through the solver's own governed ladder — OOC spill or a diagnosed
 // kResourceExhausted.
 #pragma once
 
@@ -38,6 +38,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <condition_variable>
 #include <span>
 #include <string>
@@ -139,6 +140,10 @@ class SolverService {
   /// Post-factorization bookkeeping: reconcile the reservation with where
   /// the factor actually landed (in-core, spilled, or absent).
   void finish_factor(Session& session, const Status& status);
+  /// Reserves `need` factor-cache bytes for `requester`, evicting LRU
+  /// sessions until the reservation fits or nothing is left to evict.
+  [[nodiscard]] std::optional<Reservation> reserve_evicting(
+      const Session& requester, std::size_t need);
   /// Spills the least-recently-touched idle session (not `requester`);
   /// returns the bytes freed (0 = no evictable candidate).
   std::size_t evict_lru(const Session* requester);

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -66,40 +67,9 @@ real_t componentwise_residual(const SparseMatrix& lower,
   return worst;
 }
 
-/// Batched refinement against a spilled factor, mirroring refine_block():
-/// `passes` correction sweeps (one SpMV per column per pass, one streamed
-/// OOC solve per pass), then the worst per-column relative residual.
-real_t ooc_refine_block(const SparseMatrix& lower_a,
-                        const OocCholeskyFactor& factor, ConstMatrixView b,
-                        MatrixView x, int passes) {
-  const index_t n = x.rows;
-  const index_t nrhs = x.cols;
-  std::vector<real_t> r(static_cast<std::size_t>(n) * nrhs);
-  std::vector<real_t> ax(static_cast<std::size_t>(n));
-  for (int pass = 0; pass < passes; ++pass) {
-    for (index_t c = 0; c < nrhs; ++c) {
-      const std::span<const real_t> xc{&x.at(0, c),
-                                       static_cast<std::size_t>(n)};
-      spmv_symmetric_lower(lower_a, xc, ax);
-      real_t* rc = r.data() + static_cast<std::size_t>(c) * n;
-      for (index_t i = 0; i < n; ++i) rc[i] = b.at(i, c) - ax[i];
-    }
-    ooc_solve_in_place(factor, MatrixView{r.data(), n, nrhs, n});
-    for (index_t c = 0; c < nrhs; ++c) {
-      const real_t* rc = r.data() + static_cast<std::size_t>(c) * n;
-      for (index_t i = 0; i < n; ++i) x.at(i, c) += rc[i];
-    }
-  }
-  real_t worst = 0.0;
-  for (index_t c = 0; c < nrhs; ++c) {
-    worst = std::max(
-        worst,
-        relative_residual(
-            lower_a, {&x.at(0, c), static_cast<std::size_t>(n)},
-            {&b.at(0, c), static_cast<std::size_t>(n)}));
-  }
-  return worst;
-}
+/// solve_refined()'s early exit: the residual below which another
+/// correction cannot help.
+constexpr real_t kRefinedSolveStop = 1e-14;
 
 }  // namespace
 
@@ -110,7 +80,17 @@ Solver::Solver(SolverOptions options) : options_(std::move(options)) {
 
 Solver::~Solver() = default;
 Solver::Solver(Solver&&) noexcept = default;
-Solver& Solver::operator=(Solver&&) noexcept = default;
+
+Solver& Solver::operator=(Solver&& other) noexcept {
+  // Member-wise assignment would replace budget_ while reservation_ still
+  // holds bytes charged against it. Tear this solver down in destruction
+  // order instead, then take over other's state.
+  if (this != &other) {
+    std::destroy_at(this);
+    std::construct_at(this, std::move(other));
+  }
+  return *this;
+}
 
 void Solver::cancel() { cancel_source_.request_cancel(); }
 
@@ -193,7 +173,6 @@ void Solver::reset_factor_state() {
   factor_.reset();
   ooc_factor_.reset();
   kept_spill_.reset();
-  solve_schedule_.reset();
   reservation_.reset();
   budget_.reset();
   factor_checksums_ = FactorChecksums{};
@@ -229,15 +208,14 @@ void Solver::inject_stored_flip() {
   }
 }
 
-void Solver::build_solve_schedule() {
-  // An adopted cache entry carries the precomputed schedule; copy it and
-  // repoint it at this solver's own SymbolicFactor copy. The schedule is a
-  // pure function of the structure and rhs_block, so the copy is exact —
-  // but a solver configured with a different block width rebuilds.
-  if (cached_ != nullptr &&
-      cached_->schedule.rhs_block == options_.solve_rhs_block) {
-    solve_schedule_ = std::make_unique<SolveSchedule>(cached_->schedule);
-    solve_schedule_->sym = &*sym_;
+void Solver::install_solve_schedule(const CachedAnalysis* entry) {
+  // The schedule is a pure function of the structure and rhs_block, so a
+  // cached copy is exact — but a solver configured with a different block
+  // width rebuilds.
+  if (entry != nullptr &&
+      entry->schedule.rhs_block == options_.solve_rhs_block) {
+    solve_schedule_ = std::make_unique<SolveSchedule>(entry->schedule);
+    solve_schedule_->sym = sym_.get();
     return;
   }
   SolveScheduleOptions opts;
@@ -294,12 +272,11 @@ void Solver::analyze(const SparseMatrix& lower) {
   WallTimer timer;
   PARFACT_CHECK(lower.rows == lower.cols);
   original_lower_ = lower;
-  factor_.reset();
-  ooc_factor_.reset();
-  kept_spill_.reset();
+  reset_factor_state();
+  // Free the old analysis before building the new one, so that the peak
+  // holds one SymbolicFactor, not two.
   solve_schedule_.reset();
-  reservation_.reset();
-  cached_.reset();
+  sym_.reset();
 
   // The serving counters are cumulative per Solver and survive the
   // per-analyze report reset below.
@@ -313,97 +290,97 @@ void Solver::analyze(const SparseMatrix& lower) {
 
   SymbolicCache* cache = options_.symbolic_cache;
   PatternKey key;
+  std::shared_ptr<const CachedAnalysis> entry;
   if (cache != nullptr) {
     key = pattern_key(lower, config_hash());
-    if (std::shared_ptr<const CachedAnalysis> entry = cache->lookup(key)) {
-      // Hit: adopt the cached structure (copy — the entry stays immutable
-      // and shared) and scatter this matrix's values into place. Pure value
-      // permutation ⇒ bitwise identical to a cold analyze of `lower`.
-      sym_.emplace(entry->sym);
-      total_perm_ = entry->total_perm;
-      value_map_ = entry->value_map;
-      for (std::size_t q = 0; q < value_map_.size(); ++q) {
-        sym_->a.values[q] = lower.values[value_map_[q]];
-      }
-      cached_ = std::move(entry);
+    entry = cache->lookup(key);
+    if (entry != nullptr) {
       ++report_.symbolic_cache_hits;
-      report_.n = lower.rows;
-      report_.nnz_a = lower.nnz();
-      report_.nnz_factor = sym_->nnz_strict;
-      report_.factor_flops = sym_->total_flops;
-      report_.n_supernodes = sym_->n_supernodes;
-      report_.analyze_seconds = timer.seconds();
-      return;
+    } else {
+      ++report_.symbolic_cache_misses;
     }
-    ++report_.symbolic_cache_misses;
   }
-
-  // Fill-reducing permutation (new -> old).
-  std::vector<index_t> fill_perm;
-  switch (options_.ordering) {
-    case SolverOptions::Ordering::kNestedDissection:
-      if (options_.threads > 1) {
-        if (options_.shared_pool != nullptr) {
-          fill_perm = nested_dissection_parallel(
-              graph_from_pattern(lower), options_.nd, *options_.shared_pool);
+  if (entry != nullptr) {
+    // Hit: adopt the cached structure (copy — the entry stays immutable
+    // and shared) and scatter this matrix's values into place. Pure value
+    // permutation ⇒ bitwise identical to a cold analyze of `lower`.
+    sym_ = std::make_unique<SymbolicFactor>(entry->sym);
+    total_perm_ = entry->total_perm;
+    value_map_ = entry->value_map;
+    for (std::size_t q = 0; q < value_map_.size(); ++q) {
+      sym_->a.values[q] = lower.values[value_map_[q]];
+    }
+  } else {
+    // Fill-reducing permutation (new -> old).
+    std::vector<index_t> fill_perm;
+    switch (options_.ordering) {
+      case SolverOptions::Ordering::kNestedDissection:
+        if (options_.threads > 1) {
+          if (options_.shared_pool != nullptr) {
+            fill_perm = nested_dissection_parallel(graph_from_pattern(lower),
+                                                   options_.nd,
+                                                   *options_.shared_pool);
+          } else {
+            ThreadPool pool(options_.threads);
+            fill_perm = nested_dissection_parallel(graph_from_pattern(lower),
+                                                   options_.nd, pool);
+          }
         } else {
-          ThreadPool pool(options_.threads);
-          fill_perm = nested_dissection_parallel(graph_from_pattern(lower),
-                                                 options_.nd, pool);
+          fill_perm =
+              nested_dissection(graph_from_pattern(lower), options_.nd);
         }
-      } else {
-        fill_perm =
-            nested_dissection(graph_from_pattern(lower), options_.nd);
-      }
-      break;
-    case SolverOptions::Ordering::kMinimumDegree:
-      fill_perm = minimum_degree(graph_from_pattern(lower));
-      break;
-    case SolverOptions::Ordering::kRcm:
-      fill_perm = rcm(graph_from_pattern(lower));
-      break;
-    case SolverOptions::Ordering::kNatural:
-      fill_perm.resize(static_cast<std::size_t>(lower.rows));
-      for (index_t i = 0; i < lower.rows; ++i) fill_perm[i] = i;
-      break;
-  }
+        break;
+      case SolverOptions::Ordering::kMinimumDegree:
+        fill_perm = minimum_degree(graph_from_pattern(lower));
+        break;
+      case SolverOptions::Ordering::kRcm:
+        fill_perm = rcm(graph_from_pattern(lower));
+        break;
+      case SolverOptions::Ordering::kNatural:
+        fill_perm.resize(static_cast<std::size_t>(lower.rows));
+        for (index_t i = 0; i < lower.rows; ++i) fill_perm[i] = i;
+        break;
+    }
 
-  const SparseMatrix permuted =
-      lower_triangle(permute_symmetric(symmetrize_full(lower), fill_perm));
-  sym_.emplace(parfact::analyze(permuted, options_.amalgamation));
+    const SparseMatrix permuted =
+        lower_triangle(permute_symmetric(symmetrize_full(lower), fill_perm));
+    sym_ = std::make_unique<SymbolicFactor>(
+        parfact::analyze(permuted, options_.amalgamation));
 
-  // Compose: postordered index -> fill index -> original index.
-  total_perm_.resize(static_cast<std::size_t>(lower.rows));
-  for (index_t k = 0; k < lower.rows; ++k) {
-    total_perm_[k] = fill_perm[sym_->post[k]];
-  }
-  PARFACT_CHECK(is_permutation(total_perm_));
-  build_value_map(lower);
+    // Compose: postordered index -> fill index -> original index.
+    total_perm_.resize(static_cast<std::size_t>(lower.rows));
+    for (index_t k = 0; k < lower.rows; ++k) {
+      total_perm_[k] = fill_perm[sym_->post[k]];
+    }
+    PARFACT_CHECK(is_permutation(total_perm_));
+    build_value_map(lower);
 
-  const double seconds = timer.seconds();
-  if (cache != nullptr) {
-    SymbolicFactor zeroed = *sym_;
-    std::fill(zeroed.a.values.begin(), zeroed.a.values.end(), 0.0);
-    SolveScheduleOptions sopts;
-    sopts.rhs_block = options_.solve_rhs_block;
-    // insert() returns the incumbent if another thread analyzed the same
-    // pattern concurrently; either entry is valid (the analysis is
-    // deterministic), and keeping the winner maximizes sharing.
-    cached_ = cache->insert(
-        key, std::make_shared<CachedAnalysis>(std::move(zeroed), total_perm_,
-                                              value_map_, sopts, seconds));
+    if (cache != nullptr) {
+      SymbolicFactor zeroed = *sym_;
+      std::fill(zeroed.a.values.begin(), zeroed.a.values.end(), 0.0);
+      SolveScheduleOptions sopts;
+      sopts.rhs_block = options_.solve_rhs_block;
+      // insert() returns the incumbent if another thread analyzed the same
+      // pattern concurrently; either entry is valid (the analysis is
+      // deterministic), and keeping the winner maximizes sharing.
+      entry = cache->insert(
+          key, std::make_shared<CachedAnalysis>(std::move(zeroed), total_perm_,
+                                                value_map_, sopts,
+                                                timer.seconds()));
+    }
   }
+  install_solve_schedule(entry.get());
 
   report_.n = lower.rows;
   report_.nnz_a = lower.nnz();
   report_.nnz_factor = sym_->nnz_strict;
   report_.factor_flops = sym_->total_flops;
   report_.n_supernodes = sym_->n_supernodes;
-  report_.analyze_seconds = seconds;
+  report_.analyze_seconds = timer.seconds();
 }
 
 Status Solver::factorize() {
-  PARFACT_CHECK_MSG(sym_.has_value(), "factorize() before analyze()");
+  PARFACT_CHECK_MSG(sym_ != nullptr, "factorize() before analyze()");
   // Reset factor state up front so a failed run leaves no stale factor and
   // releases the previous run's reservation before re-admission.
   reset_factor_state();
@@ -427,7 +404,6 @@ Status Solver::factorize() {
   if (result.factor.has_value()) {
     factor_.emplace(std::move(*result.factor));
     factor_checksums_ = std::move(result.checksums);
-    build_solve_schedule();  // streamed OOC sweeps don't use the schedule
     inject_stored_flip();
   } else {
     ooc_factor_.emplace(std::move(*result.ooc));
@@ -437,7 +413,7 @@ Status Solver::factorize() {
 }
 
 Status Solver::refactorize(std::span<const real_t> new_values) {
-  PARFACT_CHECK_MSG(sym_.has_value(), "refactorize() before analyze()");
+  PARFACT_CHECK_MSG(sym_ != nullptr, "refactorize() before analyze()");
   if (new_values.size() != original_lower_.values.size()) {
     std::ostringstream os;
     os << "refactorize: value array has " << new_values.size()
@@ -478,13 +454,12 @@ Status Solver::refactorize(std::span<const real_t> new_values) {
   // was spilled.
   report_.peak_bytes = budget_->peak_bytes();
   report_.bytes_spilled = 0;
-  if (solve_schedule_ == nullptr) build_solve_schedule();
   inject_stored_flip();
   return status;
 }
 
 Status Solver::spill_factor() {
-  PARFACT_CHECK_MSG(sym_.has_value(), "spill_factor() before analyze()");
+  PARFACT_CHECK_MSG(sym_ != nullptr, "spill_factor() before analyze()");
   if (ooc_factor_.has_value()) return Status::success();
   if (!factor_.has_value()) {
     return Status::failure(StatusCode::kInvalidInput,
@@ -508,7 +483,6 @@ Status Solver::spill_factor() {
   ooc_factor_ = std::move(kept_spill_);
   kept_spill_.reset();
   factor_.reset();
-  solve_schedule_.reset();
   reservation_.reset();
   factor_checksums_ = FactorChecksums{};
   report_.bytes_spilled = ooc_factor_->bytes_on_disk();
@@ -516,7 +490,7 @@ Status Solver::spill_factor() {
 }
 
 Status Solver::unspill_factor() {
-  PARFACT_CHECK_MSG(sym_.has_value(), "unspill_factor() before analyze()");
+  PARFACT_CHECK_MSG(sym_ != nullptr, "unspill_factor() before analyze()");
   if (factor_.has_value()) return Status::success();
   if (!ooc_factor_.has_value()) {
     return Status::failure(StatusCode::kInvalidInput,
@@ -539,7 +513,6 @@ Status Solver::unspill_factor() {
   // Keep the file: evicting this factor again unchanged then writes nothing.
   kept_spill_ = std::move(ooc_factor_);
   ooc_factor_.reset();
-  build_solve_schedule();
   return Status::success();
 }
 
@@ -560,7 +533,7 @@ std::size_t Solver::factor_bytes() const {
 
 Status Solver::factorize_and_solve(std::span<const real_t> b, index_t nrhs,
                                    std::vector<real_t>& x) {
-  PARFACT_CHECK_MSG(sym_.has_value(), "factorize_and_solve() before analyze()");
+  PARFACT_CHECK_MSG(sym_ != nullptr, "factorize_and_solve() before analyze()");
   const index_t n = sym_->n;
   try {
     check_rhs(b.size(), nrhs, "factorize_and_solve");
@@ -590,15 +563,10 @@ Status Solver::factorize_and_solve(std::span<const real_t> b, index_t nrhs,
   report_.admission = admitted.admission;
   report_.peak_bytes = budget_->peak_bytes();
   report_.bytes_spilled = 0;
-  build_solve_schedule();
 
   // Permute into the postordered space, run the fused graph (factor tasks +
   // first-block forward-solve tasks), permute the solutions back.
-  std::vector<real_t> pb(b.size());
-  for (index_t c = 0; c < nrhs; ++c) {
-    const std::size_t off = static_cast<std::size_t>(c) * n;
-    for (index_t kk = 0; kk < n; ++kk) pb[off + kk] = b[off + total_perm_[kk]];
-  }
+  std::vector<real_t> pb = permute_in(b);
   FactorStats stats;
   Status status;
   try {
@@ -613,11 +581,7 @@ Status Solver::factorize_and_solve(std::span<const real_t> b, index_t nrhs,
   }
   status = finish_run(status, stats);
   if (status.failed()) return status;
-  x.resize(b.size());
-  for (index_t c = 0; c < nrhs; ++c) {
-    const std::size_t off = static_cast<std::size_t>(c) * n;
-    for (index_t kk = 0; kk < n; ++kk) x[off + total_perm_[kk]] = pb[off + kk];
-  }
+  x = permute_out(pb);
   if (options_.verify != SolverOptions::Verify::kOff) {
     verify_and_repair(b, nrhs, x);
   }
@@ -627,7 +591,7 @@ Status Solver::factorize_and_solve(std::span<const real_t> b, index_t nrhs,
 Status Solver::factorize_distributed(int n_ranks,
                                      const mpsim::MachineModel& model,
                                      const mpsim::FaultPlan& faults) {
-  PARFACT_CHECK_MSG(sym_.has_value(),
+  PARFACT_CHECK_MSG(sym_ != nullptr,
                     "factorize_distributed() before analyze()");
   PARFACT_CHECK(n_ranks >= 1);
   WallTimer timer;
@@ -662,7 +626,6 @@ Status Solver::factorize_distributed(int n_ranks,
       result.run.messages_completed_out_of_order;
   if (result.status.failed()) return result.status;
   factor_.emplace(std::move(result.factor));
-  build_solve_schedule();
   report_.factor_seconds = timer.seconds();
   report_.pivot_perturbations = result.status.perturbations;
   return result.status;
@@ -670,12 +633,33 @@ Status Solver::factorize_distributed(int n_ranks,
 
 void Solver::solve_postordered(MatrixView x) const {
   if (factor_.has_value()) {
-    PARFACT_CHECK(solve_schedule_ != nullptr);
     solve_in_place(*factor_, x, *solve_schedule_, solve_workspace_,
                    worker_pool());
   } else {
-    ooc_solve_in_place(*ooc_factor_, x);
+    solve_in_place(*ooc_factor_, x, *solve_schedule_, solve_workspace_);
   }
+}
+
+SolveFn Solver::solve_fn() const {
+  return [this](MatrixView x) { solve_postordered(x); };
+}
+
+std::vector<real_t> Solver::permute_in(std::span<const real_t> b) const {
+  const std::size_t n = total_perm_.size();
+  std::vector<real_t> pb(b.size());
+  for (std::size_t off = 0; off < b.size(); off += n) {
+    for (std::size_t k = 0; k < n; ++k) pb[off + k] = b[off + total_perm_[k]];
+  }
+  return pb;
+}
+
+std::vector<real_t> Solver::permute_out(std::span<const real_t> px) const {
+  const std::size_t n = total_perm_.size();
+  std::vector<real_t> x(px.size());
+  for (std::size_t off = 0; off < px.size(); off += n) {
+    for (std::size_t k = 0; k < n; ++k) x[off + total_perm_[k]] = px[off + k];
+  }
+  return x;
 }
 
 std::vector<real_t> Solver::solve(std::span<const real_t> b) const {
@@ -697,18 +681,9 @@ std::vector<real_t> Solver::solve_multi(std::span<const real_t> b,
 std::vector<real_t> Solver::solve_permuted(std::span<const real_t> b,
                                            index_t nrhs) const {
   const index_t n = sym_->n;
-  std::vector<real_t> pb(b.size());
-  for (index_t c = 0; c < nrhs; ++c) {
-    const std::size_t off = static_cast<std::size_t>(c) * n;
-    for (index_t kk = 0; kk < n; ++kk) pb[off + kk] = b[off + total_perm_[kk]];
-  }
-  solve_postordered(MatrixView{pb.data(), n, nrhs, n});
-  std::vector<real_t> x(b.size());
-  for (index_t c = 0; c < nrhs; ++c) {
-    const std::size_t off = static_cast<std::size_t>(c) * n;
-    for (index_t kk = 0; kk < n; ++kk) x[off + total_perm_[kk]] = pb[off + kk];
-  }
-  return x;
+  std::vector<real_t> px = permute_in(b);
+  solve_postordered(MatrixView{px.data(), n, nrhs, n});
+  return permute_out(px);
 }
 
 void Solver::verify_and_repair(std::span<const real_t> b, index_t nrhs,
@@ -788,56 +763,33 @@ std::vector<real_t> Solver::solve_batch(std::span<const real_t> b,
   const index_t n = sym_->n;
   check_rhs(b.size(), nrhs, "solve_batch");
   WallTimer timer;
-  std::vector<real_t> pb(b.size());
-  for (index_t c = 0; c < nrhs; ++c) {
-    const std::size_t off = static_cast<std::size_t>(c) * n;
-    for (index_t kk = 0; kk < n; ++kk) pb[off + kk] = b[off + total_perm_[kk]];
-  }
-  MatrixView xv{pb.data(), n, nrhs, n};
-  // pb becomes x in place; keep the permuted right-hand sides for the
-  // batched refinement pass.
-  const std::vector<real_t> prhs =
-      options_.batch_refinement_passes > 0 ? pb : std::vector<real_t>{};
+  const int passes = options_.batch_refinement_passes;
+  std::vector<real_t> px = permute_in(b);
+  MatrixView xv{px.data(), n, nrhs, n};
+  // px becomes x in place; keep the permuted right-hand sides for the
+  // batched refinement passes.
+  const std::vector<real_t> pb = passes > 0 ? px : std::vector<real_t>{};
   solve_postordered(xv);
   real_t residual = 0.0;
-  if (options_.batch_refinement_passes > 0) {
+  if (passes > 0) {
     // Refine the whole batch at once: one SpMV per column per pass plus
     // one blocked correction solve per pass.
-    residual =
-        factor_.has_value()
-            ? refine_block(sym_->a, *factor_,
-                           ConstMatrixView{prhs.data(), n, nrhs, n}, xv,
-                           *solve_schedule_, solve_workspace_, worker_pool(),
-                           options_.batch_refinement_passes)
-            : ooc_refine_block(sym_->a, *ooc_factor_,
-                               ConstMatrixView{prhs.data(), n, nrhs, n}, xv,
-                               options_.batch_refinement_passes);
+    residual = refine(sym_->a, ConstMatrixView{pb.data(), n, nrhs, n}, xv,
+                      solve_fn(), passes)
+                   .residual;
   }
-  std::vector<real_t> x(b.size());
-  for (index_t c = 0; c < nrhs; ++c) {
-    const std::size_t off = static_cast<std::size_t>(c) * n;
-    for (index_t kk = 0; kk < n; ++kk) x[off + total_perm_[kk]] = pb[off + kk];
-  }
+  std::vector<real_t> x = permute_out(px);
   const double seconds = timer.seconds();
+  // Every sweep streams each panel once per RHS block, resident or
+  // spilled, and moves each block's arena slice twice.
   const index_t wb = options_.solve_rhs_block;
-  // OOC sweeps stream the whole factor once per sweep (no RHS blocking,
-  // no workspace arena), so bytes/solve reduces to panel traffic.
-  const double n_blocks = factor_.has_value()
-                              ? static_cast<double>((nrhs + wb - 1) / wb)
-                              : 1.0;
-  const double sweeps = n_blocks * (1.0 + options_.batch_refinement_passes);
-  const double stored =
-      factor_.has_value() ? static_cast<double>(factor_->stored_entries())
-                          : static_cast<double>(ooc_factor_->bytes_on_disk()) /
-                                sizeof(real_t);
-  const double panel_bytes = 2.0 * stored * sizeof(real_t);
+  const double n_blocks = static_cast<double>((nrhs + wb - 1) / wb);
+  const double sweeps = n_blocks * (1.0 + passes);
+  const double panel_bytes =
+      2.0 * static_cast<double>(sym_->nnz_stored) * sizeof(real_t);
   const double arena_bytes =
-      factor_.has_value()
-          ? 2.0 *
-                static_cast<double>(solve_schedule_->arena_entries_per_rhs()) *
-                static_cast<double>(nrhs) * sizeof(real_t) *
-                (1.0 + options_.batch_refinement_passes)
-          : 0.0;
+      2.0 * static_cast<double>(solve_schedule_->arena_entries_per_rhs()) *
+      static_cast<double>(nrhs) * sizeof(real_t) * (1.0 + passes);
   report_.batch_rhs = nrhs;
   report_.batch_seconds = seconds;
   report_.batch_solves_per_second =
@@ -853,23 +805,13 @@ std::vector<real_t> Solver::solve_refined(std::span<const real_t> b) const {
   const index_t n = sym_->n;
   check_rhs(b.size(), 1, "solve_refined");
   // Refine in the postordered space, where the factor lives.
-  std::vector<real_t> pb(static_cast<std::size_t>(n));
-  for (index_t k = 0; k < n; ++k) pb[k] = b[total_perm_[k]];
+  const std::vector<real_t> pb = permute_in(b);
   std::vector<real_t> px = pb;
-  solve_postordered(MatrixView{px.data(), n, 1, n});
-  if (factor_.has_value()) {
-    (void)iterative_refinement(sym_->a, *factor_, pb, px, *solve_schedule_,
-                               solve_workspace_, worker_pool(),
-                               options_.refinement_steps);
-  } else {
-    (void)ooc_refine_block(sym_->a, *ooc_factor_,
-                           ConstMatrixView{pb.data(), n, 1, n},
-                           MatrixView{px.data(), n, 1, n},
-                           options_.refinement_steps);
-  }
-  std::vector<real_t> x(static_cast<std::size_t>(n));
-  for (index_t k = 0; k < n; ++k) x[total_perm_[k]] = px[k];
-  return x;
+  const MatrixView xv{px.data(), n, 1, n};
+  solve_postordered(xv);
+  (void)refine(sym_->a, ConstMatrixView{pb.data(), n, 1, n}, xv, solve_fn(),
+               options_.refinement_steps, kRefinedSolveStop);
+  return permute_out(px);
 }
 
 real_t Solver::residual(std::span<const real_t> x,
@@ -963,13 +905,12 @@ RobustSolveResult Solver::solve_robust(std::span<const real_t> b) const {
 }
 
 real_t Solver::condition_estimate() const {
-  PARFACT_CHECK_MSG(factor_.has_value(),
-                    "condition_estimate() before factorize()");
-  return estimate_condition_1(sym_->a, *factor_);
+  PARFACT_CHECK_MSG(has_factor(), "condition_estimate() before factorize()");
+  return estimate_condition_1(sym_->a, solve_fn());
 }
 
 const SymbolicFactor& Solver::symbolic() const {
-  PARFACT_CHECK(sym_.has_value());
+  PARFACT_CHECK(sym_ != nullptr);
   return *sym_;
 }
 

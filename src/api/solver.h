@@ -29,6 +29,7 @@
 #include "mf/multifrontal.h"
 #include "mf/ooc.h"
 #include "mpsim/machine.h"
+#include "solve/solve.h"
 #include "solve/solve_schedule.h"
 #include "sparse/sparse_matrix.h"
 #include "support/resource.h"
@@ -251,7 +252,8 @@ class Solver {
 
   /// Moves the in-core factor to the checksummed OOC scratch file (panels
   /// on disk, LDLᵀ diagonal resident), releasing the panel memory and any
-  /// budget reservation. Solves keep working, streamed from disk. Used by
+  /// budget reservation. Every solve entry point and condition_estimate()
+  /// keep working, streamed from disk, with the same bits. Used by
   /// SolverService to evict cold sessions; no-op Status if already spilled.
   /// When the file kept from the last unspill_factor() still holds exactly
   /// this factor (every panel digests to what was written), it is reused
@@ -360,22 +362,26 @@ class Solver {
     return factor_.has_value() || ooc_factor_.has_value();
   }
   /// The disk-backed factor when the last factorize() spilled (asserts
-  /// otherwise); every solve entry point dispatches to it transparently.
+  /// otherwise); every solve entry point dispatches to it transparently
+  /// and answers bit for bit as the resident factor would.
   [[nodiscard]] const OocCholeskyFactor& ooc_factor() const;
   /// Combined permutation: original index of postordered index k.
   [[nodiscard]] const std::vector<index_t>& permutation() const {
     return total_perm_;
   }
 
-  /// Estimated 1-norm condition number of A (requires factorize()).
+  /// Estimated 1-norm condition number of A (requires a factor, resident
+  /// or spilled).
   [[nodiscard]] real_t condition_estimate() const;
 
  private:
   /// Workers for factorization and solves (options.threads > 1), created
-  /// on first use unless shared; the solve schedule is built once per
-  /// factorize() and reused by every solve.
+  /// on first use unless shared.
   [[nodiscard]] ThreadPool* worker_pool() const;
-  void build_solve_schedule();
+  /// The analysis's solve schedule: copied from `entry` (rebound to this
+  /// solver's SymbolicFactor) when it was built for the same block width,
+  /// otherwise built. Every solve reuses it, resident or spilled.
+  void install_solve_schedule(const CachedAnalysis* entry);
   /// Digest of every option that affects the symbolic result (ordering kind
   /// and knobs, amalgamation, parallel-ND engine choice) — the PatternKey
   /// config component.
@@ -384,8 +390,16 @@ class Solver {
   void build_value_map(const SparseMatrix& lower);
   /// Arms the per-call cancellation scope (deadline) and returns its token.
   [[nodiscard]] CancelToken arm_cancel_scope();
-  /// x := A⁻¹ x on the postordered block, dispatching in-core vs spilled.
+  /// x := A⁻¹ x on the postordered block: the one place that dispatches
+  /// on a resident vs spilled factor. solve_fn() wraps it for refinement
+  /// and condition estimation.
   void solve_postordered(MatrixView x) const;
+  [[nodiscard]] SolveFn solve_fn() const;
+  /// n x k right-hand sides in the caller's ordering -> postordered, and
+  /// back.
+  [[nodiscard]] std::vector<real_t> permute_in(std::span<const real_t> b) const;
+  [[nodiscard]] std::vector<real_t> permute_out(
+      std::span<const real_t> px) const;
   [[nodiscard]] std::string spill_path() const;
   void check_rhs(std::size_t b_size, index_t nrhs, const char* fn) const;
   [[nodiscard]] PivotPolicy pivot_policy() const;
@@ -408,7 +422,9 @@ class Solver {
 
   SolverOptions options_;
   mutable SolverReport report_;  ///< solve_batch() updates batch stats
-  std::optional<SymbolicFactor> sym_;
+  /// On the heap so that its address survives a move: the factor, the
+  /// schedule and both OOC factors point at it.
+  std::unique_ptr<SymbolicFactor> sym_;
   /// mutable: verify_and_repair() heals corrupted panels from const solves.
   mutable std::optional<CholeskyFactor> factor_;
   mutable FactorChecksums factor_checksums_;  ///< at-rest sums (abft runs)
@@ -422,11 +438,8 @@ class Solver {
   /// sym_->a.values — a pure permutation (no arithmetic), which is what
   /// makes cache-hit analyze and refactorize bitwise-exact.
   std::vector<index_t> value_map_;
-  /// The adopted cache entry (hit or freshly inserted miss); retained so
-  /// build_solve_schedule() can copy the precomputed schedule.
-  std::shared_ptr<const CachedAnalysis> cached_;
   SparseMatrix original_lower_;      ///< kept for residuals/refinement
-  std::unique_ptr<SolveSchedule> solve_schedule_;
+  std::unique_ptr<SolveSchedule> solve_schedule_;  ///< part of the analysis
   mutable SolveWorkspace solve_workspace_;
   mutable std::unique_ptr<ThreadPool> worker_pool_;
   /// Governance state. The budget must outlive the reservation charged

@@ -7,7 +7,6 @@
 #include <sstream>
 #include <utility>
 
-#include "dense/kernels.h"
 #include "mf/front_kernel.h"
 #include "support/checksum.h"
 #include "support/error.h"
@@ -200,60 +199,6 @@ OocCholeskyFactor multifrontal_factor_ooc(const SymbolicFactor& sym,
   detail::factor_serial(sym, {.spill = &factor}, kind, d, pivot, stats,
                         std::move(cancel));
   return factor;
-}
-
-void ooc_solve_in_place(const OocCholeskyFactor& factor, MatrixView x) {
-  const SymbolicFactor& sym = factor.symbolic();
-  PARFACT_CHECK(x.rows == sym.n);
-  std::vector<real_t> panel_buf;
-  std::vector<real_t> gathered;
-
-  // Forward sweep (panels streamed in supernode order).
-  for (index_t s = 0; s < sym.n_supernodes; ++s) {
-    const index_t p = sym.sn_cols(s);
-    const index_t b = sym.sn_below(s);
-    const index_t f = p + b;
-    panel_buf.resize(static_cast<std::size_t>(f) * p);
-    MatrixView panel{panel_buf.data(), f, p, f};
-    factor.read_panel(s, panel);
-    MatrixView x1 = x.block(sym.sn_start[s], 0, p, x.cols);
-    trsm_left_lower(panel.block(0, 0, p, p), x1);
-    if (b == 0) continue;
-    gathered.assign(static_cast<std::size_t>(b) * x.cols, 0.0);
-    MatrixView t{gathered.data(), b, x.cols, b};
-    gemm_nn_update(t, panel.block(p, 0, b, p), x1);
-    const auto rows = sym.below_rows(s);
-    for (index_t c = 0; c < x.cols; ++c) {
-      for (index_t i = 0; i < b; ++i) x.at(rows[i], c) += t.at(i, c);
-    }
-  }
-  // LDLᵀ: divide by the resident diagonal between the sweeps.
-  if (factor.is_ldlt()) {
-    const std::span<const real_t> d = factor.diag();
-    for (index_t c = 0; c < x.cols; ++c) {
-      for (index_t i = 0; i < x.rows; ++i) x.at(i, c) /= d[i];
-    }
-  }
-  // Backward sweep (reverse streaming).
-  for (index_t s = sym.n_supernodes - 1; s >= 0; --s) {
-    const index_t p = sym.sn_cols(s);
-    const index_t b = sym.sn_below(s);
-    const index_t f = p + b;
-    panel_buf.resize(static_cast<std::size_t>(f) * p);
-    MatrixView panel{panel_buf.data(), f, p, f};
-    factor.read_panel(s, panel);
-    MatrixView x1 = x.block(sym.sn_start[s], 0, p, x.cols);
-    if (b > 0) {
-      const auto rows = sym.below_rows(s);
-      gathered.resize(static_cast<std::size_t>(b) * x.cols);
-      MatrixView t{gathered.data(), b, x.cols, b};
-      for (index_t c = 0; c < x.cols; ++c) {
-        for (index_t i = 0; i < b; ++i) t.at(i, c) = x.at(rows[i], c);
-      }
-      gemm_tn_update(x1, panel.block(p, 0, b, p), t);
-    }
-    trsm_left_lower_trans(panel.block(0, 0, p, p), x1);
-  }
 }
 
 }  // namespace parfact

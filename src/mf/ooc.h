@@ -1,11 +1,13 @@
 // Out-of-core factorization — the WSMP-lineage mode for problems whose
 // factor exceeds memory: each supernode panel is streamed to a scratch file
 // the moment it is eliminated, so resident memory holds only the active
-// front and the multifrontal update stack. The triangular solves stream the
-// panels back (forward sweep reads the file front-to-back, backward sweep
-// back-to-front). The same file format also holds a whole resident factor
-// evicted by Solver::spill_factor(): the file layout is CholeskyFactor's
-// own, so that direction is one positioned write and one positioned read.
+// front and the multifrontal update stack. The triangular solves are the
+// one schedule-driven engine of solve/solve.h, fed by read_panel: per RHS
+// block the forward sweep reads the file front-to-back and the backward
+// sweep back-to-front, and the answer is bitwise the resident factor's.
+// The same file format also holds a whole resident factor evicted by
+// Solver::spill_factor(): the file layout is CholeskyFactor's own, so that
+// direction is one positioned write and one positioned read.
 #pragma once
 
 #include <cstdint>
@@ -106,8 +108,5 @@ class OocCholeskyFactor {
     const SymbolicFactor& sym, const std::string& path,
     FactorStats* stats = nullptr, PivotPolicy pivot = {},
     FactorKind kind = FactorKind::kCholesky, CancelToken cancel = {});
-
-/// x := A⁻¹ x with panels streamed from disk (x is n x nrhs).
-void ooc_solve_in_place(const OocCholeskyFactor& factor, MatrixView x);
 
 }  // namespace parfact

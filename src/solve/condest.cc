@@ -19,12 +19,8 @@ real_t norm1(const std::vector<real_t>& v) {
 
 }  // namespace
 
-real_t estimate_inverse_norm1(const CholeskyFactor& factor) {
-  const index_t n = factor.symbolic().n;
+real_t estimate_inverse_norm1(index_t n, const SolveFn& solve) {
   PARFACT_CHECK(n > 0);
-  // One schedule serves every solve of the power iteration.
-  const SolveSchedule schedule(factor.symbolic());
-  SolveWorkspace workspace;
   std::vector<real_t> x(static_cast<std::size_t>(n),
                         1.0 / static_cast<real_t>(n));
   std::vector<real_t> z;
@@ -33,16 +29,14 @@ real_t estimate_inverse_norm1(const CholeskyFactor& factor) {
 
   for (int iter = 0; iter < 5; ++iter) {
     // y = A⁻¹ x.
-    solve_in_place(factor, MatrixView{x.data(), n, 1, n}, schedule,
-                   workspace);
+    solve(MatrixView{x.data(), n, 1, n});
     estimate = std::max(estimate, norm1(x));
     // xi = sign(y); z = A⁻ᵀ xi = A⁻¹ xi (A symmetric).
     z.resize(x.size());
     for (std::size_t i = 0; i < x.size(); ++i) {
       z[i] = x[i] >= 0.0 ? 1.0 : -1.0;
     }
-    solve_in_place(factor, MatrixView{z.data(), n, 1, n}, schedule,
-                   workspace);
+    solve(MatrixView{z.data(), n, 1, n});
     // Pick the coordinate with the largest |z| as the next probe.
     index_t j = 0;
     for (index_t i = 1; i < n; ++i) {
@@ -61,17 +55,29 @@ real_t estimate_inverse_norm1(const CholeskyFactor& factor) {
     probe[i] = (i % 2 == 0 ? 1.0 : -1.0) *
                (1.0 + static_cast<real_t>(i) / (n > 1 ? n - 1 : 1));
   }
-  solve_in_place(factor, MatrixView{probe.data(), n, 1, n}, schedule,
-                 workspace);
+  solve(MatrixView{probe.data(), n, 1, n});
   const real_t alt = 2.0 * norm1(probe) / (3.0 * static_cast<real_t>(n));
   return std::max(estimate, alt);
 }
 
+real_t estimate_inverse_norm1(const CholeskyFactor& factor) {
+  const SolveSchedule schedule(factor.symbolic());
+  SolveWorkspace workspace;
+  return estimate_inverse_norm1(factor.symbolic().n, [&](MatrixView x) {
+    solve_in_place(factor, x, schedule, workspace);
+  });
+}
+
+real_t estimate_condition_1(const SparseMatrix& lower_a,
+                            const SolveFn& solve) {
+  // For symmetric A the 1-norm equals the infinity norm.
+  return norm_inf(symmetrize_full(lower_a)) *
+         estimate_inverse_norm1(lower_a.rows, solve);
+}
+
 real_t estimate_condition_1(const SparseMatrix& lower_a,
                             const CholeskyFactor& factor) {
-  // For symmetric A the 1-norm equals the infinity norm.
-  const real_t norm_a = norm_inf(symmetrize_full(lower_a));
-  return norm_a * estimate_inverse_norm1(factor);
+  return norm_inf(symmetrize_full(lower_a)) * estimate_inverse_norm1(factor);
 }
 
 }  // namespace parfact

@@ -49,7 +49,8 @@ CholeskyFactor multifrontal_factor_and_solve(
     graph.add_task(
         tag,
         [&factor, &schedule, &workspace, x0, s] {
-          detail::forward_supernode(factor, schedule, workspace, x0, s);
+          detail::forward_supernode(factor.panel(s), schedule, workspace, x0,
+                                    s);
         },
         static_cast<double>(std::max<count_t>(work, 1)));
     // Needs this supernode's final panel plus every pull source's step.

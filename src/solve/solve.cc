@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "dense/kernels.h"
+#include "mf/ooc.h"
 #include "solve/solve_internal.h"
 #include "sparse/ops.h"
 #include "support/error.h"
@@ -20,9 +21,8 @@ namespace detail {
 /// push), runs the panel TRSM, then deposits this supernode's own update
 /// −L21·x1 into its arena slice for its ancestors to pull. All writes are
 /// to rows this supernode owns, so the tree partition never races.
-void forward_supernode(const CholeskyFactor& factor,
-                       const SolveSchedule& sched, SolveWorkspace& ws,
-                       MatrixView x, index_t s) {
+void forward_supernode(ConstMatrixView panel, const SolveSchedule& sched,
+                       SolveWorkspace& ws, MatrixView x, index_t s) {
   const SymbolicFactor& sym = *sched.sym;
   const index_t p = sym.sn_cols(s);
   const index_t b = sym.sn_below(s);
@@ -42,7 +42,6 @@ void forward_supernode(const CholeskyFactor& factor,
       }
     }
   }
-  const ConstMatrixView panel = factor.panel(s);
   trsm_left_lower(panel.block(0, 0, p, p), x1);
   if (b == 0) return;
   real_t* us =
@@ -56,14 +55,12 @@ void forward_supernode(const CholeskyFactor& factor,
 /// (already solved — they belong to ancestors) via the precomputed
 /// memcpy runs into this supernode's arena slice, applies −L21ᵀ, and runs
 /// the transposed panel TRSM.
-void backward_supernode(const CholeskyFactor& factor,
-                        const SolveSchedule& sched, SolveWorkspace& ws,
-                        MatrixView x, index_t s) {
+void backward_supernode(ConstMatrixView panel, const SolveSchedule& sched,
+                        SolveWorkspace& ws, MatrixView x, index_t s) {
   const SymbolicFactor& sym = *sched.sym;
   const index_t p = sym.sn_cols(s);
   const index_t b = sym.sn_below(s);
   const index_t w = x.cols;
-  const ConstMatrixView panel = factor.panel(s);
   MatrixView x1 = x.block(sym.sn_start[s], 0, p, w);
   if (b > 0) {
     real_t* buf =
@@ -89,132 +86,158 @@ namespace {
 using detail::backward_supernode;
 using detail::forward_supernode;
 
+/// Panels of a resident factor: views of its own storage, safe to read
+/// from every worker of a threaded sweep.
+struct ResidentPanels {
+  const CholeskyFactor& factor;
+  ConstMatrixView operator()(index_t s) const { return factor.panel(s); }
+};
+
+/// Panels of a spilled factor, each read back (digest-checked) into one
+/// buffer sized for the largest panel. A view lives only until the next
+/// read, so the sweeps that use it run serially, in file order forward
+/// and in reverse backward.
+class SpilledPanels {
+ public:
+  explicit SpilledPanels(const OocCholeskyFactor& factor) : factor_(factor) {
+    const SymbolicFactor& sym = factor.symbolic();
+    std::size_t largest = 0;
+    for (index_t s = 0; s < sym.n_supernodes; ++s) {
+      largest = std::max(largest, static_cast<std::size_t>(sym.front_order(s)) *
+                                      static_cast<std::size_t>(sym.sn_cols(s)));
+    }
+    buf_.resize(largest);
+  }
+  ConstMatrixView operator()(index_t s) {
+    const SymbolicFactor& sym = factor_.symbolic();
+    const index_t f = sym.front_order(s);
+    const MatrixView panel{buf_.data(), f, sym.sn_cols(s), f};
+    factor_.read_panel(s, panel);
+    return panel;
+  }
+
+ private:
+  const OocCholeskyFactor& factor_;
+  std::vector<real_t> buf_;
+};
+
 /// One forward sweep over a single RHS block. Parallel path: independent
 /// subtrees as tasks, then top-of-tree levels ascending (children before
 /// parents). parallel_for is a barrier, so every pull source is complete
 /// before its consumer runs.
-void forward_sweep(const CholeskyFactor& factor, const SolveSchedule& sched,
+template <class Panels>
+void forward_sweep(Panels& panel, const SolveSchedule& sched,
                    SolveWorkspace& ws, MatrixView x, ThreadPool* pool) {
   const index_t ns = sched.sym->n_supernodes;
   if (pool == nullptr || pool->size() <= 1) {
     for (index_t s = 0; s < ns; ++s) {
-      forward_supernode(factor, sched, ws, x, s);
+      forward_supernode(panel(s), sched, ws, x, s);
     }
     return;
   }
   parallel_for(*pool, 0, sched.n_tasks(), [&](index_t t) {
     for (index_t s = sched.task_first[t]; s <= sched.task_root[t]; ++s) {
-      forward_supernode(factor, sched, ws, x, s);
+      forward_supernode(panel(s), sched, ws, x, s);
     }
   });
   for (index_t l = 0; l < sched.n_levels(); ++l) {
     parallel_for(*pool, sched.level_ptr[l], sched.level_ptr[l + 1],
                  [&](index_t i) {
-                   forward_supernode(factor, sched, ws, x, sched.level_sn[i]);
+                   const index_t s = sched.level_sn[i];
+                   forward_supernode(panel(s), sched, ws, x, s);
                  });
   }
 }
 
 /// One backward sweep over a single RHS block: levels descending (parents
 /// before children), then the subtree tasks.
-void backward_sweep(const CholeskyFactor& factor, const SolveSchedule& sched,
+template <class Panels>
+void backward_sweep(Panels& panel, const SolveSchedule& sched,
                     SolveWorkspace& ws, MatrixView x, ThreadPool* pool) {
   const index_t ns = sched.sym->n_supernodes;
   if (pool == nullptr || pool->size() <= 1) {
     for (index_t s = ns - 1; s >= 0; --s) {
-      backward_supernode(factor, sched, ws, x, s);
+      backward_supernode(panel(s), sched, ws, x, s);
     }
     return;
   }
   for (index_t l = sched.n_levels() - 1; l >= 0; --l) {
     parallel_for(*pool, sched.level_ptr[l], sched.level_ptr[l + 1],
                  [&](index_t i) {
-                   backward_supernode(factor, sched, ws, x, sched.level_sn[i]);
+                   const index_t s = sched.level_sn[i];
+                   backward_supernode(panel(s), sched, ws, x, s);
                  });
   }
   parallel_for(*pool, 0, sched.n_tasks(), [&](index_t t) {
     for (index_t s = sched.task_root[t]; s >= sched.task_first[t]; --s) {
-      backward_supernode(factor, sched, ws, x, s);
+      backward_supernode(panel(s), sched, ws, x, s);
     }
   });
 }
 
-void check_engine_args(const CholeskyFactor& factor,
-                       const SolveSchedule& sched, ConstMatrixView x) {
-  const SymbolicFactor& sym = factor.symbolic();
+void check_engine_args(const SymbolicFactor& sym, const SolveSchedule& sched,
+                       ConstMatrixView x) {
   PARFACT_CHECK(x.rows == sym.n);
   PARFACT_CHECK_MSG(sched.sym == &sym,
                     "SolveSchedule built for a different SymbolicFactor");
 }
 
-void diagonal_solve_block(const CholeskyFactor& factor, MatrixView x) {
-  const std::span<const real_t> d = factor.diag();
+void diagonal_solve_block(std::span<const real_t> d, MatrixView x) {
   for (index_t c = 0; c < x.cols; ++c) {
     for (index_t i = 0; i < x.rows; ++i) x.at(i, c) /= d[i];
   }
 }
 
-}  // namespace
-
-void forward_solve(const CholeskyFactor& factor, MatrixView x,
-                   const SolveSchedule& schedule, SolveWorkspace& workspace,
-                   ThreadPool* pool) {
-  check_engine_args(factor, schedule, x);
+/// Full forward/diagonal/backward per RHS block: each factor panel is
+/// streamed exactly once per block in each sweep. `d` is the LDLᵀ
+/// diagonal, empty for Cholesky.
+template <class Panels>
+void solve_blocks(Panels& panel, std::span<const real_t> d, MatrixView x,
+                  const SolveSchedule& schedule, SolveWorkspace& workspace,
+                  ThreadPool* pool) {
   for (index_t c0 = 0; c0 < x.cols; c0 += schedule.rhs_block) {
     const index_t w = std::min(schedule.rhs_block, x.cols - c0);
     workspace.ensure(schedule, w);
-    forward_sweep(factor, schedule, workspace, x.block(0, c0, x.rows, w),
-                  pool);
+    MatrixView xb = x.block(0, c0, x.rows, w);
+    forward_sweep(panel, schedule, workspace, xb, pool);
+    if (!d.empty()) diagonal_solve_block(d, xb);
+    backward_sweep(panel, schedule, workspace, xb, pool);
   }
 }
+
+}  // namespace
 
 void backward_solve(const CholeskyFactor& factor, MatrixView x,
                     const SolveSchedule& schedule, SolveWorkspace& workspace,
                     ThreadPool* pool) {
-  check_engine_args(factor, schedule, x);
+  check_engine_args(factor.symbolic(), schedule, x);
+  ResidentPanels panel{factor};
   for (index_t c0 = 0; c0 < x.cols; c0 += schedule.rhs_block) {
     const index_t w = std::min(schedule.rhs_block, x.cols - c0);
     workspace.ensure(schedule, w);
-    backward_sweep(factor, schedule, workspace, x.block(0, c0, x.rows, w),
+    backward_sweep(panel, schedule, workspace, x.block(0, c0, x.rows, w),
                    pool);
   }
 }
 
 void diagonal_solve(const CholeskyFactor& factor, MatrixView x) {
   if (!factor.is_ldlt()) return;
-  diagonal_solve_block(factor, x);
+  diagonal_solve_block(factor.diag(), x);
 }
 
 void solve_in_place(const CholeskyFactor& factor, MatrixView x,
                     const SolveSchedule& schedule, SolveWorkspace& workspace,
                     ThreadPool* pool) {
-  check_engine_args(factor, schedule, x);
-  // Full forward/diagonal/backward per RHS block: each factor panel is
-  // streamed exactly once per block in each sweep.
-  for (index_t c0 = 0; c0 < x.cols; c0 += schedule.rhs_block) {
-    const index_t w = std::min(schedule.rhs_block, x.cols - c0);
-    workspace.ensure(schedule, w);
-    MatrixView xb = x.block(0, c0, x.rows, w);
-    forward_sweep(factor, schedule, workspace, xb, pool);
-    if (factor.is_ldlt()) diagonal_solve_block(factor, xb);
-    backward_sweep(factor, schedule, workspace, xb, pool);
-  }
+  check_engine_args(factor.symbolic(), schedule, x);
+  ResidentPanels panel{factor};
+  solve_blocks(panel, factor.diag(), x, schedule, workspace, pool);
 }
 
-void forward_solve(const CholeskyFactor& factor, MatrixView x) {
-  SolveScheduleOptions opts;
-  opts.rhs_block = std::max<index_t>(x.cols, 1);
-  SolveSchedule schedule(factor.symbolic(), opts);
-  SolveWorkspace workspace;
-  forward_solve(factor, x, schedule, workspace, nullptr);
-}
-
-void backward_solve(const CholeskyFactor& factor, MatrixView x) {
-  SolveScheduleOptions opts;
-  opts.rhs_block = std::max<index_t>(x.cols, 1);
-  SolveSchedule schedule(factor.symbolic(), opts);
-  SolveWorkspace workspace;
-  backward_solve(factor, x, schedule, workspace, nullptr);
+void solve_in_place(const OocCholeskyFactor& factor, MatrixView x,
+                    const SolveSchedule& schedule, SolveWorkspace& workspace) {
+  check_engine_args(factor.symbolic(), schedule, x);
+  SpilledPanels panel(factor);
+  solve_blocks(panel, factor.diag(), x, schedule, workspace, nullptr);
 }
 
 void solve_in_place(const CholeskyFactor& factor, MatrixView x) {
@@ -240,97 +263,58 @@ real_t relative_residual(const SparseMatrix& lower_a,
   return denom > 0.0 ? num / denom : num;
 }
 
-RefinementResult iterative_refinement(const SparseMatrix& lower_a,
-                                      const CholeskyFactor& factor,
-                                      std::span<const real_t> b,
-                                      std::span<real_t> x,
-                                      const SolveSchedule& schedule,
-                                      SolveWorkspace& workspace,
-                                      ThreadPool* pool, int max_iterations,
-                                      real_t tol) {
-  const index_t n = lower_a.rows;
-  PARFACT_CHECK(static_cast<index_t>(x.size()) == n);
-  PARFACT_CHECK(x.size() == b.size());
-  RefinementResult result;
-  std::vector<real_t> r(static_cast<std::size_t>(n));
-  // ‖A‖ and ‖b‖ are loop invariants; each iteration costs one SpMV whose
-  // residual r = b − A x serves both the convergence test and, when the
-  // test fails, the correction right-hand side.
-  const real_t anorm = norm_inf(symmetrize_full(lower_a));
-  const real_t bnorm = norm_inf(b);
-  auto residual_now = [&]() -> real_t {
-    spmv_symmetric_lower(lower_a, x, r);
-    for (index_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-    const real_t denom =
-        anorm * norm_inf(std::span<const real_t>(x.data(), x.size())) + bnorm;
-    const real_t num = norm_inf(std::span<const real_t>(r));
-    return denom > 0.0 ? num / denom : num;
-  };
-  for (result.iterations = 0; result.iterations < max_iterations;
-       ++result.iterations) {
-    result.residual = residual_now();
-    if (result.residual <= tol) return result;
-    // r already holds b - A x: solve A d = r, x += d.
-    solve_in_place(factor, MatrixView{r.data(), n, 1, n}, schedule, workspace,
-                   pool);
-    for (index_t i = 0; i < n; ++i) x[i] += r[i];
-  }
-  result.residual = residual_now();
-  return result;
-}
-
-RefinementResult iterative_refinement(const SparseMatrix& lower_a,
-                                      const CholeskyFactor& factor,
-                                      std::span<const real_t> b,
-                                      std::span<real_t> x, int max_iterations,
-                                      real_t tol) {
-  SolveSchedule schedule(factor.symbolic());
-  SolveWorkspace workspace;
-  return iterative_refinement(lower_a, factor, b, x, schedule, workspace,
-                              nullptr, max_iterations, tol);
-}
-
-real_t refine_block(const SparseMatrix& lower_a, const CholeskyFactor& factor,
-                    ConstMatrixView b, MatrixView x,
-                    const SolveSchedule& schedule, SolveWorkspace& workspace,
-                    ThreadPool* pool, int passes) {
+RefinementResult refine(const SparseMatrix& lower_a, ConstMatrixView b,
+                        MatrixView x, const SolveFn& solve, int passes,
+                        std::optional<real_t> stop_at) {
   const index_t n = lower_a.rows;
   PARFACT_CHECK(b.rows == n && x.rows == n && b.cols == x.cols);
   const index_t nrhs = x.cols;
+  // ‖A‖ is a loop invariant; a column of a column-major view is
+  // contiguous, so each column's SpMV reads x and writes r in place.
   const real_t anorm = norm_inf(symmetrize_full(lower_a));
   std::vector<real_t> r(static_cast<std::size_t>(n) * nrhs);
-  MatrixView rv{r.data(), n, nrhs, n};
-  std::vector<real_t> xc(static_cast<std::size_t>(n));
-  std::vector<real_t> rc(static_cast<std::size_t>(n));
-  // Columns may be strided views; stage each through a contiguous buffer
-  // for the SpMV. One SpMV per column per pass.
-  auto residuals_into_rv = [&]() {
+  const MatrixView rv{r.data(), n, nrhs, n};
+  const auto residuals_into_r = [&]() {
     for (index_t c = 0; c < nrhs; ++c) {
-      for (index_t i = 0; i < n; ++i) xc[i] = x.at(i, c);
-      spmv_symmetric_lower(lower_a, xc, rc);
-      for (index_t i = 0; i < n; ++i) rv.at(i, c) = b.at(i, c) - rc[i];
+      const std::span<real_t> rc{&rv.at(0, c), static_cast<std::size_t>(n)};
+      spmv_symmetric_lower(lower_a, {&x.at(0, c), static_cast<std::size_t>(n)},
+                           rc);
+      for (index_t i = 0; i < n; ++i) rc[i] = b.at(i, c) - rc[i];
     }
   };
-  for (int pass = 0; pass < passes; ++pass) {
-    residuals_into_rv();
-    solve_in_place(factor, rv, schedule, workspace, pool);
+  // Worst ‖r‖∞ / (‖A‖∞ ‖x‖∞ + ‖b‖∞) over the columns; a NaN column makes
+  // the worst NaN, which never passes a stop test.
+  const auto worst_residual = [&]() {
+    real_t worst = 0.0;
+    for (index_t c = 0; c < nrhs; ++c) {
+      real_t xmax = 0.0, bmax = 0.0, rmax = 0.0;
+      for (index_t i = 0; i < n; ++i) {
+        xmax = std::max(xmax, std::abs(x.at(i, c)));
+        bmax = std::max(bmax, std::abs(b.at(i, c)));
+        rmax = std::max(rmax, std::abs(rv.at(i, c)));
+      }
+      const real_t denom = anorm * xmax + bmax;
+      const real_t res = denom > 0.0 ? rmax / denom : rmax;
+      if (std::isnan(res) || res > worst) worst = res;
+    }
+    return worst;
+  };
+  RefinementResult result;
+  for (; result.iterations < passes; ++result.iterations) {
+    residuals_into_r();
+    if (stop_at.has_value()) {
+      result.residual = worst_residual();
+      if (result.residual <= *stop_at) return result;
+    }
+    // r holds b − A x: solve A d = r, x += d.
+    solve(rv);
     for (index_t c = 0; c < nrhs; ++c) {
       for (index_t i = 0; i < n; ++i) x.at(i, c) += rv.at(i, c);
     }
   }
-  residuals_into_rv();
-  real_t worst = 0.0;
-  for (index_t c = 0; c < nrhs; ++c) {
-    real_t xmax = 0.0, bmax = 0.0, rmax = 0.0;
-    for (index_t i = 0; i < n; ++i) {
-      xmax = std::max(xmax, std::abs(x.at(i, c)));
-      bmax = std::max(bmax, std::abs(b.at(i, c)));
-      rmax = std::max(rmax, std::abs(rv.at(i, c)));
-    }
-    const real_t denom = anorm * xmax + bmax;
-    worst = std::max(worst, denom > 0.0 ? rmax / denom : rmax);
-  }
-  return worst;
+  residuals_into_r();
+  result.residual = worst_residual();
+  return result;
 }
 
 }  // namespace parfact

@@ -11,10 +11,16 @@
 // block), pulls forward updates through the schedule's precomputed plans
 // into a reusable workspace arena, and optionally runs the tree-parallel
 // task/level partition on a ThreadPool — with results bitwise-identical
-// to the serial sweep (see solve_schedule.h for why). The legacy
-// signatures below build a transient schedule and forward to the engine.
+// to the serial sweep (see solve_schedule.h for why). The engine takes
+// each supernode's panel from its caller: a resident factor hands out
+// views of its own storage, a spilled one (mf/ooc.h) reads each panel back
+// from its scratch file into one reused buffer, serially and in file
+// order. The per-block arithmetic is the same, so a spilled factor answers
+// bit for bit like the resident one.
 #pragma once
 
+#include <functional>
+#include <optional>
 #include <span>
 
 #include "dense/matrix_view.h"
@@ -25,17 +31,13 @@
 
 namespace parfact {
 
+class OocCholeskyFactor;
 class ThreadPool;
 
-/// x := L⁻¹ x through the precomputed schedule. `pool == nullptr` (or a
-/// one-worker pool) runs the serial postorder sweep; otherwise independent
-/// subtrees run as tasks and the top of the tree level-by-level, bitwise
-/// identical to serial.
-void forward_solve(const CholeskyFactor& factor, MatrixView x,
-                   const SolveSchedule& schedule, SolveWorkspace& workspace,
-                   ThreadPool* pool = nullptr);
-
-/// x := L⁻ᵀ x (backward substitution) through the schedule.
+/// x := L⁻ᵀ x (backward substitution) through the schedule. `pool ==
+/// nullptr` (or a one-worker pool) runs the serial postorder sweep;
+/// otherwise the top of the tree runs level-by-level and independent
+/// subtrees as tasks, bitwise identical to serial.
 void backward_solve(const CholeskyFactor& factor, MatrixView x,
                     const SolveSchedule& schedule, SolveWorkspace& workspace,
                     ThreadPool* pool = nullptr);
@@ -49,12 +51,20 @@ void solve_in_place(const CholeskyFactor& factor, MatrixView x,
                     const SolveSchedule& schedule, SolveWorkspace& workspace,
                     ThreadPool* pool = nullptr);
 
-/// Legacy single-shot entry points: build a transient schedule and run the
-/// engine serially. Prefer the schedule-taking overloads when solving more
-/// than once against the same factor.
-void forward_solve(const CholeskyFactor& factor, MatrixView x);
-void backward_solve(const CholeskyFactor& factor, MatrixView x);
+/// The same solve against a spilled factor: every panel is read back and
+/// digest-checked (read_panel's retry and kDataCorruption rules) once per
+/// sweep per RHS block. Serial, since the panels share one buffer.
+void solve_in_place(const OocCholeskyFactor& factor, MatrixView x,
+                    const SolveSchedule& schedule, SolveWorkspace& workspace);
+
+/// Single-shot entry point: builds a transient full-width schedule and runs
+/// the engine serially. Prefer the schedule-taking overload when solving
+/// more than once against the same factor.
 void solve_in_place(const CholeskyFactor& factor, MatrixView x);
+
+/// x := A⁻¹ x on an n x k postordered block, k ≥ 1 — what refinement and
+/// condition estimation call, whatever the factor's storage.
+using SolveFn = std::function<void(MatrixView)>;
 
 /// Componentwise-scaled relative residual ‖b − A x‖∞ / (‖A‖∞ ‖x‖∞ + ‖b‖∞)
 /// for the symmetric lower-stored `a`. Single right-hand side.
@@ -63,40 +73,19 @@ void solve_in_place(const CholeskyFactor& factor, MatrixView x);
                                        std::span<const real_t> b);
 
 struct RefinementResult {
-  int iterations = 0;
-  real_t residual = 0.0;  ///< final relative residual
+  int iterations = 0;     ///< corrections applied
+  real_t residual = 0.0;  ///< final worst per-column relative residual
 };
 
-/// Classical iterative refinement: repeatedly solve A d = r and update x
-/// until the relative residual drops below `tol` or `max_iterations` is hit.
-/// `x` must already hold the initial solve's result. Each iteration costs
-/// one SpMV: the residual r = b − A x is computed once and both its norm
-/// and the correction right-hand side derive from it.
-RefinementResult iterative_refinement(const SparseMatrix& lower_a,
-                                      const CholeskyFactor& factor,
-                                      std::span<const real_t> b,
-                                      std::span<real_t> x,
-                                      int max_iterations = 5,
-                                      real_t tol = 1e-14);
-
-/// Schedule-reusing variant for serving paths that refine repeatedly.
-RefinementResult iterative_refinement(const SparseMatrix& lower_a,
-                                      const CholeskyFactor& factor,
-                                      std::span<const real_t> b,
-                                      std::span<real_t> x,
-                                      const SolveSchedule& schedule,
-                                      SolveWorkspace& workspace,
-                                      ThreadPool* pool,
-                                      int max_iterations = 5,
-                                      real_t tol = 1e-14);
-
-/// Batched refinement: `passes` correction sweeps over the n x nrhs blocks
-/// `b`/`x` (one SpMV per column per pass, one blocked solve per pass),
-/// then returns the worst per-column relative residual. passes == 0 only
-/// measures.
-real_t refine_block(const SparseMatrix& lower_a, const CholeskyFactor& factor,
-                    ConstMatrixView b, MatrixView x,
-                    const SolveSchedule& schedule, SolveWorkspace& workspace,
-                    ThreadPool* pool, int passes);
+/// Iterative refinement of the n x nrhs block `x` (already holding the
+/// first solve's result) against `b`: up to `passes` corrections
+/// x += solve(b − A x), each one SpMV per column plus one blocked solve.
+/// With `stop_at`, stops before a correction once the worst per-column
+/// relative residual is at or below it; without, always runs `passes`.
+/// The residual r = b − A x of each pass serves both the test and the
+/// correction's right-hand side. passes == 0 only measures.
+RefinementResult refine(const SparseMatrix& lower_a, ConstMatrixView b,
+                        MatrixView x, const SolveFn& solve, int passes,
+                        std::optional<real_t> stop_at = std::nullopt);
 
 }  // namespace parfact

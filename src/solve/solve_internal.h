@@ -3,10 +3,11 @@
 // task-DAG nodes. Semantics and bitwise behaviour are exactly those of the
 // sweeps in solve.cc — one step touches only rows its supernode owns plus
 // (forward) its own arena slice, reading sources in fixed ascending order.
+// Each step takes supernode s's panel (front_order(s) x sn_cols(s)) from
+// its caller, so the same steps serve resident and spilled factors.
 #pragma once
 
 #include "dense/matrix_view.h"
-#include "mf/factor.h"
 #include "solve/solve_schedule.h"
 
 namespace parfact::detail {
@@ -16,15 +17,13 @@ namespace parfact::detail {
 /// order), runs the panel TRSM, then deposits −L21·x1 into this
 /// supernode's arena slice. Requires every source supernode's step done
 /// and ws sized for x.cols.
-void forward_supernode(const CholeskyFactor& factor,
-                       const SolveSchedule& sched, SolveWorkspace& ws,
-                       MatrixView x, index_t s);
+void forward_supernode(ConstMatrixView panel, const SolveSchedule& sched,
+                       SolveWorkspace& ws, MatrixView x, index_t s);
 
 /// Backward-solves supernode s's panel rows: gathers x at the below rows
 /// (ancestors' rows, already solved) and applies −L21ᵀ before the
 /// transposed panel TRSM.
-void backward_supernode(const CholeskyFactor& factor,
-                        const SolveSchedule& sched, SolveWorkspace& ws,
-                        MatrixView x, index_t s);
+void backward_supernode(ConstMatrixView panel, const SolveSchedule& sched,
+                        SolveWorkspace& ws, MatrixView x, index_t s);
 
 }  // namespace parfact::detail

@@ -286,8 +286,12 @@ TEST(Solve, IterativeRefinementImproves) {
   // Perturb the solution to force refinement work.
   for (index_t i = 0; i < n; i += 7) x[i] += 1e-6;
   const real_t before = relative_residual(sym.a, x, b);
-  const RefinementResult r =
-      iterative_refinement(sym.a, f, b, x, /*max_iterations=*/4, 1e-15);
+  const SolveSchedule schedule(sym);
+  SolveWorkspace workspace;
+  const RefinementResult r = refine(
+      sym.a, ConstMatrixView{b.data(), n, 1, n}, MatrixView{x.data(), n, 1, n},
+      [&](MatrixView v) { solve_in_place(f, v, schedule, workspace); },
+      /*passes=*/4, 1e-15);
   EXPECT_LT(r.residual, before);
   EXPECT_LT(r.residual, 1e-13);
   EXPECT_GE(r.iterations, 1);

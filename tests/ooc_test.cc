@@ -60,18 +60,24 @@ TEST(Ooc, PanelsMatchInCoreFactor) {
   }
 }
 
+// More right-hand sides than one RHS block: the spilled factor goes
+// through the same block partition and sweeps as the resident one.
 TEST(Ooc, SolveMatchesInCore) {
   const SparseMatrix a = elasticity_3d(4, 3, 3);
   const SymbolicFactor sym = analyze_nested_dissection(a);
   const CholeskyFactor in_core = multifrontal_factor(sym);
   const OocCholeskyFactor ooc =
       multifrontal_factor_ooc(sym, scratch_path("solve"));
-  const index_t nrhs = 3;
+  const SolveSchedule schedule(sym);
+  const index_t nrhs = schedule.rhs_block + 5;
+  SolveWorkspace workspace;
   std::vector<real_t> b = random_vector(sym.n * nrhs, 7);
   std::vector<real_t> x1 = b;
   std::vector<real_t> x2 = b;
-  solve_in_place(in_core, MatrixView{x1.data(), sym.n, nrhs, sym.n});
-  ooc_solve_in_place(ooc, MatrixView{x2.data(), sym.n, nrhs, sym.n});
+  solve_in_place(in_core, MatrixView{x1.data(), sym.n, nrhs, sym.n}, schedule,
+                 workspace);
+  solve_in_place(ooc, MatrixView{x2.data(), sym.n, nrhs, sym.n}, schedule,
+                 workspace);
   for (std::size_t i = 0; i < x1.size(); ++i) ASSERT_EQ(x1[i], x2[i]);
 }
 

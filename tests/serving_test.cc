@@ -20,6 +20,7 @@
 #include "api/symbolic_cache.h"
 #include "mf/multifrontal.h"
 #include "sparse/gen.h"
+#include "support/prng.h"
 #include "support/resource.h"
 #include "support/status.h"
 #include "symbolic/pattern_key.h"
@@ -483,6 +484,154 @@ TEST(SpillFactorTest, SharedPathWithGovernedSpillKeepsItsFile) {
 }
 
 // ---------------------------------------------------------------------------
+// Resident vs spilled identity: a spilled factor runs the same sweeps, RHS
+// block partition and refinement loop as a resident one, so every solve
+// entry point and the condition estimate give the same bits resident,
+// spilled (spill_factor() or the budget's spill rung) and reloaded — with
+// nrhs on both sides of solve_rhs_block.
+
+bool bitwise_equal(const std::vector<real_t>& x, const std::vector<real_t>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(real_t)) == 0;
+}
+
+std::vector<real_t> random_block(index_t n, index_t nrhs, std::uint64_t seed) {
+  Prng rng(seed);
+  std::vector<real_t> b(static_cast<std::size_t>(n) * nrhs);
+  for (real_t& v : b) v = rng.next_real(-1, 1);
+  return b;
+}
+
+/// Every solve entry point's answer, then the condition estimate.
+std::vector<std::vector<real_t>> every_answer(const Solver& solver,
+                                              index_t n, index_t rhs_block) {
+  const std::vector<real_t> b = random_block(n, 1, 5);
+  std::vector<std::vector<real_t>> out;
+  out.push_back(solver.solve(b));
+  out.push_back(solver.solve_multi(b, 1));
+  out.push_back(solver.solve_batch(b, 1));
+  out.push_back(solver.solve_refined(b));
+  for (const index_t nrhs : {rhs_block, rhs_block + 1}) {
+    const std::vector<real_t> bb = random_block(n, nrhs, 7 + nrhs);
+    out.push_back(solver.solve_multi(bb, nrhs));
+    out.push_back(solver.solve_batch(bb, nrhs));
+  }
+  out.push_back({solver.condition_estimate()});
+  return out;
+}
+
+void expect_same_answers(const std::vector<std::vector<real_t>>& want,
+                         const std::vector<std::vector<real_t>>& got,
+                         const char* state) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(bitwise_equal(want[i], got[i]))
+        << state << ": answer " << i << " differs from the resident one";
+  }
+}
+
+struct SpillIdentityCase {
+  const char* name;
+  FactorKind kind;
+};
+
+class SpillIdentityTest : public ::testing::TestWithParam<SpillIdentityCase> {
+};
+
+TEST_P(SpillIdentityTest, ResidentSpilledAndReloadedAnswersAreBitwiseEqual) {
+  const FactorKind kind = GetParam().kind;
+  const SparseMatrix a = kind == FactorKind::kLdlt
+                             ? saddle_point_kkt(300, 120, 3, 29)
+                             : grid_laplacian_3d(10, 10, 10);
+  SolverOptions opt;
+  opt.factor_kind = kind;
+  opt.spill_path = std::string("serving_test_identity_") + GetParam().name +
+                   ".bin";
+  Solver solver(opt);
+  solver.analyze(a);
+  ASSERT_TRUE(solver.factorize().ok());
+  const auto resident = every_answer(solver, a.rows, opt.solve_rhs_block);
+
+  ASSERT_TRUE(solver.spill_factor().ok());
+  ASSERT_TRUE(solver.factor_spilled());
+  expect_same_answers(resident,
+                      every_answer(solver, a.rows, opt.solve_rhs_block),
+                      "spill_factor()");
+  ASSERT_TRUE(solver.unspill_factor().ok());
+  ASSERT_FALSE(solver.factor_spilled());
+  expect_same_answers(resident,
+                      every_answer(solver, a.rows, opt.solve_rhs_block),
+                      "unspill_factor()");
+
+  // The budget ladder's spill rung writes the factor while it factors.
+  SolverOptions gopt = opt;
+  gopt.spill_path = std::string("serving_test_identity_rung_") +
+                    GetParam().name + ".bin";
+  Solver governed(gopt);
+  governed.analyze(a);
+  governed.set_memory_budget_bytes(
+      estimate_working_set(governed.symbolic(), kind == FactorKind::kLdlt)
+          .peak_incore_bytes -
+      1);
+  ASSERT_TRUE(governed.factorize().ok());
+  ASSERT_EQ(governed.report().admission, Admission::kSpill);
+  expect_same_answers(resident,
+                      every_answer(governed, a.rows, gopt.solve_rhs_block),
+                      "spill rung");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, SpillIdentityTest,
+    ::testing::Values(SpillIdentityCase{"cholesky", FactorKind::kCholesky},
+                      SpillIdentityCase{"ldlt", FactorKind::kLdlt}),
+    [](const ::testing::TestParamInfo<SpillIdentityCase>& info) {
+      return info.param.name;
+    });
+
+// A moved Solver answers as it did before the move: the analysis stays put
+// on the heap, so the factor, the schedule and the spill files that point
+// at it stay valid.
+TEST(SolverMoveTest, MovedSolverKeepsItsAnswers) {
+  const SparseMatrix a = grid_laplacian_2d(24, 24);
+  const SparseMatrix a2 = scaled_values(a, 1.75);
+  const std::vector<real_t> b = random_block(a.rows, 1, 41);
+  Solver unmoved;
+  unmoved.analyze(a);
+  ASSERT_TRUE(unmoved.factorize().ok());
+  const std::vector<real_t> x_a = unmoved.solve(b);
+  ASSERT_TRUE(unmoved.refactorize(a2.values).ok());
+  const std::vector<real_t> x_a2 = unmoved.solve(b);
+
+  const auto exercise = [&](Solver& moved) {
+    ASSERT_EQ(&moved.factor().symbolic(), &moved.symbolic());
+    EXPECT_TRUE(bitwise_equal(moved.solve(b), x_a));
+    ASSERT_TRUE(moved.refactorize(a2.values).ok());
+    EXPECT_TRUE(bitwise_equal(moved.solve(b), x_a2));
+    ASSERT_TRUE(moved.spill_factor().ok());
+    EXPECT_TRUE(bitwise_equal(moved.solve(b), x_a2));
+    ASSERT_TRUE(moved.unspill_factor().ok());
+    EXPECT_TRUE(bitwise_equal(moved.solve(b), x_a2));
+  };
+  {
+    Solver source;
+    source.analyze(a);
+    ASSERT_TRUE(source.factorize().ok());
+    Solver moved = std::move(source);
+    exercise(moved);
+  }
+  {
+    Solver source;
+    source.analyze(a);
+    ASSERT_TRUE(source.factorize().ok());
+    Solver target;  // factored, holding a reservation on its own budget
+    target.analyze(a2);
+    ASSERT_TRUE(target.factorize().ok());
+    target = std::move(source);
+    exercise(target);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // SolverService
 
 TEST(SolverServiceTest, SessionLifecycleAndDiagnosedErrors) {
@@ -902,6 +1051,40 @@ TEST(SolverServiceTest, BatchSolveMatchesSolverBatch) {
   reference.analyze(a);
   ASSERT_TRUE(reference.factorize().ok());
   EXPECT_EQ(x, reference.solve_batch(b, nrhs));
+}
+
+// A session whose factor is larger than the whole factor cache runs on the
+// spill rung, and every solve streams its panels from disk: the batch,
+// more columns than one RHS block, still matches a resident Solver bit for
+// bit.
+TEST(SolverServiceTest, StreamedSessionAnswersLikeResidentSolver) {
+  const SparseMatrix a = grid_laplacian_2d(40, 40);
+  Solver resident;
+  resident.analyze(a);
+  ASSERT_TRUE(resident.factorize().ok());
+  const WorkingSetEstimate est =
+      estimate_working_set(resident.symbolic(), /*ldlt=*/false);
+  ASSERT_LT(est.peak_ooc_bytes, est.factor_bytes);
+
+  ServiceOptions opt;
+  opt.factor_cache_bytes = (est.peak_ooc_bytes + est.factor_bytes) / 2;
+  SolverService svc(opt);
+  SessionId id = 0;
+  ASSERT_TRUE(svc.open(a, id).ok());
+  ASSERT_TRUE(svc.factorize(id).ok());
+  SolverReport report;
+  ASSERT_TRUE(svc.report(id, report).ok());
+  ASSERT_EQ(report.admission, Admission::kSpill);
+
+  const index_t nrhs = opt.solver.solve_rhs_block + 8;
+  const std::vector<real_t> b = random_block(a.rows, nrhs, 31);
+  std::vector<real_t> x;
+  ASSERT_TRUE(svc.solve_batch(id, b, nrhs, x).ok());
+  EXPECT_TRUE(bitwise_equal(x, resident.solve_batch(b, nrhs)));
+  const std::vector<real_t> b1(b.begin(), b.begin() + a.rows);
+  ASSERT_TRUE(svc.solve(id, b1, x).ok());
+  EXPECT_TRUE(bitwise_equal(x, resident.solve(b1)));
+  EXPECT_EQ(svc.stats().factor_cache_bytes, 0u);  // never reloaded
 }
 
 // Serving counters survive analyze()'s report reset and accumulate.

@@ -280,8 +280,11 @@ TEST(SolveEngine, ScheduleRefinementConverges) {
   std::vector<real_t> x = b;
   solve_in_place(factor, MatrixView{x.data(), sym.n, 1, sym.n}, schedule,
                  workspace);
-  const RefinementResult r = iterative_refinement(
-      sym.a, factor, b, x, schedule, workspace, /*pool=*/nullptr);
+  const RefinementResult r = refine(
+      sym.a, ConstMatrixView{b.data(), sym.n, 1, sym.n},
+      MatrixView{x.data(), sym.n, 1, sym.n},
+      [&](MatrixView v) { solve_in_place(factor, v, schedule, workspace); },
+      /*passes=*/5, 1e-14);
   EXPECT_LE(r.residual, 1e-13);
 }
 
