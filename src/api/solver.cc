@@ -234,16 +234,7 @@ std::uint64_t Solver::config_hash() const {
   h = fnv1a_pod(options_.nd.seed, h);
   h = fnv1a_pod(options_.amalgamation.enable, h);
   h = fnv1a_pod(options_.amalgamation.relax_small, h);
-  h = fnv1a_pod(options_.amalgamation.relax_ratio, h);
-  // The parallel ND engine produces a different (equal-quality) ordering
-  // than the sequential one, deterministically for a fixed seed regardless
-  // of pool size — so the engine choice is structure-affecting, the thread
-  // count is not.
-  const bool parallel_nd =
-      options_.ordering == SolverOptions::Ordering::kNestedDissection &&
-      options_.threads > 1;
-  h = fnv1a_pod(parallel_nd, h);
-  return h;
+  return fnv1a_pod(options_.amalgamation.relax_ratio, h);
 }
 
 void Solver::build_value_map(const SparseMatrix& lower) {
@@ -315,20 +306,7 @@ void Solver::analyze(const SparseMatrix& lower) {
     std::vector<index_t> fill_perm;
     switch (options_.ordering) {
       case SolverOptions::Ordering::kNestedDissection:
-        if (options_.threads > 1) {
-          if (options_.shared_pool != nullptr) {
-            fill_perm = nested_dissection_parallel(graph_from_pattern(lower),
-                                                   options_.nd,
-                                                   *options_.shared_pool);
-          } else {
-            ThreadPool pool(options_.threads);
-            fill_perm = nested_dissection_parallel(graph_from_pattern(lower),
-                                                   options_.nd, pool);
-          }
-        } else {
-          fill_perm =
-              nested_dissection(graph_from_pattern(lower), options_.nd);
-        }
+        fill_perm = nested_dissection(graph_from_pattern(lower), options_.nd);
         break;
       case SolverOptions::Ordering::kMinimumDegree:
         fill_perm = minimum_degree(graph_from_pattern(lower));
@@ -365,8 +343,7 @@ void Solver::analyze(const SparseMatrix& lower) {
       // deterministic), and keeping the winner maximizes sharing.
       entry = cache->insert(
           key, std::make_shared<CachedAnalysis>(std::move(zeroed), total_perm_,
-                                                value_map_, sopts,
-                                                timer.seconds()));
+                                                value_map_, sopts));
     }
   }
   install_solve_schedule(entry.get());

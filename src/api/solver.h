@@ -44,7 +44,10 @@ struct SolverOptions {
   Ordering ordering = Ordering::kNestedDissection;
   OrderingOptions nd;                  ///< nested-dissection knobs
   AmalgamationOptions amalgamation;    ///< supernode relaxation knobs
-  int threads = 1;                     ///< factorization threads (>=1)
+  /// Factorization and solve threads (>= 1). Only speed depends on it: the
+  /// ordering, the factor and every bit of every answer are the same at
+  /// any thread count.
+  int threads = 1;
   int refinement_steps = 2;            ///< iterative-refinement iterations
   /// Cholesky for SPD input; LDLᵀ (no pivoting) for symmetric
   /// quasi-definite input such as KKT saddle-point systems.
@@ -121,10 +124,11 @@ struct SolverOptions {
   /// and symbolic analysis; misses populate the cache. Must outlive the
   /// Solver. nullptr (default) keeps analyze() fully cold.
   SymbolicCache* symbolic_cache = nullptr;
-  /// Externally owned worker pool used (when threads > 1) instead of a pool
-  /// created per factorize/refactorize call. Lets many solvers — e.g. the
-  /// sessions of one SolverService — share workers. Must outlive the
-  /// Solver; do not call solver methods from this pool's own worker threads.
+  /// Externally owned worker pool used (when threads > 1) instead of the
+  /// solver's own. Lets many solvers — e.g. the sessions of one
+  /// SolverService — share workers; each call waits for and fails on its
+  /// own tasks only (a TaskGroup). Must outlive the Solver; do not call
+  /// solver methods from this pool's own worker threads.
   ThreadPool* shared_pool = nullptr;
 };
 
@@ -383,8 +387,7 @@ class Solver {
   /// otherwise built. Every solve reuses it, resident or spilled.
   void install_solve_schedule(const CachedAnalysis* entry);
   /// Digest of every option that affects the symbolic result (ordering kind
-  /// and knobs, amalgamation, parallel-ND engine choice) — the PatternKey
-  /// config component.
+  /// and knobs, amalgamation) — the PatternKey config component.
   [[nodiscard]] std::uint64_t config_hash() const;
   /// Builds value_map_: sym_->a.values[q] = lower.values[value_map_[q]].
   void build_value_map(const SparseMatrix& lower);

@@ -70,9 +70,4 @@ count_t SymbolicCache::evictions() const {
   return evictions_;
 }
 
-SymbolicCache& SymbolicCache::process_default() {
-  static SymbolicCache cache(256);
-  return cache;
-}
-
 }  // namespace parfact

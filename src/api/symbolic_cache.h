@@ -6,12 +6,13 @@
 // postordered SymbolicFactor (elimination tree, supernode partition, row
 // structure — values zeroed), the composed permutation, the nonzero
 // scatter map that routes a caller's values into the postordered matrix,
-// the precomputed SolveSchedule, and the WorkingSetEstimates both factor
-// kinds would compute. On a hit, a Solver adopts the entry by copying the
-// structure arrays and scattering its own values through value_map —
-// O(nnz) copies instead of re-running nested dissection + symbolic
-// analysis, which dominates end-to-end time in the (factor once, re-factor
-// same pattern) serving loop.
+// and the precomputed SolveSchedule. On a hit, a Solver adopts the entry by
+// copying the structure arrays and scattering its own values through
+// value_map — O(nnz) copies instead of re-running nested dissection +
+// symbolic analysis, which dominates end-to-end time in the (factor once,
+// re-factor same pattern) serving loop. The configuration half of the key
+// holds no thread count: every thread count orders alike, so one entry per
+// pattern serves them all.
 //
 // Entries are immutable once inserted and handed out as shared_ptr<const>,
 // so readers never take the cache lock for longer than the map probe; the
@@ -33,7 +34,6 @@
 #include "support/types.h"
 #include "symbolic/pattern_key.h"
 #include "symbolic/symbolic_factor.h"
-#include "symbolic/working_set.h"
 
 namespace parfact {
 
@@ -43,14 +43,11 @@ struct CachedAnalysis {
   /// pattern-level data only; session values never leak through it).
   CachedAnalysis(SymbolicFactor sym_in, std::vector<index_t> total_perm_in,
                  std::vector<index_t> value_map_in,
-                 SolveScheduleOptions schedule_opts, double analyze_seconds_in)
+                 SolveScheduleOptions schedule_opts)
       : sym(std::move(sym_in)),
         total_perm(std::move(total_perm_in)),
         value_map(std::move(value_map_in)),
-        schedule(sym, schedule_opts),
-        ws_cholesky(estimate_working_set(sym, /*ldlt=*/false)),
-        ws_ldlt(estimate_working_set(sym, /*ldlt=*/true)),
-        analyze_seconds(analyze_seconds_in) {}
+        schedule(sym, schedule_opts) {}
   CachedAnalysis(const CachedAnalysis&) = delete;
   CachedAnalysis& operator=(const CachedAnalysis&) = delete;
 
@@ -60,9 +57,6 @@ struct CachedAnalysis {
   /// This is also what Solver::refactorize uses to install new values.
   std::vector<index_t> value_map;
   SolveSchedule schedule;           ///< bound to this entry's `sym`
-  WorkingSetEstimate ws_cholesky;
-  WorkingSetEstimate ws_ldlt;
-  double analyze_seconds = 0.0;     ///< what the miss cost (for reporting)
 };
 
 /// Thread-safe pattern-keyed LRU cache of analyses. All methods may be
@@ -91,10 +85,6 @@ class SymbolicCache {
   [[nodiscard]] count_t hits() const;
   [[nodiscard]] count_t misses() const;
   [[nodiscard]] count_t evictions() const;
-
-  /// Process-wide default instance (unbounded-ish: 256 entries) for callers
-  /// that want cross-solver reuse without wiring their own cache.
-  [[nodiscard]] static SymbolicCache& process_default();
 
  private:
   struct Slot {

@@ -13,7 +13,6 @@
 
 #include "graph/graph.h"
 #include "graph/partition.h"
-#include "support/thread_pool.h"
 #include "support/types.h"
 
 namespace parfact {
@@ -32,13 +31,6 @@ struct OrderingOptions {
 /// Multilevel nested dissection.
 [[nodiscard]] std::vector<index_t> nested_dissection(
     const Graph& g, const OrderingOptions& opts = {});
-
-/// Task-parallel nested dissection: the two halves of every bisection are
-/// ordered concurrently on `pool`. Deterministic for a fixed seed regardless
-/// of pool size (per-task PRNG streams), but a different — equal-quality —
-/// ordering than the sequential variant.
-[[nodiscard]] std::vector<index_t> nested_dissection_parallel(
-    const Graph& g, const OrderingOptions& opts, ThreadPool& pool);
 
 /// Exact-external-degree minimum degree on a quotient graph with element
 /// absorption. Suitable for graphs up to a few hundred thousand vertices.

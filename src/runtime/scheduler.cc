@@ -227,10 +227,13 @@ SchedulerStats WorkStealingScheduler::run(TaskGraph& graph,
 
   const int n_workers = pool_.size() + 1;  // pool threads + caller
   Run run(graph, n_workers, std::move(cancel));
+  // Waits only for this run's workers: other callers may share the pool.
+  // A worker task still queued when the run is drained returns at once.
+  TaskGroup workers(pool_);
   for (int w = 1; w < n_workers; ++w)
-    pool_.submit([&run, w] { run.worker_main(w); });
+    workers.submit([&run, w] { run.worker_main(w); });
   run.worker_main(0);
-  pool_.wait();
+  workers.wait();
   run.rethrow_if_error();
   run.collect(stats);
   return stats;

@@ -22,29 +22,25 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    PARFACT_CHECK_MSG(!shutting_down_, "submit() after shutdown");
-    queue_.push_back(std::move(task));
-    ++in_flight_;
+void ThreadPool::run(Task task) {
+  std::exception_ptr err;
+  try {
+    task.fn();
+  } catch (...) {
+    err = std::current_exception();
   }
-  work_available_.notify_one();
-}
-
-void ThreadPool::wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
-  if (first_error_) {
-    std::exception_ptr err = std::exchange(first_error_, nullptr);
-    lock.unlock();
-    std::rethrow_exception(err);
-  }
+  task.fn = nullptr;  // drop the captures before the owner may return
+  std::lock_guard<std::mutex> lock(mu_);
+  TaskGroup& group = *task.group;
+  if (err && !group.first_error_) group.first_error_ = err;
+  // The group may be destroyed as soon as its count reaches zero and the
+  // lock is released: it is not touched after this point.
+  if (--group.pending_ == 0) group_progress_.notify_all();
 }
 
 void ThreadPool::worker_loop() {
   for (;;) {
-    std::function<void()> task;
+    Task task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_available_.wait(
@@ -53,17 +49,54 @@ void ThreadPool::worker_loop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    std::exception_ptr err;
-    try {
-      task();
-    } catch (...) {
-      err = std::current_exception();
+    run(std::move(task));
+  }
+}
+
+TaskGroup::~TaskGroup() {
+  // Tasks are still pending here only when the caller unwinds past wait()
+  // with an error of its own; theirs is dropped with the group.
+  std::unique_lock<std::mutex> lock(pool_.mu_);
+  drain(lock);
+}
+
+void TaskGroup::submit(std::function<void()> task) {
+  {
+    std::lock_guard<std::mutex> lock(pool_.mu_);
+    PARFACT_CHECK_MSG(!pool_.shutting_down_, "submit() after shutdown");
+    pool_.queue_.push_back(ThreadPool::Task{std::move(task), this});
+    ++pending_;
+  }
+  pool_.work_available_.notify_one();
+  // A waiting group runs its own queued tasks, nested submissions included.
+  pool_.group_progress_.notify_all();
+}
+
+void TaskGroup::wait() {
+  std::unique_lock<std::mutex> lock(pool_.mu_);
+  drain(lock);
+  if (first_error_) {
+    std::exception_ptr err = std::exchange(first_error_, nullptr);
+    lock.unlock();
+    std::rethrow_exception(err);
+  }
+}
+
+void TaskGroup::drain(std::unique_lock<std::mutex>& lock) {
+  while (pending_ > 0) {
+    const auto mine = std::find_if(
+        pool_.queue_.begin(), pool_.queue_.end(),
+        [this](const ThreadPool::Task& t) { return t.group == this; });
+    if (mine == pool_.queue_.end()) {
+      // Every remaining task is running on a worker.
+      pool_.group_progress_.wait(lock);
+      continue;
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (err && !first_error_) first_error_ = err;
-      if (--in_flight_ == 0) all_done_.notify_all();
-    }
+    ThreadPool::Task task = std::move(*mine);
+    pool_.queue_.erase(mine);
+    lock.unlock();
+    pool_.run(std::move(task));
+    lock.lock();
   }
 }
 
@@ -80,10 +113,11 @@ void parallel_for(ThreadPool& pool, index_t begin, index_t end,
       std::max<index_t>(std::max<index_t>(min_grain, 1),
                         (n + target - 1) / target);
   const index_t chunks = (n + chunk - 1) / chunk;
+  TaskGroup group(pool);  // must not return while tasks reference `body`
   for (index_t c = 1; c < chunks; ++c) {
     const index_t lo = begin + c * chunk;
     const index_t hi = std::min<index_t>(lo + chunk, end);
-    pool.submit([lo, hi, &body] {
+    group.submit([lo, hi, &body] {
       for (index_t i = lo; i < hi; ++i) body(i);
     });
   }
@@ -95,7 +129,7 @@ void parallel_for(ThreadPool& pool, index_t begin, index_t end,
   } catch (...) {
     local = std::current_exception();
   }
-  pool.wait();  // must not return while tasks still reference `body`
+  group.wait();
   if (local) std::rethrow_exception(local);
 }
 

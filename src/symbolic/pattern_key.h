@@ -42,8 +42,8 @@ struct PatternKeyHash {
 
 /// Computes the pattern key of a lower-stored symmetric matrix.
 /// `config_hash` is the caller's digest of every option that affects the
-/// symbolic result (ordering kind and knobs, amalgamation, parallel-ND
-/// flag); chain it with fnv1a_pod from support/checksum.
+/// symbolic result (ordering kind and knobs, amalgamation); chain it with
+/// fnv1a_pod from support/checksum.
 [[nodiscard]] PatternKey pattern_key(const SparseMatrix& lower,
                                      std::uint64_t config_hash = 0);
 

@@ -67,9 +67,9 @@ TEST(Solver, ReportIsPopulated) {
 }
 
 TEST(Solver, ThreadedFactorizationMatches) {
-  // threads > 1 switches both the ordering (parallel ND, a different but
-  // equal-quality permutation) and the numeric engine; the solutions agree
-  // to the accuracy the conditioning allows.
+  // threads > 1 switches the numeric engine to the task DAG; the solutions
+  // agree to the accuracy the conditioning allows (bit for bit, in fact:
+  // serving_test's ThreadCountIdentityTest).
   const SparseMatrix a = elasticity_3d(3, 3, 2);
   SolverOptions serial;
   SolverOptions threaded;

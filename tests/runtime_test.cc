@@ -2,7 +2,11 @@
 // critical-path priorities, the virtual-time replay, and the work-stealing
 // scheduler (correct dependency order, exception handling, stress).
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -247,6 +251,44 @@ TEST(Scheduler, PoolUsableAfterGraphError) {
   g2.add_task(make_tag(TaskKind::kUser, 0), [&ran] { ran.fetch_add(1); });
   run_graph(g2, pool);
   EXPECT_EQ(ran.load(), 1);
+}
+
+TEST(Scheduler, DoesNotWaitForAnotherCallersTasks) {
+  // Another caller holds both workers of a shared pool: the run drains the
+  // graph on the calling thread and returns without waiting for them. The
+  // blockers give up after 5 s, so a scheduler that waits for them fails
+  // instead of hanging.
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool release = false;
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  for (int i = 0; i < pool.size(); ++i) {
+    pool.submit([&] {
+      started.fetch_add(1);
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait_for(lock, std::chrono::seconds(5), [&] { return release; });
+      finished.fetch_add(1);
+    });
+  }
+  while (started.load() < pool.size()) std::this_thread::yield();
+
+  TaskGraph g;
+  std::atomic<int> count{0};
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    g.add_task(make_tag(TaskKind::kUser, i), [&count] { count.fetch_add(1); });
+  }
+  const SchedulerStats stats = run_graph(g, pool);
+  EXPECT_EQ(stats.executed, 50);
+  EXPECT_EQ(count.load(), 50);
+  EXPECT_EQ(finished.load(), 0) << "run_graph waited for another caller";
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  pool.wait();
 }
 
 TEST(Scheduler, ReusableAcrossGraphs) {

@@ -97,7 +97,7 @@ std::shared_ptr<const CachedAnalysis> make_entry(const SparseMatrix& lower) {
   }
   return std::make_shared<CachedAnalysis>(std::move(sym), probe.permutation(),
                                           std::move(vmap),
-                                          SolveScheduleOptions{}, 0.0);
+                                          SolveScheduleOptions{});
 }
 
 TEST(SymbolicCacheTest, HitMissCountsAndLruEviction) {
@@ -526,16 +526,16 @@ void expect_same_answers(const std::vector<std::vector<real_t>>& want,
   ASSERT_EQ(want.size(), got.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_TRUE(bitwise_equal(want[i], got[i]))
-        << state << ": answer " << i << " differs from the resident one";
+        << state << ": answer " << i << " differs from the reference";
   }
 }
 
-struct SpillIdentityCase {
+struct FactorKindCase {
   const char* name;
   FactorKind kind;
 };
 
-class SpillIdentityTest : public ::testing::TestWithParam<SpillIdentityCase> {
+class SpillIdentityTest : public ::testing::TestWithParam<FactorKindCase> {
 };
 
 TEST_P(SpillIdentityTest, ResidentSpilledAndReloadedAnswersAreBitwiseEqual) {
@@ -582,11 +582,122 @@ TEST_P(SpillIdentityTest, ResidentSpilledAndReloadedAnswersAreBitwiseEqual) {
 
 INSTANTIATE_TEST_SUITE_P(
     Kinds, SpillIdentityTest,
-    ::testing::Values(SpillIdentityCase{"cholesky", FactorKind::kCholesky},
-                      SpillIdentityCase{"ldlt", FactorKind::kLdlt}),
-    [](const ::testing::TestParamInfo<SpillIdentityCase>& info) {
+    ::testing::Values(FactorKindCase{"cholesky", FactorKind::kCholesky},
+                      FactorKindCase{"ldlt", FactorKind::kLdlt}),
+    [](const ::testing::TestParamInfo<FactorKindCase>& info) {
       return info.param.name;
     });
+
+// ---------------------------------------------------------------------------
+// Thread count: one nested-dissection engine orders every solver, and every
+// numeric engine and solve sweep is bitwise deterministic, so a Solver's
+// permutation, factor and answers are the same bits at any thread count —
+// standalone, through a SolverService session and through one shared
+// SymbolicCache entry.
+
+SparseMatrix thread_count_matrix(FactorKind kind) {
+  return kind == FactorKind::kLdlt ? saddle_point_kkt(600, 240, 3, 29)
+                                   : grid_laplacian_3d(12, 12, 12);
+}
+
+/// solve, solve_multi and solve_batch one column past a RHS block,
+/// solve_refined, then factorize_and_solve (which re-factors).
+std::vector<std::vector<real_t>> threaded_answers(Solver& solver, index_t n,
+                                                  index_t rhs_block) {
+  const index_t nrhs = rhs_block + 1;
+  const std::vector<real_t> b = random_block(n, 1, 11);
+  const std::vector<real_t> bb = random_block(n, nrhs, 13);
+  std::vector<std::vector<real_t>> out;
+  out.push_back(solver.solve(b));
+  out.push_back(solver.solve_multi(bb, nrhs));
+  out.push_back(solver.solve_batch(bb, nrhs));
+  out.push_back(solver.solve_refined(b));
+  std::vector<real_t> x;
+  EXPECT_TRUE(solver.factorize_and_solve(bb, nrhs, x).ok());
+  out.push_back(std::move(x));
+  return out;
+}
+
+class ThreadCountIdentityTest
+    : public ::testing::TestWithParam<FactorKindCase> {};
+
+TEST_P(ThreadCountIdentityTest, PermutationFactorAndAnswersIgnoreThreads) {
+  const FactorKind kind = GetParam().kind;
+  const SparseMatrix a = thread_count_matrix(kind);
+  SolverOptions opt;
+  opt.factor_kind = kind;
+  Solver serial(opt);
+  serial.analyze(a);
+  ASSERT_TRUE(serial.factorize().ok());
+  const auto want = threaded_answers(serial, a.rows, opt.solve_rhs_block);
+
+  for (const int threads : {2, 4}) {
+    SCOPED_TRACE(threads);
+    SolverOptions topt = opt;
+    topt.threads = threads;
+    Solver threaded(topt);
+    threaded.analyze(a);
+    ASSERT_EQ(threaded.permutation(), serial.permutation());
+    ASSERT_TRUE(threaded.factorize().ok());
+    expect_panels_bitwise_equal(serial.symbolic(), serial.factor(),
+                                threaded.factor());
+    expect_same_answers(
+        want, threaded_answers(threaded, a.rows, topt.solve_rhs_block),
+        "threads > 1");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, ThreadCountIdentityTest,
+    ::testing::Values(FactorKindCase{"cholesky", FactorKind::kCholesky},
+                      FactorKindCase{"ldlt", FactorKind::kLdlt}),
+    [](const ::testing::TestParamInfo<FactorKindCase>& info) {
+      return info.param.name;
+    });
+
+TEST(ThreadCountTest, ServiceSessionAnswersAlikeAtAnyThreadCount) {
+  const SparseMatrix a = thread_count_matrix(FactorKind::kCholesky);
+  const SparseMatrix a2 = scaled_values(a, 1.25);
+  const index_t nrhs = SolverOptions{}.solve_rhs_block + 1;
+  const std::vector<real_t> b = random_block(a.rows, 1, 17);
+  const std::vector<real_t> bb = random_block(a.rows, nrhs, 19);
+  const auto session_answers = [&](int threads) {
+    ServiceOptions opt;
+    opt.solver.threads = threads;
+    SolverService svc(opt);
+    std::vector<std::vector<real_t>> out(4);
+    SessionId id = 0;
+    EXPECT_TRUE(svc.open(a, id).ok());
+    EXPECT_TRUE(svc.factorize(id).ok());
+    EXPECT_TRUE(svc.solve(id, b, out[0]).ok());
+    EXPECT_TRUE(svc.solve_batch(id, bb, nrhs, out[1]).ok());
+    EXPECT_TRUE(svc.refactorize(id, a2.values).ok());
+    EXPECT_TRUE(svc.solve(id, b, out[2]).ok());
+    EXPECT_TRUE(svc.solve_batch(id, bb, nrhs, out[3]).ok());
+    return out;
+  };
+  expect_same_answers(session_answers(1), session_answers(2),
+                      "threads = 2 session");
+}
+
+TEST(ThreadCountTest, OneCacheEntryServesEveryThreadCount) {
+  const SparseMatrix a = thread_count_matrix(FactorKind::kCholesky);
+  SymbolicCache cache(4);
+  SolverOptions opt;
+  opt.symbolic_cache = &cache;
+  Solver serial(opt);
+  serial.analyze(a);
+  EXPECT_EQ(serial.report().symbolic_cache_misses, 1);
+
+  SolverOptions topt = opt;
+  topt.threads = 4;
+  Solver threaded(topt);
+  threaded.analyze(a);
+  EXPECT_EQ(threaded.report().symbolic_cache_hits, 1);
+  EXPECT_EQ(threaded.report().symbolic_cache_misses, 0);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(threaded.permutation(), serial.permutation());
+}
 
 // A moved Solver answers as it did before the move: the analysis stays put
 // on the heap, so the factor, the schedule and the spill files that point

@@ -1,7 +1,11 @@
 // Tests for the support module: checks, PRNG, thread pool, stats.
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -181,6 +185,81 @@ TEST(ThreadPool, ShutdownDrainsPendingTasks) {
     // No wait(): destructor handles the backlog.
   }
   EXPECT_EQ(counter.load(), 64);
+}
+
+// --- One pool, several callers ----------------------------------------------
+//
+// SolverService hands one pool to every session, so each parallel_for (and
+// each task-graph run) must wait only for its own tasks and fail only on
+// their errors. The other caller's task below blocks on a Gate that opens
+// by itself after kProbeTimeout, so a pool that waits for it fails these
+// tests instead of hanging them.
+
+constexpr auto kProbeTimeout = std::chrono::seconds(5);
+
+class Gate {
+ public:
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  void wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait_for(lock, kProbeTimeout, [this] { return open_; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+TEST(ThreadPool, ParallelForDoesNotWaitForAnotherCallersTasks) {
+  // Another caller's tasks hold both workers, so every chunk of this
+  // parallel_for stays queued behind them: the caller must run its own.
+  ThreadPool pool(2);
+  Gate release;
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  for (int i = 0; i < pool.size(); ++i) {
+    pool.submit([&] {
+      started.fetch_add(1);
+      release.wait();
+      finished.fetch_add(1);
+    });
+  }
+  while (started.load() < pool.size()) std::this_thread::yield();
+
+  std::atomic<int> ran{0};
+  parallel_for(pool, 0, 8, [&ran](index_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 8);
+  EXPECT_EQ(finished.load(), 0) << "parallel_for waited for another caller";
+  release.open();
+  pool.wait();
+  EXPECT_EQ(finished.load(), pool.size());
+}
+
+TEST(ThreadPool, ParallelForDoesNotRethrowAnotherCallersError) {
+  // Another caller's chunk fails on a worker while that caller is still
+  // busy in its own first chunk: the error is that caller's alone.
+  ThreadPool pool(2);
+  Gate failed_chunk_queued, release;
+  std::thread other([&] {
+    EXPECT_THROW(parallel_for(pool, 0, 2,
+                              [&](index_t i) {
+                                if (i == 1) throw Error("other caller");
+                                failed_chunk_queued.open();
+                                release.wait();
+                              }),
+                 Error);
+  });
+  failed_chunk_queued.wait();
+  EXPECT_NO_THROW(parallel_for(pool, 0, 8, [](index_t) {}));
+  release.open();
+  other.join();
 }
 
 TEST(Stats, Summary) {
