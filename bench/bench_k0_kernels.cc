@@ -2,6 +2,7 @@
 // building blocks across block sizes, via google-benchmark. The GEMM rate
 // at the solver's default tile size is what calibrates the machine model
 // used by every scaling experiment.
+#include <algorithm>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -136,17 +137,27 @@ void BM_Potrf(benchmark::State& state) {
       m / 3.0 * m * m * static_cast<double>(state.iterations()) / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_Potrf)->Arg(64)->Arg(128)->Arg(256);
+BENCHMARK(BM_Potrf)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
+// Args: {rows, n}, with ld = rows. Front panels have rows = the front's
+// below count and n = its width, so the small and odd row counts are the
+// common case; rows = 512 (a power-of-two ld) is the worst case for a
+// kernel that works in place.
 void BM_TrsmRightLowerTrans(benchmark::State& state) {
-  const auto m = static_cast<index_t>(state.range(0));
-  const index_t rows = 512;
+  const auto rows = static_cast<index_t>(state.range(0));
+  const auto m = static_cast<index_t>(state.range(1));
   auto l = random_buffer(static_cast<std::size_t>(m) * m, 5);
   for (index_t j = 0; j < m; ++j) {
     l[static_cast<std::size_t>(j) * m + j] = 2.0 + m;
   }
-  auto b = random_buffer(static_cast<std::size_t>(rows) * m, 6);
+  const auto b0 = random_buffer(static_cast<std::size_t>(rows) * m, 6);
+  auto b = b0;
   for (auto _ : state) {
+    // Solve a fresh copy each time: solving in place again and again would
+    // shrink B by about 1/(m + 2) per call, through subnormals to zeros,
+    // which run at other speeds than a front's values. The copy is timed
+    // (one pass over B against m/2 FMAs per element).
+    std::copy(b0.begin(), b0.end(), b.begin());
     trsm_right_lower_trans(ConstMatrixView{l.data(), m, m, m},
                            MatrixView{b.data(), rows, m, rows});
     benchmark::DoNotOptimize(b.data());
@@ -155,7 +166,11 @@ void BM_TrsmRightLowerTrans(benchmark::State& state) {
       1.0 * rows * m * m * static_cast<double>(state.iterations()) / 1e9,
       benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_TrsmRightLowerTrans)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_TrsmRightLowerTrans)
+    ->ArgsProduct({{64, 256, 1000}, {16, 32, 64}})
+    ->Args({512, 32})
+    ->Args({512, 64})
+    ->Args({512, 128});
 
 }  // namespace
 }  // namespace parfact

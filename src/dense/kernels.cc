@@ -12,10 +12,6 @@
 namespace parfact {
 namespace {
 
-/// Blocking factor for the unpacked fallback loops and the TRSM diagonal
-/// solves.
-constexpr index_t kBlock = 64;
-
 /// Outer block size of the blocked POTRF (trailing updates run on the
 /// packed engine, so a large block amortizes the diagonal factorization).
 constexpr index_t kPotrfBlock = 128;
@@ -36,40 +32,15 @@ bool use_engine(index_t n_logical, index_t k) {
   return static_cast<count_t>(n_logical) * k >= kEngineMinWork;
 }
 
-/// Unblocked Cholesky on a small lower triangle.
-index_t potrf_lower_unblocked(MatrixView a, PivotBoost* boost) {
-  PARFACT_CHECK(a.rows == a.cols);
-  const index_t n = a.rows;
-  for (index_t k = 0; k < n; ++k) {
-    real_t d = a.at(k, k);
-    if (!std::isfinite(d)) return k;
-    if (d <= 0.0 || (boost != nullptr && d <= boost->threshold)) {
-      if (boost == nullptr) return k;
-      d = boost->value;
-      ++boost->count;
-    }
-    d = std::sqrt(d);
-    a.at(k, k) = d;
-    const real_t inv = 1.0 / d;
-    for (index_t i = k + 1; i < n; ++i) a.at(i, k) *= inv;
-    for (index_t j = k + 1; j < n; ++j) {
-      const real_t ljk = a.at(j, k);
-      if (ljk == 0.0) continue;
-      for (index_t i = j; i < n; ++i) a.at(i, j) -= a.at(i, k) * ljk;
-    }
-  }
-  return kNone;
-}
-
 index_t potrf_lower_blocked(MatrixView a, index_t nb, PivotBoost* boost) {
   const index_t n = a.rows;
-  if (n <= kPotrfUnblocked) return potrf_lower_unblocked(a, boost);
+  if (n <= kPotrfUnblocked) return detail::potrf_lower_unblocked(a, boost);
   for (index_t k = 0; k < n; k += nb) {
     const index_t cb = std::min(nb, n - k);
     MatrixView akk = a.block(k, k, cb, cb);
     const index_t info =
         cb <= kPotrfUnblocked
-            ? potrf_lower_unblocked(akk, boost)
+            ? detail::potrf_lower_unblocked(akk, boost)
             : potrf_lower_blocked(akk, kPotrfUnblocked, boost);
     if (info != kNone) return k + info;
     const index_t rest = n - k - cb;
@@ -79,66 +50,6 @@ index_t potrf_lower_blocked(MatrixView a, index_t nb, PivotBoost* boost) {
     syrk_lower_update(a.block(k + cb, k + cb, rest, rest), panel);
   }
   return kNone;
-}
-
-/// Unblocked X Lᵀ = B solve (column-by-column saxpy chain).
-void trsm_right_lower_trans_unblocked(ConstMatrixView l, MatrixView b) {
-  const index_t n = l.rows;
-  const index_t m = b.rows;
-  for (index_t j = 0; j < n; ++j) {
-    real_t* bj = &b.at(0, j);
-    for (index_t k = 0; k < j; ++k) {
-      const real_t ljk = l.at(j, k);
-      if (ljk == 0.0) continue;
-      const real_t* bk = &b.at(0, k);
-      for (index_t i = 0; i < m; ++i) bj[i] -= bk[i] * ljk;
-    }
-    const real_t inv = 1.0 / l.at(j, j);
-    for (index_t i = 0; i < m; ++i) bj[i] *= inv;
-  }
-}
-
-/// Unpacked c -= a·bᵀ fallback for shapes where packing would dominate.
-void gemm_nt_small(MatrixView c, ConstMatrixView a, ConstMatrixView b) {
-  const index_t m = c.rows;
-  const index_t n = c.cols;
-  const index_t kk = a.cols;
-  for (index_t j0 = 0; j0 < n; j0 += kBlock) {
-    const index_t j1 = std::min(n, j0 + kBlock);
-    for (index_t k0 = 0; k0 < kk; k0 += kBlock) {
-      const index_t k1 = std::min(kk, k0 + kBlock);
-      for (index_t j = j0; j < j1; ++j) {
-        real_t* cj = &c.at(0, j);
-        for (index_t k = k0; k < k1; ++k) {
-          const real_t bjk = b.at(j, k);
-          if (bjk == 0.0) continue;
-          const real_t* ak = &a.at(0, k);
-          for (index_t i = 0; i < m; ++i) cj[i] -= ak[i] * bjk;
-        }
-      }
-    }
-  }
-}
-
-/// Unpacked c -= a·aᵀ (lower) fallback.
-void syrk_lower_small(MatrixView c, ConstMatrixView a) {
-  const index_t n = c.rows;
-  const index_t kk = a.cols;
-  for (index_t j0 = 0; j0 < n; j0 += kBlock) {
-    const index_t j1 = std::min(n, j0 + kBlock);
-    for (index_t k0 = 0; k0 < kk; k0 += kBlock) {
-      const index_t k1 = std::min(kk, k0 + kBlock);
-      for (index_t j = j0; j < j1; ++j) {
-        real_t* cj = &c.at(0, j);
-        for (index_t k = k0; k < k1; ++k) {
-          const real_t ajk = a.at(j, k);
-          if (ajk == 0.0) continue;
-          const real_t* ak = &a.at(0, k);
-          for (index_t i = j; i < n; ++i) cj[i] -= ak[i] * ajk;
-        }
-      }
-    }
-  }
 }
 
 }  // namespace
@@ -182,7 +93,7 @@ void trsm_right_lower_trans(ConstMatrixView l, MatrixView b) {
   const index_t n = l.rows;
   const index_t m = b.rows;
   if (n <= kTrsmBlock) {
-    trsm_right_lower_trans_unblocked(l, b);
+    detail::trsm_right_lower_trans_unblocked(l, b);
     return;
   }
   // Left-looking column blocks: fold all already-solved columns into block
@@ -193,7 +104,7 @@ void trsm_right_lower_trans(ConstMatrixView l, MatrixView b) {
     if (j0 > 0) {
       gemm_nt_update(bj, b.block(0, 0, m, j0), l.block(j0, 0, jb, j0));
     }
-    trsm_right_lower_trans_unblocked(l.block(j0, j0, jb, jb), bj);
+    detail::trsm_right_lower_trans_unblocked(l.block(j0, j0, jb, jb), bj);
   }
 }
 
@@ -279,7 +190,7 @@ void syrk_lower_update(MatrixView c, ConstMatrixView a) {
   if (use_engine(c.rows, a.cols)) {
     detail::syrk_packed_lower(c, a);
   } else {
-    syrk_lower_small(c, a);
+    detail::syrk_lower_small(c, a);
   }
 }
 
@@ -318,7 +229,7 @@ void gemm_nt_update(MatrixView c, ConstMatrixView a, ConstMatrixView b) {
   if (use_engine(c.cols, a.cols)) {
     detail::gemm_packed(c, a, false, b, false);
   } else {
-    gemm_nt_small(c, a, b);
+    detail::gemm_nt_small(c, a, b);
   }
 }
 
@@ -333,8 +244,8 @@ void gemm_nn_update(MatrixView c, ConstMatrixView a, ConstMatrixView b) {
   const index_t kk = a.cols;
   for (index_t j = 0; j < n; ++j) {
     real_t* cj = &c.at(0, j);
-    for (index_t k0 = 0; k0 < kk; k0 += kBlock) {
-      const index_t k1 = std::min(kk, k0 + kBlock);
+    for (index_t k0 = 0; k0 < kk; k0 += detail::kSmallBlock) {
+      const index_t k1 = std::min(kk, k0 + detail::kSmallBlock);
       for (index_t k = k0; k < k1; ++k) {
         const real_t bkj = b.at(k, j);
         if (bkj == 0.0) continue;

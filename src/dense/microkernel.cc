@@ -1,9 +1,12 @@
 #include "dense/microkernel.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
+#include "dense/kernels.h"
 #include "dense/pack.h"
 #include "support/error.h"
 
@@ -18,12 +21,16 @@ namespace {
 typedef real_t v8d __attribute__((vector_size(kMR * sizeof(real_t))));
 static_assert(kMR * sizeof(real_t) == 64);
 
-// Compile the micro-kernels for the baseline ISA plus AVX2/FMA and AVX-512
-// where the toolchain supports function multi-versioning; the dynamic
-// linker picks the best clone for the machine at load time. This keeps the
-// default (portable) build within ~peak of a -march=native build. TSan
-// builds keep only the default clone: GCC 12's TSan runtime crashes before
-// main on the ifunc resolvers.
+// Compile every kernel in this unit — the micro-kernels, the triangular
+// solves and factorizations the blocked POTRF/TRSM end in, and the unpacked
+// fallbacks — for the baseline ISA plus AVX2/FMA and AVX-512 where the
+// toolchain supports function multi-versioning; the dynamic linker picks
+// the best clone for the machine at load time. This keeps the default
+// (portable) build within ~peak of a -march=native build. The clones run
+// the same per-element operations in the same order; they differ only in
+// FMA contraction (a·b ± c rounded once in the v3/v4 clones). TSan builds
+// keep only the default clone: GCC 12's TSan runtime crashes before main on
+// the ifunc resolvers.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
     !defined(__SANITIZE_THREAD__)
 #define PARFACT_KERNEL_CLONES \
@@ -85,7 +92,8 @@ void micro_kernel_lower(index_t kc, const real_t* ap, const real_t* bp,
 
 namespace {
 
-/// Per-thread packing buffers, sized once for the fixed cache blocking.
+/// Per-thread packing buffers, sized once for the fixed cache blocking. The
+/// unblocked TRSM borrows `a` for its packed triangle and row block.
 struct PackScratch {
   std::vector<real_t> a;
   std::vector<real_t> b;
@@ -185,6 +193,178 @@ void syrk_packed_lower(MatrixView c, ConstMatrixView a) {
               micro_kernel_lower(kc, ap, bp, cc, c.ld, mr, nr, row0, col0);
             }
           }
+        }
+      }
+    }
+  }
+}
+
+// ---- Triangular kernels and unpacked fallbacks ----------------------------
+
+namespace {
+
+/// Rows of one TRSM row block: four kMR-row strips solved side by side, so
+/// four independent FMA chains overlap in the column loop.
+constexpr index_t kTrsmStrips = 4;
+constexpr index_t kTrsmRows = kTrsmStrips * kMR;
+
+/// Solves X Lᵀ = B in place for the first S kMR-row strips of a packed row
+/// block `x` (column j at x + j·kTrsmRows). `lt` holds L by rows: row j at
+/// lt + j(j+1)/2 is L(j, 0..j-1) followed by 1/L(j,j). Every lane runs
+/// x(:,j) := (x(:,j) − Σₖ x(:,k)·L(j,k)) · (1/L(j,j)) with k ascending and
+/// zero L(j,k) skipped, whatever S is, so a row's bits do not depend on
+/// which strip, or which strip count, it is solved in.
+template <index_t S>
+__attribute__((always_inline)) inline void trsm_strips(
+    index_t n, const real_t* __restrict lt, real_t* __restrict x) {
+  for (index_t j = 0; j < n; ++j) {
+    const real_t* lj = lt + static_cast<std::size_t>(j) * (j + 1) / 2;
+    real_t* xj = x + static_cast<std::size_t>(j) * kTrsmRows;
+    v8d acc[S];
+    for (index_t s = 0; s < S; ++s) {
+      __builtin_memcpy(&acc[s], xj + s * kMR, sizeof(v8d));
+    }
+    for (index_t k = 0; k < j; ++k) {
+      const real_t ljk = lj[k];
+      if (ljk == 0.0) continue;
+      const real_t* xk = x + static_cast<std::size_t>(k) * kTrsmRows;
+      for (index_t s = 0; s < S; ++s) {
+        v8d v;
+        __builtin_memcpy(&v, xk + s * kMR, sizeof v);
+        acc[s] -= v * ljk;
+      }
+    }
+    for (index_t s = 0; s < S; ++s) {
+      acc[s] *= lj[j];
+      __builtin_memcpy(xj + s * kMR, &acc[s], sizeof(v8d));
+    }
+  }
+}
+
+/// `p` rounded up to a 64-byte boundary (the start of a cache line).
+real_t* align_line(real_t* p) {
+  const auto u = reinterpret_cast<std::uintptr_t>(p);
+  return reinterpret_cast<real_t*>((u + 63) & ~std::uintptr_t{63});
+}
+
+}  // namespace
+
+PARFACT_KERNEL_CLONES
+index_t potrf_lower_unblocked(MatrixView a, PivotBoost* boost) {
+  PARFACT_CHECK(a.rows == a.cols);
+  const index_t n = a.rows;
+  const std::size_t ld = static_cast<std::size_t>(a.ld);
+  for (index_t k = 0; k < n; ++k) {
+    real_t* __restrict ak = a.data + static_cast<std::size_t>(k) * ld;
+    real_t d = ak[k];
+    if (!std::isfinite(d)) return k;
+    if (d <= 0.0 || (boost != nullptr && d <= boost->threshold)) {
+      if (boost == nullptr) return k;
+      d = boost->value;
+      ++boost->count;
+    }
+    d = std::sqrt(d);
+    ak[k] = d;
+    const real_t inv = 1.0 / d;
+    for (index_t i = k + 1; i < n; ++i) ak[i] *= inv;
+    for (index_t j = k + 1; j < n; ++j) {
+      const real_t ljk = ak[j];
+      if (ljk == 0.0) continue;
+      real_t* __restrict aj = a.data + static_cast<std::size_t>(j) * ld;
+      for (index_t i = j; i < n; ++i) aj[i] -= ak[i] * ljk;
+    }
+  }
+  return kNone;
+}
+
+// Row blocks of kTrsmRows rows are copied into the per-thread scratch with
+// leading dimension kTrsmRows, so the solve reads cache-line-aligned,
+// unit-stride strips whatever b's leading dimension is (a power-of-two ld
+// would map a block's columns onto a few cache sets). The last block keeps
+// its whole strips and zero-pads its last partial one; the padded lanes are
+// computed and dropped.
+PARFACT_KERNEL_CLONES
+void trsm_right_lower_trans_unblocked(ConstMatrixView l, MatrixView b) {
+  const index_t n = l.rows;
+  const index_t m = b.rows;
+  PARFACT_DCHECK(l.cols == n && b.cols == n);
+  if (n == 0 || m == 0) return;
+  const std::size_t tri = static_cast<std::size_t>(n) * (n + 1) / 2;
+  std::vector<real_t>& scratch = pack_scratch().a;
+  PARFACT_DCHECK(tri + 8 + static_cast<std::size_t>(kTrsmRows) * n <=
+                 scratch.size());
+  real_t* const lt = scratch.data();
+  real_t* const x = align_line(lt + tri);
+  for (index_t j = 0; j < n; ++j) {
+    real_t* lj = lt + static_cast<std::size_t>(j) * (j + 1) / 2;
+    for (index_t k = 0; k < j; ++k) {
+      lj[k] = l.data[static_cast<std::size_t>(k) * l.ld + j];
+    }
+    lj[j] = 1.0 / l.data[static_cast<std::size_t>(j) * l.ld + j];
+  }
+  const std::size_t ldb = static_cast<std::size_t>(b.ld);
+  for (index_t r0 = 0; r0 < m; r0 += kTrsmRows) {
+    const index_t rows = std::min(kTrsmRows, m - r0);
+    const index_t strips = (rows + kMR - 1) / kMR;
+    real_t* const bb = b.data + r0;
+    for (index_t j = 0; j < n; ++j) {
+      const real_t* src = bb + j * ldb;
+      real_t* dst = x + static_cast<std::size_t>(j) * kTrsmRows;
+      std::memcpy(dst, src, static_cast<std::size_t>(rows) * sizeof(real_t));
+      std::fill(dst + rows, dst + strips * kMR, 0.0);
+    }
+    switch (strips) {
+      case 4: trsm_strips<4>(n, lt, x); break;
+      case 3: trsm_strips<3>(n, lt, x); break;
+      case 2: trsm_strips<2>(n, lt, x); break;
+      default: trsm_strips<1>(n, lt, x); break;
+    }
+    for (index_t j = 0; j < n; ++j) {
+      std::memcpy(bb + j * ldb, x + static_cast<std::size_t>(j) * kTrsmRows,
+                  static_cast<std::size_t>(rows) * sizeof(real_t));
+    }
+  }
+}
+
+PARFACT_KERNEL_CLONES
+void gemm_nt_small(MatrixView c, ConstMatrixView a, ConstMatrixView b) {
+  const index_t m = c.rows;
+  const index_t n = c.cols;
+  const index_t kk = a.cols;
+  for (index_t j0 = 0; j0 < n; j0 += kSmallBlock) {
+    const index_t j1 = std::min(n, j0 + kSmallBlock);
+    for (index_t k0 = 0; k0 < kk; k0 += kSmallBlock) {
+      const index_t k1 = std::min(kk, k0 + kSmallBlock);
+      for (index_t j = j0; j < j1; ++j) {
+        real_t* __restrict cj = c.data + static_cast<std::size_t>(j) * c.ld;
+        for (index_t k = k0; k < k1; ++k) {
+          const real_t bjk = b.data[static_cast<std::size_t>(k) * b.ld + j];
+          if (bjk == 0.0) continue;
+          const real_t* __restrict ak =
+              a.data + static_cast<std::size_t>(k) * a.ld;
+          for (index_t i = 0; i < m; ++i) cj[i] -= ak[i] * bjk;
+        }
+      }
+    }
+  }
+}
+
+PARFACT_KERNEL_CLONES
+void syrk_lower_small(MatrixView c, ConstMatrixView a) {
+  const index_t n = c.rows;
+  const index_t kk = a.cols;
+  for (index_t j0 = 0; j0 < n; j0 += kSmallBlock) {
+    const index_t j1 = std::min(n, j0 + kSmallBlock);
+    for (index_t k0 = 0; k0 < kk; k0 += kSmallBlock) {
+      const index_t k1 = std::min(kk, k0 + kSmallBlock);
+      for (index_t j = j0; j < j1; ++j) {
+        real_t* __restrict cj = c.data + static_cast<std::size_t>(j) * c.ld;
+        for (index_t k = k0; k < k1; ++k) {
+          const real_t* __restrict ak =
+              a.data + static_cast<std::size_t>(k) * a.ld;
+          const real_t ajk = ak[j];
+          if (ajk == 0.0) continue;
+          for (index_t i = j; i < n; ++i) cj[i] -= ak[i] * ajk;
         }
       }
     }

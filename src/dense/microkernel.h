@@ -13,10 +13,18 @@
 //
 // Everything here computes C := C - op(A)·op(B)ᵀ (the factorization's
 // update sign).
+//
+// The same unit holds the triangular kernels the blocked POTRF and TRSM end
+// in and the unpacked fallbacks for updates too small to pack, so that all
+// of them share the micro-kernels' runtime ISA dispatch.
 #pragma once
 
 #include "dense/matrix_view.h"
 #include "support/types.h"
+
+namespace parfact {
+struct PivotBoost;
+}  // namespace parfact
 
 namespace parfact::detail {
 
@@ -33,6 +41,9 @@ inline constexpr index_t kKC = 256;
 /// Columns of the packed B panel (kKC×kNC ≈ 1.5 MiB, L3-resident).
 inline constexpr index_t kNC = 768;
 static_assert(kMC % kMR == 0 && kNC % kNR == 0);
+/// Blocking factor of the unpacked fallback loops (cache reuse only: every
+/// element still sees k in ascending order).
+inline constexpr index_t kSmallBlock = 64;
 
 /// c := c - Ap·Bpᵀ for one full kMR×kNR tile. `ap`/`bp` point at packed
 /// panels (k-major, kMR- resp. kNR-wide) of depth `kc`.
@@ -61,5 +72,20 @@ void gemm_packed(MatrixView c, ConstMatrixView a, bool a_trans,
 /// tiles above the diagonal are skipped, tiles crossing it go through the
 /// masked micro-kernel, everything else through the full one).
 void syrk_packed_lower(MatrixView c, ConstMatrixView a);
+
+/// Unblocked right-looking Cholesky of a small lower triangle (the
+/// contract of potrf_lower).
+index_t potrf_lower_unblocked(MatrixView a, PivotBoost* boost);
+
+/// Unblocked X Lᵀ = B solve in place of b, for l of order at most 64. Row
+/// blocks of four kMR-row strips are solved in registers; a row's result
+/// does not depend on how b's rows are split across calls.
+void trsm_right_lower_trans_unblocked(ConstMatrixView l, MatrixView b);
+
+/// Unpacked c -= a·bᵀ for shapes where packing would dominate.
+void gemm_nt_small(MatrixView c, ConstMatrixView a, ConstMatrixView b);
+
+/// Unpacked c -= a·aᵀ on the lower triangle of c.
+void syrk_lower_small(MatrixView c, ConstMatrixView a);
 
 }  // namespace parfact::detail

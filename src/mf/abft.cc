@@ -62,17 +62,18 @@ struct ColSums {
 // The per-element loops below are the entire ABFT cost, so they carry
 // runtime ISA dispatch (GCC ifunc clones) where available: the build stays
 // a portable baseline binary, but a machine with wider vectors runs the
-// checks at its native width. The loops are element-wise (or fixed-lane)
-// streams, so every clone performs the identical FP operations in the
-// identical order — the dispatch never changes a computed sum. TSan builds
-// keep only the default clone (GCC 12's TSan crashes on ifunc resolvers).
+// checks at its native width — the same clones as the dense kernels
+// (dense/microkernel.cc), whose AVX-512 code already sets the clock the
+// checks run at. The loops are element-wise (or fixed-lane) streams, so
+// every clone performs the same FP operations in the same order; the
+// x86-64-v3/v4 clones contract a·b + c into one FMA, which moves a check
+// sum by rounding only and never changes a factor bit. TSan builds keep
+// only the default clone (GCC 12's TSan crashes on ifunc resolvers).
 #if defined(__x86_64__) && defined(__ELF__) && defined(__GNUC__) && \
     !defined(__clang__) && !defined(__SANITIZE_THREAD__)
-// 256-bit on purpose: 512-bit ops trigger license-based downclocking on
-// several x86 parts, and the cycles saved in the checks would be repaid
-// with interest by the surrounding kernels running at the lower clock.
 #define PARFACT_ABFT_CLONES \
-  __attribute__((target_clones("default", "avx2")))
+  __attribute__(( \
+      target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))
 #else
 #define PARFACT_ABFT_CLONES
 #endif
@@ -201,63 +202,106 @@ __attribute__((always_inline)) inline void load_rows(const real_t* col,
 // so the prediction costs O(b·p) — reading L21 and M once — instead of the
 // O(b²) row-scatter a symmetric-sum identity would need over U' itself.
 // Columns go in fixed groups of four, one per vector lane: each 4 x 4 tile
-// is transposed in registers so the four suffix chains advance together.
-// Each row's products stay in four lanes across all groups and are
-// reduced once, (l0 + l1) + (l2 + l3), after the last group; the rows go
-// in chunks of kWalkRows, so those lane accumulators stay in L1 while
-// every group passes over the chunk. The final suffix values are each
-// column's full sum, returned in `l21cols` for the TRSM weights / LDLᵀ
-// rescale check. `work` is scratch.
+// is transposed in registers so the four suffix chains advance together,
+// and groups pass over the rows in pairs. Each row's products stay in four
+// lanes across all groups and are reduced once, (l0 + l1) + (l2 + l3),
+// after the last group; the rows go in chunks of kWalkRows, so those lane
+// accumulators stay in L1 while every group passes over the chunk. The
+// final suffix values are each column's full sum, returned in `l21cols`
+// for the TRSM weights / LDLᵀ rescale check. `work` is scratch.
 constexpr index_t kWalkRows = 128;
 
-// One four-column group over rows [lo, hi) of a chunk: advances the
-// group's suffix sums `s`, `a` and adds the rows' products to `lanes`
-// (eight per row: value lanes, then magnitude lanes; row j at j - lo).
-template <bool kMIsL21>
+// G four-column groups side by side over rows [lo, hi) of a chunk:
+// advances each group's suffix sums `s[q]`, `a[q]` and adds the rows'
+// products to `lanes` (eight per row: value lanes, then magnitude lanes;
+// row j at j - lo), group q's after group q - 1's — the order in which
+// one group at a time would add them. Two groups give the suffix chains,
+// which advance one row per add latency, a second chain to overlap with,
+// and load and store each lane row once per two groups.
+template <bool kMIsL21, int G>
 __attribute__((always_inline)) inline void walk_group(
     const real_t* c, std::size_t ld, const real_t* mc, std::size_t mld,
-    index_t lo, index_t hi, real_t* lanes, v4d& s, v4d& a) {
-  const auto add_row = [&](index_t j, const v4d& t, const v4d& u) {
+    index_t lo, index_t hi, real_t* lanes, v4d s[G], v4d a[G]) {
+  const auto add_row = [&](index_t j, const v4d t[G], const v4d u[G]) {
     real_t* row = lanes + 8 * static_cast<std::size_t>(j - lo);
     v4d lt, lu;
     __builtin_memcpy(&lt, row, sizeof lt);
     __builtin_memcpy(&lu, row + 4, sizeof lu);
-    lt += t;
-    lu += u;
+    for (int q = 0; q < G; ++q) {
+      lt += t[q];
+      lu += u[q];
+    }
     __builtin_memcpy(row, &lt, sizeof lt);
     __builtin_memcpy(row + 4, &lu, sizeof lu);
   };
   index_t j = hi;
   while (j % 4 != 0) {  // the rows below the last full tile, one by one
     --j;
-    const v4d r = {c[j], c[ld + j], c[2 * ld + j], c[3 * ld + j]};
-    const v4d mr = kMIsL21 ? r
-                           : v4d{mc[j], mc[mld + j], mc[2 * mld + j],
-                                 mc[3 * mld + j]};
-    v4d ar, amr;
-    abs4(r, ar);
-    abs4(mr, amr);
-    s += r;
-    a += ar;
-    add_row(j, s * mr, a * amr);
+    v4d t[G], u[G];
+    for (int q = 0; q < G; ++q) {
+      const real_t* cq = c + 4 * q * ld;
+      const real_t* mq = mc + 4 * q * mld;
+      const v4d r = {cq[j], cq[ld + j], cq[2 * ld + j], cq[3 * ld + j]};
+      const v4d mr = kMIsL21 ? r
+                             : v4d{mq[j], mq[mld + j], mq[2 * mld + j],
+                                   mq[3 * mld + j]};
+      v4d ar, amr;
+      abs4(r, ar);
+      abs4(mr, amr);
+      s[q] += r;
+      a[q] += ar;
+      t[q] = s[q] * mr;
+      u[q] = a[q] * amr;
+    }
+    add_row(j, t, u);
   }
   for (; j > lo; j -= 4) {
-    v4d r[4];
-    v4d m_rows[4];
-    load_rows(c, static_cast<index_t>(ld), j - 4, r);
-    const v4d* mr = r;
-    if constexpr (!kMIsL21) {
-      load_rows(mc, static_cast<index_t>(mld), j - 4, m_rows);
-      mr = m_rows;
+    v4d r[G][4];
+    v4d m_rows[G][4];
+    for (int q = 0; q < G; ++q) {
+      load_rows(c + 4 * q * ld, static_cast<index_t>(ld), j - 4, r[q]);
+      if constexpr (!kMIsL21) {
+        load_rows(mc + 4 * q * mld, static_cast<index_t>(mld), j - 4,
+                  m_rows[q]);
+      }
     }
     for (int i = 3; i >= 0; --i) {
-      v4d ar, amr;
-      abs4(r[i], ar);
-      abs4(mr[i], amr);
-      s += r[i];
-      a += ar;
-      add_row(j - 4 + i, s * mr[i], a * amr);
+      v4d t[G], u[G];
+      for (int q = 0; q < G; ++q) {
+        const v4d& mr = kMIsL21 ? r[q][i] : m_rows[q][i];
+        v4d ar, amr;
+        abs4(r[q][i], ar);
+        abs4(mr, amr);
+        s[q] += r[q][i];
+        a[q] += ar;
+        t[q] = s[q] * mr;
+        u[q] = a[q] * amr;
+      }
+      add_row(j - 4 + i, t, u);
     }
+  }
+}
+
+// Groups g, g + 1, ..., g + G - 1 over one chunk, their suffix carries
+// loaded from and stored back to `carry`.
+template <bool kMIsL21, int G>
+__attribute__((always_inline)) inline void walk_chunk(
+    ConstMatrixView l21, ConstMatrixView m, index_t g, index_t lo,
+    index_t hi, real_t* carry, real_t* lanes) {
+  real_t* cg = carry + 8 * static_cast<std::size_t>(g);
+  v4d s[G], a[G];
+  for (int q = 0; q < G; ++q) {
+    __builtin_memcpy(&s[q], cg + 8 * q, sizeof(v4d));
+    __builtin_memcpy(&a[q], cg + 8 * q + 4, sizeof(v4d));
+  }
+  const std::size_t k = 4 * static_cast<std::size_t>(g);
+  const std::size_t ld = static_cast<std::size_t>(l21.ld);
+  const std::size_t mld = static_cast<std::size_t>(m.ld);
+  walk_group<kMIsL21, G>(l21.data + k * ld, ld, m.data + k * mld, mld, lo,
+                         hi, lanes, s, a);
+  for (int q = 0; q < G; ++q) {
+    __builtin_memcpy(cg + 8 * q, &s[q], sizeof(v4d));
+    __builtin_memcpy(cg + 8 * q + 4, &a[q], sizeof(v4d));
   }
 }
 
@@ -267,23 +311,15 @@ __attribute__((always_inline)) inline void walk_groups(
     real_t* carry, real_t* lanes) {
   const index_t b = l21.rows;
   const index_t groups = l21.cols / 4;
-  const std::size_t ld = static_cast<std::size_t>(l21.ld);
-  const std::size_t mld = static_cast<std::size_t>(m.ld);
   for (index_t hi = b; hi > 0;) {
     const index_t lo = (hi - 1) / kWalkRows * kWalkRows;
     const std::size_t rows = static_cast<std::size_t>(hi - lo);
     std::fill(lanes, lanes + 8 * rows, 0.0);
-    for (index_t g = 0; g < groups; ++g) {
-      real_t* cg = carry + 8 * static_cast<std::size_t>(g);
-      v4d s, a;
-      __builtin_memcpy(&s, cg, sizeof s);
-      __builtin_memcpy(&a, cg + 4, sizeof a);
-      const std::size_t k = 4 * static_cast<std::size_t>(g);
-      walk_group<kMIsL21>(l21.data + k * ld, ld, m.data + k * mld, mld, lo,
-                          hi, lanes, s, a);
-      __builtin_memcpy(cg, &s, sizeof s);
-      __builtin_memcpy(cg + 4, &a, sizeof a);
+    index_t g = 0;
+    for (; g + 2 <= groups; g += 2) {
+      walk_chunk<kMIsL21, 2>(l21, m, g, lo, hi, carry, lanes);
     }
+    if (g < groups) walk_chunk<kMIsL21, 1>(l21, m, g, lo, hi, carry, lanes);
     for (std::size_t r = 0; r < rows; ++r) {
       const real_t* l = lanes + 8 * r;
       pred[lo + static_cast<index_t>(r)] -= (l[0] + l[1]) + (l[2] + l[3]);

@@ -1,6 +1,7 @@
 // Tests for the dense kernels: POTRF / TRSM / SYRK / GEMM against naive
 // reference implementations, across a sweep of shapes.
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -66,9 +67,10 @@ TEST_P(PotrfTest, ReconstructsMatrix) {
   }
 }
 
+// 32 and 33 straddle kPotrfUnblocked, 128 and 129 kPotrfBlock.
 INSTANTIATE_TEST_SUITE_P(Sizes, PotrfTest,
-                         ::testing::Values(1, 2, 3, 7, 16, 33, 64, 65, 100,
-                                           150, 260));
+                         ::testing::Values(1, 2, 3, 7, 16, 32, 33, 64, 65,
+                                           100, 128, 129, 150, 260));
 
 TEST(Potrf, DetectsNonSpd) {
   Dense a(3, 3);
@@ -89,21 +91,27 @@ TEST(Potrf, DetectsNonSpdInLaterBlock) {
 }
 
 TEST(Trsm, RightLowerTransSolves) {
-  const index_t n = 20, m = 13;
-  Dense l = random_matrix(n, n, 5);
-  for (index_t j = 0; j < n; ++j) {
-    l.at(j, j) = 2.0 + std::abs(l.at(j, j));
-    for (index_t i = 0; i < j; ++i) l.at(i, j) = 0.0;
-  }
-  const Dense b0 = random_matrix(m, n, 6);
-  Dense b = b0;
-  trsm_right_lower_trans(l.cview(), b.view());
-  // Check B_new * Lᵀ == B0: (X Lᵀ)(i,j) = sum_{k<=j} X(i,k) L(j,k).
-  for (index_t i = 0; i < m; ++i) {
+  // Orders of the unblocked kernel at row counts that leave every kind of
+  // last row block: whole, whole strips only, and a zero-padded strip.
+  for (const auto& [m, n] : {std::pair<index_t, index_t>{13, 20},
+                             {301, 7}, {301, 64}, {64, 32}, {8, 16},
+                             {37, 5}}) {
+    Dense l = random_matrix(n, n, 5);
     for (index_t j = 0; j < n; ++j) {
-      real_t s = 0.0;
-      for (index_t k = 0; k <= j; ++k) s += b.at(i, k) * l.at(j, k);
-      EXPECT_NEAR(s, b0.at(i, j), 1e-10);
+      l.at(j, j) = 2.0 + std::abs(l.at(j, j));
+      for (index_t i = 0; i < j; ++i) l.at(i, j) = 0.0;
+    }
+    const Dense b0 = random_matrix(m, n, 6);
+    Dense b = b0;
+    trsm_right_lower_trans(l.cview(), b.view());
+    // Check B_new * Lᵀ == B0: (X Lᵀ)(i,j) = sum_{k<=j} X(i,k) L(j,k).
+    for (index_t i = 0; i < m; ++i) {
+      for (index_t j = 0; j < n; ++j) {
+        real_t s = 0.0;
+        for (index_t k = 0; k <= j; ++k) s += b.at(i, k) * l.at(j, k);
+        ASSERT_NEAR(s, b0.at(i, j), 1e-10)
+            << m << "x" << n << " (" << i << "," << j << ")";
+      }
     }
   }
 }
@@ -292,20 +300,26 @@ class RowSplitKernelTest : public ::testing::TestWithParam<index_t> {};
 
 TEST_P(RowSplitKernelTest, GemmNtBitwiseEqualsOneCall) {
   const index_t slabs = GetParam();
-  const index_t m = 300, n = 200, k = 160;
-  Dense cs = random_matrix(m, n, 61);
-  Dense cp = cs;
-  const Dense a = random_matrix(m, k, 62);
-  const Dense b = random_matrix(n, k, 63);
-  gemm_nt_update(cs.view(), a.cview(), b.cview());
-  for (index_t t = slabs; t-- > 0;) {
-    const index_t r0 = t * m / slabs;
-    const index_t r1 = (t + 1) * m / slabs;
-    gemm_nt_update(cp.view().block(r0, 0, r1 - r0, n),
-                   a.cview().block(r0, 0, r1 - r0, k), b.cview());
-  }
-  for (std::size_t i = 0; i < cs.v.size(); ++i) {
-    ASSERT_EQ(cs.v[i], cp.v[i]) << "flat index " << i;
+  // The packed engine, and an update below its n·k work threshold: the
+  // unpacked loop the LDLᵀ task-DAG slabs call.
+  for (const GemmShape& shape : {GemmShape{300, 200, 160},
+                                 GemmShape{301, 37, 13}}) {
+    const auto [m, n, k] = shape;
+    Dense cs = random_matrix(m, n, 61);
+    Dense cp = cs;
+    const Dense a = random_matrix(m, k, 62);
+    const Dense b = random_matrix(n, k, 63);
+    gemm_nt_update(cs.view(), a.cview(), b.cview());
+    for (index_t t = slabs; t-- > 0;) {
+      const index_t r0 = t * m / slabs;
+      const index_t r1 = (t + 1) * m / slabs;
+      gemm_nt_update(cp.view().block(r0, 0, r1 - r0, n),
+                     a.cview().block(r0, 0, r1 - r0, k), b.cview());
+    }
+    for (std::size_t i = 0; i < cs.v.size(); ++i) {
+      ASSERT_EQ(cs.v[i], cp.v[i]) << m << "x" << n << "x" << k
+                                  << ", flat index " << i;
+    }
   }
 }
 
@@ -330,22 +344,31 @@ TEST_P(RowSplitKernelTest, SyrkSlabsBitwiseEqualOneCall) {
 
 TEST_P(RowSplitKernelTest, TrsmBitwiseEqualsOneCall) {
   const index_t slabs = GetParam();
-  const index_t n = 140, m = 400;
-  Dense l = random_matrix(n, n, 66);
-  for (index_t j = 0; j < n; ++j) {
-    l.at(j, j) = 2.0 + std::abs(l.at(j, j));
-    for (index_t i = 0; i < j; ++i) l.at(i, j) = 0.0;
-  }
-  Dense bs = random_matrix(m, n, 67);
-  Dense bp = bs;
-  trsm_right_lower_trans(l.cview(), bs.view());
-  for (index_t t = slabs; t-- > 0;) {
-    const index_t r0 = t * m / slabs;
-    const index_t r1 = (t + 1) * m / slabs;
-    trsm_right_lower_trans(l.cview(), bp.view().block(r0, 0, r1 - r0, n));
-  }
-  for (std::size_t i = 0; i < bs.v.size(); ++i) {
-    ASSERT_EQ(bs.v[i], bp.v[i]) << "flat index " << i;
+  // n = 140 runs the blocked TRSM; n <= 64 runs entirely in the unblocked
+  // register-strip kernel. m = 301 puts the slab edges off multiples of 8
+  // and 32, so a row moves between full 32-row blocks and last blocks of
+  // two to four strips, the last one zero-padded, as the slab count
+  // changes; m = 289 adds last blocks of a single strip.
+  for (const auto& [m, n] : {std::pair<index_t, index_t>{400, 140},
+                             {301, 7}, {301, 32}, {301, 64}, {289, 7},
+                             {289, 32}, {289, 64}}) {
+    Dense l = random_matrix(n, n, 66);
+    for (index_t j = 0; j < n; ++j) {
+      l.at(j, j) = 2.0 + std::abs(l.at(j, j));
+      for (index_t i = 0; i < j; ++i) l.at(i, j) = 0.0;
+    }
+    l.at(n - 1, 0) = 0.0;  // an exact zero the solve skips
+    Dense bs = random_matrix(m, n, 67);
+    Dense bp = bs;
+    trsm_right_lower_trans(l.cview(), bs.view());
+    for (index_t t = slabs; t-- > 0;) {
+      const index_t r0 = t * m / slabs;
+      const index_t r1 = (t + 1) * m / slabs;
+      trsm_right_lower_trans(l.cview(), bp.view().block(r0, 0, r1 - r0, n));
+    }
+    for (std::size_t i = 0; i < bs.v.size(); ++i) {
+      ASSERT_EQ(bs.v[i], bp.v[i]) << m << "x" << n << ", flat index " << i;
+    }
   }
 }
 
