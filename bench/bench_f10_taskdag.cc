@@ -1,6 +1,7 @@
 // F10 — Unified task-DAG runtime vs the static two-phase schedule.
 //
-// Five exhibits:
+// Four exhibits, numbered as in EXPERIMENTS.md (3, a phase-fusion replay,
+// went with the fused factor + solve graph):
 //   1. Bitwise identity: the task-DAG factorization must equal the serial
 //      factor exactly (values, LDLᵀ diagonal) at every thread count.
 //   2. Deterministic virtual makespan of the real task graphs (the exact
@@ -9,8 +10,6 @@
 //      here as a bench-local graph (the engine itself is gone) — same cost
 //      model, so the gap is pure scheduling: no phase barrier, top fronts
 //      overlap leftover subtree work, TRSM slabs pipeline into update slabs.
-//   3. Phase fusion: fused factor+forward-solve graph vs factor graph +
-//      barrier + forward-solve chain.
 //   4. The distributed analogue via perf/dag_sim: kTaskDag replay (per-panel
 //      extend-add floors) vs kLookahead at large rank counts.
 //   5. Wall clock: the serial driver vs the task DAG on 4 threads.
@@ -32,7 +31,6 @@
 #include "mf/multifrontal.h"
 #include "perf/dag_sim.h"
 #include "runtime/task_graph.h"
-#include "solve/solve_schedule.h"
 #include "support/thread_pool.h"
 #include "support/timer.h"
 
@@ -162,77 +160,6 @@ void build_two_phase_graph(rt::TaskGraph& g, const SymbolicFactor& sym,
   }
 }
 
-/// Appends the forward-solve tasks of the first RHS block to `g`, either
-/// fused (deps = the factor DAG's panel-ready tags) or unfused (deps = a
-/// barrier over the whole factor graph — the classic phase split).
-void append_forward_solve(rt::TaskGraph& g, const SymbolicFactor& sym,
-                          const SolveSchedule& sched, index_t w0,
-                          const detail::FactorDag& dag) {
-  for (index_t s = 0; s < sym.n_supernodes; ++s) {
-    const index_t p = sym.sn_cols(s);
-    const index_t b = sym.sn_below(s);
-    const count_t work =
-        static_cast<count_t>(w0) *
-        (static_cast<count_t>(p) * p + 2 * static_cast<count_t>(p) * b);
-    const rt::tag_t tag =
-        rt::make_tag(rt::TaskKind::kSolveFwd, static_cast<std::uint64_t>(s));
-    g.add_task(tag, [] {},
-               static_cast<double>(std::max<count_t>(work, 1)));
-    std::vector<rt::tag_t> deps(dag.panel_ready(s).begin(),
-                                dag.panel_ready(s).end());
-    index_t last_src = kNone;
-    for (index_t q = sched.in_ptr[s]; q < sched.in_ptr[s + 1]; ++q) {
-      const index_t src = sched.in[q].src;
-      if (src == last_src) continue;
-      last_src = src;
-      deps.push_back(rt::make_tag(rt::TaskKind::kSolveFwd,
-                                  static_cast<std::uint64_t>(src)));
-    }
-    g.declare_deps(tag, deps);
-  }
-}
-
-/// As append_forward_solve, but with the classic phase barrier: every
-/// forward task additionally waits on the whole factor graph (expressed via
-/// the root supernodes' panel-ready tags, which transitively cover it).
-void append_forward_solve_barriered(rt::TaskGraph& g,
-                                    const SymbolicFactor& sym,
-                                    const SolveSchedule& sched, index_t w0,
-                                    const detail::FactorDag& dag) {
-  std::vector<rt::tag_t> root_deps;
-  for (index_t s = 0; s < sym.n_supernodes; ++s) {
-    if (sym.sn_parent[s] == kNone) {
-      root_deps.insert(root_deps.end(), dag.panel_ready(s).begin(),
-                       dag.panel_ready(s).end());
-    }
-  }
-  const rt::tag_t barrier = rt::make_tag(
-      rt::TaskKind::kUser, static_cast<std::uint64_t>(sym.n_supernodes) + 2);
-  g.add_task(barrier, [] {}, 1.0);
-  g.declare_deps(barrier, root_deps);
-  for (index_t s = 0; s < sym.n_supernodes; ++s) {
-    const index_t p = sym.sn_cols(s);
-    const index_t b = sym.sn_below(s);
-    const count_t work =
-        static_cast<count_t>(w0) *
-        (static_cast<count_t>(p) * p + 2 * static_cast<count_t>(p) * b);
-    const rt::tag_t tag =
-        rt::make_tag(rt::TaskKind::kSolveFwd, static_cast<std::uint64_t>(s));
-    g.add_task(tag, [] {},
-               static_cast<double>(std::max<count_t>(work, 1)));
-    std::vector<rt::tag_t> deps{barrier};
-    index_t last_src = kNone;
-    for (index_t q = sched.in_ptr[s]; q < sched.in_ptr[s + 1]; ++q) {
-      const index_t src = sched.in[q].src;
-      if (src == last_src) continue;
-      last_src = src;
-      deps.push_back(rt::make_tag(rt::TaskKind::kSolveFwd,
-                                  static_cast<std::uint64_t>(src)));
-    }
-    g.declare_deps(tag, deps);
-  }
-}
-
 bool factors_identical(const CholeskyFactor& a, const CholeskyFactor& b,
                        const SymbolicFactor& sym) {
   for (index_t s = 0; s < sym.n_supernodes; ++s) {
@@ -345,55 +272,6 @@ int main(int argc, char** argv) {
                 100.0 * best_reduction);
     fail.check(best_reduction >= 0.15,
                "task-DAG never reduced the two-phase makespan by >= 15%");
-  }
-
-  bench::heading("F10.3: phase fusion, factor+forward-solve");
-  {
-    std::vector<TestProblem> probs;
-    if (smoke) {
-      probs.push_back({"grid3d-12", "", grid_laplacian_3d(12, 12, 12, 7)});
-    } else {
-      probs = bench::suite();
-    }
-    std::printf("%-12s %8s %14s %14s %10s\n", "matrix", "T", "split",
-                "fused", "reduction");
-    for (const auto& prob : probs) {
-      const SymbolicFactor sym = analyze_nested_dissection(prob.lower);
-      const SolveSchedule sched(sym);
-      const index_t w0 = sched.rhs_block;
-      for (const int T : {4, 16}) {
-        CholeskyFactor f1(sym);
-        detail::FactorDag dag1(sym, f1, FactorKind::kCholesky, {}, {},
-                               kCoopFrontFlops, T);
-        rt::TaskGraph fused;
-        dag1.emit(fused);
-        append_forward_solve(fused, sym, sched, w0, dag1);
-        fused.seal();
-        const rt::SimulatedSchedule a = fused.simulate_makespan(T, 1.0);
-
-        CholeskyFactor f2(sym);
-        detail::FactorDag dag2(sym, f2, FactorKind::kCholesky, {}, {},
-                               kCoopFrontFlops, T);
-        rt::TaskGraph split;
-        dag2.emit(split);
-        append_forward_solve_barriered(split, sym, sched, w0, dag2);
-        split.seal();
-        const rt::SimulatedSchedule u = split.simulate_makespan(T, 1.0);
-
-        const double reduction = 1.0 - a.makespan / u.makespan;
-        std::printf("%-12s %8d %14.0f %14.0f %9.2f%%\n", prob.name.c_str(),
-                    T, u.makespan, a.makespan, 100.0 * reduction);
-        fail.check(a.makespan <= u.makespan * (1.0 + 1e-9),
-                   "fused graph slower than split phases");
-        json.row()
-            .field("section", "phase_fusion")
-            .field("matrix", prob.name)
-            .field("workers", T)
-            .field("split_cost", u.makespan)
-            .field("fused_cost", a.makespan)
-            .field("reduction", reduction);
-      }
-    }
   }
 
   bench::heading("F10.4: distributed replay, kTaskDag vs kLookahead");

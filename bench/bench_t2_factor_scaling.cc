@@ -7,8 +7,8 @@
 // lookahead replay, the task-DAG replay (per-panel extend-add floors), and
 // — since dist_factor executes the fan-both schedule for real — the
 // *executed* task-dag makespan at the pinned P = 64 point, with the
-// wait_any-pool diagnostics (pool waits, out-of-order completions) that
-// SolverReport surfaces as comm_wait_any_calls / comm_messages_out_of_order.
+// wait_any-pool diagnostics (pool waits, out-of-order completions) of that
+// run's mpsim::RunStats.
 #include <cstdio>
 
 #include "api/service.h"

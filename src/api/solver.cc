@@ -9,13 +9,10 @@
 #include <utility>
 
 #include "baseline/iccg.h"
-#include "dist/dist_factor.h"
-#include "dist/mapping.h"
 #include "graph/graph.h"
 #include "mf/governed.h"
 #include "mf/multifrontal.h"
 #include "solve/condest.h"
-#include "solve/fused.h"
 #include "solve/solve.h"
 #include "sparse/ops.h"
 #include "support/checksum.h"
@@ -511,101 +508,15 @@ std::size_t Solver::factor_bytes() const {
 Status Solver::factorize_and_solve(std::span<const real_t> b, index_t nrhs,
                                    std::vector<real_t>& x) {
   PARFACT_CHECK_MSG(sym_ != nullptr, "factorize_and_solve() before analyze()");
-  const index_t n = sym_->n;
   try {
     check_rhs(b.size(), nrhs, "factorize_and_solve");
   } catch (const StatusError& e) {
     return e.status();  // Status-returning entry point: no throw on bad input
   }
-  // The fused graph is the task-DAG engine plus the first forward sweep:
-  // fuse only when the engine rule picks the task DAG and no injection
-  // needs the serial driver's hooks or a flip between factor and solve.
-  if (options_.inject_sdc.has_value() ||
-      !runs_task_dag(worker_pool(), options_.memory_budget_bytes > 0,
-                     options_.abft)) {
-    const Status status = factorize();
-    if (status.failed()) return status;
-    x = solve_multi(b, nrhs);
-    return status;
-  }
-
-  // factorize()'s reset and the ladder's admission. The rule implies an
-  // unlimited budget, so the in-core rung is always admitted (and meters).
-  reset_factor_state();
-  budget_ = std::make_unique<ResourceBudget>();
-  const GovernedOptions gopts = governed_options();
-  AdmissionDecision admitted = admit_factorization(*sym_, *budget_, gopts);
-  PARFACT_DCHECK(admitted.reservation.held());
-  reservation_ = std::move(admitted.reservation);
-  report_.admission = admitted.admission;
-  report_.peak_bytes = budget_->peak_bytes();
-  report_.bytes_spilled = 0;
-
-  // Permute into the postordered space, run the fused graph (factor tasks +
-  // first-block forward-solve tasks), permute the solutions back.
-  std::vector<real_t> pb = permute_in(b);
-  FactorStats stats;
-  Status status;
-  try {
-    factor_.emplace(multifrontal_factor_and_solve(
-        *sym_, MatrixView{pb.data(), n, nrhs, n}, *solve_schedule_,
-        solve_workspace_, *gopts.pool, &stats, gopts.kind, kCoopFrontFlops,
-        gopts.pivot, gopts.cancel));
-    status = Status::success(stats.pivot_perturbations);
-  } catch (const StatusError& e) {
-    reset_factor_state();
-    status = e.status();
-  }
-  status = finish_run(status, stats);
+  const Status status = factorize();
   if (status.failed()) return status;
-  x = permute_out(pb);
-  if (options_.verify != SolverOptions::Verify::kOff) {
-    verify_and_repair(b, nrhs, x);
-  }
+  x = solve_multi(b, nrhs);
   return status;
-}
-
-Status Solver::factorize_distributed(int n_ranks,
-                                     const mpsim::MachineModel& model,
-                                     const mpsim::FaultPlan& faults) {
-  PARFACT_CHECK_MSG(sym_ != nullptr,
-                    "factorize_distributed() before analyze()");
-  PARFACT_CHECK(n_ranks >= 1);
-  WallTimer timer;
-  // The distributed factor is not admitted by the ladder and carries no
-  // at-rest checksums: drop the previous factor state, so a later
-  // refactorize re-enters through factorize() and verify_and_repair falls
-  // back to the full recompute.
-  reset_factor_state();
-  const PivotPolicy pivot = pivot_policy();
-  const FrontMap map =
-      build_front_map(*sym_, n_ranks, MappingStrategy::kSubtree2d);
-  // A Solver deadline doubles as the simulator's wall-clock watchdog: a
-  // livelocked run comes back as kCommTimeout instead of hanging the host.
-  mpsim::FaultPlan governed_faults = faults;
-  if (options_.deadline_seconds > 0.0 &&
-      governed_faults.run_timeout_host_seconds <= 0.0) {
-    governed_faults.run_timeout_host_seconds = options_.deadline_seconds;
-  }
-  DistFactorResult result = distributed_factor_checked(
-      *sym_, map, model, options_.factor_kind, pivot, governed_faults,
-      options_.resilience);
-  report_.rank_failures_recovered = result.run.ranks_recovered;
-  report_.recovery_virtual_seconds = result.run.recovery_overhead_seconds;
-  report_.comm_idle_wait_seconds = result.run.idle_wait_seconds;
-  report_.comm_overlap_efficiency = result.run.overlap_efficiency;
-  report_.max_in_flight_messages = result.run.max_in_flight_messages;
-  report_.comm_wait_any_calls = 0;
-  for (const count_t c : result.run.wait_any_calls) {
-    report_.comm_wait_any_calls += c;
-  }
-  report_.comm_messages_out_of_order =
-      result.run.messages_completed_out_of_order;
-  if (result.status.failed()) return result.status;
-  factor_.emplace(std::move(result.factor));
-  report_.factor_seconds = timer.seconds();
-  report_.pivot_perturbations = result.status.perturbations;
-  return result.status;
 }
 
 void Solver::solve_postordered(MatrixView x) const {
@@ -688,10 +599,9 @@ void Solver::verify_and_repair(std::span<const real_t> b, index_t nrhs,
   // Detect → localize → recompute. With at-rest checksums armed (ABFT
   // factorize) the corrupt supernode is found and only its subtree is
   // re-run; otherwise (or when the checksums bless the factor because the
-  // corruption predates them — e.g. a flip during a distributed run) the
-  // whole factor is recomputed from the kept matrix. Either way the
-  // repaired factor is bitwise identical to a clean run, and a result is
-  // only returned once it verifies.
+  // corruption predates them) the whole factor is recomputed from the kept
+  // matrix. Either way the repaired factor is bitwise identical to a clean
+  // run, and a result is only returned once it verifies.
   const PivotPolicy pivot = pivot_policy();
   for (int attempt = 0; attempt < 2 && factor_.has_value(); ++attempt) {
     bool localized = false;

@@ -8,9 +8,11 @@
 // with all permutations handled internally: callers stay in their original
 // row/column numbering throughout.
 //
-// The distributed/simulated execution paths (dist/, perf/) are deliberately
-// separate entry points driven by the experiments; this facade is the
-// "desktop" interface.
+// The distributed/simulated execution paths (dist/, mpsim/, perf/) are
+// deliberately separate entry points driven by the experiments — e.g.
+// distributed_factor_checked for a crash-recovering distributed run; this
+// facade is the "desktop" interface, and nothing under api/ includes their
+// headers.
 #pragma once
 
 #include <cstddef>
@@ -21,14 +23,12 @@
 #include <vector>
 
 #include "api/symbolic_cache.h"
-#include "dist/checkpoint.h"
 #include "graph/ordering.h"
 #include "mf/abft.h"
 #include "mf/factor.h"
 #include "mf/governed.h"
 #include "mf/multifrontal.h"
 #include "mf/ooc.h"
-#include "mpsim/machine.h"
 #include "solve/solve.h"
 #include "solve/solve_schedule.h"
 #include "sparse/sparse_matrix.h"
@@ -69,10 +69,6 @@ struct SolverOptions {
   /// Iterative-refinement passes applied per solve_batch() call (one
   /// blocked correction sweep each; 0 disables refinement for batches).
   int batch_refinement_passes = 1;
-  /// Crash-recovery configuration for factorize_distributed(): buddy
-  /// checkpointing cadence and the optional checksummed scratch spill.
-  /// Spare ranks themselves are part of the mpsim::FaultPlan.
-  ResiliencePolicy resilience;
   /// Memory budget for factorize() (0 = unlimited). Admission is checked
   /// against the symbolic working-set estimate before any numeric
   /// allocation; a factorization that does not fit in-core degrades to the
@@ -86,8 +82,6 @@ struct SolverOptions {
   /// Wall-clock deadline per factorize()/factorize_and_solve() call
   /// (host seconds; 0 = none). A deadline firing mid-factor returns
   /// kDeadlineExceeded within one task granule, with the solver reusable.
-  /// factorize_distributed() maps it onto the mpsim run watchdog
-  /// (kCommTimeout) when the fault plan does not set its own.
   double deadline_seconds = 0.0;
   /// OOC scratch file for budget-driven spill; empty = a unique /tmp path.
   std::string spill_path;
@@ -150,28 +144,6 @@ struct SolverReport {
   Admission admission = Admission::kUnlimited;
   std::size_t peak_bytes = 0;
   std::size_t bytes_spilled = 0;
-  /// factorize_distributed() only: rank crashes a spare recovered, and the
-  /// virtual-time cost of those recoveries (lost work re-executed plus
-  /// checkpoint restore transfers).
-  count_t rank_failures_recovered = 0;
-  double recovery_virtual_seconds = 0.0;
-  /// factorize_distributed() only: communication/computation overlap
-  /// diagnostics of the simulated run. Idle wait is the summed virtual time
-  /// ranks spent blocked on message arrival; overlap efficiency is
-  /// 1 − idle / Σ rank seconds (1.0 means no rank ever stalled on a
-  /// message); max in-flight is the high-water mark of delivered-but-not-
-  /// yet-consumed messages across the machine.
-  double comm_idle_wait_seconds = 0.0;
-  double comm_overlap_efficiency = 1.0;
-  count_t max_in_flight_messages = 0;
-  /// factorize_distributed() only: fan-both pool diagnostics. wait_any
-  /// calls is the total (summed over ranks) number of Comm::wait_any pool
-  /// waits the schedule issued; out-of-order counts messages that arrived
-  /// earlier than a message posted before them in the same pool (how much
-  /// reordering the arrival-buffering had to absorb). Both are zero for
-  /// the kBlocking/kLookahead schedules, which never use a pool.
-  count_t comm_wait_any_calls = 0;
-  count_t comm_messages_out_of_order = 0;
   /// solve_batch() only: throughput of the last batch. bytes/solve counts
   /// the factor-panel and workspace traffic of the blocked sweeps divided
   /// by the number of right-hand sides — the amortization the batch buys.
@@ -297,27 +269,12 @@ class Solver {
   void set_memory_budget_bytes(std::size_t bytes);
   void set_deadline_seconds(double seconds);
 
-  /// Distributed-memory numeric phase: runs the subtree-to-subcube
-  /// multifrontal factorization on `n_ranks` simulated mpsim ranks and
-  /// gathers the factor for the local solve paths. With a `faults` plan
-  /// carrying Crash entries and spare ranks, recovery follows
-  /// options.resilience (buddy checkpoints, spare adoption, partial
-  /// replay); the report then carries `rank_failures_recovered` and
-  /// `recovery_virtual_seconds`. Returns the factorization Status
-  /// (kOk/kPerturbed, or the diagnosed failure — e.g. kRankFailure when a
-  /// crash exhausts the spares) without throwing.
-  Status factorize_distributed(int n_ranks,
-                               const mpsim::MachineModel& model = {},
-                               const mpsim::FaultPlan& faults = {});
-
-  /// Fused numeric phase + first solve: factorizes and solves the n × nrhs
-  /// column-major right-hand sides `b` in one task graph — forward solves
-  /// on fully factored subtrees overlap the remaining factorization, so
-  /// there is no factor→solve barrier. `x` receives the solutions in the
-  /// caller's original ordering. Status, x, factor and report equal
-  /// factorize() followed by solve_multi(b, nrhs) for every option; the
-  /// graph is fused only when the engine rule picks the task DAG and no
-  /// injection is set. Requires analyze().
+  /// Numeric phase + first solve: factorize() followed by
+  /// solve_multi(b, nrhs) on the n × nrhs column-major right-hand sides
+  /// `b`, with the solutions in `x` (caller's original ordering). Returns
+  /// factorize()'s Status, and leaves `x` untouched when it fails; a
+  /// malformed `b` returns kInvalidInput before anything is factorized.
+  /// Requires analyze().
   Status factorize_and_solve(std::span<const real_t> b, index_t nrhs,
                              std::vector<real_t>& x);
 

@@ -44,7 +44,6 @@ FactorDag::FactorDag(const SymbolicFactor& sym, CholeskyFactor& factor,
       update_of_(static_cast<std::size_t>(sym.n_supernodes)),
       m_of_(static_cast<std::size_t>(sym.n_supernodes)),
       m_refs_(static_cast<std::size_t>(sym.n_supernodes)),
-      panel_ready_(static_cast<std::size_t>(sym.n_supernodes)),
       update_done_(static_cast<std::size_t>(sym.n_supernodes)) {}
 
 index_t FactorDag::slab_count(count_t flops, index_t rows) const {
@@ -125,7 +124,6 @@ void FactorDag::emit_fused(rt::TaskGraph& graph, index_t s) {
     deps.insert(deps.end(), done.begin(), done.end());
   }
   graph.declare_deps(elim, deps);
-  panel_ready_[static_cast<std::size_t>(s)] = {elim};
   update_done_[static_cast<std::size_t>(s)] = {elim};
 }
 
@@ -178,7 +176,6 @@ void FactorDag::emit_split(rt::TaskGraph& graph, index_t s) {
   graph.declare_deps(potrf_tag, {asm_tag});
 
   if (b == 0) {
-    panel_ready_[su] = {potrf_tag};
     update_done_[su] = {potrf_tag};
     return;
   }
@@ -209,8 +206,6 @@ void FactorDag::emit_split(rt::TaskGraph& graph, index_t s) {
     graph.declare_deps(tag, {potrf_tag});
   }
 
-  // Panel values are final after the TRSM slabs (Cholesky) or the LDLᵀ
-  // rescale below.
   tag_t prep_tag = 0;
   if (kind_ == FactorKind::kLdlt) {
     // --- PREP: copy M = L21 D, rescale panel to L21. One task; it reads
@@ -227,9 +222,6 @@ void FactorDag::emit_split(rt::TaskGraph& graph, index_t s) {
         },
         static_cast<double>(2 * static_cast<count_t>(b) * p));
     graph.declare_deps(prep_tag, trsm_tags);
-    panel_ready_[su] = {prep_tag};
-  } else {
-    panel_ready_[su] = trsm_tags;
   }
 
   // --- Trailing update, split into row slabs. ---

@@ -16,10 +16,6 @@
 // not hold are never split); LDLᵀ update slabs call the serial gemm_nt
 // kernel on disjoint row blocks. Perturbation counts are per-front sums of
 // schedule-independent serial POTRF/LDLᵀ runs.
-//
-// The builder exposes per-supernode panel-ready tags so the fused
-// factor+solve driver (solve/fused.h) can hang forward-solve tasks off
-// fully factored subtrees while upper fronts are still factoring.
 #pragma once
 
 #include <atomic>
@@ -54,8 +50,8 @@ class UpdateMemory {
 };
 
 /// Builder + shared mutable state for one DAG factorization run. Create,
-/// call emit(), optionally append more tasks (phase fusion), run the graph,
-/// then read the accumulated statistics. Must outlive the graph execution.
+/// call emit(), run the graph, then read the accumulated statistics. Must
+/// outlive the graph execution.
 class FactorDag {
  public:
   /// `factor` must be freshly constructed from `sym` (zeroed panels; diag
@@ -69,12 +65,6 @@ class FactorDag {
   /// Emits every factorization task into `graph` in topological order
   /// (postorder over supernodes, pipeline order within a front).
   void emit(rt::TaskGraph& graph);
-
-  /// Tags that must all complete before supernode s's panel (and, in LDLᵀ
-  /// mode, its diag entries) hold final factor values. Valid after emit().
-  [[nodiscard]] std::span<const rt::tag_t> panel_ready(index_t s) const {
-    return panel_ready_[static_cast<std::size_t>(s)];
-  }
 
   [[nodiscard]] count_t perturbations() const {
     return perturbations_.load(std::memory_order_relaxed);
@@ -108,8 +98,7 @@ class FactorDag {
   std::vector<std::vector<real_t>> m_of_;
   std::vector<std::unique_ptr<std::atomic<index_t>>> m_refs_;
 
-  /// Per-supernode completion tags: panel final / update block final.
-  std::vector<std::vector<rt::tag_t>> panel_ready_;
+  /// Per-supernode completion tags: update block final.
   std::vector<std::vector<rt::tag_t>> update_done_;
 
   std::mutex scratch_mu_;

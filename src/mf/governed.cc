@@ -24,11 +24,12 @@ const char* admission_name(Admission a) {
   return "unknown";
 }
 
+namespace {
+
+// The engine rule (GovernedOptions::pool).
 bool runs_task_dag(const ThreadPool* pool, bool budget_limited, bool abft) {
   return pool != nullptr && pool->size() > 1 && !budget_limited && !abft;
 }
-
-namespace {
 
 // The engine the rule picks, into `dest`: the task DAG (in-core only), or
 // the serial driver with the run's ABFT hooks.
@@ -65,8 +66,7 @@ Status run_guarded(Run&& run, const FactorStats& stats) {
   return Status::success(stats.pivot_perturbations);
 }
 
-}  // namespace
-
+// The one admission rule (AdmissionDecision).
 AdmissionDecision admit_factorization(const SymbolicFactor& sym,
                                       ResourceBudget& budget,
                                       const GovernedOptions& opts) {
@@ -105,6 +105,8 @@ AdmissionDecision admit_factorization(const SymbolicFactor& sym,
   }
   return out;
 }
+
+}  // namespace
 
 GovernedFactorizeResult multifrontal_factorize_governed(
     const SymbolicFactor& sym, ResourceBudget& budget,

@@ -46,7 +46,10 @@ enum class Admission {
 struct GovernedOptions {
   FactorKind kind = FactorKind::kCholesky;
   PivotPolicy pivot = {.boost = true};
-  /// Workers for the task DAG (see runs_task_dag).
+  /// Workers for the task DAG. The engine rule: the task DAG runs when
+  /// this pool has more than one worker, the budget is unlimited and ABFT
+  /// is off; the serial driver otherwise (its postorder memory profile is
+  /// exactly what admission reserved, and it carries the ABFT hooks).
   ThreadPool* pool = nullptr;
   /// ABFT checks, injection and repair on the serial driver; nullopt = off.
   std::optional<AbftOptions> abft;
@@ -56,7 +59,10 @@ struct GovernedOptions {
   CancelToken cancel;
 };
 
-/// The ladder's admission decision, made before any numeric allocation.
+/// The ladder's admission decision, made before any numeric allocation:
+/// the highest rung above that fits the budget — the estimate's in-core
+/// bytes, else its spill bytes when opts.spill_path is set, plus
+/// abft_state_bytes when opts.abft is.
 struct AdmissionDecision {
   Admission admission = Admission::kRejected;
   /// Keeps the admitted rung's bytes charged against the budget for as
@@ -65,22 +71,6 @@ struct AdmissionDecision {
   WorkingSetEstimate estimate;  ///< the hookless working set
   Status status;  ///< kResourceExhausted with the byte counts if rejected
 };
-
-/// The one admission rule: reserves the highest rung above that fits
-/// `budget` for a run with `opts` — the estimate's in-core bytes, else its
-/// spill bytes when opts.spill_path is set, plus abft_state_bytes when
-/// opts.abft is. multifrontal_factorize_governed and the Solver's fused
-/// factor+solve both admit through it.
-[[nodiscard]] AdmissionDecision admit_factorization(
-    const SymbolicFactor& sym, ResourceBudget& budget,
-    const GovernedOptions& opts);
-
-/// The engine rule, used by every numeric entry point: the task DAG runs
-/// when `pool` has more than one worker, the budget is unlimited and ABFT
-/// is off; the serial driver otherwise (its postorder memory profile is
-/// exactly what admission reserved, and it carries the ABFT hooks).
-[[nodiscard]] bool runs_task_dag(const ThreadPool* pool, bool budget_limited,
-                                 bool abft);
 
 /// Outcome of a governed factorization: the admission decision, whose
 /// `status` becomes the run's, plus the run. Exactly one of `factor` /

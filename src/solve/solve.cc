@@ -7,13 +7,12 @@
 
 #include "dense/kernels.h"
 #include "mf/ooc.h"
-#include "solve/solve_internal.h"
 #include "sparse/ops.h"
 #include "support/error.h"
 #include "support/thread_pool.h"
 
 namespace parfact {
-namespace detail {
+namespace {
 
 /// Forward-solves supernode s's panel rows for the current RHS block:
 /// pulls pending descendant updates from the arena (ascending source
@@ -78,13 +77,6 @@ void backward_supernode(ConstMatrixView panel, const SolveSchedule& sched,
   }
   trsm_left_lower_trans(panel.block(0, 0, p, p), x1);
 }
-
-}  // namespace detail
-
-namespace {
-
-using detail::backward_supernode;
-using detail::forward_supernode;
 
 /// Panels of a resident factor: views of its own storage, safe to read
 /// from every worker of a threaded sweep.
@@ -206,24 +198,6 @@ void solve_blocks(Panels& panel, std::span<const real_t> d, MatrixView x,
 }
 
 }  // namespace
-
-void backward_solve(const CholeskyFactor& factor, MatrixView x,
-                    const SolveSchedule& schedule, SolveWorkspace& workspace,
-                    ThreadPool* pool) {
-  check_engine_args(factor.symbolic(), schedule, x);
-  ResidentPanels panel{factor};
-  for (index_t c0 = 0; c0 < x.cols; c0 += schedule.rhs_block) {
-    const index_t w = std::min(schedule.rhs_block, x.cols - c0);
-    workspace.ensure(schedule, w);
-    backward_sweep(panel, schedule, workspace, x.block(0, c0, x.rows, w),
-                   pool);
-  }
-}
-
-void diagonal_solve(const CholeskyFactor& factor, MatrixView x) {
-  if (!factor.is_ldlt()) return;
-  diagonal_solve_block(factor.diag(), x);
-}
 
 void solve_in_place(const CholeskyFactor& factor, MatrixView x,
                     const SolveSchedule& schedule, SolveWorkspace& workspace,

@@ -34,19 +34,11 @@ namespace parfact {
 class OocCholeskyFactor;
 class ThreadPool;
 
-/// x := L⁻ᵀ x (backward substitution) through the schedule. `pool ==
-/// nullptr` (or a one-worker pool) runs the serial postorder sweep;
-/// otherwise the top of the tree runs level-by-level and independent
-/// subtrees as tasks, bitwise identical to serial.
-void backward_solve(const CholeskyFactor& factor, MatrixView x,
-                    const SolveSchedule& schedule, SolveWorkspace& workspace,
-                    ThreadPool* pool = nullptr);
-
-/// x := D⁻¹ x for LDLᵀ factors (no-op for plain Cholesky).
-void diagonal_solve(const CholeskyFactor& factor, MatrixView x);
-
 /// x := A⁻¹ x: forward, (diagonal,) backward — per RHS block, so each
 /// factor panel is read once per schedule.rhs_block right-hand sides.
+/// `pool == nullptr` (or a one-worker pool) runs the serial postorder
+/// sweeps; otherwise independent subtrees run as tasks and the top of the
+/// tree level by level, bitwise identical to serial.
 void solve_in_place(const CholeskyFactor& factor, MatrixView x,
                     const SolveSchedule& schedule, SolveWorkspace& workspace,
                     ThreadPool* pool = nullptr);

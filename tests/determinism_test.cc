@@ -8,7 +8,7 @@
 // assemble task and by splitting kernels only along row ranges whose
 // per-element operation sequence is partition-independent. These tests
 // sweep the full mf_test/property_test matrix families, both factor kinds,
-// and the fused factorize+solve path.
+// and the one-call factorize+solve path.
 #include <cstring>
 #include <vector>
 
@@ -122,9 +122,8 @@ TEST(Determinism, SaddlePointPerturbationCounts) {
   check_matrix(kkt, FactorKind::kLdlt, "kkt-60-25", pivot);
 }
 
-// Fused factorize_and_solve must equal factorize() followed by
-// solve_multi() bitwise — the phase-fusion tasks reuse the very same solve
-// schedule and kernels, just scheduled earlier.
+// factorize_and_solve must equal factorize() followed by solve_multi()
+// bitwise, on a threaded solver whose factorization runs the task DAG.
 TEST(Determinism, FusedFactorizeAndSolveMatchesTwoStep) {
   const SparseMatrix a = grid_laplacian_3d(8, 8, 8, 7);
   const index_t n = a.rows;

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include "api/solver.h"
 #include "dist/checkpoint.h"
 #include "dist/dist_factor.h"
 #include "dist/dist_solve.h"
@@ -20,6 +19,7 @@
 #include "support/error.h"
 #include "support/prng.h"
 #include "support/status.h"
+#include "symbolic/symbolic_factor.h"
 
 namespace parfact {
 namespace {
@@ -373,53 +373,6 @@ TEST(Recovery, SpillToScratchRoundTrips) {
   EXPECT_EQ(crashed.run.ranks_recovered, 1);
   EXPECT_GT(crashed.run.checkpoints_stored, 0);
   expect_factors_bitwise_equal(sym, clean.factor, crashed.factor);
-}
-
-// --- Solver facade ----------------------------------------------------------
-
-TEST(Recovery, SolverFacadeRecoversAndSolves) {
-  const SparseMatrix a = grid_laplacian_2d(9, 8, 5);
-  SolverOptions options;
-  options.resilience = buddy_policy(4);
-  Solver solver(options);
-  solver.analyze(a);
-
-  // Probe without faults to learn a mid-run crash time for rank 1.
-  const Status probe = solver.factorize_distributed(4);
-  ASSERT_TRUE(probe.ok()) << probe.to_string();
-
-  // mpsim-level probe of rank busy time via the dist layer directly.
-  const FrontMap map =
-      build_front_map(solver.symbolic(), 4, MappingStrategy::kSubtree2d);
-  const DistFactorResult timing = distributed_factor(
-      solver.symbolic(), map, {}, FactorKind::kCholesky, {}, {},
-      options.resilience);
-  ASSERT_TRUE(timing.status.ok());
-
-  mpsim::FaultPlan faults;
-  faults.crashes.push_back({/*rank=*/0, 0.5 * timing.run.rank_time[0]});
-  faults.spare_ranks = 1;
-  const Status st = solver.factorize_distributed(4, {}, faults);
-  ASSERT_TRUE(st.ok()) << st.to_string();
-  EXPECT_EQ(solver.report().rank_failures_recovered, 1);
-  EXPECT_GT(solver.report().recovery_virtual_seconds, 0.0);
-
-  const std::vector<real_t> b = random_vector(a.rows, 99);
-  const std::vector<real_t> x = solver.solve_refined(b);
-  EXPECT_LT(solver.residual(x, b), 1e-10);
-}
-
-TEST(Recovery, SolverFacadeReportsExhaustedSpares) {
-  const SparseMatrix a = grid_laplacian_2d(9, 8, 5);
-  Solver solver;
-  solver.analyze(a);
-  mpsim::FaultPlan faults;
-  faults.crashes.push_back({/*rank=*/1, /*at=*/1e-9});
-  faults.spare_ranks = 0;
-  const Status st = solver.factorize_distributed(4, {}, faults);
-  EXPECT_TRUE(st.failed());
-  EXPECT_EQ(st.code, StatusCode::kRankFailure);
-  EXPECT_EQ(solver.report().rank_failures_recovered, 0);
 }
 
 // --- Guard rails ------------------------------------------------------------
