@@ -62,7 +62,6 @@ void build_two_phase_graph(rt::TaskGraph& g, const SymbolicFactor& sym,
   const index_t ns = sym.n_supernodes;
   std::vector<char> heavy(static_cast<std::size_t>(ns), 0);
   std::vector<count_t> subtree_flops(static_cast<std::size_t>(ns), 0);
-  std::vector<std::vector<index_t>> children(static_cast<std::size_t>(ns));
   for (index_t s = 0; s < ns; ++s) {
     heavy[s] = sym.sn_flops[s] >= coop ? 1 : 0;
     subtree_flops[s] = sym.sn_flops[s];
@@ -70,7 +69,6 @@ void build_two_phase_graph(rt::TaskGraph& g, const SymbolicFactor& sym,
   for (index_t s = 0; s < ns; ++s) {  // children precede parents (postorder)
     const index_t par = sym.sn_parent[s];
     if (par == kNone) continue;
-    children[static_cast<std::size_t>(par)].push_back(s);
     if (heavy[s]) heavy[par] = 1;
     subtree_flops[par] += subtree_flops[s];
   }
@@ -96,14 +94,13 @@ void build_two_phase_graph(rt::TaskGraph& g, const SymbolicFactor& sym,
   std::vector<rt::tag_t> prev{barrier};
   for (index_t s = 0; s < ns; ++s) {
     if (!heavy[s]) continue;
-    const auto su = static_cast<std::size_t>(s);
     const auto k = static_cast<std::uint64_t>(s);
     const index_t p = sym.sn_cols(s);
     const index_t b = sym.sn_below(s);
 
     count_t asm_cost = sym.a.col_ptr[sym.sn_start[s + 1]] -
                        sym.a.col_ptr[sym.sn_start[s]];
-    for (index_t c : children[su]) {
+    for (index_t c : sym.children(s)) {
       const count_t cb = sym.sn_below(c);
       asm_cost += cb * (cb + 1) / 2;
     }

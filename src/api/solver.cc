@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -54,10 +55,11 @@ real_t componentwise_residual(const SparseMatrix& lower,
     const real_t s = scale[i] + std::abs(b[i]);
     const real_t e =
         s > 0.0 ? r / s
-                : (r > 0.0 ? std::numeric_limits<real_t>::infinity() : 0.0);
+                : (r == 0.0 ? 0.0 : std::numeric_limits<real_t>::infinity());
     // Inf/NaN anywhere (an overflowed x makes both r and s infinite, so
-    // e = inf/inf = NaN) is corruption by definition and must not be
-    // washed out by later finite rows.
+    // e = inf/inf = NaN; a NaN in x makes s NaN, which fails s > 0) is
+    // corruption by definition and must not be washed out by later finite
+    // rows.
     if (!std::isfinite(e)) return std::numeric_limits<real_t>::infinity();
     if (e > worst) worst = e;
   }
@@ -561,7 +563,7 @@ std::vector<real_t> Solver::solve_multi(std::span<const real_t> b,
   check_rhs(b.size(), nrhs, "solve_multi");
   std::vector<real_t> x = solve_permuted(b, nrhs);
   if (options_.verify != SolverOptions::Verify::kOff) {
-    verify_and_repair(b, nrhs, x);
+    verify_and_repair(b, x, [&] { return solve_permuted(b, nrhs); });
   }
   return x;
 }
@@ -574,9 +576,12 @@ std::vector<real_t> Solver::solve_permuted(std::span<const real_t> b,
   return permute_out(px);
 }
 
-void Solver::verify_and_repair(std::span<const real_t> b, index_t nrhs,
-                               std::vector<real_t>& x) const {
+void Solver::verify_and_repair(
+    std::span<const real_t> b, std::vector<real_t>& x,
+    const std::function<std::vector<real_t>()>& resolve) const {
   const index_t n = sym_->n;
+  const auto nrhs =
+      static_cast<index_t>(b.size() / static_cast<std::size_t>(n));
   const index_t check_cols =
       options_.verify == SolverOptions::Verify::kFull ? nrhs : 1;
   const auto measure = [&](const std::vector<real_t>& xs) {
@@ -599,8 +604,9 @@ void Solver::verify_and_repair(std::span<const real_t> b, index_t nrhs,
   // Detect → localize → recompute. With at-rest checksums armed (ABFT
   // factorize) the corrupt supernode is found and only its subtree is
   // re-run; otherwise (or when the checksums bless the factor because the
-  // corruption predates them) the whole factor is recomputed from the kept
-  // matrix. Either way the repaired factor is bitwise identical to a clean
+  // corruption predates them) the whole factor is recomputed in place from
+  // the kept matrix, inside the allocation the factorization was admitted
+  // with. Either way the repaired factor is bitwise identical to a clean
   // run, and a result is only returned once it verifies.
   const PivotPolicy pivot = pivot_policy();
   for (int attempt = 0; attempt < 2 && factor_.has_value(); ++attempt) {
@@ -627,11 +633,11 @@ void Solver::verify_and_repair(std::span<const real_t> b, index_t nrhs,
       }
     }
     if (!localized) {
-      factor_.emplace(
-          multifrontal_factor(*sym_, nullptr, options_.factor_kind, pivot));
+      multifrontal_refactor(*sym_, *factor_, nullptr, options_.factor_kind,
+                            pivot);
       report_.fronts_recomputed += sym_->n_supernodes;
     }
-    x = solve_permuted(b, nrhs);
+    x = resolve();
     res = measure(x);
     report_.verify_residual = res;
     if (res <= options_.verify_tolerance) return;
@@ -651,21 +657,29 @@ std::vector<real_t> Solver::solve_batch(std::span<const real_t> b,
   check_rhs(b.size(), nrhs, "solve_batch");
   WallTimer timer;
   const int passes = options_.batch_refinement_passes;
-  std::vector<real_t> px = permute_in(b);
-  MatrixView xv{px.data(), n, nrhs, n};
-  // px becomes x in place; keep the permuted right-hand sides for the
-  // batched refinement passes.
-  const std::vector<real_t> pb = passes > 0 ? px : std::vector<real_t>{};
-  solve_postordered(xv);
   real_t residual = 0.0;
-  if (passes > 0) {
-    // Refine the whole batch at once: one SpMV per column per pass plus
-    // one blocked correction solve per pass.
-    residual = refine(sym_->a, ConstMatrixView{pb.data(), n, nrhs, n}, xv,
-                      solve_fn(), passes)
-                   .residual;
+  const auto sweep = [&] {
+    std::vector<real_t> px = permute_in(b);
+    const MatrixView xv{px.data(), n, nrhs, n};
+    // px becomes x in place; keep the permuted right-hand sides for the
+    // batched refinement passes.
+    const std::vector<real_t> pb = passes > 0 ? px : std::vector<real_t>{};
+    solve_postordered(xv);
+    if (passes > 0) {
+      // Refine the whole batch at once: one SpMV per column per pass plus
+      // one blocked correction solve per pass.
+      residual = refine(sym_->a, ConstMatrixView{pb.data(), n, nrhs, n}, xv,
+                        solve_fn(), passes)
+                     .residual;
+    }
+    return permute_out(px);
+  };
+  std::vector<real_t> x = sweep();
+  // A repaired factor answers through the same sweeps and passes, so a
+  // healed batch is bitwise the clean one.
+  if (options_.verify != SolverOptions::Verify::kOff) {
+    verify_and_repair(b, x, sweep);
   }
-  std::vector<real_t> x = permute_out(px);
   const double seconds = timer.seconds();
   // Every sweep streams each panel once per RHS block, resident or
   // spilled, and moves each block's arena slice twice.

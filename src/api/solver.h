@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -95,14 +96,16 @@ struct SolverOptions {
   /// let post-solve verification localize storage corruption.
   bool abft = false;
   real_t abft_tolerance = 1e-8;  ///< ABFT identity tolerance
-  /// Post-solve end-to-end verification of solve()/solve_multi() results:
-  /// componentwise scaled residual max_i |b−Ax|_i / (|A||x|+|b|)_i against
-  /// verify_tolerance. kSampled checks the first right-hand side of each
-  /// call; kFull checks every column. On failure the solver verifies the
-  /// stored factor against its checksums, recomputes the corrupt subtree
-  /// (or the whole factor when no checksums are armed), re-solves, and
-  /// only if verification still fails throws kDataCorruption — a silent
-  /// wrong answer is never returned.
+  /// Post-solve end-to-end verification of solve(), solve_multi() and
+  /// solve_batch() results: componentwise scaled residual
+  /// max_i |b−Ax|_i / (|A||x|+|b|)_i against verify_tolerance. kSampled
+  /// checks the first right-hand side of each call; kFull checks every
+  /// column. On failure the solver verifies the stored factor against its
+  /// checksums, recomputes the corrupt subtree (or, when no checksums are
+  /// armed, the whole factor in place), re-solves through the same call's
+  /// path (a batch through its sweeps and refinement passes), and only if
+  /// verification still fails throws kDataCorruption — a silent wrong
+  /// answer is never returned.
   enum class Verify { kOff, kSampled, kFull };
   Verify verify = Verify::kOff;
   real_t verify_tolerance = 1e-8;
@@ -294,6 +297,7 @@ class Solver {
   /// blocked refinement passes, and records per-batch throughput
   /// (solves/sec, bytes/solve, worst residual) in report(). The solutions
   /// are bitwise-identical to solve_multi() on the same block partition.
+  /// options.verify checks and repairs the batch as it does solve_multi().
   [[nodiscard]] std::vector<real_t> solve_batch(std::span<const real_t> b,
                                                 index_t nrhs) const;
 
@@ -373,12 +377,14 @@ class Solver {
   /// Permute → triangular sweeps → permute back (solve_multi's core).
   [[nodiscard]] std::vector<real_t> solve_permuted(std::span<const real_t> b,
                                                    index_t nrhs) const;
-  /// Post-solve verification (options.verify): componentwise residual
-  /// check, at-rest factor verification, localized or full recompute,
-  /// re-solve. Throws kDataCorruption only if repair cannot restore a
+  /// Post-solve verification (options.verify) of `x`, the answer to the
+  /// n x k right-hand sides `b`: componentwise residual check, at-rest
+  /// factor verification, localized or full in-place recompute, then
+  /// x = resolve(). Throws kDataCorruption only if repair cannot restore a
   /// verifying answer.
-  void verify_and_repair(std::span<const real_t> b, index_t nrhs,
-                         std::vector<real_t>& x) const;
+  void verify_and_repair(
+      std::span<const real_t> b, std::vector<real_t>& x,
+      const std::function<std::vector<real_t>()>& resolve) const;
 
   SolverOptions options_;
   mutable SolverReport report_;  ///< solve_batch() updates batch stats

@@ -7,6 +7,8 @@
 // BLAS/LAPACK convention the paper's solver builds on.
 #pragma once
 
+#include <algorithm>
+
 #include "support/error.h"
 #include "support/types.h"
 
@@ -49,7 +51,7 @@ struct MatrixView {
 
   void fill(real_t v) const {
     for (index_t j = 0; j < cols; ++j) {
-      for (index_t i = 0; i < rows; ++i) at(i, j) = v;
+      std::fill_n(data + static_cast<std::size_t>(j) * ld, rows, v);
     }
   }
 };

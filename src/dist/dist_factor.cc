@@ -101,14 +101,7 @@ class RankProgram {
         d_(d), pivot_(pivot),
         boost_{pivot.threshold, pivot.value, base_perturbations},
         ckpt_(comm, resilience), config_(config),
-        start_supernode_(start_supernode) {
-    children_.resize(static_cast<std::size_t>(sym.n_supernodes));
-    for (index_t s = 0; s < sym.n_supernodes; ++s) {
-      if (sym.sn_parent[s] != kNone) {
-        children_[sym.sn_parent[s]].push_back(s);
-      }
-    }
-  }
+        start_supernode_(start_supernode) {}
 
   void run() {
     for (index_t s = start_supernode_; s < sym_.n_supernodes; ++s) {
@@ -162,7 +155,7 @@ class RankProgram {
         config_.schedule == DistConfig::Schedule::kLookahead;
     std::vector<mpsim::Request> ea_reqs;
     if (lookahead) {
-      for (index_t c : children_[s]) {
+      for (index_t c : sym_.children(s)) {
         const int begin = map_.rank_begin[c];
         const int end = begin + map_.rank_count[c];
         const int tag = kTagStride * static_cast<int>(s) + kTagExtendAdd;
@@ -224,7 +217,7 @@ class RankProgram {
                            std::vector<mpsim::Request>& ea_reqs) {
     const bool posted = !ea_reqs.empty();
     std::size_t next_req = 0;
-    for (index_t c : children_[s]) {
+    for (index_t c : sym_.children(s)) {
       const int begin = map_.rank_begin[c];
       const int end = begin + map_.rank_count[c];
       const int tag = kTagStride * static_cast<int>(s) + kTagExtendAdd;
@@ -307,11 +300,11 @@ class RankProgram {
         if (ldlt) diag_buf.insert(diag_buf.end(), dk.begin(), dk.end());
         for (int ri = 0; ri < pr; ++ri) {
           if (ri == gr) continue;
-          if (!column_has_blocks_below(fb, kb, ri, pr)) continue;
+          if (!fb.grid_row_owns_below(kb, ri, pr)) continue;
           comm_.send_vec(map_.grid_rank(s, ri, kbc), tag_diag, diag_buf);
         }
         l_kk = ConstMatrixView{diag_buf.data(), bk, bk, bk};
-      } else if (gc == kbc && column_has_blocks_below(fb, kb, gr, pr)) {
+      } else if (gc == kbc && fb.grid_row_owns_below(kb, gr, pr)) {
         diag_buf = comm_.recv_vec<real_t>(map_.grid_rank(s, kbr, kbc),
                                           tag_diag);
         l_kk = ConstMatrixView{diag_buf.data(), bk, bk, bk};
@@ -465,7 +458,7 @@ class RankProgram {
     const int tag_panel = kTagStride * static_cast<int>(s) + kTagPanel;
     const int kbc = static_cast<int>(kb) % pc;
     const int kbr = static_cast<int>(kb) % pr;
-    if (gc == kbc && gr != kbr && column_has_blocks_below(fb, kb, gr, pr)) {
+    if (gc == kbc && gr != kbr && fb.grid_row_owns_below(kb, gr, pr)) {
       st.diag_req = comm_.irecv(map_.grid_rank(s, kbr, kbc), tag_diag);
       st.expect_diag = true;
     }
@@ -533,7 +526,7 @@ class RankProgram {
       }
       for (int ri = 0; ri < pr; ++ri) {
         if (ri == gr) continue;
-        if (!column_has_blocks_below(fb, kb, ri, pr)) continue;
+        if (!fb.grid_row_owns_below(kb, ri, pr)) continue;
         comm_.send_vec(map_.grid_rank(s, ri, kbc), tag_diag, st.diag_buf);
       }
       st.l_kk = ConstMatrixView{st.diag_buf.data(), bk, bk, bk};
@@ -694,13 +687,14 @@ class RankProgram {
     EaStreams ea;
     ea.panel_begin.assign(static_cast<std::size_t>(fb.nB) + 1,
                           0);
-    if (children_[s].empty()) return ea;
+    const auto children = sym_.children(s);
+    if (children.empty()) return ea;
     // per_cell[child_pos][src - begin][panel] -> target list for this rank.
     std::vector<std::vector<std::vector<
         std::vector<std::pair<index_t, index_t>>>>> per_cell(
-        children_[s].size());
-    for (std::size_t cp = 0; cp < children_[s].size(); ++cp) {
-      const index_t c = children_[s][cp];
+        children.size());
+    for (std::size_t cp = 0; cp < children.size(); ++cp) {
+      const index_t c = children[cp];
       const ExtendAddPlan plan = make_extend_add_plan(sym_, map_, c);
       const int begin = map_.rank_begin[c];
       const int count = map_.rank_count[c];
@@ -721,8 +715,8 @@ class RankProgram {
     }
     for (index_t p = 0; p < fb.nB; ++p) {
       ea.panel_begin[static_cast<std::size_t>(p)] = ea.slots.size();
-      for (std::size_t cp = 0; cp < children_[s].size(); ++cp) {
-        const index_t c = children_[s][cp];
+      for (std::size_t cp = 0; cp < children.size(); ++cp) {
+        const index_t c = children[cp];
         const int begin = map_.rank_begin[c];
         const int end = begin + map_.rank_count[c];
         for (int src = begin; src < end; ++src) {
@@ -837,14 +831,6 @@ class RankProgram {
     ensure_assembled(fb.nB - 1, front, ea);
   }
 
-  /// True iff grid row `ri` owns any block (ib, kb) with ib > kb.
-  static bool column_has_blocks_below(const FrontBlocking& fb, index_t kb,
-                                      int ri, int pr) {
-    for (index_t ib = kb + 1; ib < fb.nB; ++ib) {
-      if (static_cast<int>(ib) % pr == ri) return true;
-    }
-    return false;
-  }
   /// True iff rank at grid column c owns a block (ib, jb), kb < jb <= ib.
   static bool row_needs_block(index_t kb, index_t ib, int c, int pc) {
     for (index_t jb = kb + 1; jb <= ib; ++jb) {
@@ -996,7 +982,6 @@ class RankProgram {
   BuddyCheckpointer ckpt_;
   DistConfig config_;
   index_t start_supernode_;  ///< first front to execute (resume point)
-  std::vector<std::vector<index_t>> children_;
   count_t ea_bytes_ = 0;  ///< extend-add wire bytes sent by this rank
 };
 

@@ -26,15 +26,6 @@ struct SolveTriple {
   real_t value;
 };
 
-/// True iff grid row `ri` owns any block (ib, kb) with ib > kb.
-bool grid_row_owns_below(const FrontBlocking& fb, index_t kb, int ri,
-                         int pr) {
-  for (index_t ib = kb + 1; ib < fb.nB; ++ib) {
-    if (static_cast<int>(ib) % pr == ri) return true;
-  }
-  return false;
-}
-
 class SolveProgram {
  public:
   SolveProgram(const SymbolicFactor& sym, const FrontMap& map,
@@ -51,12 +42,6 @@ class SolveProgram {
         pipelined_(config.schedule == DistSolveConfig::Schedule::kPipelined),
         x_out_(x_out),
         comm_(comm) {
-    children_.resize(static_cast<std::size_t>(sym.n_supernodes));
-    for (index_t s = 0; s < sym.n_supernodes; ++s) {
-      if (sym.sn_parent[s] != kNone) {
-        children_[sym.sn_parent[s]].push_back(s);
-      }
-    }
     x_known_.assign(static_cast<std::size_t>(sym.n) * nrhs, 0.0);
   }
 
@@ -155,7 +140,7 @@ class SolveProgram {
     // pipelined, per RHS block, merged lazily so block 0 can start while
     // the children are still reducing the later blocks.
     std::vector<int> contrib_src;
-    for (index_t c : children_[s]) {
+    for (index_t c : sym_.children(s)) {
       for (int src : contrib_ranks(c)) contrib_src.push_back(src);
     }
     auto scatter = [&](const std::vector<SolveTriple>& triples) {
@@ -202,7 +187,7 @@ class SolveProgram {
       const bool is_diag = comm_.rank() == diag_rank;
       const bool is_sender = gr == kbr && gc != kbc && gc < max_sender_col;
       const bool is_col_owner =
-          gc == kbc && grid_row_owns_below(fb, kb, gr, pr);
+          gc == kbc && fb.grid_row_owns_below(kb, gr, pr);
 
       // Adds the replicated right-hand side rows of block kb, RHS block blk,
       // into a full-width (bk x nrhs_) buffer.
@@ -240,7 +225,7 @@ class SolveProgram {
           }
           y_fwd_[{s, kb}] = xfull;
           for (int ri = 0; ri < pr; ++ri) {
-            if (ri == kbr || !grid_row_owns_below(fb, kb, ri, pr)) continue;
+            if (ri == kbr || !fb.grid_row_owns_below(kb, ri, pr)) continue;
             comm_.send_vec(map_.grid_rank(s, ri, kbc), tag(s, 0, kTagFwdX),
                            xfull);
           }
@@ -319,7 +304,7 @@ class SolveProgram {
           std::copy_n(xblk.data(), xblk.size(),
                       y.data() + static_cast<std::size_t>(col0(blk)) * bk);
           for (int ri = 0; ri < pr; ++ri) {
-            if (ri == kbr || !grid_row_owns_below(fb, kb, ri, pr)) continue;
+            if (ri == kbr || !fb.grid_row_owns_below(kb, ri, pr)) continue;
             comm_.send_vec(map_.grid_rank(s, ri, kbc), tag(s, blk, kTagFwdX),
                            xblk);
           }
@@ -511,13 +496,13 @@ class SolveProgram {
       const index_t bk = fb.size(kb);
       const int diag_rank = map_.grid_rank(s, kbr, kbc);
       const bool is_diag = comm_.rank() == diag_rank;
-      const bool is_owner = gc == kbc && grid_row_owns_below(fb, kb, gr, pr);
+      const bool is_owner = gc == kbc && fb.grid_row_owns_below(kb, gr, pr);
 
       // Rows (other than kbr) holding below blocks: their column-kbc ranks
       // send partials to the diagonal owner.
       std::vector<int> partial_rows;
       for (int ri = 0; ri < pr; ++ri) {
-        if (ri != kbr && grid_row_owns_below(fb, kb, ri, pr)) {
+        if (ri != kbr && fb.grid_row_owns_below(kb, ri, pr)) {
           partial_rows.push_back(ri);
         }
       }
@@ -685,7 +670,6 @@ class SolveProgram {
   const bool pipelined_;
   std::vector<real_t>& x_out_;
   mpsim::Comm& comm_;
-  std::vector<std::vector<index_t>> children_;
   std::vector<real_t> x_known_;
   std::map<std::pair<index_t, index_t>, std::vector<real_t>> y_fwd_;
 };

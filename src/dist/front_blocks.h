@@ -48,6 +48,14 @@ struct FrontBlocking {
     if (r < p) return r / nb;
     return kp + (r - p) / nb;
   }
+  /// True iff grid row `ri` of a `pr`-row block-cyclic grid owns any block
+  /// (ib, kb) below the diagonal, ib > kb.
+  [[nodiscard]] bool grid_row_owns_below(index_t kb, int ri, int pr) const {
+    for (index_t ib = kb + 1; ib < nB; ++ib) {
+      if (static_cast<int>(ib) % pr == ri) return true;
+    }
+    return false;
+  }
 };
 
 }  // namespace parfact

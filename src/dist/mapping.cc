@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "support/error.h"
 
@@ -69,14 +70,9 @@ FrontMap build_front_map(const SymbolicFactor& sym, int n_ranks,
       work[s] += static_cast<double>(sym.sn_flops[s]);
       if (sym.sn_parent[s] != kNone) work[sym.sn_parent[s]] += work[s];
     }
-    std::vector<std::vector<index_t>> children(static_cast<std::size_t>(ns));
     std::vector<index_t> roots;
     for (index_t s = 0; s < ns; ++s) {
-      if (sym.sn_parent[s] != kNone) {
-        children[sym.sn_parent[s]].push_back(s);
-      } else {
-        roots.push_back(s);
-      }
+      if (sym.sn_parent[s] == kNone) roots.push_back(s);
     }
 
     // Proportional splitting of a rank range [a, a+k) among `nodes`
@@ -85,7 +81,7 @@ FrontMap build_front_map(const SymbolicFactor& sym, int n_ranks,
     // overlap would serialize sibling subtrees on the shared ranks and
     // destroy the tree-level speedup. Children too small to earn a whole
     // rank share the last boundary rank.
-    const auto split = [&](const std::vector<index_t>& nodes, int a, int k) {
+    const auto split = [&](std::span<const index_t> nodes, int a, int k) {
       double total = 0.0;
       for (index_t c : nodes) total += work[c];
       if (total <= 0.0) total = 1.0;
@@ -113,8 +109,8 @@ FrontMap build_front_map(const SymbolicFactor& sym, int n_ranks,
     // above); now split it among its own children. Iterate in reverse
     // postorder so parents are handled before children.
     for (index_t s = ns - 1; s >= 0; --s) {
-      if (!children[s].empty()) {
-        split(children[s], map.rank_begin[s], map.rank_count[s]);
+      if (!sym.children(s).empty()) {
+        split(sym.children(s), map.rank_begin[s], map.rank_count[s]);
       }
     }
   }

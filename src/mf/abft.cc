@@ -421,7 +421,6 @@ class AbftHooks final : public detail::FrontHooks {
         options_(options),
         d_(d),
         checksums_(checksums),
-        children_(detail::build_children(sym)),
         carried_(static_cast<std::size_t>(sym.n_supernodes)) {
     if (checksums_ != nullptr) {
       checksums_->col_sum.assign(static_cast<std::size_t>(sym.n), 0.0);
@@ -459,7 +458,7 @@ class AbftHooks final : public detail::FrontHooks {
     record_checksums(f.s);
     // The children's blocks are verified and consumed; any later repair
     // that revisits their subtrees regenerates the predictions with them.
-    for (const index_t c : children_[f.s]) carried_[c] = ColSums{};
+    for (const index_t c : sym_.children(f.s)) carried_[c] = ColSums{};
     return true;
   }
 
@@ -577,7 +576,7 @@ class AbftHooks final : public detail::FrontHooks {
     }
     const auto prows = sym_.below_rows(s);
     std::size_t ic = 0;
-    for (const index_t c : children_[s]) {
+    for (const index_t c : sym_.children(s)) {
       ++checks_;  // the child block's UPDATE identity, checked at consumption
       const auto crows = sym_.below_rows(c);
       const index_t cb = sym_.sn_below(c);
@@ -782,7 +781,6 @@ class AbftHooks final : public detail::FrontHooks {
   const AbftOptions options_;
   const std::span<const real_t> d_;
   FactorChecksums* const checksums_;
-  const std::vector<std::vector<index_t>> children_;
   std::vector<ColSums> carried_;  ///< predicted update-block sums + scales
   detail::AssemblySums asm_sums_;  ///< child split sums from the extend-add
   bool injection_fired_ = false;
@@ -863,7 +861,6 @@ std::size_t abft_state_bytes(const SymbolicFactor& sym, FactorKind kind,
   // scratch is four ColSums (five for LDLᵀ) and six vectors of width p,
   // one ColSums and two vectors of height b, at the widest front, plus the
   // walk's scratch (2p + 8·kWalkRows).
-  const auto children = detail::build_children(sym);
   std::size_t live = 0;
   std::size_t reals = 0;
   std::size_t max_p = 0;
@@ -873,9 +870,10 @@ std::size_t abft_state_bytes(const SymbolicFactor& sym, FactorKind kind,
     const auto b = static_cast<std::size_t>(sym.sn_below(s));
     live += 2 * b;
     reals = std::max(reals, live);
-    slot.resize(std::max(slot.size(), children[s].size()));
-    for (std::size_t i = 0; i < children[s].size(); ++i) {
-      const auto cb = static_cast<std::size_t>(sym.sn_below(children[s][i]));
+    const auto children = sym.children(s);
+    slot.resize(std::max(slot.size(), children.size()));
+    for (std::size_t i = 0; i < children.size(); ++i) {
+      const auto cb = static_cast<std::size_t>(sym.sn_below(children[i]));
       live -= 2 * cb;
       slot[i] = std::max(slot[i], 2 * cb);
     }
@@ -886,12 +884,11 @@ std::size_t abft_state_bytes(const SymbolicFactor& sym, FactorKind kind,
            8 * static_cast<std::size_t>(kWalkRows);
   for (const std::size_t cap : slot) reals += cap;
   if (checksums) reals += 2 * static_cast<std::size_t>(sym.n);
-  // The hooks object and its per-supernode tables (vectors at up to twice
-  // their length after growth).
+  // The hooks object, its carried predictions and the per-child sum
+  // vectors (at up to twice their count after growth).
   return reals * sizeof(real_t) + sizeof(AbftHooks) +
          static_cast<std::size_t>(sym.n_supernodes) *
-             (sizeof(ColSums) + sizeof(std::vector<index_t>) +
-              2 * (sizeof(std::vector<real_t>) + sizeof(index_t)));
+             (sizeof(ColSums) + 2 * sizeof(std::vector<real_t>));
 }
 
 FactorChecksums compute_factor_checksums(const SymbolicFactor& sym,
@@ -924,20 +921,13 @@ index_t verify_factor(const SymbolicFactor& sym, const CholeskyFactor& factor,
   return kNone;
 }
 
-index_t first_descendant(const SymbolicFactor& sym, index_t s) {
-  const auto children = detail::build_children(sym);
-  index_t t = s;
-  while (!children[t].empty()) t = children[t].front();
-  return t;
-}
-
 count_t recompute_subtree(const SymbolicFactor& sym, index_t root,
                           FactorKind kind, PivotPolicy pivot,
                           CholeskyFactor& factor,
                           FactorChecksums* checksums) {
   detail::factor_serial(sym, {.factor = &factor}, kind, factor.mutable_diag(),
                         pivot, nullptr, {}, nullptr, nullptr, root);
-  const index_t lo = first_descendant(sym, root);
+  const index_t lo = sym.first_descendant(root);
   if (checksums != nullptr && !checksums->empty()) {
     for (index_t t = lo; t <= root; ++t) {
       panel_checksums(sym, factor, t, *checksums);

@@ -121,7 +121,7 @@ struct FactorChecksums {
                                     real_t tolerance = 1e-8);
 
 /// Repairs the factor by re-running the contiguous postorder subtree
-/// rooted at `root` ([first_descendant(root), root]) from the original
+/// rooted at `root` ([sym.first_descendant(root), root]) from the original
 /// matrix through the serial driver. Deterministic kernels make the result
 /// bitwise identical to the original clean computation. Refreshes
 /// `checksums` for the recomputed columns when non-null. Returns the number
@@ -130,10 +130,6 @@ count_t recompute_subtree(const SymbolicFactor& sym, index_t root,
                           FactorKind kind, PivotPolicy pivot,
                           CholeskyFactor& factor,
                           FactorChecksums* checksums = nullptr);
-
-/// First descendant of supernode s in the postordered assembly tree: the
-/// subtree of s is the contiguous range [first_descendant(s), s].
-[[nodiscard]] index_t first_descendant(const SymbolicFactor& sym, index_t s);
 
 /// Applies a kStoredFactor fault: flips one bit of one stored panel value
 /// of the injection's target supernode. Returns the supernode struck.

@@ -39,7 +39,6 @@ FactorDag::FactorDag(const SymbolicFactor& sym, CholeskyFactor& factor,
       pivot_(pivot),
       fuse_flops_(fuse_flops),
       n_workers_(std::max(1, n_workers)),
-      children_(build_children(sym)),
       blocks_(static_cast<std::size_t>(sym.n_supernodes)),
       update_of_(static_cast<std::size_t>(sym.n_supernodes)),
       m_of_(static_cast<std::size_t>(sym.n_supernodes)),
@@ -80,7 +79,7 @@ std::span<real_t> FactorDag::allocate_block(index_t s) {
 /// children: the children's blocks die, s's block is now live.
 void FactorDag::finish_assembly(index_t s) {
   mem_.add(block_size(sym_, s) * sizeof(real_t));
-  for (index_t c : children_[static_cast<std::size_t>(s)]) {
+  for (index_t c : sym_.children(s)) {
     mem_.sub(block_size(sym_, c) * sizeof(real_t));
     blocks_[static_cast<std::size_t>(c)].reset();
     update_of_[static_cast<std::size_t>(c)] = nullptr;
@@ -109,9 +108,11 @@ void FactorDag::emit_fused(rt::TaskGraph& graph, index_t s) {
           m_size = static_cast<std::size_t>(sym_.sn_below(s)) * sym_.sn_cols(s);
           m = std::make_unique_for_overwrite<real_t[]>(m_size);
         }
-        const count_t boosted = eliminate_front(
-            sym_, s, update_of_, children_, factor_.panel(s),
-            allocate_block(s), {m.get(), m_size}, *scratch, kind_, d_, pivot_);
+        const MatrixView panel = factor_.panel(s);
+        panel.fill(0.0);
+        const count_t boosted =
+            eliminate_front(sym_, s, update_of_, panel, allocate_block(s),
+                            {m.get(), m_size}, *scratch, kind_, d_, pivot_);
         release_scratch(std::move(scratch));
         if (boosted > 0)
           perturbations_.fetch_add(boosted, std::memory_order_relaxed);
@@ -119,7 +120,7 @@ void FactorDag::emit_fused(rt::TaskGraph& graph, index_t s) {
       },
       static_cast<double>(std::max<count_t>(sym_.sn_flops[s], 1)));
   std::vector<tag_t> deps;
-  for (index_t c : children_[static_cast<std::size_t>(s)]) {
+  for (index_t c : sym_.children(s)) {
     const auto& done = update_done_[static_cast<std::size_t>(c)];
     deps.insert(deps.end(), done.begin(), done.end());
   }
@@ -138,7 +139,7 @@ void FactorDag::emit_split(rt::TaskGraph& graph, index_t s) {
   const tag_t asm_tag = rt::make_tag(TaskKind::kAssemble, k);
   count_t asm_cost = sym_.a.col_ptr[sym_.sn_start[s + 1]] -
                      sym_.a.col_ptr[first];
-  for (index_t c : children_[su]) {
+  for (index_t c : sym_.children(s)) {
     const count_t cb = sym_.sn_below(c);
     asm_cost += cb * (cb + 1) / 2;
   }
@@ -146,15 +147,17 @@ void FactorDag::emit_split(rt::TaskGraph& graph, index_t s) {
       asm_tag,
       [this, s] {
         auto scratch = acquire_scratch();
-        assemble_front(sym_, s, update_of_, children_, factor_.panel(s),
-                       allocate_block(s), *scratch);
+        const MatrixView panel = factor_.panel(s);
+        panel.fill(0.0);
+        assemble_front(sym_, s, update_of_, panel, allocate_block(s),
+                       *scratch);
         release_scratch(std::move(scratch));
         finish_assembly(s);
       },
       static_cast<double>(std::max<count_t>(asm_cost, 1)));
   {
     std::vector<tag_t> deps;
-    for (index_t c : children_[su]) {
+    for (index_t c : sym_.children(s)) {
       const auto& done = update_done_[static_cast<std::size_t>(c)];
       deps.insert(deps.end(), done.begin(), done.end());
     }
@@ -337,9 +340,6 @@ void multifrontal_refactor_parallel(const SymbolicFactor& sym,
   PARFACT_CHECK(&factor.symbolic() == &sym);
   WallTimer timer;
   pivot = resolve_pivot_policy(pivot, sym.a);
-  // FactorDag requires zeroed panels; reset restores that invariant for a
-  // reused allocation (and is a no-op cost on a fresh one).
-  factor.reset_values();
   std::span<real_t> d;
   if (kind == FactorKind::kLdlt) d = factor.allocate_diag();
 

@@ -54,9 +54,11 @@ class UpdateMemory {
 /// outlive the graph execution.
 class FactorDag {
  public:
-  /// `factor` must be freshly constructed from `sym` (zeroed panels; diag
-  /// allocated by the caller in LDLᵀ mode). `fuse_flops`: fronts below this
-  /// flop count become single fused tasks. `n_workers`: scheduler width,
+  /// `factor` must be constructed from `sym` (diag allocated by the caller
+  /// in LDLᵀ mode); its panels may hold an earlier factorization, since
+  /// each front's assembling task zeroes its panel first, as the serial
+  /// driver does for a reused factor. `fuse_flops`: fronts below this flop
+  /// count become single fused tasks. `n_workers`: scheduler width,
   /// used only to pick slab counts (never affects numeric results).
   FactorDag(const SymbolicFactor& sym, CholeskyFactor& factor,
             FactorKind kind, std::span<real_t> d, PivotPolicy pivot,
@@ -88,7 +90,6 @@ class FactorDag {
   const count_t fuse_flops_;
   const int n_workers_;
 
-  std::vector<std::vector<index_t>> children_;
   /// One heap block per live update block (the schedule is not LIFO, so
   /// there is no stack to put them on), allocated uninitialized by the
   /// front's assembly — which zeroes it — and freed by its parent's.

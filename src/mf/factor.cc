@@ -27,11 +27,6 @@ ConstMatrixView CholeskyFactor::panel(index_t s) const {
   return {values_.data() + offset_[s], f, sym_->sn_cols(s), f};
 }
 
-void CholeskyFactor::reset_values() {
-  std::fill(values_.begin(), values_.end(), 0.0);
-  std::fill(d_.begin(), d_.end(), 0.0);
-}
-
 std::span<real_t> CholeskyFactor::allocate_diag() {
   d_.assign(static_cast<std::size_t>(sym_->n), 0.0);
   return d_;

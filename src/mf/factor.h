@@ -27,12 +27,6 @@ class CholeskyFactor {
   [[nodiscard]] MatrixView panel(index_t s);
   [[nodiscard]] ConstMatrixView panel(index_t s) const;
 
-  /// Zero-fills every panel (and D, if allocated) in place without touching
-  /// the allocation. Restores the freshly-constructed state the numeric
-  /// engines require, so a factor object can be reused across refactorize
-  /// calls with no allocator traffic.
-  void reset_values();
-
   /// Every panel, concatenated in supernode order: one contiguous array,
   /// laid out exactly as the OOC scratch file stores it.
   [[nodiscard]] std::span<const real_t> values() const { return values_; }

@@ -12,43 +12,82 @@
 namespace parfact::detail {
 namespace {
 
-// Scatters one segment [beg, end) of a child update-block column into
-// `dst` (offset by `row_off` local rows) while accumulating the segment's
-// sum. Four independent lanes hide the FP add latency behind the
-// scatter's indirect loads — a single running sum would serialize the loop
-// at add latency — and the fixed blocking keeps the summation order
-// deterministic. The cell updates are the same additions in the same
-// ascending-row order as the plain extend-add, so the assembled front is
-// bitwise identical to the sum-free path.
-inline real_t scatter_sum(MatrixView dst, index_t row_off, index_t dj,
-                          ConstMatrixView cu, index_t cj,
-                          std::span<const index_t> crows,
-                          const std::vector<index_t>& local_of, index_t beg,
-                          index_t end) {
-  real_t s[4] = {0.0, 0.0, 0.0, 0.0};
+// Adds rows [beg, end) of one child update-block column `src` into the
+// front column `dst`: child row ci lands in local row local_of[crows[ci]]
+// - off, one addition per cell in ascending child row. With kSums it also
+// returns the segment's sum, taken from the same read. Four independent
+// lanes hide the FP add latency behind the scatter's indirect loads — a
+// single running sum would serialize the loop at add latency — and the
+// fixed blocking keeps the summation order deterministic.
+template <bool kSums>
+inline real_t scatter_column(real_t* dst, index_t off, index_t rows,
+                             const real_t* src, const index_t* crows,
+                             const index_t* local_of, index_t beg,
+                             index_t end) {
+  real_t sum[4] = {0.0, 0.0, 0.0, 0.0};
+  const auto add = [&](index_t ci, int lane) {
+    const real_t v = src[ci];
+    const index_t r = local_of[crows[ci]] - off;
+    PARFACT_DCHECK(r >= 0 && r < rows);
+    dst[r] += v;
+    if constexpr (kSums) sum[lane] += v;
+  };
   index_t ci = beg;
   for (; ci + 4 <= end; ci += 4) {
-    for (int l = 0; l < 4; ++l) {
-      const real_t v = cu.at(ci + l, cj);
-      dst.at(local_of[crows[ci + l]] - row_off, dj) += v;
-      s[l] += v;
+    for (int l = 0; l < 4; ++l) add(ci + l, l);
+  }
+  for (; ci < end; ++ci) add(ci, 0);
+  return (sum[0] + sum[1]) + (sum[2] + sum[3]);
+}
+
+// The extend-add of child c's update block `block` into the front whose
+// row map is `local_of`: panel-mapped columns go into `panel`, the others
+// into the update seed `update`. Rows before t0 (child rows among the
+// front's own columns) land in the panel's diagonal block; a panel-mapped
+// column (cj < t0) splits there, an update-mapped one lies wholly at or
+// beyond t0. With kSums `out` receives the block's split column sums (see
+// AssemblySums); the cells get the same additions either way.
+template <bool kSums>
+void extend_add(const SymbolicFactor& sym, index_t c, const real_t* block,
+                const index_t* local_of, index_t block_end, MatrixView panel,
+                MatrixView update, std::vector<real_t>* out) {
+  const auto crows = sym.below_rows(c);
+  const index_t cb = sym.sn_below(c);
+  const index_t p = panel.cols;
+  const index_t t0 = static_cast<index_t>(
+      std::lower_bound(crows.begin(), crows.end(), block_end) -
+      crows.begin());
+  if constexpr (kSums) out->assign(static_cast<std::size_t>(cb) * 2, 0.0);
+  for (index_t cj = 0; cj < cb; ++cj) {
+    const real_t* src = block + static_cast<std::size_t>(cj) * cb;
+    const index_t lj = local_of[crows[cj]];
+    PARFACT_DCHECK(lj != kNone);
+    real_t lo = 0.0;
+    real_t hi = 0.0;
+    if (lj < p) {
+      real_t* dst = panel.data + static_cast<std::size_t>(lj) * panel.ld;
+      lo = scatter_column<kSums>(dst, 0, panel.rows, src, crows.data(),
+                                 local_of, cj, t0);
+      hi = scatter_column<kSums>(dst, 0, panel.rows, src, crows.data(),
+                                 local_of, t0, cb);
+    } else {
+      real_t* dst = update.data + static_cast<std::size_t>(lj - p) * update.ld;
+      hi = scatter_column<kSums>(dst, p, update.rows, src, crows.data(),
+                                 local_of, cj, cb);
+    }
+    if constexpr (kSums) {
+      (*out)[static_cast<std::size_t>(cj) * 2] = lo;
+      (*out)[static_cast<std::size_t>(cj) * 2 + 1] = hi;
     }
   }
-  for (; ci < end; ++ci) {
-    const real_t v = cu.at(ci, cj);
-    dst.at(local_of[crows[ci]] - row_off, dj) += v;
-    s[0] += v;
-  }
-  return (s[0] + s[1]) + (s[2] + s[3]);
 }
 
 }  // namespace
 
 void assemble_front(const SymbolicFactor& sym, index_t s,
-                    std::span<const real_t* const> update_of,
-                    const std::vector<std::vector<index_t>>& children,
-                    MatrixView panel, std::span<real_t> update_out,
-                    FrontScratch& scratch, AssemblySums* sums) {
+                    std::span<const real_t* const> update_of, MatrixView panel,
+                    std::span<real_t> update_out, FrontScratch& scratch,
+                    AssemblySums* sums) {
   const index_t p = sym.sn_cols(s);
   const index_t b = sym.sn_below(s);
   const index_t first = sym.sn_start[s];
@@ -87,60 +126,18 @@ void assemble_front(const SymbolicFactor& sym, index_t s,
     }
   }
 
-  // Extend-add the children's update blocks (fixed child order keeps the
-  // computation deterministic under any execution schedule).
-  if (sums == nullptr) {
-    for (index_t c : children[s]) {
-      const auto crows = sym.below_rows(c);
-      const index_t cb = sym.sn_below(c);
-      const ConstMatrixView cu{update_of[c], cb, cb, cb};
-      for (index_t cj = 0; cj < cb; ++cj) {
-        const index_t gj = crows[cj];
-        const index_t lj = local_of[gj];
-        PARFACT_DCHECK(lj != kNone);
-        if (lj < p) {
-          // Column lands in the panel part.
-          for (index_t ci = cj; ci < cb; ++ci) {
-            panel.at(local_of[crows[ci]], lj) += cu.at(ci, cj);
-          }
-        } else {
-          // Column lands in the trailing update part.
-          const index_t uj = lj - p;
-          for (index_t ci = cj; ci < cb; ++ci) {
-            update.at(local_of[crows[ci]] - p, uj) += cu.at(ci, cj);
-          }
-        }
-      }
-    }
-    return;
-  }
-
-  // Fused extend-add: identical scatter, plus each child block's split
-  // column sums taken from this very read. Rows before t0 (child rows
-  // among this supernode's own columns) land in the panel; rows from t0
-  // on land in the update seed. Panel-mapped columns (cj < t0) split at
-  // t0; seed-mapped columns lie entirely at or beyond t0.
-  sums->per_child.resize(children[s].size());
-  std::size_t ic = 0;
-  for (index_t c : children[s]) {
-    const auto crows = sym.below_rows(c);
-    const index_t cb = sym.sn_below(c);
-    const ConstMatrixView cu{update_of[c], cb, cb, cb};
-    const index_t t0 = static_cast<index_t>(
-        std::lower_bound(crows.begin(), crows.end(), block_end) -
-        crows.begin());
-    std::vector<real_t>& out = sums->per_child[ic++];
-    out.assign(static_cast<std::size_t>(cb) * 2, 0.0);
-    for (index_t cj = 0; cj < cb; ++cj) {
-      const index_t lj = local_of[crows[cj]];
-      PARFACT_DCHECK(lj != kNone);
-      real_t* o = out.data() + static_cast<std::size_t>(cj) * 2;
-      if (lj < p) {
-        o[0] = scatter_sum(panel, 0, lj, cu, cj, crows, local_of, cj, t0);
-        o[1] = scatter_sum(panel, 0, lj, cu, cj, crows, local_of, t0, cb);
-      } else {
-        o[1] = scatter_sum(update, p, lj - p, cu, cj, crows, local_of, cj, cb);
-      }
+  // Extend-add the children's update blocks in the tree's child order, so
+  // every cell sums the same terms in the same order under any schedule.
+  const auto children = sym.children(s);
+  if (sums != nullptr) sums->per_child.resize(children.size());
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    const index_t c = children[i];
+    if (sums == nullptr) {
+      extend_add<false>(sym, c, update_of[c], local_of.data(), block_end,
+                        panel, update, nullptr);
+    } else {
+      extend_add<true>(sym, c, update_of[c], local_of.data(), block_end,
+                       panel, update, &sums->per_child[i]);
     }
   }
 }
@@ -191,12 +188,11 @@ void ldlt_scale_panel(MatrixView l21, std::span<const real_t> d,
 
 count_t eliminate_front(const SymbolicFactor& sym, index_t s,
                         std::span<const real_t* const> update_of,
-                        const std::vector<std::vector<index_t>>& children,
                         MatrixView panel, std::span<real_t> update_out,
                         std::span<real_t> m, FrontScratch& scratch,
                         FactorKind kind, std::span<real_t> d,
                         const PivotPolicy& pivot, FrontHooks* hooks) {
-  assemble_front(sym, s, update_of, children, panel, update_out, scratch,
+  assemble_front(sym, s, update_of, panel, update_out, scratch,
                  hooks != nullptr ? hooks->assembly_sums() : nullptr);
   const index_t p = sym.sn_cols(s);
   const index_t b = sym.sn_below(s);
@@ -236,12 +232,4 @@ count_t eliminate_front(const SymbolicFactor& sym, index_t s,
   return front.boosted;
 }
 
-std::vector<std::vector<index_t>> build_children(const SymbolicFactor& sym) {
-  std::vector<std::vector<index_t>> children(
-      static_cast<std::size_t>(sym.n_supernodes));
-  for (index_t s = 0; s < sym.n_supernodes; ++s) {
-    if (sym.sn_parent[s] != kNone) children[sym.sn_parent[s]].push_back(s);
-  }
-  return children;
-}
 }  // namespace parfact::detail

@@ -29,8 +29,8 @@ struct FrontScratch {
 /// Split column sums of the child update blocks consumed by assembly,
 /// produced on request by assemble_front (the ABFT hooks'
 /// consumption-time verification — the blocks are summed from the very
-/// read the extend-add performs, never re-read). For child i (in fixed
-/// child order) and column cj of its block, entry [2*cj+0] holds the sum
+/// read the extend-add performs, never re-read). For child i (the i-th of
+/// sym.children(s)) and column cj of its block, entry [2*cj+0] holds the sum
 /// over the rows that land in the parent's panel and [2*cj+1] the sum over
 /// the rows that land in the parent's update seed; their total is the
 /// block column's full lower sum.
@@ -40,22 +40,21 @@ struct AssemblySums {
 
 /// Stage 1 — assembly: zeroes `update_out` (the b x b update block of
 /// supernode s, column-major with ld = b, in storage the caller provides),
-/// scatters the original matrix columns of s into `panel`, then
-/// extend-adds the children's update blocks *in fixed child order* (the
-/// deterministic-merge discipline: the summation order per element never
-/// depends on the execution schedule). `update_of[c]` is child c's block;
-/// children's blocks are read, not freed. The scratch map is restored on
-/// every exit path.
+/// scatters the original matrix columns of s into `panel` (which the
+/// caller zeroed), then extend-adds the children's update blocks in the
+/// order of sym.children(s) (the deterministic-merge discipline: the
+/// summation order per element never depends on the execution schedule).
+/// `update_of[c]` is child c's block; children's blocks are read, not
+/// freed. The scratch map is restored on every exit path.
 ///
 /// With `sums` non-null the extend-add also records each child block's
 /// split column sums (see AssemblySums); the scatter performs the same
 /// cell updates in the same order, so the assembled front is bitwise
 /// identical either way.
 void assemble_front(const SymbolicFactor& sym, index_t s,
-                    std::span<const real_t* const> update_of,
-                    const std::vector<std::vector<index_t>>& children,
-                    MatrixView panel, std::span<real_t> update_out,
-                    FrontScratch& scratch, AssemblySums* sums = nullptr);
+                    std::span<const real_t* const> update_of, MatrixView panel,
+                    std::span<real_t> update_out, FrontScratch& scratch,
+                    AssemblySums* sums = nullptr);
 
 /// Stage 2 — diagonal-block factorization: POTRF (Cholesky) or LDLᵀ of the
 /// leading p x p block of `panel`; in LDLᵀ mode writes diag(D) for this
@@ -130,16 +129,11 @@ inline constexpr count_t kFrontRejected = -1;
 /// with or without them. The kernel allocates nothing itself.
 count_t eliminate_front(const SymbolicFactor& sym, index_t s,
                         std::span<const real_t* const> update_of,
-                        const std::vector<std::vector<index_t>>& children,
                         MatrixView panel, std::span<real_t> update_out,
                         std::span<real_t> m, FrontScratch& scratch,
                         FactorKind kind, std::span<real_t> d,
                         const PivotPolicy& pivot = {},
                         FrontHooks* hooks = nullptr);
-
-/// Child lists of the assembly tree.
-[[nodiscard]] std::vector<std::vector<index_t>> build_children(
-    const SymbolicFactor& sym);
 
 /// Where the serial driver puts finished panels: `factor`, or else the
 /// `spill` file, written from a buffer on the update-block arena once a

@@ -158,7 +158,6 @@ struct SerialDriver {
   const CancelToken cancel;
   const WorkingSetEstimate est =
       estimate_working_set(sym, kind == FactorKind::kLdlt);
-  const std::vector<std::vector<index_t>> children = build_children(sym);
   const std::vector<char> back = odd_depth(sym);
   UpdateArena arena{dest.spill != nullptr ? est.peak_ooc_update_bytes
                                           : est.peak_update_bytes};
@@ -178,8 +177,8 @@ struct SerialDriver {
   }
 
   // Factors the contiguous postorder range [lo, hi]: the whole forest, or
-  // one subtree [first_descendant(hi), hi]. A repaired child subtree's root
-  // `hi` keeps its live block (`hi_live`).
+  // one subtree [sym.first_descendant(hi), hi]. A repaired child subtree's
+  // root `hi` keeps its live block (`hi_live`).
   void run(index_t lo, index_t hi, bool hi_live = false) {
     for (index_t s = lo; s <= hi; ++s) {
       cancel.throw_if_cancelled();
@@ -187,7 +186,8 @@ struct SerialDriver {
         update_of[s] = arena.push(block_size(s), back[s]);
       }
       run_front(s);
-      for (auto c = children[s].rbegin(); c != children[s].rend(); ++c) {
+      const auto children = sym.children(s);
+      for (auto c = children.rbegin(); c != children.rend(); ++c) {
         arena.pop(update_of[*c], block_size(*c), back[*c]);
         update_of[*c] = nullptr;
       }
@@ -208,7 +208,7 @@ struct SerialDriver {
       // it is a fresh allocation visited for the first time.
       if (spill != nullptr || attempt > 0 || !panels_zeroed) panel.fill(0.0);
       const count_t boosted = eliminate_front(
-          sym, s, update_of, children, panel, {update_of[s], block_size(s)},
+          sym, s, update_of, panel, {update_of[s], block_size(s)},
           {m_buf.get(), est.max_m_bytes / sizeof(real_t)}, scratch, kind, d,
           pivot, hooks);
       if (boosted != kFrontRejected) {
@@ -224,13 +224,12 @@ struct SerialDriver {
       // any corrupt child subtree before the retry.
       hooks->rejected(s, attempt);
       ++fronts_recomputed;
-      for (const index_t c : children[s]) {
+      for (const index_t c : sym.children(s)) {
         const index_t cb = sym.sn_below(c);
         if (hooks->block_corrupt(c, {update_of[c], cb, cb, cb})) {
           // Regenerates c's block in place; every panel of the subtree was
           // written before, so all of them restart from zero.
-          index_t lo = c;
-          while (!children[lo].empty()) lo = children[lo].front();
+          const index_t lo = sym.first_descendant(c);
           panels_zeroed = false;
           fronts_recomputed += c - lo + 1;
           run(lo, c, /*hi_live=*/true);
@@ -256,7 +255,7 @@ void factor_serial(const SymbolicFactor& sym, PanelDest dest, FactorKind kind,
   if (root == kNone) {
     driver.run(0, sym.n_supernodes - 1);
   } else {
-    driver.run(first_descendant(sym, root), root);
+    driver.run(sym.first_descendant(root), root);
   }
   // The arena holds the estimate's peak, so only a repair may overflow it.
   PARFACT_CHECK(driver.fronts_recomputed > 0 ||

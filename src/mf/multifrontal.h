@@ -68,7 +68,8 @@ struct PivotPolicy {
 /// No ordering, symbolic analysis, or panel allocation happens — this is
 /// the numeric-only fast path behind Solver::refactorize. Bitwise identical
 /// to a cold multifrontal_factor on the same values. On throw (breakdown /
-/// cancellation) the panel contents are unspecified; discard or reset them.
+/// cancellation) the panel contents are unspecified until the next
+/// factorization into `factor` overwrites them.
 void multifrontal_refactor(const SymbolicFactor& sym, CholeskyFactor& factor,
                            FactorStats* stats = nullptr,
                            FactorKind kind = FactorKind::kCholesky,

@@ -80,14 +80,6 @@ count_t front_local_bytes(const FrontBlocking& fb, int pr, int pc, int gr,
   return total * static_cast<count_t>(sizeof(real_t));
 }
 
-bool grid_row_owns_below(const FrontBlocking& fb, index_t kb, int ri,
-                         int pr) {
-  for (index_t ib = kb + 1; ib < fb.nB; ++ib) {
-    if (static_cast<int>(ib) % pr == ri) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 PerfResult simulate_factor_time(const SymbolicFactor& sym, const FrontMap& map,
@@ -106,10 +98,6 @@ PerfResult simulate_factor_time(const SymbolicFactor& sym, const FrontMap& map,
   // contributions depart then), plus the update-region byte volume.
   std::vector<std::vector<double>> finish(static_cast<std::size_t>(ns));
   std::vector<count_t> update_entries(static_cast<std::size_t>(ns), 0);
-  std::vector<std::vector<index_t>> children(static_cast<std::size_t>(ns));
-  for (index_t s = 0; s < ns; ++s) {
-    if (sym.sn_parent[s] != kNone) children[sym.sn_parent[s]].push_back(s);
-  }
 
   for (index_t s = 0; s < ns; ++s) {
     const FrontBlocking fb = FrontBlocking::make(
@@ -144,7 +132,7 @@ PerfResult simulate_factor_time(const SymbolicFactor& sym, const FrontMap& map,
     // contribution stream its columns need — assembly of block column kb is
     // a dependency of POTRF(kb), not a front-wide barrier.
     std::vector<std::pair<double, double>> ea_ramp;  // taskdag: base, slope
-    for (index_t c : children[s]) {
+    for (index_t c : sym.children(s)) {
       const int cr0 = map.rank_begin[c];
       const int cnp = map.rank_count[c];
       // Every child rank sends one message per parent rank. The all-pairs
@@ -210,7 +198,7 @@ PerfResult simulate_factor_time(const SymbolicFactor& sym, const FrontMap& map,
                model.flop_rate);
       // Diagonal block down the grid column.
       for (int ri = 0; ri < pr; ++ri) {
-        if (ri == kbr || !grid_row_owns_below(fb, kb, ri, pr)) continue;
+        if (ri == kbr || !fb.grid_row_owns_below(kb, ri, pr)) continue;
         clk.msg(diag, r0 + kbc * pr + ri,
                 static_cast<double>(bk) * bk * sizeof(real_t), model);
       }
@@ -379,10 +367,6 @@ PerfResult simulate_solve_time(const SymbolicFactor& sym, const FrontMap& map,
   const int p = map.n_ranks;
   Clocks clk(p);
   const index_t ns = sym.n_supernodes;
-  std::vector<std::vector<index_t>> children(static_cast<std::size_t>(ns));
-  for (index_t s = 0; s < ns; ++s) {
-    if (sym.sn_parent[s] != kNone) children[sym.sn_parent[s]].push_back(s);
-  }
   const double vec_bytes = static_cast<double>(nrhs) * sizeof(real_t);
 
   // Forward then backward; both sweeps have the same block structure, so
@@ -403,7 +387,7 @@ PerfResult simulate_solve_time(const SymbolicFactor& sym, const FrontMap& map,
       // clocks, which the shared-rank model already couples. Contribution
       // routing messages (forward only):
       if (forward) {
-        for (index_t c : children[s]) {
+        for (index_t c : sym.children(s)) {
           const int cnp = map.rank_count[c];
           const double bytes_per_pair =
               static_cast<double>(sym.sn_below(c)) * vec_bytes * 2.0 / cnp /

@@ -18,23 +18,18 @@ SolveSchedule::SolveSchedule(const SymbolicFactor& symbolic,
   // postorder, so one ascending pass settles the flags transitively.
   std::vector<char> light(static_cast<std::size_t>(ns), 1);
   std::vector<char> heavy_child(static_cast<std::size_t>(ns), 0);
-  std::vector<index_t> first_desc(static_cast<std::size_t>(ns));
-  for (index_t s = 0; s < ns; ++s) first_desc[s] = s;
   for (index_t s = 0; s < ns; ++s) {
     const count_t p = symbolic.sn_cols(s);
     const count_t b = symbolic.sn_below(s);
     const count_t work = p * p + 2 * p * b;
     light[s] = (work < opts.task_work) && !heavy_child[s];
     const index_t parent = symbolic.sn_parent[s];
-    if (parent != kNone) {
-      if (!light[s]) heavy_child[parent] = 1;
-      first_desc[parent] = std::min(first_desc[parent], first_desc[s]);
-    }
+    if (parent != kNone && !light[s]) heavy_child[parent] = 1;
   }
 
   // Task roots: light supernodes whose parent is absent or not light. The
-  // postorder makes each subtree the contiguous range [first_desc[r], r].
-  // Top-of-tree levels propagate child -> parent in the same ascending
+  // postorder makes each subtree the contiguous range [first_descendant(r),
+  // r]. Top-of-tree levels propagate child -> parent in the same ascending
   // pass: a supernode's level ends up strictly above every non-light
   // child's, so one level's supernodes are mutually ancestor-free.
   std::vector<index_t> level(static_cast<std::size_t>(ns), 0);
@@ -43,7 +38,7 @@ SolveSchedule::SolveSchedule(const SymbolicFactor& symbolic,
     const index_t parent = symbolic.sn_parent[s];
     if (light[s]) {
       if (parent == kNone || !light[parent]) {
-        task_first.push_back(first_desc[s]);
+        task_first.push_back(symbolic.first_descendant(s));
         task_root.push_back(s);
       }
       continue;

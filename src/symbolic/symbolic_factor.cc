@@ -51,6 +51,28 @@ void SymbolicFactor::validate() const {
       PARFACT_CHECK(!rows.empty() && rows.front() == parent[last]);
     }
   }
+  // Child lists: ascending, each child names its list's owner as parent,
+  // and together they hold every non-root exactly once; the first
+  // descendant is the smallest supernode of the subtree.
+  PARFACT_CHECK(static_cast<index_t>(sn_child_ptr.size()) == n_supernodes + 1);
+  PARFACT_CHECK(sn_child_ptr.front() == 0 &&
+                sn_child_ptr.back() == static_cast<index_t>(sn_child.size()));
+  index_t n_roots = 0;
+  std::vector<index_t> smallest(static_cast<std::size_t>(n_supernodes));
+  for (index_t s = 0; s < n_supernodes; ++s) {
+    PARFACT_CHECK(sn_child_ptr[s] <= sn_child_ptr[s + 1]);
+    if (sn_parent[s] == kNone) ++n_roots;
+    smallest[s] = s;
+    const auto kids = children(s);
+    for (std::size_t k = 0; k < kids.size(); ++k) {
+      PARFACT_CHECK(sn_parent[kids[k]] == s);
+      if (k > 0) PARFACT_CHECK(kids[k - 1] < kids[k]);
+      smallest[s] = std::min(smallest[s], smallest[kids[k]]);
+    }
+    PARFACT_CHECK(first_descendant(s) == smallest[s]);
+  }
+  PARFACT_CHECK(static_cast<index_t>(sn_child.size()) ==
+                n_supernodes - n_roots);
 }
 
 namespace {
@@ -196,14 +218,26 @@ SymbolicFactor analyze(const SparseMatrix& lower,
     if (sf.parent[last] != kNone) sf.sn_parent[s] = sf.sn_of[sf.parent[last]];
   }
 
+  // The same tree as ascending child lists: a counting sort by parent.
+  sf.sn_child_ptr.assign(static_cast<std::size_t>(sf.n_supernodes) + 1, 0);
+  for (index_t s = 0; s < sf.n_supernodes; ++s) {
+    if (sf.sn_parent[s] != kNone) ++sf.sn_child_ptr[sf.sn_parent[s] + 1];
+  }
+  for (index_t s = 0; s < sf.n_supernodes; ++s) {
+    sf.sn_child_ptr[s + 1] += sf.sn_child_ptr[s];
+  }
+  sf.sn_child.resize(static_cast<std::size_t>(sf.sn_child_ptr.back()));
+  {
+    std::vector<index_t> fill(sf.sn_child_ptr.begin(),
+                              sf.sn_child_ptr.end() - 1);
+    for (index_t s = 0; s < sf.n_supernodes; ++s) {
+      if (sf.sn_parent[s] != kNone) sf.sn_child[fill[sf.sn_parent[s]]++] = s;
+    }
+  }
+
   // Exact below-row structure: union of this supernode's A columns and the
   // children's below rows, restricted to rows beyond the block. Children
   // precede parents in supernode numbering (postorder), so one sweep works.
-  std::vector<std::vector<index_t>> children(
-      static_cast<std::size_t>(sf.n_supernodes));
-  for (index_t s = 0; s < sf.n_supernodes; ++s) {
-    if (sf.sn_parent[s] != kNone) children[sf.sn_parent[s]].push_back(s);
-  }
   sf.sn_row_ptr.assign(static_cast<std::size_t>(sf.n_supernodes) + 1, 0);
   std::vector<index_t> marker(static_cast<std::size_t>(n), kNone);
   std::vector<std::vector<index_t>> rows_of(
@@ -220,7 +254,7 @@ SymbolicFactor analyze(const SparseMatrix& lower,
         }
       }
     }
-    for (index_t c : children[s]) {
+    for (index_t c : sf.children(s)) {
       for (index_t i : rows_of[c]) {
         if (i >= block_end && marker[i] != s) {
           marker[i] = s;

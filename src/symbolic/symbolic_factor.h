@@ -46,6 +46,11 @@ struct SymbolicFactor {
                                    ///< [sn_start[s], sn_start[s+1])
   std::vector<index_t> sn_of;      ///< column -> supernode
   std::vector<index_t> sn_parent;  ///< assembly tree, kNone at roots
+  /// The same tree as child lists (CSR): the children of s are
+  /// sn_child[sn_child_ptr[s] .. sn_child_ptr[s+1]), ascending. Every
+  /// engine extend-adds a front's children in this order.
+  std::vector<index_t> sn_child_ptr;  ///< size n_supernodes+1
+  std::vector<index_t> sn_child;
   std::vector<index_t> sn_row_ptr; ///< size n_supernodes+1
   std::vector<index_t> sn_rows;    ///< ascending below-block rows per sn
 
@@ -67,6 +72,19 @@ struct SymbolicFactor {
   [[nodiscard]] std::span<const index_t> below_rows(index_t s) const {
     return {sn_rows.data() + sn_row_ptr[s],
             static_cast<std::size_t>(sn_below(s))};
+  }
+  /// Children of supernode s in the assembly tree, ascending.
+  [[nodiscard]] std::span<const index_t> children(index_t s) const {
+    return {sn_child.data() + sn_child_ptr[s],
+            static_cast<std::size_t>(sn_child_ptr[s + 1] - sn_child_ptr[s])};
+  }
+  /// Smallest supernode of s's subtree: the postorder makes the subtree the
+  /// contiguous range [first_descendant(s), s].
+  [[nodiscard]] index_t first_descendant(index_t s) const {
+    while (sn_child_ptr[s] < sn_child_ptr[s + 1]) {
+      s = sn_child[sn_child_ptr[s]];
+    }
+    return s;
   }
 
   /// Validates all internal invariants (used by tests).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <vector>
 
 namespace parfact {
 
@@ -25,11 +24,6 @@ WorkingSetEstimate estimate_working_set(const SymbolicFactor& sym,
   // s's b×b contribution block while the children's blocks are still live
   // (extend-add reads them), then pops the children — so the peak candidate
   // at s is live-before + own block (+ the streamed panel buffer, OOC).
-  std::vector<std::vector<index_t>> children(
-      static_cast<std::size_t>(sym.n_supernodes));
-  for (index_t s = 0; s < sym.n_supernodes; ++s) {
-    if (sym.sn_parent[s] != kNone) children[sym.sn_parent[s]].push_back(s);
-  }
   auto update_bytes = [&](index_t s) {
     const std::size_t b = static_cast<std::size_t>(sym.sn_below(s));
     return b * b * real_sz;
@@ -45,7 +39,7 @@ WorkingSetEstimate estimate_working_set(const SymbolicFactor& sym,
     est.peak_update_bytes = std::max(est.peak_update_bytes, live);
     est.peak_ooc_update_bytes =
         std::max(est.peak_ooc_update_bytes, live + panel_bytes(s));
-    for (index_t c : children[s]) live -= update_bytes(c);
+    for (index_t c : sym.children(s)) live -= update_bytes(c);
 
     if (panel_bytes(s) > est.largest_front_bytes) {
       est.largest_front_bytes = panel_bytes(s);

@@ -394,7 +394,7 @@ TEST(Abft, VerifyFactorLocalizesAndRecomputeSubtreeHeals) {
   const count_t healed =
       recompute_subtree(sym, bad, FactorKind::kCholesky, {}, victim, &sums);
   EXPECT_GE(healed, 1);
-  EXPECT_EQ(healed, bad - first_descendant(sym, bad) + 1);
+  EXPECT_EQ(healed, bad - sym.first_descendant(bad) + 1);
   EXPECT_EQ(verify_factor(sym, victim, sums), kNone);
   expect_factors_bitwise_equal(sym, reference, victim);
 }
@@ -403,9 +403,9 @@ TEST(Abft, FirstDescendantSpansContiguousSubtrees) {
   const SparseMatrix a = test_matrix();
   const SymbolicFactor sym = analyze(a);
   // Root subtree is the whole postorder; leaves are their own subtree.
-  EXPECT_EQ(first_descendant(sym, sym.n_supernodes - 1), 0);
+  EXPECT_EQ(sym.first_descendant(sym.n_supernodes - 1), 0);
   for (index_t s = 0; s < sym.n_supernodes; ++s) {
-    const index_t fd = first_descendant(sym, s);
+    const index_t fd = sym.first_descendant(s);
     EXPECT_GE(fd, 0);
     EXPECT_LE(fd, s);
   }
@@ -468,10 +468,10 @@ TEST(SolverSdc, AbftWithSpillBudgetRepairsUpdateFlipOnDisk) {
   // repair re-runs a multi-front subtree whose panels are already on disk.
   index_t target = kNone;
   for (index_t s = 0; s < sym.n_supernodes && target == kNone; ++s) {
-    if (sym.sn_below(s) > 0 && first_descendant(sym, s) < s) target = s;
+    if (sym.sn_below(s) > 0 && sym.first_descendant(s) < s) target = s;
   }
   ASSERT_NE(target, kNone);
-  const index_t subtree = target - first_descendant(sym, target) + 1;
+  const index_t subtree = target - sym.first_descendant(target) + 1;
 
   SolverOptions options;
   options.abft = true;
@@ -610,7 +610,8 @@ TEST(SolverSdc, StoredFactorFlipHealedByLocalizedRecompute) {
 TEST(SolverSdc, StoredFactorFlipHealedByFullRecomputeWithoutChecksums) {
   // Without abft there are no at-rest checksums: the verifier falls back
   // to recomputing the whole factor, which still restores the bitwise
-  // reference answer.
+  // reference answer. It recomputes in place, inside the allocation the
+  // factorization was admitted with, so the panels do not move.
   const SparseMatrix a = test_matrix();
   const std::vector<real_t> b = random_vector(a.rows, 6);
 
@@ -627,9 +628,40 @@ TEST(SolverSdc, StoredFactorFlipHealedByFullRecomputeWithoutChecksums) {
   Solver solver(options);
   solver.analyze(a);
   ASSERT_TRUE(solver.factorize().ok());
+  const real_t* const panels = solver.factor().panel(0).data;
   const std::vector<real_t> x = solver.solve(b);
   EXPECT_TRUE(solver.report().corruption_detected);
   EXPECT_EQ(solver.report().fronts_recomputed, solver.report().n_supernodes);
+  EXPECT_EQ(solver.factor().panel(0).data, panels);
+  ASSERT_EQ(x.size(), want.size());
+  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(x[i], want[i]);
+}
+
+TEST(SolverSdc, StoredFactorFlipHealedInBatchSolve) {
+  // solve_batch() verifies its answer like solve_multi(): the first column
+  // under kSampled. The healed batch re-runs the batch's own sweeps and
+  // refinement passes, so it is bitwise the clean batch.
+  const SparseMatrix a = test_matrix();
+  constexpr index_t kNrhs = 5;
+  const std::vector<real_t> b = random_vector(a.rows * kNrhs, 7);
+
+  Solver reference;
+  reference.analyze(a);
+  ASSERT_TRUE(reference.factorize().ok());
+  const std::vector<real_t> want = reference.solve_batch(b, kNrhs);
+
+  SolverOptions options;
+  options.verify = SolverOptions::Verify::kSampled;
+  options.inject_sdc = SdcInjection{};
+  options.inject_sdc->site = SdcSite::kStoredFactor;
+  options.inject_sdc->supernode = 1;
+  Solver solver(options);
+  solver.analyze(a);
+  ASSERT_TRUE(solver.factorize().ok());
+  const std::vector<real_t> x = solver.solve_batch(b, kNrhs);
+  EXPECT_TRUE(solver.report().corruption_detected);
+  EXPECT_LE(solver.report().verify_residual, options.verify_tolerance);
+  EXPECT_EQ(solver.report().batch_rhs, kNrhs);
   ASSERT_EQ(x.size(), want.size());
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(x[i], want[i]);
 }
