@@ -340,7 +340,7 @@ Status SolverService::solve_batch(SessionId id, std::span<const real_t> b,
     }
     if (budget_.limited()) try_reload(session);
     try {
-      x = session.solver->solve_batch(b, nrhs);
+      x = session.solver->solve_refined(b, nrhs);
     } catch (const StatusError& e) {
       return e.status();
     }

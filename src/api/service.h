@@ -115,7 +115,10 @@ class SolverService {
   Status solve(SessionId id, std::span<const real_t> b,
                std::vector<real_t>& x);
 
-  /// Batched solve of nrhs column-major right-hand sides.
+  /// Batched solve of nrhs column-major right-hand sides: the answers are
+  /// exactly Solver::solve_refined(b, nrhs)'s — blocked sweeps, at most
+  /// refinement_steps blocked corrections with its early stop, then
+  /// options.verify — where it used to run one fixed correction pass.
   Status solve_batch(SessionId id, std::span<const real_t> b, index_t nrhs,
                      std::vector<real_t>& x);
 

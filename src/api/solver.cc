@@ -66,8 +66,8 @@ real_t componentwise_residual(const SparseMatrix& lower,
   return worst;
 }
 
-/// solve_refined()'s early exit: the residual below which another
-/// correction cannot help.
+/// solve_refined()'s early exit: the worst per-column residual below which
+/// another correction cannot help.
 constexpr real_t kRefinedSolveStop = 1e-14;
 
 }  // namespace
@@ -559,20 +559,45 @@ std::vector<real_t> Solver::solve(std::span<const real_t> b) const {
 
 std::vector<real_t> Solver::solve_multi(std::span<const real_t> b,
                                         index_t nrhs) const {
-  PARFACT_CHECK_MSG(has_factor(), "solve() before factorize()");
-  check_rhs(b.size(), nrhs, "solve_multi");
-  std::vector<real_t> x = solve_permuted(b, nrhs);
+  return solve_verified(b, nrhs, 0, "solve_multi");
+}
+
+std::vector<real_t> Solver::solve_refined(std::span<const real_t> b,
+                                          index_t nrhs) const {
+  return solve_verified(b, nrhs, options_.refinement_steps, "solve_refined");
+}
+
+std::vector<real_t> Solver::solve_verified(std::span<const real_t> b,
+                                           index_t nrhs, int refinement_steps,
+                                           const char* fn) const {
+  PARFACT_CHECK_MSG(has_factor(), fn << "() before factorize()");
+  check_rhs(b.size(), nrhs, fn);
+  // A repaired factor answers through the same sweeps and corrections, so
+  // a healed answer is bitwise the clean one.
+  const auto sweep = [&] { return solve_permuted(b, nrhs, refinement_steps); };
+  std::vector<real_t> x = sweep();
   if (options_.verify != SolverOptions::Verify::kOff) {
-    verify_and_repair(b, x, [&] { return solve_permuted(b, nrhs); });
+    verify_and_repair(b, x, sweep);
   }
   return x;
 }
 
 std::vector<real_t> Solver::solve_permuted(std::span<const real_t> b,
-                                           index_t nrhs) const {
+                                           index_t nrhs,
+                                           int refinement_steps) const {
   const index_t n = sym_->n;
   std::vector<real_t> px = permute_in(b);
-  solve_postordered(MatrixView{px.data(), n, nrhs, n});
+  const MatrixView xv{px.data(), n, nrhs, n};
+  if (refinement_steps <= 0) {
+    solve_postordered(xv);
+    return permute_out(px);
+  }
+  // Refine in the postordered space, where the factor lives; px becomes x
+  // in place, so keep the permuted right-hand sides.
+  const std::vector<real_t> pb = px;
+  solve_postordered(xv);
+  (void)refine(sym_->a, ConstMatrixView{pb.data(), n, nrhs, n}, xv, solve_fn(),
+               refinement_steps, kRefinedSolveStop);
   return permute_out(px);
 }
 
@@ -650,71 +675,6 @@ void Solver::verify_and_repair(
       Status::failure(StatusCode::kDataCorruption, os.str()));
 }
 
-std::vector<real_t> Solver::solve_batch(std::span<const real_t> b,
-                                        index_t nrhs) const {
-  PARFACT_CHECK_MSG(has_factor(), "solve_batch() before factorize()");
-  const index_t n = sym_->n;
-  check_rhs(b.size(), nrhs, "solve_batch");
-  WallTimer timer;
-  const int passes = options_.batch_refinement_passes;
-  real_t residual = 0.0;
-  const auto sweep = [&] {
-    std::vector<real_t> px = permute_in(b);
-    const MatrixView xv{px.data(), n, nrhs, n};
-    // px becomes x in place; keep the permuted right-hand sides for the
-    // batched refinement passes.
-    const std::vector<real_t> pb = passes > 0 ? px : std::vector<real_t>{};
-    solve_postordered(xv);
-    if (passes > 0) {
-      // Refine the whole batch at once: one SpMV per column per pass plus
-      // one blocked correction solve per pass.
-      residual = refine(sym_->a, ConstMatrixView{pb.data(), n, nrhs, n}, xv,
-                        solve_fn(), passes)
-                     .residual;
-    }
-    return permute_out(px);
-  };
-  std::vector<real_t> x = sweep();
-  // A repaired factor answers through the same sweeps and passes, so a
-  // healed batch is bitwise the clean one.
-  if (options_.verify != SolverOptions::Verify::kOff) {
-    verify_and_repair(b, x, sweep);
-  }
-  const double seconds = timer.seconds();
-  // Every sweep streams each panel once per RHS block, resident or
-  // spilled, and moves each block's arena slice twice.
-  const index_t wb = options_.solve_rhs_block;
-  const double n_blocks = static_cast<double>((nrhs + wb - 1) / wb);
-  const double sweeps = n_blocks * (1.0 + passes);
-  const double panel_bytes =
-      2.0 * static_cast<double>(sym_->nnz_stored) * sizeof(real_t);
-  const double arena_bytes =
-      2.0 * static_cast<double>(solve_schedule_->arena_entries_per_rhs()) *
-      static_cast<double>(nrhs) * sizeof(real_t) * (1.0 + passes);
-  report_.batch_rhs = nrhs;
-  report_.batch_seconds = seconds;
-  report_.batch_solves_per_second =
-      seconds > 0.0 ? static_cast<double>(nrhs) / seconds : 0.0;
-  report_.batch_bytes_per_solve =
-      (sweeps * panel_bytes + arena_bytes) / static_cast<double>(nrhs);
-  report_.batch_residual = residual;
-  return x;
-}
-
-std::vector<real_t> Solver::solve_refined(std::span<const real_t> b) const {
-  PARFACT_CHECK_MSG(has_factor(), "solve() before factorize()");
-  const index_t n = sym_->n;
-  check_rhs(b.size(), 1, "solve_refined");
-  // Refine in the postordered space, where the factor lives.
-  const std::vector<real_t> pb = permute_in(b);
-  std::vector<real_t> px = pb;
-  const MatrixView xv{px.data(), n, 1, n};
-  solve_postordered(xv);
-  (void)refine(sym_->a, ConstMatrixView{pb.data(), n, 1, n}, xv, solve_fn(),
-               options_.refinement_steps, kRefinedSolveStop);
-  return permute_out(px);
-}
-
 real_t Solver::residual(std::span<const real_t> x,
                         std::span<const real_t> b) const {
   return relative_residual(original_lower_, x, b);
@@ -761,12 +721,15 @@ RobustSolveResult Solver::solve_robust(std::span<const real_t> b) const {
   }
 
   // Last resort: IC(0)-preconditioned CG on the original matrix,
-  // warm-started from the best direct answer. IC(0) runs with pivot
-  // boosting so a perturbed/indefinite-leaning matrix still yields a
-  // usable preconditioner; if it breaks down anyway, fall back to
-  // unpreconditioned CG.
+  // warm-started from the best direct answer — or from zero when that
+  // answer is not finite, which no CG iteration could recover from. IC(0)
+  // runs with pivot boosting so a perturbed/indefinite-leaning matrix
+  // still yields a usable preconditioner; if it breaks down anyway, fall
+  // back to unpreconditioned CG.
   {
-    std::vector<real_t> x_cg = result.x;
+    std::vector<real_t> x_cg = std::isfinite(result.residual)
+                                   ? result.x
+                                   : std::vector<real_t>(b.size(), 0.0);
     std::optional<SparseMatrix> ic0;
     try {
       PivotPolicy pivot;
@@ -824,43 +787,6 @@ const OocCholeskyFactor& Solver::ooc_factor() const {
   PARFACT_CHECK_MSG(ooc_factor_.has_value(),
                     "ooc_factor(): last factorization did not spill");
   return *ooc_factor_;
-}
-
-SolveBatch::SolveBatch(const Solver& solver)
-    : solver_(&solver), n_(solver.symbolic().n) {}
-
-index_t SolveBatch::add(std::span<const real_t> b) {
-  if (static_cast<index_t>(b.size()) != n_) {
-    std::ostringstream os;
-    os << "SolveBatch::add: right-hand side has " << b.size()
-       << " entries, matrix order is " << n_;
-    throw_invalid(os.str());
-  }
-  solved_ = false;
-  b_.insert(b_.end(), b.begin(), b.end());
-  return nrhs_++;
-}
-
-void SolveBatch::solve() {
-  if (nrhs_ <= 0) {
-    throw_invalid("SolveBatch::solve: batch holds no right-hand sides");
-  }
-  x_ = solver_->solve_batch(b_, nrhs_);
-  solved_ = true;
-}
-
-std::span<const real_t> SolveBatch::solution(index_t i) const {
-  PARFACT_CHECK_MSG(solved_, "SolveBatch::solution() before solve()");
-  PARFACT_CHECK(i >= 0 && i < nrhs_);
-  return {x_.data() + static_cast<std::size_t>(i) * n_,
-          static_cast<std::size_t>(n_)};
-}
-
-void SolveBatch::reset() {
-  b_.clear();
-  x_.clear();
-  nrhs_ = 0;
-  solved_ = false;
 }
 
 SymbolicFactor analyze_nested_dissection(const SparseMatrix& lower,

@@ -67,9 +67,6 @@ struct SolverOptions {
   /// flops-per-byte knob (and the reproducibility granule — results are
   /// bitwise-stable for a fixed block width).
   index_t solve_rhs_block = 32;
-  /// Iterative-refinement passes applied per solve_batch() call (one
-  /// blocked correction sweep each; 0 disables refinement for batches).
-  int batch_refinement_passes = 1;
   /// Memory budget for factorize() (0 = unlimited). Admission is checked
   /// against the symbolic working-set estimate before any numeric
   /// allocation; a factorization that does not fit in-core degrades to the
@@ -97,14 +94,14 @@ struct SolverOptions {
   bool abft = false;
   real_t abft_tolerance = 1e-8;  ///< ABFT identity tolerance
   /// Post-solve end-to-end verification of solve(), solve_multi() and
-  /// solve_batch() results: componentwise scaled residual
+  /// solve_refined() results: componentwise scaled residual
   /// max_i |b−Ax|_i / (|A||x|+|b|)_i against verify_tolerance. kSampled
   /// checks the first right-hand side of each call; kFull checks every
   /// column. On failure the solver verifies the stored factor against its
   /// checksums, recomputes the corrupt subtree (or, when no checksums are
   /// armed, the whole factor in place), re-solves through the same call's
-  /// path (a batch through its sweeps and refinement passes), and only if
-  /// verification still fails throws kDataCorruption — a silent wrong
+  /// path (a refined solve through its sweeps and corrections), and only
+  /// if verification still fails throws kDataCorruption — a silent wrong
   /// answer is never returned.
   enum class Verify { kOff, kSampled, kFull };
   Verify verify = Verify::kOff;
@@ -147,14 +144,6 @@ struct SolverReport {
   Admission admission = Admission::kUnlimited;
   std::size_t peak_bytes = 0;
   std::size_t bytes_spilled = 0;
-  /// solve_batch() only: throughput of the last batch. bytes/solve counts
-  /// the factor-panel and workspace traffic of the blocked sweeps divided
-  /// by the number of right-hand sides — the amortization the batch buys.
-  index_t batch_rhs = 0;
-  double batch_seconds = 0.0;
-  double batch_solves_per_second = 0.0;
-  double batch_bytes_per_solve = 0.0;
-  real_t batch_residual = 0.0;  ///< worst per-column residual (refined)
   /// SDC defense: ABFT identities evaluated and mismatches detected by the
   /// last factorize(), fronts recomputed by factor-time or at-rest repair,
   /// whether any corruption was detected (factor-time or post-solve), and
@@ -285,37 +274,36 @@ class Solver {
   [[nodiscard]] std::vector<real_t> solve(std::span<const real_t> b) const;
 
   /// Blocked multiple-right-hand-side solve: `b` is n x nrhs column-major;
-  /// returns the n x nrhs solution block (one factorization, one blocked
-  /// triangular sweep — the engineering-workload pattern). solve() is this
-  /// with nrhs == 1: there is exactly one sweep implementation.
+  /// returns the n x nrhs solution block. The sweeps stream every factor
+  /// panel once per options.solve_rhs_block columns, so a batch of
+  /// right-hand sides costs far less than a solve() per column, and the
+  /// answers depend only on that block width. solve() is this with
+  /// nrhs == 1: there is exactly one sweep implementation.
   [[nodiscard]] std::vector<real_t> solve_multi(std::span<const real_t> b,
                                                 index_t nrhs) const;
 
-  /// Batched serving entry point: fuses `nrhs` independent right-hand
-  /// sides (n x nrhs column-major) into blocked multi-RHS sweeps of
-  /// options.solve_rhs_block columns plus options.batch_refinement_passes
-  /// blocked refinement passes, and records per-batch throughput
-  /// (solves/sec, bytes/solve, worst residual) in report(). The solutions
-  /// are bitwise-identical to solve_multi() on the same block partition.
-  /// options.verify checks and repairs the batch as it does solve_multi().
-  [[nodiscard]] std::vector<real_t> solve_batch(std::span<const real_t> b,
-                                                index_t nrhs) const;
-
-  /// Solve with iterative refinement (options.refinement_steps iterations).
-  [[nodiscard]] std::vector<real_t> solve_refined(
-      std::span<const real_t> b) const;
+  /// solve_multi() followed by iterative refinement of the whole block:
+  /// at most options.refinement_steps blocked corrections, stopping once
+  /// every column's relative residual is at or below 1e-14.
+  /// options.verify checks the refined answer, and a repaired factor
+  /// re-runs the sweeps and corrections, so a healed answer is bitwise
+  /// the clean one.
+  [[nodiscard]] std::vector<real_t> solve_refined(std::span<const real_t> b,
+                                                  index_t nrhs = 1) const;
 
   /// Escalating solve for perturbed or ill-conditioned factorizations:
   /// tries the plain direct solve, then iterative refinement, then an
   /// IC(0)-preconditioned CG fallback (warm-started from the best direct
-  /// answer), stopping at the cheapest path whose scaled residual
+  /// answer, or from zero when that answer is not finite), stopping at
+  /// the cheapest path whose scaled residual
   /// ‖b−Ax‖∞/(‖A‖∞‖x‖∞+‖b‖∞) meets options.target_residual. Always
   /// returns the best x found; status is kNoConvergence if no path met
   /// the target.
   [[nodiscard]] RobustSolveResult solve_robust(std::span<const real_t> b)
       const;
 
-  /// Relative residual of a candidate solution in original ordering.
+  /// Relative residual of a candidate solution in original ordering; +∞
+  /// when any entry of b − Ax is not finite.
   [[nodiscard]] real_t residual(std::span<const real_t> x,
                                 std::span<const real_t> b) const;
 
@@ -374,9 +362,17 @@ class Solver {
   /// Fresh cancel scope, stats into the report; a breakdown throws.
   Status finish_run(const Status& status, const FactorStats& stats);
   void inject_stored_flip();  ///< kStoredFactor injection
-  /// Permute → triangular sweeps → permute back (solve_multi's core).
+  /// solve_multi() (refinement_steps == 0) and solve_refined(): checks
+  /// the right-hand sides, solves, then runs options.verify.
+  [[nodiscard]] std::vector<real_t> solve_verified(std::span<const real_t> b,
+                                                   index_t nrhs,
+                                                   int refinement_steps,
+                                                   const char* fn) const;
+  /// Permute → triangular sweeps → up to `refinement_steps` blocked
+  /// corrections → permute back.
   [[nodiscard]] std::vector<real_t> solve_permuted(std::span<const real_t> b,
-                                                   index_t nrhs) const;
+                                                   index_t nrhs,
+                                                   int refinement_steps) const;
   /// Post-solve verification (options.verify) of `x`, the answer to the
   /// n x k right-hand sides `b`: componentwise residual check, at-rest
   /// factor verification, localized or full in-place recompute, then
@@ -387,7 +383,7 @@ class Solver {
       const std::function<std::vector<real_t>()>& resolve) const;
 
   SolverOptions options_;
-  mutable SolverReport report_;  ///< solve_batch() updates batch stats
+  mutable SolverReport report_;  ///< verify_and_repair() updates SDC stats
   /// On the heap so that its address survives a move: the factor, the
   /// schedule and both OOC factors point at it.
   std::unique_ptr<SymbolicFactor> sym_;
@@ -413,34 +409,6 @@ class Solver {
   std::unique_ptr<ResourceBudget> budget_;
   Reservation reservation_;
   CancelSource cancel_source_;
-};
-
-/// Accumulating batch helper for serving loops: callers add() single
-/// right-hand sides as they arrive, then one solve() call runs the fused
-/// blocked sweeps and per-batch refinement via Solver::solve_batch().
-class SolveBatch {
- public:
-  explicit SolveBatch(const Solver& solver);
-
-  /// Queues one right-hand side (length n); returns its slot index.
-  /// Invalidates previous solutions.
-  index_t add(std::span<const real_t> b);
-
-  /// Solves every queued right-hand side in one fused batch.
-  void solve();
-
-  [[nodiscard]] index_t size() const { return nrhs_; }
-  /// Solution of slot i; valid after solve() until the next add()/reset().
-  [[nodiscard]] std::span<const real_t> solution(index_t i) const;
-  void reset();
-
- private:
-  const Solver* solver_;
-  index_t n_ = 0;
-  index_t nrhs_ = 0;
-  bool solved_ = false;
-  std::vector<real_t> b_;
-  std::vector<real_t> x_;
 };
 
 /// Convenience for experiments: fill-order `lower` with nested dissection

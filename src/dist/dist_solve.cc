@@ -16,9 +16,9 @@ constexpr int kTagBelowPartial = 1;  // aggregated below-row reductions (fwd)
 constexpr int kTagContrib = 3;     // child below-row contributions (forward)
 constexpr int kTagFwdPartial = 4;  // grid-row partial reductions (forward)
 constexpr int kTagFwdX = 5;        // solved panel segment broadcast (forward)
-constexpr int kTagBwdPartial = 6;
-constexpr int kTagBwdX = 7;
-constexpr int kTagStride = 8;      // must match dist_factor.cc
+constexpr int kTagBwdPartial = 6;  // in-panel partials (backward)
+constexpr int kTagBwdX = 7;        // solved panel segment broadcast (backward)
+constexpr int kTagStride = 8;      // message kinds per (front, RHS block)
 
 struct SolveTriple {
   index_t row;  // parent-front-local row
@@ -39,7 +39,6 @@ class SolveProgram {
         nrhs_(nrhs),
         wb_(std::min(config.rhs_block, nrhs)),
         nb_((nrhs + config.rhs_block - 1) / config.rhs_block),
-        pipelined_(config.schedule == DistSolveConfig::Schedule::kPipelined),
         x_out_(x_out),
         comm_(comm) {
     x_known_.assign(static_cast<std::size_t>(sym.n) * nrhs, 0.0);
@@ -55,7 +54,7 @@ class SolveProgram {
   }
 
  private:
-  // --- RHS block partition (shared by both schedules). ---
+  // --- RHS block partition: the compute and message granule. ---
   [[nodiscard]] index_t col0(index_t blk) const { return blk * wb_; }
   [[nodiscard]] index_t bw(index_t blk) const {
     return std::min(wb_, nrhs_ - col0(blk));
@@ -136,47 +135,38 @@ class SolveProgram {
       return v;
     };
 
-    // 1. Child contributions: one message per (child, collector rank) — and,
-    // pipelined, per RHS block, merged lazily so block 0 can start while
-    // the children are still reducing the later blocks.
+    // 1. Child contributions: one message per (child, collector rank, RHS
+    // block), merged lazily so block 0 can start while the children are
+    // still reducing the later blocks.
     std::vector<int> contrib_src;
     for (index_t c : sym_.children(s)) {
       for (int src : contrib_ranks(c)) contrib_src.push_back(src);
     }
-    auto scatter = [&](const std::vector<SolveTriple>& triples) {
-      for (const SolveTriple& t : triples) {
-        const index_t ib = fb.block_of(t.row);
-        part_of(ib)[static_cast<std::size_t>(t.rhs) * fb.size(ib) +
-                    (t.row - fb.start(ib))] += t.value;
-      }
-      comm_.advance_bytes(static_cast<count_t>(triples.size()) *
-                          static_cast<count_t>(sizeof(SolveTriple)));
-    };
-    std::vector<std::vector<mpsim::Request>> creq;
-    std::vector<char> merged;
-    if (pipelined_) {
-      creq.resize(static_cast<std::size_t>(nb_));
-      merged.assign(static_cast<std::size_t>(nb_), 0);
-      for (index_t blk = 0; blk < nb_; ++blk) {
-        for (int src : contrib_src) {
-          creq[blk].push_back(comm_.irecv(src, tag(s, blk, kTagContrib)));
-        }
-      }
-    } else {
+    std::vector<std::vector<mpsim::Request>> creq(
+        static_cast<std::size_t>(nb_));
+    for (index_t blk = 0; blk < nb_; ++blk) {
       for (int src : contrib_src) {
-        scatter(comm_.recv_vec<SolveTriple>(src, tag(s, 0, kTagContrib)));
+        creq[blk].push_back(comm_.irecv(src, tag(s, blk, kTagContrib)));
       }
     }
+    std::vector<char> merged(static_cast<std::size_t>(nb_), 0);
     auto need_block = [&](index_t blk) {
-      if (!pipelined_ || merged[blk]) return;
+      if (merged[blk]) return;
       merged[blk] = 1;
       for (mpsim::Request& r : creq[blk]) {
-        scatter(comm_.wait_vec<SolveTriple>(r));
+        const auto triples = comm_.wait_vec<SolveTriple>(r);
+        for (const SolveTriple& t : triples) {
+          const index_t ib = fb.block_of(t.row);
+          part_of(ib)[static_cast<std::size_t>(t.rhs) * fb.size(ib) +
+                      (t.row - fb.start(ib))] += t.value;
+        }
+        comm_.advance_bytes(static_cast<count_t>(triples.size()) *
+                            static_cast<count_t>(sizeof(SolveTriple)));
       }
     };
 
-    // 2. Panel sweep: kb outer, RHS block inner. Both schedules run the
-    // same per-block arithmetic; they differ in message granularity.
+    // 2. Panel sweep: kb outer, RHS block inner, with preposted per-block
+    // receives and per-block sends.
     for (index_t kb = 0; kb < fb.kp; ++kb) {
       const int kbr = static_cast<int>(kb) % pr;
       const int kbc = static_cast<int>(kb) % pc;
@@ -189,69 +179,6 @@ class SolveProgram {
       const bool is_col_owner =
           gc == kbc && fb.grid_row_owns_below(kb, gr, pr);
 
-      // Adds the replicated right-hand side rows of block kb, RHS block blk,
-      // into a full-width (bk x nrhs_) buffer.
-      auto add_b_rows = [&](std::vector<real_t>& xkb, index_t blk) {
-        const index_t w = bw(blk);
-        for (index_t cc = 0; cc < w; ++cc) {
-          const std::size_t r = static_cast<std::size_t>(col0(blk) + cc);
-          for (index_t i = 0; i < bk; ++i) {
-            xkb[r * bk + i] += b_[r * sym_.n + first + fb.start(kb) + i];
-          }
-        }
-      };
-
-      if (!pipelined_) {
-        // --- Blocking: full-width messages, per-block compute. ---
-        if (is_sender) {
-          comm_.send_vec(diag_rank, tag(s, 0, kTagFwdPartial), part_of(kb));
-        }
-        std::vector<real_t> xfull;
-        if (is_diag) {
-          xfull = part_of(kb);
-          for (index_t blk = 0; blk < nb_; ++blk) add_b_rows(xfull, blk);
-          for (int c = 0; c < max_sender_col; ++c) {
-            if (c == kbc) continue;
-            const auto partial = comm_.recv_vec<real_t>(
-                map_.grid_rank(s, kbr, c), tag(s, 0, kTagFwdPartial));
-            for (std::size_t i = 0; i < xfull.size(); ++i) {
-              xfull[i] += partial[i];
-            }
-          }
-          for (index_t blk = 0; blk < nb_; ++blk) {
-            trsm_left_lower(l_block(s, fb, kb, kb),
-                            block_view(xfull, bk, blk));
-            comm_.advance_compute(static_cast<count_t>(bk) * bk * bw(blk));
-          }
-          y_fwd_[{s, kb}] = xfull;
-          for (int ri = 0; ri < pr; ++ri) {
-            if (ri == kbr || !fb.grid_row_owns_below(kb, ri, pr)) continue;
-            comm_.send_vec(map_.grid_rank(s, ri, kbc), tag(s, 0, kTagFwdX),
-                           xfull);
-          }
-        } else if (is_col_owner) {
-          xfull = comm_.recv_vec<real_t>(diag_rank, tag(s, 0, kTagFwdX));
-        }
-        if (gc == kbc && !xfull.empty()) {
-          for (index_t ib = kb + 1; ib < fb.nB; ++ib) {
-            if (static_cast<int>(ib) % pr != gr) continue;
-            auto& acc = part_of(ib);
-            for (index_t blk = 0; blk < nb_; ++blk) {
-              gemm_nn_update(
-                  block_view(acc, fb.size(ib), blk), l_block(s, fb, ib, kb),
-                  ConstMatrixView{
-                      xfull.data() +
-                          static_cast<std::size_t>(col0(blk)) * bk,
-                      bk, bw(blk), bk});
-              comm_.advance_compute(2 * static_cast<count_t>(fb.size(ib)) *
-                                    bk * bw(blk));
-            }
-          }
-        }
-        continue;
-      }
-
-      // --- Pipelined: preposted per-block receives, per-block sends. ---
       std::vector<std::vector<mpsim::Request>> preq;  // [blk][sender col]
       std::vector<mpsim::Request> xreq;               // [blk]
       if (is_diag) {
@@ -278,14 +205,12 @@ class SolveProgram {
         std::vector<real_t> xblk;
         if (is_diag) {
           xblk = slice(part_of(kb), bk, blk);
-          {
-            const index_t c0 = col0(blk);
-            for (index_t cc = 0; cc < w; ++cc) {
-              for (index_t i = 0; i < bk; ++i) {
-                xblk[static_cast<std::size_t>(cc) * bk + i] +=
-                    b_[static_cast<std::size_t>(c0 + cc) * sym_.n + first +
-                       fb.start(kb) + i];
-              }
+          for (index_t cc = 0; cc < w; ++cc) {
+            const real_t* bc =
+                b_.data() + static_cast<std::size_t>(col0(blk) + cc) * sym_.n +
+                first + fb.start(kb);
+            for (index_t i = 0; i < bk; ++i) {
+              xblk[static_cast<std::size_t>(cc) * bk + i] += bc[i];
             }
           }
           for (mpsim::Request& r : preq[blk]) {
@@ -326,9 +251,9 @@ class SolveProgram {
 
     // 3. Reduce below-row partials to the per-grid-row collectors (column
     // 0) and route them to the parent as (parent-local row, rhs, value)
-    // triples. Pipelined: per RHS block, with every owned block row
-    // aggregated into one message per destination, and the parent-bound
-    // triples for block k leaving before block k+1 is reduced.
+    // triples: per RHS block, with every owned block row aggregated into
+    // one message per destination, and the parent-bound triples for block
+    // k leaving before block k+1 is reduced.
     const index_t parent = sym_.sn_parent[s];
     int pbegin = 0, pcount = 0;
     FrontBlocking pfb = fb;  // placeholder; rebuilt when parent exists
@@ -374,49 +299,9 @@ class SolveProgram {
       }
     }
 
-    if (!pipelined_) {
-      // Blocking: per-block-row full-width messages, one outbox send.
-      std::vector<std::vector<SolveTriple>> outbox(
-          static_cast<std::size_t>(pcount));
-      for (index_t ib : mine) {
-        const int collector = map_.grid_rank(s, gr, 0);
-        if (gc != 0 && gc < max_collector_col) {
-          comm_.send_vec(collector, tag(s, 0, kTagBelowPartial), part_of(ib));
-        }
-        if (comm_.rank() != collector) continue;
-        auto& total = part_of(ib);
-        for (int c = 1; c < max_collector_col; ++c) {
-          const auto partial = comm_.recv_vec<real_t>(
-              map_.grid_rank(s, gr, c), tag(s, 0, kTagBelowPartial));
-          for (std::size_t i = 0; i < total.size(); ++i) {
-            total[i] += partial[i];
-          }
-        }
-        if (parent == kNone) continue;
-        for (index_t i = 0; i < fb.size(ib); ++i) {
-          const auto [lr, dest] =
-              parent_dest(rows[fb.start(ib) - fb.p + i]);
-          for (index_t r = 0; r < nrhs_; ++r) {
-            const real_t v =
-                total[static_cast<std::size_t>(r) * fb.size(ib) + i];
-            if (v != 0.0) {
-              outbox[dest - pbegin].push_back(SolveTriple{lr, r, v});
-            }
-          }
-        }
-      }
-      if (parent != kNone && gc == 0 && !mine.empty()) {
-        for (int d = 0; d < pcount; ++d) {
-          comm_.send_vec(pbegin + d, tag(parent, 0, kTagContrib), outbox[d]);
-        }
-      }
-      return;
-    }
-
-    // Pipelined: per-destination aggregation. Senders concatenate all of
-    // their block rows (ascending) into one message per RHS block; the
-    // collector splits in the same order, so the per-element addition
-    // sequence (ascending sender column) matches the blocking path.
+    // Senders concatenate all of their block rows (ascending) into one
+    // message per RHS block; the collector splits in the same order and
+    // adds the senders in ascending grid column.
     const bool is_below_sender =
         gr >= 0 && gc != 0 && gc < max_collector_col && !mine.empty();
     const bool is_collector = gr >= 0 && gc == 0 && !mine.empty();
@@ -509,24 +394,22 @@ class SolveProgram {
 
       std::vector<std::vector<mpsim::Request>> rreq;  // [blk][partial row]
       std::vector<mpsim::Request> xreq;               // [blk]
-      if (pipelined_) {
-        if (is_diag) {
-          rreq.resize(static_cast<std::size_t>(nb_));
-          for (index_t blk = 0; blk < nb_; ++blk) {
-            for (int ri : partial_rows) {
-              rreq[blk].push_back(comm_.irecv(map_.grid_rank(s, ri, kbc),
-                                              tag(s, blk, kTagBwdPartial)));
-            }
+      if (is_diag) {
+        rreq.resize(static_cast<std::size_t>(nb_));
+        for (index_t blk = 0; blk < nb_; ++blk) {
+          for (int ri : partial_rows) {
+            rreq[blk].push_back(comm_.irecv(map_.grid_rank(s, ri, kbc),
+                                            tag(s, blk, kTagBwdPartial)));
           }
-        } else {
-          for (index_t blk = 0; blk < nb_; ++blk) {
-            xreq.push_back(comm_.irecv(diag_rank, tag(s, blk, kTagBwdX)));
-          }
+        }
+      } else {
+        for (index_t blk = 0; blk < nb_; ++blk) {
+          xreq.push_back(comm_.irecv(diag_rank, tag(s, blk, kTagBwdX)));
         }
       }
 
       // In-panel partials: -Σ L(ib,kb)ᵀ x(ib), per RHS block, block rows
-      // ascending. Pipelined ships each block the moment it is complete.
+      // ascending; each block ships the moment it is complete.
       std::vector<real_t> partial;  // bk x nrhs_, own contribution
       if (is_owner) {
         partial.assign(static_cast<std::size_t>(bk) * nrhs_, 0.0);
@@ -548,13 +431,10 @@ class SolveProgram {
                            ConstMatrixView{xi.data(), bi, w, bi});
             comm_.advance_compute(2 * static_cast<count_t>(bi) * bk * w);
           }
-          if (pipelined_ && !is_diag) {
+          if (!is_diag) {
             comm_.send_vec(diag_rank, tag(s, blk, kTagBwdPartial),
                            slice(partial, bk, blk));
           }
-        }
-        if (!pipelined_ && !is_diag) {
-          comm_.send_vec(diag_rank, tag(s, 0, kTagBwdPartial), partial);
         }
       }
 
@@ -563,16 +443,6 @@ class SolveProgram {
         PARFACT_DCHECK(it != y_fwd_.end());
         std::vector<real_t> xkb = std::move(it->second);
         y_fwd_.erase(it);
-        // Blocking: all remote partials arrive as full-width messages
-        // before any block computes (ascending sender row, like the
-        // per-block waits of the pipelined path).
-        std::vector<std::vector<real_t>> rfull;
-        if (!pipelined_) {
-          for (int ri : partial_rows) {
-            rfull.push_back(comm_.recv_vec<real_t>(
-                map_.grid_rank(s, ri, kbc), tag(s, 0, kTagBwdPartial)));
-          }
-        }
         for (index_t blk = 0; blk < nb_; ++blk) {
           const index_t w = bw(blk);
           real_t* xb = xkb.data() + static_cast<std::size_t>(col0(blk)) * bk;
@@ -592,32 +462,20 @@ class SolveProgram {
                            partial.data() +
                                static_cast<std::size_t>(col0(blk)) * bk);
           }
-          for (std::size_t j = 0; j < partial_rows.size(); ++j) {
-            const std::vector<real_t> rp =
-                pipelined_ ? comm_.wait_vec<real_t>(rreq[blk][j])
-                           : slice(rfull[j], bk, blk);
-            add_into_block(xkb, bk, blk, rp.data());
+          for (mpsim::Request& r : rreq[blk]) {
+            add_into_block(xkb, bk, blk, comm_.wait_vec<real_t>(r).data());
           }
           trsm_left_lower_trans(l_block(s, fb, kb, kb),
                                 block_view(xkb, bk, blk));
           comm_.advance_compute(static_cast<count_t>(bk) * bk * w);
-          if (pipelined_) {
-            // Broadcast this block to every other participant right away:
-            // they start their own partials for kb-1 while the remaining
-            // blocks of kb are still being solved.
-            const std::vector<real_t> xblk = slice(xkb, bk, blk);
-            for (int other = map_.rank_begin[s];
-                 other < map_.rank_begin[s] + np; ++other) {
-              if (other == comm_.rank()) continue;
-              comm_.send_vec(other, tag(s, blk, kTagBwdX), xblk);
-            }
-          }
-        }
-        if (!pipelined_) {
+          // Broadcast this block to every other participant right away:
+          // they start their own partials for kb-1 while the remaining
+          // blocks of kb are still being solved.
+          const std::vector<real_t> xblk = slice(xkb, bk, blk);
           for (int other = map_.rank_begin[s];
                other < map_.rank_begin[s] + np; ++other) {
             if (other == comm_.rank()) continue;
-            comm_.send_vec(other, tag(s, 0, kTagBwdX), xkb);
+            comm_.send_vec(other, tag(s, blk, kTagBwdX), xblk);
           }
         }
         // Final answer rows: the diagonal owner writes them (disjointly).
@@ -633,26 +491,14 @@ class SolveProgram {
         }
       } else {
         // Everyone records the solved segment for later fronts/children.
-        if (pipelined_) {
-          for (index_t blk = 0; blk < nb_; ++blk) {
-            const auto xblk = comm_.wait_vec<real_t>(xreq[blk]);
-            const index_t w = bw(blk);
-            for (index_t cc = 0; cc < w; ++cc) {
-              for (index_t i = 0; i < bk; ++i) {
-                x_known_[static_cast<std::size_t>(col0(blk) + cc) * sym_.n +
-                         first + fb.start(kb) + i] =
-                    xblk[static_cast<std::size_t>(cc) * bk + i];
-              }
-            }
-          }
-        } else {
-          const auto xkb =
-              comm_.recv_vec<real_t>(diag_rank, tag(s, 0, kTagBwdX));
-          for (index_t r = 0; r < nrhs_; ++r) {
+        for (index_t blk = 0; blk < nb_; ++blk) {
+          const auto xblk = comm_.wait_vec<real_t>(xreq[blk]);
+          const index_t w = bw(blk);
+          for (index_t cc = 0; cc < w; ++cc) {
             for (index_t i = 0; i < bk; ++i) {
-              x_known_[static_cast<std::size_t>(r) * sym_.n + first +
-                       fb.start(kb) + i] =
-                  xkb[static_cast<std::size_t>(r) * bk + i];
+              x_known_[static_cast<std::size_t>(col0(blk) + cc) * sym_.n +
+                       first + fb.start(kb) + i] =
+                  xblk[static_cast<std::size_t>(cc) * bk + i];
             }
           }
         }
@@ -667,7 +513,6 @@ class SolveProgram {
   const index_t nrhs_;
   const index_t wb_;       ///< RHS block width
   const index_t nb_;       ///< number of RHS blocks (global, for tags)
-  const bool pipelined_;
   std::vector<real_t>& x_out_;
   mpsim::Comm& comm_;
   std::vector<real_t> x_known_;

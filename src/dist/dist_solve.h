@@ -14,23 +14,20 @@
 // values are already local — zero extra messages to enter a child).
 //
 // Both sweeps compute on a fixed partition of the right-hand sides into
-// blocks of config.rhs_block columns; the two schedules share that
-// partition and therefore every floating-point operation sequence:
+// blocks of config.rhs_block columns, and every exchange rides the mpsim
+// isend/irecv request layer one RHS block at a time: a block's message
+// leaves the moment its values exist, receives are preposted and waited
+// per block, and the below-row reduction aggregates all of a rank's block
+// rows into one message per destination. Reductions and child
+// contributions for block k+1 are in flight while block k computes —
+// within a front and, through the per-block extend-add routing, up the
+// tree. The block width is the one messaging choice: narrow blocks overlap
+// more at the price of more messages, and rhs_block >= nrhs sends every
+// exchange as one message.
 //
-//   kBlocking  — the seed protocol: one full-width message per exchange
-//                (all RHS blocks travel together), blocking recvs.
-//   kPipelined — built on the mpsim isend/irecv request layer: every
-//                exchange ships per-RHS-block messages the moment that
-//                block's values exist, receives are preposted and waited
-//                per block, and the below-row reduction aggregates all of
-//                a rank's block rows into one message per destination.
-//                Reductions and child contributions for block k+1 are in
-//                flight while block k computes — within a front and,
-//                through the per-block extend-add routing, up the tree.
-//
-// The solutions are bitwise identical across the two schedules (and under
-// an active FaultPlan); they differ only in virtual time, idle wait, and
-// message counts, surfaced through DistSolveResult::run.
+// For a fixed rhs_block the solution is bitwise reproducible, also under
+// an active FaultPlan; virtual time, idle wait and message counts are
+// surfaced through DistSolveResult::run.
 #pragma once
 
 #include <vector>
@@ -42,15 +39,11 @@
 
 namespace parfact {
 
-/// Scheduling knobs of the distributed solve.
+/// Messaging knob of the distributed solve.
 struct DistSolveConfig {
-  enum class Schedule {
-    kBlocking,   ///< full-width messages, blocking receives (baseline)
-    kPipelined,  ///< per-RHS-block messages on the request layer
-  };
-  Schedule schedule = Schedule::kPipelined;
-  /// Right-hand-side columns per pipeline stage. Both schedules compute on
-  /// this block partition — identical arithmetic, different messaging.
+  /// Right-hand-side columns per message and per compute stage. Narrow
+  /// blocks pay off when a block's wire time is comparable to the message
+  /// latency; on a high-latency network fewer, wider messages win.
   index_t rhs_block = 8;
 };
 

@@ -219,17 +219,17 @@ class Run {
 
 }  // namespace
 
-SchedulerStats WorkStealingScheduler::run(TaskGraph& graph,
-                                          CancelToken cancel) {
+SchedulerStats run_graph(TaskGraph& graph, ThreadPool& pool,
+                         CancelToken cancel) {
   graph.seal();
   SchedulerStats stats;
   if (graph.n_tasks() == 0) return stats;
 
-  const int n_workers = pool_.size() + 1;  // pool threads + caller
+  const int n_workers = pool.size() + 1;  // pool threads + caller
   Run run(graph, n_workers, std::move(cancel));
   // Waits only for this run's workers: other callers may share the pool.
   // A worker task still queued when the run is drained returns at once.
-  TaskGroup workers(pool_);
+  TaskGroup workers(pool);
   for (int w = 1; w < n_workers; ++w)
     workers.submit([&run, w] { run.worker_main(w); });
   run.worker_main(0);
@@ -237,12 +237,6 @@ SchedulerStats WorkStealingScheduler::run(TaskGraph& graph,
   run.rethrow_if_error();
   run.collect(stats);
   return stats;
-}
-
-SchedulerStats run_graph(TaskGraph& graph, ThreadPool& pool,
-                         CancelToken cancel) {
-  WorkStealingScheduler sched(pool);
-  return sched.run(graph, std::move(cancel));
 }
 
 }  // namespace parfact::rt

@@ -47,17 +47,4 @@ struct SchedulerStats {
 SchedulerStats run_graph(TaskGraph& graph, ThreadPool& pool,
                          CancelToken cancel = {});
 
-/// Reusable form for callers that want to run several graphs on one pool.
-class WorkStealingScheduler {
- public:
-  explicit WorkStealingScheduler(ThreadPool& pool) : pool_(pool) {}
-
-  SchedulerStats run(TaskGraph& graph, CancelToken cancel = {});
-
- private:
-  struct Worker;
-
-  ThreadPool& pool_;
-};
-
 }  // namespace parfact::rt

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "dense/kernels.h"
@@ -229,7 +230,12 @@ real_t relative_residual(const SparseMatrix& lower_a,
   PARFACT_CHECK(x.size() == b.size());
   std::vector<real_t> r(x.size());
   spmv_symmetric_lower(lower_a, x, r);
-  for (std::size_t i = 0; i < r.size(); ++i) r[i] = b[i] - r[i];
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    r[i] = b[i] - r[i];
+    // norm_inf's std::max skips a NaN, so a non-finite answer would read as
+    // an exact one: report it as infinitely wrong instead.
+    if (!std::isfinite(r[i])) return std::numeric_limits<real_t>::infinity();
+  }
   const real_t denom = norm_inf(symmetrize_full(lower_a)) *
                            norm_inf(std::span<const real_t>(x)) +
                        norm_inf(b);

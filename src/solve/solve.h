@@ -58,8 +58,9 @@ void solve_in_place(const CholeskyFactor& factor, MatrixView x);
 /// condition estimation call, whatever the factor's storage.
 using SolveFn = std::function<void(MatrixView)>;
 
-/// Componentwise-scaled relative residual ‖b − A x‖∞ / (‖A‖∞ ‖x‖∞ + ‖b‖∞)
-/// for the symmetric lower-stored `a`. Single right-hand side.
+/// Normwise relative residual ‖b − A x‖∞ / (‖A‖∞ ‖x‖∞ + ‖b‖∞) for the
+/// symmetric lower-stored `a`, single right-hand side; +∞ when any entry
+/// of b − A x is not finite (a NaN or infinite x never reads as solved).
 [[nodiscard]] real_t relative_residual(const SparseMatrix& lower_a,
                                        std::span<const real_t> x,
                                        std::span<const real_t> b);

@@ -36,8 +36,8 @@
 // blocks of `rhs_block` columns. The dense kernels' engine dispatch
 // depends on the operand width, so results are defined (and bitwise
 // reproducible) per block partition; all engine entry points — serial,
-// threaded, batched — share this partition, which is what makes the
-// batch-vs-loop identity contracts exact.
+// threaded, resident, spilled — share this partition, which is what makes
+// their identity contracts exact.
 #pragma once
 
 #include <vector>

@@ -8,9 +8,9 @@
 // the memory lives, and the budget tracks the high-water mark across all
 // concurrent holders. A CancelSource/CancelToken pair carries cooperative
 // cancellation and deadlines: long-running engines poll the token at task
-// boundaries (one supernode, one DAG task, one parallel_for chunk) and
-// unwind with StatusError(kCancelled / kDeadlineExceeded), leaving pools
-// and arenas immediately reusable.
+// boundaries (one front in the serial driver, one task in a run_graph
+// run) and unwind with StatusError(kCancelled / kDeadlineExceeded),
+// leaving pools and arenas immediately reusable.
 #pragma once
 
 #include <atomic>

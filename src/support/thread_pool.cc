@@ -133,18 +133,4 @@ void parallel_for(ThreadPool& pool, index_t begin, index_t end,
   if (local) std::rethrow_exception(local);
 }
 
-void parallel_for(ThreadPool& pool, index_t begin, index_t end,
-                  const std::function<void(index_t)>& body,
-                  const CancelToken& cancel, index_t min_grain) {
-  parallel_for(
-      pool, begin, end,
-      [&](index_t i) {
-        // Poll once per index; the cost is one relaxed atomic increment
-        // plus a flag load, negligible next to any front kernel body.
-        cancel.throw_if_cancelled();
-        body(i);
-      },
-      min_grain);
-}
-
 }  // namespace parfact

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "support/error.h"
-#include "support/resource.h"
 #include "support/types.h"
 
 namespace parfact {
@@ -105,13 +104,5 @@ class ThreadPool {
 void parallel_for(ThreadPool& pool, index_t begin, index_t end,
                   const std::function<void(index_t)>& body,
                   index_t min_grain = 1);
-
-/// Cancellation-aware variant: every chunk polls `cancel` before running,
-/// so a tripped token abandons the remaining chunks within one chunk
-/// granule and StatusError(kCancelled / kDeadlineExceeded) is rethrown
-/// here. The pool stays reusable — in-flight chunks drain normally.
-void parallel_for(ThreadPool& pool, index_t begin, index_t end,
-                  const std::function<void(index_t)>& body,
-                  const CancelToken& cancel, index_t min_grain = 1);
 
 }  // namespace parfact

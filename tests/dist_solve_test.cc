@@ -1,5 +1,6 @@
 // Tests for the distributed triangular solve: agreement with the serial
-// solve across rank counts, strategies, block sizes and RHS counts.
+// solve across rank counts, strategies, front block sizes, RHS counts and
+// RHS block widths, and the block width's cost trade-off.
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -23,49 +24,70 @@ std::vector<real_t> random_rhs(index_t n, index_t nrhs, std::uint64_t seed) {
   return b;
 }
 
+/// The serial solve of the n x nrhs block `b` against `factor`.
+std::vector<real_t> serial_solve(const SymbolicFactor& sym,
+                                 const CholeskyFactor& factor,
+                                 const std::vector<real_t>& b, index_t nrhs) {
+  std::vector<real_t> x = b;
+  solve_in_place(factor, MatrixView{x.data(), sym.n, nrhs, sym.n});
+  return x;
+}
+
+void expect_near_serial(const std::vector<real_t>& x,
+                        const std::vector<real_t>& x_ref) {
+  ASSERT_EQ(x.size(), x_ref.size());
+  for (std::size_t i = 0; i < x_ref.size(); ++i) {
+    ASSERT_NEAR(x[i], x_ref[i], 1e-10) << "entry " << i;
+  }
+}
+
 struct SolveCase {
   int ranks;
   MappingStrategy strategy;
   index_t block;
   index_t nrhs;
+  index_t rhs_block;
 };
 
 class DistSolveTest : public ::testing::TestWithParam<SolveCase> {};
 
 TEST_P(DistSolveTest, MatchesSerialSolve) {
-  const auto [ranks, strategy, block, nrhs] = GetParam();
+  const auto [ranks, strategy, block, nrhs, rhs_block] = GetParam();
   const SparseMatrix a = grid_laplacian_2d(13, 12, 5);
   const SymbolicFactor sym = analyze(a);
   const FrontMap map = build_front_map(sym, ranks, strategy, block);
   const DistFactorResult dist = distributed_factor(sym, map);
 
   const std::vector<real_t> b = random_rhs(sym.n, nrhs, 7);
-  // Serial reference.
-  std::vector<real_t> x_ref = b;
-  solve_in_place(dist.factor,
-                 MatrixView{x_ref.data(), sym.n, nrhs, sym.n});
-  // Distributed solve.
+  DistSolveConfig config;
+  config.rhs_block = rhs_block;
   const DistSolveResult ds =
-      distributed_solve(sym, map, dist.factor, b, nrhs);
-  ASSERT_EQ(ds.x.size(), x_ref.size());
-  for (std::size_t i = 0; i < x_ref.size(); ++i) {
-    ASSERT_NEAR(ds.x[i], x_ref[i], 1e-10) << "entry " << i;
-  }
+      distributed_solve(sym, map, dist.factor, b, nrhs, {}, {}, config);
+  expect_near_serial(ds.x, serial_solve(sym, dist.factor, b, nrhs));
   EXPECT_GT(ds.run.makespan, 0.0);
 }
 
+// The first ten shapes run the default 8-column blocks; the last six split
+// several right-hand sides into narrow blocks, a ragged last block
+// included, or send them as one block.
 INSTANTIATE_TEST_SUITE_P(
     Cases, DistSolveTest,
-    ::testing::Values(SolveCase{1, MappingStrategy::kSubtree2d, 48, 1},
-                      SolveCase{2, MappingStrategy::kSubtree2d, 8, 1},
-                      SolveCase{4, MappingStrategy::kSubtree2d, 8, 3},
-                      SolveCase{8, MappingStrategy::kSubtree2d, 4, 1},
-                      SolveCase{13, MappingStrategy::kSubtree2d, 8, 2},
-                      SolveCase{16, MappingStrategy::kSubtree2d, 16, 1},
-                      SolveCase{6, MappingStrategy::kSubtree1d, 8, 1},
-                      SolveCase{8, MappingStrategy::kSubtree1d, 4, 2},
-                      SolveCase{4, MappingStrategy::kFlat, 8, 1},
-                      SolveCase{9, MappingStrategy::kFlat, 8, 2}));
+    ::testing::Values(SolveCase{1, MappingStrategy::kSubtree2d, 48, 1, 8},
+                      SolveCase{2, MappingStrategy::kSubtree2d, 8, 1, 8},
+                      SolveCase{4, MappingStrategy::kSubtree2d, 8, 3, 8},
+                      SolveCase{8, MappingStrategy::kSubtree2d, 4, 1, 8},
+                      SolveCase{13, MappingStrategy::kSubtree2d, 8, 2, 8},
+                      SolveCase{16, MappingStrategy::kSubtree2d, 16, 1, 8},
+                      SolveCase{6, MappingStrategy::kSubtree1d, 8, 1, 8},
+                      SolveCase{8, MappingStrategy::kSubtree1d, 4, 2, 8},
+                      SolveCase{4, MappingStrategy::kFlat, 8, 1, 8},
+                      SolveCase{9, MappingStrategy::kFlat, 8, 2, 8},
+                      SolveCase{1, MappingStrategy::kSubtree2d, 48, 4, 2},
+                      SolveCase{2, MappingStrategy::kSubtree2d, 8, 6, 2},
+                      SolveCase{4, MappingStrategy::kSubtree2d, 8, 16, 4},
+                      SolveCase{8, MappingStrategy::kSubtree2d, 4, 3, 1},
+                      SolveCase{13, MappingStrategy::kSubtree2d, 8, 8, 8},
+                      SolveCase{16, MappingStrategy::kSubtree2d, 16, 5, 2}));
 
 TEST(DistSolve, ResidualOnElasticity) {
   const SparseMatrix a = elasticity_3d(3, 3, 3);
@@ -77,57 +99,7 @@ TEST(DistSolve, ResidualOnElasticity) {
   EXPECT_LT(relative_residual(sym.a, ds.x, b), 1e-11);
 }
 
-// --- Pipelined-vs-blocking schedule contracts. Both schedules compute on
-// the same RHS block partition, so the solutions must be bitwise equal;
-// they may only differ in virtual time and idle wait.
-
-struct PipelineCase {
-  int ranks;
-  index_t block;
-  index_t nrhs;
-  index_t rhs_block;
-};
-
-class DistSolvePipelineTest : public ::testing::TestWithParam<PipelineCase> {
-};
-
-TEST_P(DistSolvePipelineTest, PipelinedBitwiseEqualsBlocking) {
-  const auto [ranks, block, nrhs, rhs_block] = GetParam();
-  const SparseMatrix a = grid_laplacian_2d(14, 13);
-  const SymbolicFactor sym = analyze(a);
-  const FrontMap map =
-      build_front_map(sym, ranks, MappingStrategy::kSubtree2d, block);
-  const DistFactorResult dist = distributed_factor(sym, map);
-  const std::vector<real_t> b = random_rhs(sym.n, nrhs, 19);
-
-  DistSolveConfig blocking;
-  blocking.schedule = DistSolveConfig::Schedule::kBlocking;
-  blocking.rhs_block = rhs_block;
-  DistSolveConfig pipelined;
-  pipelined.schedule = DistSolveConfig::Schedule::kPipelined;
-  pipelined.rhs_block = rhs_block;
-
-  const DistSolveResult base =
-      distributed_solve(sym, map, dist.factor, b, nrhs, {}, {}, blocking);
-  const DistSolveResult pipe =
-      distributed_solve(sym, map, dist.factor, b, nrhs, {}, {}, pipelined);
-  ASSERT_EQ(base.x.size(), pipe.x.size());
-  for (std::size_t i = 0; i < base.x.size(); ++i) {
-    ASSERT_EQ(pipe.x[i], base.x[i]) << "entry " << i;
-  }
-  EXPECT_GT(pipe.run.makespan, 0.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Cases, DistSolvePipelineTest,
-    ::testing::Values(PipelineCase{1, 48, 4, 2},
-                      PipelineCase{2, 8, 6, 2},
-                      PipelineCase{4, 8, 16, 4},
-                      PipelineCase{8, 4, 3, 1},
-                      PipelineCase{13, 8, 8, 8},
-                      PipelineCase{16, 16, 5, 2}));
-
-TEST(DistSolvePipeline, LdltBitwiseAcrossSchedules) {
+TEST(DistSolve, LdltMatchesSerialSolve) {
   const SparseMatrix a = saddle_point_kkt(120, 50, 4, 3);
   const SymbolicFactor sym = analyze(a);
   const FrontMap map = build_front_map(sym, 6, MappingStrategy::kSubtree2d, 8);
@@ -137,28 +109,21 @@ TEST(DistSolvePipeline, LdltBitwiseAcrossSchedules) {
   const index_t nrhs = 5;
   const std::vector<real_t> b = random_rhs(sym.n, nrhs, 23);
 
-  DistSolveConfig blocking;
-  blocking.schedule = DistSolveConfig::Schedule::kBlocking;
-  blocking.rhs_block = 2;
-  DistSolveConfig pipelined;
-  pipelined.rhs_block = 2;
-  const DistSolveResult base =
-      distributed_solve(sym, map, dist.factor, b, nrhs, {}, {}, blocking);
-  const DistSolveResult pipe =
-      distributed_solve(sym, map, dist.factor, b, nrhs, {}, {}, pipelined);
-  for (std::size_t i = 0; i < base.x.size(); ++i) {
-    ASSERT_EQ(pipe.x[i], base.x[i]) << "entry " << i;
-  }
+  DistSolveConfig config;
+  config.rhs_block = 2;
+  const DistSolveResult ds =
+      distributed_solve(sym, map, dist.factor, b, nrhs, {}, {}, config);
+  expect_near_serial(ds.x, serial_solve(sym, dist.factor, b, nrhs));
   EXPECT_LT(relative_residual(
-                sym.a, {pipe.x.data(), static_cast<std::size_t>(sym.n)},
+                sym.a, {ds.x.data(), static_cast<std::size_t>(sym.n)},
                 {b.data(), static_cast<std::size_t>(sym.n)}),
             1e-11);
 }
 
-TEST(DistSolvePipeline, FaultPlanPreservesBitwiseIdentity) {
+TEST(DistSolve, FaultPlanPreservesBitwiseIdentity) {
   // Message drops and delays ride the mpsim retry protocol below the
-  // request layer: the pipelined solution must stay bitwise identical to
-  // the fault-free run of either schedule.
+  // request layer: the solution must stay bitwise identical to the
+  // fault-free run.
   const SparseMatrix a = grid_laplacian_2d(12, 11);
   const SymbolicFactor sym = analyze(a);
   const FrontMap map = build_front_map(sym, 8, MappingStrategy::kSubtree2d, 8);
@@ -166,18 +131,18 @@ TEST(DistSolvePipeline, FaultPlanPreservesBitwiseIdentity) {
   const index_t nrhs = 6;
   const std::vector<real_t> b = random_rhs(sym.n, nrhs, 29);
 
-  DistSolveConfig pipelined;
-  pipelined.rhs_block = 2;
+  DistSolveConfig config;
+  config.rhs_block = 2;
   const DistSolveResult clean =
-      distributed_solve(sym, map, dist.factor, b, nrhs, {}, {}, pipelined);
+      distributed_solve(sym, map, dist.factor, b, nrhs, {}, {}, config);
 
   mpsim::FaultPlan faults;
   faults.seed = 1234;
   faults.drop_rate = 0.05;
   faults.delay_rate = 0.2;
   faults.duplicate_rate = 0.02;
-  const DistSolveResult faulty = distributed_solve(
-      sym, map, dist.factor, b, nrhs, {}, faults, pipelined);
+  const DistSolveResult faulty =
+      distributed_solve(sym, map, dist.factor, b, nrhs, {}, faults, config);
   ASSERT_EQ(faulty.x.size(), clean.x.size());
   for (std::size_t i = 0; i < clean.x.size(); ++i) {
     ASSERT_EQ(faulty.x[i], clean.x[i]) << "entry " << i;
@@ -186,17 +151,17 @@ TEST(DistSolvePipeline, FaultPlanPreservesBitwiseIdentity) {
   EXPECT_GE(faulty.run.makespan, clean.run.makespan);
 }
 
-TEST(DistSolvePipeline, ReducesIdleWaitAtScale) {
-  // The point of the pipelined schedule: per-RHS-block messages overlap the
-  // reductions of block k+1 with the computation of block k, within fronts
-  // and up the tree, cutting summed idle wait on a multi-RHS solve.
-  //
-  // Pipelining pays when a block's wire cost (rhs_block * block_rows * 8 *
-  // beta) is at least comparable to the per-message latency alpha; on a
-  // high-latency machine the extra message count dominates instead (see
-  // DESIGN.md). So this contract is pinned on a low-latency interconnect
-  // (alpha = 100 ns) and a 3-D problem whose top fronts span many ranks —
-  // small 2-D problems map every front to one rank and exchange nothing.
+TEST(DistSolve, BlockWidthTradesOverlapForMessages) {
+  // Narrow RHS blocks overlap the reductions of block k+1 with the
+  // computation of block k, within fronts and up the tree, cutting summed
+  // idle wait on a multi-RHS solve — at the price of one message per block
+  // per exchange. That pays when a block's wire cost (rhs_block *
+  // block_rows * 8 * beta) is at least comparable to the per-message
+  // latency alpha: on a low-latency interconnect (alpha = 100 ns) narrow
+  // blocks win, and on the commodity model (alpha = 5 us) the extra
+  // messages dominate and one block wins. The problem is 3-D so that the
+  // top fronts span many ranks — small 2-D problems map every front to one
+  // rank and exchange nothing.
   const SparseMatrix a = grid_laplacian_3d(12, 12, 12, 7);
   const SymbolicFactor sym = analyze(a);
   const FrontMap map =
@@ -205,21 +170,32 @@ TEST(DistSolvePipeline, ReducesIdleWaitAtScale) {
   const index_t nrhs = 32;
   const std::vector<real_t> b = random_rhs(sym.n, nrhs, 31);
 
-  mpsim::MachineModel model;
-  model.alpha = 1e-7;
-  DistSolveConfig blocking;
-  blocking.schedule = DistSolveConfig::Schedule::kBlocking;
-  blocking.rhs_block = 8;
-  DistSolveConfig pipelined;
-  pipelined.rhs_block = 8;
-  const DistSolveResult base =
-      distributed_solve(sym, map, dist.factor, b, nrhs, model, {}, blocking);
-  const DistSolveResult pipe =
-      distributed_solve(sym, map, dist.factor, b, nrhs, model, {}, pipelined);
-  ASSERT_EQ(pipe.x, base.x);  // identical arithmetic, different schedule
-  EXPECT_LT(pipe.run.idle_wait_seconds, base.run.idle_wait_seconds);
-  EXPECT_LT(pipe.run.makespan, base.run.makespan);
-  EXPECT_GE(pipe.run.overlap_efficiency, base.run.overlap_efficiency);
+  DistSolveConfig narrow;
+  narrow.rhs_block = 8;
+  DistSolveConfig one;
+  one.rhs_block = nrhs;
+  mpsim::MachineModel low_latency;
+  low_latency.alpha = 1e-7;
+  {
+    SCOPED_TRACE("low latency");
+    const DistSolveResult n8 = distributed_solve(
+        sym, map, dist.factor, b, nrhs, low_latency, {}, narrow);
+    const DistSolveResult n1 = distributed_solve(
+        sym, map, dist.factor, b, nrhs, low_latency, {}, one);
+    EXPECT_LT(n8.run.idle_wait_seconds, n1.run.idle_wait_seconds);
+    EXPECT_LT(n8.run.makespan, n1.run.makespan);
+    EXPECT_GE(n8.run.overlap_efficiency, n1.run.overlap_efficiency);
+  }
+  {
+    SCOPED_TRACE("commodity");
+    const mpsim::MachineModel commodity;
+    const DistSolveResult n8 = distributed_solve(
+        sym, map, dist.factor, b, nrhs, commodity, {}, narrow);
+    const DistSolveResult n1 =
+        distributed_solve(sym, map, dist.factor, b, nrhs, commodity, {}, one);
+    EXPECT_LT(n1.run.makespan, n8.run.makespan);
+    EXPECT_LT(n1.run.total_messages, n8.run.total_messages);
+  }
 }
 
 TEST(DistSolve, RejectsCrashPlans) {

@@ -463,7 +463,7 @@ TEST(SolverInvalidInput, ZeroOrMismatchedRhsIsDiagnosedNotAsserted) {
     }
   };
   expect_invalid([&] { (void)solver.solve_multi(b, 0); });
-  expect_invalid([&] { (void)solver.solve_batch(b, 3); });  // wrong length
+  expect_invalid([&] { (void)solver.solve_refined(b, 3); });  // wrong length
   expect_invalid([&] {
     std::vector<real_t> short_b(static_cast<std::size_t>(a.rows) - 1);
     (void)solver.solve_multi(short_b, 1);
@@ -472,13 +472,6 @@ TEST(SolverInvalidInput, ZeroOrMismatchedRhsIsDiagnosedNotAsserted) {
   std::vector<real_t> x;
   const Status bad = solver.factorize_and_solve(b, 0, x);
   EXPECT_EQ(bad.code, StatusCode::kInvalidInput);
-
-  SolveBatch batch(solver);
-  expect_invalid([&] {
-    std::vector<real_t> wrong(static_cast<std::size_t>(a.rows) + 2);
-    (void)batch.add(wrong);
-  });
-  expect_invalid([&] { batch.solve(); });  // zero right-hand sides
 }
 
 // --- mpsim wall-clock watchdog ----------------------------------------------

@@ -293,7 +293,6 @@ TEST(Scheduler, DoesNotWaitForAnotherCallersTasks) {
 
 TEST(Scheduler, ReusableAcrossGraphs) {
   ThreadPool pool(2);
-  WorkStealingScheduler sched(pool);
   for (int round = 0; round < 3; ++round) {
     TaskGraph g;
     std::atomic<int> count{0};
@@ -301,7 +300,7 @@ TEST(Scheduler, ReusableAcrossGraphs) {
       g.add_task(make_tag(TaskKind::kUser, i),
                  [&count] { count.fetch_add(1); });
     }
-    const SchedulerStats stats = sched.run(g);
+    const SchedulerStats stats = run_graph(g, pool);
     EXPECT_EQ(stats.executed, 50);
     EXPECT_EQ(count.load(), 50);
   }

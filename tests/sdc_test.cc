@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -637,33 +638,74 @@ TEST(SolverSdc, StoredFactorFlipHealedByFullRecomputeWithoutChecksums) {
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(x[i], want[i]);
 }
 
-TEST(SolverSdc, StoredFactorFlipHealedInBatchSolve) {
-  // solve_batch() verifies its answer like solve_multi(): the first column
-  // under kSampled. The healed batch re-runs the batch's own sweeps and
-  // refinement passes, so it is bitwise the clean batch.
+TEST(SolverSdc, StoredFactorFlipHealedInRefinedSolve) {
+  // solve_refined() verifies its answer like solve_multi(): the first
+  // column under kSampled. The healed answer re-runs the refined solve's
+  // own sweeps and corrections, so it is bitwise the clean one — for a
+  // block of right-hand sides and for one.
   const SparseMatrix a = test_matrix();
-  constexpr index_t kNrhs = 5;
-  const std::vector<real_t> b = random_vector(a.rows * kNrhs, 7);
+  for (const index_t nrhs : {5, 1}) {
+    SCOPED_TRACE(nrhs);
+    const std::vector<real_t> b = random_vector(a.rows * nrhs, 7);
 
-  Solver reference;
-  reference.analyze(a);
-  ASSERT_TRUE(reference.factorize().ok());
-  const std::vector<real_t> want = reference.solve_batch(b, kNrhs);
+    Solver reference;
+    reference.analyze(a);
+    ASSERT_TRUE(reference.factorize().ok());
+    const std::vector<real_t> want = reference.solve_refined(b, nrhs);
 
-  SolverOptions options;
-  options.verify = SolverOptions::Verify::kSampled;
-  options.inject_sdc = SdcInjection{};
-  options.inject_sdc->site = SdcSite::kStoredFactor;
-  options.inject_sdc->supernode = 1;
-  Solver solver(options);
-  solver.analyze(a);
-  ASSERT_TRUE(solver.factorize().ok());
-  const std::vector<real_t> x = solver.solve_batch(b, kNrhs);
-  EXPECT_TRUE(solver.report().corruption_detected);
-  EXPECT_LE(solver.report().verify_residual, options.verify_tolerance);
-  EXPECT_EQ(solver.report().batch_rhs, kNrhs);
-  ASSERT_EQ(x.size(), want.size());
-  for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(x[i], want[i]);
+    SolverOptions options;
+    options.verify = SolverOptions::Verify::kSampled;
+    options.inject_sdc = SdcInjection{};
+    options.inject_sdc->site = SdcSite::kStoredFactor;
+    options.inject_sdc->supernode = 1;
+    Solver solver(options);
+    solver.analyze(a);
+    ASSERT_TRUE(solver.factorize().ok());
+    const std::vector<real_t> x = solver.solve_refined(b, nrhs);
+    EXPECT_TRUE(solver.report().corruption_detected);
+    EXPECT_LE(solver.report().verify_residual, options.verify_tolerance);
+    ASSERT_EQ(x.size(), want.size());
+    for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(x[i], want[i]);
+  }
+}
+
+TEST(SolverSdc, UnverifiedFlipScanNeverReturnsNonFiniteOk) {
+  // With verify off nothing checks the stored factor, and a flipped top
+  // exponent bit can make the direct answer NaN or inf. solve_robust() must
+  // then recover a finite answer or report failure: the normwise residual
+  // reads +inf for a non-finite answer, and the CG fallback starts from
+  // zero instead of from that answer.
+  const SparseMatrix a = test_matrix();
+  const std::vector<real_t> b = random_vector(a.rows, 13);
+  Solver probe;
+  probe.analyze(a);
+  const index_t supernodes = probe.report().n_supernodes;
+  const auto finite = [](const std::vector<real_t>& x) {
+    return std::all_of(x.begin(), x.end(),
+                       [](real_t v) { return std::isfinite(v); });
+  };
+  int non_finite_direct = 0;
+  for (index_t s = 0; s < supernodes; ++s) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      SolverOptions options;
+      options.inject_sdc = SdcInjection{};
+      options.inject_sdc->site = SdcSite::kStoredFactor;
+      options.inject_sdc->supernode = s;
+      options.inject_sdc->seed = seed;
+      Solver solver(options);
+      solver.analyze(a);
+      ASSERT_TRUE(solver.factorize().ok());
+      if (!finite(solver.solve(b))) ++non_finite_direct;
+      const RobustSolveResult r = solver.solve_robust(b);
+      EXPECT_TRUE(finite(r.x) || r.status.failed())
+          << "supernode " << s << " seed " << seed << ": path "
+          << solve_path_name(r.path) << " returned a non-finite answer";
+      if (!finite(r.x)) {
+        EXPECT_EQ(r.residual, std::numeric_limits<real_t>::infinity());
+      }
+    }
+  }
+  EXPECT_GT(non_finite_direct, 0) << "the scan never produced the case";
 }
 
 TEST(SolverSdc, CleanVerifiedSolveReportsResidualOnly) {

@@ -509,12 +509,12 @@ std::vector<std::vector<real_t>> every_answer(const Solver& solver,
   std::vector<std::vector<real_t>> out;
   out.push_back(solver.solve(b));
   out.push_back(solver.solve_multi(b, 1));
-  out.push_back(solver.solve_batch(b, 1));
+  out.push_back(solver.solve_refined(b, 1));
   out.push_back(solver.solve_refined(b));
   for (const index_t nrhs : {rhs_block, rhs_block + 1}) {
     const std::vector<real_t> bb = random_block(n, nrhs, 7 + nrhs);
     out.push_back(solver.solve_multi(bb, nrhs));
-    out.push_back(solver.solve_batch(bb, nrhs));
+    out.push_back(solver.solve_refined(bb, nrhs));
   }
   out.push_back({solver.condition_estimate()});
   return out;
@@ -600,7 +600,7 @@ SparseMatrix thread_count_matrix(FactorKind kind) {
                                    : grid_laplacian_3d(12, 12, 12);
 }
 
-/// solve, solve_multi and solve_batch one column past a RHS block,
+/// solve, solve_multi and solve_refined one column past a RHS block,
 /// solve_refined, then factorize_and_solve (which re-factors).
 std::vector<std::vector<real_t>> threaded_answers(Solver& solver, index_t n,
                                                   index_t rhs_block) {
@@ -610,7 +610,7 @@ std::vector<std::vector<real_t>> threaded_answers(Solver& solver, index_t n,
   std::vector<std::vector<real_t>> out;
   out.push_back(solver.solve(b));
   out.push_back(solver.solve_multi(bb, nrhs));
-  out.push_back(solver.solve_batch(bb, nrhs));
+  out.push_back(solver.solve_refined(bb, nrhs));
   out.push_back(solver.solve_refined(b));
   std::vector<real_t> x;
   EXPECT_TRUE(solver.factorize_and_solve(bb, nrhs, x).ok());
@@ -1144,7 +1144,7 @@ TEST(SolverServiceTest, ConcurrentSolveDuringRefactorizeNeverTears) {
             static_cast<count_t>(kSolvers * kRounds + kRounds + 1));
 }
 
-TEST(SolverServiceTest, BatchSolveMatchesSolverBatch) {
+TEST(SolverServiceTest, BatchSolveMatchesSolverRefinedSolve) {
   const SparseMatrix a = grid_laplacian_2d(18, 18);
   const index_t nrhs = 5;
   std::vector<real_t> b(static_cast<std::size_t>(a.rows) * nrhs);
@@ -1161,7 +1161,7 @@ TEST(SolverServiceTest, BatchSolveMatchesSolverBatch) {
   Solver reference;
   reference.analyze(a);
   ASSERT_TRUE(reference.factorize().ok());
-  EXPECT_EQ(x, reference.solve_batch(b, nrhs));
+  EXPECT_EQ(x, reference.solve_refined(b, nrhs));
 }
 
 // A session whose factor is larger than the whole factor cache runs on the
@@ -1191,7 +1191,7 @@ TEST(SolverServiceTest, StreamedSessionAnswersLikeResidentSolver) {
   const std::vector<real_t> b = random_block(a.rows, nrhs, 31);
   std::vector<real_t> x;
   ASSERT_TRUE(svc.solve_batch(id, b, nrhs, x).ok());
-  EXPECT_TRUE(bitwise_equal(x, resident.solve_batch(b, nrhs)));
+  EXPECT_TRUE(bitwise_equal(x, resident.solve_refined(b, nrhs)));
   const std::vector<real_t> b1(b.begin(), b.begin() + a.rows);
   ASSERT_TRUE(svc.solve(id, b1, x).ok());
   EXPECT_TRUE(bitwise_equal(x, resident.solve(b1)));

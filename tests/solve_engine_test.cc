@@ -1,8 +1,9 @@
 // Property tests for the schedule-driven solve engine: schedule structure
 // invariants, bitwise identity of threaded vs serial sweeps, identity of the
 // engine with the push-based reference sweep, batch-vs-loop identity at the
-// Solver level, and batch refinement/throughput reporting.
+// Solver level, blocked refinement, and the residual's non-finite guard.
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -306,10 +307,10 @@ TEST(SolverBatch, SolveIsSolveMultiWithOneColumn) {
   }
 }
 
-TEST(SolverBatch, BatchEqualsMultiOnSameBlockPartition) {
+TEST(SolverBatch, RefinedWithoutStepsIsSolveMulti) {
   SolverOptions options;
   options.solve_rhs_block = 4;
-  options.batch_refinement_passes = 0;
+  options.refinement_steps = 0;
   Solver solver(options);
   const SparseMatrix a = solver_matrix();
   solver.analyze(a);
@@ -317,24 +318,23 @@ TEST(SolverBatch, BatchEqualsMultiOnSameBlockPartition) {
   const index_t nrhs = 10;  // blocks of 4, 4, 2
   const std::vector<real_t> b = random_rhs(a.rows, nrhs, 29);
   const std::vector<real_t> xm = solver.solve_multi(b, nrhs);
-  const std::vector<real_t> xb = solver.solve_batch(b, nrhs);
-  ASSERT_EQ(xb.size(), xm.size());
+  const std::vector<real_t> xr = solver.solve_refined(b, nrhs);
+  ASSERT_EQ(xr.size(), xm.size());
   for (std::size_t i = 0; i < xm.size(); ++i) {
-    ASSERT_EQ(xb[i], xm[i]) << "entry " << i;
+    ASSERT_EQ(xr[i], xm[i]) << "entry " << i;
   }
 }
 
 TEST(SolverBatch, WidthOneBatchEqualsSolveLoop) {
   SolverOptions options;
   options.solve_rhs_block = 1;
-  options.batch_refinement_passes = 0;
   Solver solver(options);
   const SparseMatrix a = solver_matrix();
   solver.analyze(a);
   ASSERT_TRUE(solver.factorize().ok());
   const index_t nrhs = 5;
   const std::vector<real_t> b = random_rhs(a.rows, nrhs, 31);
-  const std::vector<real_t> xb = solver.solve_batch(b, nrhs);
+  const std::vector<real_t> xb = solver.solve_multi(b, nrhs);
   const std::size_t n = static_cast<std::size_t>(a.rows);
   for (index_t r = 0; r < nrhs; ++r) {
     const std::vector<real_t> xr = solver.solve(
@@ -347,49 +347,44 @@ TEST(SolverBatch, WidthOneBatchEqualsSolveLoop) {
   }
 }
 
-TEST(SolverBatch, AccumulatorMatchesBatchAndReportsThroughput) {
-  Solver solver;
+TEST(SolverBatch, RefinedBlockSolvesEveryColumn) {
+  SolverOptions options;
+  options.solve_rhs_block = 4;
+  Solver solver(options);
   const SparseMatrix a = solver_matrix();
   solver.analyze(a);
   ASSERT_TRUE(solver.factorize().ok());
-  const index_t nrhs = 6;
+  const index_t nrhs = 6;  // blocks of 4, 2
   const std::vector<real_t> b = random_rhs(a.rows, nrhs, 37);
-  const std::vector<real_t> xb = solver.solve_batch(b, nrhs);
-
-  SolveBatch batch(solver);
+  const std::vector<real_t> x = solver.solve_refined(b, nrhs);
+  ASSERT_EQ(x.size(), b.size());
   const std::size_t n = static_cast<std::size_t>(a.rows);
   for (index_t r = 0; r < nrhs; ++r) {
-    ASSERT_EQ(batch.add(std::span<const real_t>(
-                  b.data() + static_cast<std::size_t>(r) * n, n)),
-              r);
+    const std::size_t off = static_cast<std::size_t>(r) * n;
+    EXPECT_LE(solver.residual({x.data() + off, n}, {b.data() + off, n}),
+              1e-12)
+        << "rhs " << r;
   }
-  batch.solve();
-  ASSERT_EQ(batch.size(), nrhs);
-  for (index_t r = 0; r < nrhs; ++r) {
-    const auto xr = batch.solution(r);
-    ASSERT_EQ(xr.size(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(xr[i], xb[static_cast<std::size_t>(r) * n + i])
-          << "rhs " << r << " entry " << i;
-    }
-  }
+}
 
-  const SolverReport& report = solver.report();
-  EXPECT_EQ(report.batch_rhs, nrhs);
-  EXPECT_GT(report.batch_solves_per_second, 0.0);
-  EXPECT_GT(report.batch_bytes_per_solve, 0.0);
-  EXPECT_LE(report.batch_residual, 1e-12);  // one refinement pass (default)
+TEST(RelativeResidual, NonFiniteAnswerIsInfinitelyWrong) {
+  // norm_inf skips NaN, so without the finiteness check an all-NaN answer
+  // read as residual 0 and an answer holding one inf as NaN.
+  const SparseMatrix a = solver_matrix();
+  const std::vector<real_t> b = random_rhs(a.rows, 1, 43);
+  const real_t inf = std::numeric_limits<real_t>::infinity();
+  const std::vector<real_t> all_nan(b.size(),
+                                    std::numeric_limits<real_t>::quiet_NaN());
+  EXPECT_EQ(relative_residual(a, all_nan, b), inf);
+  std::vector<real_t> one_inf(b.size(), 0.0);
+  one_inf[b.size() / 2] = inf;
+  EXPECT_EQ(relative_residual(a, one_inf, b), inf);
 }
 
 TEST(SolverBatch, ThreadedSolverBitwiseEqualsSerialSolver) {
   const SparseMatrix a = grid_laplacian_2d(21, 19, 9);
-  // Pin the ordering: the parallel nested dissection produces a different
-  // (equal-quality) permutation than the sequential one, which would change
-  // the factor itself. The bitwise contract is about the solve sweeps.
-  SolverOptions serial_opts;
-  serial_opts.ordering = SolverOptions::Ordering::kMinimumDegree;
+  const SolverOptions serial_opts;
   SolverOptions par_opts;
-  par_opts.ordering = SolverOptions::Ordering::kMinimumDegree;
   par_opts.threads = 4;
   Solver serial(serial_opts);
   Solver parallel(par_opts);
