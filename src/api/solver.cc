@@ -236,28 +236,6 @@ std::uint64_t Solver::config_hash() const {
   return fnv1a_pod(options_.amalgamation.relax_ratio, h);
 }
 
-void Solver::build_value_map(const SparseMatrix& lower) {
-  const SparseMatrix& a = sym_->a;
-  value_map_.resize(a.values.size());
-  for (index_t j = 0; j < a.cols; ++j) {
-    for (index_t q = a.col_ptr[j]; q < a.col_ptr[j + 1]; ++q) {
-      const index_t oi = total_perm_[a.row_ind[q]];
-      const index_t oj = total_perm_[j];
-      // The input stores the lower triangle: column min(oi,oj), row
-      // max(oi,oj), row indices sorted within the column.
-      const index_t c = std::min(oi, oj);
-      const index_t r = std::max(oi, oj);
-      const auto begin = lower.row_ind.begin() + lower.col_ptr[c];
-      const auto end = lower.row_ind.begin() + lower.col_ptr[c + 1];
-      const auto it = std::lower_bound(begin, end, r);
-      PARFACT_CHECK_MSG(it != end && *it == r,
-                        "analyze(): permuted entry missing from input");
-      value_map_[static_cast<std::size_t>(q)] =
-          static_cast<index_t>(it - lower.row_ind.begin());
-    }
-  }
-}
-
 void Solver::analyze(const SparseMatrix& lower) {
   WallTimer timer;
   PARFACT_CHECK(lower.rows == lower.cols);
@@ -319,10 +297,16 @@ void Solver::analyze(const SparseMatrix& lower) {
         break;
     }
 
-    const SparseMatrix permuted =
-        lower_triangle(permute_symmetric(symmetrize_full(lower), fill_perm));
-    sym_ = std::make_unique<SymbolicFactor>(
-        parfact::analyze(permuted, options_.amalgamation));
+    // Both permutations stay in lower storage, and each reports where its
+    // entries came from; composing the two gives the value map.
+    std::vector<index_t> fill_source;
+    {
+      const SparseMatrix permuted =
+          permute_lower(lower, fill_perm, &fill_source);
+      sym_ = std::make_unique<SymbolicFactor>(
+          parfact::analyze(permuted, options_.amalgamation, &value_map_));
+    }
+    for (index_t& q : value_map_) q = fill_source[q];
 
     // Compose: postordered index -> fill index -> original index.
     total_perm_.resize(static_cast<std::size_t>(lower.rows));
@@ -330,7 +314,6 @@ void Solver::analyze(const SparseMatrix& lower) {
       total_perm_[k] = fill_perm[sym_->post[k]];
     }
     PARFACT_CHECK(is_permutation(total_perm_));
-    build_value_map(lower);
 
     if (cache != nullptr) {
       SymbolicFactor zeroed = *sym_;
@@ -794,8 +777,7 @@ SymbolicFactor analyze_nested_dissection(const SparseMatrix& lower,
                                          const AmalgamationOptions& amalg) {
   const std::vector<index_t> perm =
       nested_dissection(graph_from_pattern(lower), nd);
-  return analyze(
-      lower_triangle(permute_symmetric(symmetrize_full(lower), perm)), amalg);
+  return analyze(permute_lower(lower, perm), amalg);
 }
 
 }  // namespace parfact

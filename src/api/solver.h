@@ -338,8 +338,6 @@ class Solver {
   /// Digest of every option that affects the symbolic result (ordering kind
   /// and knobs, amalgamation) — the PatternKey config component.
   [[nodiscard]] std::uint64_t config_hash() const;
-  /// Builds value_map_: sym_->a.values[q] = lower.values[value_map_[q]].
-  void build_value_map(const SparseMatrix& lower);
   /// Arms the per-call cancellation scope (deadline) and returns its token.
   [[nodiscard]] CancelToken arm_cancel_scope();
   /// x := A⁻¹ x on the postordered block: the one place that dispatches

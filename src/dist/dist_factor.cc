@@ -427,8 +427,7 @@ class RankProgram {
           } else {
             gemm_nt_update(c, panel_block(ib), bj);
           }
-          comm_.advance_compute(2 * static_cast<count_t>(c.rows) * c.cols *
-                                bk);
+          comm_.advance_compute(fb.update_flops(ib, jb, bk, ldlt));
         }
       }
     }
@@ -646,8 +645,7 @@ class RankProgram {
         } else {
           gemm_nt_update(c, panel_block(ib), bj);
         }
-        comm_.advance_compute(2 * static_cast<count_t>(c.rows) * c.cols *
-                              bk);
+        comm_.advance_compute(fb.update_flops(ib, jb, bk, ldlt));
       }
     }
   }

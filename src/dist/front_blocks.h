@@ -48,6 +48,17 @@ struct FrontBlocking {
     if (r < p) return r / nb;
     return kp + (r - p) / nb;
   }
+  /// Flops charged for the trailing update of block (ib, jb) by the bk-wide
+  /// panel. A Cholesky diagonal block runs syrk_lower_update, which forms
+  /// only its lower triangle: rows · (rows + 1) · bk. Every other block, and
+  /// an LDLᵀ diagonal block (it runs gemm_nt_update), costs a GEMM's
+  /// 2 · rows · cols · bk.
+  [[nodiscard]] count_t update_flops(index_t ib, index_t jb, index_t bk,
+                                     bool ldlt) const {
+    const auto rows = static_cast<count_t>(size(ib));
+    if (ib == jb && !ldlt) return rows * (rows + 1) * bk;
+    return 2 * rows * size(jb) * bk;
+  }
   /// True iff grid row `ri` of a `pr`-row block-cyclic grid owns any block
   /// (ib, kb) below the diagonal, ib > kb.
   [[nodiscard]] bool grid_row_owns_below(index_t kb, int ri, int pr) const {

@@ -1,7 +1,7 @@
 // Fill-reducing orderings.
 //
 // All functions return a permutation `perm` with perm[new_index] = old_index;
-// apply with permute_symmetric(A, perm). Nested dissection is the ordering
+// apply with permute_lower(A, perm). Nested dissection is the ordering
 // the parallel solver uses (its separator tree becomes the top of the
 // parallel task tree); minimum degree is the classic sequential alternative
 // (and orders the small leaf subgraphs inside ND); RCM is the

@@ -241,7 +241,9 @@ PerfResult simulate_factor_time(const SymbolicFactor& sym, const FrontMap& map,
           const int owner = r0 + (static_cast<int>(jb) % pc) * pr +
                             static_cast<int>(ib) % pr;
           clk.work(owner,
-                   2.0 * fb.size(ib) * fb.size(jb) * bk, model.flop_rate);
+                   static_cast<double>(
+                       fb.update_flops(ib, jb, bk, /*ldlt=*/false)),
+                   model.flop_rate);
         }
       }
     };

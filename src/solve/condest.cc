@@ -71,13 +71,13 @@ real_t estimate_inverse_norm1(const CholeskyFactor& factor) {
 real_t estimate_condition_1(const SparseMatrix& lower_a,
                             const SolveFn& solve) {
   // For symmetric A the 1-norm equals the infinity norm.
-  return norm_inf(symmetrize_full(lower_a)) *
+  return norm_inf_symmetric(lower_a) *
          estimate_inverse_norm1(lower_a.rows, solve);
 }
 
 real_t estimate_condition_1(const SparseMatrix& lower_a,
                             const CholeskyFactor& factor) {
-  return norm_inf(symmetrize_full(lower_a)) * estimate_inverse_norm1(factor);
+  return norm_inf_symmetric(lower_a) * estimate_inverse_norm1(factor);
 }
 
 }  // namespace parfact

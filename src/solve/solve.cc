@@ -236,9 +236,9 @@ real_t relative_residual(const SparseMatrix& lower_a,
     // an exact one: report it as infinitely wrong instead.
     if (!std::isfinite(r[i])) return std::numeric_limits<real_t>::infinity();
   }
-  const real_t denom = norm_inf(symmetrize_full(lower_a)) *
-                           norm_inf(std::span<const real_t>(x)) +
-                       norm_inf(b);
+  const real_t denom =
+      norm_inf_symmetric(lower_a) * norm_inf(std::span<const real_t>(x)) +
+      norm_inf(b);
   const real_t num = norm_inf(std::span<const real_t>(r));
   return denom > 0.0 ? num / denom : num;
 }
@@ -251,7 +251,7 @@ RefinementResult refine(const SparseMatrix& lower_a, ConstMatrixView b,
   const index_t nrhs = x.cols;
   // ‖A‖ is a loop invariant; a column of a column-major view is
   // contiguous, so each column's SpMV reads x and writes r in place.
-  const real_t anorm = norm_inf(symmetrize_full(lower_a));
+  const real_t anorm = norm_inf_symmetric(lower_a);
   std::vector<real_t> r(static_cast<std::size_t>(n) * nrhs);
   const MatrixView rv{r.data(), n, nrhs, n};
   const auto residuals_into_r = [&]() {

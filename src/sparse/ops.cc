@@ -41,32 +41,122 @@ bool is_symmetric(const SparseMatrix& a, real_t tol) {
   return true;
 }
 
+namespace {
+
+constexpr const char* kNotLower = "matrix is not lower-triangular-stored";
+
+/// The counting-sort kernel behind both permutations. `for_each_entry(emit)`
+/// calls emit(row, col, src) once for every entry src of the square matrix
+/// `in`, naming the entry's place in the result; it runs twice and must
+/// emit the same sequence both times. Pass one counts the entries of every
+/// row and column, pass two buckets them by row, and the scatter walks the
+/// rows in ascending order, so each column receives its rows sorted with no
+/// sort call. O(nnz + n); the row buckets are the one nnz-sized temporary.
+template <class ForEachEntry>
+SparseMatrix counting_sort(const SparseMatrix& in, ForEachEntry for_each_entry,
+                           std::vector<index_t>* source) {
+  const index_t n = in.rows;
+  const auto nnz = static_cast<std::size_t>(in.nnz());
+  SparseMatrix out(n, n);
+  std::vector<index_t> row_ptr(static_cast<std::size_t>(n) + 1, 0);
+  for_each_entry([&](index_t r, index_t c, index_t) {
+    ++row_ptr[r + 1];
+    ++out.col_ptr[c + 1];
+  });
+  for (index_t i = 0; i < n; ++i) {
+    row_ptr[i + 1] += row_ptr[i];
+    out.col_ptr[i + 1] += out.col_ptr[i];
+  }
+
+  struct Slot {
+    index_t col;
+    index_t src;
+  };
+  std::vector<Slot> bucket(nnz);
+  std::vector<index_t> next(row_ptr.begin(), row_ptr.end() - 1);
+  for_each_entry([&](index_t r, index_t c, index_t src) {
+    bucket[static_cast<std::size_t>(next[r]++)] = Slot{c, src};
+  });
+
+  out.row_ind.resize(nnz);
+  out.values.resize(nnz);
+  if (source != nullptr) source->resize(nnz);
+  next.assign(out.col_ptr.begin(), out.col_ptr.end() - 1);
+  for (index_t r = 0; r < n; ++r) {
+    for (index_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      const Slot s = bucket[static_cast<std::size_t>(k)];
+      const index_t q = next[s.col]++;
+      out.row_ind[q] = r;
+      out.values[q] = in.values[s.src];
+      if (source != nullptr) (*source)[q] = s.src;
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
 SparseMatrix lower_triangle(const SparseMatrix& a) {
   PARFACT_CHECK(a.rows == a.cols);
   SparseMatrix l(a.rows, a.cols);
   for (index_t j = 0; j < a.cols; ++j) {
+    index_t count = 0;
+    for (index_t p = a.col_ptr[j]; p < a.col_ptr[j + 1]; ++p) {
+      count += a.row_ind[p] >= j ? 1 : 0;
+    }
+    l.col_ptr[j + 1] = l.col_ptr[j] + count;
+  }
+  l.row_ind.resize(static_cast<std::size_t>(l.nnz()));
+  l.values.resize(static_cast<std::size_t>(l.nnz()));
+  index_t q = 0;
+  for (index_t j = 0; j < a.cols; ++j) {
     for (index_t p = a.col_ptr[j]; p < a.col_ptr[j + 1]; ++p) {
       if (a.row_ind[p] >= j) {
-        l.row_ind.push_back(a.row_ind[p]);
-        l.values.push_back(a.values[p]);
+        l.row_ind[q] = a.row_ind[p];
+        l.values[q] = a.values[p];
+        ++q;
       }
     }
-    l.col_ptr[j + 1] = static_cast<index_t>(l.row_ind.size());
   }
   return l;
 }
 
 SparseMatrix symmetrize_full(const SparseMatrix& lower) {
   PARFACT_CHECK(lower.rows == lower.cols);
-  TripletBuilder b(lower.rows, lower.cols);
-  for (index_t j = 0; j < lower.cols; ++j) {
+  const index_t n = lower.cols;
+  // A transpose merge: column j is its mirrored upper part (the
+  // off-diagonal entries of row j, from the columns c < j in ascending
+  // order) followed by its stored lower part.
+  SparseMatrix full(n, n);
+  for (index_t j = 0; j < n; ++j) {
     for (index_t p = lower.col_ptr[j]; p < lower.col_ptr[j + 1]; ++p) {
-      PARFACT_CHECK_MSG(lower.row_ind[p] >= j,
-                        "matrix is not lower-triangular-stored");
-      b.add_symmetric(lower.row_ind[p], j, lower.values[p]);
+      const index_t r = lower.row_ind[p];
+      PARFACT_CHECK_MSG(r >= j, kNotLower);
+      PARFACT_DCHECK(p == lower.col_ptr[j] || lower.row_ind[p - 1] < r);
+      if (r != j) ++full.col_ptr[r + 1];
+    }
+    full.col_ptr[j + 1] += lower.col_ptr[j + 1] - lower.col_ptr[j];
+  }
+  for (index_t j = 0; j < n; ++j) full.col_ptr[j + 1] += full.col_ptr[j];
+  full.row_ind.resize(static_cast<std::size_t>(full.nnz()));
+  full.values.resize(static_cast<std::size_t>(full.nnz()));
+  std::vector<index_t> next(full.col_ptr.begin(), full.col_ptr.end() - 1);
+  for (index_t c = 0; c < n; ++c) {
+    index_t q = full.col_ptr[c + 1] - lower.col_ptr[c + 1] + lower.col_ptr[c];
+    for (index_t p = lower.col_ptr[c]; p < lower.col_ptr[c + 1]; ++p) {
+      const index_t r = lower.row_ind[p];
+      const real_t v = 0.0 + lower.values[p];
+      full.row_ind[q] = r;
+      full.values[q] = v;
+      ++q;
+      if (r != c) {
+        const index_t m = next[r]++;
+        full.row_ind[m] = c;
+        full.values[m] = v;
+      }
     }
   }
-  return b.build();
+  return full;
 }
 
 SparseMatrix permute_symmetric(const SparseMatrix& a,
@@ -74,32 +164,36 @@ SparseMatrix permute_symmetric(const SparseMatrix& a,
   PARFACT_CHECK(a.rows == a.cols);
   PARFACT_CHECK(static_cast<index_t>(perm.size()) == a.rows);
   const std::vector<index_t> inv = invert_permutation(perm);
-  SparseMatrix b(a.rows, a.cols);
-  b.row_ind.resize(static_cast<std::size_t>(a.nnz()));
-  b.values.resize(static_cast<std::size_t>(a.nnz()));
-  // Column new_j of B is column perm[new_j] of A with rows relabeled; count,
-  // scatter, then sort rows within each column.
-  for (index_t new_j = 0; new_j < a.cols; ++new_j) {
-    const index_t old_j = perm[new_j];
-    b.col_ptr[new_j + 1] =
-        b.col_ptr[new_j] + (a.col_ptr[old_j + 1] - a.col_ptr[old_j]);
-  }
-  std::vector<std::pair<index_t, real_t>> col;
-  for (index_t new_j = 0; new_j < a.cols; ++new_j) {
-    const index_t old_j = perm[new_j];
-    col.clear();
-    for (index_t p = a.col_ptr[old_j]; p < a.col_ptr[old_j + 1]; ++p) {
-      col.emplace_back(inv[a.row_ind[p]], a.values[p]);
+  const auto for_each_entry = [&](auto&& emit) {
+    for (index_t j = 0; j < a.cols; ++j) {
+      for (index_t p = a.col_ptr[j]; p < a.col_ptr[j + 1]; ++p) {
+        emit(inv[a.row_ind[p]], inv[j], p);
+      }
     }
-    std::sort(col.begin(), col.end());
-    index_t q = b.col_ptr[new_j];
-    for (const auto& [r, v] : col) {
-      b.row_ind[q] = r;
-      b.values[q] = v;
-      ++q;
+  };
+  return counting_sort(a, for_each_entry, nullptr);
+}
+
+SparseMatrix permute_lower(const SparseMatrix& lower,
+                           std::span<const index_t> perm,
+                           std::vector<index_t>* source) {
+  PARFACT_CHECK(lower.rows == lower.cols);
+  PARFACT_CHECK(static_cast<index_t>(perm.size()) == lower.rows);
+  const std::vector<index_t> inv = invert_permutation(perm);
+  // Entry (r, c), r >= c, lands at (max, min) of its new indices: this is
+  // cs_symperm's mapping, and the bucket-by-row pass is its transpose.
+  const auto for_each_entry = [&](auto&& emit) {
+    for (index_t c = 0; c < lower.cols; ++c) {
+      const index_t nc = inv[c];
+      for (index_t p = lower.col_ptr[c]; p < lower.col_ptr[c + 1]; ++p) {
+        const index_t r = lower.row_ind[p];
+        PARFACT_CHECK_MSG(r >= c, kNotLower);
+        const index_t nr = inv[r];
+        emit(std::max(nr, nc), std::min(nr, nc), p);
+      }
     }
-  }
-  return b;
+  };
+  return counting_sort(lower, for_each_entry, source);
 }
 
 void spmv(const SparseMatrix& a, std::span<const real_t> x,
@@ -136,6 +230,26 @@ real_t norm_inf(const SparseMatrix& a) {
   std::vector<real_t> row_sum(static_cast<std::size_t>(a.rows), 0.0);
   for (index_t p = 0; p < a.nnz(); ++p) {
     row_sum[a.row_ind[p]] += std::abs(a.values[p]);
+  }
+  real_t m = 0.0;
+  for (real_t s : row_sum) m = std::max(m, s);
+  return m;
+}
+
+real_t norm_inf_symmetric(const SparseMatrix& lower) {
+  PARFACT_CHECK(lower.rows == lower.cols);
+  // Row i receives |a_ic| for c < i while column c is scanned, then its
+  // diagonal and |a_ri| for r > i while column i is: the column order in
+  // which norm_inf walks the full-stored matrix.
+  std::vector<real_t> row_sum(static_cast<std::size_t>(lower.rows), 0.0);
+  for (index_t c = 0; c < lower.cols; ++c) {
+    for (index_t p = lower.col_ptr[c]; p < lower.col_ptr[c + 1]; ++p) {
+      const index_t r = lower.row_ind[p];
+      PARFACT_CHECK_MSG(r >= c, kNotLower);
+      const real_t v = std::abs(lower.values[p]);
+      row_sum[r] += v;
+      if (r != c) row_sum[c] += v;
+    }
   }
   real_t m = 0.0;
   for (real_t s : row_sum) m = std::max(m, s);

@@ -109,7 +109,8 @@ struct MergedSupernode {
 }  // namespace
 
 SymbolicFactor analyze(const SparseMatrix& lower,
-                       const AmalgamationOptions& opts) {
+                       const AmalgamationOptions& opts,
+                       std::vector<index_t>* source) {
   PARFACT_CHECK(lower.rows == lower.cols);
   SymbolicFactor sf;
   sf.n = lower.rows;
@@ -124,8 +125,7 @@ SymbolicFactor analyze(const SparseMatrix& lower,
   {
     const std::vector<index_t> parent0 = elimination_tree(lower);
     sf.post = tree_postorder(parent0);
-    sf.a = lower_triangle(
-        permute_symmetric(symmetrize_full(lower), sf.post));
+    sf.a = permute_lower(lower, sf.post, source);
     sf.parent = relabel_tree(parent0, sf.post);
     PARFACT_CHECK(is_postordered(sf.parent));
   }

@@ -97,8 +97,11 @@ struct SymbolicFactor {
 [[nodiscard]] count_t partial_cholesky_flops(index_t panel, index_t front);
 
 /// Runs the analyze phase. `lower` must be square, lower-triangle stored,
-/// with every diagonal entry present.
+/// with every diagonal entry present. If `source` is given, it receives for
+/// every entry q of the result's `a` the position in `lower` of its value
+/// (permute_lower's source map): a.values[q] == lower.values[(*source)[q]].
 [[nodiscard]] SymbolicFactor analyze(const SparseMatrix& lower,
-                                     const AmalgamationOptions& opts = {});
+                                     const AmalgamationOptions& opts = {},
+                                     std::vector<index_t>* source = nullptr);
 
 }  // namespace parfact

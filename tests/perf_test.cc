@@ -197,6 +197,33 @@ TEST(Perf, TaskDagBeatsLookaheadAtScale) {
   EXPECT_TRUE(any_win) << "task-DAG replay never beat lookahead at any P";
 }
 
+// At one rank the compute charge is the factorization's flop count at the
+// model rate, whatever the block size: every update block is charged the
+// kernel it runs, and a Cholesky diagonal block runs SYRK on its lower
+// triangle only. Both the executed schedules and the replay are held to it.
+TEST(Perf, OneRankComputeChargeIsTheFlopCountAtEveryBlockSize) {
+  const SparseMatrix a = grid_laplacian_3d(20, 20, 20, 7);
+  const SymbolicFactor sym = analyze_nested_dissection(a);
+  const mpsim::MachineModel model{};
+  const double ideal = static_cast<double>(sym.total_flops) / model.flop_rate;
+  for (const index_t block : {16, 48, 128, 256}) {
+    const FrontMap map =
+        build_front_map(sym, 1, MappingStrategy::kSubtree2d, block);
+    for (const auto schedule :
+         {DistConfig::Schedule::kBlocking, DistConfig::Schedule::kLookahead}) {
+      const DistFactorResult r =
+          distributed_factor(sym, map, model, FactorKind::kCholesky, {}, {},
+                             {}, DistConfig{schedule});
+      ASSERT_TRUE(r.status.ok());
+      EXPECT_NEAR(r.run.rank_compute[0], ideal, 0.01 * ideal)
+          << "block " << block << ", schedule "
+          << static_cast<int>(schedule);
+    }
+    const PerfResult sim = simulate_factor_time(sym, map, model);
+    EXPECT_NEAR(sim.compute_total, ideal, 0.01 * ideal) << "block " << block;
+  }
+}
+
 TEST(Perf, TaskDagMatchesSerialAtOneRank) {
   // With one rank there are no messages, hence no floors: all three
   // schedules must report identical makespans.

@@ -5,7 +5,9 @@
 // identical to their cold counterparts, across every engine, and a session
 // job never observes a torn factor — it gets one of the consistent answers
 // or a diagnosed Status.
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -172,6 +174,44 @@ TEST_P(CachedAnalyzeTest, HitIsBitwiseIdenticalToCold) {
 
 INSTANTIATE_TEST_SUITE_P(SerialAndParallel, CachedAnalyzeTest,
                          ::testing::Values(1, 4));
+
+// EXPECT_EQ on double vectors takes −0.0 == +0.0, so the identity above
+// cannot see a sign flip. A stored −0.0 must reach sym.a with its bits on
+// every path: cold analyze, cache hit and refactorize all move values raw.
+TEST(CachedAnalyze, StoredNegativeZeroKeepsItsBitsOnEveryPath) {
+  SparseMatrix a = grid_laplacian_2d(6, 6);
+  index_t flipped = kNone;
+  for (index_t p = a.col_ptr[0]; p < a.col_ptr[1]; ++p) {
+    if (a.row_ind[p] != 0) flipped = p;
+  }
+  ASSERT_NE(flipped, kNone);
+  a.values[flipped] = -0.0;
+
+  const auto bytes_equal = [](const std::vector<real_t>& x,
+                              const std::vector<real_t>& y) {
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(real_t)) == 0;
+  };
+  SymbolicCache cache(4);
+  SolverOptions opt;
+  opt.symbolic_cache = &cache;
+  Solver cold(opt);
+  cold.analyze(a);
+  Solver hit(opt);
+  hit.analyze(a);
+  ASSERT_EQ(hit.report().symbolic_cache_hits, 1);
+  const std::vector<real_t>& cold_a = cold.symbolic().a.values;
+  EXPECT_TRUE(bytes_equal(cold_a, hit.symbolic().a.values));
+  EXPECT_EQ(std::count_if(cold_a.begin(), cold_a.end(),
+                          [](real_t v) { return v == 0.0 && std::signbit(v); }),
+            1);
+
+  ASSERT_TRUE(cold.factorize().ok());
+  ASSERT_TRUE(hit.factorize().ok());
+  expect_panels_bitwise_equal(cold.symbolic(), cold.factor(), hit.factor());
+  ASSERT_TRUE(hit.refactorize(a.values).ok());
+  EXPECT_TRUE(bytes_equal(cold_a, hit.symbolic().a.values));
+}
 
 // ---------------------------------------------------------------------------
 // Refactorize: bitwise identity across engines

@@ -1,6 +1,12 @@
 // Tests for the sparse module: containers, ops, generators, Matrix Market.
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -128,6 +134,241 @@ TEST(Ops, PermuteSymmetric) {
       EXPECT_DOUBLE_EQ(b.at(i, j), a.at(perm[i], perm[j]));
     }
   }
+}
+
+// --- Counting-sort primitives against the implementations they replaced ---
+
+// symmetrize_full as it was: every entry through a TripletBuilder, whose
+// build() sorts each column and sums each entry as 0.0 + v.
+SparseMatrix reference_symmetrize_full(const SparseMatrix& lower) {
+  TripletBuilder b(lower.rows, lower.cols);
+  for (index_t j = 0; j < lower.cols; ++j) {
+    for (index_t p = lower.col_ptr[j]; p < lower.col_ptr[j + 1]; ++p) {
+      b.add_symmetric(lower.row_ind[p], j, lower.values[p]);
+    }
+  }
+  return b.build();
+}
+
+// permute_symmetric as it was: scatter each column, then sort its rows.
+SparseMatrix reference_permute_symmetric(const SparseMatrix& a,
+                                         std::span<const index_t> perm) {
+  const std::vector<index_t> inv = invert_permutation(perm);
+  SparseMatrix b(a.rows, a.cols);
+  b.row_ind.resize(static_cast<std::size_t>(a.nnz()));
+  b.values.resize(static_cast<std::size_t>(a.nnz()));
+  for (index_t new_j = 0; new_j < a.cols; ++new_j) {
+    const index_t old_j = perm[new_j];
+    b.col_ptr[new_j + 1] =
+        b.col_ptr[new_j] + (a.col_ptr[old_j + 1] - a.col_ptr[old_j]);
+  }
+  std::vector<std::pair<index_t, real_t>> col;
+  for (index_t new_j = 0; new_j < a.cols; ++new_j) {
+    const index_t old_j = perm[new_j];
+    col.clear();
+    for (index_t p = a.col_ptr[old_j]; p < a.col_ptr[old_j + 1]; ++p) {
+      col.emplace_back(inv[a.row_ind[p]], a.values[p]);
+    }
+    std::sort(col.begin(), col.end());
+    index_t q = b.col_ptr[new_j];
+    for (const auto& [r, v] : col) {
+      b.row_ind[q] = r;
+      b.values[q] = v;
+      ++q;
+    }
+  }
+  return b;
+}
+
+// lower_triangle as it was: push_back growth.
+SparseMatrix reference_lower_triangle(const SparseMatrix& a) {
+  SparseMatrix l(a.rows, a.cols);
+  for (index_t j = 0; j < a.cols; ++j) {
+    for (index_t p = a.col_ptr[j]; p < a.col_ptr[j + 1]; ++p) {
+      if (a.row_ind[p] >= j) {
+        l.row_ind.push_back(a.row_ind[p]);
+        l.values.push_back(a.values[p]);
+      }
+    }
+    l.col_ptr[j + 1] = static_cast<index_t>(l.row_ind.size());
+  }
+  return l;
+}
+
+std::uint64_t bits(real_t v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_bits(const SparseMatrix& a, const SparseMatrix& b) {
+  ASSERT_EQ(a.rows, b.rows);
+  ASSERT_EQ(a.cols, b.cols);
+  ASSERT_EQ(a.col_ptr, b.col_ptr);
+  ASSERT_EQ(a.row_ind, b.row_ind);
+  ASSERT_EQ(a.values.size(), b.values.size());
+  for (std::size_t q = 0; q < a.values.size(); ++q) {
+    ASSERT_EQ(bits(a.values[q]), bits(b.values[q])) << "entry " << q;
+  }
+}
+
+// A value drawn from [-1, 1], or an explicit 0.0 or −0.0.
+real_t kernel_value(Prng& rng) {
+  switch (rng.next_below(8)) {
+    case 0:
+      return 0.0;
+    case 1:
+      return -0.0;
+    default:
+      return rng.next_real(-1, 1);
+  }
+}
+
+// Lower-stored square matrix, rows sorted. Column j stores each row below
+// the diagonal with probability `density` (every row if j == dense_col),
+// and its diagonal unless `no_diagonal_every` > 0 divides j.
+SparseMatrix random_lower(index_t n, double density, index_t dense_col,
+                          Prng& rng, index_t no_diagonal_every = 0) {
+  SparseMatrix l(n, n);
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t i = j; i < n; ++i) {
+      const bool keep =
+          i == j ? no_diagonal_every == 0 || j % no_diagonal_every != 0
+                 : j == dense_col || rng.next_real(0, 1) < density;
+      if (keep) {
+        l.row_ind.push_back(i);
+        l.values.push_back(kernel_value(rng));
+      }
+    }
+    l.col_ptr[j + 1] = static_cast<index_t>(l.row_ind.size());
+  }
+  l.validate();
+  return l;
+}
+
+// Square matrix with no symmetry at all, rows sorted.
+SparseMatrix random_general(index_t n, double density, Prng& rng) {
+  SparseMatrix a(n, n);
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t i = 0; i < n; ++i) {
+      if (rng.next_real(0, 1) < density) {
+        a.row_ind.push_back(i);
+        a.values.push_back(kernel_value(rng));
+      }
+    }
+    a.col_ptr[j + 1] = static_cast<index_t>(a.row_ind.size());
+  }
+  return a;
+}
+
+std::vector<index_t> random_permutation(index_t n, Prng& rng) {
+  std::vector<index_t> perm(static_cast<std::size_t>(n));
+  for (index_t i = 0; i < n; ++i) perm[i] = i;
+  for (std::size_t i = perm.size(); i > 1; --i) {
+    std::swap(perm[i - 1], perm[rng.next_below(i)]);
+  }
+  return perm;
+}
+
+// The patterns the kernel tests run: the degenerate orders, a diagonal, a
+// dense column, columns with no off-diagonal entry (and some with no entry
+// at all), random fill levels, and generator matrices.
+std::vector<SparseMatrix> kernel_patterns() {
+  Prng rng(2024);
+  std::vector<SparseMatrix> patterns;
+  patterns.push_back(SparseMatrix(0, 0));
+  patterns.push_back(random_lower(1, 0.0, -1, rng));
+  patterns.push_back(random_lower(1, 0.0, -1, rng, 1));  // 1 x 1, no entry
+  patterns.push_back(random_lower(23, 0.0, -1, rng));    // diagonal only
+  patterns.push_back(random_lower(40, 0.02, 0, rng));    // dense column 0
+  patterns.push_back(random_lower(40, 0.05, 17, rng));   // dense column 17
+  patterns.push_back(random_lower(60, 0.01, -1, rng, 3));
+  for (const double density : {0.05, 0.2, 0.6}) {
+    patterns.push_back(random_lower(50, density, -1, rng));
+  }
+  patterns.push_back(grid_laplacian_3d(4, 3, 3, 27));
+  patterns.push_back(elasticity_3d(2, 2, 1));
+  return patterns;
+}
+
+TEST(LowerKernel, SymmetrizeAndLowerTriangleMatchReferences) {
+  for (const SparseMatrix& lower : kernel_patterns()) {
+    SCOPED_TRACE("n = " + std::to_string(lower.rows));
+    const SparseMatrix full = symmetrize_full(lower);
+    full.validate();
+    expect_same_bits(full, reference_symmetrize_full(lower));
+    expect_same_bits(lower_triangle(full), reference_lower_triangle(full));
+  }
+  Prng rng(7);
+  for (const index_t n : {0, 1, 9, 33}) {
+    const SparseMatrix a = random_general(n, 0.3, rng);
+    expect_same_bits(lower_triangle(a), reference_lower_triangle(a));
+  }
+}
+
+TEST(LowerKernel, PermuteSymmetricMatchesSortReference) {
+  Prng rng(11);
+  for (const SparseMatrix& lower : kernel_patterns()) {
+    SCOPED_TRACE("n = " + std::to_string(lower.rows));
+    const SparseMatrix full = symmetrize_full(lower);
+    const SparseMatrix general = random_general(lower.rows, 0.1, rng);
+    for (int trial = 0; trial < 5; ++trial) {
+      const std::vector<index_t> perm = random_permutation(lower.rows, rng);
+      const SparseMatrix b = permute_symmetric(full, perm);
+      b.validate();
+      expect_same_bits(b, reference_permute_symmetric(full, perm));
+      expect_same_bits(permute_symmetric(general, perm),
+                       reference_permute_symmetric(general, perm));
+    }
+  }
+}
+
+// permute_lower equals the full-storage chain it replaces, except that it
+// copies values raw where the chain's TripletBuilder sum turned −0.0 into
+// +0.0; `source` names each entry's input position, which the old value
+// map found by binary search.
+TEST(LowerKernel, PermuteLowerMatchesFullStorageChain) {
+  Prng rng(13);
+  for (const SparseMatrix& lower : kernel_patterns()) {
+    SCOPED_TRACE("n = " + std::to_string(lower.rows));
+    for (int trial = 0; trial < 5; ++trial) {
+      const std::vector<index_t> perm = random_permutation(lower.rows, rng);
+      std::vector<index_t> source;
+      const SparseMatrix b = permute_lower(lower, perm, &source);
+      b.validate();
+      const SparseMatrix chain = reference_lower_triangle(
+          reference_permute_symmetric(reference_symmetrize_full(lower), perm));
+      ASSERT_EQ(b.col_ptr, chain.col_ptr);
+      ASSERT_EQ(b.row_ind, chain.row_ind);
+      ASSERT_EQ(source.size(), b.values.size());
+      for (index_t j = 0; j < b.cols; ++j) {
+        for (index_t q = b.col_ptr[j]; q < b.col_ptr[j + 1]; ++q) {
+          const index_t oi = perm[b.row_ind[q]];
+          const index_t oj = perm[j];
+          const index_t c = std::min(oi, oj);
+          const auto begin = lower.row_ind.begin() + lower.col_ptr[c];
+          const auto end = lower.row_ind.begin() + lower.col_ptr[c + 1];
+          const auto it = std::lower_bound(begin, end, std::max(oi, oj));
+          ASSERT_TRUE(it != end && *it == std::max(oi, oj));
+          const auto src = static_cast<index_t>(it - lower.row_ind.begin());
+          ASSERT_EQ(source[q], src) << "entry " << q;
+          ASSERT_EQ(bits(b.values[q]), bits(lower.values[src]));
+          ASSERT_EQ(bits(chain.values[q]), bits(0.0 + lower.values[src]));
+        }
+      }
+      expect_same_bits(permute_lower(lower, perm), b);
+    }
+  }
+}
+
+TEST(LowerKernel, NormInfSymmetricMatchesFullNorm) {
+  for (const SparseMatrix& lower : kernel_patterns()) {
+    EXPECT_EQ(bits(norm_inf_symmetric(lower)),
+              bits(norm_inf(reference_symmetrize_full(lower))))
+        << "n = " << lower.rows;
+  }
+}
+
+TEST(LowerKernel, LowerPrimitivesRejectNonLowerInput) {
+  const std::vector<index_t> perm{2, 0, 1};
+  EXPECT_THROW((void)permute_lower(small_full(), perm), Error);
+  EXPECT_THROW((void)norm_inf_symmetric(small_full()), Error);
 }
 
 TEST(Ops, PermutationHelpers) {
