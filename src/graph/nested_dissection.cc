@@ -11,7 +11,9 @@ namespace {
 
 /// Recursive worker. `vertices` holds the global ids of the subgraph to
 /// order; the ordering of that subgraph is written to positions
-/// [out_begin, out_begin + vertices.size()) of `perm`.
+/// [out_begin, out_begin + vertices.size()) of `perm`. Every bisection
+/// refines in one FM workspace, whose storage grows to the largest graph
+/// it refines: the input graph itself.
 class NestedDissector {
  public:
   NestedDissector(const Graph& g, const OrderingOptions& opts)
@@ -52,7 +54,7 @@ class NestedDissector {
     }
 
     const Graph sub = induced_subgraph(g_, vertices, local_of_);
-    Bisection b = multilevel_bisection(sub, opts_.partition, rng_);
+    Bisection b = multilevel_bisection(sub, opts_.partition, rng_, &fm_);
     const std::vector<index_t> sep = vertex_separator(sub, &b);
 
     // A degenerate split (everything in the separator or one side empty and
@@ -89,6 +91,7 @@ class NestedDissector {
   Prng rng_;
   std::vector<index_t> local_of_;
   std::vector<index_t> perm_;
+  FmWorkspace fm_;
 };
 
 }  // namespace

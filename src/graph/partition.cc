@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <numeric>
 #include <queue>
 #include <utility>
@@ -79,81 +80,189 @@ Bisection greedy_grow_bisection(const Graph& g, Prng& rng) {
 
 namespace {
 
-/// Max-heap of vertices keyed by (gain[v], v): one entry per vertex, with
-/// each vertex's slot tracked so that a gain change re-sifts the entry in
-/// place. Keys are unique, so the pop order is that of any other max-heap
-/// on the same keys: highest gain first, ties to the larger vertex id.
-class GainHeap {
- public:
-  explicit GainHeap(const std::vector<count_t>& gain)
-      : gain_(gain), pos_(gain.size(), kNone) {}
-
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] index_t top() const { return heap_.front(); }
-
-  /// Inserts v, or restores its place after gain[v] changed. Call it after
-  /// every single gain change: sifting assumes all other keys are current.
-  void update(index_t v) {
-    if (pos_[v] == kNone) {
-      pos_[v] = static_cast<index_t>(heap_.size());
-      heap_.push_back(v);
-    }
-    if (!sift_up(pos_[v])) sift_down(pos_[v]);
-  }
-
-  void pop() {
-    pos_[heap_.front()] = kNone;
-    const index_t last = heap_.back();
-    heap_.pop_back();
-    if (heap_.empty()) return;
-    heap_.front() = last;
-    sift_down(0);
-  }
-
-  void clear() {
-    for (index_t v : heap_) pos_[v] = kNone;
-    heap_.clear();
-  }
-
- private:
-  [[nodiscard]] bool above(index_t a, index_t b) const {
-    return gain_[a] > gain_[b] || (gain_[a] == gain_[b] && a > b);
-  }
-  // Slots are size_t so that 2 * i + 1 cannot overflow index_t.
-  void place(index_t v, std::size_t i) {
-    heap_[i] = v;
-    pos_[v] = static_cast<index_t>(i);
-  }
-  /// Returns whether the entry at slot i moved.
-  bool sift_up(std::size_t i) {
-    const index_t v = heap_[i];
-    const std::size_t start = i;
-    while (i > 0 && above(v, heap_[(i - 1) / 2])) {
-      place(heap_[(i - 1) / 2], i);
-      i = (i - 1) / 2;
-    }
-    place(v, i);
-    return i != start;
-  }
-  void sift_down(std::size_t i) {
-    const index_t v = heap_[i];
-    for (std::size_t c = 2 * i + 1; c < heap_.size(); c = 2 * i + 1) {
-      if (c + 1 < heap_.size() && above(heap_[c + 1], heap_[c])) ++c;
-      if (!above(heap_[c], v)) break;
-      place(heap_[c], i);
-      i = c;
-    }
-    place(v, i);
-  }
-
-  const std::vector<count_t>& gain_;
-  std::vector<index_t> heap_;
-  std::vector<index_t> pos_;  ///< slot in heap_, kNone when absent
-};
+/// The cap on GainQueue's bound for a graph of n vertices and total vertex
+/// weight `weight`: the largest B with (2B + 3) * ceil(n / 64) <= 4 *
+/// weight + 256 bucket words, and small enough that bucket ids fit index_t.
+count_t bound_cap(index_t n, count_t weight) {
+  const count_t words = std::max<count_t>((count_t{n} + 63) / 64, 1);
+  return std::clamp<count_t>(((4 * weight + 256) / words - 3) / 2, 0,
+                             kIndexMax / 4);
+}
 
 }  // namespace
 
-void fm_refine(const Graph& g, const PartitionOptions& opts, Bisection* b) {
+void GainQueue::Heap::reset(const count_t* gain, std::size_t n) {
+  gain_ = gain;
+  if (pos_.size() < n) pos_.resize(n, kNone);
+}
+
+void GainQueue::Heap::update(index_t v) {
+  if (pos_[v] == kNone) {
+    pos_[v] = static_cast<index_t>(heap_.size());
+    heap_.push_back(v);
+  }
+  if (!sift_up(pos_[v])) sift_down(pos_[v]);
+}
+
+void GainQueue::Heap::pop() {
+  pos_[heap_.front()] = kNone;
+  const index_t last = heap_.back();
+  heap_.pop_back();
+  if (heap_.empty()) return;
+  heap_.front() = last;
+  sift_down(0);
+}
+
+void GainQueue::Heap::clear() {
+  for (index_t v : heap_) pos_[v] = kNone;
+  heap_.clear();
+}
+
+// Slots are size_t so that 2 * i + 1 cannot overflow index_t. Returns
+// whether the entry at slot i moved.
+bool GainQueue::Heap::sift_up(std::size_t i) {
+  const index_t v = heap_[i];
+  const std::size_t start = i;
+  while (i > 0 && above(v, heap_[(i - 1) / 2])) {
+    place(heap_[(i - 1) / 2], i);
+    i = (i - 1) / 2;
+  }
+  place(v, i);
+  return i != start;
+}
+
+void GainQueue::Heap::sift_down(std::size_t i) {
+  const index_t v = heap_[i];
+  for (std::size_t c = 2 * i + 1; c < heap_.size(); c = 2 * i + 1) {
+    if (c + 1 < heap_.size() && above(heap_[c + 1], heap_[c])) ++c;
+    if (!above(heap_[c], v)) break;
+    place(heap_[c], i);
+    i = c;
+  }
+  place(v, i);
+}
+
+void GainQueue::reset(std::span<const count_t> gain,
+                      std::span<const count_t> wdeg, count_t weight) {
+  PARFACT_CHECK(gain.size() == wdeg.size());
+  drain();
+  gain_ = gain.data();
+  wdeg_ = wdeg.data();
+  n_ = static_cast<index_t>(gain.size());
+  const count_t max_wdeg =
+      wdeg.empty() ? 0 : *std::max_element(wdeg.begin(), wdeg.end());
+  bound_ = std::min(max_wdeg, bound_cap(n_, weight));
+  words_ = (static_cast<std::size_t>(n_) + 63) / 64;
+  summary_ = (words_ + 63) / 64;
+  const auto buckets = static_cast<std::size_t>(2 * bound_ + kFirstBucket + 1);
+  // drain() left every word zero, so grown storage needs no other reset.
+  if (bits_.size() < buckets * words_) bits_.resize(buckets * words_, 0);
+  if (summary_bits_.size() < buckets * summary_) {
+    summary_bits_.resize(buckets * summary_, 0);
+  }
+  if (hint_.size() < buckets) hint_.resize(buckets, -1);
+  slot_.resize(static_cast<std::size_t>(n_));
+  heavy_.reset(gain_, static_cast<std::size_t>(n_));
+  for (index_t v = 0; v < n_; ++v) {
+    slot_[v] = wdeg_[v] > bound_ ? kHeavy : kParked;
+  }
+}
+
+void GainQueue::set_bit(index_t b, index_t v) {
+  const auto w = static_cast<std::size_t>(v) >> 6;
+  bits_[b * words_ + w] |= std::uint64_t{1} << (v & 63);
+  summary_bits_[b * summary_ + (w >> 6)] |= std::uint64_t{1} << (w & 63);
+  hint_[b] = std::max(hint_[b], static_cast<index_t>(w >> 6));
+}
+
+void GainQueue::clear_bit(index_t b, index_t v) {
+  const auto w = static_cast<std::size_t>(v) >> 6;
+  std::uint64_t& word = bits_[b * words_ + w];
+  word &= ~(std::uint64_t{1} << (v & 63));
+  summary_bits_[b * summary_ + (w >> 6)] &=
+      ~(static_cast<std::uint64_t>(word == 0) << (w & 63));
+}
+
+void GainQueue::update(index_t v) {
+  const index_t s = slot_[v];
+  if (s == kHeavy) [[unlikely]] {
+    heavy_.update(v);
+    return;
+  }
+  // A locked vertex moves from the locked sink to itself.
+  const index_t t =
+      s == kLocked ? kLocked
+                   : static_cast<index_t>(kFirstBucket + bound_ + gain_[v]);
+  PARFACT_DCHECK(t >= kLocked && t <= kFirstBucket + 2 * bound_);
+  clear_bit(s, v);
+  set_bit(t, v);
+  slot_[v] = t;
+  top_ = std::max(top_, t);
+}
+
+index_t GainQueue::pop() {
+  // Lower top_ to the highest non-empty bucket: the hints only fall while
+  // scanning and only rise on insertion, so the scans are amortized. A hint
+  // left by a larger graph may point past this one's summary words.
+  for (; top_ >= kFirstBucket; --top_) {
+    index_t& h = hint_[top_];
+    h = std::min(h, static_cast<index_t>(summary_) - 1);
+    const std::uint64_t* sum = &summary_bits_[top_ * summary_];
+    while (h >= 0 && sum[h] == 0) --h;
+    if (h >= 0) break;
+  }
+  index_t v = kNone;
+  if (top_ >= kFirstBucket) {
+    const index_t h = hint_[top_];
+    const std::size_t w =
+        static_cast<std::size_t>(h) * 64 + 63 -
+        std::countl_zero(summary_bits_[top_ * summary_ + h]);
+    v = static_cast<index_t>(w * 64 + 63 -
+                             std::countl_zero(bits_[top_ * words_ + w]));
+  }
+  if (!heavy_.empty()) {
+    const index_t u = heavy_.top();
+    if (v == kNone || gain_[u] > gain_[v] || (gain_[u] == gain_[v] && u > v)) {
+      heavy_.pop();
+      return u;
+    }
+  }
+  if (v != kNone) {
+    PARFACT_DCHECK(slot_[v] == top_);
+    clear_bit(top_, v);
+    slot_[v] = kParked;
+  }
+  return v;
+}
+
+void GainQueue::drain() {
+  // Hints stay: an emptied bucket's hint is still an upper bound.
+  for (index_t v = 0; v < n_; ++v) {
+    const index_t s = slot_[v];
+    if (s >= kFirstBucket) {
+      const auto w = static_cast<std::size_t>(v) >> 6;
+      bits_[s * words_ + w] = 0;
+      summary_bits_[s * summary_ + (w >> 6)] = 0;
+    }
+  }
+  // The sinks' bits are set without a matching queued vertex.
+  std::fill_n(bits_.begin(), kFirstBucket * words_, 0);
+  std::fill_n(summary_bits_.begin(), kFirstBucket * summary_, 0);
+  top_ = kFirstBucket - 1;
+  heavy_.clear();
+}
+
+void GainQueue::clear() {
+  drain();
+  for (index_t v = 0; v < n_; ++v) {
+    slot_[v] = wdeg_[v] > bound_ ? kHeavy : kParked;
+  }
+}
+
+void fm_refine(const Graph& g, const PartitionOptions& opts, Bisection* b,
+               FmWorkspace* ws) {
+  FmWorkspace own;
+  if (ws == nullptr) ws = &own;
   const count_t total = b->side_weight[0] + b->side_weight[1];
   const auto max_side = static_cast<count_t>(
       (1.0 + opts.balance_tol) / 2.0 * static_cast<double>(total));
@@ -161,8 +270,10 @@ void fm_refine(const Graph& g, const PartitionOptions& opts, Bisection* b) {
   // gain[v]: cut weight removed minus cut weight added by moving v to the
   // other side, i.e. external minus internal edge weight. Computed once and
   // kept exact across moves, rollbacks and passes.
-  std::vector<count_t> gain(static_cast<std::size_t>(g.n), 0);
-  std::vector<count_t> wdeg(static_cast<std::size_t>(g.n), 0);
+  std::vector<count_t>& gain = ws->gain;
+  std::vector<count_t>& wdeg = ws->wdeg;
+  gain.assign(static_cast<std::size_t>(g.n), 0);
+  wdeg.assign(static_cast<std::size_t>(g.n), 0);
   for (index_t v = 0; v < g.n; ++v) {
     for (index_t p = g.adj_ptr[v]; p < g.adj_ptr[v + 1]; ++p) {
       wdeg[v] += g.ewgt[p];
@@ -170,11 +281,12 @@ void fm_refine(const Graph& g, const PartitionOptions& opts, Bisection* b) {
     }
   }
 
-  std::vector<char> locked(static_cast<std::size_t>(g.n));
-  GainHeap heap(gain);
+  GainQueue& queue = ws->queue;
+  queue.reset(gain, wdeg, total);
   // Moves v across the cut: v's gain flips sign, and a neighbor's changes
   // by -2w if it now shares v's side and by +2w otherwise. With `rekey`,
-  // each unlocked neighbor is re-sifted right after its own change.
+  // each neighbor is re-keyed (locked ones stay out) right after its own
+  // change.
   const auto move = [&](index_t v, bool rekey) {
     const int to = 1 - b->side[v];
     b->side[v] = static_cast<signed char>(to);
@@ -185,17 +297,16 @@ void fm_refine(const Graph& g, const PartitionOptions& opts, Bisection* b) {
       const index_t u = g.adj[p];
       const count_t w2 = 2 * static_cast<count_t>(g.ewgt[p]);
       gain[u] += b->side[u] == to ? -w2 : w2;
-      if (rekey && !locked[u]) heap.update(u);
+      if (rekey) queue.update(u);
     }
   };
 
-  std::vector<index_t> moved;  // in order, to allow rollback past the best
+  std::vector<index_t>& moved = ws->moved;  // in order, for the rollback
   for (int pass = 0; pass < opts.fm_passes; ++pass) {
-    std::fill(locked.begin(), locked.end(), 0);
     // Seed with boundary vertices (external weight > 0) only; interior
-    // vertices enter the heap when a neighbor moves.
+    // vertices enter the queue when a neighbor moves.
     for (index_t v = 0; v < g.n; ++v) {
-      if (gain[v] > -wdeg[v]) heap.update(v);
+      if (gain[v] > -wdeg[v]) queue.update(v);
     }
 
     count_t best_improvement = 0;
@@ -203,13 +314,11 @@ void fm_refine(const Graph& g, const PartitionOptions& opts, Bisection* b) {
     moved.clear();
     std::size_t best_prefix = 0;
 
-    while (!heap.empty()) {
-      const index_t v = heap.top();
-      heap.pop();
-      // A vertex that would overload the other side leaves the heap until
-      // a neighbor's move changes its gain.
+    for (index_t v = queue.pop(); v != kNone; v = queue.pop()) {
+      // A vertex that would overload the other side stays parked until a
+      // neighbor's move changes its gain.
       if (b->side_weight[1 - b->side[v]] + g.vwgt[v] > max_side) continue;
-      locked[v] = 1;
+      queue.lock(v);
       improvement += gain[v];
       move(v, true);
       moved.push_back(v);
@@ -222,7 +331,7 @@ void fm_refine(const Graph& g, const PartitionOptions& opts, Bisection* b) {
         break;
       }
     }
-    heap.clear();
+    queue.clear();
 
     // Roll back moves past the best prefix.
     for (std::size_t k = moved.size(); k > best_prefix; --k) {
@@ -322,8 +431,10 @@ Graph coarsen(const Graph& g, Prng& rng, std::vector<index_t>* cmap) {
 }
 
 Bisection multilevel_bisection(const Graph& g, const PartitionOptions& opts,
-                               Prng& rng) {
+                               Prng& rng, FmWorkspace* ws) {
   PARFACT_CHECK(g.n >= 2);
+  FmWorkspace own;
+  if (ws == nullptr) ws = &own;
   Bisection best;
   for (int attempt = 0; attempt < std::max(1, opts.attempts); ++attempt) {
     // Coarsening phase. Level 0 is g itself; level l > 0 is coarse[l - 1].
@@ -347,7 +458,7 @@ Bisection multilevel_bisection(const Graph& g, const PartitionOptions& opts,
     // Initial bisection at the coarsest level.
     const Graph& coarsest = level(coarse.size());
     Bisection b = greedy_grow_bisection(coarsest, rng);
-    fm_refine(coarsest, opts, &b);
+    fm_refine(coarsest, opts, &b, ws);
 
     // Uncoarsening with refinement. Contraction preserves the cut and both
     // side weights exactly, so the projection carries them over (the
@@ -360,7 +471,7 @@ Bisection multilevel_bisection(const Graph& g, const PartitionOptions& opts,
       fb.cut = b.cut;
       fb.side_weight[0] = b.side_weight[0];
       fb.side_weight[1] = b.side_weight[1];
-      fm_refine(fine, opts, &fb);
+      fm_refine(fine, opts, &fb, ws);
       b = std::move(fb);
     }
 

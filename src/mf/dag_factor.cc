@@ -150,7 +150,7 @@ void FactorDag::emit_split(rt::TaskGraph& graph, index_t s) {
         const MatrixView panel = factor_.panel(s);
         panel.fill(0.0);
         assemble_front(sym_, s, update_of_, panel, allocate_block(s),
-                       *scratch);
+                       *scratch, kind_);
         release_scratch(std::move(scratch));
         finish_assembly(s);
       },

@@ -87,7 +87,7 @@ void extend_add(const SymbolicFactor& sym, index_t c, const real_t* block,
 void assemble_front(const SymbolicFactor& sym, index_t s,
                     std::span<const real_t* const> update_of, MatrixView panel,
                     std::span<real_t> update_out, FrontScratch& scratch,
-                    AssemblySums* sums) {
+                    FactorKind kind, AssemblySums* sums) {
   const index_t p = sym.sn_cols(s);
   const index_t b = sym.sn_below(s);
   const index_t first = sym.sn_start[s];
@@ -96,8 +96,13 @@ void assemble_front(const SymbolicFactor& sym, index_t s,
 
   PARFACT_CHECK(panel.rows == sym.front_order(s) && panel.cols == p);
   PARFACT_CHECK(update_out.size() == static_cast<std::size_t>(b) * b);
-  std::fill(update_out.begin(), update_out.end(), 0.0);
   MatrixView update{update_out.data(), b, b, b};
+  // Extend-add, SYRK and the ABFT hooks touch nothing above the diagonal;
+  // the LDLᵀ update is a GEMM, which reads the whole block.
+  for (index_t j = 0; j < b; ++j) {
+    const index_t i0 = kind == FactorKind::kCholesky ? j : 0;
+    std::fill_n(&update.at(i0, j), b - i0, 0.0);
+  }
 
   auto& local_of = scratch.local_of;
   for (index_t k = 0; k < p; ++k) local_of[first + k] = k;
@@ -192,7 +197,7 @@ count_t eliminate_front(const SymbolicFactor& sym, index_t s,
                         std::span<real_t> m, FrontScratch& scratch,
                         FactorKind kind, std::span<real_t> d,
                         const PivotPolicy& pivot, FrontHooks* hooks) {
-  assemble_front(sym, s, update_of, panel, update_out, scratch,
+  assemble_front(sym, s, update_of, panel, update_out, scratch, kind,
                  hooks != nullptr ? hooks->assembly_sums() : nullptr);
   const index_t p = sym.sn_cols(s);
   const index_t b = sym.sn_below(s);

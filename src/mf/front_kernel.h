@@ -38,9 +38,10 @@ struct AssemblySums {
   std::vector<std::vector<real_t>> per_child;
 };
 
-/// Stage 1 — assembly: zeroes `update_out` (the b x b update block of
-/// supernode s, column-major with ld = b, in storage the caller provides),
-/// scatters the original matrix columns of s into `panel` (which the
+/// Stage 1 — assembly: zeroes the lower triangle of `update_out` (the b x b
+/// update block of supernode s, column-major with ld = b, in storage the
+/// caller provides; the whole block for `kind` LDLᵀ, whose update is a
+/// GEMM), scatters the original matrix columns of s into `panel` (which the
 /// caller zeroed), then extend-adds the children's update blocks in the
 /// order of sym.children(s) (the deterministic-merge discipline: the
 /// summation order per element never depends on the execution schedule).
@@ -54,7 +55,7 @@ struct AssemblySums {
 void assemble_front(const SymbolicFactor& sym, index_t s,
                     std::span<const real_t* const> update_of, MatrixView panel,
                     std::span<real_t> update_out, FrontScratch& scratch,
-                    AssemblySums* sums = nullptr);
+                    FactorKind kind, AssemblySums* sums = nullptr);
 
 /// Stage 2 — diagonal-block factorization: POTRF (Cholesky) or LDLᵀ of the
 /// leading p x p block of `panel`; in LDLᵀ mode writes diag(D) for this

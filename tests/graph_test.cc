@@ -3,6 +3,7 @@
 #include <numeric>
 #include <queue>
 #include <set>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -268,7 +269,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OrderingSeedTest,
 
 // --- Ordering identity -------------------------------------------------------
 //
-// The partitioner's data structures (indexed gain heap, sort-free builders)
+// The partitioner's data structures (gain-bucket queue, sort-free builders)
 // are speed choices only: every ND permutation must equal the one that the
 // reference lazy-heap FM and sort-based builders below give. The constants
 // are fnv1a digests of those permutations.
@@ -303,6 +304,22 @@ SparseMatrix block_diagonal(const SparseMatrix& a, const SparseMatrix& b) {
   return t.build();
 }
 
+/// Lower-stored 2-D grid Laplacian plus one hub vertex (the last)
+/// adjacent to every grid vertex.
+SparseMatrix arrowhead(index_t nx, index_t ny) {
+  const SparseMatrix grid = grid_laplacian_2d(nx, ny, 5);
+  const index_t hub = grid.rows;
+  TripletBuilder t(hub + 1, hub + 1);
+  for (index_t j = 0; j < grid.cols; ++j) {
+    for (index_t p = grid.col_ptr[j]; p < grid.col_ptr[j + 1]; ++p) {
+      t.add(grid.row_ind[p], j, grid.values[p]);
+    }
+    t.add(hub, j, -1.0);
+  }
+  t.add(hub, hub, static_cast<real_t>(hub) + 1.0);
+  return t.build();
+}
+
 struct FingerprintCase {
   const char* name;
   SparseMatrix (*make)();
@@ -325,6 +342,8 @@ const FingerprintCase kFingerprintCases[] = {
                              grid_laplacian_3d(7, 7, 7, 7));
      },
      0x3bc2d19f4534c800ull},
+    {"arrowhead_30x30", [] { return arrowhead(30, 30); },
+     0x5debfd792d9b9294ull},
 };
 
 TEST(OrderingIdentity, NestedDissectionFingerprints) {
@@ -425,6 +444,18 @@ TEST(OrderingIdentity, FmRefineMatchesLazyHeapReference) {
         "coarsened",
         coarsen(graph_from_pattern(grid_laplacian_2d(30, 30, 9)), rng, &cmap));
   }
+  // The hub's weighted degree exceeds the queue's bucket bound, so it moves
+  // through the heavy-vertex heap; in the coarsened copy it does so among
+  // weighted vertices and edges.
+  graphs.emplace_back("arrowhead", graph_from_pattern(arrowhead(20, 20)));
+  {
+    Prng rng(5);
+    std::vector<index_t> cmap;
+    Graph g = graph_from_pattern(arrowhead(40, 40));
+    for (int level = 0; level < 3; ++level) g = coarsen(g, rng, &cmap);
+    graphs.emplace_back("arrowhead_coarsened_3x", std::move(g));
+  }
+  FmWorkspace ws;  // reused across graphs, as nested dissection does
   for (const auto& [name, g] : graphs) {
     for (const double tol : {0.02, 0.05, 0.2}) {
       PartitionOptions opts;
@@ -435,12 +466,102 @@ TEST(OrderingIdentity, FmRefineMatchesLazyHeapReference) {
         Prng rng(seed);
         Bisection fast = greedy_grow_bisection(g, rng);
         Bisection ref = fast;
-        fm_refine(g, opts, &fast);
+        fm_refine(g, opts, &fast, &ws);
         reference_fm_refine(g, opts, &ref);
+        if (std::string_view(name).starts_with("arrowhead")) {
+          ASSERT_LT(ws.queue.bound(),
+                    *std::max_element(ws.wdeg.begin(), ws.wdeg.end()));
+        }
         ASSERT_EQ(fast.side, ref.side);
         ASSERT_EQ(fast.cut, ref.cut);
         ASSERT_EQ(fast.side_weight[0], ref.side_weight[0]);
         ASSERT_EQ(fast.side_weight[1], ref.side_weight[1]);
+      }
+    }
+  }
+}
+
+// GainQueue against a reference model, a std::set of (gain, vertex) keys:
+// seeded random sequences of inserts, re-keys, pops that park or lock the
+// vertex, gain changes of unqueued vertices, clears and resets to a new
+// graph. Some vertices are heavier than the bucket bound, and some graphs
+// have more than 4096 vertices, so the summary words and their hints span
+// more than one word. Every pop must return the model's maximum.
+TEST(OrderingIdentity, GainQueueMatchesOrderedSetModel) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    Prng rng(seed);
+    GainQueue queue;
+    std::vector<count_t> gain;
+    std::vector<count_t> wdeg;
+    for (int graph = 0; graph < 4; ++graph) {
+      const index_t n = rng.next_below(4) == 0
+                            ? 4000 + rng.next_index(2000)
+                            : 1 + rng.next_index(300);
+      wdeg.assign(static_cast<std::size_t>(n), 0);
+      gain.assign(static_cast<std::size_t>(n), 0);
+      for (index_t v = 0; v < n; ++v) {
+        // Mostly light; one vertex in eight far above any bound.
+        wdeg[v] = rng.next_below(8) == 0 ? 1000 + rng.next_index(100000)
+                                         : rng.next_index(40);
+      }
+      // A small total weight caps the bound below some light-looking
+      // degrees too.
+      const count_t weight = 1 + rng.next_index(3 * n);
+      queue.reset(gain, wdeg, weight);
+      std::set<std::pair<count_t, index_t>> model;
+      std::vector<char> queued(static_cast<std::size_t>(n), 0);
+      std::vector<char> locked(static_cast<std::size_t>(n), 0);
+      const auto new_gain = [&](index_t v) {
+        gain[v] = static_cast<count_t>(rng.next_below(
+                      static_cast<std::uint64_t>(2 * wdeg[v] + 1))) -
+                  wdeg[v];
+      };
+      for (int op = 0; op < 3000; ++op) {
+        const std::uint64_t kind = rng.next_below(16);
+        if (kind < 8) {  // insert or re-key
+          const index_t v = rng.next_index(n);
+          if (queued[v]) model.erase({gain[v], v});
+          new_gain(v);
+          queue.update(v);
+          if (!locked[v]) {
+            model.emplace(gain[v], v);
+            queued[v] = 1;
+          }
+        } else if (kind < 9) {  // gain change of an unqueued vertex
+          const index_t v = rng.next_index(n);
+          if (!queued[v]) new_gain(v);
+        } else if (kind < 15) {  // pop; the vertex is parked or locked
+          const index_t v = queue.pop();
+          if (model.empty()) {
+            ASSERT_EQ(v, kNone) << "op " << op;
+            continue;
+          }
+          const auto top = *model.rbegin();
+          ASSERT_EQ(v, top.second) << "op " << op;
+          model.erase(top);
+          queued[v] = 0;
+          if (rng.next_below(2) == 0) {
+            queue.lock(v);
+            locked[v] = 1;
+          }
+        } else if (rng.next_below(8) == 0) {
+          queue.clear();
+          model.clear();
+          std::fill(queued.begin(), queued.end(), 0);
+          std::fill(locked.begin(), locked.end(), 0);
+        }
+      }
+      // Drain what is left in order.
+      while (!model.empty()) {
+        const auto top = *model.rbegin();
+        ASSERT_EQ(queue.pop(), top.second);
+        model.erase(top);
+      }
+      ASSERT_EQ(queue.pop(), kNone);
+      // Half the time the next reset finds the queue in use.
+      if (rng.next_below(2) == 0) {
+        for (index_t v = 0; v < n; v += 3) queue.update(v);
       }
     }
   }
