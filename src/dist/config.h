@@ -12,15 +12,18 @@ namespace parfact {
 struct DistConfig {
   /// Block-column schedule of the 2-D block-cyclic front factorization.
   enum class Schedule {
-    kBlocking,   ///< fully synchronous right-looking loop (PR 1 behavior)
-    kLookahead,  ///< depth-1 panel lookahead with preposted receives, after
-                 ///< one collective extend-add per front
+    kBlocking,   ///< no lookahead (panel kb+1 starts after all of panel
+                 ///< kb's trailing updates), after one collective
+                 ///< extend-add per front
+    kLookahead,  ///< depth-1 panel lookahead (panel kb+1 starts right after
+                 ///< the update of block column kb+1), after one collective
+                 ///< extend-add per front
     kTaskDag,    ///< fan-both: children stream one extend-add message per
                  ///< destination panel, the parent consumes them as they
                  ///< arrive (Comm::wait_any over a preposted pool) and merges
                  ///< each panel in fixed (child, source-rank) order just
                  ///< before its first touch — no collective assembly barrier.
-                 ///< Runs the same pipelined panel loop as kLookahead;
+                 ///< Depth-1 panel lookahead as in kLookahead;
                  ///< perf/dag_sim replays the same per-panel floor
                  ///< discipline for large-P studies.
   };

@@ -131,49 +131,25 @@ class RankProgram {
     LocalFront front(fb, pr, pc, gr, gc);
     comm_.memory_add(front.bytes());
 
-    if (config_.schedule == DistConfig::Schedule::kTaskDag) {
-      // Fan-both: prepost the per-panel extend-add pool before touching the
-      // matrix entries, merge each panel just before its first touch
-      // (inside factorize_pipelined), then stream this front's own
-      // contributions per destination panel. The pool is fully drained by
-      // the end of the factorization, so the checkpoint boundary below sees
-      // no outstanding receives.
-      EaStreams ea = build_ea_streams(s, fb);
-      assemble_matrix_entries(s, front);
-      factorize_pipelined(s, front, pr, pc, gr, gc, ea);
-      store_panel(s, front);
-      send_update_taskdag(s, front, gr, gc);
-      comm_.memory_sub(front.bytes());
-      return;
-    }
-
-    // Collective extend-add. The lookahead schedule preposts one receive
-    // per (child, source rank) message before touching the matrix entries,
-    // so the children's contribution traffic arrives while this rank
-    // assembles.
-    const bool lookahead =
-        config_.schedule == DistConfig::Schedule::kLookahead;
+    // Post the children's contribution receives before touching the matrix
+    // entries, so that traffic arrives while this rank assembles: one
+    // message per (child, source rank) for the collective extend-add,
+    // merged right after the A scatter, or the per-panel stream pool of
+    // kTaskDag, merged inside the block-column loop just before each
+    // panel's first touch. Either is fully drained by the end of the loop,
+    // so the checkpoint boundary after this front sees no outstanding
+    // receive.
+    const bool streamed = config_.schedule == DistConfig::Schedule::kTaskDag;
     std::vector<mpsim::Request> ea_reqs;
-    if (lookahead) {
-      for (index_t c : sym_.children(s)) {
-        const int begin = map_.rank_begin[c];
-        const int end = begin + map_.rank_count[c];
-        const int tag = kTagStride * static_cast<int>(s) + kTagExtendAdd;
-        for (int src = begin; src < end; ++src) {
-          ea_reqs.push_back(comm_.irecv(src, tag));
-        }
-      }
+    EaStreams ea;
+    if (streamed) {
+      ea = build_ea_streams(s, fb);
+    } else {
+      ea_reqs = post_extend_adds(s);
     }
     assemble_matrix_entries(s, front);
-    receive_extend_adds(s, front, ea_reqs);
-    if (lookahead) {
-      // Every contribution is merged already: with an empty stream pool
-      // the pipelined loop is the plain depth-1 panel lookahead.
-      EaStreams merged;
-      factorize_pipelined(s, front, pr, pc, gr, gc, merged);
-    } else {
-      factorize_blocking(s, front, pr, pc, gr, gc);
-    }
+    if (!streamed) receive_extend_adds(s, front, ea_reqs);
+    factorize_front(s, front, pr, pc, gr, gc, ea);
     store_panel(s, front);
     send_update(s, front, gr, gc);
     comm_.memory_sub(front.bytes());
@@ -209,25 +185,34 @@ class RankProgram {
     comm_.advance_bytes(touched * static_cast<count_t>(sizeof(real_t)));
   }
 
-  /// Receive the (possibly empty) extend-add message from every rank of
-  /// every child, in (child, source-rank) ascending order. With preposted
-  /// requests (lookahead) the same messages are waited in the same order,
-  /// so the floating-point accumulation order is identical.
+  /// Posts one receive per (child, source rank) collective extend-add
+  /// message, in (child, source-rank) ascending order.
+  [[nodiscard]] std::vector<mpsim::Request> post_extend_adds(index_t s) {
+    std::vector<mpsim::Request> reqs;
+    const int tag = kTagStride * static_cast<int>(s) + kTagExtendAdd;
+    for (index_t c : sym_.children(s)) {
+      const int begin = map_.rank_begin[c];
+      for (int src = begin; src < begin + map_.rank_count[c]; ++src) {
+        reqs.push_back(comm_.irecv(src, tag));
+      }
+    }
+    return reqs;
+  }
+
+  /// Waits the (possibly empty) extend-add message from every rank of every
+  /// child in posting order and merges each right after its wait, so the
+  /// floating-point accumulation order is (child, source rank) ascending.
   void receive_extend_adds(index_t s, LocalFront& front,
                            std::vector<mpsim::Request>& ea_reqs) {
-    const bool posted = !ea_reqs.empty();
     std::size_t next_req = 0;
     for (index_t c : sym_.children(s)) {
       const int begin = map_.rank_begin[c];
       const int end = begin + map_.rank_count[c];
-      const int tag = kTagStride * static_cast<int>(s) + kTagExtendAdd;
       // The receiver replays the sender's canonical enumeration to
       // reconstruct the packed payload's indices (see extend_add.h).
       const ExtendAddPlan plan = make_extend_add_plan(sym_, map_, c);
       for (int src = begin; src < end; ++src) {
-        const auto values = posted
-                                ? comm_.wait_vec<real_t>(ea_reqs[next_req++])
-                                : comm_.recv_vec<real_t>(src, tag);
+        const auto values = comm_.wait_vec<real_t>(ea_reqs[next_req++]);
         const auto [sgr, sgc] = map_.grid_coords(c, src);
         std::size_t pos = 0;
         for_each_contribution(
@@ -247,194 +232,8 @@ class RankProgram {
     }
   }
 
-  /// Block-cyclic right-looking partial Cholesky of the front, fully
-  /// synchronous (every panel boundary is a rank-wide stall).
-  void factorize_blocking(index_t s, LocalFront& front, int pr, int pc,
-                          int gr, int gc) {
-    const FrontBlocking& fb = front.blocking();
-    const int tag_diag = kTagStride * static_cast<int>(s) + kTagDiag;
-    const int tag_panel = kTagStride * static_cast<int>(s) + kTagPanel;
-
-    // Cache of remote panel blocks received this block-column.
-    std::map<index_t, std::vector<real_t>> remote;
-
-    for (index_t kb = 0; kb < fb.kp; ++kb) {
-      remote.clear();
-      const int kbc = static_cast<int>(kb) % pc;  // grid column of block kb
-      const int kbr = static_cast<int>(kb) % pr;
-      const index_t bk = fb.size(kb);
-      const bool ldlt = kind_ == FactorKind::kLdlt;
-      std::vector<real_t> diag_buf;
-      std::vector<real_t> dk;  // diag(D) of this block column (LDLᵀ only)
-      ConstMatrixView l_kk{};
-
-      if (gr == kbr && gc == kbc) {
-        // I own the diagonal block: factorize and send down the grid column.
-        // In LDLᵀ mode the broadcast payload carries diag(D) appended.
-        MatrixView dblk = front.block(kb, kb);
-        const index_t col0 = sym_.sn_start[s] + fb.start(kb);
-        PivotBoost* boost = pivot_.boost ? &boost_ : nullptr;
-        index_t info;
-        if (ldlt) {
-          info = ldlt_lower(dblk,
-                            d_.subspan(static_cast<std::size_t>(col0),
-                                       static_cast<std::size_t>(bk)),
-                            boost);
-          dk.assign(d_.begin() + col0, d_.begin() + col0 + bk);
-        } else {
-          info = potrf_lower(dblk, boost);
-        }
-        if (info != kNone) {
-          std::ostringstream os;
-          os << "bad pivot at column " << col0 + info
-             << " (postordered), supernode " << s << " (front order "
-             << sym_.front_order(s) << ", " << sym_.sn_cols(s)
-             << " columns), panel block " << kb << " on rank "
-             << comm_.rank();
-          throw StatusError(
-              Status::failure(StatusCode::kBreakdown, os.str(), s));
-        }
-        comm_.advance_compute(partial_cholesky_flops(bk, bk));
-        diag_buf.assign(dblk.data,
-                        dblk.data + static_cast<std::size_t>(bk) * bk);
-        if (ldlt) diag_buf.insert(diag_buf.end(), dk.begin(), dk.end());
-        for (int ri = 0; ri < pr; ++ri) {
-          if (ri == gr) continue;
-          if (!fb.grid_row_owns_below(kb, ri, pr)) continue;
-          comm_.send_vec(map_.grid_rank(s, ri, kbc), tag_diag, diag_buf);
-        }
-        l_kk = ConstMatrixView{diag_buf.data(), bk, bk, bk};
-      } else if (gc == kbc && fb.grid_row_owns_below(kb, gr, pr)) {
-        diag_buf = comm_.recv_vec<real_t>(map_.grid_rank(s, kbr, kbc),
-                                          tag_diag);
-        l_kk = ConstMatrixView{diag_buf.data(), bk, bk, bk};
-        if (ldlt) {
-          dk.assign(diag_buf.begin() + static_cast<std::size_t>(bk) * bk,
-                    diag_buf.end());
-        }
-      }
-
-      // TRSM my panel blocks below kb, then broadcast them along their grid
-      // row (A-side consumers) and grid column (B-side consumers).
-      if (gc == kbc) {
-        for (index_t ib = kb + 1; ib < fb.nB; ++ib) {
-          if (static_cast<int>(ib) % pr != gr) continue;
-          MatrixView blk = front.block(ib, kb);
-          trsm_right_lower_trans(l_kk, blk);
-          if (ldlt) {
-            // blk now holds M = A L⁻ᵀ = L·D; rescale to the stored L.
-            for (index_t k = 0; k < bk; ++k) {
-              const real_t inv = 1.0 / dk[k];
-              real_t* col = &blk.at(0, k);
-              for (index_t i = 0; i < blk.rows; ++i) col[i] *= inv;
-            }
-          }
-          comm_.advance_compute(static_cast<count_t>(blk.rows) * bk *
-                                (bk + 1));
-          std::vector<int> dests;
-          // A-side: ranks in grid row (ib % pr) owning (ib, jb), kb<jb<=ib.
-          for (int c = 0; c < pc; ++c) {
-            if (row_needs_block(kb, ib, c, pc)) {
-              dests.push_back(
-                  map_.grid_rank(s, static_cast<int>(ib) % pr, c));
-            }
-          }
-          // B-side: ranks in grid column (ib % pc) owning (ib2, ib),
-          // ib <= ib2 < nB.
-          for (int rrow = 0; rrow < pr; ++rrow) {
-            if (col_needs_block(fb, ib, rrow, pr)) {
-              dests.push_back(
-                  map_.grid_rank(s, rrow, static_cast<int>(ib) % pc));
-            }
-          }
-          std::sort(dests.begin(), dests.end());
-          dests.erase(std::unique(dests.begin(), dests.end()), dests.end());
-          std::vector<real_t> payload(
-              blk.data, blk.data + static_cast<std::size_t>(blk.rows) * bk);
-          if (ldlt) payload.insert(payload.end(), dk.begin(), dk.end());
-          for (int dst : dests) {
-            if (dst == comm_.rank()) continue;
-            comm_.send_vec(dst, tag_panel, payload);
-          }
-        }
-      }
-
-      // Determine which panel blocks I need for my trailing updates, fetch
-      // the remote ones (ascending block index per source keeps FIFO happy).
-      std::vector<index_t> needed;
-      for (index_t jb = kb + 1; jb < fb.nB; ++jb) {
-        if (static_cast<int>(jb) % pc != gc) continue;
-        for (index_t ib = jb; ib < fb.nB; ++ib) {
-          if (static_cast<int>(ib) % pr != gr) continue;
-          needed.push_back(ib);
-          needed.push_back(jb);
-        }
-      }
-      std::sort(needed.begin(), needed.end());
-      needed.erase(std::unique(needed.begin(), needed.end()), needed.end());
-      for (index_t x : needed) {
-        const int owner = block_owner(map_, s, x, kb);
-        if (owner == comm_.rank()) continue;
-        std::vector<real_t> payload = comm_.recv_vec<real_t>(owner, tag_panel);
-        if (ldlt) {
-          if (dk.empty()) {
-            dk.assign(payload.end() - bk, payload.end());
-          }
-          payload.resize(payload.size() - bk);
-        }
-        remote[x] = std::move(payload);
-      }
-      auto panel_block = [&](index_t x) -> ConstMatrixView {
-        if (block_owner(map_, s, x, kb) == comm_.rank()) {
-          return front.block(x, kb);
-        }
-        const auto it = remote.find(x);
-        PARFACT_DCHECK(it != remote.end());
-        return {it->second.data(), fb.size(x), bk, fb.size(x)};
-      };
-
-      // Trailing update: C(ib, jb) -= L(ib, kb) D L(jb, kb)ᵀ (D = I for
-      // Cholesky). In LDLᵀ mode the B-side operand is rescaled by D.
-      std::vector<real_t> scaled;
-      auto b_side = [&](index_t x) -> ConstMatrixView {
-        const ConstMatrixView l = panel_block(x);
-        if (!ldlt) return l;
-        scaled.resize(static_cast<std::size_t>(l.rows) * bk);
-        for (index_t k = 0; k < bk; ++k) {
-          const real_t dv = dk[k];
-          for (index_t i = 0; i < l.rows; ++i) {
-            scaled[static_cast<std::size_t>(k) * l.rows + i] =
-                l.at(i, k) * dv;
-          }
-        }
-        return {scaled.data(), l.rows, bk, l.rows};
-      };
-      for (index_t jb = kb + 1; jb < fb.nB; ++jb) {
-        if (static_cast<int>(jb) % pc != gc) continue;
-        // First ib ≥ jb in this rank's grid row; if none, block (jb, kb)
-        // was never requested and must not be touched.
-        const index_t ib0 =
-            jb + (gr - static_cast<int>(jb) % pr + pr) % pr;
-        if (ib0 >= fb.nB) continue;
-        // Hoisted out of the ib loop: in LDLᵀ mode b_side rescales the
-        // whole block by D, which must not be redone per row block.
-        const ConstMatrixView bj = b_side(jb);
-        for (index_t ib = ib0; ib < fb.nB; ++ib) {
-          if (static_cast<int>(ib) % pr != gr) continue;
-          MatrixView c = front.block(ib, jb);
-          if (ib == jb && !ldlt) {
-            syrk_lower_update(c, panel_block(ib));
-          } else {
-            gemm_nt_update(c, panel_block(ib), bj);
-          }
-          comm_.advance_compute(fb.update_flops(ib, jb, bk, ldlt));
-        }
-      }
-    }
-  }
-
-  /// Per-panel in-flight state of the lookahead pipeline. Movable: the
-  /// heap buffers (and the l_kk view into diag_buf) survive the move.
+  /// Per-panel in-flight state of the block-column loop. Movable: the heap
+  /// buffers (and the l_kk view into diag_buf) survive the move.
   struct PanelState {
     std::vector<real_t> diag_buf;  ///< L_kk (+ diag(D) tail in LDLᵀ mode)
     std::vector<real_t> dk;        ///< diag(D) of this block column (LDLᵀ)
@@ -448,8 +247,8 @@ class RankProgram {
   /// Posts the receives block column kb will need: the diagonal broadcast
   /// (if this rank sits in kb's grid column below the diagonal owner) and
   /// every remote panel block its trailing updates consume, in ascending
-  /// block index — the order the owners send them, so the preposted FIFO
-  /// tickets match the blocking schedule's recv order exactly.
+  /// block index — the order the owners send them, so the FIFO tickets
+  /// line up with message identity.
   void post_panel_receives(index_t s, const FrontBlocking& fb, int pr,
                            int pc, int gr, int gc, index_t kb,
                            PanelState& st) {
@@ -479,10 +278,10 @@ class RankProgram {
     }
   }
 
-  /// Factors block column kb's diagonal at its owner, distributes it, and
-  /// TRSMs + broadcasts this rank's panel blocks — identical arithmetic and
-  /// per-link send order to the first half of factorize_blocking, with the
-  /// diagonal arriving through the preposted request.
+  /// Factors block column kb's diagonal at its owner and sends it down the
+  /// grid column (in LDLᵀ mode with diag(D) appended), then TRSMs this
+  /// rank's panel blocks and sends each along its grid row (A-side
+  /// consumers) and grid column (B-side consumers).
   void factor_column(index_t s, LocalFront& front, int pr, int pc, int gr,
                      int gc, index_t kb, PanelState& st) {
     const FrontBlocking& fb = front.blocking();
@@ -601,12 +400,16 @@ class RankProgram {
   }
 
   /// Applies panel kb's trailing update to this rank's blocks in block
-  /// columns [jb_begin, jb_end) — the same per-block GEMM/SYRK calls, with
-  /// the same operands, as factorize_blocking's trailing loop.
-  void update_block_columns(index_t s, LocalFront& front, int pr, int pc,
-                            int gr, int gc, index_t kb, PanelState& st,
-                            index_t jb_begin, index_t jb_end) {
+  /// column jb: C(ib, jb) -= L(ib, kb) D L(jb, kb)ᵀ (D = I for Cholesky).
+  void update_block_column(index_t s, LocalFront& front, int pr, int pc,
+                           int gr, int gc, index_t kb, const PanelState& st,
+                           index_t jb) {
+    if (static_cast<int>(jb) % pc != gc) return;
     const FrontBlocking& fb = front.blocking();
+    // First ib ≥ jb in this rank's grid row; if none, block (jb, kb) was
+    // never requested and must not be touched.
+    const index_t ib0 = jb + (gr - static_cast<int>(jb) % pr + pr) % pr;
+    if (ib0 >= fb.nB) return;
     const index_t bk = fb.size(kb);
     const bool ldlt = kind_ == FactorKind::kLdlt;
     auto panel_block = [&](index_t x) -> ConstMatrixView {
@@ -617,36 +420,29 @@ class RankProgram {
       PARFACT_DCHECK(it != st.remote.end());
       return {it->second.data(), fb.size(x), bk, fb.size(x)};
     };
+    // In LDLᵀ mode the B-side operand L(jb, kb) is rescaled by D once for
+    // the whole block column.
+    ConstMatrixView bj = panel_block(jb);
     std::vector<real_t> scaled;
-    auto b_side = [&](index_t x) -> ConstMatrixView {
-      const ConstMatrixView l = panel_block(x);
-      if (!ldlt) return l;
-      scaled.resize(static_cast<std::size_t>(l.rows) * bk);
+    if (ldlt) {
+      scaled.resize(static_cast<std::size_t>(bj.rows) * bk);
       for (index_t k = 0; k < bk; ++k) {
         const real_t dv = st.dk[k];
-        for (index_t i = 0; i < l.rows; ++i) {
-          scaled[static_cast<std::size_t>(k) * l.rows + i] =
-              l.at(i, k) * dv;
+        for (index_t i = 0; i < bj.rows; ++i) {
+          scaled[static_cast<std::size_t>(k) * bj.rows + i] = bj.at(i, k) * dv;
         }
       }
-      return {scaled.data(), l.rows, bk, l.rows};
-    };
-    for (index_t jb = jb_begin; jb < jb_end; ++jb) {
-      if (static_cast<int>(jb) % pc != gc) continue;
-      const index_t ib0 =
-          jb + (gr - static_cast<int>(jb) % pr + pr) % pr;
-      if (ib0 >= fb.nB) continue;
-      const ConstMatrixView bj = b_side(jb);
-      for (index_t ib = ib0; ib < fb.nB; ++ib) {
-        if (static_cast<int>(ib) % pr != gr) continue;
-        MatrixView c = front.block(ib, jb);
-        if (ib == jb && !ldlt) {
-          syrk_lower_update(c, panel_block(ib));
-        } else {
-          gemm_nt_update(c, panel_block(ib), bj);
-        }
-        comm_.advance_compute(fb.update_flops(ib, jb, bk, ldlt));
+      bj = {scaled.data(), bj.rows, bk, bj.rows};
+    }
+    for (index_t ib = ib0; ib < fb.nB; ++ib) {
+      if (static_cast<int>(ib) % pr != gr) continue;
+      MatrixView c = front.block(ib, jb);
+      if (ib == jb && !ldlt) {
+        syrk_lower_update(c, panel_block(ib));
+      } else {
+        gemm_nt_update(c, panel_block(ib), bj);
       }
+      comm_.advance_compute(fb.update_flops(ib, jb, bk, ldlt));
     }
   }
 
@@ -743,8 +539,9 @@ class RankProgram {
   /// fast path happens to harvest — then merges every not-yet-merged panel
   /// ≤ jb into the front, each in fixed (child, source-rank) slot order
   /// regardless of arrival order. Per scalar the addition order is exactly
-  /// the blocking schedule's: at most one entry per (child, source) message
-  /// (extend_add.h), applied children-ascending then source-ascending.
+  /// the collective extend-add's: at most one entry per (child, source)
+  /// message (extend_add.h), applied children-ascending then
+  /// source-ascending.
   void ensure_assembled(index_t jb, LocalFront& front, EaStreams& ea) {
     if (ea.slots.empty() || ea.next_panel > jb) return;
     const std::size_t end =
@@ -776,29 +573,32 @@ class RankProgram {
     }
   }
 
-  /// Depth-1 panel-lookahead pipeline shared by kLookahead and kTaskDag.
-  /// While every rank applies panel kb's trailing updates, panel kb+1 is
-  /// already factored and its blocks are in flight. The trailing update is
-  /// split into the *urgent* part (block column kb+1 — the one
-  /// factor_column(kb+1) is about to read) and the *lazy* rest, applied one
-  /// block column at a time in ascending order.
+  /// The right-looking block-column loop of every schedule. Per panel kb:
+  /// post its receives, factor_column, collect_panels, then apply kb's
+  /// trailing update one block column at a time in ascending order. The
+  /// schedules differ only in when panel kb+1 starts. kBlocking starts it
+  /// after all of panel kb's updates. kLookahead and kTaskDag start it right
+  /// after the *urgent* update of block column kb+1 (the one
+  /// factor_column(kb+1) reads), so its blocks are in flight while the
+  /// *lazy* rest (columns ≥ kb+2) is updated: depth-1 panel lookahead.
   ///
   /// Under kTaskDag the collective extend-add barrier is dissolved into
   /// per-panel arrival floors: each destination panel of `ea` is merged
-  /// just before its first touch — panel 0 before factor_column(0), panel
-  /// kb+1 before its urgent update, each lazily-updated column inside the
-  /// lazy sweep — so factoring starts while children are still streaming
-  /// their later panels. kLookahead passes an empty pool (its collective
-  /// extend-add has merged everything), which makes every ensure_assembled
-  /// a no-op.
+  /// just before its first touch — panel 0 before factor_column(0), every
+  /// other column before its first update — so factoring starts while
+  /// children are still streaming their later panels. The collective
+  /// schedules pass an empty pool (their extend-add has merged everything),
+  /// which makes every ensure_assembled a no-op.
   ///
-  /// Per scalar the addition order is exactly factorize_blocking's
-  /// (A-scatter, then child contributions in fixed (child, source-rank)
+  /// Per scalar the addition order is the same under every schedule
+  /// (A scatter, then child contributions in fixed (child, source-rank)
   /// order, then panel updates ascending kb with identical operands), so
   /// the factor is bitwise identical.
-  void factorize_pipelined(index_t s, LocalFront& front, int pr, int pc,
-                           int gr, int gc, EaStreams& ea) {
+  void factorize_front(index_t s, LocalFront& front, int pr, int pc, int gr,
+                       int gc, EaStreams& ea) {
     const FrontBlocking& fb = front.blocking();
+    const bool lookahead =
+        config_.schedule != DistConfig::Schedule::kBlocking;
     if (fb.kp > 0) {
       ensure_assembled(0, front, ea);
       PanelState cur;
@@ -806,18 +606,20 @@ class RankProgram {
       factor_column(s, front, pr, pc, gr, gc, 0, cur);
       for (index_t kb = 0; kb < fb.kp; ++kb) {
         collect_panels(fb, kb, cur);
-        if (kb + 1 < fb.nB) ensure_assembled(kb + 1, front, ea);
-        update_block_columns(s, front, pr, pc, gr, gc, kb, cur, kb + 1,
-                             std::min<index_t>(kb + 2, fb.nB));
+        const index_t lazy_begin =
+            lookahead ? std::min<index_t>(kb + 2, fb.nB) : fb.nB;
+        for (index_t jb = kb + 1; jb < lazy_begin; ++jb) {
+          ensure_assembled(jb, front, ea);
+          update_block_column(s, front, pr, pc, gr, gc, kb, cur, jb);
+        }
         PanelState next;
         if (kb + 1 < fb.kp) {
           post_panel_receives(s, fb, pr, pc, gr, gc, kb + 1, next);
           factor_column(s, front, pr, pc, gr, gc, kb + 1, next);
         }
-        for (index_t jb = kb + 2; jb < fb.nB; ++jb) {
+        for (index_t jb = lazy_begin; jb < fb.nB; ++jb) {
           ensure_assembled(jb, front, ea);
-          update_block_columns(s, front, pr, pc, gr, gc, kb, cur, jb,
-                               jb + 1);
+          update_block_column(s, front, pr, pc, gr, gc, kb, cur, jb);
         }
         cur = std::move(next);
       }
@@ -873,17 +675,27 @@ class RankProgram {
     comm_.advance_bytes(bytes);
   }
 
-  /// Pack the owned update-region entries by destination parent rank and
-  /// send one (possibly empty) message to every parent rank: the values
-  /// alone, in the canonical enumeration of extend_add.h, which the
-  /// receiver replays to recover the indices.
+  /// Packs the owned update-region entries, in the canonical enumeration of
+  /// extend_add.h, into one bucket per destination parent rank and sends
+  /// each as a (possibly empty) message of values alone; the receiver
+  /// replays the enumeration to recover the indices. Under kTaskDag the
+  /// buckets are per (parent rank, parent panel) instead, sent
+  /// panel-ascending (destination-inner) so each channel carries its
+  /// stream messages in the order the parent posts them, and empty buckets
+  /// are skipped: both endpoints know from the symbolic structure alone
+  /// that no message exists for them.
   void send_update(index_t s, LocalFront& front, int gr, int gc) {
     const index_t parent = sym_.sn_parent[s];
     if (parent == kNone) return;
     const ExtendAddPlan plan = make_extend_add_plan(sym_, map_, s);
     const int pbegin = map_.rank_begin[parent];
-    const int pcount = map_.rank_count[parent];
-    const int tag = kTagStride * static_cast<int>(parent) + kTagExtendAdd;
+    const auto pcount = static_cast<std::size_t>(map_.rank_count[parent]);
+    const bool streamed = config_.schedule == DistConfig::Schedule::kTaskDag;
+    const int tag = streamed
+                        ? kTagStride * static_cast<int>(s) + kTagEaStream
+                        : kTagStride * static_cast<int>(parent) + kTagExtendAdd;
+    const auto n_panels =
+        static_cast<std::size_t>(streamed ? plan.pfb.nB : 1);
 
     // Cache the current block view: the enumeration is contiguous per
     // (ib, jb), so one lookup per block suffices.
@@ -898,74 +710,24 @@ class RankProgram {
       return blk;
     };
 
-    std::vector<std::vector<real_t>> outbox(static_cast<std::size_t>(pcount));
-    for_each_contribution(
-        plan, map_, gr, gc,
-        [&](index_t ib, index_t jb, index_t i, index_t j, index_t, index_t,
-            int owner) {
-          outbox[static_cast<std::size_t>(owner - pbegin)].push_back(
-              block_at(ib, jb).at(i, j));
-        });
-    for (int d = 0; d < pcount; ++d) {
-      const count_t bytes = static_cast<count_t>(outbox[d].size()) *
-                            static_cast<count_t>(sizeof(real_t));
-      ckpt_.note_contribution(outbox[d].data(),
-                              static_cast<std::size_t>(bytes));
-      comm_.send_vec(pbegin + d, tag, outbox[d]);
-      ea_bytes_ += bytes;
-    }
-  }
-
-  /// Fan-both counterpart of send_update: the same canonical enumeration,
-  /// bucketed by (destination parent rank, destination panel), one message
-  /// per non-empty bucket. The outer loop walks panels ascending so each
-  /// (source → destination, tag) channel carries its stream messages in
-  /// panel order — the order the parent posts that channel's receives.
-  /// Empty buckets are skipped on both endpoints (extend_add.h), so no
-  /// message ever exists for them.
-  void send_update_taskdag(index_t s, LocalFront& front, int gr, int gc) {
-    const index_t parent = sym_.sn_parent[s];
-    if (parent == kNone) return;
-    const ExtendAddPlan plan = make_extend_add_plan(sym_, map_, s);
-    const int pbegin = map_.rank_begin[parent];
-    const int pcount = map_.rank_count[parent];
-    const int tag = kTagStride * static_cast<int>(s) + kTagEaStream;
-    const index_t pnB = plan.pfb.nB;
-
-    index_t cur_ib = kNone, cur_jb = kNone;
-    MatrixView blk{};
-    const auto block_at = [&](index_t ib, index_t jb) -> const MatrixView& {
-      if (ib != cur_ib || jb != cur_jb) {
-        blk = front.block(ib, jb);
-        cur_ib = ib;
-        cur_jb = jb;
-      }
-      return blk;
-    };
-    const auto bucket_of = [&](int owner, index_t panel) -> std::size_t {
-      return static_cast<std::size_t>(owner - pbegin) *
-                 static_cast<std::size_t>(pnB) +
-             static_cast<std::size_t>(panel);
-    };
-
-    std::vector<std::vector<real_t>> outbox(static_cast<std::size_t>(pcount) *
-                                            static_cast<std::size_t>(pnB));
+    // outbox[panel * pcount + (owner - pbegin)]
+    std::vector<std::vector<real_t>> outbox(n_panels * pcount);
     for_each_panel_contribution(
         plan, map_, gr, gc,
         [&](index_t ib, index_t jb, index_t i, index_t j, index_t, index_t,
             int owner, index_t panel) {
-          outbox[bucket_of(owner, panel)].push_back(block_at(ib, jb).at(i, j));
+          const std::size_t p = streamed ? static_cast<std::size_t>(panel) : 0;
+          outbox[p * pcount + static_cast<std::size_t>(owner - pbegin)]
+              .push_back(block_at(ib, jb).at(i, j));
         });
-    for (index_t p = 0; p < pnB; ++p) {
-      for (int d = 0; d < pcount; ++d) {
-        const auto& msg = outbox[bucket_of(pbegin + d, p)];
-        if (msg.empty()) continue;
-        const count_t bytes = static_cast<count_t>(msg.size()) *
-                              static_cast<count_t>(sizeof(real_t));
-        ckpt_.note_contribution(msg.data(), static_cast<std::size_t>(bytes));
-        comm_.send_vec(pbegin + d, tag, msg);
-        ea_bytes_ += bytes;
-      }
+    for (std::size_t b = 0; b < outbox.size(); ++b) {
+      const std::vector<real_t>& msg = outbox[b];
+      if (streamed && msg.empty()) continue;
+      const count_t bytes = static_cast<count_t>(msg.size()) *
+                            static_cast<count_t>(sizeof(real_t));
+      ckpt_.note_contribution(msg.data(), static_cast<std::size_t>(bytes));
+      comm_.send_vec(pbegin + static_cast<int>(b % pcount), tag, msg);
+      ea_bytes_ += bytes;
     }
   }
 

@@ -3,16 +3,24 @@
 // SPMD structure (every rank runs the same program):
 //   for each supernode s in postorder that this rank participates in:
 //     1. allocate the locally owned blocks of the front (block-cyclic over
-//        the front's process grid),
+//        the front's process grid) and post the receives of the extend-add
+//        contributions from every rank of every child,
 //     2. scatter this rank's share of the original matrix entries,
-//     3. receive extend-add contributions from every rank of every child,
-//     4. run the block-cyclic right-looking partial Cholesky:
-//        per panel block-column kb — diagonal POTRF at its owner, L_kk sent
-//        down the grid column, local TRSMs, panel blocks sent along their
-//        grid row (A-side) and grid column (B-side), local GEMM/SYRK trailing
-//        updates,
+//     3. merge the contributions (collective schedules: all of them now;
+//        kTaskDag: each parent panel's just before its first touch in 4),
+//     4. run the block-cyclic right-looking partial Cholesky, one loop for
+//        every schedule: per panel block-column kb — post its receives,
+//        diagonal POTRF at its owner, L_kk sent down the grid column, local
+//        TRSMs, panel blocks sent along their grid row (A-side) and grid
+//        column (B-side), local GEMM/SYRK trailing updates one block column
+//        at a time; with lookahead, panel kb+1 starts right after the
+//        update of block column kb+1, otherwise after all of kb's updates,
 //     5. store the owned panel blocks into the (shared, disjointly written)
-//        factor, pack the update region by destination parent rank and send.
+//        factor, pack the update region by destination parent rank (and,
+//        under kTaskDag, parent panel) and send.
+//
+// Every receive is a posted request (Comm::irecv + wait / wait_any), so
+// every wait is bounded by FaultPlan::recv_timeout_host_seconds.
 //
 // Communication cost is dominated by step 4: each panel block travels to
 // O(pr + pc) ranks, which for the 2-D grids is O(√np) — the paper's key

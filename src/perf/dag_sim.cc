@@ -374,7 +374,6 @@ PerfResult simulate_solve_time(const SymbolicFactor& sym, const FrontMap& map,
   // Forward then backward; both sweeps have the same block structure, so
   // replay one generic sweep function twice (reversed the second time).
   auto sweep = [&](bool forward) {
-    std::vector<double> finish_sweep(static_cast<std::size_t>(ns), 0.0);
     for (index_t step = 0; step < ns; ++step) {
       const index_t s = forward ? step : ns - 1 - step;
       const FrontBlocking fb = FrontBlocking::make(
@@ -439,9 +438,6 @@ PerfResult simulate_solve_time(const SymbolicFactor& sym, const FrontMap& map,
           clk.work(owner, 2.0 * fb.size(ib) * bk * nrhs, model.flop_rate);
         }
       }
-      double mx = 0.0;
-      for (int lr = 0; lr < np; ++lr) mx = std::max(mx, clk.t[r0 + lr]);
-      finish_sweep[s] = mx;
     }
   };
   sweep(true);

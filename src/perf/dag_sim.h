@@ -43,15 +43,15 @@ struct PerfResult {
 /// blocking replay stalls every panel consumer at broadcast time; the
 /// pipelined replay defers panel arrivals to the next iteration's consume
 /// point (transfer overlaps the previous panel's lazy updates), mirroring
-/// dist_factor's two panel loops. kLookahead stalls on one collective
-/// extend-add per front; kTaskDag dissolves that barrier into per-panel
-/// arrival floors (block column kb stalls only on the prefix of the
-/// contribution stream it needs), mirroring the shared-memory runtime's
-/// ASM → POTRF task edges. dist_factor executes the same fan-both
-/// discipline for real (per-panel extend-add streams consumed through
-/// Comm::wait_any); this replay is the large-P stand-in, cross-checked
-/// against every executed schedule by tests/perf_test.cc. Extend-add
-/// entries cost 8 B each (packed values).
+/// dist_factor's block-column loop without and with lookahead. kBlocking
+/// and kLookahead stall on one collective extend-add per front; kTaskDag
+/// dissolves that barrier into per-panel arrival floors (block column kb
+/// stalls only on the prefix of the contribution stream it needs),
+/// mirroring the shared-memory runtime's ASM → POTRF task edges.
+/// dist_factor executes the same fan-both discipline for real (per-panel
+/// extend-add streams consumed through Comm::wait_any); this replay is the
+/// large-P stand-in, cross-checked against every executed schedule by
+/// tests/perf_test.cc. Extend-add entries cost 8 B each (packed values).
 [[nodiscard]] PerfResult simulate_factor_time(
     const SymbolicFactor& sym, const FrontMap& map,
     const mpsim::MachineModel& model, const DistConfig& config = {});

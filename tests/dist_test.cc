@@ -2,6 +2,7 @@
 // partitioning, and numerical agreement with the serial multifrontal factor
 // across rank counts, strategies and block sizes.
 #include <cmath>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -229,7 +230,7 @@ TEST(DistFactor, NotSpdFailsCleanly) {
 //
 // The depth-1 panel lookahead and the fan-both task DAG are pure
 // communication optimizations: every schedule must produce the bitwise
-// identical factor — and perturbation count — as the blocking engine,
+// identical factor — and perturbation count — as the blocking schedule,
 // clean, under message faults, and through a crash recovery.
 
 void expect_factors_bitwise_equal(const SymbolicFactor& sym,
@@ -252,14 +253,15 @@ constexpr DistConfig kLookahead{DistConfig::Schedule::kLookahead};
 constexpr DistConfig kTaskDag{DistConfig::Schedule::kTaskDag};
 constexpr DistConfig kAllConfigs[] = {kBlocking, kLookahead, kTaskDag};
 
-class ScheduleIdentityP : public ::testing::TestWithParam<int> {};
+// (rank count, mapping strategy): kSubtree1d is the 1-D layout (pc = 1).
+class ScheduleIdentityP
+    : public ::testing::TestWithParam<std::tuple<int, MappingStrategy>> {};
 
 TEST_P(ScheduleIdentityP, AllConfigsBitwiseIdenticalWithEqualVolume) {
-  const int p = GetParam();
+  const auto [p, strategy] = GetParam();
   const SparseMatrix a = grid_laplacian_2d(13, 12, 5);
   const SymbolicFactor sym = analyze(a);
-  const FrontMap map =
-      build_front_map(sym, p, MappingStrategy::kSubtree2d, 8, 1e3);
+  const FrontMap map = build_front_map(sym, p, strategy, 8, 1e3);
   const DistFactorResult base = distributed_factor(
       sym, map, {}, FactorKind::kCholesky, {}, {}, {}, kBlocking);
   ASSERT_TRUE(base.status.ok());
@@ -274,11 +276,10 @@ TEST_P(ScheduleIdentityP, AllConfigsBitwiseIdenticalWithEqualVolume) {
 }
 
 TEST_P(ScheduleIdentityP, LookaheadHealsFaultsBitwiseIdentical) {
-  const int p = GetParam();
+  const auto [p, strategy] = GetParam();
   const SparseMatrix a = grid_laplacian_2d(13, 12, 5);
   const SymbolicFactor sym = analyze(a);
-  const FrontMap map =
-      build_front_map(sym, p, MappingStrategy::kSubtree2d, 8, 1e3);
+  const FrontMap map = build_front_map(sym, p, strategy, 8, 1e3);
   const DistFactorResult clean = distributed_factor(
       sym, map, {}, FactorKind::kCholesky, {}, {}, {}, kBlocking);
   ASSERT_TRUE(clean.status.ok());
@@ -300,11 +301,10 @@ TEST_P(ScheduleIdentityP, LookaheadHealsFaultsBitwiseIdentical) {
 // checksum and healed by the retry loop, leaving the factor bitwise
 // identical.
 TEST_P(ScheduleIdentityP, TaskDagHealsWireBitFlipsBitwiseIdentical) {
-  const int p = GetParam();
+  const auto [p, strategy] = GetParam();
   const SparseMatrix a = grid_laplacian_2d(13, 12, 5);
   const SymbolicFactor sym = analyze(a);
-  const FrontMap map =
-      build_front_map(sym, p, MappingStrategy::kSubtree2d, 8, 1e3);
+  const FrontMap map = build_front_map(sym, p, strategy, 8, 1e3);
   const DistFactorResult clean = distributed_factor(
       sym, map, {}, FactorKind::kCholesky, {}, {}, {}, kBlocking);
   ASSERT_TRUE(clean.status.ok());
@@ -365,10 +365,11 @@ TEST(ScheduleIdentity, TaskDagOutOfOrderArrivalsDeterministic) {
   expect_factors_bitwise_equal(sym, stalled.factor, again.factor);
 }
 
-// Crash + spare recovery composes with the fan-both schedule: the pool is
-// always fully drained before a front's checkpoint boundary, so the spare
-// resumes from the same protocol state as under the other schedules.
-TEST(ScheduleIdentity, TaskDagRecoversFromCrashBitwiseIdentical) {
+// Crash + spare recovery composes with every schedule: each posted receive
+// (panel blocks, the collective extend-add messages, the fan-both stream
+// pool) completes inside its front, so the spare resumes from the same
+// protocol state at every checkpoint boundary.
+TEST(ScheduleIdentity, EveryScheduleRecoversFromCrashBitwiseIdentical) {
   const int p = 4;
   const SparseMatrix a = grid_laplacian_2d(9, 8, 5);
   const SymbolicFactor sym = analyze(a);
@@ -382,24 +383,29 @@ TEST(ScheduleIdentity, TaskDagRecoversFromCrashBitwiseIdentical) {
       sym, map, {}, FactorKind::kCholesky, {}, {}, {}, kBlocking);
   ASSERT_TRUE(clean.status.ok());
 
-  const int victim = p / 2;
-  const DistFactorResult probe =
-      distributed_factor(sym, map, {}, FactorKind::kCholesky, {}, {},
-                         resilience, kTaskDag);
-  ASSERT_TRUE(probe.status.ok());
-  const double at =
-      0.5 * probe.run.rank_time[static_cast<std::size_t>(victim)];
-  ASSERT_GT(at, 0.0);
-  mpsim::FaultPlan faults;
-  faults.crashes.push_back({victim, at});
-  faults.spare_ranks = 1;
+  for (const DistConfig& config : kAllConfigs) {
+    SCOPED_TRACE(static_cast<int>(config.schedule));
+    // Probe the resilient run for the victim's busy time, then crash it
+    // mid-execution with one spare standing by.
+    const int victim = p / 2;
+    const DistFactorResult probe =
+        distributed_factor(sym, map, {}, FactorKind::kCholesky, {}, {},
+                           resilience, config);
+    ASSERT_TRUE(probe.status.ok());
+    const double at =
+        0.5 * probe.run.rank_time[static_cast<std::size_t>(victim)];
+    ASSERT_GT(at, 0.0);
+    mpsim::FaultPlan faults;
+    faults.crashes.push_back({victim, at});
+    faults.spare_ranks = 1;
 
-  const DistFactorResult crashed =
-      distributed_factor(sym, map, {}, FactorKind::kCholesky, {}, faults,
-                         resilience, kTaskDag);
-  ASSERT_TRUE(crashed.status.ok()) << crashed.status.to_string();
-  EXPECT_EQ(crashed.run.ranks_recovered, 1);
-  expect_factors_bitwise_equal(sym, clean.factor, crashed.factor);
+    const DistFactorResult crashed =
+        distributed_factor(sym, map, {}, FactorKind::kCholesky, {}, faults,
+                           resilience, config);
+    ASSERT_TRUE(crashed.status.ok()) << crashed.status.to_string();
+    EXPECT_EQ(crashed.run.ranks_recovered, 1);
+    expect_factors_bitwise_equal(sym, clean.factor, crashed.factor);
+  }
 }
 
 // Fan-both stream channels are keyed by the child supernode, so a front
@@ -454,44 +460,101 @@ TEST(ScheduleIdentity, LdltPerturbationCountsIdenticalAcrossConfigs) {
   }
 }
 
-TEST(ScheduleIdentity, LookaheadRecoversFromCrashBitwiseIdentical) {
-  const int p = 4;
-  const SparseMatrix a = grid_laplacian_2d(9, 8, 5);
-  const SymbolicFactor sym = analyze(a);
-  const FrontMap map =
-      build_front_map(sym, p, MappingStrategy::kSubtree2d, 8, 1e3);
-  ResiliencePolicy resilience;
-  resilience.buddy_checkpoint = true;
-  resilience.checkpoint_interval = 4;
+// Virtual time and traffic of every schedule, pinned to recorded values: a
+// rework of the block-column loop or the receive protocol that keeps each
+// rank's sends and waits in place moves none of them. Counts match exactly;
+// the virtual clocks within 1e-12 relative, since a PARFACT_NATIVE build
+// may contract α + bytes·β into an FMA. max_in_flight_messages is left
+// out: it depends on host thread timing.
+struct PinnedRun {
+  count_t messages, bytes, extend_add_bytes, wait_any_calls, out_of_order,
+      retransmits;
+  double makespan, idle_wait_seconds;
+};
 
-  const DistFactorResult clean = distributed_factor(
-      sym, map, {}, FactorKind::kCholesky, {}, {}, {}, kBlocking);
-  ASSERT_TRUE(clean.status.ok());
-
-  // Probe the resilient lookahead run for the victim's busy time, then
-  // crash it mid-execution with one spare standing by.
-  const int victim = p / 2;
-  const DistFactorResult probe =
-      distributed_factor(sym, map, {}, FactorKind::kCholesky, {}, {},
-                         resilience, kLookahead);
-  ASSERT_TRUE(probe.status.ok());
-  const double at =
-      0.5 * probe.run.rank_time[static_cast<std::size_t>(victim)];
-  ASSERT_GT(at, 0.0);
-  mpsim::FaultPlan faults;
-  faults.crashes.push_back({victim, at});
-  faults.spare_ranks = 1;
-
-  const DistFactorResult crashed =
-      distributed_factor(sym, map, {}, FactorKind::kCholesky, {}, faults,
-                         resilience, kLookahead);
-  ASSERT_TRUE(crashed.status.ok()) << crashed.status.to_string();
-  EXPECT_EQ(crashed.run.ranks_recovered, 1);
-  expect_factors_bitwise_equal(sym, clean.factor, crashed.factor);
+TEST(ScheduleIdentity, PinnedVirtualTimeAndTraffic) {
+  struct Case {
+    const char* name;
+    SparseMatrix a;
+    int p;
+    FactorKind kind;
+    bool faults;
+    PinnedRun want[3];  ///< in kAllConfigs order
+  };
+  const Case cases[] = {
+      {"2-D grid 13x12", grid_laplacian_2d(13, 12, 5), 4,
+       FactorKind::kCholesky, false,
+       {{200, 42704, 6552, 0, 0, 0, 0.00045174600000000037,
+         0.00075223350000000011},
+        {200, 42704, 6552, 0, 0, 0, 0.00045066600000000039,
+         0.00074791350000000018},
+        {92, 42704, 6552, 27, 0, 0, 0.00031580100000000048,
+         0.00074840850000000136}}},
+      {"3-D grid 10^3", grid_laplacian_3d(10, 10, 10, 7), 8,
+       FactorKind::kCholesky, false,
+       {{8834, 3817368, 1129080, 0, 0, 0, 0.019706885000001045,
+         0.1068183840000046},
+        {8834, 3817368, 1129080, 0, 0, 0, 0.019232173000000768,
+         0.10302068800000289},
+        {8631, 3817368, 1129080, 2221, 1342, 0, 0.019130919000000749,
+         0.10322565600000271}}},
+      {"boosted LDLT", append_decoupled_rows(grid_laplacian_2d(9, 8, 5), 3,
+                                             1e-30),
+       4, FactorKind::kLdlt, false,
+       {{90, 19408, 1440, 0, 0, 0, 0.00020579250000000017,
+         0.00034542450000000027},
+        {90, 19408, 1440, 0, 0, 0, 0.00020576050000000015,
+         0.00034529650000000021},
+        {42, 19408, 1440, 12, 0, 0, 0.00014576449999999998,
+         0.00034530950000000009}}},
+      {"2-D grid 13x12, faults", grid_laplacian_2d(13, 12, 5), 4,
+       FactorKind::kCholesky, true,
+       {{200, 45904, 6552, 0, 0, 8, 0.0098023084999999937,
+         0.034323222499999993},
+        {200, 45904, 6552, 0, 0, 8, 0.0098017084999999938,
+         0.034320822500000001},
+        {92, 44176, 6552, 27, 0, 5, 0.005717827499999998,
+         0.019832726500000002}}},
+  };
+  for (const Case& c : cases) {
+    const SymbolicFactor sym = analyze(c.a);
+    const FrontMap map =
+        build_front_map(sym, c.p, MappingStrategy::kSubtree2d, 8, 1e3);
+    PivotPolicy pivot;
+    pivot.boost = c.kind == FactorKind::kLdlt;
+    mpsim::FaultPlan faults;
+    if (c.faults) {
+      faults.seed = 4242 + static_cast<std::uint64_t>(c.p);
+      faults.drop_rate = 0.05;
+      faults.delay_rate = 0.05;
+      faults.duplicate_rate = 0.02;
+    }
+    for (std::size_t k = 0; k < std::size(kAllConfigs); ++k) {
+      SCOPED_TRACE(std::string(c.name) + ", schedule " + std::to_string(k));
+      const DistFactorResult r = distributed_factor(
+          sym, map, {}, c.kind, pivot, faults, {}, kAllConfigs[k]);
+      ASSERT_TRUE(r.status.ok()) << r.status.to_string();
+      const PinnedRun& want = c.want[k];
+      count_t wait_any_calls = 0;
+      for (const count_t v : r.run.wait_any_calls) wait_any_calls += v;
+      EXPECT_EQ(r.run.total_messages, want.messages);
+      EXPECT_EQ(r.run.total_bytes, want.bytes);
+      EXPECT_EQ(r.extend_add_bytes, want.extend_add_bytes);
+      EXPECT_EQ(wait_any_calls, want.wait_any_calls);
+      EXPECT_EQ(r.run.messages_completed_out_of_order, want.out_of_order);
+      EXPECT_EQ(r.run.total_retransmits, want.retransmits);
+      EXPECT_NEAR(r.run.makespan, want.makespan, 1e-12 * want.makespan);
+      EXPECT_NEAR(r.run.idle_wait_seconds, want.idle_wait_seconds,
+                  1e-12 * want.idle_wait_seconds);
+    }
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(Grids, ScheduleIdentityP,
-                         ::testing::Values(2, 4, 8));
+INSTANTIATE_TEST_SUITE_P(
+    Grids, ScheduleIdentityP,
+    ::testing::Combine(::testing::Values(2, 4, 8),
+                       ::testing::Values(MappingStrategy::kSubtree2d,
+                                         MappingStrategy::kSubtree1d)));
 
 }  // namespace
 }  // namespace parfact
