@@ -20,7 +20,7 @@ namespace {
 
 // Message purposes multiplexed into tags: tag = kTagStride * s + purpose.
 // FIFO per (source, tag) plus globally consistent iteration order make every
-// channel deterministic (see matching send/recv loops below).
+// channel deterministic (see matching send / irecv loops below).
 constexpr int kTagExtendAdd = 0;
 constexpr int kTagDiag = 1;
 constexpr int kTagPanel = 2;

@@ -14,16 +14,15 @@
 // values are already local — zero extra messages to enter a child).
 //
 // Both sweeps compute on a fixed partition of the right-hand sides into
-// blocks of config.rhs_block columns, and every exchange rides the mpsim
-// isend/irecv request layer one RHS block at a time: a block's message
-// leaves the moment its values exist, receives are preposted and waited
-// per block, and the below-row reduction aggregates all of a rank's block
-// rows into one message per destination. Reductions and child
-// contributions for block k+1 are in flight while block k computes —
-// within a front and, through the per-block extend-add routing, up the
-// tree. The block width is the one messaging choice: narrow blocks overlap
-// more at the price of more messages, and rhs_block >= nrhs sends every
-// exchange as one message.
+// blocks of config.rhs_block columns, and every exchange travels one RHS
+// block at a time: a block's message leaves (send_vec) the moment its
+// values exist, receives are preposted (irecv) and waited per block, and
+// the below-row reduction aggregates all of a rank's block rows into one
+// message per destination. Reductions and child contributions for block
+// k+1 are in flight while block k computes — within a front and, through
+// the per-block extend-add routing, up the tree. The block width is the
+// one messaging choice: narrow blocks overlap more at the price of more
+// messages, and rhs_block >= nrhs sends every exchange as one message.
 //
 // For a fixed rhs_block the solution is bitwise reproducible, also under
 // an active FaultPlan; virtual time, idle wait and message counts are

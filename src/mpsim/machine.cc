@@ -22,12 +22,6 @@ namespace parfact::mpsim {
 
 namespace {
 
-int ceil_log2(int n) {
-  int l = 0;
-  while ((1 << l) < n) ++l;
-  return l;
-}
-
 /// splitmix64 finalizer — the scrambler behind the fault dice.
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -86,11 +80,17 @@ void validate_plan(const FaultPlan& p, int n_ranks) {
   if (!(p.retry_backoff_seconds > 0.0)) {
     fail("retry_backoff_seconds must be > 0");
   }
-  if (!(p.recv_timeout_host_seconds > 0.0)) {
-    fail("recv_timeout_host_seconds must be > 0");
+  // Each budget becomes a steady_clock deadline, now() plus the budget in
+  // integer ticks; past this cap (or at +inf) that sum overflows and the
+  // deadline lands in the past.
+  constexpr double kMaxHostSeconds = 1e6;
+  if (!(p.recv_timeout_host_seconds > 0.0 &&
+        p.recv_timeout_host_seconds <= kMaxHostSeconds)) {
+    fail("recv_timeout_host_seconds must lie in (0, 1e6]");
   }
-  if (!(p.run_timeout_host_seconds >= 0.0)) {
-    fail("run_timeout_host_seconds must be >= 0");
+  if (!(p.run_timeout_host_seconds >= 0.0 &&
+        p.run_timeout_host_seconds <= kMaxHostSeconds)) {
+    fail("run_timeout_host_seconds must lie in [0, 1e6]");
   }
   if (p.spare_ranks < 0) fail("spare_ranks must be >= 0");
   for (const FaultPlan::Stall& s : p.stalls) {
@@ -159,23 +159,8 @@ class Machine {
   };
   std::vector<Mailbox> boxes_;
 
-  // Collective rendezvous state (all collectives are full-rendezvous; MPI
-  // programs must call them in the same order on every rank anyway).
-  std::mutex coll_mu_;
-  std::condition_variable coll_cv_;
-  std::uint64_t coll_gen_ = 0;
-  int coll_arrived_ = 0;
-  double coll_sum_ = 0.0;
-  double coll_max_ = 0.0;
-  double coll_clock_ = 0.0;
-  std::vector<std::byte> coll_payload_;
-  double coll_result_sum_ = 0.0;
-  double coll_result_max_ = 0.0;
-  double coll_result_clock_ = 0.0;
-  std::vector<std::byte> coll_result_payload_;
-
-  // Failure bookkeeping (death_mu_ serializes crash/adoption/checkpoint
-  // events so every FailureView observer sees a consistent epoch).
+  // Failure bookkeeping; death_mu_ serializes crashes, adoptions and
+  // checkpoints.
   struct ProtocolSnapshot {
     std::map<std::pair<int, int>, std::uint64_t> send_seq;
     std::map<std::pair<int, int>, std::uint64_t> recv_seq;
@@ -195,7 +180,6 @@ class Machine {
   std::vector<char> dead_;
   std::vector<double> death_clock_;
   std::vector<CheckpointSlot> checkpoints_;
-  std::uint64_t epoch_ = 0;
   std::vector<int> failed_;
   std::vector<int> recovered_;
   std::vector<int> lost_;  ///< crashed with no spare
@@ -203,7 +187,6 @@ class Machine {
   bool run_over_ = false;
   double recovery_overhead_ = 0.0;
   std::unique_ptr<std::atomic<std::uint8_t>[]> rank_state_;
-  std::atomic<int> unrecoverable_deaths_{0};
 
   std::atomic<count_t> total_messages_{0};
   std::atomic<count_t> total_bytes_{0};
@@ -239,32 +222,24 @@ class Machine {
   }
 
   /// Records a fired crash; returns whether a spare will take over. Wakes
-  /// every blocked receiver/collective waiter so wait predicates re-check
-  /// the dead rank's state instead of hanging.
+  /// every blocked receiver so wait predicates re-check the dead rank's
+  /// state instead of hanging.
   bool note_death(int rank, double clock) {
     bool recoverable = false;
     {
       std::lock_guard<std::mutex> lock(death_mu_);
       dead_[static_cast<std::size_t>(rank)] = 1;
       death_clock_[static_cast<std::size_t>(rank)] = clock;
-      ++epoch_;
       failed_.push_back(rank);
       recoverable = replacement_[static_cast<std::size_t>(rank)] >= 0;
       rank_state_[rank].store(recoverable ? kDeadRecoverable
                                           : kDeadUnrecoverable);
-      if (!recoverable) {
-        lost_.push_back(rank);
-        unrecoverable_deaths_.fetch_add(1);
-      }
+      if (!recoverable) lost_.push_back(rank);
       death_cv_.notify_all();
     }
     for (auto& box : boxes_) {
       std::lock_guard<std::mutex> lock(box.mu);
       box.cv.notify_all();
-    }
-    {
-      std::lock_guard<std::mutex> lock(coll_mu_);
-      coll_cv_.notify_all();
     }
     return recoverable;
   }
@@ -308,10 +283,6 @@ class Machine {
       box.cv.notify_all();
     }
     {
-      std::lock_guard<std::mutex> lock(coll_mu_);
-      coll_cv_.notify_all();
-    }
-    {
       std::lock_guard<std::mutex> lock(death_mu_);
       death_cv_.notify_all();
     }
@@ -337,8 +308,6 @@ class Machine {
 };
 
 int Comm::size() const { return machine_->n_; }
-
-const MachineModel& Comm::model() const { return machine_->model_; }
 
 bool Comm::is_spare() const { return rank_ >= machine_->n_; }
 
@@ -484,8 +453,7 @@ void Comm::send(int dest, int tag, const void* data, std::size_t bytes) {
   }
 }
 
-bool Comm::fetch_message(int source, int tag, bool blocking, bool bounded,
-                         Staged* out) {
+bool Comm::fetch_message(int source, int tag, bool blocking, Staged* out) {
   PARFACT_CHECK(source >= 0 && source < machine_->n_);
   auto& box = machine_->boxes_[rank_];
   const auto key = std::make_pair(source, tag);
@@ -503,19 +471,14 @@ bool Comm::fetch_message(int source, int tag, bool blocking, bool bounded,
     };
     if (!blocking) {
       if (!have()) return false;
-    } else if (bounded) {
-      if (!box.cv.wait_until(lock, deadline, have)) {
-        lock.unlock();
-        std::ostringstream os;
-        os << "mpsim: rank " << rank_ << " at t=" << clock_
-           << "s timed out after " << plan.recv_timeout_host_seconds
-           << "s of host time waiting for (source " << source << ", tag "
-           << tag << ")";
-        throw StatusError(Status::failure(StatusCode::kCommTimeout,
-                                          os.str()));
-      }
-    } else {
-      box.cv.wait(lock, have);
+    } else if (!box.cv.wait_until(lock, deadline, have)) {
+      lock.unlock();
+      std::ostringstream os;
+      os << "mpsim: rank " << rank_ << " at t=" << clock_
+         << "s timed out after " << plan.recv_timeout_host_seconds
+         << "s of host time waiting for (source " << source << ", tag "
+         << tag << ")";
+      throw StatusError(Status::failure(StatusCode::kCommTimeout, os.str()));
     }
     machine_->check_abort();
     auto& q = box.queues[key];
@@ -570,7 +533,7 @@ bool Comm::fetch_message(int source, int tag, bool blocking, bool bounded,
       // Woken because the source crashed with no spare: whatever it sent
       // before dying has been drained, and nothing more can ever come. A
       // nonblocking probe reports "nothing pending"; the eventual wait
-      // (or recv) lands here blocking and raises the diagnosis.
+      // lands here blocking and raises the diagnosis.
       if (!blocking) return false;
       lock.unlock();
       std::ostringstream os;
@@ -617,43 +580,10 @@ bool Comm::fetch_message(int source, int tag, bool blocking, bool bounded,
   }
 }
 
-std::vector<std::byte> Comm::recv(int source, int tag) {
-  const auto it = channels_.find({source, tag});
-  PARFACT_CHECK_MSG(
-      it == channels_.end() ||
-          (it->second.posted == it->second.filled &&
-           it->second.staged.empty()),
-      "mpsim: blocking recv with irecvs outstanding on the same channel");
-  Staged st;
-  // Blocking recv keeps its historical contract: unbounded with faults
-  // inactive, bounded by the plan's host-time net otherwise.
-  fetch_message(source, tag, /*blocking=*/true, /*bounded=*/machine_->faults_,
-                &st);
-  idle_wait_ += std::max(0.0, st.arrival - clock_);
-  clock_ = std::max(clock_, st.arrival);
-  if (machine_->faults_) {
-    apply_stalls();
-    maybe_crash();
-  }
-  return std::move(st.payload);
-}
-
-Request Comm::isend(int dest, int tag, const void* data, std::size_t bytes) {
-  send(dest, tag, data, bytes);
-  Request r;
-  r.kind_ = Request::Kind::kSend;
-  r.peer_ = dest;
-  r.tag_ = tag;
-  r.done_ = true;  // buffered semantics: in flight the moment send returns
-  r.active_ = true;
-  return r;
-}
-
 Request Comm::irecv(int source, int tag) {
   PARFACT_CHECK(source >= 0 && source < machine_->n_);
   Channel& ch = channels_[{source, tag}];
   Request r;
-  r.kind_ = Request::Kind::kRecv;
   r.peer_ = source;
   r.tag_ = tag;
   r.ticket_ = ch.posted++;
@@ -666,7 +596,7 @@ bool Comm::fill_channel(Channel& ch, int source, int tag,
                         std::uint64_t ticket, bool blocking) {
   while (ch.filled <= ticket) {
     Staged st;
-    if (!fetch_message(source, tag, blocking, /*bounded=*/true, &st)) {
+    if (!fetch_message(source, tag, blocking, &st)) {
       return false;
     }
     ch.staged.emplace(ch.filled++, std::move(st));
@@ -686,8 +616,6 @@ void Comm::complete_recv(Request& r, Staged&& st, bool count_idle) {
 }
 
 bool Comm::test(Request& r) {
-  PARFACT_CHECK_MSG(r.active_, "mpsim: test on a default-constructed Request");
-  if (r.done_) return true;
   Channel& ch = channels_[{r.peer_, r.tag_}];
   auto it = ch.staged.find(r.ticket_);
   if (it == ch.staged.end()) {
@@ -706,32 +634,26 @@ bool Comm::test(Request& r) {
   return true;
 }
 
+void Comm::complete_blocking(Request& r) {
+  Channel& ch = channels_[{r.peer_, r.tag_}];
+  auto it = ch.staged.find(r.ticket_);
+  if (it == ch.staged.end()) {
+    const bool ok =
+        fill_channel(ch, r.peer_, r.tag_, r.ticket_, /*blocking=*/true);
+    PARFACT_CHECK(ok);
+    it = ch.staged.find(r.ticket_);
+    PARFACT_CHECK(it != ch.staged.end());
+  }
+  Staged st = std::move(it->second);
+  ch.staged.erase(it);
+  complete_recv(r, std::move(st), /*count_idle=*/true);
+}
+
 std::vector<std::byte> Comm::wait(Request& r) {
   PARFACT_CHECK_MSG(r.active_, "mpsim: wait on a default-constructed Request");
   machine_->check_abort();
-  if (r.kind_ == Request::Kind::kSend) return {};
-  if (!r.done_) {
-    Channel& ch = channels_[{r.peer_, r.tag_}];
-    auto it = ch.staged.find(r.ticket_);
-    if (it == ch.staged.end()) {
-      const bool ok =
-          fill_channel(ch, r.peer_, r.tag_, r.ticket_, /*blocking=*/true);
-      PARFACT_CHECK(ok);
-      it = ch.staged.find(r.ticket_);
-      PARFACT_CHECK(it != ch.staged.end());
-    }
-    Staged st = std::move(it->second);
-    ch.staged.erase(it);
-    complete_recv(r, std::move(st), /*count_idle=*/true);
-  }
+  if (!r.done_) complete_blocking(r);
   return std::move(r.payload_);
-}
-
-std::vector<std::vector<std::byte>> Comm::wait_all(std::vector<Request>& rs) {
-  std::vector<std::vector<std::byte>> out;
-  out.reserve(rs.size());
-  for (Request& r : rs) out.push_back(wait(r));
-  return out;
 }
 
 std::size_t Comm::wait_any(std::vector<Request>& rs) {
@@ -759,19 +681,7 @@ std::size_t Comm::wait_any(std::vector<Request>& rs) {
   // proceed without — and the choice is host-independent, which keeps the
   // clock/idle accounting deterministic (the completion only ever does
   // clock = max(clock, arrival)).
-  Request& r = rs[first_pending];
-  Channel& ch = channels_[{r.peer_, r.tag_}];
-  auto it = ch.staged.find(r.ticket_);
-  if (it == ch.staged.end()) {
-    const bool ok =
-        fill_channel(ch, r.peer_, r.tag_, r.ticket_, /*blocking=*/true);
-    PARFACT_CHECK(ok);
-    it = ch.staged.find(r.ticket_);
-    PARFACT_CHECK(it != ch.staged.end());
-  }
-  Staged st = std::move(it->second);
-  ch.staged.erase(it);
-  complete_recv(r, std::move(st), /*count_idle=*/true);
+  complete_blocking(rs[first_pending]);
   note_pool_drained(rs);
   return first_pending;
 }
@@ -787,171 +697,11 @@ void Comm::note_pool_drained(const std::vector<Request>& rs) {
   double running_max = -std::numeric_limits<double>::infinity();
   count_t inversions = 0;
   for (const Request& r : rs) {
-    if (!r.active_ || r.kind_ != Request::Kind::kRecv) continue;
+    if (!r.active_) continue;
     if (r.arrival_ < running_max) ++inversions;
     running_max = std::max(running_max, r.arrival_);
   }
   ooo_completions_ += inversions;
-}
-
-void Comm::barrier() {
-  (void)allreduce_sum(0.0);
-}
-
-namespace {
-
-/// Message/byte cost of one collective over n ranks, charged once by the
-/// last arriver (satellite task: collectives used to be invisible in
-/// RunStats, understating communication volume in every bench).
-void count_collective_traffic(Machine& m, count_t messages, count_t bytes) {
-  m.total_messages_.fetch_add(messages);
-  m.total_bytes_.fetch_add(bytes);
-}
-
-/// Raises kRankFailure naming the crashed rank(s): a collective can never
-/// complete once a participant is dead beyond recovery.
-[[noreturn]] void throw_collective_rank_failure(Machine& m, int rank,
-                                                double clock) {
-  std::ostringstream os;
-  os << "mpsim: rank " << rank << " at t=" << clock
-     << "s entered a collective, but rank(s) " << m.lost_ranks_string()
-     << " crashed and no spare took over";
-  throw StatusError(Status::failure(StatusCode::kRankFailure, os.str()));
-}
-
-}  // namespace
-
-double Comm::allreduce_sum(double v) {
-  Machine& m = *machine_;
-  std::unique_lock<std::mutex> lock(m.coll_mu_);
-  m.check_abort();
-  if (m.unrecoverable_deaths_.load() > 0) {
-    lock.unlock();
-    throw_collective_rank_failure(m, rank_, clock_);
-  }
-  const std::uint64_t my_gen = m.coll_gen_;
-  if (m.coll_arrived_ == 0) {
-    m.coll_sum_ = 0.0;
-    m.coll_max_ = 0.0;
-    m.coll_clock_ = 0.0;
-  }
-  m.coll_sum_ += v;
-  m.coll_max_ = std::max(m.coll_max_, v);
-  m.coll_clock_ = std::max(m.coll_clock_, clock_);
-  if (++m.coll_arrived_ == m.n_) {
-    m.coll_result_sum_ = m.coll_sum_;
-    m.coll_result_max_ = m.coll_max_;
-    m.coll_result_clock_ = m.coll_clock_;
-    m.coll_arrived_ = 0;
-    ++m.coll_gen_;
-    count_collective_traffic(m, 2 * (m.n_ - 1),
-                             static_cast<count_t>(16 * (m.n_ - 1)));
-    m.coll_cv_.notify_all();
-  } else {
-    m.coll_cv_.wait(lock, [&] {
-      return m.stop_requested() || m.coll_gen_ != my_gen ||
-             m.unrecoverable_deaths_.load() > 0;
-    });
-    m.check_abort();
-    if (m.coll_gen_ == my_gen) {
-      // Not a completed rendezvous: a participant died beyond recovery.
-      lock.unlock();
-      throw_collective_rank_failure(m, rank_, clock_);
-    }
-  }
-  // Binomial-tree reduce + broadcast of one double.
-  const double cost = 2.0 * ceil_log2(m.n_) *
-                      (m.model_.alpha + 8.0 * m.model_.beta);
-  clock_ = m.coll_result_clock_ + cost;
-  maybe_crash();
-  return m.coll_result_sum_;
-}
-
-double Comm::allreduce_max(double v) {
-  // Same rendezvous; both aggregates are always combined, so piggyback.
-  Machine& m = *machine_;
-  std::unique_lock<std::mutex> lock(m.coll_mu_);
-  m.check_abort();
-  if (m.unrecoverable_deaths_.load() > 0) {
-    lock.unlock();
-    throw_collective_rank_failure(m, rank_, clock_);
-  }
-  const std::uint64_t my_gen = m.coll_gen_;
-  if (m.coll_arrived_ == 0) {
-    m.coll_sum_ = 0.0;
-    m.coll_max_ = -std::numeric_limits<double>::infinity();
-    m.coll_clock_ = 0.0;
-  }
-  m.coll_sum_ += v;
-  m.coll_max_ = std::max(m.coll_max_, v);
-  m.coll_clock_ = std::max(m.coll_clock_, clock_);
-  if (++m.coll_arrived_ == m.n_) {
-    m.coll_result_sum_ = m.coll_sum_;
-    m.coll_result_max_ = m.coll_max_;
-    m.coll_result_clock_ = m.coll_clock_;
-    m.coll_arrived_ = 0;
-    ++m.coll_gen_;
-    count_collective_traffic(m, 2 * (m.n_ - 1),
-                             static_cast<count_t>(16 * (m.n_ - 1)));
-    m.coll_cv_.notify_all();
-  } else {
-    m.coll_cv_.wait(lock, [&] {
-      return m.stop_requested() || m.coll_gen_ != my_gen ||
-             m.unrecoverable_deaths_.load() > 0;
-    });
-    m.check_abort();
-    if (m.coll_gen_ == my_gen) {
-      lock.unlock();
-      throw_collective_rank_failure(m, rank_, clock_);
-    }
-  }
-  const double cost = 2.0 * ceil_log2(m.n_) *
-                      (m.model_.alpha + 8.0 * m.model_.beta);
-  clock_ = m.coll_result_clock_ + cost;
-  maybe_crash();
-  return m.coll_result_max_;
-}
-
-void Comm::bcast(int root, std::vector<std::byte>* data) {
-  PARFACT_CHECK(root >= 0 && root < machine_->n_);
-  Machine& m = *machine_;
-  std::unique_lock<std::mutex> lock(m.coll_mu_);
-  m.check_abort();
-  if (m.unrecoverable_deaths_.load() > 0) {
-    lock.unlock();
-    throw_collective_rank_failure(m, rank_, clock_);
-  }
-  const std::uint64_t my_gen = m.coll_gen_;
-  if (m.coll_arrived_ == 0) m.coll_clock_ = 0.0;
-  if (rank_ == root) m.coll_payload_ = *data;
-  m.coll_clock_ = std::max(m.coll_clock_, clock_);
-  if (++m.coll_arrived_ == m.n_) {
-    m.coll_result_payload_ = std::move(m.coll_payload_);
-    m.coll_payload_.clear();
-    m.coll_result_clock_ = m.coll_clock_;
-    m.coll_arrived_ = 0;
-    ++m.coll_gen_;
-    count_collective_traffic(
-        m, m.n_ - 1,
-        static_cast<count_t>(m.coll_result_payload_.size()) * (m.n_ - 1));
-    m.coll_cv_.notify_all();
-  } else {
-    m.coll_cv_.wait(lock, [&] {
-      return m.stop_requested() || m.coll_gen_ != my_gen ||
-             m.unrecoverable_deaths_.load() > 0;
-    });
-    m.check_abort();
-    if (m.coll_gen_ == my_gen) {
-      lock.unlock();
-      throw_collective_rank_failure(m, rank_, clock_);
-    }
-  }
-  if (rank_ != root) *data = m.coll_result_payload_;
-  const double bytes = static_cast<double>(data->size());
-  const double cost = ceil_log2(m.n_) *
-                      (m.model_.alpha + bytes * m.model_.beta);
-  clock_ = m.coll_result_clock_ + cost;
-  maybe_crash();
 }
 
 void Comm::checkpoint_save(int buddy, std::vector<std::byte> blob) {
@@ -1077,16 +827,6 @@ Takeover Comm::await_failure() {
         static_cast<count_t>(t.checkpoint.size()));
   }
   return t;
-}
-
-FailureView Comm::failure_view() const {
-  Machine& m = *machine_;
-  std::lock_guard<std::mutex> lock(m.death_mu_);
-  FailureView view;
-  view.epoch = m.epoch_;
-  view.failed = m.failed_;
-  view.recovered = m.recovered_;
-  return view;
 }
 
 void Comm::advance_compute(count_t flops) {

@@ -2,20 +2,20 @@
 //
 // This is the substitute for the paper's MPI cluster (see DESIGN.md §2).
 // Rank programs are ordinary C++ functions running on one thread per rank and
-// communicating through the MPI-like `Comm` handle: tagged point-to-point
-// send/recv plus the collectives the solver needs. Semantics follow the
+// communicating through the MPI-like `Comm` handle with one point-to-point
+// protocol: buffered tagged sends, and posted receives (irecv, then wait /
+// wait_any) matched by (source, tag) in FIFO order. Semantics follow the
 // message-passing model of the LLNL MPI tutorial: explicit cooperative
-// transfers, blocking receives matched by (source, tag) in FIFO order.
+// transfers, no shared state between ranks.
 //
 // Virtual time: every rank carries a logical clock. Local computation
 // advances it through Comm::advance_compute (flops / machine flop rate) and
 // advance_bytes (bytes / memory rate); a message costs the sender `alpha`
 // and arrives at `send_clock + alpha + bytes * beta`; a receive completes at
-// max(receiver clock, arrival). Collectives use binomial-tree costs. The
-// resulting makespan (max final clock) is the quantity every scaling
-// experiment reports — it is deterministic and independent of how the host
-// OS schedules the rank threads, which is what makes thousand-rank scaling
-// studies meaningful on a one-core machine.
+// max(receiver clock, arrival). The resulting makespan (max final clock) is
+// the quantity every scaling experiment reports — it is deterministic and
+// independent of how the host OS schedules the rank threads, which is what
+// makes thousand-rank scaling studies meaningful on a one-core machine.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +47,7 @@ struct RunStats {
   std::vector<double> rank_time;       ///< final clock per rank
   std::vector<double> rank_compute;    ///< virtual seconds in compute per rank
   /// Σ over ranks of virtual time spent blocked on point-to-point arrivals
-  /// (recv and Request::wait advancing the clock to a later arrival). The
+  /// (wait and wait_any advancing the clock to a later arrival). The
   /// overlap experiments report this: a lookahead schedule shrinks it.
   double idle_wait_seconds = 0.0;
   /// High-water mark of messages delivered but not yet consumed, machine
@@ -58,7 +58,7 @@ struct RunStats {
   double overlap_efficiency = 1.0;
   count_t total_messages = 0;
   count_t total_bytes = 0;
-  /// wait_any pool diagnostics (the fan-both extend-add streams): recv
+  /// wait_any pool diagnostics (the fan-both extend-add streams): receive
   /// completions whose virtual arrival precedes that of an earlier-posted
   /// request in the same pool. Computed from the deterministic arrival
   /// times when a pool drains, so the count is a pure function of the
@@ -95,8 +95,7 @@ struct RunStats {
 /// and per-link delivery order are therefore exactly those of the
 /// fault-free run — faults cost only virtual time — or, if `max_retries`
 /// consecutive copies of one message are dropped, the send throws
-/// StatusError(kCommFailure). Collectives are full-rendezvous in-memory
-/// exchanges and are not subject to message faults.
+/// StatusError(kCommFailure).
 ///
 /// Crash model: a `Crash{rank, at}` entry kills rank `rank` the moment its
 /// virtual clock reaches `at` (mid-front, mid-panel, wherever that lands).
@@ -108,8 +107,12 @@ struct RunStats {
 /// for the replacement to replay, and receives from it block until the
 /// replacement re-produces the stream. A crash with no spare left is
 /// *unrecoverable*: sends to and receives from the dead rank raise
-/// StatusError(kRankFailure), and crash-aware collectives fail the same way
-/// instead of deadlocking.
+/// StatusError(kRankFailure).
+///
+/// Both host-time budgets (recv_timeout_host_seconds and
+/// run_timeout_host_seconds) must be finite and at most 1e6 s (about 11.6
+/// days): each becomes a steady_clock deadline, and a larger budget would
+/// overflow the clock's 64-bit tick count.
 struct FaultPlan {
   std::uint64_t seed = 1;          ///< dice seed; same seed → same faults
   double drop_rate = 0.0;          ///< P(message copy is lost on the link)
@@ -119,7 +122,10 @@ struct FaultPlan {
   double ack_drop_rate = 0.0;      ///< P(delivered but sender retransmits)
   int max_retries = 8;             ///< attempts per message before failing
   double retry_backoff_seconds = 1.0e-4;  ///< first backoff, doubles after
-  double recv_timeout_host_seconds = 30.0;  ///< hang safety net (host time)
+  /// Host-time bound on every posted wait (wait, wait_any, and a spare's
+  /// await_failure), active or not: a message that never comes ends in
+  /// StatusError(kCommTimeout) instead of a hang.
+  double recv_timeout_host_seconds = 30.0;
   /// Rank `rank` freezes for `duration` virtual seconds the first time its
   /// clock reaches `at` (models a transient OS/GC stall, not a crash).
   struct Stall {
@@ -179,9 +185,9 @@ struct FaultPlan {
 class Machine;
 class Comm;
 
-/// Handle to a nonblocking operation (isend/irecv). Complete it with
-/// Comm::test / Comm::wait / Comm::wait_all on the Comm that issued it.
-/// Requests are movable, not copyable, and must not outlive their Comm.
+/// Handle to a posted receive (Comm::irecv). Complete it with Comm::wait or
+/// Comm::wait_any on the Comm that issued it. Requests are movable, not
+/// copyable, and must not outlive their Comm.
 class Request {
  public:
   Request() = default;
@@ -190,19 +196,15 @@ class Request {
   Request(Request&&) = default;
   Request& operator=(Request&&) = default;
 
-  /// True once the operation completed (send requests start complete —
-  /// sends are buffered; a completed recv request holds its payload until
-  /// wait() is called to take it).
+  /// True once the message has been claimed (a completed request holds its
+  /// payload until wait() is called to take it).
   [[nodiscard]] bool done() const { return done_; }
 
-  /// Virtual arrival time of a completed recv request (0 until it
-  /// completes; send requests are born done with arrival 0).
+  /// Virtual arrival time of a completed request (0 until it completes).
   [[nodiscard]] double arrival() const { return arrival_; }
 
  private:
   friend class Comm;
-  enum class Kind : std::uint8_t { kSend, kRecv };
-  Kind kind_ = Kind::kSend;
   int peer_ = -1;
   int tag_ = 0;
   std::uint64_t ticket_ = 0;  ///< FIFO position among irecvs on the channel
@@ -219,12 +221,14 @@ RunStats run_spmd(int n_ranks, const MachineModel& model,
                   const std::function<void(Comm&)>& rank_fn);
 
 /// As above with fault injection. An inactive plan behaves exactly like the
-/// overload without one (no wire headers, no timeouts). The plan is
-/// validated on entry: out-of-range rates, non-positive retry/backoff
-/// bounds, or crash/stall entries naming nonexistent ranks raise
-/// StatusError(kInvalidInput) before any rank thread starts. With
-/// `faults.spare_ranks > 0`, `rank_fn` is additionally invoked on the spare
-/// ranks, which must call `await_failure()` (see below).
+/// overload without one: no wire headers, and posted waits bounded by the
+/// plan's recv_timeout_host_seconds. The plan is validated on entry:
+/// out-of-range rates, non-positive retry/backoff bounds, host-time budgets
+/// that are not finite or exceed 1e6 s, or crash/stall entries naming
+/// nonexistent ranks raise StatusError(kInvalidInput) before any rank
+/// thread starts. With `faults.spare_ranks > 0`, `rank_fn` is additionally
+/// invoked on the spare ranks, which must call `await_failure()` (see
+/// below).
 RunStats run_spmd(int n_ranks, const MachineModel& model,
                   const FaultPlan& faults,
                   const std::function<void(Comm&)>& rank_fn);
@@ -238,105 +242,60 @@ struct Takeover {
   std::vector<std::byte> checkpoint;
 };
 
-/// Consistent snapshot of the machine's failure bookkeeping.
-struct FailureView {
-  std::uint64_t epoch = 0;      ///< number of crashes fired so far
-  std::vector<int> failed;      ///< ranks that crashed
-  std::vector<int> recovered;   ///< crashed ranks adopted by a spare
-};
-
 /// Per-rank communicator handle passed to the rank program.
 class Comm {
  public:
   [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] int size() const;
-  [[nodiscard]] const MachineModel& model() const;
   /// True while this rank is an unassigned standby (rank() >= size()).
   [[nodiscard]] bool is_spare() const;
 
-  /// Blocking tagged send (buffered: returns after the sender-side cost).
+  /// Tagged send. Buffered: the sender pays `alpha` and the message is in
+  /// flight when this returns.
   void send(int dest, int tag, const void* data, std::size_t bytes);
-
-  /// Blocking receive matching (source, tag), FIFO among identical pairs.
-  /// Must not be called while irecvs are outstanding on the same channel
-  /// (the FIFO position would be ambiguous).
-  [[nodiscard]] std::vector<std::byte> recv(int source, int tag);
-
-  /// Nonblocking send. mpsim sends are buffered — the sender-side cost is
-  /// paid immediately and the message is in flight when this returns — so
-  /// the request completes instantly; it exists so call sites can express
-  /// intent symmetrically with irecv.
-  Request isend(int dest, int tag, const void* data, std::size_t bytes);
 
   /// Posts a receive for the next unclaimed message on (source, tag).
   /// Multiple outstanding irecvs on one channel match arrivals in posting
   /// order (FIFO), regardless of the order they are waited on.
   [[nodiscard]] Request irecv(int source, int tag);
 
-  /// Nonblocking completion probe. A recv request completes here only if a
-  /// matching message exists AND its virtual arrival time is ≤ this rank's
-  /// clock — the rank cannot observe a message "before it arrives". Never
-  /// advances the clock. Returns r.done().
-  bool test(Request& r);
-
-  /// Blocks until the request completes and returns its payload (empty for
-  /// send requests). Advances the clock to max(clock, arrival) and accounts
-  /// the jump as idle wait. Unlike blocking recv, wait is always bounded by
-  /// FaultPlan::recv_timeout_host_seconds of host time — a lost nonblocking
-  /// message diagnoses kCommTimeout instead of hanging the harness (the
-  /// default plan's 30 s net applies even with faults inactive).
+  /// Blocks until the request completes and returns its payload. Advances
+  /// the clock to max(clock, arrival) and accounts the jump as idle wait.
+  /// Bounded by FaultPlan::recv_timeout_host_seconds of host time, with
+  /// faults active or not: a lost message diagnoses kCommTimeout instead of
+  /// hanging the harness.
   [[nodiscard]] std::vector<std::byte> wait(Request& r);
 
-  /// wait() over a batch, in order; returns the payloads.
-  [[nodiscard]] std::vector<std::vector<std::byte>> wait_all(
-      std::vector<Request>& rs);
-
   /// Completes exactly one not-yet-done request in `rs` and returns its
-  /// index; already-done requests (including send requests, which are born
-  /// done) are skipped, and at least one request must be incomplete.
-  /// Progress rule, chosen so the rank clock stays a pure function of the
-  /// schedule regardless of host thread timing: a message that has already
-  /// arrived (virtual arrival ≤ this rank's clock) is claimed first, in
-  /// posting order, without advancing the clock (like test); otherwise the
-  /// earliest-posted incomplete request is waited on (the clock advances to
-  /// its arrival, accounted as idle wait). Post pools in need order so the
-  /// blocking case always targets the request the caller cannot proceed
-  /// without. The payload stays in the returned request — take it with
-  /// wait / wait_vec, which return immediately on a completed request.
-  /// When the call drains the pool's last request, arrival times are
-  /// compared against posting order and the inversions are added to
+  /// index; already-done requests are skipped, and at least one request
+  /// must be incomplete. Progress rule, chosen so the rank clock stays a
+  /// pure function of the schedule regardless of host thread timing: a
+  /// message that has already arrived (virtual arrival ≤ this rank's clock)
+  /// is claimed first, in posting order, without advancing the clock;
+  /// otherwise the earliest-posted incomplete request is waited on (the
+  /// clock advances to its arrival, accounted as idle wait). Post pools in
+  /// need order so the blocking case always targets the request the caller
+  /// cannot proceed without. The payload stays in the returned request —
+  /// take it with wait / wait_vec, which return immediately on a completed
+  /// request. When the call drains the pool's last request, arrival times
+  /// are compared against posting order and the inversions are added to
   /// RunStats::messages_completed_out_of_order.
   [[nodiscard]] std::size_t wait_any(std::vector<Request>& rs);
 
-  /// Typed wait: payload reinterpreted as a vector of T (like recv_vec).
+  /// Typed wait: payload reinterpreted as a vector of T. A payload that is
+  /// not a whole number of T raises StatusError(kDataCorruption).
   template <typename T>
   [[nodiscard]] std::vector<T> wait_vec(Request& r) {
     static_assert(std::is_trivially_copyable_v<T>);
     return bytes_to_vec<T>(wait(r), r.peer_, r.tag_);
   }
 
-  /// Typed helpers for vectors of trivially copyable T.
+  /// Typed send of a vector of trivially copyable T.
   template <typename T>
   void send_vec(int dest, int tag, const std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     send(dest, tag, v.data(), v.size() * sizeof(T));
   }
-  template <typename T>
-  [[nodiscard]] std::vector<T> recv_vec(int source, int tag) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    return bytes_to_vec<T>(recv(source, tag), source, tag);
-  }
-
-  /// Collectives over all base ranks (every base rank must call; standby
-  /// spares never participate). With an active crash plan a collective
-  /// raises StatusError(kRankFailure) instead of deadlocking when a
-  /// participant is dead beyond recovery.
-  void barrier();
-  [[nodiscard]] double allreduce_sum(double v);
-  [[nodiscard]] double allreduce_max(double v);
-  /// Root's buffer is distributed to everyone; non-roots pass their out
-  /// buffer which is resized.
-  void bcast(int root, std::vector<std::byte>* data);
 
   /// Buddy checkpoint: ships `blob` to (notionally) rank `buddy`'s memory
   /// and snapshots this rank's communication-protocol state (sequence
@@ -354,11 +313,6 @@ class Comm {
   /// set to the death time plus the state-transfer cost, and the program
   /// should re-run the dead rank's work from the checkpoint.
   [[nodiscard]] Takeover await_failure();
-
-  /// Failure-notification snapshot: epoch (crashes fired so far) and the
-  /// failed/recovered rank sets. Serialized against crash bookkeeping, so
-  /// every rank observing epoch e sees identical sets.
-  [[nodiscard]] FailureView failure_view() const;
 
   /// Virtual-time hooks.
   void advance_compute(count_t flops);
@@ -415,15 +369,21 @@ class Comm {
   /// Pulls the next unconsumed message on (source, tag) out of the mailbox,
   /// running the fault-protocol logic (dedup, retention cursor, dead-rank
   /// diagnosis). Returns false when `blocking` is false and nothing is
-  /// pending; throws kCommTimeout when `bounded` and the host-time net
+  /// pending; a blocking fetch throws kCommTimeout once the host-time net
   /// expires. Does not touch the virtual clock.
-  bool fetch_message(int source, int tag, bool blocking, bool bounded,
-                     Staged* out);
+  bool fetch_message(int source, int tag, bool blocking, Staged* out);
   /// Pulls messages into `ch.staged` until `ticket` is staged (blocking) or
   /// the mailbox runs dry (nonblocking). Returns whether it is staged.
   bool fill_channel(Channel& ch, int source, int tag, std::uint64_t ticket,
                     bool blocking);
-  /// Completes a recv request whose message is staged: clock/idle/payload.
+  /// wait_any's nonblocking probe of a pending request: completes `r` only
+  /// if its message exists AND its virtual arrival is ≤ this rank's clock —
+  /// the rank cannot observe a message "before it arrives". Never advances
+  /// the clock. Returns r.done().
+  bool test(Request& r);
+  /// Blocks until `r`'s message is staged, then completes it (idle counted).
+  void complete_blocking(Request& r);
+  /// Completes a request whose message is staged: clock/idle/payload.
   void complete_recv(Request& r, Staged&& st, bool count_idle);
   /// Once every request in `rs` is done, adds the pool's arrival-vs-posting
   /// inversions to this rank's out-of-order completion counter (no-op while

@@ -270,38 +270,34 @@ PerfResult simulate_factor_time(const SymbolicFactor& sym, const FrontMap& map,
       }
     };
 
-    if (blocking) {
-      for (index_t kb = 0; kb < fb.kp; ++kb) {
-        factor_col(kb, nullptr);
-        update_cols(kb, kb + 1, fb.nB);
-      }
-    } else if (fb.kp > 0) {
-      // Depth-1 lookahead replay: panel kb+1 is factored and its blocks
-      // put in flight right after the urgent update, so the transfer
-      // overlaps panel kb's lazy updates; consumers only stall on what has
-      // not yet arrived when they reach the next panel. Under kTaskDag the
-      // extend-add arrivals are consumed per panel via the ramp floors
-      // instead of one collective assembly barrier — matching the
-      // shared-memory runtime, where ASM(s) → POTRF(kb) edges are per-front
-      // tasks that commute with unrelated panels' updates. kLookahead has
-      // an empty ramp (it stalled collectively above), so its floors are 0.
-      std::vector<double> cur_arr(static_cast<std::size_t>(used), 0.0);
-      std::vector<double> next_arr(static_cast<std::size_t>(used), 0.0);
+    // One block-column loop for every schedule. With lookahead, panel kb+1
+    // is factored right after the urgent update of block column kb+1, so
+    // its transfer overlaps panel kb's lazy updates and consumers stall only
+    // on what has not arrived by the next panel; kBlocking starts kb+1
+    // after all of kb's updates and stalls consumers at broadcast time.
+    // Under kTaskDag the extend-add arrivals are consumed per panel via the
+    // ramp floors (the runtime's per-front ASM(s) → POTRF(kb) edges); the
+    // collective schedules have an empty ramp, so those stalls are no-ops.
+    std::vector<double> cur_arr(static_cast<std::size_t>(used), 0.0);
+    std::vector<double> next_arr(static_cast<std::size_t>(used), 0.0);
+    if (fb.kp > 0) {
       stall_panel_column(0);
-      factor_col(0, &cur_arr);
-      for (index_t kb = 0; kb < fb.kp; ++kb) {
-        for (int lr = 0; lr < used; ++lr) {
-          clk.stall_until(r0 + lr, cur_arr[static_cast<std::size_t>(lr)]);
-          cur_arr[static_cast<std::size_t>(lr)] = 0.0;
-        }
-        update_cols(kb, kb + 1, std::min<index_t>(kb + 2, fb.nB));
-        if (kb + 1 < fb.kp) {
-          stall_panel_column(kb + 1);
-          factor_col(kb + 1, &next_arr);
-        }
-        update_cols(kb, kb + 2, fb.nB);
-        std::swap(cur_arr, next_arr);
+      factor_col(0, blocking ? nullptr : &cur_arr);
+    }
+    for (index_t kb = 0; kb < fb.kp; ++kb) {
+      for (int lr = 0; lr < used; ++lr) {
+        clk.stall_until(r0 + lr, cur_arr[static_cast<std::size_t>(lr)]);
+        cur_arr[static_cast<std::size_t>(lr)] = 0.0;
       }
+      const index_t lazy_begin =
+          blocking ? fb.nB : std::min<index_t>(kb + 2, fb.nB);
+      update_cols(kb, kb + 1, lazy_begin);
+      if (kb + 1 < fb.kp) {
+        stall_panel_column(kb + 1);
+        factor_col(kb + 1, blocking ? nullptr : &next_arr);
+      }
+      update_cols(kb, lazy_begin, fb.nB);
+      std::swap(cur_arr, next_arr);
     }
     // Every extend-add byte must have landed before this front's own
     // update contributions depart (the trailing blocks fold them in), so

@@ -39,15 +39,16 @@ struct PerfResult {
 };
 
 /// Replays the distributed factorization schedule of `map` under `config`
-/// (default: kLookahead, what distributed_factor runs by default). The
-/// blocking replay stalls every panel consumer at broadcast time; the
-/// pipelined replay defers panel arrivals to the next iteration's consume
-/// point (transfer overlaps the previous panel's lazy updates), mirroring
-/// dist_factor's block-column loop without and with lookahead. kBlocking
-/// and kLookahead stall on one collective extend-add per front; kTaskDag
-/// dissolves that barrier into per-panel arrival floors (block column kb
-/// stalls only on the prefix of the contribution stream it needs),
-/// mirroring the shared-memory runtime's ASM → POTRF task edges.
+/// (default: kLookahead, what distributed_factor runs by default), with one
+/// block-column loop for every schedule, as dist_factor runs it. kBlocking
+/// starts panel kb+1 after all of panel kb's updates and stalls every panel
+/// consumer at broadcast time; with lookahead, panel kb+1 starts after the
+/// update of block column kb+1 and its arrivals are deferred to the next
+/// iteration's consume point (transfer overlaps panel kb's lazy updates).
+/// kBlocking and kLookahead stall on one collective extend-add per front;
+/// kTaskDag dissolves that barrier into per-panel arrival floors (block
+/// column kb stalls only on the prefix of the contribution stream it
+/// needs), mirroring the shared-memory runtime's ASM → POTRF task edges.
 /// dist_factor executes the same fan-both discipline for real (per-panel
 /// extend-add streams consumed through Comm::wait_any); this replay is the
 /// large-P stand-in, cross-checked against every executed schedule by

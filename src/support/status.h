@@ -24,7 +24,7 @@ enum class StatusCode {
   kPerturbed,       ///< success, but static pivoting boosted >= 1 pivot
   kBreakdown,       ///< numeric breakdown not recoverable by boosting
   kCommFailure,     ///< message lost after exhausting retries
-  kCommTimeout,     ///< recv waited past the host-time safety timeout
+  kCommTimeout,     ///< a wait ran past the host-time safety timeout
   kRankFailure,     ///< a rank crashed and no spare could take over
   kDataCorruption,  ///< OOC panel checksum mismatch after re-read retry
   kNoConvergence,   ///< refinement/CG escalation missed the residual target

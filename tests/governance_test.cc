@@ -8,6 +8,7 @@
 // crash, a leak, or a poisoned Solver.
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -483,9 +484,10 @@ TEST(MpsimWatchdog, LivelockedRunTimesOutInsteadOfHanging) {
   try {
     (void)mpsim::run_spmd(2, model, plan, [](mpsim::Comm& comm) {
       if (comm.rank() == 0) {
-        // Rank 1 never sends: without the watchdog this blocks for the full
-        // 30 s recv safety net.
-        (void)comm.recv(1, 42);
+        // Rank 1 never sends: without the watchdog this waits out the full
+        // 30 s receive safety net.
+        mpsim::Request r = comm.irecv(1, 42);
+        (void)comm.wait(r);
       }
     });
     FAIL() << "expected kCommTimeout";
@@ -501,8 +503,14 @@ TEST(MpsimWatchdog, CompletedRunIsUntouchedByTheBudget) {
   plan.run_timeout_host_seconds = 30.0;
   const mpsim::RunStats stats =
       mpsim::run_spmd(2, model, plan, [](mpsim::Comm& comm) {
-        const double v = comm.allreduce_sum(1.0);
-        if (v != 2.0) throw Error("bad allreduce");
+        if (comm.rank() == 0) {
+          comm.send_vec(1, 5, std::vector<double>{2.0});
+          return;
+        }
+        mpsim::Request r = comm.irecv(0, 5);
+        if (comm.wait_vec<double>(r) != std::vector<double>{2.0}) {
+          throw Error("bad payload");
+        }
       });
   EXPECT_GE(stats.makespan, 0.0);
 }
@@ -516,6 +524,23 @@ TEST(MpsimWatchdog, NegativeBudgetIsRejected) {
     FAIL() << "expected kInvalidInput";
   } catch (const StatusError& e) {
     EXPECT_EQ(e.status().code, StatusCode::kInvalidInput);
+  }
+}
+
+// The budget becomes a steady_clock deadline; past the clock's range (or at
+// +inf, the natural "no limit") it would expire at once, so it is rejected.
+TEST(MpsimWatchdog, BudgetBeyondTheClockIsRejected) {
+  for (const double budget : {1e12, std::numeric_limits<double>::infinity()}) {
+    mpsim::FaultPlan plan;
+    plan.run_timeout_host_seconds = budget;
+    try {
+      (void)mpsim::run_spmd(1, {}, plan, [](mpsim::Comm&) {});
+      FAIL() << "expected kInvalidInput for a budget of " << budget;
+    } catch (const StatusError& e) {
+      EXPECT_EQ(e.status().code, StatusCode::kInvalidInput) << budget;
+      EXPECT_NE(e.status().message.find("run_timeout_host_seconds"),
+                std::string::npos);
+    }
   }
 }
 

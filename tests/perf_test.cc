@@ -224,6 +224,53 @@ TEST(Perf, OneRankComputeChargeIsTheFlopCountAtEveryBlockSize) {
   }
 }
 
+// The replay's own output, pinned for every schedule: counts exactly, times
+// within 1e-12 relative (a -march=native build may contract differently).
+// A change that moves them on purpose re-records them.
+TEST(Perf, PinnedReplayTimeAndTraffic) {
+  struct Pinned {
+    double makespan, idle_wait_seconds;
+    count_t messages, bytes, peak_rank_bytes;
+  };
+  const struct {
+    int p;
+    Pinned want[3];  ///< kBlocking, kLookahead, kTaskDag
+  } cases[] = {
+      {16,
+       {{0.0025825190189997871, 0.026497501367687071, 1780, 6412984, 237600},
+        {0.0025465750189997876, 0.025922397367687079, 1780, 6412984, 237600},
+        {0.0024243016904761903, 0.02396602411130952, 1780, 6412984,
+         237600}}},
+      {1024,
+       {{0.0041235906827723394, 2.367918269726383, 300609, 43983080, 89993},
+        {0.0041235906827723394, 2.367918269726383, 300609, 43983080, 89993},
+        {0.0041185329599407357, 2.3507984552968275, 300609, 43983080,
+         89993}}},
+  };
+  constexpr DistConfig::Schedule kSchedules[] = {
+      DistConfig::Schedule::kBlocking, DistConfig::Schedule::kLookahead,
+      DistConfig::Schedule::kTaskDag};
+  const SparseMatrix a = grid_laplacian_3d(12, 12, 12, 7);
+  const SymbolicFactor sym = analyze_nested_dissection(a);
+  for (const auto& c : cases) {
+    const FrontMap map =
+        build_front_map(sym, c.p, MappingStrategy::kSubtree2d, 48);
+    for (int k = 0; k < 3; ++k) {
+      SCOPED_TRACE("P=" + std::to_string(c.p) + ", schedule " +
+                   std::to_string(k));
+      const PerfResult r =
+          simulate_factor_time(sym, map, {}, DistConfig{kSchedules[k]});
+      const Pinned& want = c.want[k];
+      EXPECT_NEAR(r.makespan, want.makespan, 1e-12 * want.makespan);
+      EXPECT_NEAR(r.idle_wait_seconds, want.idle_wait_seconds,
+                  1e-12 * want.idle_wait_seconds);
+      EXPECT_EQ(r.total_messages, want.messages);
+      EXPECT_EQ(r.total_bytes, want.bytes);
+      EXPECT_EQ(r.peak_rank_bytes, want.peak_rank_bytes);
+    }
+  }
+}
+
 TEST(Perf, TaskDagMatchesSerialAtOneRank) {
   // With one rank there are no messages, hence no floors: all three
   // schedules must report identical makespans.

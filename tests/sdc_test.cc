@@ -735,7 +735,8 @@ TEST(MpsimSdc, WireFlipWithChecksumsHealsTransparently) {
         if (comm.rank() == 0) {
           comm.send_vec(1, 7, payload);
         } else {
-          received = comm.recv_vec<double>(0, 7);
+          mpsim::Request r = comm.irecv(0, 7);
+          received = comm.wait_vec<double>(r);
         }
       });
   ASSERT_EQ(received.size(), payload.size());
@@ -762,7 +763,8 @@ TEST(MpsimSdc, WireFlipWithoutChecksumsDeliversSilently) {
         if (comm.rank() == 0) {
           comm.send_vec(1, 7, payload);
         } else {
-          received = comm.recv_vec<double>(0, 7);
+          mpsim::Request r = comm.irecv(0, 7);
+          received = comm.wait_vec<double>(r);
         }
       });
   ASSERT_EQ(received.size(), payload.size());
