@@ -1,7 +1,9 @@
 // K0 — Dense-kernel calibration: measured throughput of the four Cholesky
 // building blocks across block sizes, via google-benchmark. The GEMM rate
 // at the solver's default tile size is what calibrates the machine model
-// used by every scaling experiment.
+// used by every scaling experiment. The header names the register tile and
+// TRSM strip count the host runs (dense/microkernel.h): the rates are that
+// engine's.
 #include <algorithm>
 #include <vector>
 
@@ -9,6 +11,7 @@
 
 #include "dense/kernels.h"
 #include "dense/matrix_view.h"
+#include "dense/microkernel.h"
 #include "support/prng.h"
 #include "support/thread_pool.h"
 
@@ -117,6 +120,28 @@ void BM_SyrkLower(benchmark::State& state) {
 }
 BENCHMARK(BM_SyrkLower)->Arg(64)->Arg(128)->Arg(256);
 
+// Args: {n, k}: the update of a front with n rows below its k pivot
+// columns, the shapes the multifrontal SYRK stage spends its time on.
+void BM_SyrkFront(benchmark::State& state) {
+  const auto n = static_cast<index_t>(state.range(0));
+  const auto k = static_cast<index_t>(state.range(1));
+  auto ca = std::vector<real_t>(static_cast<std::size_t>(n) * n, 0.0);
+  const auto aa = random_buffer(static_cast<std::size_t>(n) * k, 7);
+  for (auto _ : state) {
+    syrk_lower_update(MatrixView{ca.data(), n, n, n},
+                      ConstMatrixView{aa.data(), n, k, n});
+    benchmark::DoNotOptimize(ca.data());
+  }
+  state.counters["Gflop/s"] = benchmark::Counter(
+      1.0 * n * n * k * static_cast<double>(state.iterations()) / 1e9,
+      benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SyrkFront)
+    ->Args({300, 32})
+    ->Args({512, 128})
+    ->Args({700, 128})
+    ->Args({1000, 100});
+
 void BM_Potrf(benchmark::State& state) {
   const auto m = static_cast<index_t>(state.range(0));
   // SPD by diagonal dominance; refresh each iteration (potrf overwrites).
@@ -175,4 +200,14 @@ BENCHMARK(BM_TrsmRightLowerTrans)
 }  // namespace
 }  // namespace parfact
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::AddCustomContext(
+      "dense_engine", parfact::detail::avx512_tile()
+                          ? "24x8 register tile, 8 TRSM strips (x86-64-v4)"
+                          : "8x6 register tile, 4 TRSM strips");
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

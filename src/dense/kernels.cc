@@ -262,13 +262,38 @@ void gemm_tn_update(MatrixView c, ConstMatrixView a, ConstMatrixView b) {
     detail::gemm_packed(c, a, true, b, true);
     return;
   }
+  // Four dot products in flight, so four add chains overlap instead of one
+  // waiting on the last add. Each output still starts at 0.0, sums k
+  // ascending and is then subtracted from c, so its bits do not depend on
+  // the blocking. This stays out of the multi-versioned unit on purpose:
+  // FMA contraction there would move the solve's bits.
   const index_t m = c.rows;
   const index_t n = c.cols;
   const index_t kk = a.rows;
+  const std::size_t lda = static_cast<std::size_t>(a.ld);
   for (index_t j = 0; j < n; ++j) {
     const real_t* bj = &b.at(0, j);
     real_t* cj = &c.at(0, j);
-    for (index_t i = 0; i < m; ++i) {
+    index_t i = 0;
+    for (; i + 4 <= m; i += 4) {
+      const real_t* a0 = a.data + static_cast<std::size_t>(i) * lda;
+      const real_t* a1 = a0 + lda;
+      const real_t* a2 = a1 + lda;
+      const real_t* a3 = a2 + lda;
+      real_t acc0 = 0.0, acc1 = 0.0, acc2 = 0.0, acc3 = 0.0;
+      for (index_t k = 0; k < kk; ++k) {
+        const real_t bk = bj[k];
+        acc0 += a0[k] * bk;
+        acc1 += a1[k] * bk;
+        acc2 += a2[k] * bk;
+        acc3 += a3[k] * bk;
+      }
+      cj[i] -= acc0;
+      cj[i + 1] -= acc1;
+      cj[i + 2] -= acc2;
+      cj[i + 3] -= acc3;
+    }
+    for (; i < m; ++i) {
       const real_t* ai = &a.at(0, i);
       real_t acc = 0.0;
       for (index_t k = 0; k < kk; ++k) acc += ai[k] * bj[k];

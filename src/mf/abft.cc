@@ -126,24 +126,6 @@ void sum_abs(const real_t* v, index_t n, real_t& sum_out, real_t& abs_out) {
             ((a1[0] + a1[1]) + (a1[2] + a1[3]));
 }
 
-// Sum over a contiguous range with eight independent partial accumulators
-// (sum_abs without the magnitudes).
-__attribute__((always_inline)) inline real_t sum8(const real_t* v, index_t n) {
-  v4d s0 = {0.0, 0.0, 0.0, 0.0};
-  v4d s1 = s0;
-  index_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    v4d x0, x1;
-    __builtin_memcpy(&x0, v + i, sizeof x0);
-    __builtin_memcpy(&x1, v + i + 4, sizeof x1);
-    s0 += x0;
-    s1 += x1;
-  }
-  for (; i < n; ++i) s0[0] += v[i];
-  return ((s0[0] + s0[1]) + (s0[2] + s0[3])) +
-         ((s1[0] + s1[1]) + (s1[2] + s1[3]));
-}
-
 // Two adjacent L11 columns' contributions to both triangular identities,
 // in column order: `c0` from row 0, `c1` (the next column, same base row)
 // from row 1, each adding p2 += w1*col, s2 += w1a*|col|, p3 += w2*col,
@@ -372,9 +354,10 @@ void predict_update_lower(ConstMatrixView l21, ConstMatrixView m,
 // column sums of the p x p block, `sym` the symmetric ones (the strict
 // lower part's row sums in column order, then the lower column sum) — the
 // POTRF baseline. Values only: both identities take their tolerance scales
-// from predicted magnitudes. Columns go in pairs, each row taking column
-// j's value before column j + 1's, so the row sums stream through once per
-// pair.
+// from predicted magnitudes. Columns go in pairs and each pair is read
+// once: every row takes column j's value before column j + 1's into its
+// row sum, while both column sums gather in eight partial sums each, as in
+// sum_abs.
 PARFACT_ABFT_CLONES
 void a11_sums(ConstMatrixView a11, real_t* low, real_t* sym) {
   const index_t p = a11.cols;
@@ -383,12 +366,47 @@ void a11_sums(ConstMatrixView a11, real_t* low, real_t* sym) {
   for (; j + 2 <= p; j += 2) {
     const real_t* c0 = a11.data + static_cast<std::size_t>(j) * a11.ld;
     const real_t* c1 = c0 + a11.ld;
-    low[j] = sum8(c0 + j, p - j);
-    low[j + 1] = sum8(c1 + j + 1, p - j - 1);
+    v4d s0 = {0.0, 0.0, 0.0, 0.0};
+    v4d s1 = s0;
+    v4d t0 = s0;
+    v4d t1 = s0;
+    // The next pair's columns stream in while this pair is summed.
+    const real_t* n0 = j + 2 < p ? c1 + a11.ld : c0;
+    const real_t* n1 = j + 3 < p ? n0 + a11.ld : n0;
+    index_t i = j + 2;
+    for (; i + 8 <= p; i += 8) {
+      __builtin_prefetch(n0 + i + 2);
+      __builtin_prefetch(n1 + i + 2);
+      v4d x0, x1, y0, y1, r0, r1;
+      __builtin_memcpy(&x0, c0 + i, sizeof x0);
+      __builtin_memcpy(&x1, c0 + i + 4, sizeof x1);
+      __builtin_memcpy(&y0, c1 + i, sizeof y0);
+      __builtin_memcpy(&y1, c1 + i + 4, sizeof y1);
+      __builtin_memcpy(&r0, sym + i, sizeof r0);
+      __builtin_memcpy(&r1, sym + i + 4, sizeof r1);
+      r0 = (r0 + x0) + y0;
+      r1 = (r1 + x1) + y1;
+      __builtin_memcpy(sym + i, &r0, sizeof r0);
+      __builtin_memcpy(sym + i + 4, &r1, sizeof r1);
+      s0 += x0;
+      s1 += x1;
+      t0 += y0;
+      t1 += y1;
+    }
+    for (; i < p; ++i) {
+      sym[i] = (sym[i] + c0[i]) + c1[i];
+      s0[0] += c0[i];
+      t0[0] += c1[i];
+    }
+    const real_t rest0 = ((s0[0] + s0[1]) + (s0[2] + s0[3])) +
+                         ((s1[0] + s1[1]) + (s1[2] + s1[3]));
+    const real_t rest1 = ((t0[0] + t0[1]) + (t0[2] + t0[3])) +
+                         ((t1[0] + t1[1]) + (t1[2] + t1[3]));
+    low[j] = (c0[j] + c0[j + 1]) + rest0;
+    low[j + 1] = c1[j + 1] + rest1;
     sym[j] += low[j];
     sym[j + 1] += c0[j + 1];
     sym[j + 1] += low[j + 1];
-    for (index_t i = j + 2; i < p; ++i) sym[i] = (sym[i] + c0[i]) + c1[i];
   }
   if (j < p) {  // odd p: the last column has only its diagonal
     const real_t* col = a11.data + static_cast<std::size_t>(j) * a11.ld;

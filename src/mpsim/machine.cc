@@ -767,23 +767,14 @@ Takeover Comm::await_failure() {
       spare_index < static_cast<int>(m.spare_target_.size())
           ? m.spare_target_[static_cast<std::size_t>(spare_index)]
           : -1;
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(m.plan_.recv_timeout_host_seconds));
+  // No deadline: a spare legitimately idles for the whole run, and every
+  // way a run ends wakes it (its target's death, the last base program
+  // finishing, any rank throwing, the run watchdog).
   std::unique_lock<std::mutex> lock(m.death_mu_);
-  const bool ready = m.death_cv_.wait_until(lock, deadline, [&] {
+  m.death_cv_.wait(lock, [&] {
     return m.stop_requested() || m.run_over_ ||
            (target >= 0 && m.dead_[static_cast<std::size_t>(target)] != 0);
   });
-  if (!ready) {
-    lock.unlock();
-    std::ostringstream os;
-    os << "mpsim: spare rank " << rank_ << " timed out after "
-       << m.plan_.recv_timeout_host_seconds
-       << "s of host time waiting for a failure or run completion";
-    throw StatusError(Status::failure(StatusCode::kCommTimeout, os.str()));
-  }
   m.check_abort();
   if (target < 0 || m.dead_[static_cast<std::size_t>(target)] == 0) {
     return Takeover{};  // run completed without this spare's crash firing

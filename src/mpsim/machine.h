@@ -122,9 +122,10 @@ struct FaultPlan {
   double ack_drop_rate = 0.0;      ///< P(delivered but sender retransmits)
   int max_retries = 8;             ///< attempts per message before failing
   double retry_backoff_seconds = 1.0e-4;  ///< first backoff, doubles after
-  /// Host-time bound on every posted wait (wait, wait_any, and a spare's
-  /// await_failure), active or not: a message that never comes ends in
-  /// StatusError(kCommTimeout) instead of a hang.
+  /// Host-time bound on every posted wait (wait and wait_any), active or
+  /// not: a message that never comes ends in StatusError(kCommTimeout)
+  /// instead of a hang. A spare's await_failure is not bounded by it: a
+  /// spare may idle for the whole run.
   double recv_timeout_host_seconds = 30.0;
   /// Rank `rank` freezes for `duration` virtual seconds the first time its
   /// clock reaches `at` (models a transient OS/GC stall, not a crash).
@@ -307,7 +308,10 @@ class Comm {
 
   /// Spare ranks only: blocks until this spare's designated crash fires
   /// (returning the adopted rank id with its death time and last
-  /// checkpoint) or the run completes without it (rank == -1). On
+  /// checkpoint) or the run completes without it (rank == -1). There is no
+  /// host-time deadline: every way a run ends releases the spare (the last
+  /// base program finishing, any rank throwing, which aborts the run, and
+  /// the run watchdog, which raises kCommTimeout here as everywhere). On
   /// adoption this Comm *becomes* the dead rank: rank() changes, the
   /// protocol state is restored from the checkpoint snapshot, the clock is
   /// set to the death time plus the state-transfer cost, and the program

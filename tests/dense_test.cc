@@ -1,6 +1,7 @@
 // Tests for the dense kernels: POTRF / TRSM / SYRK / GEMM against naive
 // reference implementations, across a sweep of shapes.
 #include <cmath>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -8,6 +9,7 @@
 
 #include "dense/kernels.h"
 #include "dense/matrix_view.h"
+#include "dense/microkernel.h"
 #include "support/prng.h"
 
 namespace parfact {
@@ -374,6 +376,148 @@ TEST_P(RowSplitKernelTest, TrsmBitwiseEqualsOneCall) {
 
 INSTANTIATE_TEST_SUITE_P(Slabs, RowSplitKernelTest,
                          ::testing::Values(1, 2, 5, 16));
+
+// --- Both register tiles: the same bits -----------------------------------
+//
+// x86-64-v4 hosts run the engine on Tile24x8 and the unblocked TRSM on 8
+// strips; every other host runs Tile8x6 and 4 strips. Every element keeps
+// the same operation sequence in both, so the factor and the answers must
+// not depend on which host computed them. Here both instantiations run on
+// one host and their outputs are compared byte for byte, padding rows
+// included. Shapes are seeded: m and n off multiples of 8 (so also of 24),
+// k from 1 to past two kKC slices, ld larger than rows, and about one entry
+// in eight an exact zero (the TRSM skips zero L(j,k)).
+
+/// A rows×cols operand with leading dimension ld > rows.
+struct Padded {
+  index_t rows, cols, ld;
+  std::vector<real_t> v;
+  MatrixView view() { return {v.data(), rows, cols, ld}; }
+  ConstMatrixView cview() const { return {v.data(), rows, cols, ld}; }
+};
+
+Padded random_padded(index_t rows, index_t cols, Prng& rng) {
+  const auto ld = rows + 1 + static_cast<index_t>(rng.next_below(7));
+  Padded p{rows, cols, ld, std::vector<real_t>(static_cast<std::size_t>(ld) *
+                                               std::max<index_t>(cols, 1))};
+  for (auto& x : p.v) x = rng.next_below(8) == 0 ? 0.0 : rng.next_real(-1, 1);
+  return p;
+}
+
+/// 1..hi, never a multiple of 8.
+index_t off_tile_size(index_t hi, Prng& rng) {
+  const auto d = 1 + static_cast<index_t>(rng.next_below(hi));
+  return d % 8 == 0 ? d + 1 : d;
+}
+
+/// Flat index of the first element whose bits differ, or -1.
+std::ptrdiff_t first_bit_difference(const std::vector<real_t>& x,
+                                    const std::vector<real_t>& y) {
+  if (x.size() != y.size()) return 0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (std::memcmp(&x[i], &y[i], sizeof(real_t)) != 0) {
+      return static_cast<std::ptrdiff_t>(i);
+    }
+  }
+  return -1;
+}
+
+TEST(TileIdentity, Tile24x8MatchesTile8x6Bitwise) {
+  if (!detail::avx512_tile()) {
+    GTEST_SKIP() << "the host does not report x86-64-v4, or this build has "
+                    "no x86-64-v4 instantiation (TSan, non-GCC): only the "
+                    "8x6 tile and 4 TRSM strips run here";
+  }
+  using detail::Tile24x8;
+  using detail::Tile8x6;
+  constexpr index_t kMaxK = 2 * detail::kKC + 40;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Prng rng(seed);
+    const index_t m = off_tile_size(330, rng);
+    const index_t n = off_tile_size(330, rng);
+    const index_t k = 1 + static_cast<index_t>(rng.next_below(kMaxK));
+    SCOPED_TRACE(::testing::Message() << "seed " << seed << ": m=" << m
+                                      << " n=" << n << " k=" << k);
+    const Padded c0 = random_padded(m, n, rng);
+    const Padded a_mk = random_padded(m, k, rng);  // A for NT and NN
+    const Padded a_km = random_padded(k, m, rng);  // Aᵀ stored, for TN
+    const Padded b_nk = random_padded(n, k, rng);  // B for NT
+    const Padded b_kn = random_padded(k, n, rng);  // Bᵀ stored, NN and TN
+    struct Op {
+      const char* name;
+      const Padded& a;
+      bool a_trans;
+      const Padded& b;
+      bool b_trans;
+    };
+    for (const Op& op : {Op{"NT", a_mk, false, b_nk, false},
+                         Op{"NN", a_mk, false, b_kn, true},
+                         Op{"TN", a_km, true, b_kn, true}}) {
+      Padded c6 = c0;
+      Padded c24 = c0;
+      detail::gemm_packed_tile<Tile8x6>(c6.view(), op.a.cview(), op.a_trans,
+                                        op.b.cview(), op.b_trans);
+      detail::gemm_packed_tile<Tile24x8>(c24.view(), op.a.cview(), op.a_trans,
+                                         op.b.cview(), op.b_trans);
+      ASSERT_EQ(first_bit_difference(c6.v, c24.v), -1) << op.name << " GEMM";
+    }
+
+    // SYRK, one call and as the task DAG's row slabs (rectangle on the
+    // GEMM engine, diagonal triangle on the SYRK engine, as
+    // syrk_lower_update_slab runs them).
+    const Padded s0 = random_padded(n, n, rng);
+    const Padded sa = random_padded(n, k, rng);
+    Padded s6 = s0;
+    Padded s24 = s0;
+    detail::syrk_packed_lower_tile<Tile8x6>(s6.view(), sa.cview());
+    detail::syrk_packed_lower_tile<Tile24x8>(s24.view(), sa.cview());
+    ASSERT_EQ(first_bit_difference(s6.v, s24.v), -1) << "SYRK";
+    for (const index_t slabs : {2, 5, 16}) {
+      const std::vector<index_t> bound = syrk_slab_bounds(n, slabs);
+      Padded p6 = s0;
+      Padded p24 = s0;
+      Padded hosted = s0;  // the public entry, on this host's tile
+      for (index_t t = slabs; t-- > 0;) {
+        const index_t r0 = bound[t];
+        const index_t len = bound[t + 1] - r0;
+        if (len == 0) continue;
+        const ConstMatrixView rows = sa.cview().block(r0, 0, len, k);
+        const ConstMatrixView above = sa.cview().block(0, 0, r0, k);
+        if (r0 > 0) {
+          detail::gemm_packed_tile<Tile8x6>(p6.view().block(r0, 0, len, r0),
+                                            rows, false, above, false);
+          detail::gemm_packed_tile<Tile24x8>(
+              p24.view().block(r0, 0, len, r0), rows, false, above, false);
+        }
+        detail::syrk_packed_lower_tile<Tile8x6>(
+            p6.view().block(r0, r0, len, len), rows);
+        detail::syrk_packed_lower_tile<Tile24x8>(
+            p24.view().block(r0, r0, len, len), rows);
+        syrk_lower_update_slab(hosted.view(), sa.cview(), r0, r0 + len);
+      }
+      ASSERT_EQ(first_bit_difference(s6.v, p6.v), -1)
+          << slabs << " SYRK slabs, 8x6";
+      ASSERT_EQ(first_bit_difference(s6.v, p24.v), -1)
+          << slabs << " SYRK slabs, 24x8";
+      ASSERT_EQ(first_bit_difference(s6.v, hosted.v), -1)
+          << slabs << " SYRK slabs, syrk_lower_update_slab";
+    }
+
+    // The unblocked right-TRSM, order up to its limit of 64.
+    const auto nt = 1 + static_cast<index_t>(rng.next_below(64));
+    Padded l = random_padded(nt, nt, rng);
+    for (index_t j = 0; j < nt; ++j) {
+      l.view().at(j, j) = 2.0 + std::abs(l.view().at(j, j));
+    }
+    const Padded b0 = random_padded(m, nt, rng);
+    Padded b4 = b0;
+    Padded b8 = b0;
+    detail::trsm_right_lower_trans_strips<4>(l.cview(), b4.view());
+    detail::trsm_right_lower_trans_strips<8>(l.cview(), b8.view());
+    ASSERT_EQ(first_bit_difference(b4.v, b8.v), -1)
+        << "TRSM of order " << nt << ", 4 against 8 strips";
+  }
+}
 
 TEST(Views, BlockIndexing) {
   Dense d = random_matrix(6, 5, 51);

@@ -1,8 +1,10 @@
 // Tests for the mpsim message-passing machine: point-to-point semantics,
 // virtual-time accounting, determinism, failure propagation.
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -460,6 +462,66 @@ TEST(MpsimCrash, SparesIdleWhenNoCrashFires) {
   EXPECT_EQ(s.rank_crashes, 0);
   EXPECT_EQ(s.ranks_recovered, 0);
   ASSERT_EQ(s.rank_time.size(), 2u);  // stats cover base ranks only
+}
+
+TEST(MpsimCrash, SpareOutlastsTheReceiveTimeoutInAHealthyRun) {
+  // The receive timeout bounds posted waits, not a spare's idle wait: the
+  // base ranks here run twice as long as it in host time and the spare
+  // must still be released at run end, not time out.
+  FaultPlan faults;
+  faults.crashes.push_back({/*rank=*/0, /*at=*/1e9});  // never fires
+  faults.spare_ranks = 1;
+  faults.recv_timeout_host_seconds = 0.25;
+  std::atomic<int> adopted{-2};
+  try {
+    (void)run_spmd(2, {}, faults, [&](Comm& c) {
+      if (c.is_spare()) {
+        adopted = c.await_failure().rank;
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(500));
+    });
+  } catch (const Error& e) {
+    FAIL() << e.what();
+  }
+  EXPECT_EQ(adopted.load(), -1);
+}
+
+TEST(MpsimCrash, BaseRankErrorReleasesTheWaitingSpare) {
+  // A base rank that throws aborts the run; the abort must wake the idle
+  // spare (its await_failure raises the abort, not a timeout), and the run
+  // reports the base rank's error.
+  FaultPlan faults;
+  faults.crashes.push_back({/*rank=*/0, /*at=*/1e9});  // never fires
+  faults.spare_ranks = 1;
+  std::atomic<bool> spare_released{false};
+  std::atomic<bool> spare_timed_out{false};
+  try {
+    (void)run_spmd(2, {}, faults, [&](Comm& c) {
+      if (c.is_spare()) {
+        try {
+          (void)c.await_failure();
+        } catch (const StatusError& e) {
+          spare_timed_out = e.status().code == StatusCode::kCommTimeout;
+          throw;
+        } catch (const Error&) {
+          spare_released = true;
+          throw;
+        }
+        return;
+      }
+      if (c.rank() == 1) throw Error("rank 1 exploded");
+    });
+    FAIL() << "expected rank 1's error";
+  } catch (const StatusError& e) {
+    FAIL() << "unexpected status error: " << e.what();
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("rank 1 exploded"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(spare_released.load());
+  EXPECT_FALSE(spare_timed_out.load());
 }
 
 TEST(MpsimCrash, SpareAdoptsAndReplaysDeterministically) {
