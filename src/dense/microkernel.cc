@@ -45,160 +45,103 @@
 namespace parfact::detail {
 namespace {
 
-// The accumulators use GCC/Clang generic vectors, so the compiler keeps the
-// whole tile in SIMD registers instead of spilling a scalar array. Each
-// tile is written in one register of the ISA it is compiled for: the 8×6
-// tile in 4-double vectors (two AVX2 registers per tile column), the 24×8
-// tile in 8-double vectors (one AVX-512 register). A generic vector wider
-// than the target's registers is lowered by GCC 12 through the stack, at a
-// small fraction of the FMA rate, so the width must match the ISA. The
-// 8×6 tile's baseline clone lowers the 4-double vectors to SSE2 pairs.
-typedef real_t v4d __attribute__((vector_size(32)));
-typedef real_t v8d __attribute__((vector_size(64)));
-
-template <class T>
-struct TileVector;
-template <>
-struct TileVector<Tile8x6> {
-  using type = v4d;
-};
-template <>
-struct TileVector<Tile24x8> {
-  using type = v8d;
-};
-template <class T>
-using Vec = typename TileVector<T>::type;
+// The accumulators use GCC/Clang generic vectors: one v8d spans 8 rows of a
+// tile column, so the compiler keeps the whole tile in SIMD registers
+// instead of spilling a scalar array. The generic vector lowers to whatever
+// ISA the enclosing function targets (one zmm under x86-64-v4, two ymm under
+// x86-64-v3, four xmm in the baseline clone), which is what makes the
+// multi-versioning work from a single source. (GCC 12 keeps them on the
+// stack in the 8×6 tile's x86-64-v3 clone, which costs that clone most of
+// its FMA rate: an open defect, ROADMAP item 1.)
+typedef real_t v8d __attribute__((vector_size(8 * sizeof(real_t))));
 
 /// Doubles per vector.
-template <class V>
-inline constexpr index_t kLanes = sizeof(V) / sizeof(real_t);
+inline constexpr index_t kLanes = 8;
 /// Vectors per tile column.
 template <class T>
-inline constexpr index_t kColVecs = T::kMR / kLanes<Vec<T>>;
-static_assert(Tile8x6::kMR % kLanes<Vec<Tile8x6>> == 0 &&
-              Tile24x8::kMR % kLanes<Vec<Tile24x8>> == 0);
+inline constexpr index_t kColVecs = T::kMR / kLanes;
 
 template <class T>
-using TileAcc = Vec<T>[T::kNR][kColVecs<T>];
+using TileAcc = v8d[T::kNR][kColVecs<T>];
 
-/// acc[j][v] := Σₖ Ap(k, v)·Bp(k, j) over one packed slice of depth kc, for
-/// the tile's row vectors V0 <= v < V1 (the others are left alone). Every
-/// accumulator starts at zero and takes k in ascending order, whatever the
-/// tile and the vector range.
-template <class T, index_t V0 = 0, index_t V1 = kColVecs<T>>
+/// acc[j][v] := Σₖ Ap(k, v)·Bp(k, j) over one packed slice of depth kc.
+/// Every accumulator starts at zero and takes k in ascending order,
+/// whatever the tile.
+template <class T>
 __attribute__((always_inline)) inline void accumulate(
     index_t kc, const real_t* __restrict ap, const real_t* __restrict bp,
     TileAcc<T>& acc) {
-  using V = Vec<T>;
   for (index_t j = 0; j < T::kNR; ++j) {
-    for (index_t v = V0; v < V1; ++v) acc[j][v] = V{};
+    for (index_t v = 0; v < kColVecs<T>; ++v) acc[j][v] = v8d{};
   }
   for (index_t k = 0; k < kc; ++k) {
-    V av[V1];
-    for (index_t v = V0; v < V1; ++v) {
-      __builtin_memcpy(
-          &av[v], ap + static_cast<std::size_t>(k) * T::kMR + v * kLanes<V>,
-          sizeof(V));
+    v8d av[kColVecs<T>];
+    for (index_t v = 0; v < kColVecs<T>; ++v) {
+      __builtin_memcpy(&av[v],
+                       ap + static_cast<std::size_t>(k) * T::kMR + v * kLanes,
+                       sizeof(v8d));
     }
     const real_t* b = bp + static_cast<std::size_t>(k) * T::kNR;
     for (index_t j = 0; j < T::kNR; ++j) {
-      for (index_t v = V0; v < V1; ++v) acc[j][v] += av[v] * b[j];
+      for (index_t v = 0; v < kColVecs<T>; ++v) acc[j][v] += av[v] * b[j];
     }
   }
-}
-
-/// accumulate<T, v0, v1> for run-time 0 <= v0 < v1 <= kColVecs: an edge or
-/// diagonal tile skips the row vectors it writes nothing of (rows past the
-/// edge, rows above the diagonal).
-template <class T, index_t V0 = 0, index_t V1 = 1>
-__attribute__((always_inline)) inline void accumulate_rows(
-    index_t v0, index_t v1, index_t kc, const real_t* ap, const real_t* bp,
-    TileAcc<T>& acc) {
-  if constexpr (V1 < kColVecs<T>) {
-    if (v1 > V1) {
-      accumulate_rows<T, V0, V1 + 1>(v0, v1, kc, ap, bp, acc);
-      return;
-    }
-  }
-  if constexpr (V0 + 1 < V1) {
-    if (v0 > V0) {
-      accumulate_rows<T, V0 + 1, V1>(v0, v1, kc, ap, bp, acc);
-      return;
-    }
-  }
-  accumulate<T, V0, V1>(kc, ap, bp, acc);
 }
 
 /// c := c - Ap·Bpᵀ for one full MR×NR tile.
 template <class T>
 __attribute__((always_inline)) inline void micro_kernel_full(
     index_t kc, const real_t* ap, const real_t* bp, real_t* c, index_t ldc) {
-  using V = Vec<T>;
   TileAcc<T> acc;
   accumulate<T>(kc, ap, bp, acc);
   for (index_t j = 0; j < T::kNR; ++j) {
     real_t* cj = c + static_cast<std::size_t>(j) * ldc;
     for (index_t v = 0; v < kColVecs<T>; ++v) {
-      V cv;
-      __builtin_memcpy(&cv, cj + v * kLanes<V>, sizeof cv);
+      v8d cv;
+      __builtin_memcpy(&cv, cj + v * kLanes, sizeof cv);
       cv -= acc[j][v];
-      __builtin_memcpy(cj + v * kLanes<V>, &cv, sizeof cv);
+      __builtin_memcpy(cj + v * kLanes, &cv, sizeof cv);
     }
   }
 }
 
-/// Edge-tile variant: accumulates the row vectors that hold the leading m
-/// rows (over all NR columns: packing zero-pads) and writes back only the
-/// leading m×n corner.
+/// Edge-tile variant: accumulates the full register tile (packing
+/// zero-pads) but writes back only the leading m×n corner.
 template <class T>
 __attribute__((always_inline)) inline void micro_kernel_edge(
     index_t kc, const real_t* ap, const real_t* bp, real_t* c, index_t ldc,
     index_t m, index_t n) {
-  constexpr index_t kL = kLanes<Vec<T>>;
   TileAcc<T> acc;
-  accumulate_rows<T>(0, (m + kL - 1) / kL, kc, ap, bp, acc);
+  accumulate<T>(kc, ap, bp, acc);
   for (index_t j = 0; j < n; ++j) {
     real_t* cj = c + static_cast<std::size_t>(j) * ldc;
-    for (index_t i = 0; i < m; ++i) cj[i] -= acc[j][i / kL][i % kL];
+    for (index_t i = 0; i < m; ++i) cj[i] -= acc[j][i / kLanes][i % kLanes];
   }
 }
 
 /// Diagonal-tile variant for SYRK: writes back only entries with global
-/// row0+i >= col0+j (the lower triangle), and skips the row vectors that
-/// lie wholly above it.
+/// row0+i >= col0+j (the lower triangle).
 template <class T>
 __attribute__((always_inline)) inline void micro_kernel_lower(
     index_t kc, const real_t* ap, const real_t* bp, real_t* c, index_t ldc,
     index_t m, index_t n, index_t row0, index_t col0) {
-  constexpr index_t kL = kLanes<Vec<T>>;
   TileAcc<T> acc;
-  accumulate_rows<T>(std::max<index_t>(0, col0 - row0) / kL,
-                     (m + kL - 1) / kL, kc, ap, bp, acc);
+  accumulate<T>(kc, ap, bp, acc);
   for (index_t j = 0; j < n; ++j) {
     real_t* cj = c + static_cast<std::size_t>(j) * ldc;
     const index_t i0 = std::max<index_t>(0, col0 + j - row0);
-    for (index_t i = i0; i < m; ++i) cj[i] -= acc[j][i / kL][i % kL];
+    for (index_t i = i0; i < m; ++i) cj[i] -= acc[j][i / kLanes][i % kLanes];
   }
 }
 
-/// `p` rounded up to a 64-byte boundary (the start of a cache line).
-real_t* align_line(real_t* p) {
-  const auto u = reinterpret_cast<std::uintptr_t>(p);
-  return reinterpret_cast<real_t*>((u + 63) & ~std::uintptr_t{63});
-}
-
-/// Per-thread packing buffers, sized once for the fixed cache blocking
-/// (kMC and kNC are multiples of every tile's MR and NR) and starting on a
-/// cache line, so that no vector load of a packed A panel straddles two
-/// lines. The unblocked TRSM borrows `a` for its packed triangle and row
-/// block.
+/// Per-thread packing buffers, sized once for the fixed cache blocking (kMC
+/// and kNC are multiples of every tile's MR and NR). The unblocked TRSM
+/// borrows `a` for its packed triangle and row block.
 struct PackScratch {
-  static constexpr std::size_t kASize = static_cast<std::size_t>(kMC) * kKC;
-  static constexpr std::size_t kBSize = static_cast<std::size_t>(kKC) * kNC;
-  static_assert(kASize % 8 == 0);
-  std::vector<real_t> store = std::vector<real_t>(kASize + kBSize + 8);
-  real_t* const a = align_line(store.data());
-  real_t* const b = a + kASize;
+  std::vector<real_t> a = std::vector<real_t>(static_cast<std::size_t>(kMC) *
+                                              kKC);
+  std::vector<real_t> b = std::vector<real_t>(static_cast<std::size_t>(kKC) *
+                                              kNC);
 };
 
 PackScratch& pack_scratch() {
@@ -238,17 +181,17 @@ __attribute__((always_inline)) inline void gemm_macro(MatrixView c,
     const index_t nc = std::min(kNC, n - jc);
     for (index_t pc = 0; pc < kk; pc += kKC) {
       const index_t kc = std::min(kKC, kk - pc);
-      pack_operand<kNR>(ps.b, b, b_trans, jc, nc, pc, kc);
+      pack_operand<kNR>(ps.b.data(), b, b_trans, jc, nc, pc, kc);
       for (index_t ic = 0; ic < m; ic += kMC) {
         const index_t mc = std::min(kMC, m - ic);
-        pack_operand<kMR>(ps.a, a, a_trans, ic, mc, pc, kc);
+        pack_operand<kMR>(ps.a.data(), a, a_trans, ic, mc, pc, kc);
         for (index_t jr = 0; jr < nc; jr += kNR) {
           const index_t nr = std::min(kNR, nc - jr);
-          const real_t* bp = ps.b + static_cast<std::size_t>(jr) * kc;
+          const real_t* bp = ps.b.data() + static_cast<std::size_t>(jr) * kc;
           for (index_t ir = 0; ir < mc; ir += kMR) {
             const index_t mr = std::min(kMR, mc - ir);
             const real_t* ap =
-                ps.a + static_cast<std::size_t>(ir) * kc;
+                ps.a.data() + static_cast<std::size_t>(ir) * kc;
             real_t* cc = &c.at(ic + ir, jc + jr);
             if (mr == kMR && nr == kNR) {
               micro_kernel_full<T>(kc, ap, bp, cc, c.ld);
@@ -275,21 +218,21 @@ __attribute__((always_inline)) inline void syrk_macro(MatrixView c,
     const index_t nc = std::min(kNC, n - jc);
     for (index_t pc = 0; pc < kk; pc += kKC) {
       const index_t kc = std::min(kKC, kk - pc);
-      pack_panels<kNR>(ps.b, a.block(jc, pc, nc, kc));
+      pack_panels<kNR>(ps.b.data(), a.block(jc, pc, nc, kc));
       for (index_t ic = 0; ic < n; ic += kMC) {
         const index_t mc = std::min(kMC, n - ic);
         if (ic + mc <= jc) continue;  // block strictly above the diagonal
-        pack_panels<kMR>(ps.a, a.block(ic, pc, mc, kc));
+        pack_panels<kMR>(ps.a.data(), a.block(ic, pc, mc, kc));
         for (index_t jr = 0; jr < nc; jr += kNR) {
           const index_t nr = std::min(kNR, nc - jr);
           const index_t col0 = jc + jr;
-          const real_t* bp = ps.b + static_cast<std::size_t>(jr) * kc;
+          const real_t* bp = ps.b.data() + static_cast<std::size_t>(jr) * kc;
           for (index_t ir = 0; ir < mc; ir += kMR) {
             const index_t mr = std::min(kMR, mc - ir);
             const index_t row0 = ic + ir;
             if (row0 + mr <= col0) continue;  // tile strictly above
             const real_t* ap =
-                ps.a + static_cast<std::size_t>(ir) * kc;
+                ps.a.data() + static_cast<std::size_t>(ir) * kc;
             real_t* cc = &c.at(row0, col0);
             if (row0 >= col0 + nr - 1) {
               // Tile fully inside the lower triangle.
@@ -374,74 +317,78 @@ void syrk_packed_lower(MatrixView c, ConstMatrixView a) {
 
 namespace {
 
-/// Solves X Lᵀ = B in place for the first U row vectors (U·kLanes<V>
-/// rows) of a packed row block `x` (column j at x + j·Rows). `lt` holds L
-/// by rows: row j at lt + j(j+1)/2 is L(j, 0..j-1) followed by 1/L(j,j).
-/// Every lane runs x(:,j) := (x(:,j) − Σₖ x(:,k)·L(j,k)) · (1/L(j,j)) with
-/// k ascending and zero L(j,k) skipped, whatever U and V are, so a row's
-/// bits do not depend on which vector, or which strip count, it is solved
-/// in. The U vectors are U independent FMA chains in the column loop.
-template <class V, index_t Rows, index_t U>
-__attribute__((always_inline)) inline void trsm_vectors(
+/// `p` rounded up to a 64-byte boundary (the start of a cache line).
+real_t* align_line(real_t* p) {
+  const auto u = reinterpret_cast<std::uintptr_t>(p);
+  return reinterpret_cast<real_t*>((u + 63) & ~std::uintptr_t{63});
+}
+
+/// Solves X Lᵀ = B in place for the first S 8-row strips of a packed row
+/// block `x` (column j at x + j·Rows). `lt` holds L by rows: row j at
+/// lt + j(j+1)/2 is L(j, 0..j-1) followed by 1/L(j,j). Every lane runs
+/// x(:,j) := (x(:,j) − Σₖ x(:,k)·L(j,k)) · (1/L(j,j)) with k ascending and
+/// zero L(j,k) skipped, whatever S is, so a row's bits do not depend on
+/// which strip, or which strip count, it is solved in. The S strips are S
+/// independent FMA chains in the column loop.
+template <index_t Rows, index_t S>
+__attribute__((always_inline)) inline void trsm_strips(
     index_t n, const real_t* __restrict lt, real_t* __restrict x) {
-  constexpr index_t kL = kLanes<V>;
   for (index_t j = 0; j < n; ++j) {
     const real_t* lj = lt + static_cast<std::size_t>(j) * (j + 1) / 2;
     real_t* xj = x + static_cast<std::size_t>(j) * Rows;
-    V acc[U];
-    for (index_t u = 0; u < U; ++u) {
-      __builtin_memcpy(&acc[u], xj + u * kL, sizeof(V));
+    v8d acc[S];
+    for (index_t s = 0; s < S; ++s) {
+      __builtin_memcpy(&acc[s], xj + s * kLanes, sizeof(v8d));
     }
     for (index_t k = 0; k < j; ++k) {
       const real_t ljk = lj[k];
       if (ljk == 0.0) continue;
       const real_t* xk = x + static_cast<std::size_t>(k) * Rows;
-      for (index_t u = 0; u < U; ++u) {
-        V v;
-        __builtin_memcpy(&v, xk + u * kL, sizeof v);
-        acc[u] -= v * ljk;
+      for (index_t s = 0; s < S; ++s) {
+        v8d v;
+        __builtin_memcpy(&v, xk + s * kLanes, sizeof v);
+        acc[s] -= v * ljk;
       }
     }
-    for (index_t u = 0; u < U; ++u) {
-      acc[u] *= lj[j];
-      __builtin_memcpy(xj + u * kL, &acc[u], sizeof(V));
+    for (index_t s = 0; s < S; ++s) {
+      acc[s] *= lj[j];
+      __builtin_memcpy(xj + s * kLanes, &acc[s], sizeof(v8d));
     }
   }
 }
 
-/// trsm_vectors<V, Rows, u> for a block of u row vectors, 1 <= u <= U.
-template <class V, index_t Rows, index_t U>
+/// trsm_strips<Rows, s> for a block of s strips, 1 <= s <= S.
+template <index_t Rows, index_t S>
 __attribute__((always_inline)) inline void trsm_block(
-    index_t u, index_t n, const real_t* lt, real_t* x) {
-  if constexpr (U > 1) {
-    if (u < U) {
-      trsm_block<V, Rows, U - 1>(u, n, lt, x);
+    index_t s, index_t n, const real_t* lt, real_t* x) {
+  if constexpr (S > 1) {
+    if (s < S) {
+      trsm_block<Rows, S - 1>(s, n, lt, x);
       return;
     }
   }
-  trsm_vectors<V, Rows, U>(n, lt, x);
+  trsm_strips<Rows, S>(n, lt, x);
 }
 
 // Row blocks of Strips·8 rows are copied into the per-thread scratch with
 // that leading dimension, so the solve reads cache-line-aligned,
-// unit-stride vectors whatever b's leading dimension is (a power-of-two ld
+// unit-stride strips whatever b's leading dimension is (a power-of-two ld
 // would map a block's columns onto a few cache sets). The last block keeps
-// its whole vectors and zero-pads its last partial one; the padded lanes
+// its whole strips and zero-pads its last partial one; the padded lanes
 // are computed and dropped.
-template <index_t Strips, class V>
+template <index_t Strips>
 __attribute__((always_inline)) inline void trsm_unblocked(ConstMatrixView l,
                                                           MatrixView b) {
-  constexpr index_t kRows = Strips * 8;
-  constexpr index_t kL = kLanes<V>;
-  static_assert(kRows % kL == 0);
+  constexpr index_t kRows = Strips * kLanes;
   const index_t n = l.rows;
   const index_t m = b.rows;
   PARFACT_DCHECK(l.cols == n && b.cols == n);
   if (n == 0 || m == 0) return;
   const std::size_t tri = static_cast<std::size_t>(n) * (n + 1) / 2;
+  std::vector<real_t>& scratch = pack_scratch().a;
   PARFACT_DCHECK(tri + 8 + static_cast<std::size_t>(kRows) * n <=
-                 PackScratch::kASize);
-  real_t* const lt = pack_scratch().a;
+                 scratch.size());
+  real_t* const lt = scratch.data();
   real_t* const x = align_line(lt + tri);
   for (index_t j = 0; j < n; ++j) {
     real_t* lj = lt + static_cast<std::size_t>(j) * (j + 1) / 2;
@@ -453,15 +400,15 @@ __attribute__((always_inline)) inline void trsm_unblocked(ConstMatrixView l,
   const std::size_t ldb = static_cast<std::size_t>(b.ld);
   for (index_t r0 = 0; r0 < m; r0 += kRows) {
     const index_t rows = std::min(kRows, m - r0);
-    const index_t vecs = (rows + kL - 1) / kL;
+    const index_t strips = (rows + kLanes - 1) / kLanes;
     real_t* const bb = b.data + r0;
     for (index_t j = 0; j < n; ++j) {
       const real_t* src = bb + j * ldb;
       real_t* dst = x + static_cast<std::size_t>(j) * kRows;
       std::memcpy(dst, src, static_cast<std::size_t>(rows) * sizeof(real_t));
-      std::fill(dst + rows, dst + vecs * kL, 0.0);
+      std::fill(dst + rows, dst + strips * kLanes, 0.0);
     }
-    trsm_block<V, kRows, kRows / kL>(vecs, n, lt, x);
+    trsm_block<kRows, Strips>(strips, n, lt, x);
     for (index_t j = 0; j < n; ++j) {
       std::memcpy(bb + j * ldb, x + static_cast<std::size_t>(j) * kRows,
                   static_cast<std::size_t>(rows) * sizeof(real_t));
@@ -474,13 +421,13 @@ __attribute__((always_inline)) inline void trsm_unblocked(ConstMatrixView l,
 template <>
 PARFACT_TILE_CLONES void trsm_right_lower_trans_strips<4>(ConstMatrixView l,
                                                           MatrixView b) {
-  trsm_unblocked<4, v4d>(l, b);
+  trsm_unblocked<4>(l, b);
 }
 
 template <>
 PARFACT_AVX512_TILE void trsm_right_lower_trans_strips<8>(ConstMatrixView l,
                                                           MatrixView b) {
-  trsm_unblocked<8, v8d>(l, b);
+  trsm_unblocked<8>(l, b);
 }
 
 void trsm_right_lower_trans_unblocked(ConstMatrixView l, MatrixView b) {

@@ -82,7 +82,7 @@ void gemm_packed(MatrixView c, ConstMatrixView a, bool a_trans,
 void syrk_packed_lower(MatrixView c, ConstMatrixView a);
 
 /// Unblocked X Lᵀ = B solve in place of b, for l of order at most 64. Row
-/// blocks of kMR-row strips (8 strips on x86-64-v4 hosts, 4 elsewhere) are
+/// blocks of 8-row strips (8 strips on x86-64-v4 hosts, 4 elsewhere) are
 /// solved in registers; a row's result does not depend on the strip count
 /// or on how b's rows are split across calls.
 void trsm_right_lower_trans_unblocked(ConstMatrixView l, MatrixView b);

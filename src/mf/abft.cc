@@ -49,10 +49,6 @@ struct ColSums {
     sum.assign(static_cast<std::size_t>(n), 0.0);
     abs.assign(static_cast<std::size_t>(n), 0.0);
   }
-  void add(index_t j, real_t v) {
-    sum[static_cast<std::size_t>(j)] += v;
-    abs[static_cast<std::size_t>(j)] += std::abs(v);
-  }
 };
 
 // The colsum helpers stream one contiguous column at a time (the views are
@@ -131,26 +127,44 @@ void sum_abs(const real_t* v, index_t n, real_t& sum_out, real_t& abs_out) {
 // from row 1, each adding p2 += w1*col, s2 += w1a*|col|, p3 += w2*col,
 // s3 += w2a*|col| with the four prediction streams loaded and stored once.
 // w = {w1, w1a, w2, w2a} of c0, then of c1. With n == 1 only c0[0] and
-// w[0..3] are read: a lone last column passes itself as c1.
-PARFACT_ABFT_CLONES
-void accum_two_weighted_pair(real_t* __restrict p2, real_t* __restrict s2,
-                             real_t* __restrict p3, real_t* __restrict s3,
-                             const real_t* __restrict c0,
-                             const real_t* __restrict c1, index_t n,
-                             const real_t* w) {
-  if (n == 0) return;
+// w[0..3] are read: a lone last column passes itself as c1. Without
+// kTrsm (a front with no below block, so no TRSM identity) p3 and s3 are
+// left alone.
+template <bool kTrsm>
+__attribute__((always_inline)) inline void accum_pair(
+    real_t* __restrict p2, real_t* __restrict s2, real_t* __restrict p3,
+    real_t* __restrict s3, const real_t* __restrict c0,
+    const real_t* __restrict c1, index_t n, const real_t* w) {
   const real_t v0 = c0[0];
   p2[0] += w[0] * v0;
   s2[0] += w[1] * std::abs(v0);
-  p3[0] += w[2] * v0;
-  s3[0] += w[3] * std::abs(v0);
+  if constexpr (kTrsm) {
+    p3[0] += w[2] * v0;
+    s3[0] += w[3] * std::abs(v0);
+  }
   for (index_t i = 1; i < n; ++i) {
     const real_t a = c0[i];
     const real_t b = c1[i];
     p2[i] = (p2[i] + w[0] * a) + w[4] * b;
     s2[i] = (s2[i] + w[1] * std::abs(a)) + w[5] * std::abs(b);
-    p3[i] = (p3[i] + w[2] * a) + w[6] * b;
-    s3[i] = (s3[i] + w[3] * std::abs(a)) + w[7] * std::abs(b);
+    if constexpr (kTrsm) {
+      p3[i] = (p3[i] + w[2] * a) + w[6] * b;
+      s3[i] = (s3[i] + w[3] * std::abs(a)) + w[7] * std::abs(b);
+    }
+  }
+}
+
+PARFACT_ABFT_CLONES
+void accum_two_weighted_pair(real_t* __restrict p2, real_t* __restrict s2,
+                             real_t* __restrict p3, real_t* __restrict s3,
+                             const real_t* __restrict c0,
+                             const real_t* __restrict c1, index_t n,
+                             const real_t* w, bool trsm) {
+  if (n == 0) return;
+  if (trsm) {
+    accum_pair<true>(p2, s2, p3, s3, c0, c1, n, w);
+  } else {
+    accum_pair<false>(p2, s2, p3, s3, c0, c1, n, w);
   }
 }
 
@@ -311,6 +325,37 @@ __attribute__((always_inline)) inline void walk_groups(
   }
 }
 
+// The R < 4 columns from k0 on, past the last group of four: each keeps
+// its own suffix sums, and each row takes their products in column order,
+// as one column at a time would add them; side by side, their add chains
+// overlap instead of running one after the other.
+template <int R>
+__attribute__((always_inline)) inline void walk_rest(
+    ConstMatrixView l21, ConstMatrixView m, index_t k0, real_t* pred,
+    real_t* scale, ColSums& l21cols) {
+  const real_t* c[R];
+  const real_t* mc[R];
+  real_t s[R], a[R];
+  for (int q = 0; q < R; ++q) {
+    c[q] = l21.data + static_cast<std::size_t>(k0 + q) * l21.ld;
+    mc[q] = m.data + static_cast<std::size_t>(k0 + q) * m.ld;
+    s[q] = 0.0;
+    a[q] = 0.0;
+  }
+  for (index_t j = l21.rows; j-- > 0;) {
+    for (int q = 0; q < R; ++q) {
+      s[q] += c[q][j];
+      a[q] += std::abs(c[q][j]);
+      pred[j] -= s[q] * mc[q][j];
+      scale[j] += a[q] * std::abs(mc[q][j]);
+    }
+  }
+  for (int q = 0; q < R; ++q) {
+    l21cols.sum[static_cast<std::size_t>(k0 + q)] = s[q];
+    l21cols.abs[static_cast<std::size_t>(k0 + q)] = a[q];
+  }
+}
+
 PARFACT_ABFT_CLONES
 void predict_update_lower(ConstMatrixView l21, ConstMatrixView m,
                           real_t* pred, real_t* scale, ColSums& l21cols,
@@ -335,18 +380,11 @@ void predict_update_lower(ConstMatrixView l21, ConstMatrixView m,
     l21cols.sum[static_cast<std::size_t>(k)] = cg[k % 4];
     l21cols.abs[static_cast<std::size_t>(k)] = cg[4 + k % 4];
   }
-  for (index_t k = 4 * groups; k < p; ++k) {
-    const real_t* c = l21.data + static_cast<std::size_t>(k) * l21.ld;
-    const real_t* mc = m.data + static_cast<std::size_t>(k) * m.ld;
-    real_t s = 0.0, a = 0.0;
-    for (index_t j = b; j-- > 0;) {
-      s += c[j];
-      a += std::abs(c[j]);
-      pred[j] -= s * mc[j];
-      scale[j] += a * std::abs(mc[j]);
-    }
-    l21cols.sum[static_cast<std::size_t>(k)] = s;
-    l21cols.abs[static_cast<std::size_t>(k)] = a;
+  switch (p - 4 * groups) {
+    case 3: walk_rest<3>(l21, m, 4 * groups, pred, scale, l21cols); break;
+    case 2: walk_rest<2>(l21, m, 4 * groups, pred, scale, l21cols); break;
+    case 1: walk_rest<1>(l21, m, 4 * groups, pred, scale, l21cols); break;
+    default: break;
   }
 }
 
@@ -581,15 +619,20 @@ class AbftHooks final : public detail::FrontHooks {
     const SparseMatrix& a = sym_.a;
     const index_t first = sym_.sn_start[s];
     const index_t bound = sym_.sn_start[s + 1];
+    // Where a column's rows cross `bound` varies from column to column, so
+    // each entry goes to both sums, as itself or as +0.0 (which leaves a
+    // sum unchanged): a branch on it would mispredict about once a column.
     for (index_t j = first; j < bound; ++j) {
+      const std::size_t lj = static_cast<std::size_t>(j - first);
       for (index_t q = a.col_ptr[j]; q < a.col_ptr[j + 1]; ++q) {
-        const index_t gi = a.row_ind[static_cast<std::size_t>(q)];
+        const bool a11 = a.row_ind[static_cast<std::size_t>(q)] < bound;
         const real_t v = a.values[static_cast<std::size_t>(q)];
-        if (gi < bound) {
-          asm_pred_.add(j - first, v);
-        } else {
-          a21_pre_.add(j - first, v);
-        }
+        const real_t in = a11 ? v : 0.0;
+        const real_t out = a11 ? 0.0 : v;
+        asm_pred_.sum[lj] += in;
+        asm_pred_.abs[lj] += std::abs(in);
+        a21_pre_.sum[lj] += out;
+        a21_pre_.abs[lj] += std::abs(out);
       }
     }
     const auto prows = sym_.below_rows(s);
@@ -722,7 +765,7 @@ class AbftHooks final : public detail::FrontHooks {
       }
       const real_t* c0 = l11.data + static_cast<std::size_t>(k) * l11.ld + k;
       accum_two_weighted_pair(p2 + k, s2 + k, p3 + k, s3 + k, c0,
-                              cols == 2 ? c0 + l11.ld : c0, p - k, w);
+                              cols == 2 ? c0 + l11.ld : c0, p - k, w, b > 0);
     }
     if (boosted == 0) {
       for (index_t j = 0; j < p; ++j) {
