@@ -39,7 +39,7 @@ std::vector<index_t> order(const SparseMatrix& a,
                            SolverOptions::Ordering ord) {
   switch (ord) {
     case SolverOptions::Ordering::kNestedDissection:
-      return nested_dissection(graph_from_pattern(a), SolverOptions{}.nd);
+      return nested_dissection(graph_from_pattern(a));
     case SolverOptions::Ordering::kMinimumDegree:
       return minimum_degree(graph_from_pattern(a));
     case SolverOptions::Ordering::kRcm:

@@ -77,8 +77,7 @@ int main(int argc, char** argv) {
   // with F2.
   const SparseMatrix a =
       smoke ? elasticity_3d(8, 8, 8) : elasticity_3d(12, 12, 12);
-  const SolverOptions options;
-  Solver solver(options);
+  Solver solver;
   solver.analyze(a);
   if (solver.factorize().failed()) {
     std::printf("factorization failed\n");
@@ -88,12 +87,10 @@ int main(int argc, char** argv) {
   const int reps = smoke ? 3 : 5;
   // Bytes one solve_multi() moves: both sweeps stream every factor panel
   // once per RHS block, and each column's arena slice is written and read.
-  SolveScheduleOptions sched_opts;
-  sched_opts.rhs_block = options.solve_rhs_block;
-  const SolveSchedule schedule(solver.symbolic(), sched_opts);
+  const SolveSchedule schedule(solver.symbolic());
   const auto sweep_bytes = [&](index_t nrhs) {
     const double blocks = static_cast<double>(
-        (nrhs + options.solve_rhs_block - 1) / options.solve_rhs_block);
+        (nrhs + schedule.rhs_block - 1) / schedule.rhs_block);
     const double panel_bytes =
         2.0 * static_cast<double>(solver.symbolic().nnz_stored) *
         sizeof(real_t);

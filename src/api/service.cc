@@ -34,7 +34,6 @@ struct SolverService::Session {
 
 SolverService::SolverService(ServiceOptions options)
     : options_(std::move(options)),
-      cache_(std::max<std::size_t>(1, options_.symbolic_cache_entries)),
       budget_(options_.factor_cache_bytes) {
   if (options_.solver.threads > 1) {
     pool_ = std::make_unique<ThreadPool>(options_.solver.threads);

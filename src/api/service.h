@@ -55,14 +55,13 @@ using SessionId = std::int64_t;
 
 struct ServiceOptions {
   /// Per-session Solver configuration template. symbolic_cache and
-  /// shared_pool are overwritten by the service (it wires its own);
-  /// spill_path is replaced by a unique per-session path under spill_dir.
+  /// shared_pool are overwritten by the service (it wires its own, the
+  /// cache holding SymbolicCache's default 64 patterns); spill_path is
+  /// replaced by a unique per-session path under spill_dir.
   SolverOptions solver;
   /// Total resident factor bytes across sessions (0 = unlimited, never
   /// evict). LRU sessions spill to disk when a new factor needs the room.
   std::size_t factor_cache_bytes = 0;
-  /// Capacity of the shared pattern-keyed symbolic-analysis cache.
-  std::size_t symbolic_cache_entries = 64;
   /// Directory for per-session OOC scratch files ("" = /tmp). It holds at
   /// most one file per open session: a session's evictions and its solver's
   /// own budget-driven spills share that session's path, and close()
@@ -116,9 +115,8 @@ class SolverService {
                std::vector<real_t>& x);
 
   /// Batched solve of nrhs column-major right-hand sides: the answers are
-  /// exactly Solver::solve_refined(b, nrhs)'s — blocked sweeps, at most
-  /// refinement_steps blocked corrections with its early stop, then
-  /// options.verify — where it used to run one fixed correction pass.
+  /// exactly Solver::solve_refined(b, nrhs)'s — blocked sweeps, at most two
+  /// blocked corrections with its early stop, then options.verify.
   Status solve_batch(SessionId id, std::span<const real_t> b, index_t nrhs,
                      std::vector<real_t>& x);
 

@@ -66,15 +66,24 @@ real_t componentwise_residual(const SparseMatrix& lower,
   return worst;
 }
 
-/// solve_refined()'s early exit: the worst per-column residual below which
-/// another correction cannot help.
+/// solve_refined()'s corrections, and its early exit: the worst per-column
+/// residual below which another correction cannot help.
+constexpr int kRefinementSteps = 2;
 constexpr real_t kRefinedSolveStop = 1e-14;
+
+/// solve_robust()'s acceptance residual and its CG fallback's budget.
+constexpr real_t kTargetResidual = 1e-10;
+constexpr int kCgMaxIterations = 500;
+
+/// Post-solve verification's bound on the componentwise residual. A stable
+/// direct solve keeps it near machine epsilon, so 1e-8 only fires on a
+/// corrupted pipeline.
+constexpr real_t kVerifyTolerance = 1e-8;
 
 }  // namespace
 
 Solver::Solver(SolverOptions options) : options_(std::move(options)) {
   PARFACT_CHECK(options_.threads >= 1);
-  PARFACT_CHECK(options_.solve_rhs_block >= 1);
 }
 
 Solver::~Solver() = default;
@@ -143,13 +152,6 @@ ThreadPool* Solver::worker_pool() const {
   return worker_pool_.get();
 }
 
-PivotPolicy Solver::pivot_policy() const {
-  PivotPolicy pivot;
-  pivot.boost = options_.static_pivoting;
-  pivot.threshold = options_.pivot_threshold;
-  return pivot;
-}
-
 GovernedOptions Solver::governed_options() {
   GovernedOptions gopts;
   gopts.kind = options_.factor_kind;
@@ -157,7 +159,6 @@ GovernedOptions Solver::governed_options() {
   gopts.pool = worker_pool();
   if (options_.abft) {
     AbftOptions& abft = gopts.abft.emplace();
-    abft.tolerance = options_.abft_tolerance;
     if (options_.inject_sdc.has_value() &&
         options_.inject_sdc->site != SdcSite::kStoredFactor) {
       abft.inject = &*options_.inject_sdc;
@@ -208,32 +209,18 @@ void Solver::inject_stored_flip() {
 }
 
 void Solver::install_solve_schedule(const CachedAnalysis* entry) {
-  // The schedule is a pure function of the structure and rhs_block, so a
-  // cached copy is exact — but a solver configured with a different block
-  // width rebuilds.
-  if (entry != nullptr &&
-      entry->schedule.rhs_block == options_.solve_rhs_block) {
-    solve_schedule_ = std::make_unique<SolveSchedule>(entry->schedule);
-    solve_schedule_->sym = sym_.get();
+  // The schedule is a pure function of the structure, so a cached copy is
+  // exact.
+  if (entry == nullptr) {
+    solve_schedule_ = std::make_unique<SolveSchedule>(*sym_);
     return;
   }
-  SolveScheduleOptions opts;
-  opts.rhs_block = options_.solve_rhs_block;
-  solve_schedule_ = std::make_unique<SolveSchedule>(*sym_, opts);
+  solve_schedule_ = std::make_unique<SolveSchedule>(entry->schedule);
+  solve_schedule_->sym = sym_.get();
 }
 
 std::uint64_t Solver::config_hash() const {
-  std::uint64_t h = fnv1a_pod(static_cast<int>(options_.ordering));
-  h = fnv1a_pod(options_.nd.nd_leaf_size, h);
-  h = fnv1a_pod(options_.nd.leaf_minimum_degree, h);
-  h = fnv1a_pod(options_.nd.partition.balance_tol, h);
-  h = fnv1a_pod(options_.nd.partition.coarse_target, h);
-  h = fnv1a_pod(options_.nd.partition.fm_passes, h);
-  h = fnv1a_pod(options_.nd.partition.attempts, h);
-  h = fnv1a_pod(options_.nd.seed, h);
-  h = fnv1a_pod(options_.amalgamation.enable, h);
-  h = fnv1a_pod(options_.amalgamation.relax_small, h);
-  return fnv1a_pod(options_.amalgamation.relax_ratio, h);
+  return fnv1a_pod(static_cast<int>(options_.ordering));
 }
 
 void Solver::analyze(const SparseMatrix& lower) {
@@ -283,7 +270,7 @@ void Solver::analyze(const SparseMatrix& lower) {
     std::vector<index_t> fill_perm;
     switch (options_.ordering) {
       case SolverOptions::Ordering::kNestedDissection:
-        fill_perm = nested_dissection(graph_from_pattern(lower), options_.nd);
+        fill_perm = nested_dissection(graph_from_pattern(lower));
         break;
       case SolverOptions::Ordering::kMinimumDegree:
         fill_perm = minimum_degree(graph_from_pattern(lower));
@@ -304,7 +291,7 @@ void Solver::analyze(const SparseMatrix& lower) {
       const SparseMatrix permuted =
           permute_lower(lower, fill_perm, &fill_source);
       sym_ = std::make_unique<SymbolicFactor>(
-          parfact::analyze(permuted, options_.amalgamation, &value_map_));
+          parfact::analyze(permuted, AmalgamationOptions{}, &value_map_));
     }
     for (index_t& q : value_map_) q = fill_source[q];
 
@@ -318,14 +305,12 @@ void Solver::analyze(const SparseMatrix& lower) {
     if (cache != nullptr) {
       SymbolicFactor zeroed = *sym_;
       std::fill(zeroed.a.values.begin(), zeroed.a.values.end(), 0.0);
-      SolveScheduleOptions sopts;
-      sopts.rhs_block = options_.solve_rhs_block;
       // insert() returns the incumbent if another thread analyzed the same
       // pattern concurrently; either entry is valid (the analysis is
       // deterministic), and keeping the winner maximizes sharing.
       entry = cache->insert(
           key, std::make_shared<CachedAnalysis>(std::move(zeroed), total_perm_,
-                                                value_map_, sopts));
+                                                value_map_));
     }
   }
   install_solve_schedule(entry.get());
@@ -547,7 +532,7 @@ std::vector<real_t> Solver::solve_multi(std::span<const real_t> b,
 
 std::vector<real_t> Solver::solve_refined(std::span<const real_t> b,
                                           index_t nrhs) const {
-  return solve_verified(b, nrhs, options_.refinement_steps, "solve_refined");
+  return solve_verified(b, nrhs, kRefinementSteps, "solve_refined");
 }
 
 std::vector<real_t> Solver::solve_verified(std::span<const real_t> b,
@@ -606,7 +591,7 @@ void Solver::verify_and_repair(
   };
   real_t res = measure(x);
   report_.verify_residual = res;
-  if (res <= options_.verify_tolerance) return;
+  if (res <= kVerifyTolerance) return;
   report_.corruption_detected = true;
 
   // Detect → localize → recompute. With at-rest checksums armed (ABFT
@@ -620,16 +605,13 @@ void Solver::verify_and_repair(
   for (int attempt = 0; attempt < 2 && factor_.has_value(); ++attempt) {
     bool localized = false;
     if (!factor_checksums_.empty()) {
-      index_t bad =
-          verify_factor(*sym_, *factor_, factor_checksums_,
-                        options_.abft_tolerance);
+      index_t bad = verify_factor(*sym_, *factor_, factor_checksums_);
       index_t guard = 0;
       count_t healed = 0;
       while (bad != kNone && guard++ <= sym_->n_supernodes) {
         healed += recompute_subtree(*sym_, bad, options_.factor_kind, pivot,
                                     *factor_, &factor_checksums_);
-        bad = verify_factor(*sym_, *factor_, factor_checksums_,
-                            options_.abft_tolerance);
+        bad = verify_factor(*sym_, *factor_, factor_checksums_);
       }
       if (healed > 0) {
         report_.fronts_recomputed += healed;
@@ -648,11 +630,11 @@ void Solver::verify_and_repair(
     x = resolve();
     res = measure(x);
     report_.verify_residual = res;
-    if (res <= options_.verify_tolerance) return;
+    if (res <= kVerifyTolerance) return;
   }
   std::ostringstream os;
   os << "post-solve verification failed: componentwise residual " << res
-     << " exceeds tolerance " << options_.verify_tolerance
+     << " exceeds tolerance " << kVerifyTolerance
      << " and factor repair did not restore a verifying solution";
   throw StatusError(
       Status::failure(StatusCode::kDataCorruption, os.str()));
@@ -683,7 +665,7 @@ RobustSolveResult Solver::solve_robust(std::span<const real_t> b) const {
   result.x = solve(b);
   result.path = SolvePath::kDirect;
   result.residual = residual(result.x, b);
-  if (result.residual <= options_.target_residual) {
+  if (result.residual <= kTargetResidual) {
     result.status = factor_status;
     return result;
   }
@@ -697,7 +679,7 @@ RobustSolveResult Solver::solve_robust(std::span<const real_t> b) const {
       result.residual = res;
       result.path = SolvePath::kRefined;
     }
-    if (result.residual <= options_.target_residual) {
+    if (result.residual <= kTargetResidual) {
       result.status = factor_status;
       return result;
     }
@@ -715,19 +697,14 @@ RobustSolveResult Solver::solve_robust(std::span<const real_t> b) const {
                                    : std::vector<real_t>(b.size(), 0.0);
     std::optional<SparseMatrix> ic0;
     try {
-      PivotPolicy pivot;
-      pivot.boost = true;
-      pivot.threshold = options_.pivot_threshold;
-      count_t ic0_perturbations = 0;
-      ic0.emplace(
-          incomplete_cholesky0(original_lower_, pivot, &ic0_perturbations));
+      ic0.emplace(incomplete_cholesky0(original_lower_, {.boost = true}));
     } catch (const Error&) {
       ic0.reset();
     }
     try {
       const CgResult cg = conjugate_gradient(
-          original_lower_, b, x_cg, ic0 ? &*ic0 : nullptr,
-          options_.cg_max_iterations, options_.target_residual);
+          original_lower_, b, x_cg, ic0 ? &*ic0 : nullptr, kCgMaxIterations,
+          kTargetResidual);
       result.iterations = cg.iterations;
       const real_t res = residual(x_cg, b);
       if (res < result.residual) {
@@ -740,7 +717,7 @@ RobustSolveResult Solver::solve_robust(std::span<const real_t> b) const {
     }
   }
 
-  if (result.residual <= options_.target_residual) {
+  if (result.residual <= kTargetResidual) {
     result.status = factor_status;
   } else {
     result.status = Status::failure(

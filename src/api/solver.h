@@ -40,16 +40,20 @@ namespace parfact {
 
 class ThreadPool;
 
+/// What a caller sets. Everything else is a fixed engine parameter: nested
+/// dissection runs with OrderingOptions{}, the symbolic phase with
+/// AmalgamationOptions{}, the solve sweeps with SolveScheduleOptions{}
+/// (blocks of 32 right-hand sides), solve_refined() with at most two
+/// corrections, and solve_robust() with the targets documented there.
 struct SolverOptions {
+  /// Fill-reducing ordering. With the pattern it is the whole key of a
+  /// symbolic_cache entry.
   enum class Ordering { kNestedDissection, kMinimumDegree, kRcm, kNatural };
   Ordering ordering = Ordering::kNestedDissection;
-  OrderingOptions nd;                  ///< nested-dissection knobs
-  AmalgamationOptions amalgamation;    ///< supernode relaxation knobs
   /// Factorization and solve threads (>= 1). Only speed depends on it: the
   /// ordering, the factor and every bit of every answer are the same at
   /// any thread count.
   int threads = 1;
-  int refinement_steps = 2;            ///< iterative-refinement iterations
   /// Cholesky for SPD input; LDLᵀ (no pivoting) for symmetric
   /// quasi-definite input such as KKT saddle-point systems.
   FactorKind factor_kind = FactorKind::kCholesky;
@@ -58,15 +62,8 @@ struct SolverOptions {
   /// factorization. The perturbation count is surfaced in the report and
   /// the factorize() Status; accuracy is recovered by refinement or the
   /// solve_robust() escalation. Set false to restore throw-on-breakdown.
+  /// A zero matrix has no boost magnitude, so it breaks down either way.
   bool static_pivoting = true;
-  real_t pivot_threshold = 0.0;   ///< boost threshold; 0 = sqrt(eps)·max|A|
-  real_t target_residual = 1e-10; ///< solve_robust() acceptance residual
-  int cg_max_iterations = 500;    ///< solve_robust() fallback CG budget
-  /// Right-hand-side columns per blocked triangular sweep: every factor
-  /// panel is streamed once per block, so this is the solve phase's
-  /// flops-per-byte knob (and the reproducibility granule — results are
-  /// bitwise-stable for a fixed block width).
-  index_t solve_rhs_block = 32;
   /// Memory budget for factorize() (0 = unlimited). Admission is checked
   /// against the symbolic working-set estimate before any numeric
   /// allocation; a factorization that does not fit in-core degrades to the
@@ -92,10 +89,9 @@ struct SolverOptions {
   /// re-runs a subtree. An in-core run also arms the at-rest checksums that
   /// let post-solve verification localize storage corruption.
   bool abft = false;
-  real_t abft_tolerance = 1e-8;  ///< ABFT identity tolerance
   /// Post-solve end-to-end verification of solve(), solve_multi() and
   /// solve_refined() results: componentwise scaled residual
-  /// max_i |b−Ax|_i / (|A||x|+|b|)_i against verify_tolerance. kSampled
+  /// max_i |b−Ax|_i / (|A||x|+|b|)_i against 1e-8. kSampled
   /// checks the first right-hand side of each call; kFull checks every
   /// column. On failure the solver verifies the stored factor against its
   /// checksums, recomputes the corrupt subtree (or, when no checksums are
@@ -105,7 +101,6 @@ struct SolverOptions {
   /// answer is never returned.
   enum class Verify { kOff, kSampled, kFull };
   Verify verify = Verify::kOff;
-  real_t verify_tolerance = 1e-8;
   /// Fault-campaign hook: one seeded single-bit flip injected into the
   /// numeric pipeline. Factorization sites (kAssembly..kUpdate) require
   /// abft; kStoredFactor corrupts the in-core factor right after
@@ -113,7 +108,7 @@ struct SolverOptions {
   std::optional<SdcInjection> inject_sdc;
   /// Pattern-keyed analysis cache shared across Solver instances (and
   /// SolverService sessions). When set, analyze() first looks up the input
-  /// pattern + ordering configuration and adopts a cached analysis on a hit
+  /// pattern + `ordering` and adopts a cached analysis on a hit
   /// — bitwise identical to a cold analyze — instead of re-running ordering
   /// and symbolic analysis; misses populate the cache. Must outlive the
   /// Solver. nullptr (default) keeps analyze() fully cold.
@@ -170,8 +165,8 @@ enum class SolvePath { kNone, kDirect, kRefined, kIterativeFallback };
 
 [[nodiscard]] const char* solve_path_name(SolvePath path);
 
-/// Result of the escalating solve: the cheapest path that met
-/// options.target_residual, or the best effort with a diagnosing status.
+/// Result of the escalating solve: the cheapest path that met its target
+/// residual, or the best effort with a diagnosing status.
 struct RobustSolveResult {
   std::vector<real_t> x;          ///< best solution found (original ordering)
   Status status;                  ///< kOk/kPerturbed, or kNoConvergence
@@ -275,16 +270,16 @@ class Solver {
 
   /// Blocked multiple-right-hand-side solve: `b` is n x nrhs column-major;
   /// returns the n x nrhs solution block. The sweeps stream every factor
-  /// panel once per options.solve_rhs_block columns, so a batch of
-  /// right-hand sides costs far less than a solve() per column, and the
-  /// answers depend only on that block width. solve() is this with
-  /// nrhs == 1: there is exactly one sweep implementation.
+  /// panel once per SolveScheduleOptions{}.rhs_block (32) columns, so a
+  /// batch of right-hand sides costs far less than a solve() per column,
+  /// and the answers depend only on that block partition. solve() is this
+  /// with nrhs == 1: there is exactly one sweep implementation.
   [[nodiscard]] std::vector<real_t> solve_multi(std::span<const real_t> b,
                                                 index_t nrhs) const;
 
   /// solve_multi() followed by iterative refinement of the whole block:
-  /// at most options.refinement_steps blocked corrections, stopping once
-  /// every column's relative residual is at or below 1e-14.
+  /// at most two blocked corrections, stopping once every column's
+  /// relative residual is at or below 1e-14.
   /// options.verify checks the refined answer, and a repaired factor
   /// re-runs the sweeps and corrections, so a healed answer is bitwise
   /// the clean one.
@@ -296,9 +291,9 @@ class Solver {
   /// IC(0)-preconditioned CG fallback (warm-started from the best direct
   /// answer, or from zero when that answer is not finite), stopping at
   /// the cheapest path whose scaled residual
-  /// ‖b−Ax‖∞/(‖A‖∞‖x‖∞+‖b‖∞) meets options.target_residual. Always
-  /// returns the best x found; status is kNoConvergence if no path met
-  /// the target.
+  /// ‖b−Ax‖∞/(‖A‖∞‖x‖∞+‖b‖∞) is at most 1e-10 (the CG fallback
+  /// runs at most 500 iterations). Always returns the best x found; status
+  /// is kNoConvergence if no path met that target.
   [[nodiscard]] RobustSolveResult solve_robust(std::span<const real_t> b)
       const;
 
@@ -331,12 +326,12 @@ class Solver {
   /// Workers for factorization and solves (options.threads > 1), created
   /// on first use unless shared.
   [[nodiscard]] ThreadPool* worker_pool() const;
-  /// The analysis's solve schedule: copied from `entry` (rebound to this
-  /// solver's SymbolicFactor) when it was built for the same block width,
-  /// otherwise built. Every solve reuses it, resident or spilled.
+  /// The analysis's solve schedule: copied from the cache `entry` (rebound
+  /// to this solver's SymbolicFactor), or built when there is none. Every
+  /// solve reuses it, resident or spilled.
   void install_solve_schedule(const CachedAnalysis* entry);
-  /// Digest of every option that affects the symbolic result (ordering kind
-  /// and knobs, amalgamation) — the PatternKey config component.
+  /// Digest of the one option that affects the symbolic result, the
+  /// ordering: the PatternKey config component.
   [[nodiscard]] std::uint64_t config_hash() const;
   /// Arms the per-call cancellation scope (deadline) and returns its token.
   [[nodiscard]] CancelToken arm_cancel_scope();
@@ -352,7 +347,9 @@ class Solver {
       std::span<const real_t> px) const;
   [[nodiscard]] std::string spill_path() const;
   void check_rhs(std::size_t b_size, index_t nrhs, const char* fn) const;
-  [[nodiscard]] PivotPolicy pivot_policy() const;
+  [[nodiscard]] PivotPolicy pivot_policy() const {
+    return {.boost = options_.static_pivoting};
+  }
   /// Options of a governed numeric run; arms its cancellation scope.
   [[nodiscard]] GovernedOptions governed_options();
   /// Drops the factor and all state derived from it.

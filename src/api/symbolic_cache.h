@@ -2,8 +2,8 @@
 // serving engine (api/service.h) and Solver::analyze() share.
 //
 // A CachedAnalysis is everything the analyze phase produces that depends
-// only on the sparsity pattern and the ordering configuration: the
-// postordered SymbolicFactor (elimination tree, supernode partition, row
+// only on the sparsity pattern and the ordering: the postordered
+// SymbolicFactor (elimination tree, supernode partition, row
 // structure — values zeroed), the composed permutation, the nonzero
 // scatter map that routes a caller's values into the postordered matrix,
 // and the precomputed SolveSchedule. On a hit, a Solver adopts the entry by
@@ -11,8 +11,9 @@
 // value_map — O(nnz) copies instead of re-running nested dissection +
 // symbolic analysis, which dominates end-to-end time in the (factor once,
 // re-factor same pattern) serving loop. The configuration half of the key
-// holds no thread count: every thread count orders alike, so one entry per
-// pattern serves them all.
+// is the ordering alone: every other solver option, the thread count
+// included, leaves the analysis as it is, so one entry per (pattern,
+// ordering) serves them all.
 //
 // Entries are immutable once inserted and handed out as shared_ptr<const>,
 // so readers never take the cache lock for longer than the map probe; the
@@ -42,12 +43,11 @@ struct CachedAnalysis {
   /// `sym` must arrive with values already zeroed (the cache stores
   /// pattern-level data only; session values never leak through it).
   CachedAnalysis(SymbolicFactor sym_in, std::vector<index_t> total_perm_in,
-                 std::vector<index_t> value_map_in,
-                 SolveScheduleOptions schedule_opts)
+                 std::vector<index_t> value_map_in)
       : sym(std::move(sym_in)),
         total_perm(std::move(total_perm_in)),
         value_map(std::move(value_map_in)),
-        schedule(sym, schedule_opts) {}
+        schedule(sym) {}
   CachedAnalysis(const CachedAnalysis&) = delete;
   CachedAnalysis& operator=(const CachedAnalysis&) = delete;
 

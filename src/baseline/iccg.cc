@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <sstream>
 #include <vector>
 
 #include "baseline/simplicial.h"
-#include "dense/matrix_view.h"
-#include "solve/solve.h"
 #include "sparse/ops.h"
 #include "support/error.h"
+#include "support/status.h"
 
 namespace parfact {
 
@@ -16,7 +16,7 @@ SparseMatrix incomplete_cholesky0(const SparseMatrix& lower,
                                   PivotPolicy pivot,
                                   count_t* perturbations) {
   PARFACT_CHECK(lower.rows == lower.cols);
-  pivot = resolve_pivot_policy(pivot, lower);
+  const real_t magnitude = pivot_magnitude(pivot, lower);
   count_t boosted = 0;
   SparseMatrix l = lower;  // same pattern, values overwritten in place
   const index_t n = l.cols;
@@ -24,12 +24,14 @@ SparseMatrix incomplete_cholesky0(const SparseMatrix& lower,
     const index_t p0 = l.col_ptr[j];
     PARFACT_CHECK_MSG(l.row_ind[p0] == j, "missing diagonal in column " << j);
     real_t diag = l.values[p0];
-    PARFACT_CHECK_MSG(std::isfinite(diag),
-                      "IC(0) pivot breakdown at column " << j);
-    if (diag <= 0.0 || (pivot.boost && diag <= pivot.threshold)) {
-      PARFACT_CHECK_MSG(pivot.boost,
-                        "IC(0) pivot breakdown at column " << j);
-      diag = pivot.value;
+    const bool boost = diag <= magnitude;
+    if (!std::isfinite(diag) || (boost && magnitude == 0.0)) {
+      std::ostringstream os;
+      os << "IC(0) pivot breakdown at column " << j;
+      throw StatusError(Status::failure(StatusCode::kBreakdown, os.str()));
+    }
+    if (boost) {
+      diag = magnitude;
       ++boosted;
     }
     const real_t d = std::sqrt(diag);
@@ -111,61 +113,6 @@ CgResult conjugate_gradient(const SparseMatrix& lower_a,
       r[i] -= alpha * ap[i];
     }
     apply_preconditioner(r, z);
-    const real_t rz_new = dot(r, z);
-    const real_t beta = rz_new / rz;
-    rz = rz_new;
-    for (index_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
-  }
-  result.residual = norm2(r) / bnorm;
-  result.converged = result.residual <= tol;
-  return result;
-}
-
-CgResult conjugate_gradient_factor_preconditioned(
-    const SparseMatrix& lower_a, const CholeskyFactor& preconditioner,
-    std::span<const real_t> b, std::span<real_t> x, int max_iterations,
-    real_t tol) {
-  const index_t n = lower_a.rows;
-  PARFACT_CHECK(preconditioner.symbolic().n == n);
-  PARFACT_CHECK(static_cast<index_t>(b.size()) == n &&
-                static_cast<index_t>(x.size()) == n);
-  CgResult result;
-  std::vector<real_t> r(static_cast<std::size_t>(n));
-  std::vector<real_t> z(static_cast<std::size_t>(n));
-  std::vector<real_t> p(static_cast<std::size_t>(n));
-  std::vector<real_t> ap(static_cast<std::size_t>(n));
-  const real_t bnorm = norm2(b);
-  if (bnorm == 0.0) {
-    std::fill(x.begin(), x.end(), 0.0);
-    result.converged = true;
-    return result;
-  }
-  spmv_symmetric_lower(lower_a, x, r);
-  for (index_t i = 0; i < n; ++i) r[i] = b[i] - r[i];
-  auto precondition = [&](const std::vector<real_t>& in,
-                          std::vector<real_t>& out) {
-    out = in;
-    solve_in_place(preconditioner, MatrixView{out.data(), n, 1, n});
-  };
-  precondition(r, z);
-  p = z;
-  real_t rz = dot(r, z);
-  for (result.iterations = 0; result.iterations < max_iterations;
-       ++result.iterations) {
-    result.residual = norm2(r) / bnorm;
-    if (result.residual <= tol) {
-      result.converged = true;
-      return result;
-    }
-    spmv_symmetric_lower(lower_a, p, ap);
-    const real_t pap = dot(p, ap);
-    PARFACT_CHECK_MSG(pap > 0.0, "CG: matrix is not positive definite");
-    const real_t alpha = rz / pap;
-    for (index_t i = 0; i < n; ++i) {
-      x[i] += alpha * p[i];
-      r[i] -= alpha * ap[i];
-    }
-    precondition(r, z);
     const real_t rz_new = dot(r, z);
     const real_t beta = rz_new / rz;
     rz = rz_new;

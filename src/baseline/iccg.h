@@ -5,7 +5,6 @@
 
 #include <span>
 
-#include "mf/factor.h"
 #include "mf/multifrontal.h"
 #include "sparse/sparse_matrix.h"
 #include "support/types.h"
@@ -14,11 +13,12 @@ namespace parfact {
 
 /// IC(0): incomplete Cholesky restricted to the pattern of the lower
 /// triangle of A. Returns L (lower-stored CSC, same pattern as the input).
-/// Throws parfact::Error on pivot breakdown (cannot happen for the
-/// diagonally dominant / M-matrix problems of the suite) unless `pivot`
+/// Throws StatusError(kBreakdown) on pivot breakdown (cannot happen for
+/// the diagonally dominant / M-matrix problems of the suite) unless `pivot`
 /// enables boosting, in which case tiny/non-positive pivots are replaced
 /// and counted in `*perturbations` — this is what lets the IC(0)-CG
-/// escalation fallback precondition near-singular matrices.
+/// escalation fallback precondition near-singular matrices. A zero matrix
+/// has no boost magnitude (pivot_magnitude), so it breaks down either way.
 [[nodiscard]] SparseMatrix incomplete_cholesky0(
     const SparseMatrix& lower, PivotPolicy pivot = {},
     count_t* perturbations = nullptr);
@@ -36,14 +36,5 @@ CgResult conjugate_gradient(const SparseMatrix& lower_a,
                             std::span<const real_t> b, std::span<real_t> x,
                             const SparseMatrix* ic0 = nullptr,
                             int max_iterations = 1000, real_t tol = 1e-10);
-
-/// CG preconditioned by a *complete* factor of a nearby matrix — the
-/// "reuse last step's factorization" pattern of nonlinear/time-stepping
-/// codes: converges in a handful of iterations when A has drifted a little
-/// from the factored matrix.
-CgResult conjugate_gradient_factor_preconditioned(
-    const SparseMatrix& lower_a, const CholeskyFactor& preconditioner,
-    std::span<const real_t> b, std::span<real_t> x, int max_iterations = 100,
-    real_t tol = 1e-12);
 
 }  // namespace parfact

@@ -12,9 +12,7 @@ namespace parfact {
 CholeskyFactor left_looking_factor(const SymbolicFactor& sym,
                                    FactorStats* stats, PivotPolicy pivot) {
   WallTimer timer;
-  pivot = resolve_pivot_policy(pivot, sym.a);
-  PivotBoost boost{pivot.threshold, pivot.value, 0};
-  PivotBoost* boost_ptr = pivot.boost ? &boost : nullptr;
+  PivotBoost boost{pivot_magnitude(pivot, sym.a)};
   const index_t ns = sym.n_supernodes;
   CholeskyFactor factor(sym);
 
@@ -100,7 +98,7 @@ CholeskyFactor left_looking_factor(const SymbolicFactor& sym,
 
     // Eliminate the panel.
     MatrixView l11 = panel.block(0, 0, p, p);
-    const index_t info = potrf_lower(l11, boost_ptr);
+    const index_t info = potrf_lower(l11, &boost);
     PARFACT_CHECK_MSG(info == kNone,
                       "matrix is not positive definite at column "
                           << first + info << " (postordered)");

@@ -16,7 +16,7 @@ SparseMatrix simplicial_cholesky(const SparseMatrix& lower,
                                  SimplicialStats* stats, PivotPolicy pivot) {
   WallTimer timer;
   PARFACT_CHECK(lower.rows == lower.cols);
-  pivot = resolve_pivot_policy(pivot, lower);
+  const real_t magnitude = pivot_magnitude(pivot, lower);
   count_t perturbations = 0;
   const index_t n = lower.rows;
   const std::vector<index_t> parent = elimination_tree(lower);
@@ -86,10 +86,10 @@ SparseMatrix simplicial_cholesky(const SparseMatrix& lower,
     real_t diag = x[j];
     PARFACT_CHECK_MSG(std::isfinite(diag),
                       "matrix is not positive definite at column " << j);
-    if (diag <= 0.0 || (pivot.boost && diag <= pivot.threshold)) {
-      PARFACT_CHECK_MSG(pivot.boost,
+    if (diag <= magnitude) {
+      PARFACT_CHECK_MSG(magnitude > 0.0,
                         "matrix is not positive definite at column " << j);
-      diag = pivot.value;
+      diag = magnitude;
       ++perturbations;
     }
     const real_t dsqrt = std::sqrt(diag);

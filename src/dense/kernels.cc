@@ -64,10 +64,10 @@ index_t ldlt_lower(MatrixView a, std::span<real_t> d, PivotBoost* boost) {
   for (index_t k = 0; k < n; ++k) {
     real_t dk = a.at(k, k);
     if (!std::isfinite(dk)) return k;
-    if (dk == 0.0 || (boost != nullptr && std::abs(dk) <= boost->threshold)) {
-      if (boost == nullptr) return k;
+    if (dk == 0.0 || (boost != nullptr && std::abs(dk) <= boost->magnitude)) {
+      if (boost == nullptr || boost->magnitude == 0.0) return k;
       // Sign-preserving boost keeps the inertia of quasi-definite inputs.
-      dk = dk < 0.0 ? -boost->value : boost->value;
+      dk = dk < 0.0 ? -boost->magnitude : boost->magnitude;
       ++boost->count;
     }
     d[k] = dk;

@@ -26,15 +26,15 @@
 namespace parfact {
 
 /// Static-pivoting hook for POTRF / LDLᵀ. When non-null, a pivot whose
-/// magnitude is at or below `threshold` is replaced by `value` (Cholesky) or
-/// by sign-preserving ±`value` (LDLᵀ) instead of aborting the factorization;
-/// each replacement increments `count`. Non-finite pivots are never boosted
-/// — they always abort. The SuperLU_DIST-style contract is
-/// threshold = value = sqrt(eps) * ||A||, with accuracy recovered by
-/// iterative refinement (see DESIGN.md "Robustness & failure model").
+/// magnitude is at or below `magnitude` is replaced by `magnitude`
+/// (Cholesky) or by sign-preserving ±`magnitude` (LDLᵀ) instead of aborting
+/// the factorization; each replacement increments `count`. A magnitude of 0
+/// boosts nothing, and non-finite pivots are never boosted — both abort.
+/// The SuperLU_DIST-style magnitude is sqrt(eps) * ||A|| (pivot_magnitude),
+/// with accuracy recovered by iterative refinement (see DESIGN.md
+/// "Robustness & failure model").
 struct PivotBoost {
-  real_t threshold = 0.0;
-  real_t value = 0.0;
+  real_t magnitude = 0.0;
   count_t count = 0;
 };
 

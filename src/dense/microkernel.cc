@@ -447,9 +447,9 @@ index_t potrf_lower_unblocked(MatrixView a, PivotBoost* boost) {
     real_t* __restrict ak = a.data + static_cast<std::size_t>(k) * ld;
     real_t d = ak[k];
     if (!std::isfinite(d)) return k;
-    if (d <= 0.0 || (boost != nullptr && d <= boost->threshold)) {
-      if (boost == nullptr) return k;
-      d = boost->value;
+    if (d <= 0.0 || (boost != nullptr && d <= boost->magnitude)) {
+      if (boost == nullptr || boost->magnitude == 0.0) return k;
+      d = boost->magnitude;
       ++boost->count;
     }
     d = std::sqrt(d);

@@ -94,12 +94,11 @@ class RankProgram {
  public:
   RankProgram(const SymbolicFactor& sym, const FrontMap& map,
               CholeskyFactor& factor, mpsim::Comm& comm, FactorKind kind,
-              std::span<real_t> d, const PivotPolicy& pivot,
+              std::span<real_t> d, real_t pivot_magnitude,
               const ResiliencePolicy& resilience, const DistConfig& config,
               index_t start_supernode = 0, count_t base_perturbations = 0)
       : sym_(sym), map_(map), factor_(factor), comm_(comm), kind_(kind),
-        d_(d), pivot_(pivot),
-        boost_{pivot.threshold, pivot.value, base_perturbations},
+        d_(d), boost_{pivot_magnitude, base_perturbations},
         ckpt_(comm, resilience), config_(config),
         start_supernode_(start_supernode) {}
 
@@ -295,16 +294,15 @@ class RankProgram {
     if (gr == kbr && gc == kbc) {
       MatrixView dblk = front.block(kb, kb);
       const index_t col0 = sym_.sn_start[s] + fb.start(kb);
-      PivotBoost* boost = pivot_.boost ? &boost_ : nullptr;
       index_t info;
       if (ldlt) {
         info = ldlt_lower(dblk,
                           d_.subspan(static_cast<std::size_t>(col0),
                                      static_cast<std::size_t>(bk)),
-                          boost);
+                          &boost_);
         st.dk.assign(d_.begin() + col0, d_.begin() + col0 + bk);
       } else {
-        info = potrf_lower(dblk, boost);
+        info = potrf_lower(dblk, &boost_);
       }
       if (info != kNone) {
         std::ostringstream os;
@@ -737,8 +735,7 @@ class RankProgram {
   mpsim::Comm& comm_;
   FactorKind kind_;
   std::span<real_t> d_;  ///< shared diag(D) output in LDLᵀ mode
-  PivotPolicy pivot_;
-  PivotBoost boost_;  ///< per-rank static-pivoting counter
+  PivotBoost boost_;  ///< static-pivot magnitude + this rank's count
   BuddyCheckpointer ckpt_;
   DistConfig config_;
   index_t start_supernode_;  ///< first front to execute (resume point)
@@ -755,7 +752,7 @@ DistFactorResult distributed_factor(const SymbolicFactor& sym,
                                     const ResiliencePolicy& resilience,
                                     const DistConfig& config) {
   validate_resilience_policy(resilience);
-  pivot = resolve_pivot_policy(pivot, sym.a);
+  const real_t magnitude = pivot_magnitude(pivot, sym.a);
   DistFactorResult result(sym);
   std::span<real_t> d;
   if (kind == FactorKind::kLdlt) d = result.factor.allocate_diag();
@@ -778,7 +775,7 @@ DistFactorResult distributed_factor(const SymbolicFactor& sym,
           start_supernode = image.next_supernode;
           base_perturbations = image.perturbations;
         }
-        RankProgram program(sym, map, result.factor, comm, kind, d, pivot,
+        RankProgram program(sym, map, result.factor, comm, kind, d, magnitude,
                             resilience, config, start_supernode,
                             base_perturbations);
         program.run();

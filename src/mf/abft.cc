@@ -10,18 +10,13 @@
 #include "mf/front_kernel.h"
 #include "support/checksum.h"
 #include "support/error.h"
+#include "support/prng.h"
 
 namespace parfact {
 namespace {
 
-// splitmix64: seeds the deterministic choice of the flipped element.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
+// Separates the seed's draw of the flipped element from its draw of the
+// target supernode.
 constexpr std::uint64_t kCellSalt = 0x5bf03635ull;
 
 // The supernode an injection strikes: the named one, or one from the seed.
@@ -474,7 +469,7 @@ class AbftHooks final : public detail::FrontHooks {
             FactorChecksums* checksums)
       : sym_(sym),
         kind_(kind),
-        options_(options),
+        inject_(options.inject),
         d_(d),
         checksums_(checksums),
         carried_(static_cast<std::size_t>(sym.n_supernodes)) {
@@ -520,7 +515,7 @@ class AbftHooks final : public detail::FrontHooks {
 
   void rejected(index_t s, int attempt) override {
     ++detections_;
-    if (attempt + 1 >= options_.max_front_attempts) fail_sticky(s);
+    if (attempt + 1 >= kMaxFrontAttempts) fail_sticky(s);
   }
 
   // Re-verifies a live child update block against its carried prediction.
@@ -545,7 +540,7 @@ class AbftHooks final : public detail::FrontHooks {
  private:
   [[nodiscard]] bool column_ok(real_t actual, real_t predicted,
                                real_t scale) const {
-    return !abft_mismatch(actual, predicted, scale, options_.tolerance);
+    return !abft_mismatch(actual, predicted, scale, kAbftTolerance);
   }
 
   // ---- fault injection -----------------------------------------------
@@ -554,7 +549,7 @@ class AbftHooks final : public detail::FrontHooks {
   // target. Non-sticky faults strike once; sticky faults re-strike on
   // every (re)computation of the front.
   void maybe_inject(SdcSite site, const Front& front) {
-    const SdcInjection* inj = options_.inject;
+    const SdcInjection* inj = inject_;
     if (inj == nullptr || inj->site != site || injection_fired_ ||
         inject_target(sym_, *inj) != front.s) {
       return;
@@ -810,7 +805,7 @@ class AbftHooks final : public detail::FrontHooks {
   [[noreturn]] void fail_sticky(index_t s) const {
     std::ostringstream os;
     os << "abft: persistent corruption at retry of supernode " << s
-       << " after " << options_.max_front_attempts
+       << " after " << kMaxFrontAttempts
        << " recompute attempt(s)";
     throw StatusError(
         Status::failure(StatusCode::kDataCorruption, os.str(), s));
@@ -839,7 +834,7 @@ class AbftHooks final : public detail::FrontHooks {
 
   const SymbolicFactor& sym_;
   const FactorKind kind_;
-  const AbftOptions options_;
+  const SdcInjection* const inject_;  ///< fault campaign hook
   const std::span<const real_t> d_;
   FactorChecksums* const checksums_;
   std::vector<ColSums> carried_;  ///< predicted update-block sums + scales
@@ -964,7 +959,7 @@ FactorChecksums compute_factor_checksums(const SymbolicFactor& sym,
 }
 
 index_t verify_factor(const SymbolicFactor& sym, const CholeskyFactor& factor,
-                      const FactorChecksums& checksums, real_t tolerance) {
+                      const FactorChecksums& checksums) {
   PARFACT_CHECK(!checksums.empty());
   for (index_t s = 0; s < sym.n_supernodes; ++s) {
     const ConstMatrixView panel = factor.panel(s);
@@ -974,7 +969,7 @@ index_t verify_factor(const SymbolicFactor& sym, const CholeskyFactor& factor,
       for (index_t i = j; i < panel.rows; ++i) sum += panel.at(i, j);
       const std::size_t g = static_cast<std::size_t>(first + j);
       if (abft_mismatch(sum, checksums.col_sum[g], checksums.col_abs[g],
-                        tolerance)) {
+                        kAbftTolerance)) {
         return s;
       }
     }

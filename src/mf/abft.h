@@ -27,8 +27,8 @@
 // subtree through that same driver, so ABFT works with either panel
 // destination (repaired panels of a spilled factor are rewritten on disk).
 // The serial kernels are deterministic, so the repaired factor is bitwise
-// identical to a clean run. Corruption that survives
-// `max_front_attempts` (a sticky fault) surfaces as
+// identical to a clean run. Corruption that survives kMaxFrontAttempts
+// recomputes of one front (a sticky fault) surfaces as
 // StatusError(kDataCorruption) naming the front.
 //
 // The same column sums, captured per factor column at front completion,
@@ -63,15 +63,17 @@ struct SdcInjection {
                         ///< fault; must surface as kDataCorruption)
 };
 
+/// Relative tolerance of the checksum identities (abft_mismatch). The
+/// identities hold to O(front · eps) ≈ 1e-13 relative on real fronts; 1e-8
+/// leaves orders of magnitude of margin while catching any flip that moves
+/// a value by more than rounding noise.
+inline constexpr real_t kAbftTolerance = 1e-8;
+
+/// Detection → recompute attempts per front before the fault is declared
+/// sticky and the factorization fails with kDataCorruption.
+inline constexpr int kMaxFrontAttempts = 3;
+
 struct AbftOptions {
-  /// Relative tolerance of the checksum identities. The identities hold to
-  /// O(front · eps) ≈ 1e-13 relative on real fronts; 1e-8 leaves orders of
-  /// magnitude of margin while catching any flip that moves a value by
-  /// more than rounding noise.
-  real_t tolerance = 1e-8;
-  /// Detection → recompute attempts per front before the fault is declared
-  /// sticky and the factorization fails with kDataCorruption.
-  int max_front_attempts = 3;
   const SdcInjection* inject = nullptr;  ///< fault campaign hook
 };
 
@@ -113,12 +115,12 @@ struct FactorChecksums {
 [[nodiscard]] FactorChecksums compute_factor_checksums(
     const SymbolicFactor& sym, const CholeskyFactor& factor);
 
-/// Verifies the stored factor against its column sums; returns the first
-/// supernode whose panel mismatches, or kNone if the factor is intact.
+/// Verifies the stored factor against its column sums (to kAbftTolerance);
+/// returns the first supernode whose panel mismatches, or kNone if the
+/// factor is intact.
 [[nodiscard]] index_t verify_factor(const SymbolicFactor& sym,
                                     const CholeskyFactor& factor,
-                                    const FactorChecksums& checksums,
-                                    real_t tolerance = 1e-8);
+                                    const FactorChecksums& checksums);
 
 /// Repairs the factor by re-running the contiguous postorder subtree
 /// rooted at `root` ([sym.first_descendant(root), root]) from the original

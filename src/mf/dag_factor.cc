@@ -30,13 +30,14 @@ std::size_t block_size(const SymbolicFactor& sym, index_t s) {
 }  // namespace
 
 FactorDag::FactorDag(const SymbolicFactor& sym, CholeskyFactor& factor,
-                     FactorKind kind, std::span<real_t> d, PivotPolicy pivot,
-                     count_t fuse_flops, int n_workers)
+                     FactorKind kind, std::span<real_t> d,
+                     real_t pivot_magnitude, count_t fuse_flops,
+                     int n_workers)
     : sym_(sym),
       factor_(factor),
       kind_(kind),
       d_(d),
-      pivot_(pivot),
+      pivot_magnitude_(pivot_magnitude),
       fuse_flops_(fuse_flops),
       n_workers_(std::max(1, n_workers)),
       blocks_(static_cast<std::size_t>(sym.n_supernodes)),
@@ -112,7 +113,8 @@ void FactorDag::emit_fused(rt::TaskGraph& graph, index_t s) {
         panel.fill(0.0);
         const count_t boosted =
             eliminate_front(sym_, s, update_of_, panel, allocate_block(s),
-                            {m.get(), m_size}, *scratch, kind_, d_, pivot_);
+                            {m.get(), m_size}, *scratch, kind_, d_,
+                            pivot_magnitude_);
         release_scratch(std::move(scratch));
         if (boosted > 0)
           perturbations_.fetch_add(boosted, std::memory_order_relaxed);
@@ -170,7 +172,8 @@ void FactorDag::emit_split(rt::TaskGraph& graph, index_t s) {
       potrf_tag,
       [this, s] {
         const count_t boosted =
-            factor_front_diag(sym_, s, factor_.panel(s), kind_, d_, pivot_);
+            factor_front_diag(sym_, s, factor_.panel(s), kind_, d_,
+                              pivot_magnitude_);
         if (boosted > 0)
           perturbations_.fetch_add(boosted, std::memory_order_relaxed);
       },
@@ -339,12 +342,11 @@ void multifrontal_refactor_parallel(const SymbolicFactor& sym,
                                     CancelToken cancel) {
   PARFACT_CHECK(&factor.symbolic() == &sym);
   WallTimer timer;
-  pivot = resolve_pivot_policy(pivot, sym.a);
   std::span<real_t> d;
   if (kind == FactorKind::kLdlt) d = factor.allocate_diag();
 
-  detail::FactorDag dag(sym, factor, kind, d, pivot, coop_flops,
-                        pool.size() + 1);
+  detail::FactorDag dag(sym, factor, kind, d, pivot_magnitude(pivot, sym.a),
+                        coop_flops, pool.size() + 1);
   rt::TaskGraph graph;
   dag.emit(graph);
   rt::run_graph(graph, pool, std::move(cancel));

@@ -57,11 +57,12 @@ class FactorDag {
   /// `factor` must be constructed from `sym` (diag allocated by the caller
   /// in LDLᵀ mode); its panels may hold an earlier factorization, since
   /// each front's assembling task zeroes its panel first, as the serial
-  /// driver does for a reused factor. `fuse_flops`: fronts below this flop
-  /// count become single fused tasks. `n_workers`: scheduler width,
-  /// used only to pick slab counts (never affects numeric results).
+  /// driver does for a reused factor. `pivot_magnitude`: the static-pivot
+  /// boost (0 boosts nothing). `fuse_flops`: fronts below this flop count
+  /// become single fused tasks. `n_workers`: scheduler width, used only to
+  /// pick slab counts (never affects numeric results).
   FactorDag(const SymbolicFactor& sym, CholeskyFactor& factor,
-            FactorKind kind, std::span<real_t> d, PivotPolicy pivot,
+            FactorKind kind, std::span<real_t> d, real_t pivot_magnitude,
             count_t fuse_flops, int n_workers);
 
   /// Emits every factorization task into `graph` in topological order
@@ -86,7 +87,7 @@ class FactorDag {
   CholeskyFactor& factor_;
   const FactorKind kind_;
   const std::span<real_t> d_;
-  const PivotPolicy pivot_;
+  const real_t pivot_magnitude_;
   const count_t fuse_flops_;
   const int n_workers_;
 

@@ -149,20 +149,19 @@ void assemble_front(const SymbolicFactor& sym, index_t s,
 
 count_t factor_front_diag(const SymbolicFactor& sym, index_t s,
                           MatrixView panel, FactorKind kind,
-                          std::span<real_t> d, const PivotPolicy& pivot) {
+                          std::span<real_t> d, real_t pivot_magnitude) {
   const index_t p = sym.sn_cols(s);
   const index_t first = sym.sn_start[s];
   MatrixView l11 = panel.block(0, 0, p, p);
-  PivotBoost boost{pivot.threshold, pivot.value, 0};
-  PivotBoost* boost_ptr = pivot.boost ? &boost : nullptr;
+  PivotBoost boost{pivot_magnitude};
   index_t info;
   if (kind == FactorKind::kCholesky) {
-    info = potrf_lower(l11, boost_ptr);
+    info = potrf_lower(l11, &boost);
   } else {
     info = ldlt_lower(l11,
                       d.subspan(static_cast<std::size_t>(first),
                                 static_cast<std::size_t>(p)),
-                      boost_ptr);
+                      &boost);
   }
   if (info != kNone) {
     std::ostringstream os;
@@ -196,7 +195,7 @@ count_t eliminate_front(const SymbolicFactor& sym, index_t s,
                         MatrixView panel, std::span<real_t> update_out,
                         std::span<real_t> m, FrontScratch& scratch,
                         FactorKind kind, std::span<real_t> d,
-                        const PivotPolicy& pivot, FrontHooks* hooks) {
+                        real_t pivot_magnitude, FrontHooks* hooks) {
   assemble_front(sym, s, update_of, panel, update_out, scratch, kind,
                  hooks != nullptr ? hooks->assembly_sums() : nullptr);
   const index_t p = sym.sn_cols(s);
@@ -206,7 +205,7 @@ count_t eliminate_front(const SymbolicFactor& sym, index_t s,
   if (hooks != nullptr && !hooks->at(FrontStage::kAssembled, front)) {
     return kFrontRejected;
   }
-  front.boosted = factor_front_diag(sym, s, panel, kind, d, pivot);
+  front.boosted = factor_front_diag(sym, s, panel, kind, d, pivot_magnitude);
   if (hooks != nullptr) (void)hooks->at(FrontStage::kDiagonal, front);
 
   const MatrixView l21 = panel.block(p, 0, b, p);

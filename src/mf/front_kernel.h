@@ -59,13 +59,13 @@ void assemble_front(const SymbolicFactor& sym, index_t s,
 
 /// Stage 2 — diagonal-block factorization: POTRF (Cholesky) or LDLᵀ of the
 /// leading p x p block of `panel`; in LDLᵀ mode writes diag(D) for this
-/// supernode's columns into `d`. Returns the number of pivots boosted under
-/// `pivot` (0 with boosting off). On an unrecoverable pivot throws
-/// StatusError carrying StatusCode::kBreakdown with the supernode id and
-/// front size.
+/// supernode's columns into `d`. Returns the number of pivots boosted to
+/// ±`pivot_magnitude` (see PivotBoost; 0 boosts nothing). On an
+/// unrecoverable pivot throws StatusError carrying StatusCode::kBreakdown
+/// with the supernode id and front size.
 count_t factor_front_diag(const SymbolicFactor& sym, index_t s,
                           MatrixView panel, FactorKind kind,
-                          std::span<real_t> d, const PivotPolicy& pivot);
+                          std::span<real_t> d, real_t pivot_magnitude);
 
 /// Stage 3b (LDLᵀ only, after the panel TRSM): copies M = L21 D out of the
 /// panel into the first b x p entries of `m` (column-major) and rescales
@@ -116,8 +116,8 @@ class FrontHooks {
 inline constexpr count_t kFrontRejected = -1;
 
 /// Assembles and partially factorizes the front of supernode s; returns the
-/// number of pivots boosted by `pivot` (always 0 with boosting off), or
-/// kFrontRejected when a hook detected corruption.
+/// number of pivots boosted to ±`pivot_magnitude` (always 0 with a zero
+/// magnitude), or kFrontRejected when a hook detected corruption.
 ///
 /// `panel` (front_order x sn_cols, zeroed) receives the factor panel; the
 /// trailing Schur complement is written into `update_out` (b x b, see
@@ -133,7 +133,7 @@ count_t eliminate_front(const SymbolicFactor& sym, index_t s,
                         MatrixView panel, std::span<real_t> update_out,
                         std::span<real_t> m, FrontScratch& scratch,
                         FactorKind kind, std::span<real_t> d,
-                        const PivotPolicy& pivot = {},
+                        real_t pivot_magnitude = 0.0,
                         FrontHooks* hooks = nullptr);
 
 /// Where the serial driver puts finished panels: `factor`, or else the

@@ -20,13 +20,9 @@
 
 namespace parfact {
 
-PivotPolicy resolve_pivot_policy(PivotPolicy policy, const SparseMatrix& a) {
-  if (!policy.boost) return policy;
-  const real_t scale =
-      std::sqrt(std::numeric_limits<real_t>::epsilon()) * max_abs(a);
-  if (policy.threshold == 0.0) policy.threshold = scale;
-  if (policy.value == 0.0) policy.value = policy.threshold;
-  return policy;
+real_t pivot_magnitude(PivotPolicy policy, const SparseMatrix& a) {
+  if (!policy.boost) return 0.0;
+  return std::sqrt(std::numeric_limits<real_t>::epsilon()) * max_abs(a);
 }
 
 CholeskyFactor multifrontal_factor(const SymbolicFactor& sym,
@@ -153,7 +149,7 @@ struct SerialDriver {
   const PanelDest dest;
   const FactorKind kind;
   const std::span<real_t> d;
-  const PivotPolicy pivot;
+  const real_t pivot_magnitude;
   FrontHooks* const hooks;
   const CancelToken cancel;
   const WorkingSetEstimate est =
@@ -210,7 +206,7 @@ struct SerialDriver {
       const count_t boosted = eliminate_front(
           sym, s, update_of, panel, {update_of[s], block_size(s)},
           {m_buf.get(), est.max_m_bytes / sizeof(real_t)}, scratch, kind, d,
-          pivot, hooks);
+          pivot_magnitude, hooks);
       if (boosted != kFrontRejected) {
         if (spill != nullptr) {
           dest.spill->write_panel(s, panel);
@@ -250,7 +246,7 @@ void factor_serial(const SymbolicFactor& sym, PanelDest dest, FactorKind kind,
   std::unique_ptr<FrontHooks> hooks;
   if (abft != nullptr) hooks = make_abft_hooks(sym, kind, d, *abft, checksums);
   SerialDriver driver{sym,         dest,        kind,
-                      d,           resolve_pivot_policy(pivot, sym.a),
+                      d,           pivot_magnitude(pivot, sym.a),
                       hooks.get(), std::move(cancel)};
   if (root == kNone) {
     driver.run(0, sym.n_supernodes - 1);

@@ -28,21 +28,21 @@ enum class FactorKind {
 
 /// Static-pivoting policy threaded through every factorization engine.
 /// Disabled (the historical throw-on-breakdown behavior) by default; when
-/// `boost` is set, pivots with |pivot| <= threshold are replaced by
-/// ±`value` and counted instead of aborting. Zero threshold/value mean
-/// "auto": resolve_pivot_policy fills in sqrt(eps) * max|A|, the
-/// SuperLU_DIST static-pivoting magnitude, whose accuracy loss iterative
-/// refinement recovers (see DESIGN.md "Robustness & failure model").
+/// `boost` is set, pivots with |pivot| <= pivot_magnitude(policy, A) are
+/// replaced by ±that magnitude and counted instead of aborting. The
+/// magnitude is sqrt(eps) * max|A|, the SuperLU_DIST static-pivoting
+/// magnitude, whose accuracy loss iterative refinement recovers (see
+/// DESIGN.md "Robustness & failure model").
 struct PivotPolicy {
   bool boost = false;
-  real_t threshold = 0.0;  ///< 0 = auto (sqrt(eps) * max|A|)
-  real_t value = 0.0;      ///< 0 = auto (same as threshold)
 };
 
-/// Resolves "auto" fields of `policy` against the matrix that will be
-/// factorized. Idempotent; returns `policy` unchanged when boost is off.
-[[nodiscard]] PivotPolicy resolve_pivot_policy(PivotPolicy policy,
-                                               const SparseMatrix& a);
+/// The boost magnitude `policy` gives the matrix `a`: sqrt(eps) * max|A|
+/// with boosting on, 0 with it off. A zero matrix also gets 0, and a
+/// magnitude of 0 boosts nothing (PivotBoost), so its zero pivots break
+/// down instead of being "boosted" to zero.
+[[nodiscard]] real_t pivot_magnitude(PivotPolicy policy,
+                                     const SparseMatrix& a);
 
 /// Serial multifrontal factorization of sym.a (the postordered matrix held
 /// by the symbolic phase): the serial driver with no hooks — the bitwise

@@ -16,19 +16,12 @@
 
 #include "support/checksum.h"
 #include "support/error.h"
+#include "support/prng.h"
 #include "support/status.h"
 
 namespace parfact::mpsim {
 
 namespace {
-
-/// splitmix64 finalizer — the scrambler behind the fault dice.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 /// Deterministic uniform [0, 1) draw for one fault decision. Purely a
 /// function of its arguments: host scheduling cannot perturb the dice.

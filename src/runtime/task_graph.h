@@ -102,9 +102,6 @@ class TaskGraph {
   void declare_deps(tag_t task, std::span<const tag_t> deps);
   void declare_deps(tag_t task, std::initializer_list<tag_t> deps);
 
-  [[nodiscard]] bool has_task(tag_t tag) const {
-    return index_of_.find(tag) != index_of_.end();
-  }
   [[nodiscard]] index_t n_tasks() const {
     return static_cast<index_t>(tasks_.size());
   }

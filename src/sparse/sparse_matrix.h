@@ -65,7 +65,6 @@ class TripletBuilder {
 
   [[nodiscard]] index_t rows() const { return rows_; }
   [[nodiscard]] index_t cols() const { return cols_; }
-  [[nodiscard]] std::size_t entry_count() const { return entries_.size(); }
 
   /// Compiles to CSC, summing duplicates and dropping exact zeros that result
   /// from cancellation only if `drop_zeros` is set.

@@ -11,13 +11,26 @@
 
 namespace parfact {
 
+/// splitmix64 finalizer: a bijective scrambler of one 64-bit word. The
+/// seeding of Prng below, and the fault dice and injection targets that
+/// must be pure functions of their seeds, all run through it.
+[[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 /// xoshiro256** 1.0 (Blackman & Vigna), seeded through splitmix64 so that any
 /// 64-bit seed — including 0 — yields a well-mixed state.
 class Prng {
  public:
   explicit Prng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) {
-    std::uint64_t x = seed;
-    for (auto& word : state_) word = splitmix64(x);
+    // The splitmix64 stream: word i is mix64(seed + i * golden ratio).
+    for (auto& word : state_) {
+      word = mix64(seed);
+      seed += 0x9e3779b97f4a7c15ull;
+    }
   }
 
   /// Uniform 64-bit word.
@@ -69,14 +82,6 @@ class Prng {
   double next_sign() { return (next_u64() & 1u) ? 1.0 : -1.0; }
 
  private:
-  static std::uint64_t splitmix64(std::uint64_t& x) {
-    x += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    return z ^ (z >> 31);
-  }
-
   static std::uint64_t rotl(std::uint64_t v, int k) {
     return (v << k) | (v >> (64 - k));
   }

@@ -182,41 +182,6 @@ TEST(Cg, MatchesDirectSolve) {
   }
 }
 
-TEST(Cg, FactorPreconditionedCgOnPerturbedMatrix) {
-  // Factor A, then solve with a slightly perturbed A' using the stale
-  // factor as preconditioner: convergence in very few iterations.
-  const SparseMatrix a = grid_laplacian_3d(7, 7, 7, 7);
-  const SymbolicFactor sym = analyze_nested_dissection(a);
-  const CholeskyFactor f = multifrontal_factor(sym);
-  // Perturb the postordered matrix's diagonal by ~3%.
-  SparseMatrix perturbed = sym.a;
-  Prng prng(17);
-  for (index_t j = 0; j < perturbed.cols; ++j) {
-    perturbed.values[perturbed.col_ptr[j]] *=
-        1.0 + 0.03 * prng.next_real(-1, 1);
-  }
-  const auto b = random_vector(perturbed.rows, 19);
-  std::vector<real_t> x(b.size(), 0.0);
-  const CgResult r = conjugate_gradient_factor_preconditioned(
-      perturbed, f, b, x, 50, 1e-12);
-  EXPECT_TRUE(r.converged);
-  EXPECT_LE(r.iterations, 15);
-  EXPECT_LT(relative_residual(perturbed, x, b), 1e-11);
-}
-
-TEST(Cg, FactorPreconditionedIsExactOnUnperturbedMatrix) {
-  // With the exact factor as preconditioner, CG converges in one step.
-  const SparseMatrix a = random_spd(80, 3, 23);
-  const SymbolicFactor sym = analyze(a);
-  const CholeskyFactor f = multifrontal_factor(sym);
-  const auto b = random_vector(sym.n, 29);
-  std::vector<real_t> x(b.size(), 0.0);
-  const CgResult r =
-      conjugate_gradient_factor_preconditioned(sym.a, f, b, x, 10, 1e-12);
-  EXPECT_TRUE(r.converged);
-  EXPECT_LE(r.iterations, 2);
-}
-
 TEST(Cg, ZeroRhsGivesZeroSolution) {
   const SparseMatrix a = banded_spd(12, 2);
   std::vector<real_t> b(12, 0.0);

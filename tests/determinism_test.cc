@@ -114,7 +114,7 @@ TEST(Determinism, SaddlePointPerturbationCounts) {
   // (the kkt pivots themselves are healthy at this size).
   const SparseMatrix kkt =
       append_decoupled_rows(saddle_point_kkt(60, 25, 4, 3), 4, 1e-30);
-  PivotPolicy pivot = resolve_pivot_policy({.boost = true}, kkt);
+  const PivotPolicy pivot{.boost = true};
   const SymbolicFactor sym = analyze(kkt);
   FactorStats stats;
   (void)multifrontal_factor(sym, &stats, FactorKind::kLdlt, pivot);

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/service.h"
 #include "api/solver.h"
 #include "baseline/iccg.h"
 #include "baseline/left_looking.h"
@@ -97,7 +98,7 @@ TEST(PivotBoost, LdltBoostPreservesPivotSign) {
   a.at(1, 1) = 1e-30;
   a.at(2, 2) = -1e-30;
   std::vector<real_t> d(static_cast<std::size_t>(n));
-  PivotBoost boost{1e-8, 1e-8, 0};
+  PivotBoost boost{1e-8};
   ASSERT_EQ(ldlt_lower(a, d, &boost), kNone);
   EXPECT_EQ(boost.count, 2);
   EXPECT_DOUBLE_EQ(d[0], 4.0);
@@ -111,7 +112,7 @@ TEST(PivotBoost, NonFinitePivotIsNeverBoosted) {
   MatrixView a{buf.data(), n, n, n};
   a.at(0, 0) = 1.0;
   a.at(1, 1) = std::numeric_limits<real_t>::quiet_NaN();
-  PivotBoost boost{1e-8, 1e-8, 0};
+  PivotBoost boost{1e-8};
   EXPECT_EQ(potrf_lower(a, &boost), 1);
   EXPECT_EQ(boost.count, 0);
 }
@@ -277,6 +278,115 @@ TEST(SolverRobust, StaticPivotingOffRestoresThrowingBehavior) {
   Solver solver(options);
   solver.analyze(test_matrix(1, -1.0));
   EXPECT_THROW((void)solver.factorize(), Error);
+}
+
+// --- Zero-norm matrices ----------------------------------------------------
+// The boost magnitude sqrt(eps)·max|A| of a zero matrix is 0, and a zero
+// magnitude boosts nothing: its zero pivots must break down. "Boosting"
+// them to 0 factors diag(0, 0, 0) as kPerturbed and solves it to +inf.
+
+SparseMatrix diagonal(const std::vector<real_t>& d) {
+  const auto n = static_cast<index_t>(d.size());
+  SparseMatrix a(n, n);
+  for (index_t j = 0; j < n; ++j) {
+    a.col_ptr[j + 1] = j + 1;
+    a.row_ind.push_back(j);
+    a.values.push_back(d[static_cast<std::size_t>(j)]);
+  }
+  return a;
+}
+
+/// The StatusCode a run throws as StatusError (kOk if it returns).
+template <typename Run>
+StatusCode thrown_code(Run&& run) {
+  try {
+    run();
+  } catch (const StatusError& e) {
+    return e.status().code;
+  }
+  return StatusCode::kOk;
+}
+
+constexpr FactorKind kBothKinds[] = {FactorKind::kCholesky, FactorKind::kLdlt};
+
+TEST(ZeroNorm, SolverAndServiceReportBreakdown) {
+  const SparseMatrix zero = diagonal({0.0, 0.0, 0.0});
+  for (const FactorKind kind : kBothKinds) {
+    SolverOptions options;
+    options.factor_kind = kind;
+    ASSERT_TRUE(options.static_pivoting);
+    Solver solver(options);
+    solver.analyze(zero);
+    EXPECT_EQ(thrown_code([&] { (void)solver.factorize(); }),
+              StatusCode::kBreakdown)
+        << "kind " << static_cast<int>(kind);
+    EXPECT_FALSE(solver.has_factor());
+  }
+  SolverService service;
+  SessionId id = 0;
+  ASSERT_TRUE(service.open(zero, id).ok());
+  EXPECT_EQ(service.factorize(id).code, StatusCode::kBreakdown);
+}
+
+TEST(ZeroNorm, EveryEngineReportsBreakdownWithBoostOn) {
+  const SparseMatrix zero = diagonal({0.0, 0.0, 0.0});
+  EXPECT_EQ(pivot_magnitude(boosted(), zero), 0.0);
+  const SymbolicFactor sym = analyze(zero);
+  for (const FactorKind kind : kBothKinds) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    EXPECT_EQ(thrown_code([&] {
+                (void)multifrontal_factor(sym, nullptr, kind, boosted());
+              }),
+              StatusCode::kBreakdown);
+
+    ThreadPool pool(2);  // a threads = 2 solver's pool: the task DAG runs
+    GovernedOptions opts;
+    opts.kind = kind;
+    opts.pool = &pool;
+    ResourceBudget budget;
+    const GovernedFactorizeResult dag =
+        multifrontal_factorize_governed(sym, budget, opts);
+    EXPECT_EQ(dag.status.code, StatusCode::kBreakdown);
+    EXPECT_FALSE(dag.factor.has_value());
+
+    const FrontMap map =
+        build_front_map(sym, 1, MappingStrategy::kSubtree2d, 8, 1e3);
+    const DistFactorResult dist =
+        distributed_factor_checked(sym, map, {}, kind, boosted());
+    EXPECT_EQ(dist.status.code, StatusCode::kBreakdown);
+  }
+  EXPECT_EQ(thrown_code([&] {
+              (void)incomplete_cholesky0(zero, boosted());
+            }),
+            StatusCode::kBreakdown);
+}
+
+TEST(ZeroNorm, OneZeroPivotInANonzeroMatrixKeepsItsBoost) {
+  const SparseMatrix a = diagonal({0.0, 1.0, 1.0});
+  const real_t magnitude =
+      std::sqrt(std::numeric_limits<real_t>::epsilon());  // 1.49e-8
+  EXPECT_EQ(pivot_magnitude(boosted(), a), magnitude);
+  for (const FactorKind kind : kBothKinds) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    SolverOptions options;
+    options.factor_kind = kind;
+    Solver solver(options);
+    solver.analyze(a);
+    const Status st = solver.factorize();
+    EXPECT_EQ(st.code, StatusCode::kPerturbed);
+    EXPECT_EQ(st.perturbations, 1);
+    index_t k = 0;
+    while (solver.permutation()[k] != 0) ++k;
+    if (kind == FactorKind::kCholesky) {
+      EXPECT_EQ(solver.factor().entry(k, k), std::sqrt(magnitude));
+    } else {
+      EXPECT_EQ(solver.factor().diag()[k], magnitude);
+    }
+    const std::vector<real_t> x = solver.solve(std::vector<real_t>{1, 1, 1});
+    EXPECT_TRUE(std::isfinite(x[0]));
+    EXPECT_EQ(x[1], 1.0);
+    EXPECT_EQ(x[2], 1.0);
+  }
 }
 
 // --- Distributed fault tolerance -------------------------------------------

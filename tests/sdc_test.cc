@@ -603,7 +603,7 @@ TEST(SolverSdc, StoredFactorFlipHealedByLocalizedRecompute) {
   EXPECT_GE(solver.report().fronts_recomputed, 1);
   EXPECT_LT(solver.report().fronts_recomputed, solver.report().n_supernodes)
       << "repair should be localized, not a full refactorize";
-  EXPECT_LE(solver.report().verify_residual, options.verify_tolerance);
+  EXPECT_LE(solver.report().verify_residual, 1e-8);
   ASSERT_EQ(x.size(), want.size());
   for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(x[i], want[i]);
 }
@@ -663,7 +663,7 @@ TEST(SolverSdc, StoredFactorFlipHealedInRefinedSolve) {
     ASSERT_TRUE(solver.factorize().ok());
     const std::vector<real_t> x = solver.solve_refined(b, nrhs);
     EXPECT_TRUE(solver.report().corruption_detected);
-    EXPECT_LE(solver.report().verify_residual, options.verify_tolerance);
+    EXPECT_LE(solver.report().verify_residual, 1e-8);
     ASSERT_EQ(x.size(), want.size());
     for (std::size_t i = 0; i < x.size(); ++i) EXPECT_EQ(x[i], want[i]);
   }
@@ -719,7 +719,7 @@ TEST(SolverSdc, CleanVerifiedSolveReportsResidualOnly) {
   (void)solver.solve_multi(b, 1);
   EXPECT_FALSE(solver.report().corruption_detected);
   EXPECT_GT(solver.report().verify_residual, 0.0);
-  EXPECT_LE(solver.report().verify_residual, options.verify_tolerance);
+  EXPECT_LE(solver.report().verify_residual, 1e-8);
 }
 
 // --- mpsim wire-level bit flips --------------------------------------------

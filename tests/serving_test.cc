@@ -98,8 +98,7 @@ std::shared_ptr<const CachedAnalysis> make_entry(const SparseMatrix& lower) {
     vmap[q] = static_cast<index_t>(q);
   }
   return std::make_shared<CachedAnalysis>(std::move(sym), probe.permutation(),
-                                          std::move(vmap),
-                                          SolveScheduleOptions{});
+                                          std::move(vmap));
 }
 
 TEST(SymbolicCacheTest, HitMissCountsAndLruEviction) {
@@ -174,6 +173,51 @@ TEST_P(CachedAnalyzeTest, HitIsBitwiseIdenticalToCold) {
 
 INSTANTIATE_TEST_SUITE_P(SerialAndParallel, CachedAnalyzeTest,
                          ::testing::Values(1, 4));
+
+// The cache key is (pattern, ordering). Solvers that differ in any other
+// option analyze a pattern once and share its entry; each ordering gets its
+// own entry and its own permutation.
+TEST(CachedAnalyze, KeyIsPatternAndOrderingOnly) {
+  const SparseMatrix a = grid_laplacian_2d(12, 11);
+  SymbolicCache cache(8);
+  std::vector<SolverOptions> variants(7);
+  variants[1].threads = 4;
+  variants[2].factor_kind = FactorKind::kLdlt;
+  variants[3].static_pivoting = false;
+  variants[4].abft = true;
+  variants[5].verify = SolverOptions::Verify::kFull;
+  variants[6].memory_budget_bytes = 1 << 20;
+  std::vector<index_t> nd_perm;
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    SCOPED_TRACE(v);
+    variants[v].symbolic_cache = &cache;
+    Solver solver(variants[v]);
+    solver.analyze(a);
+    EXPECT_EQ(solver.report().symbolic_cache_misses, v == 0 ? 1 : 0);
+    EXPECT_EQ(solver.report().symbolic_cache_hits, v == 0 ? 0 : 1);
+    if (v == 0) nd_perm = solver.permutation();
+    EXPECT_EQ(solver.permutation(), nd_perm);
+  }
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.misses(), 1);
+  EXPECT_EQ(cache.hits(), static_cast<count_t>(variants.size()) - 1);
+
+  std::vector<std::vector<index_t>> perms = {nd_perm};
+  for (const auto ordering : {SolverOptions::Ordering::kNatural,
+                              SolverOptions::Ordering::kMinimumDegree}) {
+    SolverOptions opt;
+    opt.ordering = ordering;
+    opt.symbolic_cache = &cache;
+    Solver solver(opt);
+    solver.analyze(a);
+    EXPECT_EQ(solver.report().symbolic_cache_misses, 1);
+    EXPECT_EQ(solver.report().symbolic_cache_hits, 0);
+    for (const auto& other : perms) EXPECT_NE(solver.permutation(), other);
+    perms.push_back(solver.permutation());
+  }
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.misses(), 3);
+}
 
 // EXPECT_EQ on double vectors takes −0.0 == +0.0, so the identity above
 // cannot see a sign flip. A stored −0.0 must reach sym.a with its bits on
@@ -528,7 +572,7 @@ TEST(SpillFactorTest, SharedPathWithGovernedSpillKeepsItsFile) {
 // block partition and refinement loop as a resident one, so every solve
 // entry point and the condition estimate give the same bits resident,
 // spilled (spill_factor() or the budget's spill rung) and reloaded — with
-// nrhs on both sides of solve_rhs_block.
+// nrhs on both sides of the sweeps' RHS block.
 
 bool bitwise_equal(const std::vector<real_t>& x, const std::vector<real_t>& y) {
   return x.size() == y.size() &&
@@ -542,16 +586,19 @@ std::vector<real_t> random_block(index_t n, index_t nrhs, std::uint64_t seed) {
   return b;
 }
 
+/// The solve sweeps' block width: every Solver runs SolveScheduleOptions{}.
+constexpr index_t kRhsBlock = SolveScheduleOptions{}.rhs_block;
+
 /// Every solve entry point's answer, then the condition estimate.
 std::vector<std::vector<real_t>> every_answer(const Solver& solver,
-                                              index_t n, index_t rhs_block) {
+                                              index_t n) {
   const std::vector<real_t> b = random_block(n, 1, 5);
   std::vector<std::vector<real_t>> out;
   out.push_back(solver.solve(b));
   out.push_back(solver.solve_multi(b, 1));
   out.push_back(solver.solve_refined(b, 1));
   out.push_back(solver.solve_refined(b));
-  for (const index_t nrhs : {rhs_block, rhs_block + 1}) {
+  for (const index_t nrhs : {kRhsBlock, kRhsBlock + 1}) {
     const std::vector<real_t> bb = random_block(n, nrhs, 7 + nrhs);
     out.push_back(solver.solve_multi(bb, nrhs));
     out.push_back(solver.solve_refined(bb, nrhs));
@@ -590,17 +637,17 @@ TEST_P(SpillIdentityTest, ResidentSpilledAndReloadedAnswersAreBitwiseEqual) {
   Solver solver(opt);
   solver.analyze(a);
   ASSERT_TRUE(solver.factorize().ok());
-  const auto resident = every_answer(solver, a.rows, opt.solve_rhs_block);
+  const auto resident = every_answer(solver, a.rows);
 
   ASSERT_TRUE(solver.spill_factor().ok());
   ASSERT_TRUE(solver.factor_spilled());
   expect_same_answers(resident,
-                      every_answer(solver, a.rows, opt.solve_rhs_block),
+                      every_answer(solver, a.rows),
                       "spill_factor()");
   ASSERT_TRUE(solver.unspill_factor().ok());
   ASSERT_FALSE(solver.factor_spilled());
   expect_same_answers(resident,
-                      every_answer(solver, a.rows, opt.solve_rhs_block),
+                      every_answer(solver, a.rows),
                       "unspill_factor()");
 
   // The budget ladder's spill rung writes the factor while it factors.
@@ -616,7 +663,7 @@ TEST_P(SpillIdentityTest, ResidentSpilledAndReloadedAnswersAreBitwiseEqual) {
   ASSERT_TRUE(governed.factorize().ok());
   ASSERT_EQ(governed.report().admission, Admission::kSpill);
   expect_same_answers(resident,
-                      every_answer(governed, a.rows, gopt.solve_rhs_block),
+                      every_answer(governed, a.rows),
                       "spill rung");
 }
 
@@ -642,9 +689,9 @@ SparseMatrix thread_count_matrix(FactorKind kind) {
 
 /// solve, solve_multi and solve_refined one column past a RHS block,
 /// solve_refined, then factorize_and_solve (which re-factors).
-std::vector<std::vector<real_t>> threaded_answers(Solver& solver, index_t n,
-                                                  index_t rhs_block) {
-  const index_t nrhs = rhs_block + 1;
+std::vector<std::vector<real_t>> threaded_answers(Solver& solver,
+                                                  index_t n) {
+  const index_t nrhs = kRhsBlock + 1;
   const std::vector<real_t> b = random_block(n, 1, 11);
   const std::vector<real_t> bb = random_block(n, nrhs, 13);
   std::vector<std::vector<real_t>> out;
@@ -669,7 +716,7 @@ TEST_P(ThreadCountIdentityTest, PermutationFactorAndAnswersIgnoreThreads) {
   Solver serial(opt);
   serial.analyze(a);
   ASSERT_TRUE(serial.factorize().ok());
-  const auto want = threaded_answers(serial, a.rows, opt.solve_rhs_block);
+  const auto want = threaded_answers(serial, a.rows);
 
   for (const int threads : {2, 4}) {
     SCOPED_TRACE(threads);
@@ -682,7 +729,7 @@ TEST_P(ThreadCountIdentityTest, PermutationFactorAndAnswersIgnoreThreads) {
     expect_panels_bitwise_equal(serial.symbolic(), serial.factor(),
                                 threaded.factor());
     expect_same_answers(
-        want, threaded_answers(threaded, a.rows, topt.solve_rhs_block),
+        want, threaded_answers(threaded, a.rows),
         "threads > 1");
   }
 }
@@ -698,7 +745,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ThreadCountTest, ServiceSessionAnswersAlikeAtAnyThreadCount) {
   const SparseMatrix a = thread_count_matrix(FactorKind::kCholesky);
   const SparseMatrix a2 = scaled_values(a, 1.25);
-  const index_t nrhs = SolverOptions{}.solve_rhs_block + 1;
+  const index_t nrhs = kRhsBlock + 1;
   const std::vector<real_t> b = random_block(a.rows, 1, 17);
   const std::vector<real_t> bb = random_block(a.rows, nrhs, 19);
   const auto session_answers = [&](int threads) {
@@ -1227,7 +1274,7 @@ TEST(SolverServiceTest, StreamedSessionAnswersLikeResidentSolver) {
   ASSERT_TRUE(svc.report(id, report).ok());
   ASSERT_EQ(report.admission, Admission::kSpill);
 
-  const index_t nrhs = opt.solver.solve_rhs_block + 8;
+  const index_t nrhs = kRhsBlock + 8;
   const std::vector<real_t> b = random_block(a.rows, nrhs, 31);
   std::vector<real_t> x;
   ASSERT_TRUE(svc.solve_batch(id, b, nrhs, x).ok());

@@ -1,8 +1,9 @@
 // Property tests for the schedule-driven solve engine: schedule structure
 // invariants, bitwise identity of threaded vs serial sweeps, identity of the
-// engine with the push-based reference sweep, batch-vs-loop identity at the
-// Solver level, blocked refinement, and the residual's non-finite guard.
+// engine with the push-based reference sweep, batch-vs-loop identity,
+// blocked refinement, and the residual's non-finite guard.
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -289,6 +290,66 @@ TEST(SolveEngine, ScheduleRefinementConverges) {
   EXPECT_LE(r.residual, 1e-13);
 }
 
+TEST(SolveEngine, WidthOneBlockEqualsColumnLoop) {
+  const SparseMatrix a = grid_laplacian_2d(16, 14);
+  const SymbolicFactor sym = analyze(a);
+  const CholeskyFactor factor = multifrontal_factor(sym);
+  SolveScheduleOptions opts;
+  opts.rhs_block = 1;
+  const SolveSchedule schedule(sym, opts);
+  SolveWorkspace workspace;
+  const index_t nrhs = 5;
+  const std::vector<real_t> b = random_rhs(sym.n, nrhs, 31);
+  std::vector<real_t> xb = b;
+  solve_in_place(factor, MatrixView{xb.data(), sym.n, nrhs, sym.n}, schedule,
+                 workspace);
+  const std::size_t n = static_cast<std::size_t>(sym.n);
+  for (index_t r = 0; r < nrhs; ++r) {
+    std::vector<real_t> xr(b.begin() + static_cast<std::ptrdiff_t>(r * n),
+                           b.begin() + static_cast<std::ptrdiff_t>((r + 1) * n));
+    solve_in_place(factor, MatrixView{xr.data(), sym.n, 1, sym.n}, schedule,
+                   workspace);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(xb[static_cast<std::size_t>(r) * n + i], xr[i])
+          << "rhs " << r << " entry " << i;
+    }
+  }
+}
+
+TEST(SolveEngine, ZeroRefinementPassesOnlyMeasure) {
+  const SparseMatrix a = grid_laplacian_2d(16, 14);
+  const SymbolicFactor sym = analyze(a);
+  const CholeskyFactor factor = multifrontal_factor(sym);
+  const SolveSchedule schedule(sym);
+  SolveWorkspace workspace;
+  const index_t nrhs = 3;
+  const std::vector<real_t> b = random_rhs(sym.n, nrhs, 29);
+  std::vector<real_t> x = b;
+  solve_in_place(factor, MatrixView{x.data(), sym.n, nrhs, sym.n}, schedule,
+                 workspace);
+  const std::vector<real_t> solved = x;
+  int solves = 0;
+  const RefinementResult r =
+      refine(sym.a, ConstMatrixView{b.data(), sym.n, nrhs, sym.n},
+             MatrixView{x.data(), sym.n, nrhs, sym.n},
+             [&](MatrixView) { ++solves; }, /*passes=*/0, 1e-14);
+  EXPECT_EQ(solves, 0);
+  EXPECT_EQ(r.iterations, 0);
+  ASSERT_EQ(std::memcmp(x.data(), solved.data(), x.size() * sizeof(real_t)),
+            0)
+      << "passes = 0 moved x";
+  // The reported residual is the worst column's relative residual.
+  const std::size_t n = static_cast<std::size_t>(sym.n);
+  real_t worst = 0.0;
+  for (index_t c = 0; c < nrhs; ++c) {
+    const std::size_t off = static_cast<std::size_t>(c) * n;
+    worst = std::max(worst, relative_residual(sym.a, {x.data() + off, n},
+                                              {b.data() + off, n}));
+  }
+  EXPECT_EQ(r.residual, worst);
+  EXPECT_GT(r.residual, 0.0);
+}
+
 // --- Solver-facade contracts. ---
 
 SparseMatrix solver_matrix() { return grid_laplacian_2d(16, 14); }
@@ -307,54 +368,12 @@ TEST(SolverBatch, SolveIsSolveMultiWithOneColumn) {
   }
 }
 
-TEST(SolverBatch, RefinedWithoutStepsIsSolveMulti) {
-  SolverOptions options;
-  options.solve_rhs_block = 4;
-  options.refinement_steps = 0;
-  Solver solver(options);
-  const SparseMatrix a = solver_matrix();
-  solver.analyze(a);
-  ASSERT_TRUE(solver.factorize().ok());
-  const index_t nrhs = 10;  // blocks of 4, 4, 2
-  const std::vector<real_t> b = random_rhs(a.rows, nrhs, 29);
-  const std::vector<real_t> xm = solver.solve_multi(b, nrhs);
-  const std::vector<real_t> xr = solver.solve_refined(b, nrhs);
-  ASSERT_EQ(xr.size(), xm.size());
-  for (std::size_t i = 0; i < xm.size(); ++i) {
-    ASSERT_EQ(xr[i], xm[i]) << "entry " << i;
-  }
-}
-
-TEST(SolverBatch, WidthOneBatchEqualsSolveLoop) {
-  SolverOptions options;
-  options.solve_rhs_block = 1;
-  Solver solver(options);
-  const SparseMatrix a = solver_matrix();
-  solver.analyze(a);
-  ASSERT_TRUE(solver.factorize().ok());
-  const index_t nrhs = 5;
-  const std::vector<real_t> b = random_rhs(a.rows, nrhs, 31);
-  const std::vector<real_t> xb = solver.solve_multi(b, nrhs);
-  const std::size_t n = static_cast<std::size_t>(a.rows);
-  for (index_t r = 0; r < nrhs; ++r) {
-    const std::vector<real_t> xr = solver.solve(
-        std::span<const real_t>(b.data() + static_cast<std::size_t>(r) * n,
-                                n));
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(xb[static_cast<std::size_t>(r) * n + i], xr[i])
-          << "rhs " << r << " entry " << i;
-    }
-  }
-}
-
 TEST(SolverBatch, RefinedBlockSolvesEveryColumn) {
-  SolverOptions options;
-  options.solve_rhs_block = 4;
-  Solver solver(options);
+  Solver solver;
   const SparseMatrix a = solver_matrix();
   solver.analyze(a);
   ASSERT_TRUE(solver.factorize().ok());
-  const index_t nrhs = 6;  // blocks of 4, 2
+  const index_t nrhs = 40;  // blocks of 32, 8
   const std::vector<real_t> b = random_rhs(a.rows, nrhs, 37);
   const std::vector<real_t> x = solver.solve_refined(b, nrhs);
   ASSERT_EQ(x.size(), b.size());
