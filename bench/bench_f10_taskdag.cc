@@ -54,9 +54,9 @@ index_t vslab_count(count_t flops, index_t rows, int workers) {
 /// Builds the static two-phase schedule as a task graph with the same flop
 /// costs the DAG engine uses: maximal light subtrees as one task each, a
 /// global barrier, then the heavy top-of-tree fronts one at a time with
-/// stage-barriered intra-front slabs (parallel_for semantics: every worker
-/// joins each kernel stage of the front). Task bodies are empty — this
-/// graph exists only to be replayed by simulate_makespan.
+/// stage-barriered intra-front slabs (every worker joins each kernel stage
+/// of the front). Task bodies are empty — this graph exists only to be
+/// replayed by simulate_makespan.
 void build_two_phase_graph(rt::TaskGraph& g, const SymbolicFactor& sym,
                            count_t coop, int workers) {
   const index_t ns = sym.n_supernodes;
@@ -147,9 +147,9 @@ void build_two_phase_graph(rt::TaskGraph& g, const SymbolicFactor& sym,
       const count_t slab_flops =
           std::max<count_t>(static_cast<count_t>(r1 - r0) * (r1 + r0) * p, 1);
       g.add_task(tag, [] {}, static_cast<double>(slab_flops));
-      // parallel_for barriers between the TRSM and SYRK stages: every
-      // update slab waits for the whole panel (unlike the DAG engine's
-      // per-slab pipelining).
+      // A barrier between the TRSM and SYRK stages: every update slab
+      // waits for the whole panel (unlike the DAG engine's per-slab
+      // pipelining).
       g.declare_deps(tag, trsm_tags);
       upd_tags.push_back(tag);
     }

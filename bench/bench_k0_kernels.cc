@@ -89,12 +89,16 @@ void BM_GemmNtPool(benchmark::State& state) {
   const ConstMatrixView a{aa.data(), m, m, m};
   const ConstMatrixView b{ba.data(), m, m, m};
   for (auto _ : state) {
-    parallel_for(pool, 0, slabs, [&](index_t t) {
-      const index_t r0 = t * m / slabs;
-      const index_t r1 = (t + 1) * m / slabs;
-      gemm_nt_update(c.block(r0, 0, r1 - r0, m), a.block(r0, 0, r1 - r0, m),
-                     b);
-    });
+    TaskGroup group(pool);
+    for (index_t t = 0; t < slabs; ++t) {
+      group.submit([&, t] {
+        const index_t r0 = t * m / slabs;
+        const index_t r1 = (t + 1) * m / slabs;
+        gemm_nt_update(c.block(r0, 0, r1 - r0, m),
+                       a.block(r0, 0, r1 - r0, m), b);
+      });
+    }
+    group.wait();
     benchmark::DoNotOptimize(ca.data());
   }
   state.counters["Gflop/s"] = benchmark::Counter(

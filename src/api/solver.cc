@@ -592,45 +592,67 @@ void Solver::verify_and_repair(
   real_t res = measure(x);
   report_.verify_residual = res;
   if (res <= kVerifyTolerance) return;
-  report_.corruption_detected = true;
 
-  // Detect → localize → recompute. With at-rest checksums armed (ABFT
-  // factorize) the corrupt supernode is found and only its subtree is
-  // re-run; otherwise (or when the checksums bless the factor because the
-  // corruption predates them) the whole factor is recomputed in place from
-  // the kept matrix, inside the allocation the factorization was admitted
-  // with. Either way the repaired factor is bitwise identical to a clean
-  // run, and a result is only returned once it verifies.
+  // Localize: re-runs the subtree of every supernode the at-rest checksums
+  // (armed by an ABFT factorize) flag; returns the fronts recomputed, 0
+  // when none are armed or none flags.
   const PivotPolicy pivot = pivot_policy();
-  for (int attempt = 0; attempt < 2 && factor_.has_value(); ++attempt) {
-    bool localized = false;
-    if (!factor_checksums_.empty()) {
-      index_t bad = verify_factor(*sym_, *factor_, factor_checksums_);
-      index_t guard = 0;
-      count_t healed = 0;
-      while (bad != kNone && guard++ <= sym_->n_supernodes) {
-        healed += recompute_subtree(*sym_, bad, options_.factor_kind, pivot,
-                                    *factor_, &factor_checksums_);
-        bad = verify_factor(*sym_, *factor_, factor_checksums_);
-      }
-      if (healed > 0) {
-        report_.fronts_recomputed += healed;
-        localized = true;
-      } else {
-        // The checksums consider the factor intact: they were computed
-        // over already-corrupt data. Drop them and recompute everything.
-        factor_checksums_ = FactorChecksums{};
-      }
+  const auto heal_flagged = [&]() -> count_t {
+    if (!factor_.has_value() || factor_checksums_.empty()) return 0;
+    count_t healed = 0;
+    index_t bad = verify_factor(*sym_, *factor_, factor_checksums_);
+    for (index_t guard = 0; bad != kNone && guard++ <= sym_->n_supernodes;) {
+      healed += recompute_subtree(*sym_, bad, options_.factor_kind, pivot,
+                                  *factor_, &factor_checksums_);
+      bad = verify_factor(*sym_, *factor_, factor_checksums_);
     }
-    if (!localized) {
+    report_.fronts_recomputed += healed;
+    return healed;
+  };
+  const auto resolve_and_measure = [&] {
+    x = resolve();
+    res = measure(x);
+    report_.verify_residual = res;
+    return res <= kVerifyTolerance;
+  };
+
+  // A factor with boosted pivots misses the tolerance by design (solve_refined
+  // or solve_robust recovers the accuracy), so its residual cannot tell
+  // corruption from the boost: repair only what the checksums localize and
+  // never recompute the whole factor.
+  if (report_.pivot_perturbations > 0) {
+    if (heal_flagged() > 0) {
+      report_.corruption_detected = true;
+      if (resolve_and_measure()) return;
+    }
+    std::ostringstream os;
+    os << "post-solve verification failed: componentwise residual " << res
+       << " exceeds tolerance " << kVerifyTolerance << " on a factor with "
+       << report_.pivot_perturbations
+       << " boosted pivot(s); refine the answer or call solve_robust()";
+    Status status = Status::failure(StatusCode::kNoConvergence, os.str());
+    status.perturbations = report_.pivot_perturbations;
+    throw StatusError(std::move(status));
+  }
+
+  // Detect → localize → recompute. With at-rest checksums armed the
+  // corrupt supernode is found and only its subtree is re-run; otherwise
+  // (or when the checksums bless the factor because the corruption
+  // predates them) the whole factor is recomputed in place from the kept
+  // matrix, inside the allocation the factorization was admitted with.
+  // Either way the repaired factor is bitwise identical to a clean run,
+  // and a result is only returned once it verifies.
+  report_.corruption_detected = true;
+  for (int attempt = 0; attempt < 2 && factor_.has_value(); ++attempt) {
+    if (heal_flagged() == 0) {
+      // Checksums that consider the factor intact were computed over
+      // already-corrupt data: drop them and recompute everything.
+      factor_checksums_ = FactorChecksums{};
       multifrontal_refactor(*sym_, *factor_, nullptr, options_.factor_kind,
                             pivot);
       report_.fronts_recomputed += sym_->n_supernodes;
     }
-    x = resolve();
-    res = measure(x);
-    report_.verify_residual = res;
-    if (res <= kVerifyTolerance) return;
+    if (resolve_and_measure()) return;
   }
   std::ostringstream os;
   os << "post-solve verification failed: componentwise residual " << res
@@ -661,8 +683,10 @@ RobustSolveResult Solver::solve_robust(std::span<const real_t> b) const {
       Status::success(report_.pivot_perturbations);
   RobustSolveResult result;
 
-  // Cheapest first: plain direct solve.
-  result.x = solve(b);
+  // Cheapest first: plain direct solve. The candidates come from the
+  // unverified sweeps: this call's own target accepts or escalates them.
+  check_rhs(b.size(), 1, "solve_robust");
+  result.x = solve_permuted(b, 1, 0);
   result.path = SolvePath::kDirect;
   result.residual = residual(result.x, b);
   if (result.residual <= kTargetResidual) {
@@ -672,7 +696,7 @@ RobustSolveResult Solver::solve_robust(std::span<const real_t> b) const {
 
   // Iterative refinement against the original matrix.
   {
-    std::vector<real_t> refined = solve_refined(b);
+    std::vector<real_t> refined = solve_permuted(b, 1, kRefinementSteps);
     const real_t res = residual(refined, b);
     if (res < result.residual) {
       result.x = std::move(refined);

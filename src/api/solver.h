@@ -98,7 +98,10 @@ struct SolverOptions {
   /// armed, the whole factor in place), re-solves through the same call's
   /// path (a refined solve through its sweeps and corrections), and only
   /// if verification still fails throws kDataCorruption — a silent wrong
-  /// answer is never returned.
+  /// answer is never returned. A factor with boosted pivots misses the
+  /// bound by design, so there a failed check repairs only what the
+  /// checksums localize and then throws kNoConvergence: refine the answer
+  /// or call solve_robust().
   enum class Verify { kOff, kSampled, kFull };
   Verify verify = Verify::kOff;
   /// Fault-campaign hook: one seeded single-bit flip injected into the
@@ -293,7 +296,9 @@ class Solver {
   /// the cheapest path whose scaled residual
   /// ‖b−Ax‖∞/(‖A‖∞‖x‖∞+‖b‖∞) is at most 1e-10 (the CG fallback
   /// runs at most 500 iterations). Always returns the best x found; status
-  /// is kNoConvergence if no path met that target.
+  /// is kNoConvergence if no path met that target. The candidates come
+  /// from the unverified sweeps: that target, not options.verify, accepts
+  /// or escalates them.
   [[nodiscard]] RobustSolveResult solve_robust(std::span<const real_t> b)
       const;
 
@@ -372,7 +377,8 @@ class Solver {
   /// n x k right-hand sides `b`: componentwise residual check, at-rest
   /// factor verification, localized or full in-place recompute, then
   /// x = resolve(). Throws kDataCorruption only if repair cannot restore a
-  /// verifying answer.
+  /// verifying answer; on a factor with boosted pivots repairs only what
+  /// the checksums localize and throws kNoConvergence instead.
   void verify_and_repair(
       std::span<const real_t> b, std::vector<real_t>& x,
       const std::function<std::vector<real_t>()>& resolve) const;

@@ -6,31 +6,6 @@
 
 namespace parfact {
 
-std::vector<index_t> connected_components(const Graph& g,
-                                          index_t* n_components) {
-  std::vector<index_t> comp(static_cast<std::size_t>(g.n), kNone);
-  std::vector<index_t> stack;
-  index_t next_id = 0;
-  for (index_t start = 0; start < g.n; ++start) {
-    if (comp[start] != kNone) continue;
-    comp[start] = next_id;
-    stack.push_back(start);
-    while (!stack.empty()) {
-      const index_t v = stack.back();
-      stack.pop_back();
-      for (index_t u : g.neighbors(v)) {
-        if (comp[u] == kNone) {
-          comp[u] = next_id;
-          stack.push_back(u);
-        }
-      }
-    }
-    ++next_id;
-  }
-  if (n_components != nullptr) *n_components = next_id;
-  return comp;
-}
-
 std::vector<index_t> bfs_levels(const Graph& g, index_t source) {
   PARFACT_CHECK(source >= 0 && source < g.n);
   std::vector<index_t> level(static_cast<std::size_t>(g.n), kNone);

@@ -1,4 +1,4 @@
-// Breadth-first traversals: components, BFS levels, pseudo-peripheral seeds.
+// Breadth-first traversals: BFS levels and pseudo-peripheral seeds.
 #pragma once
 
 #include <vector>
@@ -7,11 +7,6 @@
 #include "support/types.h"
 
 namespace parfact {
-
-/// Connected components. Returns component id per vertex (0-based, dense) and
-/// the number of components via `n_components`.
-[[nodiscard]] std::vector<index_t> connected_components(const Graph& g,
-                                                        index_t* n_components);
 
 /// BFS from `source`; returns the level of every vertex (kNone = unreachable).
 [[nodiscard]] std::vector<index_t> bfs_levels(const Graph& g, index_t source);

@@ -947,17 +947,6 @@ std::size_t abft_state_bytes(const SymbolicFactor& sym, FactorKind kind,
              (sizeof(ColSums) + 2 * sizeof(std::vector<real_t>));
 }
 
-FactorChecksums compute_factor_checksums(const SymbolicFactor& sym,
-                                         const CholeskyFactor& factor) {
-  FactorChecksums out;
-  out.col_sum.assign(static_cast<std::size_t>(sym.n), 0.0);
-  out.col_abs.assign(static_cast<std::size_t>(sym.n), 0.0);
-  for (index_t s = 0; s < sym.n_supernodes; ++s) {
-    panel_checksums(sym, factor, s, out);
-  }
-  return out;
-}
-
 index_t verify_factor(const SymbolicFactor& sym, const CholeskyFactor& factor,
                       const FactorChecksums& checksums) {
   PARFACT_CHECK(!checksums.empty());

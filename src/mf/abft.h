@@ -80,7 +80,7 @@ struct AbftOptions {
 /// Per-column integrity sums of a completed factor: for each postordered
 /// column, the sum (and absolute-value sum, the tolerance scale) of its
 /// stored trapezoidal panel column. Produced by the ABFT engine at front
-/// completion, or post-hoc by compute_factor_checksums.
+/// completion and refreshed by recompute_subtree.
 struct FactorChecksums {
   std::vector<real_t> col_sum;
   std::vector<real_t> col_abs;
@@ -109,11 +109,6 @@ struct FactorChecksums {
 /// child subtree while the parent's other child blocks are live.
 [[nodiscard]] std::size_t abft_state_bytes(const SymbolicFactor& sym,
                                            FactorKind kind, bool checksums);
-
-/// Recomputes `checksums` from a (trusted) factor — used to arm at-rest
-/// verification for factors produced by non-ABFT engines.
-[[nodiscard]] FactorChecksums compute_factor_checksums(
-    const SymbolicFactor& sym, const CholeskyFactor& factor);
 
 /// Verifies the stored factor against its column sums (to kAbftTolerance);
 /// returns the first supernode whose panel mismatches, or kNone if the

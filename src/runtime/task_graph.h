@@ -45,6 +45,7 @@ enum class TaskKind : std::uint8_t {
   kPrep = 4,      ///< LDLᵀ only: keep M, rescale panel to L21 = M D⁻¹
   kUpdate = 5,    ///< one row slab of the trailing SYRK/GEMM update
   kElim = 6,      ///< fused whole-front elimination (small fronts)
+  kSolve = 7,     ///< one sweep's light subtree or top-of-tree supernode
   kUser = 15,     ///< free-form tasks (tests, experiments)
 };
 

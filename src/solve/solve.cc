@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <vector>
 
 #include "dense/kernels.h"
 #include "mf/ooc.h"
+#include "runtime/scheduler.h"
+#include "runtime/task_graph.h"
 #include "sparse/ops.h"
 #include "support/error.h"
 #include "support/thread_pool.h"
@@ -114,10 +117,66 @@ class SpilledPanels {
   std::vector<real_t> buf_;
 };
 
-/// One forward sweep over a single RHS block. Parallel path: independent
-/// subtrees as tasks, then top-of-tree levels ascending (children before
-/// parents). parallel_for is a barrier, so every pull source is complete
-/// before its consumer runs.
+/// One threaded sweep over a single RHS block as a task graph on the
+/// assembly tree; `step(s)` solves supernode s. A task solves the postorder
+/// range [first, root] — a light subtree, or one top-of-tree supernode
+/// (first == root) — tagged by its root and costed at its per-RHS flops, so
+/// seal()'s priorities run the root chain first. Forward, a task waits for
+/// its root's children outside the range; backward, for its root's parent.
+/// Every forward pull source is a descendant and every backward gather row
+/// belongs to an ancestor, so these edges order each read after its write.
+/// Subtrees then the top ascending (reversed backward) is a topological
+/// emission order for either sweep.
+template <bool kForward, class Step>
+void run_sweep_graph(const SolveSchedule& sched, ThreadPool& pool,
+                     const Step& step) {
+  const SymbolicFactor& sym = *sched.sym;
+  const auto tag = [](index_t s) {
+    return rt::make_tag(rt::TaskKind::kSolve, static_cast<std::uint64_t>(s));
+  };
+  rt::TaskGraph graph;
+  const auto add = [&](index_t first, index_t root) {
+    double cost = 0.0;
+    for (index_t s = first; s <= root; ++s) {
+      const double p = sym.sn_cols(s);
+      cost += p * p + 2.0 * p * sym.sn_below(s);
+    }
+    graph.add_task(
+        tag(root),
+        [&step, first, root] {  // small enough for std::function's buffer
+          if constexpr (kForward) {
+            for (index_t s = first; s <= root; ++s) step(s);
+          } else {
+            for (index_t s = root; s >= first; --s) step(s);
+          }
+        },
+        cost);
+    if constexpr (kForward) {
+      for (const index_t c : sym.children(root)) {
+        if (c < first) graph.declare_deps(tag(root), {tag(c)});
+      }
+    } else if (sym.sn_parent[root] != kNone) {
+      graph.declare_deps(tag(root), {tag(sym.sn_parent[root])});
+    }
+  };
+  if constexpr (kForward) {
+    for (index_t t = 0; t < sched.n_tasks(); ++t) {
+      add(sched.task_first[t], sched.task_root[t]);
+    }
+    for (const index_t s : sched.top_sn) add(s, s);
+  } else {
+    for (auto s = sched.top_sn.rbegin(); s != sched.top_sn.rend(); ++s) {
+      add(*s, *s);
+    }
+    for (index_t t = sched.n_tasks() - 1; t >= 0; --t) {
+      add(sched.task_first[t], sched.task_root[t]);
+    }
+  }
+  rt::run_graph(graph, pool);
+}
+
+/// One forward sweep over a single RHS block: the postorder serially, or
+/// the sweep's task graph on a pool of more than one worker.
 template <class Panels>
 void forward_sweep(Panels& panel, const SolveSchedule& sched,
                    SolveWorkspace& ws, MatrixView x, ThreadPool* pool) {
@@ -128,22 +187,13 @@ void forward_sweep(Panels& panel, const SolveSchedule& sched,
     }
     return;
   }
-  parallel_for(*pool, 0, sched.n_tasks(), [&](index_t t) {
-    for (index_t s = sched.task_first[t]; s <= sched.task_root[t]; ++s) {
-      forward_supernode(panel(s), sched, ws, x, s);
-    }
+  run_sweep_graph<true>(sched, *pool, [&](index_t s) {
+    forward_supernode(panel(s), sched, ws, x, s);
   });
-  for (index_t l = 0; l < sched.n_levels(); ++l) {
-    parallel_for(*pool, sched.level_ptr[l], sched.level_ptr[l + 1],
-                 [&](index_t i) {
-                   const index_t s = sched.level_sn[i];
-                   forward_supernode(panel(s), sched, ws, x, s);
-                 });
-  }
 }
 
-/// One backward sweep over a single RHS block: levels descending (parents
-/// before children), then the subtree tasks.
+/// One backward sweep over a single RHS block: the reverse postorder
+/// serially, or the sweep's task graph (parents before children).
 template <class Panels>
 void backward_sweep(Panels& panel, const SolveSchedule& sched,
                     SolveWorkspace& ws, MatrixView x, ThreadPool* pool) {
@@ -154,17 +204,8 @@ void backward_sweep(Panels& panel, const SolveSchedule& sched,
     }
     return;
   }
-  for (index_t l = sched.n_levels() - 1; l >= 0; --l) {
-    parallel_for(*pool, sched.level_ptr[l], sched.level_ptr[l + 1],
-                 [&](index_t i) {
-                   const index_t s = sched.level_sn[i];
-                   backward_supernode(panel(s), sched, ws, x, s);
-                 });
-  }
-  parallel_for(*pool, 0, sched.n_tasks(), [&](index_t t) {
-    for (index_t s = sched.task_root[t]; s >= sched.task_first[t]; --s) {
-      backward_supernode(panel(s), sched, ws, x, s);
-    }
+  run_sweep_graph<false>(sched, *pool, [&](index_t s) {
+    backward_supernode(panel(s), sched, ws, x, s);
   });
 }
 

@@ -9,14 +9,14 @@
 // It processes right-hand sides in fixed-width blocks of
 // schedule.rhs_block columns (each factor panel is streamed once per
 // block), pulls forward updates through the schedule's precomputed plans
-// into a reusable workspace arena, and optionally runs the tree-parallel
-// task/level partition on a ThreadPool — with results bitwise-identical
-// to the serial sweep (see solve_schedule.h for why). The engine takes
-// each supernode's panel from its caller: a resident factor hands out
-// views of its own storage, a spilled one (mf/ooc.h) reads each panel back
-// from its scratch file into one reused buffer, serially and in file
-// order. The per-block arithmetic is the same, so a spilled factor answers
-// bit for bit like the resident one.
+// into a reusable workspace arena, and on a ThreadPool runs each sweep as
+// one rt::TaskGraph over the schedule's tree partition — with results
+// bitwise-identical to the serial sweep (see solve_schedule.h for why).
+// The engine takes each supernode's panel from its caller: a resident
+// factor hands out views of its own storage, a spilled one (mf/ooc.h)
+// reads each panel back from its scratch file into one reused buffer,
+// serially and in file order. The per-block arithmetic is the same, so a
+// spilled factor answers bit for bit like the resident one.
 #pragma once
 
 #include <functional>
@@ -37,8 +37,8 @@ class ThreadPool;
 /// x := A⁻¹ x: forward, (diagonal,) backward — per RHS block, so each
 /// factor panel is read once per schedule.rhs_block right-hand sides.
 /// `pool == nullptr` (or a one-worker pool) runs the serial postorder
-/// sweeps; otherwise independent subtrees run as tasks and the top of the
-/// tree level by level, bitwise identical to serial.
+/// sweeps; otherwise each sweep runs as one task graph on the assembly
+/// tree (rt::run_graph), bitwise identical to serial.
 void solve_in_place(const CholeskyFactor& factor, MatrixView x,
                     const SolveSchedule& schedule, SolveWorkspace& workspace,
                     ThreadPool* pool = nullptr);

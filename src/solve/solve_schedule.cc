@@ -1,7 +1,5 @@
 #include "solve/solve_schedule.h"
 
-#include <algorithm>
-
 #include "support/error.h"
 
 namespace parfact {
@@ -12,7 +10,7 @@ SolveSchedule::SolveSchedule(const SymbolicFactor& symbolic,
   PARFACT_CHECK(rhs_block >= 1);
   const index_t ns = symbolic.n_supernodes;
 
-  // --- Tree partition: maximal light subtrees + leveled top of tree. ---
+  // --- Tree partition: maximal light subtrees + the top of the tree. ---
   // A supernode is light iff its own per-RHS solve work is below the
   // threshold AND every child is light; children precede parents in the
   // postorder, so one ascending pass settles the flags transitively.
@@ -29,37 +27,14 @@ SolveSchedule::SolveSchedule(const SymbolicFactor& symbolic,
 
   // Task roots: light supernodes whose parent is absent or not light. The
   // postorder makes each subtree the contiguous range [first_descendant(r),
-  // r]. Top-of-tree levels propagate child -> parent in the same ascending
-  // pass: a supernode's level ends up strictly above every non-light
-  // child's, so one level's supernodes are mutually ancestor-free.
-  std::vector<index_t> level(static_cast<std::size_t>(ns), 0);
-  index_t max_level = -1;
+  // r]. Every supernode that is not light belongs to no task.
   for (index_t s = 0; s < ns; ++s) {
     const index_t parent = symbolic.sn_parent[s];
-    if (light[s]) {
-      if (parent == kNone || !light[parent]) {
-        task_first.push_back(symbolic.first_descendant(s));
-        task_root.push_back(s);
-      }
-      continue;
-    }
-    max_level = std::max(max_level, level[s]);
-    if (parent != kNone) {
-      level[parent] = std::max(level[parent], level[s] + 1);
-    }
-  }
-  level_ptr.assign(static_cast<std::size_t>(max_level + 2), 0);
-  for (index_t s = 0; s < ns; ++s) {
-    if (!light[s]) ++level_ptr[level[s] + 1];
-  }
-  for (std::size_t l = 1; l < level_ptr.size(); ++l) {
-    level_ptr[l] += level_ptr[l - 1];
-  }
-  level_sn.resize(static_cast<std::size_t>(level_ptr.back()));
-  {
-    std::vector<index_t> fill(level_ptr.begin(), level_ptr.end() - 1);
-    for (index_t s = 0; s < ns; ++s) {
-      if (!light[s]) level_sn[fill[level[s]]++] = s;
+    if (!light[s]) {
+      top_sn.push_back(s);
+    } else if (parent == kNone || !light[parent]) {
+      task_first.push_back(symbolic.first_descendant(s));
+      task_root.push_back(s);
     }
   }
 

@@ -7,13 +7,11 @@
 // the symbolic structure alone) and amortizes all of that across every
 // subsequent solve:
 //
-//   * Tree partition — the assembly tree is split exactly like the PR 1
-//     shared-memory factorization: maximal "light" subtrees (contiguous
-//     postorder index ranges) become independent tasks, and the remaining
-//     top-of-tree supernodes are level-scheduled (a supernode's level is
-//     strictly greater than all of its non-light children's levels).
-//     Forward sweep: tasks in parallel, then levels ascending. Backward
-//     sweep: levels descending, then tasks in parallel.
+//   * Tree partition — maximal "light" subtrees (contiguous postorder
+//     index ranges) become one task each, and every remaining top-of-tree
+//     supernode is a task of its own. A threaded sweep runs them as one
+//     rt::TaskGraph whose edges are the assembly tree's: children first
+//     forward, parents first backward (solve.cc).
 //
 //   * Pull-based forward plan — instead of scattering each supernode's
 //     update −L21·x1 into x (which would race across sibling subtrees and
@@ -88,11 +86,10 @@ struct SolveSchedule {
   /// [task_first[t], task_root[t]] (a contiguous postorder range).
   std::vector<index_t> task_first;
   std::vector<index_t> task_root;
-  /// Level-scheduled top-of-tree supernodes: level l holds
-  /// level_sn[level_ptr[l] .. level_ptr[l+1]). All supernodes in one level
-  /// are mutually independent (no ancestor relation).
-  std::vector<index_t> level_ptr;
-  std::vector<index_t> level_sn;
+  /// Every supernode that belongs to no task, ascending: the top of the
+  /// tree. A task root's parent and a top supernode's parent are top
+  /// supernodes.
+  std::vector<index_t> top_sn;
 
   /// Forward pull plan (CSR over supernodes): segments of ancestors'
   /// pending updates that land in supernode s's panel rows, ascending in
@@ -106,9 +103,6 @@ struct SolveSchedule {
 
   [[nodiscard]] index_t n_tasks() const {
     return static_cast<index_t>(task_root.size());
-  }
-  [[nodiscard]] index_t n_levels() const {
-    return static_cast<index_t>(level_ptr.size()) - 1;
   }
   /// Arena entries needed per RHS column: one slot per below-row entry.
   [[nodiscard]] std::size_t arena_entries_per_rhs() const {

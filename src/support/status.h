@@ -26,8 +26,14 @@ enum class StatusCode {
   kCommFailure,     ///< message lost after exhausting retries
   kCommTimeout,     ///< a wait ran past the host-time safety timeout
   kRankFailure,     ///< a rank crashed and no spare could take over
-  kDataCorruption,  ///< OOC panel checksum mismatch after re-read retry
-  kNoConvergence,   ///< refinement/CG escalation missed the residual target
+  /// Corrupt data that repair could not heal: an OOC panel or checkpoint
+  /// blob failing its digest (after the re-read retry), a front still
+  /// failing its ABFT checks after its recompute attempts, or a post-solve
+  /// verification that factor repair did not restore.
+  kDataCorruption,
+  /// A residual target missed: solve_robust()'s escalation, or post-solve
+  /// verification of an answer from a factor with boosted pivots.
+  kNoConvergence,
   kInvalidInput,    ///< malformed input detected before factorization
   kInternal,        ///< unexpected error escaping a checked entry point
   kCancelled,          ///< caller requested cooperative cancellation

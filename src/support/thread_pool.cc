@@ -100,37 +100,4 @@ void TaskGroup::drain(std::unique_lock<std::mutex>& lock) {
   }
 }
 
-void parallel_for(ThreadPool& pool, index_t begin, index_t end,
-                  const std::function<void(index_t)>& body,
-                  index_t min_grain) {
-  if (begin >= end) return;
-  const index_t n = end - begin;
-  // One chunk per worker load-imbalances badly when per-index costs are
-  // skewed (e.g. supernode subtrees); ~4 chunks per worker lets fast
-  // workers steal the tail, while min_grain caps the scheduling overhead.
-  const index_t target = 4 * static_cast<index_t>(pool.size());
-  const index_t chunk =
-      std::max<index_t>(std::max<index_t>(min_grain, 1),
-                        (n + target - 1) / target);
-  const index_t chunks = (n + chunk - 1) / chunk;
-  TaskGroup group(pool);  // must not return while tasks reference `body`
-  for (index_t c = 1; c < chunks; ++c) {
-    const index_t lo = begin + c * chunk;
-    const index_t hi = std::min<index_t>(lo + chunk, end);
-    group.submit([lo, hi, &body] {
-      for (index_t i = lo; i < hi; ++i) body(i);
-    });
-  }
-  // The calling thread works the first chunk instead of blocking idle.
-  std::exception_ptr local;
-  try {
-    const index_t hi = std::min<index_t>(begin + chunk, end);
-    for (index_t i = begin; i < hi; ++i) body(i);
-  } catch (...) {
-    local = std::current_exception();
-  }
-  group.wait();
-  if (local) std::rethrow_exception(local);
-}
-
 }  // namespace parfact

@@ -1,4 +1,4 @@
-// A small fixed-size thread pool with a parallel_for helper.
+// A small fixed-size thread pool.
 //
 // The shared-memory factorization path and the mpsim runtime both need
 // structured concurrency; this pool provides it without any global state.
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "support/error.h"
-#include "support/types.h"
 
 namespace parfact {
 
@@ -94,15 +93,5 @@ class ThreadPool {
   bool shutting_down_ = false;
   TaskGroup direct_{*this};  // last: its destructor takes mu_
 };
-
-/// Runs body(i) for i in [begin, end) across the pool. The range is split
-/// into roughly 4 chunks per worker (never smaller than `min_grain`
-/// indices) so that skewed per-index costs still load-balance; the calling
-/// thread executes the first chunk itself instead of idling. Blocks until
-/// its own chunks are done (a TaskGroup) and rethrows the first exception
-/// raised by one of them.
-void parallel_for(ThreadPool& pool, index_t begin, index_t end,
-                  const std::function<void(index_t)>& body,
-                  index_t min_grain = 1);
 
 }  // namespace parfact

@@ -69,23 +69,6 @@ TEST(Graph, InducedSubgraph) {
                           [](index_t v) { return v == kNone; }));
 }
 
-TEST(Traversal, ConnectedComponents) {
-  TripletBuilder b(6, 6);
-  for (index_t i = 0; i < 6; ++i) b.add(i, i, 1.0);
-  b.add(1, 0, 1.0);
-  b.add(3, 2, 1.0);
-  b.add(4, 3, 1.0);
-  const Graph g = graph_from_pattern(b.build());
-  index_t nc = 0;
-  const auto comp = connected_components(g, &nc);
-  EXPECT_EQ(nc, 3);
-  EXPECT_EQ(comp[0], comp[1]);
-  EXPECT_EQ(comp[2], comp[3]);
-  EXPECT_EQ(comp[3], comp[4]);
-  EXPECT_NE(comp[0], comp[2]);
-  EXPECT_NE(comp[2], comp[5]);
-}
-
 TEST(Traversal, BfsLevelsOnPath) {
   const Graph g = path_graph(5);
   const auto level = bfs_levels(g, 0);

@@ -4,7 +4,9 @@
 // execution (factor bitwise-identical under injected message faults, clean
 // diagnosed failure when the link is unusable).
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -386,6 +388,111 @@ TEST(ZeroNorm, OneZeroPivotInANonzeroMatrixKeepsItsBoost) {
     EXPECT_TRUE(std::isfinite(x[0]));
     EXPECT_EQ(x[1], 1.0);
     EXPECT_EQ(x[2], 1.0);
+  }
+}
+
+// --- Verification on a boosted factor --------------------------------------
+// A boosted factor misses verify's 1e-8 componentwise bound by design:
+// refinement or solve_robust recovers the accuracy. Its residual cannot
+// tell corruption from the boost, so the verified solves report
+// kNoConvergence without recomputing the factor, and solve_robust
+// escalates as it does without verify.
+
+struct VerifyBoostCase {
+  const char* name;
+  FactorKind kind;
+  bool abft;
+};
+
+/// A verify = kFull solver factored on test_matrix(3, 1e-8): 3 boosts.
+Solver verified_boosted_solver(const SparseMatrix& a, FactorKind kind,
+                               bool abft,
+                               std::optional<SdcInjection> inject = {}) {
+  SolverOptions options;
+  options.factor_kind = kind;
+  options.abft = abft;
+  options.verify = SolverOptions::Verify::kFull;
+  options.inject_sdc = inject;
+  Solver solver(options);
+  solver.analyze(a);
+  const Status st = solver.factorize();
+  EXPECT_EQ(st.code, StatusCode::kPerturbed);
+  EXPECT_EQ(st.perturbations, 3);
+  return solver;
+}
+
+class VerifyBoostedTest : public ::testing::TestWithParam<VerifyBoostCase> {
+};
+
+TEST_P(VerifyBoostedTest, VerifiedSolvesReportNoConvergence) {
+  const SparseMatrix a = test_matrix(3, 1e-8);
+  Solver solver =
+      verified_boosted_solver(a, GetParam().kind, GetParam().abft);
+  const count_t recomputed = solver.report().fronts_recomputed;
+  const auto b = random_vector(a.rows, 17);
+  const auto bb = random_vector(2 * a.rows, 19);
+  EXPECT_EQ(thrown_code([&] { (void)solver.solve(b); }),
+            StatusCode::kNoConvergence);
+  EXPECT_EQ(thrown_code([&] { (void)solver.solve_multi(bb, 2); }),
+            StatusCode::kNoConvergence);
+  EXPECT_EQ(thrown_code([&] { (void)solver.solve_refined(b); }),
+            StatusCode::kNoConvergence);
+  EXPECT_EQ(solver.report().fronts_recomputed, recomputed);
+  EXPECT_FALSE(solver.report().corruption_detected);
+}
+
+TEST_P(VerifyBoostedTest, RobustSolveEscalatesToTarget) {
+  const SparseMatrix a = test_matrix(3, 1e-8);
+  Solver solver =
+      verified_boosted_solver(a, GetParam().kind, GetParam().abft);
+  const count_t recomputed = solver.report().fronts_recomputed;
+  const RobustSolveResult r = solver.solve_robust(random_vector(a.rows, 17));
+  EXPECT_TRUE(r.status.ok()) << r.status.to_string();
+  EXPECT_LE(r.residual, 1e-10);
+  EXPECT_EQ(r.path, SolvePath::kIterativeFallback);
+  EXPECT_EQ(r.status.perturbations, 3);
+  EXPECT_EQ(solver.report().fronts_recomputed, recomputed);
+  EXPECT_FALSE(solver.report().corruption_detected);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, VerifyBoostedTest,
+    ::testing::Values(
+        VerifyBoostCase{"cholesky", FactorKind::kCholesky, false},
+        VerifyBoostCase{"cholesky_abft", FactorKind::kCholesky, true},
+        VerifyBoostCase{"ldlt", FactorKind::kLdlt, false},
+        VerifyBoostCase{"ldlt_abft", FactorKind::kLdlt, true}),
+    [](const ::testing::TestParamInfo<VerifyBoostCase>& info) {
+      return info.param.name;
+    });
+
+TEST(VerifyBoosted, ChecksumsStillRepairWhatTheyLocalize) {
+  // A stored-factor flip in a boosted factor: the at-rest checksums find
+  // the struck supernode and its subtree is recomputed, so the factor is
+  // the clean one again, though the boosted answer still misses the bound.
+  const SparseMatrix a = test_matrix(3, 1e-8);
+  const auto b = random_vector(a.rows, 23);
+  for (const FactorKind kind : kBothKinds) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    Solver clean = verified_boosted_solver(a, kind, true);
+    SdcInjection flip;
+    flip.site = SdcSite::kStoredFactor;
+    flip.supernode = 1;
+    Solver struck = verified_boosted_solver(a, kind, true, flip);
+    EXPECT_EQ(thrown_code([&] { (void)struck.solve(b); }),
+              StatusCode::kNoConvergence);
+    EXPECT_TRUE(struck.report().corruption_detected);
+    EXPECT_GE(struck.report().fronts_recomputed, 1);
+    EXPECT_LT(struck.report().fronts_recomputed,
+              struck.report().n_supernodes);
+    expect_factors_bitwise_equal(clean.symbolic(), clean.factor(),
+                                 struck.factor());
+    const std::vector<real_t> want = clean.solve_robust(b).x;
+    const std::vector<real_t> got = struck.solve_robust(b).x;
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          want.size() * sizeof(real_t)),
+              0);
   }
 }
 

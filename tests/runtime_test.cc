@@ -291,6 +291,53 @@ TEST(Scheduler, DoesNotWaitForAnotherCallersTasks) {
   pool.wait();
 }
 
+TEST(Scheduler, DoesNotRethrowAnotherCallersError) {
+  // Another caller's graph fails on the shared pool while its other task
+  // still runs: the error is that caller's alone. The waits give up after
+  // 5 s, so a run that waits for the other caller fails instead of hanging.
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool blocking = false;
+  bool failing = false;
+  bool release = false;
+  const auto wait_until = [&](const bool& flag) {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait_for(lock, std::chrono::seconds(5), [&] { return flag; });
+  };
+  const auto set = [&](bool& flag) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      flag = true;
+    }
+    cv.notify_all();
+  };
+  std::thread other([&] {
+    TaskGraph g;
+    g.add_task(make_tag(TaskKind::kUser, 0), [&] {
+      set(blocking);
+      wait_until(release);
+    });
+    g.add_task(make_tag(TaskKind::kUser, 1), [&] {
+      wait_until(blocking);
+      set(failing);
+      throw Error("other caller");
+    });
+    EXPECT_THROW(run_graph(g, pool), Error);
+  });
+  wait_until(failing);
+
+  TaskGraph g;
+  std::atomic<int> count{0};
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    g.add_task(make_tag(TaskKind::kUser, i), [&count] { count.fetch_add(1); });
+  }
+  EXPECT_NO_THROW(run_graph(g, pool));
+  EXPECT_EQ(count.load(), 50);
+  set(release);
+  other.join();
+}
+
 TEST(Scheduler, ReusableAcrossGraphs) {
   ThreadPool pool(2);
   for (int round = 0; round < 3; ++round) {

@@ -380,8 +380,10 @@ TEST(Abft, VerifyFactorLocalizesAndRecomputeSubtreeHeals) {
   const SparseMatrix a = test_matrix();
   const SymbolicFactor sym = analyze(a);
   const CholeskyFactor reference = multifrontal_factor(sym);
-  CholeskyFactor victim = multifrontal_factor(sym);
-  FactorChecksums sums = compute_factor_checksums(sym, victim);
+  FactorChecksums sums;
+  CholeskyFactor victim = multifrontal_factor_abft(
+      sym, nullptr, FactorKind::kCholesky, {}, {}, &sums);
+  expect_factors_bitwise_equal(sym, reference, victim);
   EXPECT_EQ(verify_factor(sym, victim, sums), kNone);
 
   SdcInjection inject;

@@ -21,6 +21,7 @@
 #include "api/solver.h"
 #include "api/symbolic_cache.h"
 #include "mf/multifrontal.h"
+#include "solve/solve_schedule.h"
 #include "sparse/gen.h"
 #include "support/prng.h"
 #include "support/resource.h"
@@ -765,6 +766,62 @@ TEST(ThreadCountTest, ServiceSessionAnswersAlikeAtAnyThreadCount) {
   };
   expect_same_answers(session_answers(1), session_answers(2),
                       "threads = 2 session");
+}
+
+TEST(ThreadCountTest, TwoSessionsThreadedSolvesShareOnePool) {
+  // Two clients solve on their own threads = 2 sessions at once, so the
+  // task graphs of both sessions' sweeps run on the service's one pool.
+  // Every answer is still a threads = 1 Solver's.
+  const SparseMatrix a = thread_count_matrix(FactorKind::kCholesky);
+  const SparseMatrix matrices[2] = {a, scaled_values(a, 1.25)};
+  const index_t nrhs = kRhsBlock + 1;
+  const std::vector<real_t> b = random_block(a.rows, 1, 29);
+  const std::vector<real_t> bb = random_block(a.rows, nrhs, 31);
+  std::vector<real_t> want_solve[2];
+  std::vector<real_t> want_batch[2];
+  for (int c = 0; c < 2; ++c) {
+    Solver serial;
+    serial.analyze(matrices[c]);
+    ASSERT_TRUE(serial.factorize().ok());
+    // The sweeps split into several tasks, or the pool would run one.
+    ASSERT_GT(SolveSchedule(serial.symbolic()).n_tasks(), 1);
+    want_solve[c] = serial.solve(b);
+    want_batch[c] = serial.solve_refined(bb, nrhs);
+  }
+
+  ServiceOptions opt;
+  opt.solver.threads = 2;
+  opt.max_concurrent_jobs = 2;
+  SolverService svc(opt);
+  SessionId ids[2] = {0, 0};
+  for (int c = 0; c < 2; ++c) {
+    ASSERT_TRUE(svc.open(matrices[c], ids[c]).ok());
+    ASSERT_TRUE(svc.factorize(ids[c]).ok());
+  }
+  constexpr int kRounds = 20;
+  std::atomic<int> failures{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&, c] {
+      std::vector<real_t> x;
+      for (int round = 0; round < kRounds; ++round) {
+        if (!svc.solve(ids[c], b, x).ok()) {
+          failures.fetch_add(1);
+        } else if (!bitwise_equal(x, want_solve[c])) {
+          mismatches.fetch_add(1);
+        }
+        if (!svc.solve_batch(ids[c], bb, nrhs, x).ok()) {
+          failures.fetch_add(1);
+        } else if (!bitwise_equal(x, want_batch[c])) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(ThreadCountTest, OneCacheEntryServesEveryThreadCount) {

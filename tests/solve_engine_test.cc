@@ -136,8 +136,8 @@ TEST(SolveSchedule, PartitionsAndPlansAreExact) {
   opts.task_work = 300;
   const SolveSchedule schedule(sym, opts);
 
-  // Tasks are contiguous ranges; tasks + levels cover every supernode
-  // exactly once.
+  // Tasks are contiguous ranges; tasks + top supernodes cover every
+  // supernode exactly once.
   std::vector<int> seen(static_cast<std::size_t>(sym.n_supernodes), 0);
   for (index_t t = 0; t < schedule.n_tasks(); ++t) {
     ASSERT_LE(schedule.task_first[t], schedule.task_root[t]);
@@ -145,31 +145,28 @@ TEST(SolveSchedule, PartitionsAndPlansAreExact) {
       seen[s] += 1;
     }
   }
-  ASSERT_GT(schedule.n_levels(), 0);  // this tree is deep enough to split
-  for (index_t l = 0; l < schedule.n_levels(); ++l) {
-    for (index_t k = schedule.level_ptr[l]; k < schedule.level_ptr[l + 1];
-         ++k) {
-      seen[schedule.level_sn[k]] += 1;
-    }
+  ASSERT_GT(schedule.top_sn.size(), 1u);  // this tree is deep enough to split
+  ASSERT_TRUE(std::is_sorted(schedule.top_sn.begin(), schedule.top_sn.end()));
+  std::vector<char> top(static_cast<std::size_t>(sym.n_supernodes), 0);
+  for (const index_t s : schedule.top_sn) {
+    seen[s] += 1;
+    top[s] = 1;
   }
   for (index_t s = 0; s < sym.n_supernodes; ++s) {
     EXPECT_EQ(seen[s], 1) << "supernode " << s;
   }
 
-  // Within a level no supernode is an ancestor of another (levels are
-  // processed with a barrier in between but no ordering inside).
-  for (index_t l = 0; l < schedule.n_levels(); ++l) {
-    for (index_t k = schedule.level_ptr[l]; k < schedule.level_ptr[l + 1];
-         ++k) {
-      index_t anc = sym.sn_parent[schedule.level_sn[k]];
-      while (anc != kNone) {
-        for (index_t j = schedule.level_ptr[l]; j < schedule.level_ptr[l + 1];
-             ++j) {
-          ASSERT_NE(schedule.level_sn[j], anc);
-        }
-        anc = sym.sn_parent[anc];
-      }
-    }
+  // The sweep graph's edges are the tree's: a task root's parent and a top
+  // supernode's parent are top supernodes, so every edge joins two tasks.
+  const auto parent_is_top = [&](index_t s) {
+    const index_t parent = sym.sn_parent[s];
+    return parent == kNone || top[parent] == 1;
+  };
+  for (const index_t r : schedule.task_root) {
+    EXPECT_TRUE(parent_is_top(r)) << "task root " << r;
+  }
+  for (const index_t s : schedule.top_sn) {
+    EXPECT_TRUE(parent_is_top(s)) << "top supernode " << s;
   }
 
   // Forward pull plan: every below entry of every supernode is pulled by

@@ -1,11 +1,6 @@
 // Tests for the support module: checks, PRNG, thread pool, stats.
 #include <atomic>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <mutex>
-#include <set>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -111,21 +106,6 @@ TEST(ThreadPool, PropagatesException) {
   EXPECT_EQ(counter.load(), 1);
 }
 
-TEST(ThreadPool, ParallelForCoversRange) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(pool, 0, 1000,
-               [&hits](index_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  bool touched = false;
-  parallel_for(pool, 5, 5, [&touched](index_t) { touched = true; });
-  EXPECT_FALSE(touched);
-}
-
 TEST(ThreadPool, NestedSubmissionFromInsideTask) {
   // The task-DAG scheduler's workers submit successor work from inside
   // running tasks; the pool must accept that without deadlock (submit only
@@ -145,33 +125,6 @@ TEST(ThreadPool, NestedSubmissionFromInsideTask) {
   EXPECT_EQ(counter.load(), 24);
 }
 
-TEST(ThreadPool, ParallelForPropagatesBodyException) {
-  ThreadPool pool(3);
-  std::atomic<int> ran{0};
-  EXPECT_THROW(parallel_for(pool, 0, 1000,
-                            [&ran](index_t i) {
-                              ran.fetch_add(1);
-                              if (i == 777) throw Error("body failed");
-                            }),
-               Error);
-  // Every chunk either ran or was drained; the pool is healthy afterwards.
-  std::atomic<int> counter{0};
-  parallel_for(pool, 0, 10, [&counter](index_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 10);
-}
-
-TEST(ThreadPool, ParallelForPropagatesCallerChunkException) {
-  // The calling thread runs the first chunk itself; its exception must not
-  // be lost and must not fire before the workers are done with `body`.
-  ThreadPool pool(2);
-  EXPECT_THROW(parallel_for(pool, 0, 4,
-                            [](index_t i) {
-                              if (i == 0) throw Error("first chunk");
-                            },
-                            /*min_grain=*/1),
-               Error);
-}
-
 TEST(ThreadPool, ShutdownDrainsPendingTasks) {
   // Destroying the pool with queued work must not hang or drop tasks: the
   // workers drain the queue before exiting (the runtime relies on this when
@@ -185,81 +138,6 @@ TEST(ThreadPool, ShutdownDrainsPendingTasks) {
     // No wait(): destructor handles the backlog.
   }
   EXPECT_EQ(counter.load(), 64);
-}
-
-// --- One pool, several callers ----------------------------------------------
-//
-// SolverService hands one pool to every session, so each parallel_for (and
-// each task-graph run) must wait only for its own tasks and fail only on
-// their errors. The other caller's task below blocks on a Gate that opens
-// by itself after kProbeTimeout, so a pool that waits for it fails these
-// tests instead of hanging them.
-
-constexpr auto kProbeTimeout = std::chrono::seconds(5);
-
-class Gate {
- public:
-  void open() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      open_ = true;
-    }
-    cv_.notify_all();
-  }
-  void wait() {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait_for(lock, kProbeTimeout, [this] { return open_; });
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool open_ = false;
-};
-
-TEST(ThreadPool, ParallelForDoesNotWaitForAnotherCallersTasks) {
-  // Another caller's tasks hold both workers, so every chunk of this
-  // parallel_for stays queued behind them: the caller must run its own.
-  ThreadPool pool(2);
-  Gate release;
-  std::atomic<int> started{0};
-  std::atomic<int> finished{0};
-  for (int i = 0; i < pool.size(); ++i) {
-    pool.submit([&] {
-      started.fetch_add(1);
-      release.wait();
-      finished.fetch_add(1);
-    });
-  }
-  while (started.load() < pool.size()) std::this_thread::yield();
-
-  std::atomic<int> ran{0};
-  parallel_for(pool, 0, 8, [&ran](index_t) { ran.fetch_add(1); });
-  EXPECT_EQ(ran.load(), 8);
-  EXPECT_EQ(finished.load(), 0) << "parallel_for waited for another caller";
-  release.open();
-  pool.wait();
-  EXPECT_EQ(finished.load(), pool.size());
-}
-
-TEST(ThreadPool, ParallelForDoesNotRethrowAnotherCallersError) {
-  // Another caller's chunk fails on a worker while that caller is still
-  // busy in its own first chunk: the error is that caller's alone.
-  ThreadPool pool(2);
-  Gate failed_chunk_queued, release;
-  std::thread other([&] {
-    EXPECT_THROW(parallel_for(pool, 0, 2,
-                              [&](index_t i) {
-                                if (i == 1) throw Error("other caller");
-                                failed_chunk_queued.open();
-                                release.wait();
-                              }),
-                 Error);
-  });
-  failed_chunk_queued.wait();
-  EXPECT_NO_THROW(parallel_for(pool, 0, 8, [](index_t) {}));
-  release.open();
-  other.join();
 }
 
 TEST(Stats, Summary) {
